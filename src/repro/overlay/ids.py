@@ -19,6 +19,11 @@ class PeerId:
     The integer ``value`` is mapped to a synthetic IPv4 address in
     ``10.0.0.0/8`` for wire encoding; it is *not* visible in Query/QueryHit
     messages (the anonymity property Section 2.1 relies on).
+
+    The hash is computed once at construction (peers are dict/set keys on
+    every delivery). Its value must stay ``hash((value,))``, what the
+    dataclass would generate: DES fan-out order and the ``des-soa``
+    engine's replay of it both follow ``set[PeerId]`` iteration order.
     """
 
     value: int
@@ -26,6 +31,10 @@ class PeerId:
     def __post_init__(self) -> None:
         if not (0 <= self.value < 2**24):
             raise ValueError(f"PeerId out of range [0, 2^24): {self.value}")
+        object.__setattr__(self, "_hash", hash((self.value,)))
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
 
     @property
     def ipv4(self) -> str:

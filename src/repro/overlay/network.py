@@ -19,7 +19,7 @@ from repro.overlay.capacity import TokenBucket
 from repro.overlay.content import ContentCatalog, ContentConfig
 from repro.overlay.ids import Guid, GuidFactory, PeerId
 from repro.overlay.message import Message, MessageKind, Query, QueryHit
-from repro.overlay.peer import Peer
+from repro.overlay.peer import Peer, PeerState
 from repro.overlay.topology import Topology
 from repro.simkit.engine import Simulator
 from repro.simkit.rng import RngRegistry
@@ -274,16 +274,17 @@ class OverlayNetwork:
         if dst not in self.peers:
             raise ProtocolError(f"unknown destination {dst}")
         if self._up_links:
+            now = self.sim.now
             up = self._up_links.get(src)
             down = self._down_links.get(dst)
-            if (up is not None and not up.try_consume(self.now)) or (
-                down is not None and not down.try_consume(self.now)
+            if (up is not None and not up.try_consume(now)) or (
+                down is not None and not down.try_consume(now)
             ):
                 self.stats.messages_dropped_bandwidth += 1
                 if self.tracer is not None:
                     self.tracer.event(
                         "net.drop.bandwidth",
-                        t=self.now,
+                        t=now,
                         src=src.value,
                         dst=dst.value,
                         msg=msg.kind.name,
@@ -308,23 +309,9 @@ class OverlayNetwork:
             delay = shaped
         self.sim.schedule_in(delay, self._deliver, src, dst, msg)
 
-    #: kind-keyed stats dispatch: which NetworkStats counter one delivery
-    #: of each message kind bumps (everything non-query/non-hit is control
-    #: plane). Replaces an isinstance chain on the hottest path.
-    _STATS_COUNTER = {
-        kind: (
-            "query_messages"
-            if kind is MessageKind.QUERY
-            else "hit_messages"
-            if kind is MessageKind.QUERY_HIT
-            else "control_messages"
-        )
-        for kind in MessageKind
-    }
-
     def _deliver(self, src: PeerId, dst: PeerId, msg: Message) -> None:
         peer = self.peers[dst]
-        if not peer.online:
+        if peer.state is not PeerState.ONLINE:
             if self.tracer is not None:
                 self.tracer.event(
                     "net.drop.offline",
@@ -337,19 +324,25 @@ class OverlayNetwork:
         stats = self.stats
         stats.messages_delivered += 1
         stats.bytes_transferred += msg.size_bytes
-        counter = self._STATS_COUNTER[msg.kind]
-        setattr(stats, counter, getattr(stats, counter) + 1)
+        # Everything that is neither query nor hit is control plane.
+        kind = msg.kind
+        if kind is MessageKind.QUERY:
+            stats.query_messages += 1
+        elif kind is MessageKind.QUERY_HIT:
+            stats.hit_messages += 1
+        else:
+            stats.control_messages += 1
         if self.tracer is not None:
             self.tracer.event(
                 "net.deliver",
                 t=self.now,
                 src=src.value,
                 dst=dst.value,
-                msg=msg.kind.name,
+                msg=kind.name,
                 size=msg.size_bytes,
             )
         if self.metrics is not None:
-            self.metrics.counter(f"net.messages.{msg.kind.name.lower()}").inc()
+            self.metrics.counter(f"net.messages.{kind.name.lower()}").inc()
         peer.on_message(src, msg)
 
     # ------------------------------------------------------------------

@@ -291,7 +291,7 @@ class Peer:
         than an isinstance chain: one dict hit per delivery on the hottest
         receive path.
         """
-        if not self.online:
+        if self.state is not PeerState.ONLINE:
             return
         self.counters.bytes_received += msg.size_bytes
         handler = self._DISPATCH.get(msg.kind)

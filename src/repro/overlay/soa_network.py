@@ -234,15 +234,19 @@ class SoaFloodEngine:
         # insertions into an identical set reproduces the (deterministic)
         # order; edge cuts never reorder survivors, matching set.discard.
         proto = np.empty(self._E, dtype=np.int64)
+        pids = [PeerId(v) for v in range(n)]
         for u in range(n):
             a, b = int(self._indptr[u]), int(self._indptr[u + 1])
             if a == b:
                 continue
-            replay = {PeerId(v) for v in topology.adjacency[u]}
+            replay = {pids[v] for v in topology.adjacency[u]}
             order = np.fromiter(
                 (p.value for p in replay), dtype=np.int64, count=b - a
             )
             proto[a:b] = a + np.searchsorted(self._dst[a:b], order)
+        # n id objects: free them before the content, bucket and evidence
+        # allocations below rather than at the end of __init__.
+        del pids
         self._proto_edge = proto
 
         # -- content ----------------------------------------------------
@@ -605,13 +609,15 @@ class SoaFloodEngine:
         cand = passed & (obj >= 0)
         if cand.any():
             hkeys = obj[cand] * self.n + dst[cand]
-            pos = np.searchsorted(self._holder_keys, hkeys)
-            pos[pos >= len(self._holder_keys)] = 0 if len(self._holder_keys) else 0
-            found = (
-                self._holder_keys[pos] == hkeys
-                if len(self._holder_keys)
-                else np.zeros(len(hkeys), dtype=bool)
-            )
+            holders = self._holder_keys
+            if len(holders):
+                pos = np.searchsorted(holders, hkeys)
+                # A key past the last holder probes slot 0 instead; the
+                # equality test rejects it there.
+                pos[pos == len(holders)] = 0
+                found = holders[pos] == hkeys
+            else:
+                found = np.zeros(len(hkeys), dtype=bool)
             if found.any():
                 self._push_hits(
                     t + self._hop, qid[cand][found], src[cand][found]

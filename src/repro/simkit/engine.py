@@ -1,8 +1,11 @@
 """Heap-based discrete-event simulator.
 
-The engine owns a virtual clock and a binary heap of :class:`Event`
-objects. Cancellation is lazy: cancelled events stay in the heap and are
-skipped on pop, which keeps ``cancel`` O(1) and pop amortized O(log n).
+The engine owns a virtual clock and a binary heap of
+``(time, priority, seq, event)`` tuples. ``seq`` is unique, so ``heapq``
+orders entries on the first three fields in C and never compares two
+:class:`Event` objects (which define no ordering). Cancellation is
+lazy: cancelled events stay in the heap and are skipped on pop, which
+keeps ``cancel`` O(1) and pop amortized O(log n).
 Cancelled events are counted live (events report their cancellation back
 to the owning simulator), so ``pending_count`` is O(1), and the heap is
 compacted in place once cancelled entries dominate it -- long runs with
@@ -15,6 +18,12 @@ import heapq
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.simkit.events import Event, EventState
+
+_CANCELLED = EventState.CANCELLED
+_PENDING = EventState.PENDING
+
+#: One heap entry: ``(time, priority, seq, event)``.
+_Entry = Tuple[float, int, int, Event]
 
 #: Compaction never triggers below this many cancelled entries; above it,
 #: the heap is rebuilt once cancelled entries outnumber pending ones.
@@ -45,7 +54,7 @@ class Simulator:
         if start_time < 0:
             raise ValueError("start_time must be non-negative")
         self._now = float(start_time)
-        self._heap: List[Event] = []
+        self._heap: List[_Entry] = []
         self._seq = 0
         self._running = False
         self._stopped = False
@@ -80,15 +89,22 @@ class Simulator:
         priority: int = 0,
         tag: Optional[str] = None,
     ) -> Event:
-        """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
+        """Schedule ``callback(*args)`` at absolute virtual time ``time``.
+
+        ``priority`` must be an ``int`` (lower fires first among equal
+        times). It goes into the heap entry as given, not coerced: a
+        value that does not compare with ``int`` raises ``TypeError``
+        from a later push or pop, not here.
+        """
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule into the past: t={time} < now={self._now}"
             )
-        ev = Event(time, self._seq, callback, args, priority=priority, tag=tag)
-        ev.owner = self
-        self._seq += 1
-        heapq.heappush(self._heap, ev)
+        time = float(time)
+        ev = Event(time, callback, args, tag, self)
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (time, priority, seq, ev))
         return ev
 
     def schedule_in(
@@ -121,22 +137,26 @@ class Simulator:
         heap's total order ``(time, priority, seq)`` does not depend on
         insertion method. For n items this is O(heap + n) instead of
         O(n log heap), which matters for overlay startup (one timer per
-        peer at n >= 100k).
+        peer at n >= 100k). ``priority`` must be an ``int``, as for
+        :meth:`schedule_at`.
         """
-        events: List[Event] = []
+        entries: List[_Entry] = []
+        seq = self._seq
         for item in items:
             time, callback, *args = item
             if time < self._now:
                 raise SimulationError(
                     f"cannot schedule into the past: t={time} < now={self._now}"
                 )
-            ev = Event(time, self._seq, callback, tuple(args), priority=priority, tag=tag)
-            ev.owner = self
-            self._seq += 1
-            events.append(ev)
-        self._heap.extend(events)
+            time = float(time)
+            entries.append(
+                (time, priority, seq, Event(time, callback, tuple(args), tag, self))
+            )
+            seq += 1
+        self._seq = seq
+        self._heap.extend(entries)
         heapq.heapify(self._heap)
-        return events
+        return [entry[3] for entry in entries]
 
     # -- cancellation accounting -------------------------------------------
     def note_cancelled(self) -> None:
@@ -155,7 +175,8 @@ class Simulator:
 
     def _compact(self) -> None:
         before = len(self._heap)
-        self._heap = [e for e in self._heap if e.pending]
+        # In place: a running loop holds a reference to this list.
+        self._heap[:] = [entry for entry in self._heap if entry[3].state is _PENDING]
         heapq.heapify(self._heap)
         self._cancelled_in_heap = 0
         if self.tracer is not None:
@@ -163,20 +184,19 @@ class Simulator:
                 "sim.compact", t=self._now, before=before, after=len(self._heap)
             )
 
-    def _pop_cancelled(self) -> Event:
+    def _pop_cancelled(self) -> None:
         """Pop the heap top known to be cancelled, maintaining the counter."""
-        ev = heapq.heappop(self._heap)
+        heapq.heappop(self._heap)
         self._cancelled_in_heap -= 1
-        return ev
 
     # -- execution ---------------------------------------------------------
     def step(self) -> Optional[Event]:
         """Fire the single next pending event; return it, or None if empty."""
         while self._heap:
-            if self._heap[0].cancelled:
+            if self._heap[0][3].state is _CANCELLED:
                 self._pop_cancelled()
                 continue
-            ev = heapq.heappop(self._heap)
+            ev = heapq.heappop(self._heap)[3]
             self._now = ev.time
             if self.tracer is not None:
                 self.tracer.event("sim.dispatch", t=ev.time, tag=ev.tag)
@@ -194,7 +214,9 @@ class Simulator:
             If given, stop once the clock would pass ``until``; the clock is
             advanced to exactly ``until`` and remaining events stay queued.
         max_events:
-            Safety valve: stop after firing this many events.
+            Safety valve: stop after firing this many events. While an
+            event at or before ``until`` is still pending, the clock
+            stays at the last fired event instead of jumping to ``until``.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run)")
@@ -202,25 +224,32 @@ class Simulator:
         self._stopped = False
         fired = 0
         tracer = self.tracer
+        heap = self._heap
+        heappop = heapq.heappop
         try:
-            while self._heap and not self._stopped:
+            while heap and not self._stopped:
                 if max_events is not None and fired >= max_events:
                     break
-                nxt = self._heap[0]
-                if nxt.cancelled:
+                time, _, _, nxt = heap[0]
+                if nxt.state is _CANCELLED:
                     self._pop_cancelled()
                     continue
-                if until is not None and nxt.time > until:
+                if until is not None and time > until:
                     break
-                heapq.heappop(self._heap)
-                self._now = nxt.time
+                heappop(heap)
+                self._now = time
                 if tracer is not None:
-                    tracer.event("sim.dispatch", t=nxt.time, tag=nxt.tag)
+                    tracer.event("sim.dispatch", t=time, tag=nxt.tag)
                 nxt.fire()
                 self._events_fired += 1
                 fired += 1
             if until is not None and self._now < until and not self._stopped:
-                self._now = until
+                # Only if nothing is left at or before ``until``: after a
+                # max_events exit the next run() would otherwise move the
+                # clock backwards to the event still pending.
+                pending = self.peek_time()
+                if pending is None or pending > until:
+                    self._now = until
         finally:
             self._running = False
 
@@ -231,9 +260,9 @@ class Simulator:
     # -- introspection -------------------------------------------------
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is empty."""
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][3].state is _CANCELLED:
             self._pop_cancelled()
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def drain(self) -> Tuple[int, int]:
         """Discard all queued events; returns (pending, cancelled) counts.
@@ -243,9 +272,9 @@ class Simulator:
         """
         pending = len(self._heap) - self._cancelled_in_heap
         cancelled = self._cancelled_in_heap
-        for ev in self._heap:
-            if ev.pending:
-                ev.state = EventState.CANCELLED
+        for _, _, _, ev in self._heap:
+            if ev.state is _PENDING:
+                ev.state = _CANCELLED
         self._heap.clear()
         self._cancelled_in_heap = 0
         return pending, cancelled

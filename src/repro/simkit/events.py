@@ -1,8 +1,12 @@
 """Event objects for the DES kernel.
 
-Events are comparable on ``(time, priority, sequence)`` so the scheduler's
-heap yields a deterministic total order: earlier time first, then lower
-priority number, then insertion order (FIFO among ties).
+An :class:`Event` is the handle a caller keeps for a scheduled callback:
+it can be cancelled and carries its lifecycle state. It does *not* order
+itself. The scheduler's heap holds ``(time, priority, seq, event)``
+tuples, so the deterministic total order -- earlier time first, then
+lower priority number, then insertion order (FIFO among ties) -- is
+compared by ``heapq`` in C, and ``seq`` is unique, so a comparison never
+reaches the event object.
 """
 
 from __future__ import annotations
@@ -22,49 +26,41 @@ class EventState(enum.Enum):
 class Event:
     """A scheduled callback.
 
+    Built only by :class:`~repro.simkit.engine.Simulator` (callers get
+    one back from ``schedule_*`` and use it as a handle; the constructor
+    checks nothing). The simulator validates and coerces ``time`` once
+    and keeps the event's priority and sequence number in the heap entry
+    rather than on the event.
+
     Parameters
     ----------
     time:
         Virtual time at which the event fires.
-    seq:
-        Monotone sequence number assigned by the simulator; breaks ties
-        deterministically (FIFO) among events scheduled for the same time.
     callback:
         Callable invoked as ``callback(*args)`` when the event fires.
-    priority:
-        Secondary ordering key; events at equal time fire in ascending
-        priority. Defaults to 0. Use negative priorities for bookkeeping
-        that must observe state *before* same-time application events.
+    tag:
+        Optional label reported by the dispatch tracer.
+    owner:
+        Owning scheduler; lets ``cancel`` report lazily-cancelled events
+        so the engine can keep an O(1) pending count and compact the heap.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "args", "state", "tag", "owner")
+    __slots__ = ("time", "callback", "args", "state", "tag", "owner")
 
     def __init__(
         self,
         time: float,
-        seq: int,
         callback: Callable[..., Any],
         args: Tuple[Any, ...] = (),
-        priority: int = 0,
         tag: Optional[str] = None,
+        owner: Optional[Any] = None,
     ) -> None:
-        if time < 0:
-            raise ValueError(f"event time must be non-negative, got {time!r}")
-        self.time = float(time)
-        self.priority = int(priority)
-        self.seq = int(seq)
+        self.time = time
         self.callback = callback
         self.args = args
         self.state = EventState.PENDING
         self.tag = tag
-        #: Owning scheduler, set by ``Simulator.schedule_at``; lets
-        #: ``cancel`` report lazily-cancelled events so the engine can keep
-        #: an O(1) pending count and compact the heap.
-        self.owner: Optional[Any] = None
-
-    @property
-    def sort_key(self) -> Tuple[float, int, int]:
-        return (self.time, self.priority, self.seq)
+        self.owner = owner
 
     def cancel(self) -> bool:
         """Cancel a pending event. Returns True if it was still pending."""
@@ -90,13 +86,6 @@ class Event:
         self.state = EventState.FIRED
         self.callback(*self.args)
 
-    # Heap ordering -------------------------------------------------------
-    def __lt__(self, other: "Event") -> bool:
-        return self.sort_key < other.sort_key
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         name = getattr(self.callback, "__name__", repr(self.callback))
-        return (
-            f"Event(t={self.time:.6g}, prio={self.priority}, seq={self.seq}, "
-            f"cb={name}, state={self.state.value})"
-        )
+        return f"Event(t={self.time:.6g}, cb={name}, state={self.state.value})"

@@ -1,6 +1,9 @@
 """Unit tests for peer ids and GUIDs."""
 
+import copy
+import pickle
 import random
+import sys
 
 import pytest
 
@@ -32,6 +35,49 @@ def test_peer_id_ordering_and_hash():
     a, b = PeerId(1), PeerId(2)
     assert a < b
     assert len({PeerId(3), PeerId(3)}) == 1
+
+
+def test_peer_id_hash_is_the_hash_of_its_field_tuple():
+    # The memoised hash must stay what @dataclass(frozen=True) generates:
+    # neighbor sets are set[PeerId], and both the DES fan-out and the
+    # des-soa engine's replay of it follow their iteration order.
+    rng = random.Random(0)
+    sample = [0, 1, 255, 256, 2**16, 2**24 - 1] + [
+        rng.randrange(2**24) for _ in range(500)
+    ]
+    for v in sample:
+        assert hash(PeerId(v)) == hash((v,))
+
+
+def test_peer_id_set_iteration_order_is_pinned():
+    vs = [17, 4, 9001, 256, 3, 65536, 42, 1_000_000, 8, 2**24 - 1, 12345, 77]
+    order = [p.value for p in {PeerId(v) for v in vs}]
+    # same hashes, same insertions: same layout as a set of the tuples
+    assert order == [t[0] for t in {(v,) for v in vs}]
+    if sys.implementation.name == "cpython" and sys.hash_info.width == 64:
+        # recorded before the hash was memoised (CPython >= 3.8 tuple hash)
+        assert order == [
+            256, 65536, 12345, 8, 4, 17, 9001, 42, 1000000, 16777215, 3, 77
+        ]
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [
+        copy.copy,
+        copy.deepcopy,
+        lambda p: pickle.loads(pickle.dumps(p)),
+        lambda p: pickle.loads(pickle.dumps(p, protocol=pickle.HIGHEST_PROTOCOL)),
+    ],
+    ids=["copy", "deepcopy", "pickle", "pickle-highest"],
+)
+def test_peer_id_survives_copy_and_pickle(clone):
+    # exec.pmap ships PeerIds to spawned workers and back
+    pid = PeerId(54321)
+    twin = clone(pid)
+    assert twin == pid
+    assert hash(twin) == hash(pid) == hash((54321,))
+    assert twin in {pid}
 
 
 def test_from_ipv4_bytes_validates():

@@ -1,6 +1,8 @@
 """Unit tests for the DES engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simkit.engine import SimulationError, Simulator
 
@@ -87,6 +89,30 @@ def test_run_until_stops_and_advances_clock():
     # remaining event still fires on the next run
     sim.run()
     assert fired == [1, 50]
+
+
+def test_run_cut_short_by_max_events_never_moves_the_clock_backwards():
+    sim = Simulator()
+    fired = []
+    sim.schedule_at(1.0, fired.append, 1)
+    sim.schedule_at(2.0, fired.append, 2)
+    sim.run(until=10.0, max_events=1)
+    # an event at t=2 is still pending before ``until``: jumping to 10 now
+    # would make the next run() rewind the clock to 2
+    assert (fired, sim.now) == ([1], 1.0)
+    sim.run()
+    assert (fired, sim.now) == ([1, 2], 2.0)
+
+
+def test_run_until_advances_when_max_events_lands_on_the_last_event():
+    sim = Simulator()
+    sim.schedule_at(1.0, lambda: None)
+    sim.schedule_at(50.0, lambda: None)
+    sim.run(until=10.0, max_events=1)
+    # nothing is pending at or before ``until``, so the clock gets there
+    assert sim.now == 10.0
+    sim.run(until=60.0, max_events=1)
+    assert sim.now == 60.0
 
 
 def test_cancelled_event_does_not_fire():
@@ -288,3 +314,101 @@ def test_schedule_bulk_events_are_cancellable():
     assert sim.pending_count == 5
     sim.run()
     assert fired == [1, 3, 5, 7, 9]
+
+
+def test_events_define_no_ordering():
+    sim = Simulator()
+    ev_a = sim.schedule_at(1.0, lambda: None)
+    ev_b = sim.schedule_at(2.0, lambda: None)
+    # the heap orders (time, priority, seq, event) tuples; seq is unique,
+    # so the event itself is never compared and needs no __lt__
+    with pytest.raises(TypeError):
+        ev_a < ev_b
+
+
+# One scheduled callback: (time or delay, priority, follow-up delay or
+# None). Small value sets force ties on time and on (time, priority).
+_TICKS = st.sampled_from([0.0, 1.0, 1.0, 2.0, 3.0])
+_PRIORITIES = st.sampled_from([-1, 0, 0, 1])
+_ITEM = st.tuples(_TICKS, _PRIORITIES, st.none() | _TICKS)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("at"), _ITEM),
+        st.tuples(st.just("in"), _ITEM),
+        st.tuples(st.just("bulk"), st.lists(_ITEM, max_size=6)),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=200)),
+        st.tuples(st.just("compact"), st.none()),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_OPS)
+def test_fire_order_is_sorted_time_priority_seq(ops):
+    """Any mix of schedule_at/_in/_bulk, cancel and a forced ``_compact``,
+    with follow-ups scheduled from inside the loop, fires in exactly
+    ``(time, priority, seq)`` order -- checked against a list + ``min``
+    oracle that shares no code with the heap."""
+    sim = Simulator()
+    fired = []
+    handles = []  # seq -> Event, in scheduling order
+    model = {}  # seq of a pending event -> (time, priority, seq, follow-up delay)
+
+    def on_fire(seq, priority, follow_up):
+        fired.append(seq)
+        if follow_up is not None:
+            child = len(handles)
+            handles.append(
+                sim.schedule_in(
+                    follow_up, on_fire, child, priority, None, priority=priority
+                )
+            )
+
+    def schedule(how, items, priority):
+        first = len(handles)
+        rows = [
+            (time, on_fire, first + i, priority, follow_up)
+            for i, (time, follow_up) in enumerate(items)
+        ]
+        for time, _, seq, _, follow_up in rows:
+            model[seq] = (time, priority, seq, follow_up)
+        if how == "bulk":
+            handles.extend(sim.schedule_bulk(rows, priority=priority))
+        else:  # now == 0 until run(), so a delay is also a time
+            at_or_in = sim.schedule_at if how == "at" else sim.schedule_in
+            handles.extend(
+                at_or_in(time, *rest, priority=priority) for time, *rest in rows
+            )
+
+    for op, arg in ops:
+        if op in ("at", "in"):
+            time, priority, follow_up = arg
+            schedule(op, [(time, follow_up)], priority)
+        elif op == "bulk":
+            # one priority per schedule_bulk call
+            priority = arg[0][1] if arg else 0
+            schedule(op, [(time, follow_up) for time, _, follow_up in arg], priority)
+        elif op == "cancel":
+            if handles:
+                seq = arg % len(handles)
+                assert handles[seq].cancel() is (seq in model)
+                model.pop(seq, None)
+        else:
+            sim._compact()
+            assert len(sim._heap) == sim.pending_count == len(model)
+
+    expected = []
+    next_seq = len(handles)
+    while model:
+        time, priority, seq, follow_up = min(model.values())
+        del model[seq]
+        expected.append(seq)
+        if follow_up is not None:
+            model[next_seq] = (time + follow_up, priority, next_seq, None)
+            next_seq += 1
+
+    sim.run()
+    assert fired == expected
+    assert sim.events_fired == len(expected)
+    assert sim.pending_count == 0
