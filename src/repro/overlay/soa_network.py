@@ -73,6 +73,16 @@ MISSING = -3
 HIT_SIZE = 90
 
 
+def _run_bounds(sorted_vals: np.ndarray) -> np.ndarray:
+    """Bounds ``b`` of the equal-value runs of a sorted, non-empty array:
+    run ``i`` is ``sorted_vals[b[i]:b[i + 1]]``."""
+    k = len(sorted_vals)
+    bound = np.empty(k + 1, dtype=bool)
+    bound[0] = bound[k] = True
+    np.not_equal(sorted_vals[1:], sorted_vals[:-1], out=bound[1:k])
+    return bound.nonzero()[0]
+
+
 def query_size_bytes(keywords: Tuple[str, ...]) -> int:
     """Wire size of a Query: header + min_speed(2) + NUL search string."""
     payload = 2 + sum(len(k) for k in keywords) + max(0, len(keywords) - 1) + 1
@@ -220,10 +230,10 @@ class SoaFloodEngine:
         self._rev = rev.astype(np.int64)
         self._indptr = edge_slice_index(self._src, n)
         self._E = len(src)
+        self._deg = np.diff(self._indptr)
         #: (src, dst)-packed keys; sorted because edges are (src, dst)-sorted.
         self._ekeys = self._src * n + self._dst
         self.edge_alive = np.ones(self._E, dtype=bool)
-        self._alive_deg = np.diff(self._indptr).astype(np.int64)
 
         # DES peers keep neighbors in a Python set, and issue_query /
         # _on_query emit sends in its *iteration order*. Which same-depth
@@ -313,7 +323,9 @@ class SoaFloodEngine:
             priority=-1,
         )
         #: wave buffers: timestamp -> (query chunks, hit chunks). A chunk
-        #: is a tuple of parallel arrays appended in DES event order.
+        #: is a tuple of parallel arrays appended in DES event order: a
+        #: query copy is (qid, directed edge id it travels on, ttl, obj,
+        #: size), a hit is (qid, receiving peer).
         self._waves: Dict[float, Tuple[list, list]] = {}
         self.waves_processed = 0
 
@@ -346,10 +358,6 @@ class SoaFloodEngine:
     # ------------------------------------------------------------------
     # small helpers
     # ------------------------------------------------------------------
-    def _edge_ids(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Edge ids for directed pairs (u, v); pairs must be real edges."""
-        return np.searchsorted(self._ekeys, u * self.n + v)
-
     def _cm_columns(self, eids: np.ndarray, row: int) -> np.ndarray:
         """Sketch columns of ``eids`` in ``row`` (stateless: no column
         table is stored, so evidence memory is the cells alone)."""
@@ -420,13 +428,12 @@ class SoaFloodEngine:
         self,
         t: float,
         qid: np.ndarray,
-        dst: np.ndarray,
-        src: np.ndarray,
+        edge: np.ndarray,
         ttl: np.ndarray,
         obj: np.ndarray,
         size: np.ndarray,
     ) -> None:
-        self._wave_at(t)[0].append((qid, dst, src, ttl, obj, size))
+        self._wave_at(t)[0].append((qid, edge, ttl, obj, size))
 
     def _push_hits(self, t: float, qid: np.ndarray, at: np.ndarray) -> None:
         self._wave_at(t)[1].append((qid, at))
@@ -459,13 +466,11 @@ class SoaFloodEngine:
                 np.array([qid * self.n + pid], dtype=np.int64)
             )
             self._count_out(eids)
-            targets = self._dst[eids]
-            k = len(targets)
+            k = len(eids)
             self._push_queries(
                 now + self._hop,
                 np.full(k, qid, dtype=np.int64),
-                targets,
-                np.full(k, pid, dtype=np.int64),
+                eids,
                 np.full(k, self._default_ttl, dtype=np.int64),
                 np.full(k, obj, dtype=np.int64),
                 np.full(k, size, dtype=np.int64),
@@ -526,8 +531,7 @@ class SoaFloodEngine:
             self._push_queries(
                 deliver_at,
                 qids,
-                self._dst[te],
-                np.full(count, pid, dtype=np.int64),
+                te,
                 np.full(count, self._default_ttl, dtype=np.int64),
                 np.full(count, -1, dtype=np.int64),
                 sizes,
@@ -539,16 +543,18 @@ class SoaFloodEngine:
     # ------------------------------------------------------------------
     # wave processing
     # ------------------------------------------------------------------
-    def _flush_pending_seen(self) -> None:
-        if not self._pending_seen:
-            return
+    def _take_pending_seen(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Origin keys of the queries issued since the last wave, with
+        their ``ORIGIN`` route values."""
         keys = np.concatenate(self._pending_seen)
         self._pending_seen.clear()
-        self.seen.insert_new(keys, np.full(len(keys), ORIGIN, dtype=np.int64))
+        return keys, np.full(len(keys), ORIGIN, dtype=np.int64)
 
     def _process_wave(self, t: float) -> None:
         qchunks, hchunks = self._waves.pop(t)
-        self._flush_pending_seen()
+        if self._pending_seen and not qchunks:
+            # A query wave inserts them together with its own keys.
+            self.seen.insert_new(*self._take_pending_seen())
         self.seen.maybe_rotate(t)
         if qchunks:
             self._process_queries(t, qchunks)
@@ -558,10 +564,10 @@ class SoaFloodEngine:
 
     def _process_queries(self, t: float, chunks: list) -> None:
         if len(chunks) == 1:
-            qid, dst, src, ttl, obj, size = chunks[0]
+            qid, edge, ttl, obj, size = chunks[0]
         else:
-            qid, dst, src, ttl, obj, size = (
-                np.concatenate([c[i] for c in chunks]) for i in range(6)
+            qid, edge, ttl, obj, size = (
+                np.concatenate([c[i] for c in chunks]) for i in range(5)
             )
         m = len(qid)
         stats = self.stats
@@ -572,46 +578,64 @@ class SoaFloodEngine:
         # In_query window stamps: receiver-side, gated on the connection
         # still existing (in-flight copies on a cut edge deliver but do
         # not resurrect the counter key).
-        e_in = self._edge_ids(src, dst)
-        alive = self.edge_alive[e_in]
-        self._count_in(e_in[alive])
+        self._count_in(edge[self.edge_alive[edge]])
 
         # Duplicate suppression: within-wave first occurrence, then the
-        # cross-wave seen-set. Route = arrival neighbor of the first
-        # sight, recorded even for copies the capacity clamp later drops.
+        # cross-wave seen-set. Route = arrival edge of the first sight,
+        # recorded even for copies the capacity clamp later drops. The
+        # origin keys of queries issued since the last wave join the
+        # batch: none can equal a wave key, because a query's first wave
+        # (one hop_latency_s > 0 after its issue) flushes its origin key
+        # and never delivers to its origin.
+        dst = self._dst[edge]
         keys = qid * self.n + dst
-        uniq_keys, first_idx = np.unique(keys, return_index=True)
-        fresh = self.seen.insert_new(uniq_keys, src[first_idx])
-        keep = np.sort(first_idx[fresh])  # back to arrival order
-        stats.queries_dropped_duplicate += m - len(keep)
-        if not len(keep):
-            return
-        qid, dst, src, ttl, obj, size = (
-            a[keep] for a in (qid, dst, src, ttl, obj, size)
-        )
+        order = keys.argsort(kind="stable")
+        keys = keys[order]
+        first = _run_bounds(keys)[:-1]
+        first_idx = order[first]
+        new_keys = keys[first]
+        routes = edge[first_idx]
+        if self._pending_seen:
+            origin_keys, origins = self._take_pending_seen()
+            new_keys = np.concatenate([new_keys, origin_keys])
+            routes = np.concatenate([routes, origins])
+        fresh = self.seen.insert_new(new_keys, routes)[: len(first_idx)]
+        kept = int(np.count_nonzero(fresh))
+        if kept < m:
+            stats.queries_dropped_duplicate += m - kept
+            if not kept:
+                return
+            keep = np.sort(first_idx[fresh])  # back to arrival order
+            qid, dst, edge, ttl, obj, size = (
+                a[keep] for a in (qid, dst, edge, ttl, obj, size)
+            )
 
         # Capacity clamp: per receiving peer, the first `granted` fresh
         # arrivals (in arrival order) consume tokens; the rest drop.
-        order = np.argsort(dst, kind="stable")
+        order = dst.argsort(kind="stable")
         ds = dst[order]
-        peers, counts = np.unique(ds, return_counts=True)
-        granted = self.bucket.grant(peers, counts, t)
-        starts = np.cumsum(counts) - counts
-        rank = np.arange(len(ds)) - np.repeat(starts, counts)
-        passed = np.empty(len(ds), dtype=bool)
-        passed[order] = rank < np.repeat(granted, counts)
-        dropped = len(ds) - int(passed.sum())
-        stats.queries_dropped_capacity += dropped
-        if dropped == len(ds):
-            return
+        bounds = _run_bounds(ds)
+        starts = bounds[:-1]
+        counts = bounds[1:] - starts
+        granted = self.bucket.grant(ds[starts], counts, t)
+        if (granted < counts).any():
+            rank = np.arange(len(ds)) - np.repeat(starts, counts)
+            passed = np.empty(len(ds), dtype=bool)
+            passed[order] = rank < np.repeat(granted, counts)
+            stats.queries_dropped_capacity += len(ds) - int(granted.sum())
+            if not granted.any():
+                return
+            qid, dst, edge, ttl, obj, size = (
+                a[passed] for a in (qid, dst, edge, ttl, obj, size)
+            )
 
         # Local content match -> QueryHit back along the arrival edge.
-        cand = passed & (obj >= 0)
+        cand = obj >= 0
         if cand.any():
             hkeys = obj[cand] * self.n + dst[cand]
             holders = self._holder_keys
             if len(holders):
-                pos = np.searchsorted(holders, hkeys)
+                pos = holders.searchsorted(hkeys)
                 # A key past the last holder probes slot 0 instead; the
                 # equality test rejects it there.
                 pos[pos == len(holders)] = 0
@@ -620,40 +644,32 @@ class SoaFloodEngine:
                 found = np.zeros(len(hkeys), dtype=bool)
             if found.any():
                 self._push_hits(
-                    t + self._hop, qid[cand][found], src[cand][found]
+                    t + self._hop, qid[cand][found], self._src[edge[cand][found]]
                 )
 
-        # CSR fan-out of the survivors with TTL left: forward to every
-        # alive neighbor except the arrival edge's source.
-        fwd = passed & (ttl > 1)
-        if not fwd.any():
-            return
-        f_idx = np.flatnonzero(fwd)
+        # CSR fan-out of the survivors with TTL left: forward on every
+        # alive out-edge except the reverse of the arrival edge.
+        f_idx = (ttl > 1).nonzero()[0]
         u = dst[f_idx]
-        lens = self._indptr[u + 1] - self._indptr[u]
+        lens = self._deg[u]
         total = int(lens.sum())
         if total == 0:
             return
         first = np.cumsum(lens) - lens
-        rel = np.arange(total) - np.repeat(first, lens)
         # Map row positions through the protocol-order permutation so
         # each owner's forwards are emitted in DES set-iteration order.
-        e = self._proto_edge[np.repeat(self._indptr[u], lens) + rel]
+        e = self._proto_edge[
+            np.repeat(self._indptr[u] - first, lens) + np.arange(total)
+        ]
         owner = np.repeat(f_idx, lens)
-        ok = self.edge_alive[e] & (self._dst[e] != src[owner])
-        if not ok.any():
-            return
+        ok = self.edge_alive[e] & (e != self._rev[edge][owner])
         e = e[ok]
+        if not len(e):
+            return
         owner = owner[ok]
         self._count_out(e)
         self._push_queries(
-            t + self._hop,
-            qid[owner],
-            self._dst[e],
-            self._src[e],
-            ttl[owner] - 1,
-            obj[owner],
-            size[owner],
+            t + self._hop, qid[owner], e, ttl[owner] - 1, obj[owner], size[owner]
         )
 
     def _process_hits(self, t: float, chunks: list) -> None:
@@ -668,8 +684,10 @@ class SoaFloodEngine:
         stats.bytes_transferred += HIT_SIZE * m
         stats.hit_messages += m
 
-        back = self.seen.lookup(qid * self.n + at, missing=MISSING)
-        is_origin = back == ORIGIN
+        # Route value: the edge the query arrived on at ``at``; the hit
+        # goes back over its reverse, to that edge's source.
+        arrival = self.seen.lookup(qid * self.n + at, missing=MISSING)
+        is_origin = arrival == ORIGIN
         if is_origin.any():
             meta = self._meta
             for q in qid[is_origin].tolist():
@@ -679,18 +697,16 @@ class SoaFloodEngine:
                     self.accounting.on_first_response(
                         window, is_attack, t - issued_at
                     )
-        lost = back == MISSING
-        stats.hits_dropped_no_route += int(lost.sum())
-        route = ~(is_origin | lost)
+        stats.hits_dropped_no_route += int((arrival == MISSING).sum())
+        route = arrival >= 0
         if not route.any():
             return
         q2 = qid[route]
-        a2 = at[route]
-        b2 = back[route]
-        alive = self.edge_alive[self._edge_ids(a2, b2)]
+        a2 = arrival[route]
+        alive = self.edge_alive[self._rev[a2]]
         stats.hits_dropped_no_route += int((~alive).sum())
         if alive.any():
-            self._push_hits(t + self._hop, q2[alive], b2[alive])
+            self._push_hits(t + self._hop, q2[alive], self._src[a2[alive]])
 
     # ------------------------------------------------------------------
     # minute roll + DD-POLICE
@@ -710,8 +726,6 @@ class SoaFloodEngine:
             prev_in = self.win_in
             self.win_out = np.zeros(self._E, dtype=np.int64)
             self.win_in = np.zeros(self._E, dtype=np.int64)
-        self.last_minute_out = prev_out
-        self.last_minute_in = prev_in
         self.accounting.on_minute_rolled(
             self.sim.now,
             self.stats.messages_delivered,
@@ -826,8 +840,6 @@ class SoaFloodEngine:
                 e_ju = self._edge_id(j, u)
                 self.edge_alive[e_uj] = False
                 self.edge_alive[e_ju] = False
-                self._alive_deg[u] -= 1
-                self._alive_deg[j] -= 1
                 self.stats.edges_cut += 1
                 disconnected = True
             else:

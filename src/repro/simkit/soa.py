@@ -2,13 +2,13 @@
 
 The SoA backend (:mod:`repro.overlay.soa_network`) advances flooding in
 *waves*: every message delivery sharing one exact virtual timestamp is
-processed as one vectorized step. That step needs three primitives that
+processed as one vectorized step. That step needs two primitives that
 have no per-element Python cost:
 
 * :class:`Int64Map` -- an open-addressing int64 -> int64 hash table with
   fully vectorized batch insert/lookup. It backs the unified seen-set /
-  reverse-route table (key ``qid * n + peer``, value = the neighbor the
-  query arrived from, or the ``ORIGIN`` sentinel for own issues).
+  reverse-route table (key ``qid * n + peer``, value = the directed
+  edge the query arrived on, or the ``ORIGIN`` sentinel for own issues).
   Because flood state is only live for one query lifetime
   (``2 * TTL * hop_latency`` seconds), the map is *generational*: two
   tables rotate on an epoch clock and lookups consult both, so memory is
@@ -18,13 +18,11 @@ have no per-element Python cost:
   :class:`repro.overlay.capacity.TokenBucket` float-for-float when
   refill points coincide (capped linear refill composes path
   independently, so it does).
-* :class:`GrowArray` -- an amortized-growth typed append buffer used to
-  accumulate wave entries before they are frozen into numpy views.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -37,102 +35,94 @@ EMPTY = np.int64(-1)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _hash_slots(keys: np.ndarray, log2_cap: int) -> np.ndarray:
-    """Fibonacci-hash int64 keys into ``[0, 2**log2_cap)`` slots."""
-    h = keys.astype(np.uint64) * _GOLDEN
-    return (h >> np.uint64(64 - log2_cap)).astype(np.int64)
+def _hashes(keys: np.ndarray) -> np.ndarray:
+    """Fibonacci hashes of int64 keys; a table keeps its top bits."""
+    return keys.astype(np.uint64) * _GOLDEN
 
 
 class _Table:
-    """One open-addressing generation: parallel key/value arrays."""
+    """One open-addressing generation: parallel key/value arrays.
 
-    __slots__ = ("keys", "vals", "log2_cap", "mask", "size")
+    Every probe takes ``h = _hashes(keys)`` from its caller, so one
+    product serves both generations.
+    """
+
+    __slots__ = ("keys", "vals", "log2_cap", "shift", "mask", "size")
 
     def __init__(self, log2_cap: int) -> None:
         cap = 1 << log2_cap
         self.keys = np.full(cap, EMPTY, dtype=np.int64)
         self.vals = np.empty(cap, dtype=np.int64)
         self.log2_cap = log2_cap
+        self.shift = np.uint64(64 - log2_cap)
         self.mask = np.int64(cap - 1)
         self.size = 0
 
     # -- vectorized probing -------------------------------------------------
-    def lookup(self, query_keys: np.ndarray, out: np.ndarray) -> None:
-        """Write values for found keys into ``out`` (missing untouched)."""
-        n = len(query_keys)
-        if n == 0:
-            return
-        pending = np.arange(n)
-        slots = _hash_slots(query_keys, self.log2_cap)
-        while len(pending):
-            table_keys = self.keys[slots]
-            found = table_keys == query_keys[pending]
-            if found.any():
-                out[pending[found]] = self.vals[slots[found]]
-            live = ~(found | (table_keys == EMPTY))
-            pending = pending[live]
+    def find(
+        self, query_keys: np.ndarray, h: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Membership mask for ``query_keys``; with ``out``, the values of
+        the found keys are also written into it (missing untouched)."""
+        slots = (h >> self.shift).astype(np.int64)
+        table_keys = self.keys[slots]
+        hit = table_keys == query_keys
+        if out is not None:
+            out[hit] = self.vals[slots[hit]]
+        live = ~hit & (table_keys != EMPTY)
+        rows = None  # probes still running, once some have finished
+        while live.any():
+            rows = live.nonzero()[0] if rows is None else rows[live]
             slots = (slots[live] + 1) & self.mask
-
-    def contains(self, query_keys: np.ndarray) -> np.ndarray:
-        """Boolean membership mask for ``query_keys``."""
-        n = len(query_keys)
-        hit = np.zeros(n, dtype=bool)
-        if n == 0:
-            return hit
-        pending = np.arange(n)
-        slots = _hash_slots(query_keys, self.log2_cap)
-        while len(pending):
             table_keys = self.keys[slots]
-            found = table_keys == query_keys[pending]
-            hit[pending[found]] = True
-            live = ~(found | (table_keys == EMPTY))
-            pending = pending[live]
-            slots = (slots[live] + 1) & self.mask
+            found = table_keys == query_keys[rows]
+            found_rows = rows[found]
+            hit[found_rows] = True
+            if out is not None:
+                out[found_rows] = self.vals[slots[found]]
+            live = ~found & (table_keys != EMPTY)
         return hit
 
-    def insert_unique(self, keys: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    def _claim(
+        self, slots: np.ndarray, keys: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One probe round: ``(won, settled)`` masks over the probes.
+
+        Every probe that sees an empty slot writes its key there; when
+        several contend, one write survives and the read-back tells each
+        claimant whether it was theirs. ``settled`` probes found their
+        key in the slot, either stored earlier or just won.
+        """
+        empty = self.keys[slots] == EMPTY
+        self.keys[slots[empty]] = keys[empty]
+        settled = self.keys[slots] == keys
+        return empty & settled, settled
+
+    def insert_unique(
+        self, keys: np.ndarray, vals: np.ndarray, h: np.ndarray
+    ) -> np.ndarray:
         """Insert batch-unique keys; return the freshly-inserted mask.
 
-        ``keys`` must contain no within-batch duplicates (dedup the batch
-        with ``np.unique`` first). Keys already present keep their stored
-        value (first writer wins, matching the DES reverse-route table,
-        which is only written on first sight of a GUID). Same-slot
-        contention inside the batch is serialized one claimant per probe
-        round via ``np.unique`` on the slot array.
+        ``keys`` must contain no within-batch duplicates. Keys already
+        present keep their stored value (first writer wins, matching the
+        DES reverse-route table, which is only written on first sight of
+        a GUID). Probes that lose a claim or meet another key advance one
+        slot; every round settles a probe or advances it, and the load
+        factor stays <= 0.5, so the loop terminates.
         """
-        n = len(keys)
-        fresh = np.zeros(n, dtype=bool)
-        if n == 0:
-            return fresh
-        pending = np.arange(n)
-        slots = _hash_slots(keys, self.log2_cap)
-        while len(pending):
-            table_keys = self.keys[slots]
-            match = table_keys == keys[pending]
-            empty = table_keys == EMPTY
-            claimed = np.zeros(len(pending), dtype=bool)
-            if empty.any():
-                empty_pos = np.flatnonzero(empty)
-                # One winner per contested slot this round; losers re-probe
-                # the same slot, see the winner's (different) key, advance.
-                _, first = np.unique(slots[empty_pos], return_index=True)
-                winners = empty_pos[first]
-                win_slots = slots[winners]
-                win_rows = pending[winners]
-                self.keys[win_slots] = keys[win_rows]
-                self.vals[win_slots] = vals[win_rows]
-                fresh[win_rows] = True
-                claimed[winners] = True
-                self.size += len(winners)
-            live = ~(match | claimed)
-            # Occupied-mismatch probes advance; claim-race losers retry
-            # the same slot (next round it holds the winner's different
-            # key, so they advance then). Every round either claims a
-            # slot or advances a probe -- the loop terminates.
-            advance = live & ~empty
-            slots = np.where(advance, slots + 1, slots) & self.mask
-            pending = pending[live]
-            slots = slots[live]
+        slots = (h >> self.shift).astype(np.int64)
+        fresh, settled = self._claim(slots, keys)
+        self.vals[slots[fresh]] = vals[fresh]
+        rows = None
+        while not settled.all():
+            live = ~settled
+            rows = live.nonzero()[0] if rows is None else rows[live]
+            slots = (slots[live] + 1) & self.mask
+            won, settled = self._claim(slots, keys[rows])
+            won_rows = rows[won]
+            fresh[won_rows] = True
+            self.vals[slots[won]] = vals[won_rows]
+        self.size += int(np.count_nonzero(fresh))
         return fresh
 
 
@@ -177,9 +167,10 @@ class Int64Map:
         if log2 == cur.log2_cap:
             return
         bigger = _Table(log2)
-        occupied = cur.keys != EMPTY
-        if occupied.any():
-            bigger.insert_unique(cur.keys[occupied], cur.vals[occupied])
+        if cur.size:
+            occupied = cur.keys != EMPTY
+            old_keys = cur.keys[occupied]
+            bigger.insert_unique(old_keys, cur.vals[occupied], _hashes(old_keys))
         self._current = bigger
 
     # ------------------------------------------------------------------
@@ -194,21 +185,25 @@ class Int64Map:
         if len(keys) == 0:
             return np.zeros(0, dtype=bool)
         self._grow_current(len(keys))
-        in_prev = self._previous.contains(keys)
+        cur = self._current
+        h = _hashes(keys)
+        if not self._previous.size:
+            return cur.insert_unique(keys, vals, h)
+        todo = ~self._previous.find(keys, h)
         fresh = np.zeros(len(keys), dtype=bool)
-        todo = ~in_prev
-        if todo.any():
-            fresh[todo] = self._current.insert_unique(keys[todo], vals[todo])
+        fresh[todo] = cur.insert_unique(keys[todo], vals[todo], h[todo])
         return fresh
 
     def lookup(self, keys: np.ndarray, missing: int = -3) -> np.ndarray:
         """Values for ``keys``; ``missing`` where absent from both tables."""
         keys = np.asarray(keys, dtype=np.int64)
         out = np.full(len(keys), missing, dtype=np.int64)
-        # Previous first, then current: an entry can only exist in one
-        # generation (inserts check both), so overwrite order is moot.
-        self._previous.lookup(keys, out)
-        self._current.lookup(keys, out)
+        h = _hashes(keys)
+        # An entry can only exist in one generation (inserts check both),
+        # so the order of the two passes is moot.
+        if self._previous.size:
+            self._previous.find(keys, h, out)
+        self._current.find(keys, h, out)
         return out
 
     @property
@@ -255,42 +250,3 @@ class TokenBucketArray:
         self.tokens[peers] = t - granted
         self.last[peers] = now
         return granted
-
-
-class GrowArray:
-    """Typed append buffer with amortized O(1) bulk extend."""
-
-    __slots__ = ("_data", "_len")
-
-    def __init__(self, dtype, initial: int = 1024) -> None:
-        self._data = np.empty(initial, dtype=dtype)
-        self._len = 0
-
-    def __len__(self) -> int:
-        return self._len
-
-    def extend(self, values: np.ndarray) -> None:
-        need = self._len + len(values)
-        if need > len(self._data):
-            new_cap = max(need, 2 * len(self._data))
-            grown = np.empty(new_cap, dtype=self._data.dtype)
-            grown[: self._len] = self._data[: self._len]
-            self._data = grown
-        self._data[self._len : need] = values
-        self._len = need
-
-    def view(self) -> np.ndarray:
-        """Zero-copy view of the filled prefix."""
-        return self._data[: self._len]
-
-
-def dedup_first_occurrence(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(unique_keys, first_occurrence_indices) preserving first arrivals.
-
-    ``np.unique(return_index=True)`` documents that the returned indices
-    are those of the *first* occurrence of each unique value -- the same
-    winner the sequential DES picks when several same-timestamp copies of
-    one query reach one peer.
-    """
-    uniq, first = np.unique(keys, return_index=True)
-    return uniq, first

@@ -70,13 +70,26 @@ def _cut_set(run):
     }
 
 
-def _config(seed, model, *, n, duration_s, ttl, num_agents=0, **kwargs):
+def _assert_oracle_counters_match(des, soa):
+    """``SoaStats`` extras == sums of the DES per-peer ``PeerCounters``."""
+    counters = [p.counters for p in des.network.peers.values()]
+    for name in (
+        "queries_dropped_duplicate",
+        "queries_dropped_capacity",
+        "hits_dropped_no_route",
+    ):
+        assert getattr(soa.stats, name) == sum(getattr(c, name) for c in counters), name
+
+
+def _config(seed, model, *, n, duration_s, ttl, num_agents=0, network=None, **kwargs):
     return DESConfig(
         n=n,
         duration_s=duration_s,
         seed=seed,
         topology=TopologyConfig(n=n, seed=seed, model=model),
-        network=NetworkConfig(hop_latency_jitter_s=0.0, default_ttl=ttl),
+        network=NetworkConfig(
+            hop_latency_jitter_s=0.0, default_ttl=ttl, **(network or {})
+        ),
         num_agents=num_agents,
         **kwargs,
     )
@@ -90,6 +103,7 @@ def test_workload_flood_is_exact(seed, model):
     soa = run_soa_experiment(cfg)
     assert _full_rows(des) == _full_rows(soa)
     assert _series(des) == _series(soa)
+    _assert_oracle_counters_match(des, soa)
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -113,6 +127,7 @@ def test_attack_flood_is_exact(seed, model):
     # batches fired the same query counts at the same minute boundaries;
     # make sure attacked windows actually reached the emitted rows
     assert sum(r.attack_queries_issued for r in des.collector.minutes) > 0
+    _assert_oracle_counters_match(des, soa)
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -141,6 +156,37 @@ def test_ddpolice_judgments_are_exact(model):
     # the flood itself must have been disturbed identically by the cuts
     q_des = sum(p.counters.queries_received for p in des.network.peers.values())
     assert q_des == soa.stats.query_messages
+    _assert_oracle_counters_match(des, soa)
+
+
+@pytest.mark.parametrize("defense", ["none", "ddpolice"])
+@pytest.mark.parametrize("model", MODELS)
+def test_binding_capacity_clamp_is_exact(model, defense):
+    # Every other case leaves the token buckets slack, so only here does
+    # the per-peer rank/grant path of the clamp run against the DES.
+    cfg = _config(
+        1,
+        model,
+        n=120,
+        duration_s=190.0,
+        ttl=3,
+        num_agents=2,
+        attack_start_s=130.0,
+        attack_rate_qpm=3000.0,
+        defense=defense,
+        network={"processing_qpm_good": 600.0},
+    )
+    des = run_des_experiment(cfg)
+    soa = run_soa_experiment(cfg)
+    assert soa.stats.queries_dropped_capacity > 0
+    _assert_oracle_counters_match(des, soa)
+    assert _series(des) == _series(soa)
+    if defense == "none":
+        assert _full_rows(des) == _full_rows(soa)
+    else:
+        assert _traffic_rows(des) == _traffic_rows(soa)
+        assert _judgment_set(des) == _judgment_set(soa)
+        assert des.error_counts() == soa.error_counts()
 
 
 def test_soa_rejects_unsupported_features():

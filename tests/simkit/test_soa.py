@@ -7,12 +7,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.overlay.capacity import TokenBucket
-from repro.simkit.soa import (
-    GrowArray,
-    Int64Map,
-    TokenBucketArray,
-    dedup_first_occurrence,
-)
+from repro.simkit.soa import Int64Map, TokenBucketArray, _hashes
 
 
 # ----------------------------------------------------------------------
@@ -75,6 +70,68 @@ def test_int64map_handles_slot_collisions_in_one_batch():
     assert table.lookup(keys).tolist() == (keys * 2).tolist()
 
 
+def test_int64map_matches_generational_dict_oracle_while_rotating():
+    # The oracle keeps one dict per generation and rotates on the same
+    # clock, so a key that fell off both generations is fresh again.
+    rng = random.Random(11)
+    table = Int64Map(initial_log2_cap=4, epoch_s=1.0)
+    current, previous = {}, {}
+    now = epoch_start = 0.0
+    for _ in range(120):
+        now += rng.random() * 0.6
+        if now - epoch_start >= 1.0:
+            current, previous, epoch_start = {}, current, now
+        table.maybe_rotate(now)
+        keys = np.unique(
+            np.array(rng.sample(range(600), rng.randint(1, 120)), dtype=np.int64)
+        )
+        vals = np.array([rng.randint(-2, 10**9) for _ in keys], dtype=np.int64)
+        fresh = table.insert_new(keys, vals)
+        for k, v, f in zip(keys.tolist(), vals.tolist(), fresh.tolist()):
+            assert f == (k not in current and k not in previous)
+            if f:
+                current[k] = v
+        probe = np.array(rng.sample(range(700), 200), dtype=np.int64)
+        want = [current.get(k, previous.get(k, -3)) for k in probe.tolist()]
+        assert table.lookup(probe, missing=-3).tolist() == want
+        assert table.size == len(current) + len(previous)
+    assert table.rotations > 20
+
+
+def test_int64map_many_claimants_of_one_empty_slot_insert_once_each():
+    # Keys chosen to hash to the same home slot of the 2**10 table: all
+    # of them see it empty in the first round and claim it together.
+    table = Int64Map(initial_log2_cap=10, epoch_s=1e9)
+    cand = np.arange(200_000, dtype=np.int64)
+    home = _hashes(cand) >> np.uint64(64 - 10)
+    keys = cand[home == home[0]][:40]
+    assert len(keys) == 40
+    fresh = table.insert_new(keys, keys + 5)
+    assert fresh.all()
+    assert table.size == 40
+    assert table.lookup(keys).tolist() == (keys + 5).tolist()
+    assert int((table._current.keys >= 0).sum()) == 40
+    assert not table.insert_new(keys, keys).any()
+    assert table.size == 40
+
+
+def test_int64map_batch_mixing_previous_current_and_new_keys():
+    table = Int64Map(initial_log2_cap=4, epoch_s=1.0)
+    old = np.arange(0, 30, dtype=np.int64)
+    live = np.arange(100, 130, dtype=np.int64)
+    new = np.arange(200, 230, dtype=np.int64)
+    table.insert_new(old, old + 1)
+    table.maybe_rotate(1.0)  # old -> previous generation
+    table.insert_new(live, live + 2)
+    batch = np.concatenate([new[:10], old, live, new[10:]])
+    fresh = table.insert_new(batch, np.full(len(batch), 9, dtype=np.int64))
+    assert fresh.tolist() == [True] * 10 + [False] * 60 + [True] * 20
+    assert table.size == 90
+    assert table.lookup(old).tolist() == (old + 1).tolist()
+    assert table.lookup(live).tolist() == (live + 2).tolist()
+    assert table.lookup(new).tolist() == [9] * 30
+
+
 def test_int64map_rejects_bad_config():
     with pytest.raises(ConfigError):
         Int64Map(epoch_s=0.0)
@@ -116,22 +173,3 @@ def test_token_bucket_array_matches_sequential_bucket_exactly():
 def test_token_bucket_array_rejects_nonpositive_rate():
     with pytest.raises(ConfigError):
         TokenBucketArray(3, 0.0)
-
-
-# ----------------------------------------------------------------------
-# GrowArray + dedup
-# ----------------------------------------------------------------------
-def test_grow_array_extends_across_reallocations():
-    buf = GrowArray(np.int64, initial=4)
-    chunks = [np.arange(k, dtype=np.int64) for k in (3, 5, 11, 2)]
-    for c in chunks:
-        buf.extend(c)
-    assert len(buf) == 21
-    assert buf.view().tolist() == np.concatenate(chunks).tolist()
-
-
-def test_dedup_first_occurrence_keeps_first_arrival():
-    keys = np.array([5, 3, 5, 9, 3, 5], dtype=np.int64)
-    uniq, first = dedup_first_occurrence(keys)
-    assert uniq.tolist() == [3, 5, 9]
-    assert first.tolist() == [1, 0, 3]
