@@ -3,34 +3,27 @@
 Paper conclusions: periodic with s <= 2 minutes performs about as well as
 faster schedules; s >= 4-5 minutes degrades judgment accuracy; the
 event-driven policy costs more overhead in highly dynamic networks. The
-paper (and this default) settles on periodic s = 2 min.
+paper (and this default) settles on periodic s = 2 min. The table is
+the registered ``exchange`` spec.
 """
 
 import pytest
 
 from benchmarks.conftest import publish
-from repro.experiments import figures
-from repro.experiments.reporting import render_table
+from repro.experiments.library import run_spec
 
 
 @pytest.fixture(scope="module")
-def study(scale):
-    return figures.exchange_frequency_study(scale, seed=17)
+def run(scale):
+    return run_spec("exchange", scale=scale.name)
 
 
-def test_exchange_frequency_table(results_dir, study):
-    text = render_table(
-        ["policy", "false judgment", "control overhead (k msgs/min)",
-         "stabilized damage (%)"],
-        [
-            [r.policy, r.false_judgment, round(r.control_overhead_kqpm, 2),
-             round(r.stabilized_damage_pct, 1)]
-            for r in study
-        ],
-        title="Section 3.7.1: neighbor-list exchange policy comparison",
+def test_exchange_frequency_table(results_dir, run):
+    publish(
+        results_dir, "exchange_frequency",
+        run.tables["exchange_frequency"], manifest=run.manifest,
     )
-    publish(results_dir, "exchange_frequency", text)
-    by_policy = {r.policy: r for r in study}
+    by_policy = {r.policy: r for r in run.data}
     # long periods hurt judgment accuracy vs the 2-minute default
     assert (
         by_policy["periodic-10min"].false_judgment
@@ -38,18 +31,24 @@ def test_exchange_frequency_table(results_dir, study):
     )
 
 
-def test_event_driven_overhead(study):
-    by_policy = {r.policy: r for r in study}
+def test_event_driven_overhead(run):
+    by_policy = {r.policy: r for r in run.data}
     # in a highly dynamic network the event-driven policy re-publishes on
     # every churn event; overhead must be nonzero
     assert by_policy["event-driven"].control_overhead_kqpm > 0
 
 
 def test_bench_exchange_point(benchmark, scale):
-    def run():
-        return figures.exchange_frequency_study(
-            scale, periods_min=(2,), minutes=scale.attack_start_min + 6, seed=17
+    def one_period():
+        return run_spec(
+            "exchange",
+            scale=scale.name,
+            overrides={
+                "grid.periods_min": (2,),
+                "grid.minutes": scale.attack_start_min + 6,
+            },
+            cache=False,
         )
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert len(rows) == 2
+    result = benchmark.pedantic(one_period, rounds=1, iterations=1)
+    assert len(result.data) == 2

@@ -20,7 +20,6 @@ import pytest
 
 from benchmarks.conftest import publish
 from repro.experiments.library import run_spec
-from repro.experiments.sweeps import fault_sweep
 
 SEED = 23  # the registered fault-sweep spec's seed
 
@@ -90,8 +89,8 @@ def test_bench_fault_point(benchmark, spec):
         spec, loss_fractions=(0.3,), crash_counts=(0,), trials=1
     )
 
-    def run():
-        return fault_sweep(tiny, seed0=SEED)
+    def one_cell():
+        return run_spec("fault-sweep", overrides={"faults": tiny}, cache=False)
 
-    pts = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert len(pts) == 2
+    result = benchmark.pedantic(one_cell, rounds=1, iterations=1)
+    assert len(result.data) == 2

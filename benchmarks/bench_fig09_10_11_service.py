@@ -2,7 +2,9 @@
 
 The shared sweep runs, for each agent density the paper uses
 (10..200 agents per 20,000 peers), three variants: no attack, attack
-without DD-POLICE, attack with DD-POLICE (CT=5, 2-minute exchange).
+without DD-POLICE, attack with DD-POLICE (CT=5, 2-minute exchange). The
+registered ``fig9`` / ``fig10`` / ``fig11`` specs project that one sweep
+(same scenario hash, so it runs once).
 
 Paper anchors (shape, not absolute numbers):
 * Fig 9 -- 10-20 agents roughly double the traffic; ~100 agents push it
@@ -16,60 +18,55 @@ Paper anchors (shape, not absolute numbers):
 import pytest
 
 from benchmarks.conftest import publish
-from repro.experiments import figures
-from repro.experiments.reporting import render_table
+from repro.experiments.library import run_spec
 
 
 @pytest.fixture(scope="module")
-def sweep(scale):
-    return figures.agent_sweep(scale, seed=7)
+def runs(scale):
+    return {name: run_spec(name, scale=scale.name) for name in ("fig9", "fig10", "fig11")}
 
 
-def test_fig9_traffic_cost(results_dir, sweep):
-    rows = figures.fig9_traffic_cost(sweep)
-    text = render_table(
-        ["agents (paper-equiv)", "under DDoS", "DDoS + DD-POLICE", "no DDoS"],
-        [[a, round(x, 1), round(y, 1), round(z, 1)] for a, x, y, z in rows],
-        title="Figure 9: average traffic cost (10^3 messages/min)",
+def test_fig9_traffic_cost(results_dir, runs):
+    run = runs["fig9"]
+    publish(
+        results_dir, "fig09_traffic",
+        run.tables["fig09_traffic"], manifest=run.manifest,
     )
-    publish(results_dir, "fig09_traffic", text)
+    rows = run.data
     # attack inflates traffic; DD-POLICE pulls it back toward baseline
-    for _, attack, defended, baseline in rows:
-        assert attack > 1.5 * baseline
-        assert defended < attack
+    for r in rows:
+        assert r.traffic_attack_k > 1.5 * r.traffic_no_ddos_k
+        assert r.traffic_defended_k < r.traffic_attack_k
     # smallest density already roughly doubles traffic
-    assert rows[0][1] > 2 * rows[0][3]
+    assert rows[0].traffic_attack_k > 2 * rows[0].traffic_no_ddos_k
 
 
-def test_fig10_response_time(results_dir, sweep):
-    rows = figures.fig10_response_time(sweep)
-    text = render_table(
-        ["agents (paper-equiv)", "under DDoS", "DDoS + DD-POLICE", "no DDoS"],
-        [[a, round(x, 3), round(y, 3), round(z, 3)] for a, x, y, z in rows],
-        title="Figure 10: average response time (s)",
+def test_fig10_response_time(results_dir, runs):
+    run = runs["fig10"]
+    publish(
+        results_dir, "fig10_response",
+        run.tables["fig10_response"], manifest=run.manifest,
     )
-    publish(results_dir, "fig10_response", text)
     # response degrades with the heaviest attack, DD-POLICE recovers
-    heaviest = rows[-1]
-    assert heaviest[1] > 1.3 * heaviest[3]
-    assert heaviest[2] < heaviest[1]
+    heaviest = run.data[-1]
+    assert heaviest.response_attack_s > 1.3 * heaviest.response_no_ddos_s
+    assert heaviest.response_defended_s < heaviest.response_attack_s
 
 
-def test_fig11_success_rate(results_dir, sweep):
-    rows = figures.fig11_success_rate(sweep)
-    text = render_table(
-        ["agents (paper-equiv)", "under DDoS", "DDoS + DD-POLICE", "no DDoS"],
-        [[a, round(x, 1), round(y, 1), round(z, 1)] for a, x, y, z in rows],
-        title="Figure 11: average success rate (%)",
+def test_fig11_success_rate(results_dir, runs):
+    run = runs["fig11"]
+    publish(
+        results_dir, "fig11_success",
+        run.tables["fig11_success"], manifest=run.manifest,
     )
-    publish(results_dir, "fig11_success", text)
-    for _, attack, defended, baseline in rows:
-        assert attack < baseline
-        assert defended > attack
+    rows = run.data
+    for r in rows:
+        assert r.success_attack < r.success_no_ddos
+        assert r.success_defended > r.success_attack
     # heaviest attack wipes out most of the success rate
-    assert rows[-1][1] < 0.6 * rows[-1][3]
+    assert rows[-1].success_attack < 0.6 * rows[-1].success_no_ddos
     # DD-POLICE holds success within 20% of the clean baseline
-    assert rows[-1][2] > 0.7 * rows[-1][3]
+    assert rows[-1].success_defended > 0.7 * rows[-1].success_no_ddos
 
 
 def test_bench_one_attack_minute(benchmark, scale):

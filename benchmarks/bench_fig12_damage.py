@@ -3,32 +3,26 @@
 Paper anchors: without DD-POLICE the damage plateaus high; DD-POLICE-3
 converges fastest but with a non-zero floor (good peers misjudged);
 DD-POLICE-7 reaches the lowest floor; DD-POLICE-10 converges slowest.
+The table is the registered ``fig12`` spec.
 """
 
 import pytest
 
 from benchmarks.conftest import publish
-from repro.experiments import figures
-from repro.experiments.reporting import render_table
+from repro.experiments.library import run_spec
 
 
 @pytest.fixture(scope="module")
-def timelines(scale):
-    return figures.damage_timelines(
-        scale, cut_thresholds=(3.0, 7.0, 10.0), seed=11, trials=3
+def run(scale):
+    return run_spec("fig12", scale=scale.name)
+
+
+def test_fig12_damage_over_time(results_dir, run, scale):
+    publish(
+        results_dir, "fig12_damage",
+        run.tables["fig12_damage"], manifest=run.manifest,
     )
-
-
-def test_fig12_damage_over_time(results_dir, timelines, scale):
-    header = ["minute"] + [t.label for t in timelines]
-    rows = []
-    for i, minute in enumerate(timelines[0].minutes):
-        rows.append([minute] + [round(t.damage_pct[i], 1) for t in timelines])
-    text = render_table(
-        header, rows, title="Figure 12: damage rate (%) over time, 0.5% agents"
-    )
-    publish(results_dir, "fig12_damage", text)
-
+    timelines = run.data
     undefended = timelines[0]
     post = [
         d
@@ -42,30 +36,34 @@ def test_fig12_damage_over_time(results_dir, timelines, scale):
         assert sum(tl.damage_pct[-5:]) < tail_undef
 
 
-def test_fig12_convergence(timelines, scale):
+def test_fig12_convergence(run, scale):
     """DD-POLICE pulls damage down within a few minutes of the attack."""
-    for tl in timelines[1:]:
+
+    def settled_mean(tl):
         after = [
             d
             for m, d in zip(tl.minutes, tl.damage_pct)
             if m >= scale.attack_start_min + 5
         ]
-        undef_after = [
-            d
-            for m, d in zip(timelines[0].minutes, timelines[0].damage_pct)
-            if m >= scale.attack_start_min + 5
-        ]
-        assert sum(after) / len(after) < 0.7 * (sum(undef_after) / len(undef_after))
+        return sum(after) / len(after)
+
+    undefended = settled_mean(run.data[0])
+    for tl in run.data[1:]:
+        assert settled_mean(tl) < 0.7 * undefended
 
 
 def test_bench_damage_timeline(benchmark, scale):
-    def run():
-        return figures.damage_timelines(
-            scale,
-            cut_thresholds=(5.0,),
-            minutes=scale.attack_start_min + 6,
-            seed=11,
+    def one_threshold():
+        return run_spec(
+            "fig12",
+            scale=scale.name,
+            overrides={
+                "trials": 1,
+                "grid.cut_thresholds": (5.0,),
+                "grid.minutes": scale.attack_start_min + 6,
+            },
+            cache=False,
         )
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert len(result) == 2
+    result = benchmark.pedantic(one_threshold, rounds=1, iterations=1)
+    assert len(result.data) == 2

@@ -2,71 +2,75 @@
 
 Paper anchors: as CT grows, false negatives (good peers wrongly cut)
 fall and false positives (bad peers missed) rise; false judgment is
-best around CT 5-7; recovery takes longer at larger CT.
+best around CT 5-7; recovery takes longer at larger CT. The registered
+``fig13`` / ``fig14`` / ``fig12-stabilized`` specs project one shared
+cut-threshold sweep (same scenario hash, so it runs once).
 """
-
-import math
 
 import pytest
 
 from benchmarks.conftest import publish
-from repro.experiments import figures
-from repro.experiments.reporting import render_table
+from repro.experiments.library import run_spec
 
 
 @pytest.fixture(scope="module")
-def ct_rows(scale):
-    return figures.cut_threshold_sweep(scale, seed=13, trials=3)
+def runs(scale):
+    return {
+        name: run_spec(name, scale=scale.name)
+        for name in ("fig13", "fig14", "fig12-stabilized")
+    }
 
 
-def test_fig13_errors(results_dir, ct_rows):
-    rows = figures.fig13_errors(ct_rows)
-    text = render_table(
-        ["cut threshold", "false judgment", "false positive", "false negative"],
-        rows,
-        title="Figure 13: errors vs cut threshold (paper terminology: "
-        "FN = good peers wrongly cut, FP = bad peers missed)",
+def test_fig13_errors(results_dir, runs):
+    run = runs["fig13"]
+    publish(
+        results_dir, "fig13_errors",
+        run.tables["fig13_errors"], manifest=run.manifest,
     )
-    publish(results_dir, "fig13_errors", text)
     # directional claims: FN trend downward, FP trend (weakly) upward;
     # the FP signal comes from the few slow-link agents per run, so allow
     # one count of noise even with trials aggregated
-    first, last = ct_rows[0], ct_rows[-1]
+    first, last = run.data[0], run.data[-1]
     assert last.false_negative < first.false_negative
     assert last.false_positive >= first.false_positive - 1
 
 
-def test_fig14_recovery(results_dir, ct_rows):
-    rows = figures.fig14_recovery(ct_rows)
-    text = render_table(
-        ["cut threshold", "damage recovery time (min)"],
-        [[ct, ("n/a" if math.isnan(v) else round(v, 1))] for ct, v in rows],
-        title="Figure 14: damage recovery time vs cut threshold",
+def test_fig14_recovery(results_dir, runs):
+    run = runs["fig14"]
+    publish(
+        results_dir, "fig14_recovery",
+        run.tables["fig14_recovery"], manifest=run.manifest,
     )
-    publish(results_dir, "fig14_recovery", text)
-    measured = [v for _, v in rows if not math.isnan(v)]
+    measured = [
+        r.damage_recovery_min
+        for r in run.data
+        if r.damage_recovery_min is not None
+    ]
     assert measured, "at least some thresholds should recover"
     assert all(v >= 0 for v in measured)
 
 
-def test_stabilized_damage_column(results_dir, ct_rows):
-    text = render_table(
-        ["cut threshold", "stabilized damage (%)"],
-        [[r.cut_threshold, round(r.stabilized_damage_pct, 1)] for r in ct_rows],
-        title="Figure 12 companion: stabilized damage by cut threshold",
+def test_stabilized_damage_column(results_dir, runs):
+    run = runs["fig12-stabilized"]
+    publish(
+        results_dir, "fig12_stabilized_damage",
+        run.tables["fig12_stabilized_damage"], manifest=run.manifest,
     )
-    publish(results_dir, "fig12_stabilized_damage", text)
-    assert all(r.stabilized_damage_pct < 60 for r in ct_rows)
+    assert all(r.stabilized_damage_pct < 60 for r in run.data)
 
 
 def test_bench_one_ct_point(benchmark, scale):
-    def run():
-        return figures.cut_threshold_sweep(
-            scale,
-            cut_thresholds=(5.0,),
-            minutes=scale.attack_start_min + 8,
-            seed=13,
+    def one_threshold():
+        return run_spec(
+            "fig13",
+            scale=scale.name,
+            overrides={
+                "trials": 1,
+                "grid.cut_thresholds": (5.0,),
+                "grid.minutes": scale.attack_start_min + 8,
+            },
+            cache=False,
         )
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert len(rows) == 1
+    result = benchmark.pedantic(one_threshold, rounds=1, iterations=1)
+    assert len(result.data) == 1

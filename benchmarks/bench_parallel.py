@@ -2,14 +2,15 @@
 
 Two measurements back the executor work:
 
-1. **Sweep wall-clock, serial vs workers.** A 16-task (4 agent counts x
-   4 trials) fluid sweep dispatched through :func:`repro.exec.pmap` at 1,
-   2 and 4 workers. The three runs must return *exactly* equal
-   ``SweepPoint`` lists -- determinism lives in the per-task seeds, so
-   the schedule cannot leak into the numbers. Speedup is only asserted
-   when the machine actually has >= 4 CPUs: on fewer cores process
-   parallelism cannot beat serial (spawn + pickling overhead with zero
-   extra compute), and the table records the honest numbers either way.
+1. **Sweep wall-clock, serial vs workers.** The registered ``fig12``
+   spec at smoke scale (15 fluid cases) dispatched through
+   :func:`repro.exec.pmap` at 1, 2 and 4 workers. The three runs must
+   return *exactly* equal rows and tables -- determinism lives in the
+   per-task seeds, so the schedule cannot leak into the numbers.
+   Speedup is only asserted when the machine actually has >= 4 CPUs: on
+   fewer cores process parallelism cannot beat serial (spawn + pickling
+   overhead with zero extra compute), and the table records the honest
+   numbers either way.
 
 2. **Fluid hot-path, before vs after.** One paper-scale minute loop
    (n = 20,000, 100 agents) timed under :func:`legacy_hot_path` (the
@@ -20,19 +21,12 @@ Two measurements back the executor work:
 
 import os
 import time
-from dataclasses import replace
 
 from benchmarks.conftest import publish
+from repro.experiments.library import run_spec
 from repro.experiments.reporting import render_table
-from repro.experiments.sweeps import steady_success, steady_traffic_k, sweep
 from repro.fluid.model import FluidConfig, FluidSimulation, legacy_hot_path
 from repro.obs.manifest import build_manifest
-
-SWEEP_BASE = FluidConfig(n=400, seed=5, churn_warmup_min=4, attack_start_min=2)
-SWEEP_GRID = {"num_agents": [0, 2, 4, 8]}
-SWEEP_TRIALS = 4  # 4 combos x 4 trials = 16 tasks
-SWEEP_MINUTES = 10
-SWEEP_METRICS = {"succ": steady_success(6), "traffic": steady_traffic_k(6)}
 
 HOT_PATH_CFG = FluidConfig(
     n=20_000, seed=5, num_agents=100, attack_start_min=2, churn_warmup_min=3
@@ -40,18 +34,8 @@ HOT_PATH_CFG = FluidConfig(
 HOT_PATH_MINUTES = 8
 
 
-def _timed_sweep(workers):
-    start = time.perf_counter()
-    points = sweep(
-        SWEEP_BASE,
-        SWEEP_GRID,
-        minutes=SWEEP_MINUTES,
-        metrics=SWEEP_METRICS,
-        trials=SWEEP_TRIALS,
-        seed0=3,
-        workers=workers,
-    )
-    return points, time.perf_counter() - start
+def _sweep(workers):
+    return run_spec("fig12", scale="smoke", workers=workers, cache=False)
 
 
 def _timed_run(cfg, minutes):
@@ -63,15 +47,13 @@ def _timed_run(cfg, minutes):
 
 def test_parallel_sweep_and_hot_path(benchmark, results_dir):
     cores = os.cpu_count() or 1
-    tasks = len(SWEEP_GRID["num_agents"]) * SWEEP_TRIALS
 
-    serial, wall_1 = benchmark.pedantic(
-        lambda: _timed_sweep(1), rounds=1, iterations=1
-    )
-    two, wall_2 = _timed_sweep(2)
-    four, wall_4 = _timed_sweep(4)
+    serial = benchmark.pedantic(lambda: _sweep(1), rounds=1, iterations=1)
+    two, four = _sweep(2), _sweep(4)
+    wall_1, wall_2, wall_4 = serial.duration_s, two.duration_s, four.duration_s
     # the executor's core contract: the schedule never leaks into results
-    assert serial == two == four
+    assert serial.data == two.data == four.data
+    assert serial.tables == two.tables == four.tables
 
     fast_sim, fast_s = _timed_run(HOT_PATH_CFG, HOT_PATH_MINUTES)
     with legacy_hot_path():
@@ -88,8 +70,8 @@ def test_parallel_sweep_and_hot_path(benchmark, results_dir):
             [4, round(wall_4, 2), f"{wall_1 / wall_4:.2f}x", "identical"],
         ],
         title=(
-            f"parallel sweep: {tasks} tasks "
-            f"(n={SWEEP_BASE.n}, {SWEEP_MINUTES} min) on {cores} CPU core(s)"
+            f"parallel sweep: fig12 at smoke scale, {serial.cases} cases "
+            f"on {cores} CPU core(s)"
         ),
     )
     hot_table = render_table(
@@ -115,17 +97,14 @@ def test_parallel_sweep_and_hot_path(benchmark, results_dir):
     manifest = build_manifest(
         kind="bench-parallel",
         config={
-            "sweep_base": SWEEP_BASE,
-            "grid": SWEEP_GRID,
-            "trials": SWEEP_TRIALS,
-            "minutes": SWEEP_MINUTES,
+            "sweep_spec": serial.spec,
             "hot_path_cfg": HOT_PATH_CFG,
             "hot_path_minutes": HOT_PATH_MINUTES,
         },
-        seed=3,
+        seed=serial.spec.seed,
         seed_derivation=["trial", "<t>"],
         workers=4,
-        tasks=tasks,
+        tasks=serial.cases,
         duration_s=wall_1 + wall_2 + wall_4 + fast_s + legacy_s,
         extra={"cores": cores, "hot_speedup": round(hot_speedup, 3)},
     )
@@ -140,33 +119,3 @@ def test_parallel_sweep_and_hot_path(benchmark, results_dir):
         assert wall_4 < wall_1 / 2.5, (
             f"4-worker speedup only {wall_1 / wall_4:.2f}x on {cores} cores"
         )
-
-
-def test_chunked_dispatch_handles_uneven_grids(benchmark, results_dir):
-    """Odd task counts (not divisible by workers*chunks) reassemble
-    correctly -- guards the chunk-bounds math at bench scale."""
-    base = replace(SWEEP_BASE, n=300)
-    odd = benchmark.pedantic(
-        lambda: sweep(
-            base,
-            {"num_agents": [0, 1, 3]},
-            minutes=6,
-            metrics={"succ": steady_success(4)},
-            trials=3,  # 9 tasks across 4 workers -> ragged chunks
-            seed0=3,
-            workers=4,
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    ref = sweep(
-        base,
-        {"num_agents": [0, 1, 3]},
-        minutes=6,
-        metrics={"succ": steady_success(4)},
-        trials=3,
-        seed0=3,
-        workers=1,
-    )
-    assert odd == ref
-    assert len(odd) == 3

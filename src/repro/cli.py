@@ -1,21 +1,16 @@
-"""Command-line interface: regenerate the paper's experiments.
+"""Command-line interface: run the registered experiment specs.
 
-Installed as ``repro-experiments`` (alias: ``repro``)::
-
-    repro-experiments list
-    repro-experiments fig9 fig10 fig11          # shared sweep, run once
-    repro-experiments fig12 --scale smoke
-    repro-experiments all --scale bench --workers 4
-    repro-experiments fig12 --scale smoke --trace /tmp/run.jsonl --profile
-    repro-experiments trace summarize /tmp/run.jsonl
-
-The generic spec runner exposes every registered experiment spec with
-dotted-path config overrides (see docs/EXPERIMENTS.md)::
+Installed as ``repro``. Every table of the paper's evaluation is a
+registered spec executed by :func:`repro.experiments.library.run_spec`,
+with dotted-path config overrides (see EXPERIMENTS.md)::
 
     repro run --list
+    repro run fig9 fig10 fig11                  # shared sweep, run once
     repro run fig9 --backend des --scale smoke
     repro run fig13 --set police.cut_threshold=7 --set scale.n_peers=500
     repro run fault-sweep --set faults.trials=1 --out /tmp/tables
+    repro run fig12 --scale smoke --trace /tmp/run.jsonl --profile
+    repro trace summarize /tmp/run.jsonl
 """
 
 from __future__ import annotations
@@ -23,8 +18,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.exec import resolve_workers
@@ -40,23 +36,6 @@ from repro.obs.config import ObsConfig
 from repro.obs.manifest import atomic_write_text, build_manifest, write_manifest
 from repro.obs.profile import Profiler
 from repro.obs.trace import summarize_trace
-
-_SCALES: Tuple[str, ...] = ("bench", "paper", "smoke")
-
-#: Figure-style CLI ids -> registered spec names (the legacy interface;
-#: `repro run` exposes the full registry including fig12-stabilized and
-#: fault-sweep).
-EXPERIMENTS: Dict[str, str] = {
-    "fig5": "fig5",
-    "fig6": "fig6",
-    "fig9": "fig9",
-    "fig10": "fig10",
-    "fig11": "fig11",
-    "fig12": "fig12",
-    "fig13": "fig13",
-    "fig14": "fig14",
-    "exchange": "exchange",
-}
 
 
 def _render_run(run) -> str:
@@ -74,34 +53,52 @@ def _render_run(run) -> str:
     return "\n\n".join(parts)
 
 
-def _run_experiment(
-    name: str,
-    scale: str,
-    workers: Optional[int],
-    obs: Optional[ObsConfig],
-) -> str:
-    run = run_spec(EXPERIMENTS[name], scale=scale, workers=workers, obs=obs)
-    return _render_run(run)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    """Build the argparse parser (exposed for testing)."""
+    """Build the ``repro`` argparse parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
-        prog="repro-experiments",
+        prog="repro",
         description="Regenerate the DD-POLICE paper's evaluation artifacts.",
     )
-    parser.add_argument(
-        "experiments",
-        nargs="+",
-        help="experiment ids (see `list`), or `all`",
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    run = commands.add_parser(
+        "run", help="run registered experiment specs with config overrides"
     )
-    parser.add_argument(
+    run.set_defaults(handler=_run_command)
+    run.add_argument("specs", nargs="*", help="registered spec names (see --list)")
+    run.add_argument(
+        "--list",
+        action="store_true",
+        dest="list_specs",
+        help="list every registered spec and exit",
+    )
+    run.add_argument(
+        "--paths",
+        action="store_true",
+        help="list every valid --set override path and exit",
+    )
+    run.add_argument(
+        "--backend",
+        choices=[b.name for b in list_backends()],
+        default=None,
+        help="execution engine override (default: the spec's backend)",
+    )
+    run.add_argument(
         "--scale",
-        choices=sorted(_SCALES),
-        default="bench",
-        help="network scale (default: bench = 2,000 peers)",
+        choices=("bench", "paper", "smoke"),
+        default=None,
+        help="re-target the spec at a named scale before overrides",
     )
-    parser.add_argument(
+    run.add_argument(
+        "--set",
+        dest="assignments",
+        action="append",
+        default=[],
+        metavar="PATH=VALUE",
+        help="dotted-path config override, e.g. police.cut_threshold=7 "
+        "or scale.n_peers=500 (repeatable; see --paths)",
+    )
+    run.add_argument(
         "--workers",
         type=int,
         default=None,
@@ -110,7 +107,14 @@ def build_parser() -> argparse.ArgumentParser:
         "$REPRO_WORKERS or 1 = serial; 0 = one per CPU); results are "
         "bit-identical for any value",
     )
-    parser.add_argument(
+    run.add_argument(
+        "--out",
+        metavar="DIR",
+        default=None,
+        help="also write each table to DIR/<table>.txt with a "
+        ".manifest.json sidecar embedding the spec and its SHA-256",
+    )
+    run.add_argument(
         "--trace",
         metavar="PATH",
         default=None,
@@ -118,27 +122,27 @@ def build_parser() -> argparse.ArgumentParser:
         "a .manifest.json sidecar is written next to it; forces serial "
         "execution so there is a single trace writer)",
     )
-    parser.add_argument(
+    run.add_argument(
         "--profile",
         action="store_true",
-        help="run each experiment under cProfile and print the hottest "
-        "functions after its table",
+        help="run each spec under cProfile and print the hottest "
+        "functions after its tables",
     )
+
+    trace = commands.add_parser(
+        "trace", help="inspect JSONL trace files written with --trace"
+    )
+    trace_commands = trace.add_subparsers(dest="trace_command", required=True)
+    summarize = trace_commands.add_parser(
+        "summarize", help="validate a trace and print per-kind record counts"
+    )
+    summarize.set_defaults(handler=_trace_summarize)
+    summarize.add_argument("file", help="JSONL trace file")
     return parser
 
 
-def _trace_command(argv: Sequence[str]) -> int:
-    """``repro-experiments trace summarize <file>``."""
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments trace",
-        description="Inspect JSONL trace files written with --trace.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    summarize = sub.add_parser(
-        "summarize", help="validate a trace and print per-kind record counts"
-    )
-    summarize.add_argument("file", help="JSONL trace file")
-    args = parser.parse_args(argv)
+def _trace_summarize(args: argparse.Namespace) -> int:
+    """``repro trace summarize <file>``."""
     try:
         summary = summarize_trace(args.file)
     except OSError as exc:
@@ -155,63 +159,8 @@ def _trace_command(argv: Sequence[str]) -> int:
     return 0
 
 
-def _run_command(argv: Sequence[str]) -> int:
-    """``repro-experiments run <spec> [--set dotted.path=value ...]``."""
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments run",
-        description="Run registered experiment specs with config overrides.",
-    )
-    parser.add_argument(
-        "specs", nargs="*", help="registered spec names (see --list)"
-    )
-    parser.add_argument(
-        "--list",
-        action="store_true",
-        dest="list_specs",
-        help="list every registered spec and exit",
-    )
-    parser.add_argument(
-        "--paths",
-        action="store_true",
-        help="list every valid --set override path and exit",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=[b.name for b in list_backends()],
-        default=None,
-        help="execution engine override (default: the spec's backend)",
-    )
-    parser.add_argument(
-        "--scale",
-        choices=sorted(_SCALES),
-        default=None,
-        help="re-target the spec at a named scale before overrides",
-    )
-    parser.add_argument(
-        "--set",
-        dest="assignments",
-        action="append",
-        default=[],
-        metavar="PATH=VALUE",
-        help="dotted-path config override, e.g. police.cut_threshold=7 "
-        "or scale.n_peers=500 (repeatable; see --paths)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes (results are bit-identical for any value)",
-    )
-    parser.add_argument(
-        "--out",
-        metavar="DIR",
-        default=None,
-        help="also write each table to DIR/<table>.txt with a "
-        ".manifest.json sidecar embedding the spec and its SHA-256",
-    )
-    args = parser.parse_args(argv)
-
+def _run_command(args: argparse.Namespace) -> int:
+    """``repro run <spec> [--set dotted.path=value ...]``."""
     if args.list_specs:
         for spec in list_specs():
             print(
@@ -229,65 +178,9 @@ def _run_command(argv: Sequence[str]) -> int:
 
     try:
         overrides = parse_assignments(args.assignments)
-    except ConfigError as exc:
-        print(f"run: {exc}", file=sys.stderr)
-        return 2
-
-    out_dir = Path(args.out) if args.out is not None else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-    for name in args.specs:
-        try:
-            run = run_spec(
-                name,
-                scale=args.scale,
-                backend=args.backend,
-                overrides=overrides,
-                workers=args.workers,
-            )
-        except ConfigError as exc:
-            print(f"run: {exc}", file=sys.stderr)
-            return 2
-        print(_render_run(run))
-        print()
-        print(
-            f"# spec {run.spec.name} sha256={run.sha256[:12]} "
-            f"cases={run.cases} wall={run.duration_s:.2f}s"
-        )
-        if out_dir is not None:
-            for table, text in run.tables.items():
-                artifact = out_dir / f"{table}.txt"
-                atomic_write_text(artifact, text + "\n")
-                sidecar = write_manifest(artifact, run.manifest)
-                print(f"# wrote {artifact} (manifest: {sidecar})")
-    return 0
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point; returns a process exit code."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "trace":
-        return _trace_command(argv[1:])
-    if argv and argv[0] == "run":
-        return _run_command(argv[1:])
-    args = build_parser().parse_args(argv)
-    if args.experiments == ["list"]:
-        for name in sorted(EXPERIMENTS):
-            print(name)
-        return 0
-    wanted: List[str] = (
-        sorted(EXPERIMENTS) if "all" in args.experiments else args.experiments
-    )
-    unknown = [e for e in wanted if e not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
-        print(f"available: {', '.join(sorted(EXPERIMENTS))}", file=sys.stderr)
-        return 2
-    try:
         workers = resolve_workers(args.workers)
     except ConfigError as exc:
-        print(f"bad --workers value: {exc}", file=sys.stderr)
+        print(f"run: {exc}", file=sys.stderr)
         return 2
 
     obs: Optional[ObsConfig] = None
@@ -307,39 +200,69 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             metrics=True,
             profile=args.profile,
         )
-
     profiler = Profiler(cprofile=True, top=15) if args.profile else None
+
+    out_dir = Path(args.out) if args.out is not None else None
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+
     started = time.perf_counter()
-    for name in wanted:
-        if profiler is not None:
-            with profiler.scope(f"cli.{name}"):
-                out = _run_experiment(name, args.scale, workers, obs)
-        else:
-            out = _run_experiment(name, args.scale, workers, obs)
-        print(out)
+    for name in args.specs:
+        scope = profiler.scope(f"cli.{name}") if profiler else nullcontext()
+        try:
+            with scope:
+                run = run_spec(
+                    name,
+                    scale=args.scale,
+                    backend=args.backend,
+                    overrides=overrides,
+                    workers=workers,
+                    obs=obs,
+                )
+        except ConfigError as exc:
+            print(f"run: {exc}", file=sys.stderr)
+            return 2
+        print(_render_run(run))
         print()
+        print(
+            f"# spec {run.spec.name} sha256={run.sha256[:12]} "
+            f"cases={run.cases} wall={run.duration_s:.2f}s"
+        )
         if profiler is not None:
             report = profiler.reports[-1]
             print(f"# profile {report['scope']}: {report['wall_s']:.2f}s wall")
             print(report["profile_top"])
-    duration_s = time.perf_counter() - started
+        if out_dir is not None:
+            for table, text in run.tables.items():
+                artifact = out_dir / f"{table}.txt"
+                atomic_write_text(artifact, text + "\n")
+                sidecar = write_manifest(artifact, run.manifest)
+                print(f"# wrote {artifact} (manifest: {sidecar})")
 
     if args.trace is not None:
         manifest = build_manifest(
             kind="cli-trace",
             config={
+                "specs": list(args.specs),
                 "scale": args.scale,
-                "experiments": list(wanted),
+                "backend": args.backend,
+                "overrides": overrides,
                 "obs": obs,
             },
             workers=workers,
-            tasks=len(wanted),
-            duration_s=duration_s,
+            tasks=len(args.specs),
+            duration_s=time.perf_counter() - started,
             extra={"trace_path": str(args.trace)},
         )
         sidecar = write_manifest(args.trace, manifest)
         print(f"trace written to {args.trace} (manifest: {sidecar})")
     return 0
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Entry point; returns a process exit code."""
+    args = build_parser().parse_args(argv)
+    return args.handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

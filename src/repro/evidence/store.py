@@ -200,8 +200,8 @@ class CountMinTrafficStore(TrafficStore):
         out_counts: Mapping[Hashable, int],
         in_counts: Mapping[Hashable, int],
     ) -> None:
-        frame = self._frames[-1] if self._frames else None
-        if frame is None or frame[0] != minute:
+        frame = self._frame_for(minute)  # a revisited minute reuses its frame
+        if frame is None:
             frame = (
                 minute,
                 CountMinSketch(self.width, self.depth, seed=self.seed),

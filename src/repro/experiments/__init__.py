@@ -1,9 +1,10 @@
-"""Experiment harness: per-figure reproductions and the DES runner.
+"""Experiment harness: the spec registry, its scenarios, and the DES runner.
 
-Every table/figure in the paper's evaluation has a function here that
-regenerates its rows/series (see DESIGN.md section 2 for the index);
-the ``benchmarks/`` tree wraps these in pytest-benchmark targets and
-prints the same rows the paper reports.
+Every table/figure in the paper's evaluation is a registered
+:class:`~repro.experiments.spec.ExperimentSpec` (see DESIGN.md section 2
+for the index) executed by :func:`repro.experiments.library.run_spec`;
+``repro run <spec>`` and the ``benchmarks/`` tree both go through it and
+publish the same rows the paper reports.
 """
 
 from repro.experiments.runner import DESConfig, DESRun, run_des_experiment
@@ -15,8 +16,6 @@ from repro.experiments.reporting import (
     sparkline,
 )
 from repro.experiments.io import load_records, load_rows, save_records, save_rows
-from repro.experiments.sweeps import SweepPoint, run_point, sweep
-from repro.experiments import figures
 
 __all__ = [
     "DESConfig",
@@ -34,8 +33,4 @@ __all__ = [
     "load_rows",
     "save_records",
     "save_rows",
-    "SweepPoint",
-    "run_point",
-    "sweep",
-    "figures",
 ]

@@ -6,7 +6,7 @@ analysis and re-rendering never require re-simulation:
 * :func:`save_rows` / :func:`load_rows` -- per-minute
   :class:`~repro.fluid.model.MinuteRow` series;
 * :func:`save_records` / :func:`load_records` -- any list of flat
-  dataclass records (the figure functions' row types).
+  dataclass records (the scenario row types).
 
 Format version 2 embeds the generating
 :class:`~repro.experiments.spec.ExperimentSpec` (and its SHA-256) in

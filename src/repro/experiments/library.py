@@ -2,8 +2,8 @@
 
 Every figure of the paper's evaluation (and the robustness studies that
 grew around it) is an :class:`~repro.experiments.spec.ExperimentSpec`
-registered here and resolved by name -- ``repro-experiments run fig12``
--- over a registered scenario driver:
+registered here and resolved by name -- ``repro run fig12`` -- over a
+registered scenario driver:
 
 ========================  ====================================================
 scenario                  produces
@@ -22,14 +22,13 @@ A scenario driver expands the spec into backend-neutral
 :class:`~repro.experiments.spec.Case` lists, executes them through
 :func:`~repro.experiments.spec.run_cases` (one pmap over the whole
 grid; ``workers=1`` byte-identical), aggregates, and renders the exact
-tables published under ``results/`` -- the benchmarks, the legacy
-figure functions, and the CLI all call :func:`run_spec`, so there is
-one implementation to keep byte-identical, not three.
+tables published under ``results/`` -- the benchmarks and the CLI both
+call :func:`run_spec`, so there is one implementation to keep
+byte-identical.
 
 Scenario results are cached per ``(scenario_sha256, obs)``: fig9/10/11
 share one agent sweep, and fig13/fig14/fig12-stabilized share one cut-
-threshold sweep, exactly like the old per-figure caches but now keyed
-by the full spec content rather than the scale name.
+threshold sweep.
 """
 
 from __future__ import annotations
@@ -60,10 +59,10 @@ from repro.experiments.spec import (
     ExperimentSpec,
     GridSpec,
     WorkloadSpec,
-    aggregate,
     apply_overrides,
     get_backend,
     get_spec,
+    mean,
     register_spec,
     run_cases,
     scenario_sha256,
@@ -80,7 +79,7 @@ from repro.testbed.pipeline import run_rate_sweep
 
 
 # ---------------------------------------------------------------------------
-# scenario row types (canonical here; figures/sweeps re-export them)
+# scenario row types
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -274,6 +273,26 @@ def _derived_agents(spec: ExperimentSpec) -> int:
     return max(1, round(spec.grid.agent_fraction * spec.scale.n_peers))
 
 
+def _damage_vs_baseline(
+    res: CaseResult, base_success: Mapping[float, float], spec: ExperimentSpec
+) -> List[Tuple[float, float]]:
+    """Per-minute (minute, damage %) of ``res`` against its clean baseline.
+
+    Minutes the baseline run lacks are skipped; before the attack the
+    two runs differ only by seed noise, so damage is pinned to zero.
+    """
+    out: List[Tuple[float, float]] = []
+    for minute, success in _case_rows(res, spec.backend):
+        s0 = base_success.get(minute)
+        if s0 is None:
+            continue
+        if minute < spec.scale.attack_start_min:
+            out.append((minute, 0.0))
+        else:
+            out.append((minute, damage_rate(s0, min(success, s0))))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # scenario: testbed-rate (Figures 5 & 6)
 # ---------------------------------------------------------------------------
@@ -452,19 +471,12 @@ def _scn_damage_timelines(
         def timeline(
             label: str, res: CaseResult, ct: Optional[float]
         ) -> DamageTimeline:
-            mins, dmg = [], []
-            for minute, success in _case_rows(res, spec.backend):
-                s0 = base_success.get(minute)
-                if s0 is None:
-                    continue
-                mins.append(minute)
-                if minute < scale.attack_start_min:
-                    # before the attack the runs differ only by seed noise
-                    dmg.append(0.0)
-                else:
-                    dmg.append(damage_rate(s0, min(success, s0)))
+            damage = _damage_vs_baseline(res, base_success, spec)
             return DamageTimeline(
-                label=label, cut_threshold=ct, minutes=mins, damage_pct=dmg
+                label=label,
+                cut_threshold=ct,
+                minutes=[m for m, _ in damage],
+                damage_pct=[d for _, d in damage],
             )
 
         out = [timeline("no DD-POLICE", chunk[1], None)]
@@ -562,15 +574,7 @@ def _scn_cut_threshold_sweep(
         rows: List[CutThresholdRow] = []
         for i, ct in enumerate(cut_thresholds):
             res = chunk[1 + i]
-            damage = TimeSeries()
-            for minute, success in _case_rows(res, spec.backend):
-                s0 = base_success.get(minute)
-                if s0 is None:
-                    continue
-                if minute < scale.attack_start_min:
-                    damage.append(float(minute), 0.0)
-                else:
-                    damage.append(float(minute), damage_rate(s0, min(success, s0)))
+            damage = TimeSeries(_damage_vs_baseline(res, base_success, spec))
             tail = damage.window(minutes - 5, minutes + 1)
             rows.append(
                 CutThresholdRow(
@@ -706,12 +710,11 @@ def _scn_exchange_frequency(
         else:
             # each online peer republishes to all neighbors every period
             overhead = res.online_mean * mean_deg / period
-        tail_damage = []
-        for minute, success in _case_rows(res, spec.backend):
-            if minute >= minutes - 5:
-                s0 = base_success.get(minute)
-                if s0 is not None:
-                    tail_damage.append(damage_rate(s0, min(success, s0)))
+        tail_damage = [
+            d
+            for minute, d in _damage_vs_baseline(res, base_success, spec)
+            if minute >= minutes - 5
+        ]
         return ExchangeFrequencyRow(
             policy=label,
             period_min=None if event_driven else period,
@@ -874,8 +877,8 @@ def _scn_fault_sweep(
                     rec = damage_recovery_time(damage)
                     if rec is not None:
                         recoveries.append(rec)
-                fn, _ = aggregate(fns)
-                fp, _ = aggregate(fps)
+                fn = mean(fns)
+                fp = mean(fps)
                 points.append(
                     FaultPoint(
                         loss=loss,
@@ -885,7 +888,7 @@ def _scn_fault_sweep(
                         false_positive=fp,
                         false_judgment=fn + fp,
                         recovery_time_s=(
-                            aggregate(recoveries)[0] if recoveries else None
+                            mean(recoveries) if recoveries else None
                         ),
                         recovered_trials=len(recoveries),
                         trials=fs.trials,
@@ -1065,11 +1068,11 @@ def _scn_robustness_matrix(
                         defense=defense,
                         adversary=adversary,
                         topology=topo,
-                        detection_latency_s=aggregate(latencies)[0],
-                        caught_attackers=aggregate(caught)[0],
+                        detection_latency_s=mean(latencies),
+                        caught_attackers=mean(caught),
                         total_attackers=ms.num_agents,
-                        false_negative=aggregate(fns)[0],
-                        damage_pct=aggregate(damages)[0],
+                        false_negative=mean(fns),
+                        damage_pct=mean(damages),
                         trials=ms.trials,
                     )
                 )
@@ -1222,16 +1225,16 @@ def _scn_sketch_frontier(
                 backend=backend,
                 cm_width=width,
                 attack_rate_qpm=rate,
-                detection_latency_s=aggregate(
+                detection_latency_s=mean(
                     [r.detection_latency_s or 0.0 for r in trials]
-                )[0],
-                caught_attackers=aggregate(
+                ),
+                caught_attackers=mean(
                     [float(r.caught_attackers) for r in trials]
-                )[0],
+                ),
                 total_attackers=agents,
-                false_suspects=aggregate(
+                false_suspects=mean(
                     [float(r.false_negative) for r in trials]
-                )[0],
+                ),
                 evidence_bytes=ev_bytes,
                 reduction=exact_bytes[rate] / ev_bytes if ev_bytes else 0.0,
                 trials=sc.trials,

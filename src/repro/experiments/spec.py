@@ -119,8 +119,7 @@ class GridSpec:
     The registered specs set their sweep tuples explicitly; an empty
     ``cut_thresholds``/``periods_min`` is taken verbatim (an empty
     sweep), while empty ``agent_counts``, zero ``agents``, and zero
-    ``minutes`` mean "derive from the scale" (the historical behaviour
-    of the figure functions).
+    ``minutes`` mean "derive from the scale".
     """
 
     #: Figures 9-11 agent counts; empty = the paper densities at scale.
@@ -600,8 +599,7 @@ def fluid_case_result(
 ) -> CaseResult:
     """Run one :class:`~repro.fluid.model.FluidConfig` and extract results.
 
-    The shared engine step behind the ``fluid`` backend and the legacy
-    figure task shims -- one implementation, one extraction contract.
+    The engine step behind the ``fluid`` backend.
     """
     from repro.fluid.model import FluidSimulation
 
@@ -619,26 +617,6 @@ def fluid_case_result(
     )
     sim.close_obs()
     return result
-
-
-def fluid_metrics_task(
-    task: Tuple[Any, int, Mapping[str, Callable[[Any], float]]],
-) -> Dict[str, float]:
-    """One generic sweep trial (pure): ``(cfg, minutes, extractors)``.
-
-    Runs the fluid config and applies every named extractor to the
-    finished simulation. The task function behind
-    :func:`repro.experiments.sweeps.run_point`/``sweep`` -- module-level
-    so it pickles across :func:`repro.exec.pmap` workers.
-    """
-    from repro.fluid.model import FluidSimulation
-
-    cfg, minutes, metrics = task
-    sim = FluidSimulation(cfg)
-    sim.run(minutes)
-    out = {name: float(extractor(sim)) for name, extractor in metrics.items()}
-    sim.close_obs()
-    return out
 
 
 def _fluid_case_task(case: Case) -> CaseResult:
@@ -686,8 +664,7 @@ def _fluid_case_task(case: Case) -> CaseResult:
 def des_case_result(cfg: Any, settle_min: Optional[int] = None) -> CaseResult:
     """Run one :class:`~repro.experiments.runner.DESConfig` and extract.
 
-    The shared engine step behind the ``des`` backend and the legacy
-    fault-sweep task shim.
+    The engine step behind the ``des`` backend.
     """
     from repro.experiments.runner import run_des_experiment
 
@@ -941,7 +918,7 @@ def run_cases(
 
 
 # ---------------------------------------------------------------------------
-# shared trial/grid/aggregation helpers
+# shared trial/aggregation helpers
 # ---------------------------------------------------------------------------
 
 def trial_seed(seed0: int, trial: int) -> int:
@@ -949,35 +926,9 @@ def trial_seed(seed0: int, trial: int) -> int:
     return derive_seed(seed0, "trial", trial)
 
 
-def aggregate(values: Sequence[float]) -> Tuple[float, float]:
-    """(mean, sample stddev) of a non-empty sample list."""
-    n = len(values)
-    mean = sum(values) / n
-    if n < 2:
-        return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return mean, var ** 0.5
-
-
-def expand_grid(grid: Mapping[str, Sequence[Any]]) -> List[Dict[str, Any]]:
-    """Cartesian product of a named grid, in sorted-key order."""
-    names = sorted(grid)
-    for name in names:
-        if not grid[name]:
-            raise ConfigError(f"no values for swept field {name!r}")
-    combos: List[Dict[str, Any]] = []
-
-    def product(idx: int, acc: Dict[str, Any]) -> None:
-        if idx == len(names):
-            combos.append(dict(acc))
-            return
-        for value in grid[names[idx]]:
-            acc[names[idx]] = value
-            product(idx + 1, acc)
-        acc.pop(names[idx], None)
-
-    product(0, {})
-    return combos
+def mean(values: Sequence[float]) -> float:
+    """Mean of a non-empty sample list (the per-trial aggregation)."""
+    return sum(values) / len(values)
 
 
 # ---------------------------------------------------------------------------

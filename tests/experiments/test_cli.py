@@ -1,75 +1,89 @@
-"""Unit tests for the repro-experiments CLI."""
+"""Unit tests for the ``repro`` CLI: ``run`` flags and ``trace summarize``.
+
+Spec resolution, overrides and ``--out`` are covered in test_cli_run.py.
+"""
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import build_parser, main
+from repro.experiments.spec import list_specs
 
 
 def test_list_command(capsys):
-    assert main(["list"]) == 0
+    assert main(["run", "--list"]) == 0
     out = capsys.readouterr().out
-    for name in EXPERIMENTS:
-        assert name in out
+    for spec in list_specs():
+        assert spec.name in out
 
 
 def test_unknown_experiment_rejected(capsys):
-    assert main(["fig99"]) == 2
-    assert "unknown experiment" in capsys.readouterr().err
+    assert main(["run", "fig99"]) == 2
+    assert "unknown spec" in capsys.readouterr().err
 
 
 def test_fig5_runs(capsys):
-    assert main(["fig5", "--scale", "smoke"]) == 0
+    assert main(["run", "fig5", "--scale", "smoke"]) == 0
     out = capsys.readouterr().out
     assert "Figure 5" in out
     assert "15400" in out or "15,400" in out
 
 
 def test_fig6_runs(capsys):
-    assert main(["fig6", "--scale", "smoke"]) == 0
+    assert main(["run", "fig6", "--scale", "smoke"]) == 0
     assert "drop rate" in capsys.readouterr().out
 
 
 def test_multiple_experiments(capsys):
-    assert main(["fig5", "fig6", "--scale", "smoke"]) == 0
+    assert main(["run", "fig5", "fig6", "--scale", "smoke"]) == 0
     out = capsys.readouterr().out
     assert "Figure 5" in out and "Figure 6" in out
 
 
 def test_parser_defaults():
-    args = build_parser().parse_args(["fig5"])
-    assert args.scale == "bench"
-    assert args.experiments == ["fig5"]
+    args = build_parser().parse_args(["run", "fig5"])
+    assert args.scale is None  # the spec's registered scale
+    assert args.backend is None
+    assert args.specs == ["fig5"]
 
 
 @pytest.mark.slow
 def test_fig12_smoke(capsys):
-    assert main(["fig12", "--scale", "smoke"]) == 0
+    assert main(["run", "fig12", "--scale", "smoke"]) == 0
     assert "damage rate" in capsys.readouterr().out
 
 
 def test_parser_workers_flag():
     parser = build_parser()
-    assert parser.parse_args(["fig5"]).workers is None
-    assert parser.parse_args(["fig5", "--workers", "4"]).workers == 4
+    assert parser.parse_args(["run", "fig5"]).workers is None
+    assert parser.parse_args(["run", "fig5", "--workers", "4"]).workers == 4
 
 
 def test_workers_flag_runs_parallel(capsys):
     # fig5 is closed-form (no sweep), so this just proves the flag
     # threads through main() without disturbing any experiment.
-    assert main(["fig5", "--scale", "smoke", "--workers", "2"]) == 0
+    assert main(["run", "fig5", "--scale", "smoke", "--workers", "2"]) == 0
     assert "Figure 5" in capsys.readouterr().out
 
 
 def test_bad_workers_rejected(capsys):
-    assert main(["fig5", "--workers", "-3"]) == 2
+    assert main(["run", "fig5", "--workers", "-3"]) == 2
+    assert "workers must be >= 0" in capsys.readouterr().err
 
 
 def test_parser_trace_and_profile_flags():
     parser = build_parser()
-    args = parser.parse_args(["fig5"])
+    args = parser.parse_args(["run", "fig5"])
     assert args.trace is None and args.profile is False
-    args = parser.parse_args(["fig5", "--trace", "/tmp/t.jsonl", "--profile"])
+    args = parser.parse_args(["run", "fig5", "--trace", "/tmp/t.jsonl", "--profile"])
     assert args.trace == "/tmp/t.jsonl" and args.profile is True
+
+
+def test_no_command_is_a_usage_error():
+    # The figure-id front end (`repro fig12`, `repro list`) is gone.
+    for argv in ([], ["fig12"], ["list"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 @pytest.mark.slow
@@ -78,21 +92,26 @@ def test_trace_flag_writes_trace_and_manifest(tmp_path, capsys):
     from repro.obs.trace import summarize_trace
 
     trace = tmp_path / "run.jsonl"
-    assert main(["fig12", "--scale", "smoke", "--trace", str(trace)]) == 0
-    out = capsys.readouterr().out
-    assert "damage rate" in out
-    assert "trace written" in out
+    trace.write_text("stale line from an earlier run\n")  # must be replaced
+    argv = ["run", "fig12", "--scale", "smoke", "--workers", "4", "--trace", str(trace)]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert "damage rate" in captured.out
+    assert "trace written" in captured.out
+    assert "forces serial" in captured.err
     summary = summarize_trace(trace)  # validates every record
     assert summary["kinds"].get("fluid.minute", 0) > 0
     sidecar = tmp_path / "run.manifest.json"
     manifest = load_manifest(sidecar)
     assert manifest["kind"] == "cli-trace"
-    assert manifest["config"]["experiments"] == ["fig12"]
+    assert manifest["workers"] == 1
+    assert manifest["config"]["specs"] == ["fig12"]
+    assert manifest["config"]["scale"] == "smoke"
     assert verify_manifest(manifest)
 
 
 def test_profile_flag_prints_top_functions(capsys):
-    assert main(["fig5", "--scale", "smoke", "--profile"]) == 0
+    assert main(["run", "fig5", "--scale", "smoke", "--profile"]) == 0
     out = capsys.readouterr().out
     assert "# profile cli.fig5" in out
     assert "cumulative" in out

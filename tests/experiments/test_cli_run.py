@@ -1,10 +1,13 @@
 """Unit tests for the generic `repro run` spec-runner subcommand."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.experiments.library import get_scenario, list_scenarios
 from repro.experiments.spec import get_spec, list_specs, spec_sha256
 from repro.obs.manifest import load_manifest, verify_manifest
 
@@ -106,3 +109,26 @@ def test_run_rejects_bad_assignment_syntax(capsys):
 def test_run_backend_choice_validated():
     with pytest.raises(SystemExit):
         main(["run", "fig5", "--backend", "ns3"])
+
+
+def test_every_committed_scenario_table_is_reachable_from_run_list(capsys):
+    """Name-level, no simulation: a table some scenario can render and
+    ``results/`` commits must be selected by a spec ``--list`` prints."""
+    assert main(["run", "--list"]) == 0
+    reachable = set()
+    for line in capsys.readouterr().out.splitlines():
+        spec = get_spec(line.split()[0])
+        reachable.update(spec.tables or get_scenario(spec.scenario).tables)
+    renderable = {table for s in list_scenarios() for table in s.tables}
+    results = Path(__file__).resolve().parents[2] / "results"
+    committed = renderable & {p.stem for p in results.glob("*.txt")}
+    assert len(committed) >= 13  # Figs 5, 6, 9-14, exchange + the studies
+    assert committed <= reachable
+
+
+def test_the_pre_spec_generation_cannot_grow_back():
+    import repro.experiments
+
+    for name in ("figures", "sweeps"):
+        assert not hasattr(repro.experiments, name)
+        assert importlib.util.find_spec(f"repro.experiments.{name}") is None

@@ -1,67 +1,71 @@
-"""Smoke-level tests for the per-figure experiment functions.
+"""Smoke-level tests for the registered figure specs.
 
 These use the smoke scale; the shape assertions mirror the paper's
-qualitative claims, while the benchmarks print the full tables.
+qualitative claims, while the benchmarks publish the full tables.
 """
 
 import pytest
 
-from repro.experiments import figures
+from repro.experiments.library import run_spec
 from repro.experiments.scenarios import smoke_scale
+from repro.experiments.spec import steady_means
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    scale = smoke_scale()
     # widely separated agent counts: smoke scale (300 peers) is noisy
-    return figures.agent_sweep(scale, seed=3, agent_counts=[1, 8])
+    return run_spec(
+        "fig9", scale="smoke", overrides={"seed": 3, "grid.agent_counts": (1, 8)}
+    ).data
 
 
 def test_fig5_shape():
-    pts = figures.fig5_processed_vs_sent()
-    assert pts[0] == (1000.0, 1000.0)
-    processed = [y for _, y in pts]
-    assert max(processed) < 16_000  # capacity ceiling
+    pts = run_spec("fig5").data
+    assert (pts[0].sent_qpm, pts[0].processed_qpm) == (1000.0, 1000.0)
+    assert max(p.processed_qpm for p in pts) < 16_000  # capacity ceiling
 
 
 def test_fig6_shape():
-    pts = figures.fig6_drop_rate_vs_density()
-    assert pts[0][1] == 0.0
-    assert pts[-1][1] == pytest.approx(47.0, abs=1.5)
+    pts = run_spec("fig6").data
+    assert pts[0].drop_rate_pct == 0.0
+    assert pts[-1].drop_rate_pct == pytest.approx(47.0, abs=1.5)
 
 
 def test_fig9_traffic_ordering(sweep):
-    rows = figures.fig9_traffic_cost(sweep)
-    for _, attack, defended, baseline in rows:
-        assert attack > baseline  # attack inflates traffic
-        assert defended < attack  # DD-POLICE reduces it
+    for r in sweep:
+        assert r.traffic_attack_k > r.traffic_no_ddos_k  # attack inflates traffic
+        assert r.traffic_defended_k < r.traffic_attack_k  # DD-POLICE reduces it
 
 
 def test_fig10_response_ordering(sweep):
-    rows = figures.fig10_response_time(sweep)
-    for _, attack, defended, baseline in rows:
+    for r in sweep:
         # smoke scale: congestion delay is muted (bandwidth-driven
         # collapse), so only require non-degradation ordering
-        assert attack > baseline * 0.9
+        assert r.response_attack_s > r.response_no_ddos_s * 0.9
 
 
 def test_fig11_success_ordering(sweep):
-    rows = figures.fig11_success_rate(sweep)
-    for _, attack, defended, baseline in rows:
-        assert attack < baseline  # attack hurts success
-        assert defended > attack  # DD-POLICE recovers
+    for r in sweep:
+        assert r.success_attack < r.success_no_ddos  # attack hurts success
+        assert r.success_defended > r.success_attack  # DD-POLICE recovers
 
 
 def test_fig11_attack_monotone(sweep):
-    rows = figures.fig11_success_rate(sweep)
-    assert rows[-1][1] < rows[0][1]  # more agents, less success
+    assert sweep[-1].success_attack < sweep[0].success_attack  # more agents, less success
 
 
 def test_fig12_timelines():
     scale = smoke_scale()
-    tls = figures.damage_timelines(
-        scale, cut_thresholds=(3.0, 7.0), minutes=scale.sim_minutes, seed=4
-    )
+    tls = run_spec(
+        "fig12",
+        scale="smoke",
+        overrides={
+            "seed": 4,
+            "trials": 1,
+            "grid.cut_thresholds": (3.0, 7.0),
+            "grid.minutes": scale.sim_minutes,
+        },
+    ).data
     assert [t.label for t in tls] == ["no DD-POLICE", "DD-POLICE-3", "DD-POLICE-7"]
     undefended = tls[0]
     pre_attack = [d for m, d in zip(undefended.minutes, undefended.damage_pct)
@@ -76,25 +80,30 @@ def test_fig12_timelines():
 
 
 def test_fig13_fig14_rows():
-    scale = smoke_scale()
-    rows = figures.cut_threshold_sweep(
-        scale, cut_thresholds=(3.0, 7.0), minutes=scale.sim_minutes, seed=5
+    run = run_spec(
+        "fig13",
+        scale="smoke",
+        overrides={
+            "seed": 5,
+            "trials": 1,
+            "grid.cut_thresholds": (3.0, 7.0),
+            "grid.minutes": smoke_scale().sim_minutes,
+            "tables": ("fig13_errors", "fig14_recovery"),
+        },
     )
-    assert [r.cut_threshold for r in rows] == [3.0, 7.0]
-    for r in rows:
+    assert [r.cut_threshold for r in run.data] == [3.0, 7.0]
+    for r in run.data:
         assert r.false_judgment == r.false_negative + r.false_positive
         assert r.stabilized_damage_pct >= 0
-    errors = figures.fig13_errors(rows)
-    assert errors[0][0] == 3.0
-    recovery = figures.fig14_recovery(rows)
-    assert len(recovery) == 2
+    # title, header, rule, then one line per cut threshold
+    assert len(run.tables["fig13_errors"].splitlines()) == 3 + 2
+    assert len(run.tables["fig14_recovery"].splitlines()) == 3 + 2
 
 
 def test_exchange_frequency_rows():
-    scale = smoke_scale()
-    rows = figures.exchange_frequency_study(
-        scale, periods_min=(1, 4), minutes=scale.sim_minutes, seed=6
-    )
+    rows = run_spec(
+        "exchange", scale="smoke", overrides={"seed": 6, "grid.periods_min": (1, 4)}
+    ).data
     labels = [r.policy for r in rows]
     assert labels == ["periodic-1min", "periodic-4min", "event-driven"]
     assert all(r.control_overhead_kqpm >= 0 for r in rows)
@@ -107,6 +116,6 @@ def test_steady_means_empty_window_raises_metrics_error():
     sim = FluidSimulation(FluidConfig(n=60, seed=1, churn_warmup_min=1))
     sim.run(3)
     with pytest.raises(MetricsError, match="no steady-state rows"):
-        figures._steady_means(sim.rows, 99)
+        steady_means(sim.rows, 99)
     with pytest.raises(MetricsError, match="no steady-state rows"):
-        figures._steady_means([], 0)
+        steady_means([], 0)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import ConfigError
-from repro.experiments.figures import CutThresholdRow
+from repro.experiments.library import CutThresholdRow
 from repro.experiments.io import (
     load_records,
     load_rows,

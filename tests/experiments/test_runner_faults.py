@@ -7,8 +7,8 @@ import pytest
 from repro.core.config import DDPoliceConfig
 from repro.errors import ConfigError
 from repro.experiments.runner import DESConfig, run_des_experiment
+from repro.experiments.library import FAULT_PROFILES, run_spec
 from repro.experiments.scenarios import FaultSweepSpec, fault_sweep_spec
-from repro.experiments.sweeps import FAULT_PROFILES, fault_sweep, format_fault_sweep
 from repro.faults.plan import CrashRule, FaultPlan
 from repro.overlay.topology import TopologyConfig
 
@@ -74,13 +74,14 @@ TINY_SPEC = FaultSweepSpec(
 
 
 def test_fault_sweep_produces_one_point_per_cell_and_profile():
-    points = fault_sweep(TINY_SPEC, seed0=2)
+    run = run_spec("fault-sweep", overrides={"seed": 2, "faults": TINY_SPEC})
+    points = run.data
     assert len(points) == len(FAULT_PROFILES)
     assert {p.profile for p in points} == set(FAULT_PROFILES)
     for p in points:
         assert p.loss == 0.3 and p.crashes == 0 and p.trials == 1
         assert p.false_negative >= 0.0 and p.false_positive >= 0.0
-    table = format_fault_sweep(TINY_SPEC, points)
+    table = run.tables["fault_sweep"]
     assert "paper" in table and "hardened" in table
 
 

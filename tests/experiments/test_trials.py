@@ -1,48 +1,44 @@
-"""Tests for multi-trial aggregation in the figure sweeps."""
+"""Tests for multi-trial aggregation in the timeline scenarios."""
 
-import pytest
-
-from repro.experiments import figures
+from repro.experiments.library import run_spec
 from repro.experiments.scenarios import smoke_scale
 
 
-@pytest.fixture(scope="module")
-def scale():
-    return smoke_scale()
+def rows(name, seed, trials, cut_thresholds=(5.0,)):
+    return run_spec(
+        name,
+        scale="smoke",
+        overrides={
+            "seed": seed,
+            "trials": trials,
+            "grid.cut_thresholds": cut_thresholds,
+            "grid.minutes": smoke_scale().sim_minutes,
+        },
+    ).data
 
 
-def test_damage_timelines_trials_average(scale):
-    single = figures.damage_timelines(
-        scale, cut_thresholds=(5.0,), minutes=scale.sim_minutes, seed=21, trials=1
-    )
-    averaged = figures.damage_timelines(
-        scale, cut_thresholds=(5.0,), minutes=scale.sim_minutes, seed=21, trials=2
-    )
+def test_damage_timelines_trials_average():
+    single = rows("fig12", 21, 1)
+    averaged = rows("fig12", 21, 2)
     assert [t.label for t in single] == [t.label for t in averaged]
     assert len(averaged[0].damage_pct) == len(averaged[0].minutes)
     # pre-attack zeros survive averaging
     pre = [
         d for m, d in zip(averaged[0].minutes, averaged[0].damage_pct)
-        if m < scale.attack_start_min
+        if m < smoke_scale().attack_start_min
     ]
     assert all(d == 0.0 for d in pre)
 
 
-def test_damage_timelines_first_trial_matches_single(scale):
-    """trials=1 must be identical to the first trial of trials=N."""
-    single = figures.damage_timelines(
-        scale, cut_thresholds=(), minutes=scale.sim_minutes, seed=23, trials=1
-    )
+def test_damage_timelines_first_trial_matches_single():
+    """An empty threshold sweep still yields the undefended timeline."""
+    single = rows("fig12", 23, 1, cut_thresholds=())
     assert single[0].label == "no DD-POLICE"
 
 
-def test_cut_threshold_sweep_trials_sum_errors(scale):
-    one = figures.cut_threshold_sweep(
-        scale, cut_thresholds=(5.0,), minutes=scale.sim_minutes, seed=25, trials=1
-    )[0]
-    two = figures.cut_threshold_sweep(
-        scale, cut_thresholds=(5.0,), minutes=scale.sim_minutes, seed=25, trials=2
-    )[0]
+def test_cut_threshold_sweep_trials_sum_errors():
+    one = rows("fig13", 25, 1)[0]
+    two = rows("fig13", 25, 2)[0]
     # summed counts can only grow with more trials
     assert two.false_negative >= one.false_negative
     assert two.false_judgment == two.false_negative + two.false_positive

@@ -1,48 +1,53 @@
-"""Parallel/serial equivalence of the experiment sweeps.
+"""Parallel/serial equivalence of the experiment specs.
 
 The executor's core contract: ``workers=4`` returns results *exactly*
-equal -- every metric and stddev, full float repr, not approximately --
-to ``workers=1``, because determinism lives in the per-task seeds, never
-in the schedule. Exercised here over randomly drawn small grids.
+equal -- every row and rendered table, full float repr, not
+approximately -- to ``workers=1``, because determinism lives in the
+per-task seeds, never in the schedule. Exercised here over randomly
+drawn small grids.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.library import run_spec
 from repro.experiments.scenarios import FaultSweepSpec
-from repro.experiments.sweeps import (
-    fault_sweep,
-    steady_success,
-    steady_traffic_k,
-    sweep,
-)
-from repro.fluid.model import FluidConfig
+
+
+def both_ways(name, overrides):
+    """Run spec ``name`` uncached at workers=1 and workers=4."""
+    serial, parallel = (
+        run_spec(name, overrides=overrides, workers=w, cache=False) for w in (1, 4)
+    )
+    # frozen-dataclass equality is exact float equality on every field;
+    # repr equality additionally pins the full float repr.
+    assert serial.data == parallel.data
+    assert repr(serial.data) == repr(parallel.data)
+    assert serial.tables == parallel.tables
+    return serial
 
 
 @settings(max_examples=3, deadline=None)
 @given(
-    seed0=st.integers(min_value=0, max_value=10_000),
-    n=st.integers(min_value=50, max_value=90),
-    agent_counts=st.lists(
-        st.integers(min_value=0, max_value=4), min_size=1, max_size=2, unique=True
-    ),
+    seed=st.integers(min_value=0, max_value=10_000),
+    n=st.integers(min_value=100, max_value=140),
+    agents=st.integers(min_value=1, max_value=4),
     trials=st.integers(min_value=1, max_value=2),
 )
-def test_sweep_workers4_exactly_equals_serial(seed0, n, agent_counts, trials):
-    base = FluidConfig(n=n, seed=0, churn_warmup_min=2, attack_start_min=1)
-    kwargs = dict(
-        grid={"num_agents": agent_counts},
-        minutes=4,
-        metrics={"succ": steady_success(2), "traffic": steady_traffic_k(2)},
-        trials=trials,
-        seed0=seed0,
+def test_sweep_workers4_exactly_equals_serial(seed, n, agents, trials):
+    run = both_ways(
+        "fig12",
+        {
+            "seed": seed,
+            "trials": trials,
+            "scale.n_peers": n,
+            "scale.attack_start_min": 1,
+            "grid.agents": agents,
+            "grid.cut_thresholds": (5.0,),
+            "grid.minutes": 4,
+        },
     )
-    serial = sweep(base, **kwargs, workers=1)
-    parallel = sweep(base, **kwargs, workers=4)
-    # frozen-dataclass equality is exact float equality on every metric
-    # and stddev; repr equality additionally pins the full float repr.
-    assert serial == parallel
-    assert repr(serial) == repr(parallel)
+    assert run.cases == 3 * trials
 
 
 FAULT_SPEC = FaultSweepSpec(
@@ -59,7 +64,4 @@ FAULT_SPEC = FaultSweepSpec(
 
 
 def test_fault_sweep_workers4_exactly_equals_serial():
-    serial = fault_sweep(FAULT_SPEC, seed0=5, workers=1)
-    parallel = fault_sweep(FAULT_SPEC, seed0=5, workers=4)
-    assert serial == parallel
-    assert repr(serial) == repr(parallel)
+    both_ways("fault-sweep", {"seed": 5, "faults": FAULT_SPEC})

@@ -18,7 +18,7 @@ Three guarantees the pluggable evidence layer leans on:
 import math
 from collections import OrderedDict, deque
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.evidence import (
@@ -236,8 +236,14 @@ def test_exact_dedup_window_matches_timestamp_dict(events, window):
 # sketch traffic store: no attacker hidden
 # ---------------------------------------------------------------------------
 
+#: A minute recorded, left, and revisited: the sketch store used to
+#: append a second, empty frame for minute 0 and answer from it.
+REVISITED_MINUTE = [(0, {}, {"a": 2}), (1, {}, {}), (0, {}, {})]
+
+
 @settings(max_examples=30, deadline=None)
 @given(ops=WINDOW_OPS, threshold=st.integers(min_value=1, max_value=800))
+@example(ops=REVISITED_MINUTE, threshold=1)
 def test_sketch_store_suspects_superset_of_exact(ops, threshold):
     """Count-min overestimates only: every exact suspect is a sketch
     suspect (narrow widths may add extras -- the documented tradeoff).
@@ -257,3 +263,13 @@ def test_sketch_store_suspects_superset_of_exact(ops, threshold):
     exact_suspects = set(exact.suspicious_neighbors(float(threshold)))
     sketch_suspects = set(sketch.suspicious_neighbors(float(threshold)))
     assert exact_suspects <= sketch_suspects
+
+
+def test_sketch_store_reuses_the_frame_of_a_revisited_minute():
+    store = make_traffic_store(
+        EvidenceConfig(backend="sketch", cm_width=16, cm_depth=2), history_minutes=50
+    )
+    for minute, out_counts, in_counts in REVISITED_MINUTE:
+        store.record_window(minute, out_counts, in_counts)
+    assert len(store._frames) == 2
+    assert store.suspicious_neighbors(1.0) == ["a"]

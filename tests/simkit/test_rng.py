@@ -90,7 +90,7 @@ def test_trial_seed_scheme_has_no_cross_seed0_collisions():
     shared samples. The hash-derived scheme keeps every (seed0, trial)
     pair distinct.
     """
-    from repro.experiments.sweeps import trial_seed
+    from repro.experiments.spec import trial_seed
 
     # the old scheme's canonical collisions
     assert (0 + 1000 * 1) == (1000 + 1000 * 0)
