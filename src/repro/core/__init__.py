@@ -23,6 +23,7 @@ from repro.core.indicators import (
     general_indicator,
     single_indicator,
     indicators_from_reports,
+    indicators_from_totals,
     is_bad_peer,
 )
 from repro.core.monitor import TrafficMonitor
@@ -45,6 +46,7 @@ __all__ = [
     "general_indicator",
     "single_indicator",
     "indicators_from_reports",
+    "indicators_from_totals",
     "is_bad_peer",
     "TrafficMonitor",
     "BuddyGroup",

@@ -101,6 +101,36 @@ def single_indicator(
     return (float(q_ji) - float(sum(received_by_j_from_others))) / q
 
 
+def indicators_from_totals(
+    k: int,
+    total_sent_by_j: float,
+    total_received_by_j: float,
+    own_out_to_j: float,
+    own_in_from_j: float,
+    q: float,
+) -> Tuple[float, float]:
+    """(g(j,t), s(j,t,i)) from the buddy group's *totals*.
+
+    ``total_sent_by_j`` is ``sum_m Q_jm`` and ``total_received_by_j`` is
+    ``sum_m Q_mj`` over all ``k`` members, observer i included with its
+    own counts; i's single indicator then needs only its own two numbers,
+    because ``sum_{m != i} Q_mj = total_received_by_j - Q_ij``. Counts are
+    integers, so the totals are exact and independent of summation order:
+    a group is reduced once, O(members), and every observer judged from
+    it in O(1), with the same floats the per-member lists of
+    :func:`general_indicator` / :func:`single_indicator` give.
+    """
+    if q <= 0:
+        raise ConfigError(f"q must be positive, got {q}")
+    if k < 1:
+        raise ConfigError("general indicator needs at least one neighbor")
+    if own_in_from_j < 0:
+        raise ConfigError(f"q_ji must be non-negative, got {own_in_from_j}")
+    g = (float(total_sent_by_j) - (k - 1) * float(total_received_by_j)) / (q * k)
+    s = (float(own_in_from_j) - float(total_received_by_j - own_out_to_j)) / q
+    return g, s
+
+
 def indicators_from_reports(
     observer: int,
     own_out_to_j: int,
@@ -116,22 +146,17 @@ def indicators_from_reports(
 
     Returns ``(g(j,t), s(j,t,observer))``.
     """
-    sent_by_j = [float(own_in_from_j)]
-    received_by_j = [float(own_out_to_j)]
-    others_into_j = []
-    for member, rep in sorted(reports.items()):
-        if member == observer:
-            raise ConfigError("observer must not appear in reports")
-        if rep is None:
-            out_m, in_m = 0.0, 0.0
-        else:
-            out_m, in_m = float(rep.outgoing), float(rep.incoming)
-        sent_by_j.append(in_m)
-        received_by_j.append(out_m)
-        others_into_j.append(out_m)
-    g = general_indicator(sent_by_j, received_by_j, q)
-    s = single_indicator(own_in_from_j, others_into_j, q)
-    return g, s
+    if observer in reports:
+        raise ConfigError("observer must not appear in reports")
+    answered = [rep for rep in reports.values() if rep is not None]
+    return indicators_from_totals(
+        len(reports) + 1,
+        own_in_from_j + sum(rep.incoming for rep in answered),
+        own_out_to_j + sum(rep.outgoing for rep in answered),
+        own_out_to_j,
+        own_in_from_j,
+        q,
+    )
 
 
 def is_bad_peer(g: float, s_values: Iterable[float], threshold: float = 1.0) -> bool:

@@ -55,9 +55,7 @@ def build_edge_arrays(
     :func:`edge_slice_index` exploits). The construction is vectorized --
     neighbor sets are flattened once at C speed, then a single argsort
     over packed (src, dst) keys yields the canonical order and the
-    reverse-edge permutation -- but produces arrays identical to the
-    reference python-loop implementation
-    (:func:`build_edge_arrays_reference`).
+    reverse-edge permutation.
     """
     src_parts: List[int] = []
     dst_parts: List[int] = []
@@ -86,31 +84,6 @@ def build_edge_arrays(
     if np.any(bad):
         e = int(np.argmax(bad))
         raise ConfigError(f"asymmetric adjacency at edge ({int(src[e])}, {int(dst[e])})")
-    return src, dst, rev
-
-
-def build_edge_arrays_reference(
-    adjacency: Dict[int, Set[int]],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pre-vectorization :func:`build_edge_arrays`; kept as the
-    equivalence oracle for tests and before/after benchmarks."""
-    src_list: List[int] = []
-    dst_list: List[int] = []
-    index: Dict[Tuple[int, int], int] = {}
-    for u in sorted(adjacency):
-        for v in sorted(adjacency[u]):
-            if u == v:
-                raise ConfigError(f"self-loop at node {u}")
-            if v not in adjacency or u not in adjacency[v]:
-                raise ConfigError(f"asymmetric adjacency at edge ({u}, {v})")
-            index[(u, v)] = len(src_list)
-            src_list.append(u)
-            dst_list.append(v)
-    src = np.asarray(src_list, dtype=np.int64)
-    dst = np.asarray(dst_list, dtype=np.int64)
-    rev = np.empty(len(src_list), dtype=np.int64)
-    for (u, v), e in index.items():
-        rev[e] = index[(v, u)]
     return src, dst, rev
 
 
@@ -252,84 +225,96 @@ def propagate_flows(
     if np.any(up <= 0) or np.any(down <= 0):
         raise ConfigError("bandwidths must be positive")
 
-    inj_good = good_rate[src] if E else np.zeros(0)
-    rho = np.ones(n)
-    omega = np.ones(n)
-    iota = np.ones(n)
-    result: Optional[FlowResult] = None
+    # Both classes ride one stacked ``[good | attack]`` layout: flows are
+    # length-2E vectors and arrivals length-2n (attack node ids offset by
+    # n, attack edge ids by E), so a hop costs one bincount and one
+    # gather/scale/clamp chain for the two classes together. The three
+    # load sums and loss factors are stacked the same way, as the rows
+    # ``(offered, out-demand, in-load)`` and ``(rho, omega, iota)``.
+    # No per-element expression and no bincount accumulation order differs
+    # from running everything separately: each part only ever lands in
+    # its own bins.
+    src2 = np.concatenate([src, src + n])
+    dst2 = np.concatenate([dst, dst + n])
+    rev2 = np.concatenate([rev, rev + E])
+    src_dst = np.concatenate([src, dst + n])
+    inj2 = np.concatenate([good_rate[src], attack_edge_inject])
+    inj_tot = inj2[:E] + inj2[E:]
+    out_demand0 = np.bincount(src, weights=inj_tot, minlength=n)
+    limit = np.stack([capacity, up, down])
+    hop_sigma = [float(x) for x in sigma[: ttl + 1]]
+    loss = np.ones((3, n))
+    sent2 = np.empty(2 * E)  # per hop: [pre-link demand | what left the NIC]
+    demand, left_nic = sent2[:E], sent2[E:]
 
-    for iteration in range(max_iterations):
-        # Per-edge delivery factor under the current link loss estimates.
-        link = omega[src] * iota[dst] if E else np.zeros(0)
-
-        d_good = inj_good * link
-        d_att = attack_edge_inject * link
-        F_good = d_good.copy()
-        F_att = d_att.copy()
-        F_sent = (inj_good + attack_edge_inject) * (omega[src] if E else 1.0)
-        out_demand = np.bincount(src, weights=inj_good + attack_edge_inject, minlength=n)
-        in_load = np.bincount(dst, weights=(inj_good + attack_edge_inject) * omega[src], minlength=n)
-        offered = np.zeros(n)
-        good_hops = np.zeros(ttl)
-        good_quality = np.ones(ttl)
+    for iteration in range(1, max_iterations + 1):
+        rho, omega, iota = loss
         quality = rho * omega * iota
+        # Loss factors are fixed within one pass; gather them per edge once.
+        omega_src = omega[src]
+        link = omega_src * iota[dst]  # per-edge delivery factor
+        link2 = np.concatenate([link, link])
+        rho_src = rho[src]
+        rho_src2 = np.concatenate([rho_src, rho_src])
+
+        d2 = inj2 * link2
+        F2 = d2.copy()
+        F_sent = inj_tot * omega_src
+        load = np.zeros((3, n))
+        offered, link_load = load[0], load[1:].reshape(-1)  # views
+        load[1] = out_demand0
+        load[2] = np.bincount(dst, weights=F_sent, minlength=n)
+        processed = np.zeros((ttl, n))  # novel processed good arrivals per hop
 
         for hop in range(1, ttl + 1):
-            A_good = np.bincount(dst, weights=d_good, minlength=n)
-            A_att = np.bincount(dst, weights=d_att, minlength=n)
-            s = float(sigma[hop])
+            A2 = np.bincount(dst2, weights=d2, minlength=2 * n)
+            s = hop_sigma[hop]
             # Every delivered message consumes processing (the Section 2.3
             # measurement charges per *received* query -- duplicates are
             # detected only after the node has spent work on them).
-            offered += A_good + A_att
-            processed_h = A_good * s * rho
-            total_h = float(processed_h.sum())
-            good_hops[hop - 1] = total_h
-            if total_h > 0:
-                good_quality[hop - 1] = float((processed_h * quality).sum()) / total_h
+            offered += A2[:n] + A2[n:]
+            np.multiply(A2[:n] * s, rho, out=processed[hop - 1])
             if hop == ttl:
                 break
             # Forwarded demand leaving each node (pre-link):
-            f_good = (A_good[src] - d_good[rev]) * s * rho[src]
-            f_att = (A_att[src] - d_att[rev]) * s * rho[src]
-            np.clip(f_good, 0.0, None, out=f_good)
-            np.clip(f_att, 0.0, None, out=f_att)
-            f_tot = f_good + f_att
-            F_sent = F_sent + f_tot * omega[src]
-            out_demand += np.bincount(src, weights=f_tot, minlength=n)
-            in_load += np.bincount(dst, weights=f_tot * omega[src], minlength=n)
-            d_good = f_good * link
-            d_att = f_att * link
-            F_good += d_good
-            F_att += d_att
+            # (A_h[src] - d_h[rev]) * sigma_h * rho[src], clamped at 0.
+            f2 = A2[src2] - d2[rev2]
+            f2 *= s
+            f2 *= rho_src2
+            np.maximum(f2, 0.0, out=f2)
+            np.add(f2[:E], f2[E:], out=demand)
+            np.multiply(demand, omega_src, out=left_nic)
+            F_sent += left_nic
+            link_load += np.bincount(src_dst, weights=sent2, minlength=2 * n)
+            np.multiply(f2, link2, out=d2)
+            F2 += d2
 
         with np.errstate(divide="ignore", invalid="ignore"):
-            rho_new = np.where(offered > 0, np.minimum(1.0, capacity / offered), 1.0)
-            omega_new = np.where(out_demand > 0, np.minimum(1.0, up / out_demand), 1.0)
-            iota_new = np.where(in_load > 0, np.minimum(1.0, down / in_load), 1.0)
-        delta = max(
-            float(np.abs(rho_new - rho).max()) if n else 0.0,
-            float(np.abs(omega_new - omega).max()) if n else 0.0,
-            float(np.abs(iota_new - iota).max()) if n else 0.0,
-        )
-        rho = damping * rho_new + (1.0 - damping) * rho
-        omega = damping * omega_new + (1.0 - damping) * omega
-        iota = damping * iota_new + (1.0 - damping) * iota
-        result = FlowResult(
-            edge_good=F_good,
-            edge_attack=F_att,
-            edge_sent_total=F_sent,
-            rho=rho,
-            omega=omega,
-            iota=iota,
-            offered=offered,
-            good_processed_per_hop=good_hops,
-            good_path_quality_per_hop=good_quality,
-            good_injected=float(good_rate.sum()),
-            attack_injected=float(attack_edge_inject.sum()),
-            iterations=iteration + 1,
-        )
+            loss_new = np.where(load > 0, np.minimum(1.0, limit / load), 1.0)
+        delta = float(np.abs(loss_new - loss).max()) if n else 0.0
+        loss = damping * loss_new + (1.0 - damping) * loss
         if delta < tolerance:
             break
-    assert result is not None
-    return result
+
+    # Rows of a C-contiguous matrix sum exactly like the 1-D vectors.
+    good_hops = processed.sum(axis=1)
+    good_quality = np.ones(ttl)
+    np.divide(
+        (processed * quality).sum(axis=1), good_hops, out=good_quality,
+        where=good_hops > 0,
+    )
+    rho, omega, iota = loss
+    return FlowResult(
+        edge_good=F2[:E],
+        edge_attack=F2[E:],
+        edge_sent_total=F_sent,
+        rho=rho,
+        omega=omega,
+        iota=iota,
+        offered=offered,
+        good_processed_per_hop=good_hops,
+        good_path_quality_per_hop=good_quality,
+        good_injected=float(good_rate.sum()),
+        attack_injected=float(attack_edge_inject.sum()),
+        iterations=iteration,
+    )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 import numpy as np
 
@@ -111,19 +111,8 @@ class GraphState:
     def degree(self, u: int) -> int:
         return len(self.adjacency[u])
 
-    def online_nodes(self) -> List[int]:
-        return [u for u in range(self.n) if self.online[u]]
-
     def online_count(self) -> int:
         return int(self.online.sum())
-
-    def live_adjacency(self) -> Dict[int, Set[int]]:
-        """Adjacency restricted to online nodes (edges touch online only,
-        by construction)."""
-        return {u: set(vs) for u, vs in self.adjacency.items() if self.online[u]}
-
-    def degrees_online(self) -> List[int]:
-        return [len(self.adjacency[u]) for u in range(self.n) if self.online[u]]
 
     # ------------------------------------------------------------------
     # edge surgery
@@ -153,9 +142,8 @@ class GraphState:
         """Directed edge arrays ``(src, dst, rev, indptr)`` over the live
         graph, cached on :attr:`topology_version`.
 
-        Offline nodes hold no edges (leaving disconnects them), so
-        building from the full adjacency equals building from
-        :meth:`live_adjacency` -- without the per-minute dict/set copy.
+        Offline nodes hold no edges (leaving disconnects them), so the
+        full adjacency *is* the live graph -- no per-minute dict/set copy.
         ``indptr`` is the per-source CSR slice index
         (:func:`repro.fluid.flows.edge_slice_index`). Callers must not
         mutate the returned arrays.
@@ -177,19 +165,25 @@ class GraphState:
             self._reconnect_isolated()
             return (0, 0)
         left = joined = 0
-        for u in range(self.n):
+        draw = self._rng.random
+        leave_prob = self.churn.leave_prob_per_min
+        join_prob = self.churn.join_prob_per_min
+        # A node's turn changes only its own online flag, so a snapshot of
+        # the flags (plain bools, not np.bool_ lookups) decides every turn.
+        for u, was_online in enumerate(self.online.tolist()):
             # Draw for every node unconditionally so pinning a subset (the
             # attack agents) does not shift the stream for everyone else:
-            # baseline/attacked twins then share identical churn.
-            draw = self._rng.random()
-            if self.online[u]:
-                if u not in self.pinned and draw < self.churn.leave_prob_per_min:
+            # baseline/attacked twins then share identical churn. The draw
+            # stays inside the loop: a join consumes draws of its own
+            # (_connect_fresh) and the stream order is part of the contract.
+            x = draw()
+            if was_online:
+                if x < leave_prob and u not in self.pinned:
                     self._leave(u)
                     left += 1
-            else:
-                if draw < self.churn.join_prob_per_min:
-                    self._join(u)
-                    joined += 1
+            elif x < join_prob:
+                self._join(u)
+                joined += 1
         self._reconnect_isolated()
         self.leaves += left
         self.joins += joined
@@ -231,8 +225,10 @@ class GraphState:
         This is how a police-disconnected attacker "join[s] the system
         again and launch[es] another round of attacks".
         """
-        for u in range(self.n):
-            if self.online[u] and not self.adjacency[u]:
+        # Online flags do not change here; adjacency does (a reconnecting
+        # peer may pick a later isolated one), so that test stays live.
+        for u, is_online in enumerate(self.online.tolist()):
+            if is_online and not self.adjacency[u]:
                 since = self._isolated_since.get(u)
                 if since is None:
                     self._isolated_since[u] = self.minute
@@ -248,14 +244,11 @@ class GraphState:
     def step_exchange(self) -> int:
         """Refresh list snapshots for nodes whose phase matches this
         minute; returns the number of lists re-published."""
-        refreshed = 0
-        for u in range(self.n):
-            if not self.online[u]:
-                continue
-            if (self.minute + u) % self.exchange_period_min == 0:
-                self.snapshots[u] = frozenset(self.adjacency[u])
-                refreshed += 1
-        return refreshed
+        online = np.flatnonzero(self.online)
+        due = online[(self.minute + online) % self.exchange_period_min == 0]
+        for u in due.tolist():
+            self.snapshots[u] = frozenset(self.adjacency[u])
+        return len(due)
 
     def known_neighbors(self, u: int) -> FrozenSet[int]:
         """The (possibly stale) published neighbor list of ``u``."""
@@ -265,9 +258,11 @@ class GraphState:
         """Mean fraction of each online node's published list that no
         longer matches its live neighbors (diagnostic)."""
         errs = []
-        for u in self.online_nodes():
+        for u in np.flatnonzero(self.online).tolist():
             snap, live = self.snapshots.get(u, frozenset()), self.adjacency[u]
-            union = snap | live
-            if union:
-                errs.append(len(snap ^ live) / len(union))
+            if snap == live:  # the common case: nothing to count
+                if live:
+                    errs.append(0.0)
+            else:
+                errs.append(len(snap ^ live) / len(snap | live))
         return float(np.mean(errs)) if errs else 0.0

@@ -17,10 +17,8 @@ One :class:`FluidSimulation` advances minute by minute:
 
 from __future__ import annotations
 
-import random
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
@@ -28,39 +26,15 @@ from repro.attack.cheating import CheatStrategy
 from repro.core.config import DDPoliceConfig
 from repro.errors import ConfigError, MetricsError
 from repro.fluid.coverage import novelty_schedule
-from repro.fluid.flows import (
-    FlowResult,
-    build_edge_arrays_reference,
-    propagate_flows,
-)
+from repro.fluid.flows import FlowResult, propagate_flows
 from repro.fluid.graphstate import FluidChurnConfig, GraphState
-from repro.fluid.police import EdgeFlows, FluidNaiveCutoff, FluidPolice
+from repro.fluid.police import FluidNaiveCutoff, FluidPolice
 from repro.metrics.errors import ErrorCounts, JudgmentLog
 from repro.obs.config import Observability, ObsConfig
 from repro.overlay.bandwidth import BandwidthModel
 from repro.simkit.rng import RngRegistry, derive_seed
 from repro.overlay.content import ContentCatalog, ContentConfig
 from repro.overlay.topology import TopologyConfig, generate_topology
-
-
-#: When True, :meth:`FluidSimulation.step` uses the pre-PR-3 per-minute
-#: code path (python-loop edge building, per-agent ``src == u`` mask
-#: scans, python metric loops). The two paths are numerically identical;
-#: the flag exists so benchmarks and equivalence tests can measure the
-#: unoptimized baseline. Toggle via :func:`legacy_hot_path`.
-_LEGACY_HOT_PATH = False
-
-
-@contextmanager
-def legacy_hot_path() -> Iterator[None]:
-    """Run fluid steps on the unoptimized (pre-cache, pre-CSR) path."""
-    global _LEGACY_HOT_PATH
-    saved = _LEGACY_HOT_PATH
-    _LEGACY_HOT_PATH = True
-    try:
-        yield
-    finally:
-        _LEGACY_HOT_PATH = saved
 
 
 @dataclass(frozen=True)
@@ -223,7 +197,6 @@ class FluidSimulation:
                 self.bad_peers,
                 cheat_strategy=config.cheat_strategy,
                 judgment_log=self.judgments,
-                rng=self._rngs.stream("police"),
             )
         elif config.defense == "naive":
             self.naive = FluidNaiveCutoff(
@@ -297,38 +270,23 @@ class FluidSimulation:
         state.step_churn()
         refreshed = state.step_exchange()
 
-        legacy = _LEGACY_HOT_PATH
-        if legacy:
-            online = len(state.online_nodes())
-            adjacency = state.live_adjacency()
-            src, dst, rev = build_edge_arrays_reference(adjacency)
-            indptr = None
-        else:
-            online = state.online_count()
-            # Cached between minutes; GraphState invalidates on any
-            # churn/edge-cut mutation via its topology version.
-            src, dst, rev, indptr = state.edge_arrays()
+        online = state.online_count()
+        # Cached between minutes; GraphState invalidates on any
+        # churn/edge-cut mutation via its topology version.
+        src, dst, rev, indptr = state.edge_arrays()
         E = len(src)
 
         # -- injections -------------------------------------------------
         # A peer issues queries iff it is online with >= 1 live neighbor,
         # which (edges exist only between online peers) is exactly
         # out-degree > 0.
-        if legacy:
-            good_rate = np.zeros(cfg.n)
-            for u in state.online_nodes():
-                if state.adjacency[u]:
-                    good_rate[u] = cfg.issue_rate_qpm
-        else:
-            deg_all = np.diff(indptr)
-            good_rate = np.where(deg_all > 0, cfg.issue_rate_qpm, 0.0)
+        deg_all = np.diff(indptr)
+        good_rate = np.where(deg_all > 0, cfg.issue_rate_qpm, 0.0)
 
         attack_inject = np.zeros(E)
         attacking = 0
         agents_online = 0
         if self.attack_active():
-            if legacy:
-                deg_out = np.bincount(src, minlength=cfg.n) if E else np.zeros(cfg.n)
             for u in sorted(self.bad_peers):
                 now_online = bool(state.online[u]) and bool(state.adjacency[u])
                 if now_online:
@@ -339,19 +297,12 @@ class FluidSimulation:
                         factor = self._rng.uniform(0.3, 1.0)
                         self._agent_fresh[u] = False
                     rate = self.attack_rate[u] * factor
-                    if legacy:
-                        mask = src == u
-                        k = deg_out[u]
-                        if k > 0:
-                            attack_inject[mask] = rate / k
-                            attacking += 1
-                    else:
-                        # CSR slice: node u's out-edges are contiguous in
-                        # the (src, dst)-sorted edge arrays.
-                        lo, hi = int(indptr[u]), int(indptr[u + 1])
-                        if hi > lo:
-                            attack_inject[lo:hi] = rate / (hi - lo)
-                            attacking += 1
+                    # CSR slice: node u's out-edges are contiguous in
+                    # the (src, dst)-sorted edge arrays.
+                    lo, hi = int(indptr[u]), int(indptr[u + 1])
+                    if hi > lo:
+                        attack_inject[lo:hi] = rate / (hi - lo)
+                        attacking += 1
                 else:
                     self._agent_fresh[u] = True
                 self._was_online[u] = now_online
@@ -363,12 +314,9 @@ class FluidSimulation:
                 self._was_online[u] = now_online
 
         # -- flows -------------------------------------------------------
-        if legacy:
-            degrees = state.degrees_online() or [0]
-        else:
-            degrees = deg_all[state.online]
-            if degrees.size == 0:
-                degrees = [0]
+        degrees = deg_all[state.online]
+        if degrees.size == 0:
+            degrees = [0]
         sigma = novelty_schedule(degrees, cfg.ttl, n=max(1, online))
         flow = propagate_flows(
             src,
@@ -391,32 +339,19 @@ class FluidSimulation:
 
         # -- defense -------------------------------------------------------
         edges_cut = 0
-        if legacy:
-            online_nodes = state.online_nodes()
-            mean_deg = (
-                float(np.mean([len(state.adjacency[u]) for u in online_nodes]))
-                if online_nodes
-                else 0.0
-            )
-        else:
-            # Every directed edge has an online source, so the online
-            # degree sum is exactly E.
-            mean_deg = float(E) / online if online else 0.0
+        # Every directed edge has an online source, so the online degree
+        # sum is exactly E.
+        mean_deg = float(E) / online if online else 0.0
         # Each republishing peer sends its list to every neighbor.
         control_msgs = float(refreshed) * mean_deg
-        if self.police is not None or self.naive is not None:
-            keys = list(zip(src.tolist(), dst.tolist()))
-            delivered: EdgeFlows = dict(zip(keys, flow.edge_total.tolist()))
-            sent: EdgeFlows = dict(zip(keys, flow.edge_sent_total.tolist()))
-            if self.police is not None:
-                before = self.police.stats.traffic_messages
-                edges_cut = self.police.step(
-                    float(self.minute), state, delivered, sent
-                )
-                control_msgs += self.police.stats.traffic_messages - before
-            else:
-                assert self.naive is not None
-                edges_cut = self.naive.step(float(self.minute), state, delivered)
+        if self.police is not None:
+            before = self.police.stats.traffic_messages
+            edges_cut = self.police.step(
+                float(self.minute), state, flow.edge_total, flow.edge_sent_total
+            )
+            control_msgs += self.police.stats.traffic_messages - before
+        elif self.naive is not None:
+            edges_cut = self.naive.step(float(self.minute), state, flow.edge_total)
 
         row = MinuteRow(
             minute=self.minute,

@@ -23,18 +23,35 @@ comparison benches can swap defenses.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.attack.cheating import CheatStrategy, apply_cheat
 from repro.core.config import DDPoliceConfig
-from repro.core.indicators import NeighborReport, indicators_from_reports
+from repro.core.indicators import indicators_from_totals
 from repro.errors import ConfigError
 from repro.fluid.graphstate import GraphState
 from repro.metrics.errors import Judgment, JudgmentLog
 
-EdgeFlows = Dict[Tuple[int, int], float]
+
+def _edge_arrays_for(state: GraphState, *per_edge: np.ndarray):
+    """``state.edge_arrays()``, after checking that every ``per_edge`` array
+    is aligned with it.
+
+    Alignment is what makes "the edge exists and both ends are online"
+    structural; an array of another length -- one computed before an edge
+    mutation, say -- is rejected.
+    """
+    arrays = state.edge_arrays()
+    for arr in per_edge:
+        if arr.shape != arrays[0].shape:
+            raise ConfigError(
+                f"per-edge array of shape {arr.shape} does not match the "
+                f"{len(arrays[0])} directed edges of state.edge_arrays()"
+            )
+    return arrays
 
 
 @dataclass
@@ -58,7 +75,6 @@ class FluidPolice:
         *,
         cheat_strategy: CheatStrategy = CheatStrategy.SILENT,
         judgment_log: Optional[JudgmentLog] = None,
-        rng: Optional[random.Random] = None,
         record_clears: bool = False,
     ) -> None:
         self.config = config
@@ -66,121 +82,107 @@ class FluidPolice:
         self.cheat_strategy = cheat_strategy
         self.judgments = judgment_log if judgment_log is not None else JudgmentLog()
         self.stats = FluidPoliceStats()
-        self._rng = rng or random.Random(0)
         self.record_clears = record_clears
-
-    # ------------------------------------------------------------------
-    def _member_report(
-        self,
-        member: int,
-        suspect: int,
-        state: GraphState,
-        delivered: EdgeFlows,
-        sent: EdgeFlows,
-    ) -> Optional[NeighborReport]:
-        """What buddy-group member ``member`` reports about ``suspect``.
-
-        ``# of Outgoing queries`` counts what the member *sent* (its own
-        Out_query counter, pre-link-loss); ``# of Incoming`` counts what
-        it actually *received* from the suspect.
-        """
-        if not state.online[member]:
-            return None  # offline: no answer within the window
-        if suspect in state.adjacency[member]:
-            true_out = int(round(sent.get((member, suspect), 0.0)))
-            true_in = int(round(delivered.get((suspect, member), 0.0)))
-        else:
-            true_out = true_in = 0  # stale membership: honest zeros
-        if member in self.bad_peers:
-            cheated = apply_cheat(self.cheat_strategy, true_out, true_in)
-            if cheated is None:
-                return None
-            return NeighborReport(member=member, outgoing=cheated[0], incoming=cheated[1])
-        return NeighborReport(member=member, outgoing=true_out, incoming=true_in)
 
     # ------------------------------------------------------------------
     def step(
         self,
         minute: float,
         state: GraphState,
-        flows: EdgeFlows,
-        sent: Optional[EdgeFlows] = None,
+        delivered: np.ndarray,
+        sent: np.ndarray,
     ) -> int:
         """Run one detection round; returns edges cut this minute.
 
-        ``flows`` carries delivered counts (the receiver-side In_query
-        view); ``sent`` the sender-side Out_query view (defaults to
-        ``flows`` when link loss is not modelled).
+        ``delivered`` and ``sent`` are per-edge rates aligned with
+        ``state.edge_arrays()``: delivered counts are the receiver-side
+        In_query view, sent counts the sender-side Out_query view
+        (pre-link-loss; pass ``delivered`` twice when link loss is not
+        modelled).
         """
-        if sent is None:
-            sent = flows
-        warning = self.config.warning_threshold_qpm
         ct = self.config.cut_threshold
         q = self.config.q_threshold_qpm
+        wide = self.config.radius > 1
 
-        # 1. Gather suspects: (suspect -> observers that crossed warning).
+        # 1. Gather suspects: (suspect -> observers that crossed warning),
+        # both ascending because edges are (src, dst)-sorted.
+        src, dst, rev, indptr = _edge_arrays_for(state, delivered, sent)
+        hot = np.flatnonzero(delivered > self.config.warning_threshold_qpm)
         suspects: Dict[int, List[int]] = {}
-        for (j, i), f in flows.items():
-            if f <= warning:
-                continue
-            if i in self.bad_peers:
-                continue  # compromised peers don't police
-            if not (state.online[i] and state.online[j]):
-                continue
-            if j not in state.adjacency[i]:
-                continue
-            suspects.setdefault(j, []).append(i)
+        for j, i in zip(src[hot].tolist(), dst[hot].tolist()):
+            if i not in self.bad_peers:  # compromised peers don't police
+                suspects.setdefault(j, []).append(i)
+        if not suspects:
+            return 0
+
+        # True integer counts per directed edge j->m, from m's side: what m
+        # received from j (its In_query) and what m *sent* to j (its own
+        # Out_query counter, pre-link-loss). rint is Python's half-even round.
+        ptr = indptr.tolist()
+        neighbor = dst.tolist()
+        true_in = np.rint(delivered).astype(np.int64).tolist()
+        true_out = np.rint(sent[rev]).astype(np.int64).tolist()
 
         # 2. Decide every investigation against the *pre-step* state: the
         # protocol's report exchange and decisions all happen inside the
         # same 5-second window, so a peer expelled this round still
         # testified for the others.
         pending_cuts: List[Tuple[int, int]] = []  # (observer, suspect)
-        for suspect, observers in sorted(suspects.items()):
+        for suspect, observers in suspects.items():
             self.stats.investigations += 1
-            members = set(state.known_neighbors(suspect)) - {suspect}
+            lo, hi = ptr[suspect], ptr[suspect + 1]
+            live = dict(zip(neighbor[lo:hi], zip(true_out[lo:hi], true_in[lo:hi])))
+            members = set(state.known_neighbors(suspect))
+            members.discard(suspect)
             # Each observer is a live neighbor, hence a group member even
             # if the published list hasn't caught up.
             members.update(observers)
-            reports: Dict[int, Optional[NeighborReport]] = {}
-            responders = 0
-            for m in sorted(members):
-                rep = self._member_report(m, suspect, state, flows, sent)
+            # Reports are integer counts, so the group reduces to exact,
+            # order-free totals (a missing report counts as (0, 0)).
+            responders = total_out = total_in = 0
+            for m in members:
+                counts = live.get(m)
+                if counts is None:
+                    if not state.online[m]:
+                        continue  # offline: no answer within the window
+                    counts = (0, 0)  # stale membership: honest zeros
                 # DD-POLICE-r (r > 1): members are cross-validated with
                 # *their* buddy groups over the wider radius. A member
                 # that is itself a suspect (crossed the warning at any of
                 # its own neighbors) cannot vouch for this suspect -- its
                 # report is discarded, defeating pairwise collusion.
-                if (
-                    rep is not None
-                    and self.config.radius > 1
-                    and m in suspects
-                    and m != suspect
-                ):
-                    rep = None
-                reports[m] = rep
-                if rep is not None:
-                    responders += 1
+                if wide and m in suspects:
+                    continue
+                if m in self.bad_peers:
+                    counts = apply_cheat(self.cheat_strategy, *counts)
+                    if counts is None:
+                        continue
+                responders += 1
+                total_out += counts[0]
+                total_in += counts[1]
             # Message accounting: every responding member broadcasts to
             # the other members once per round (5 s dedup collapses the
             # per-observer requests).
             self.stats.traffic_messages += responders * max(0, len(members) - 1)
 
-            convicted_by: List[int] = []
-            for i in sorted(observers):
-                own_out = int(round(sent.get((i, suspect), 0.0)))
-                own_in = int(round(flows.get((suspect, i), 0.0)))
-                other_reports = {m: r for m, r in reports.items() if m != i}
-                g, s = indicators_from_reports(
-                    observer=i,
-                    own_out_to_j=own_out,
-                    own_in_from_j=own_in,
-                    reports=other_reports,
-                    q=q,
+            convicted = False
+            for i in observers:
+                # An observer judges with its own true counts; they are
+                # already in the totals unless its report was discarded.
+                own_out, own_in = live[i]
+                discarded = wide and i in suspects
+                g, s = indicators_from_totals(
+                    len(members),
+                    total_in + own_in if discarded else total_in,
+                    total_out + own_out if discarded else total_out,
+                    own_out,
+                    own_in,
+                    q,
                 )
                 guilty = g > ct or s > ct
                 if guilty:
-                    convicted_by.append(i)
+                    convicted = True
+                    pending_cuts.append((i, suspect))
                 if guilty or self.record_clears:
                     self.judgments.record(
                         Judgment(
@@ -192,9 +194,8 @@ class FluidPolice:
                             disconnected=guilty,
                         )
                     )
-            if convicted_by:
+            if convicted:
                 self.stats.convictions += 1
-                pending_cuts.extend((i, suspect) for i in convicted_by)
 
         # 3. Apply all cuts after every decision is made.
         cut_count = 0
@@ -229,16 +230,15 @@ class FluidNaiveCutoff:
         self.judgments = judgment_log if judgment_log is not None else JudgmentLog()
         self.stats = FluidPoliceStats()
 
-    def step(self, minute: float, state: GraphState, flows: EdgeFlows) -> int:
+    def step(self, minute: float, state: GraphState, delivered: np.ndarray) -> int:
+        """Cut every edge delivering over the cutoff (``delivered`` is
+        aligned with ``state.edge_arrays()``); returns edges cut."""
+        src, dst, _, _ = _edge_arrays_for(state, delivered)
+        hot = np.flatnonzero(delivered > self.cutoff_qpm)
         cut = 0
-        for (j, i), f in sorted(flows.items()):
-            if f <= self.cutoff_qpm:
-                continue
-            if i in self.bad_peers:
-                continue
-            if not (state.online[i] and state.online[j]):
-                continue
-            if j not in state.adjacency[i]:
+        for j, i, f in zip(src[hot].tolist(), dst[hot].tolist(), delivered[hot].tolist()):
+            # The reverse direction may have cut this link a moment ago.
+            if i in self.bad_peers or j not in state.adjacency[i]:
                 continue
             self.judgments.record(
                 Judgment(

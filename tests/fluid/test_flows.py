@@ -238,7 +238,7 @@ def test_fixed_point_converges():
 
 
 # ---------------------------------------------------------------------------
-# vectorized edge-array builder vs the reference implementation
+# vectorized edge-array builder vs hand-written reference arrays
 # ---------------------------------------------------------------------------
 
 def random_adjacency(n, p, seed):
@@ -253,32 +253,41 @@ def random_adjacency(n, p, seed):
 
 
 def test_vectorized_builder_matches_reference():
-    from repro.fluid.flows import build_edge_arrays_reference
-
+    """(src, dst)-sorted directed edges and the reverse permutation, against
+    literals; dict and set iteration order must not matter."""
     cases = [
-        {},  # no nodes
-        {0: set(), 1: set()},  # no edges
-        {0: {1}, 1: {0}},  # single link
-        line_adjacency(7),
-    ] + [random_adjacency(n, p, s) for n, p, s in [(13, 0.3, 1), (40, 0.1, 2), (5, 1.0, 3)]]
-    for adj in cases:
-        src_v, dst_v, rev_v = build_edge_arrays(adj)
-        src_r, dst_r, rev_r = build_edge_arrays_reference(adj)
-        assert np.array_equal(src_v, src_r)
-        assert np.array_equal(dst_v, dst_r)
-        assert np.array_equal(rev_v, rev_r)
-        assert src_v.dtype == src_r.dtype
-        assert rev_v.dtype == rev_r.dtype
+        ({}, [], [], []),  # no nodes
+        ({0: set(), 1: set()}, [], [], []),  # no edges
+        ({0: {1}, 1: {0}}, [0, 1], [1, 0], [1, 0]),  # single link
+        (
+            line_adjacency(4),
+            [0, 1, 1, 2, 2, 3], [1, 0, 2, 1, 3, 2], [1, 0, 3, 2, 5, 4],
+        ),
+        (  # triangle with a tail, nodes listed out of order, a gap at id 3
+            {4: {2}, 2: {0, 1, 4}, 1: {2, 0}, 0: {1, 2}},
+            [0, 0, 1, 1, 2, 2, 2, 4], [1, 2, 0, 2, 0, 1, 4, 2],
+            [2, 4, 0, 5, 1, 3, 7, 6],
+        ),
+    ]
+    for adj, src_ref, dst_ref, rev_ref in cases:
+        src, dst, rev = build_edge_arrays(adj)
+        assert src.tolist() == src_ref
+        assert dst.tolist() == dst_ref
+        assert rev.tolist() == rev_ref
+        assert src.dtype == dst.dtype == rev.dtype == np.int64
+    for n, p, seed in [(13, 0.3, 1), (40, 0.1, 2), (5, 1.0, 3)]:
+        adj = random_adjacency(n, p, seed)
+        src, dst, rev = build_edge_arrays(adj)
+        pairs = list(zip(src.tolist(), dst.tolist()))
+        assert pairs == sorted((u, v) for u in adj for v in adj[u])
+        assert [pairs[r] for r in rev.tolist()] == [(v, u) for u, v in pairs]
 
 
 def test_vectorized_builder_rejects_self_loops_and_asymmetry():
-    from repro.fluid.flows import build_edge_arrays_reference
-
-    for builder in (build_edge_arrays, build_edge_arrays_reference):
-        with pytest.raises(ConfigError):
-            builder({0: {0}, 1: set()})
-        with pytest.raises(ConfigError, match=r"asymmetric adjacency at edge \(0, 1\)"):
-            builder({0: {1}, 1: set()})
+    with pytest.raises(ConfigError, match="self-loop at node 0"):
+        build_edge_arrays({0: {0}, 1: set()})
+    with pytest.raises(ConfigError, match=r"asymmetric adjacency at edge \(0, 1\)"):
+        build_edge_arrays({0: {1}, 1: set()})
 
 
 def test_edge_slice_index_slices_match_masks():

@@ -143,20 +143,3 @@ def test_without_attack_twin():
     assert twin.num_agents == 0
     assert twin.defense == "none"
     assert twin.seed == cfg.seed
-
-
-@pytest.mark.parametrize("defense", ["none", "naive", "ddpolice"])
-def test_fast_hot_path_matches_legacy(defense):
-    """The cached/CSR/vectorized minute loop is bit-identical to the
-    pre-optimization path, row for row."""
-    from repro.fluid.model import legacy_hot_path
-
-    cfg = replace(
-        BASE, n=200, num_agents=4, attack_start_min=2, defense=defense,
-        churn_warmup_min=4,
-    )
-    fast = FluidSimulation(cfg).run(7)
-    with legacy_hot_path():
-        legacy = FluidSimulation(cfg).run(7)
-    assert fast == legacy
-    assert repr(fast) == repr(legacy)

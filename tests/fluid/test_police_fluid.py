@@ -2,12 +2,15 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.attack.cheating import CheatStrategy
 from repro.core.config import DDPoliceConfig
+from repro.errors import ConfigError
 from repro.fluid.graphstate import FluidChurnConfig, GraphState
 from repro.fluid.police import FluidNaiveCutoff, FluidPolice
+from tests.fluid.conftest import edge_rates, police_step
 
 
 def star_state(k=4):
@@ -34,14 +37,13 @@ def make_police(ct=5.0, bad=frozenset({0}), strategy=CheatStrategy.SILENT):
         DDPoliceConfig().with_cut_threshold(ct),
         set(bad),
         cheat_strategy=strategy,
-        rng=random.Random(2),
     )
 
 
 def test_flooding_suspect_convicted_and_expelled():
     state = star_state()
     police = make_police()
-    cut = police.step(1.0, state, attack_flows(state, 2000.0))
+    cut = police_step(police, state, attack_flows(state, 2000.0))
     assert cut == 4  # every neighbor cut its edge
     assert state.adjacency[0] == set()
     assert not state.online[0]  # fully isolated -> expelled
@@ -52,7 +54,7 @@ def test_flooding_suspect_convicted_and_expelled():
 def test_below_warning_not_investigated():
     state = star_state()
     police = make_police()
-    cut = police.step(1.0, state, attack_flows(state, 400.0))
+    cut = police_step(police, state, attack_flows(state, 400.0))
     assert cut == 0
     assert police.stats.investigations == 0
 
@@ -72,7 +74,7 @@ def test_good_forwarder_cleared_with_full_reports():
         flows[(0, nb)] = 870.0  # forwarded with slight losses
         flows[(nb, 0)] = 5.0
     police = make_police(bad=frozenset())
-    police.step(1.0, state, flows)
+    police_step(police, state, flows)
     assert 0 not in police.judgments.disconnected_suspects()
 
 
@@ -89,7 +91,7 @@ def test_stale_membership_inflates_indicator():
     flows[(4, 0)] = 5800.0  # the invisible inflow
     flows[(0, 4)] = 300.0
     police = make_police(bad=frozenset())
-    cut = police.step(1.0, state, flows)
+    cut = police_step(police, state, flows)
     assert cut >= 1
     assert 0 in police.judgments.disconnected_suspects()
 
@@ -108,16 +110,14 @@ def test_cheat_deflate_can_shield_attacker():
         (1, 2): 2000.0, (2, 1): 5.0,
         (1, 3): 2000.0, (3, 1): 5.0,
     }
-    honest = FluidPolice(DDPoliceConfig(), {0}, cheat_strategy=CheatStrategy.HONEST,
-                         rng=random.Random(4))
-    honest.step(1.0, state, dict(flows))
+    honest = FluidPolice(DDPoliceConfig(), {0}, cheat_strategy=CheatStrategy.HONEST)
+    police_step(honest, state, flows)
     assert 1 not in honest.judgments.disconnected_suspects()
 
     state2 = GraphState(4, adj, churn=FluidChurnConfig(enabled=False),
                         rng=random.Random(5))
-    silent = FluidPolice(DDPoliceConfig(), {0}, cheat_strategy=CheatStrategy.SILENT,
-                         rng=random.Random(6))
-    silent.step(1.0, state2, dict(flows))
+    silent = FluidPolice(DDPoliceConfig(), {0}, cheat_strategy=CheatStrategy.SILENT)
+    police_step(silent, state2, flows)
     # with the attacker silent, the good forwarder is wrongly cut
     assert 1 in silent.judgments.disconnected_suspects()
 
@@ -131,7 +131,7 @@ def test_offline_member_assumed_zero():
     for nb in (1, 2, 3):
         flows[(nb, 0)] = 10.0
         flows[(0, nb)] = 900.0
-    cut = police.step(1.0, state, flows)
+    cut = police_step(police, state, flows)
     # the group still judges with member 4 assumed (0,0)
     assert police.stats.investigations == 1
     assert cut >= 1  # outflow unexplained -> convicted
@@ -139,15 +139,15 @@ def test_offline_member_assumed_zero():
 
 def test_bad_observers_do_not_police():
     state = star_state(k=2)
-    police = FluidPolice(DDPoliceConfig(), {0, 1, 2}, rng=random.Random(7))
-    cut = police.step(1.0, state, attack_flows(state, 5000.0))
+    police = FluidPolice(DDPoliceConfig(), {0, 1, 2})
+    cut = police_step(police, state, attack_flows(state, 5000.0))
     assert cut == 0
 
 
 def test_traffic_message_accounting():
     state = star_state(k=4)
     police = make_police(strategy=CheatStrategy.HONEST)
-    police.step(1.0, state, attack_flows(state, 2000.0))
+    police_step(police, state, attack_flows(state, 2000.0))
     assert police.stats.traffic_messages > 0
 
 
@@ -155,7 +155,7 @@ def test_naive_cutoff_cuts_any_heavy_edge():
     state = star_state(k=3)
     naive = FluidNaiveCutoff(500.0, {0})
     flows = attack_flows(state, 2000.0)
-    cut = naive.step(1.0, state, flows)
+    cut = naive.step(1.0, state, edge_rates(state, flows))
     assert cut == 3
     assert not state.online[0]
 
@@ -163,3 +163,30 @@ def test_naive_cutoff_cuts_any_heavy_edge():
 def test_naive_cutoff_validation():
     with pytest.raises(Exception):
         FluidNaiveCutoff(0.0, set())
+
+
+def test_misaligned_arrays_are_rejected():
+    """The dict interface tolerated any key set; arrays must line up with
+    ``state.edge_arrays()`` or the round refuses to run."""
+    state = star_state()
+    rates = edge_rates(state, attack_flows(state, 2000.0))
+    police = make_police()
+    with pytest.raises(ConfigError, match="does not match the 8 directed edges"):
+        police.step(1.0, state, rates[:-1], rates[:-1])
+    with pytest.raises(ConfigError, match="does not match"):
+        police.step(1.0, state, rates, rates[:-1])
+    with pytest.raises(ConfigError, match="does not match"):
+        FluidNaiveCutoff(500.0, {0}).step(1.0, state, np.append(rates, 0.0))
+    assert police.stats.investigations == 0 and state.degree(0) == 4
+
+
+def test_stale_arrays_after_an_edge_mutation_are_rejected():
+    state = star_state()
+    rates = edge_rates(state, attack_flows(state, 2000.0))
+    version = state.topology_version
+    state.remove_edge(0, 4)
+    assert state.topology_version > version
+    with pytest.raises(ConfigError, match="does not match the 6 directed edges"):
+        make_police().step(1.0, state, rates, rates)
+    with pytest.raises(ConfigError, match="does not match the 6 directed edges"):
+        FluidNaiveCutoff(500.0, {0}).step(1.0, state, rates)

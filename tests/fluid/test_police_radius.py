@@ -14,6 +14,7 @@ from repro.attack.cheating import CheatStrategy
 from repro.core.config import DDPoliceConfig
 from repro.fluid.graphstate import FluidChurnConfig, GraphState
 from repro.fluid.police import FluidPolice
+from tests.fluid.conftest import police_step
 
 
 def collusion_state():
@@ -43,14 +44,13 @@ def make_police(radius):
         cfg,
         {0, 1},
         cheat_strategy=CheatStrategy.INFLATE,
-        rng=random.Random(2),
     )
 
 
 def test_r1_collusion_shields_the_attacker():
     state = collusion_state()
     police = make_police(radius=1)
-    police.step(1.0, state, collusion_flows())
+    police_step(police, state, collusion_flows())
     # the inflated report explains the flood away: 0 keeps all edges
     assert 0 not in police.judgments.disconnected_suspects()
 
@@ -58,7 +58,7 @@ def test_r1_collusion_shields_the_attacker():
 def test_r2_cross_validation_defeats_collusion():
     state = collusion_state()
     police = make_police(radius=2)
-    police.step(1.0, state, collusion_flows())
+    police_step(police, state, collusion_flows())
     assert 0 in police.judgments.disconnected_suspects()
 
 
@@ -71,11 +71,11 @@ def test_r2_does_not_break_honest_detection():
                        rng=random.Random(3))
     police = FluidPolice(
         DDPoliceConfig(radius=2), {0},
-        cheat_strategy=CheatStrategy.HONEST, rng=random.Random(4),
+        cheat_strategy=CheatStrategy.HONEST,
     )
     flows = {}
     for nb in (1, 2, 3):
         flows[(0, nb)] = 2000.0
         flows[(nb, 0)] = 10.0
-    police.step(1.0, state, flows)
+    police_step(police, state, flows)
     assert 0 in police.judgments.disconnected_suspects()

@@ -106,3 +106,36 @@ def test_no_injection_no_flow(n, m, seed, good_rate, attack_rate, capacity):
     assert r.total_messages_per_min == 0.0
     assert r.good_injected == 0.0
     assert r.attack_injected == 0.0
+
+
+def test_classes_do_not_leak_into_each_other():
+    """Hand-computed two-hop flows on the line 0-1-2-3 with attack
+    injected on two of the six directed edges only. The kernel carries
+    both classes in one stacked [good | attack] vector; every edge must
+    still see exactly its own class's forwarded share."""
+    adj = {0: {1}, 1: {0, 2}, 2: {1, 3}, 3: {2}}
+    src, dst, rev = build_edge_arrays(adj)
+    edges = list(zip(src.tolist(), dst.tolist()))
+    assert edges == [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)]
+    attack = np.zeros(6)
+    attack[edges.index((1, 2))] = 100.0
+    attack[edges.index((2, 1))] = 30.0
+    r = propagate_flows(
+        src, dst, rev, 4,
+        good_rate=np.array([10.0, 0.0, 0.0, 4.0]),
+        attack_edge_inject=attack,
+        capacity=np.full(4, 1e9),
+        ttl=2,
+        sigma=np.array([1.0, 0.5, 0.25]),
+    )
+    assert r.iterations == 1  # nothing saturates: rho = omega = iota = 1
+    # Age 0 is the injection; age 1 forwards half (sigma[1]) of what arrived,
+    # on every out-edge except the one it came in on.
+    #                          (0,1) (1,0) (1,2)  (2,1) (2,3) (3,2)
+    assert r.edge_good.tolist() == [10.0, 0.0, 5.0, 2.0, 0.0, 4.0]
+    assert r.edge_attack.tolist() == [0.0, 15.0, 100.0, 30.0, 50.0, 0.0]
+    assert r.edge_sent_total.tolist() == [10.0, 15.0, 105.0, 32.0, 50.0, 4.0]
+    # Only good arrivals count as good reach: (10 + 4) * 0.5, (5 + 2) * 0.25.
+    assert r.good_processed_per_hop.tolist() == [7.0, 1.75]
+    assert r.offered.tolist() == [15.0, 42.0, 109.0, 50.0]
+    assert (r.good_injected, r.attack_injected) == (14.0, 130.0)

@@ -11,6 +11,7 @@ from repro.core.indicators import (
     NeighborReport,
     general_indicator,
     indicators_from_reports,
+    indicators_from_totals,
     single_indicator,
 )
 from repro.core.wire import (
@@ -93,6 +94,52 @@ def test_missing_reports_never_help_the_suspect(reports, own, q):
     k = len(full) + 1
     expected_delta = ((k - 1) * out - inc) / (q * k)
     assert g_partial - g_full == pytest.approx(expected_delta, rel=1e-6, abs=1e-6)
+
+
+@given(
+    members=st.dictionaries(
+        st.integers(min_value=1, max_value=12),
+        st.none() | st.tuples(counts, counts),
+        max_size=10,
+    ),
+    observer=st.integers(min_value=1, max_value=12),
+    own=st.tuples(counts, counts),
+    q=st.floats(min_value=0.5, max_value=1000),
+)
+def test_totals_form_equals_the_list_definitions(members, observer, own, q):
+    """Reducing a buddy group to (k, sum out, sum in) once and correcting
+    for the observer's own report gives *the same floats* as Definitions
+    2.1/2.2 over the explicit per-member lists -- for silent members, an
+    observer inside or outside the member set, and the k = 1 group."""
+    own_out, own_in = own
+    # One pass over every report, as a police round does per suspect ...
+    k = len(members)
+    total_out = sum(r[0] for r in members.values() if r is not None)
+    total_in = sum(r[1] for r in members.values() if r is not None)
+    # ... then O(1) per observer: its own true counts stand in for
+    # whatever it reported (or join the group if it was not listed).
+    reported = members.get(observer) or (0, 0)
+    if observer not in members:
+        k += 1
+    g, s = indicators_from_totals(
+        k,
+        total_in - reported[1] + own_in,
+        total_out - reported[0] + own_out,
+        own_out,
+        own_in,
+        q,
+    )
+    others = [r or (0, 0) for m, r in sorted(members.items()) if m != observer]
+    assert g == general_indicator(
+        [own_in] + [r[1] for r in others], [own_out] + [r[0] for r in others], q
+    )
+    assert s == single_indicator(own_in, [r[0] for r in others], q)
+    reports = {
+        m: r and NeighborReport(member=m, outgoing=r[0], incoming=r[1])
+        for m, r in members.items()
+        if m != observer
+    }
+    assert (g, s) == indicators_from_reports(observer, own_out, own_in, reports, q)
 
 
 # ---------------------------------------------------------------------------
