@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.core.decision import judge_rate_cutoff
 from repro.errors import ConfigError
-from repro.metrics.errors import Judgment, JudgmentLog
+from repro.metrics.errors import JudgmentLog
 from repro.overlay.ids import PeerId
 from repro.overlay.message import Bye
 from repro.overlay.network import OverlayNetwork
@@ -55,19 +56,12 @@ class NaiveCutoffDefense:
         if not self.peer.online:
             return
         for neighbor, count in list(self.peer.last_minute_in.items()):
-            if count > self.config.cutoff_qpm and neighbor in self.peer.neighbors:
+            verdict = judge_rate_cutoff(
+                self.config.cutoff_qpm, self.peer.id, neighbor, count
+            )
+            if verdict.convicted and neighbor in self.peer.neighbors:
                 self.disconnects_issued += 1
-                self.judgments.record(
-                    Judgment(
-                        time=now,
-                        observer=self.peer.id,
-                        suspect=neighbor,
-                        g_value=float(count) / self.config.cutoff_qpm,
-                        s_value=float("nan"),
-                        disconnected=True,
-                        reason="naive_cutoff",
-                    )
-                )
+                self.judgments.record(verdict.judgment(now))
                 self.network.disconnect(
                     self.peer.id, neighbor, reason_code=Bye.REASON_NAIVE_RATE_LIMIT
                 )

@@ -9,11 +9,12 @@ Module map
 ----------
 ``config``      tunables (q, warning threshold, CT, exchange period, ...)
 ``indicators``  Definitions 2.1-2.3: g(j,t), s(j,t,i), classification
-``monitor``     per-neighbor In_query / Out_query minute windows
+``decision``    the verdict kernel every engine judges through (3.3-3.4)
 ``wire``        Gnutella 0.6 header + Neighbor_Traffic body codec (Table 1)
 ``buddy``       buddy groups BG1-j (and the BGr-j generalization)
 ``exchange``    neighbor-list exchange policies + lying detection
 ``evidence``    per-suspect report collection with the 5 s window
+                (the per-neighbor minute windows are :mod:`repro.evidence`)
 ``police``      the per-peer protocol engine for the message-level overlay
 """
 
@@ -26,7 +27,7 @@ from repro.core.indicators import (
     indicators_from_totals,
     is_bad_peer,
 )
-from repro.core.monitor import TrafficMonitor
+from repro.core.decision import GroupEvidence, Outcome, Verdict, judge
 from repro.core.buddy import BuddyGroup, buddy_group_of
 from repro.core.wire import (
     GnutellaHeader,
@@ -36,7 +37,7 @@ from repro.core.wire import (
     decode_neighbor_list,
 )
 from repro.core.exchange import NeighborListDirectory, ListExchangeProtocol
-from repro.core.evidence import Investigation, InvestigationOutcome
+from repro.core.evidence import Investigation
 from repro.core.police import DDPoliceEngine, deploy_ddpolice
 
 __all__ = [
@@ -48,7 +49,10 @@ __all__ = [
     "indicators_from_reports",
     "indicators_from_totals",
     "is_bad_peer",
-    "TrafficMonitor",
+    "GroupEvidence",
+    "Outcome",
+    "Verdict",
+    "judge",
     "BuddyGroup",
     "buddy_group_of",
     "GnutellaHeader",
@@ -59,7 +63,6 @@ __all__ = [
     "NeighborListDirectory",
     "ListExchangeProtocol",
     "Investigation",
-    "InvestigationOutcome",
     "DDPoliceEngine",
     "deploy_ddpolice",
 ]

@@ -2,28 +2,21 @@
 
 When a peer marks a neighbor suspicious it opens an :class:`Investigation`
 against it: it sends Neighbor_Traffic to the other buddy-group members and
-waits up to the collection window (5 seconds) for their reports. A member
-that never answers is assumed to have exchanged 0 queries with the suspect
-("it just assumes that peer j sent 0 query to peer m"). When all expected
-reports are in -- or the window expires -- the indicators are computed and
-compared with the cut threshold.
+waits up to the collection window (5 seconds) for their reports. When all
+expected reports are in -- or the window expires -- the reports held go to
+the verdict kernel (:mod:`repro.core.decision`), which owns what a silent
+member means and how the indicators are compared with the cut threshold.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, Optional
 
 from repro.core.config import DDPoliceConfig
-from repro.core.indicators import NeighborReport, indicators_from_reports
-from repro.errors import ConfigError, ProtocolError
-
-
-class InvestigationOutcome(enum.Enum):
-    PENDING = "pending"
-    CLEARED = "cleared"
-    CONVICTED = "convicted"
+from repro.core.decision import Outcome, Verdict, judge, reduce_reports
+from repro.core.indicators import NeighborReport
+from repro.errors import ConfigError
 
 
 @dataclass
@@ -36,10 +29,9 @@ class Investigation:
     expected_members: FrozenSet[Hashable]
     own_out_to_suspect: int
     own_in_from_suspect: int
-    reports: Dict[Hashable, Optional[NeighborReport]] = field(default_factory=dict)
-    outcome: InvestigationOutcome = InvestigationOutcome.PENDING
-    g_value: Optional[float] = None
-    s_value: Optional[float] = None
+    reports: Dict[Hashable, NeighborReport] = field(default_factory=dict)
+    #: The settled verdict; None while evidence is still being collected.
+    verdict: Optional[Verdict] = None
     #: Collection-window extensions granted so far (quorum rule).
     window_extensions: int = 0
     #: Re-requests already sent for this investigation (retry rule).
@@ -75,7 +67,7 @@ class Investigation:
 
         Returns True if the report was accepted.
         """
-        if self.outcome is not InvestigationOutcome.PENDING:
+        if self.verdict is not None:
             return False
         if member not in self.expected_members:
             return False
@@ -96,101 +88,30 @@ class Investigation:
     def missing_members(self) -> FrozenSet[Hashable]:
         return frozenset(self.expected_members - set(self.reports.keys()))
 
-    @property
-    def received_fraction(self) -> float:
-        """Fraction of expected members heard from (1.0 when none expected)."""
-        if not self.expected_members:
-            return 1.0
-        return len(set(self.reports) & set(self.expected_members)) / len(
-            self.expected_members
-        )
-
-    def quorum_met(self, quorum: float) -> bool:
-        """True once at least ``quorum`` of the expected reports are in."""
-        return self.received_fraction >= quorum
-
     # ------------------------------------------------------------------
-    def _trace_key(self, value: Hashable):
-        """Scalar form of an observer/suspect id for trace fields."""
-        return getattr(value, "value", value)
+    def decide(self, config: DDPoliceConfig) -> Verdict:
+        """Judge the suspect on the reports held now (the verdict kernel).
 
-    def decide(
-        self,
-        config: DDPoliceConfig,
-        *,
-        tracer=None,
-        now: float = 0.0,
-    ) -> InvestigationOutcome:
-        """Compute indicators and settle the investigation.
-
-        Missing reports become None entries -- mapped to (0,0) inside
-        :func:`indicators_from_reports` when ``assume_zero_on_missing``.
-        An optional ``tracer`` receives a ``police.decision`` record.
+        A member that has not answered is simply absent from the group's
+        totals. Every verdict but ``UNDECIDED`` settles the investigation;
+        an undecided one leaves it open, so the engine may extend the
+        collection window and decide again.
         """
-        if self.outcome is not InvestigationOutcome.PENDING:
-            return self.outcome
-        full_reports: Dict[Hashable, Optional[NeighborReport]] = dict(self.reports)
-        for member in self.expected_members:
-            if member not in full_reports:
-                if not config.assume_zero_on_missing:
-                    # Without the assume-zero rule, silence stalls the
-                    # decision; treat the suspect as cleared this round.
-                    self.outcome = InvestigationOutcome.CLEARED
-                    return self.outcome
-                full_reports[member] = None
-        g, s = indicators_from_reports(
-            observer=self.observer,
-            own_out_to_j=self.own_out_to_suspect,
-            own_in_from_j=self.own_in_from_suspect,
-            reports=full_reports,
-            q=config.q_threshold_qpm,
+        if self.verdict is not None:
+            return self.verdict
+        group = reduce_reports(
+            len(self.expected_members) + 1,
+            ((rep.outgoing, rep.incoming) for rep in self.reports.values()),
         )
-        self.g_value, self.s_value = g, s
-        if g > config.cut_threshold or s > config.cut_threshold:
-            self.outcome = InvestigationOutcome.CONVICTED
-        else:
-            self.outcome = InvestigationOutcome.CLEARED
-        if tracer is not None:
-            tracer.event(
-                "police.decision",
-                t=now,
-                observer=self._trace_key(self.observer),
-                suspect=self._trace_key(self.suspect),
-                outcome=self.outcome.value,
-                g=g,
-                s=s,
-                reports=len(self.reports),
-                expected=len(self.expected_members),
-            )
-        return self.outcome
-
-    def abstain(self, *, tracer=None, now: float = 0.0) -> InvestigationOutcome:
-        """Settle as CLEARED without computing indicators.
-
-        Used when the quorum rule refuses to judge on too little
-        evidence (after the window extensions are exhausted). Indicators
-        are NaN: no claim about the suspect's rate is being made.
-        """
-        if self.outcome is InvestigationOutcome.PENDING:
-            self.g_value = float("nan")
-            self.s_value = float("nan")
-            self.outcome = InvestigationOutcome.CLEARED
-            if tracer is not None:
-                tracer.event(
-                    "police.decision",
-                    t=now,
-                    observer=self._trace_key(self.observer),
-                    suspect=self._trace_key(self.suspect),
-                    outcome=self.outcome.value,
-                    g=None,
-                    s=None,
-                    reason="quorum_unmet",
-                    reports=len(self.reports),
-                    expected=len(self.expected_members),
-                )
-        return self.outcome
-
-    def indicator_pair(self) -> Tuple[float, float]:
-        if self.g_value is None or self.s_value is None:
-            raise ProtocolError("investigation has not been decided yet")
-        return self.g_value, self.s_value
+        verdict = judge(
+            config,
+            group,
+            self.observer,
+            self.suspect,
+            self.own_out_to_suspect,
+            self.own_in_from_suspect,
+            own_counted=False,
+        )
+        if verdict.outcome is not Outcome.UNDECIDED:
+            self.verdict = verdict
+        return verdict

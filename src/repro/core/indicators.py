@@ -168,4 +168,7 @@ def is_bad_peer(g: float, s_values: Iterable[float], threshold: float = 1.0) -> 
         raise ConfigError(f"threshold must be positive, got {threshold}")
     if g > threshold:
         return True
-    return any(s > threshold for s in s_values)
+    for s in s_values:
+        if s > threshold:
+            return True
+    return False

@@ -7,13 +7,14 @@ Wires the three protocol steps of Section 3 onto a live
    the local neighbor list; received lists populate the directory that
    buddy groups are derived from; pairwise consistency is cross-checked.
 2. **Neighbor query traffic monitoring** -- each minute window's
-   In/Out_query snapshots feed the :class:`TrafficMonitor`.
+   In/Out_query snapshots feed the peer's
+   :class:`~repro.evidence.store.TrafficStore`.
 3. **Bad peer recognizing** -- a neighbor whose last-minute incoming count
    exceeds the warning threshold opens an :class:`Investigation`;
    Neighbor_Traffic messages are exchanged with the suspect's buddy
-   group (deduplicated over 5 s); after the collection window the General
-   and Single indicators decide against the cut threshold and the suspect
-   is disconnected with an explanatory Bye.
+   group (deduplicated over 5 s); after the collection window the verdict
+   kernel (:mod:`repro.core.decision`) judges the reports held and a
+   convicted suspect is disconnected with an explanatory Bye.
 
 A compromised peer runs the same engine with a non-honest
 :class:`CheatStrategy`, which distorts (or silences) only its *outgoing
@@ -29,14 +30,14 @@ from repro.attack.adaptive import CollusionRing
 from repro.attack.cheating import CheatStrategy, apply_cheat
 from repro.core.buddy import buddy_group_of
 from repro.core.config import DDPoliceConfig, ExchangePolicy
-from repro.core.evidence import Investigation, InvestigationOutcome
+from repro.core.decision import NAN, Outcome, Verdict
+from repro.core.evidence import Investigation
 from repro.core.exchange import ConsistencyTracker, NeighborListDirectory
 from repro.core.indicators import NeighborReport
-from repro.core.monitor import TrafficMonitor
 from repro.errors import ProtocolError
 from repro.evidence.dedup import make_dedup_window
 from repro.evidence.store import make_traffic_store
-from repro.metrics.errors import Judgment, JudgmentLog
+from repro.metrics.errors import JudgmentLog
 from repro.overlay.ids import PeerId
 from repro.overlay.message import (
     Bye,
@@ -81,10 +82,7 @@ class DDPoliceEngine:
         self._rng = rng or random.Random(peer.id.value)
 
         # Evidence stores, pluggable (exact by default; docs/SKETCH.md).
-        self.monitor = TrafficMonitor(
-            warning_threshold_qpm=config.warning_threshold_qpm,
-            store=make_traffic_store(config.evidence),
-        )
+        self.store = make_traffic_store(config.evidence)
         self.directory = NeighborListDirectory()
         self.consistency = ConsistencyTracker(config.inconsistency_tolerance)
         self._investigations: Dict[PeerId, Investigation] = {}
@@ -295,10 +293,10 @@ class DDPoliceEngine:
             for candidate in (a, b):
                 if candidate in self.peer.neighbors:
                     self._disconnect(
-                        candidate,
-                        reason="inconsistent_list",
-                        g=float("nan"),
-                        s=float("nan"),
+                        Verdict(
+                            self.peer.id, candidate, NAN, NAN,
+                            Outcome.CONVICTED, "inconsistent_list",
+                        ),
                         bye_code=Bye.REASON_LIST_INCONSISTENT,
                     )
             self.consistency.clear(a, b)
@@ -339,10 +337,12 @@ class DDPoliceEngine:
         # listeners; it must not keep opening investigations.
         if self._stopped or not self.peer.online:
             return
-        self.monitor.record_window(
+        self.store.record_window(
             minute, self.peer.last_minute_out, self.peer.last_minute_in
         )
-        for suspect in self.monitor.suspicious_neighbors():
+        for suspect in self.store.suspicious_neighbors(
+            self.config.warning_threshold_qpm
+        ):
             if suspect in self.peer.neighbors:
                 self._open_investigation(suspect)
 
@@ -362,7 +362,7 @@ class DDPoliceEngine:
         members.add(self.peer.id)  # we are a neighbor of the suspect
         members.discard(suspect)
         expected = frozenset(members - {self.peer.id})
-        own_out, own_in = self.monitor.report_pair(suspect)
+        own_out, own_in = self.store.report_pair(suspect)
         inv = Investigation(
             observer=self.peer.id,
             suspect=suspect,
@@ -404,7 +404,7 @@ class DDPoliceEngine:
         if self._stopped or not self.peer.online:
             return
         inv = self._investigations.get(suspect)
-        if inv is None or inv.outcome is not InvestigationOutcome.PENDING:
+        if inv is None or inv.verdict is not None:
             return
         if inv.retries_used >= self.config.report_retry_limit:
             return
@@ -437,7 +437,7 @@ class DDPoliceEngine:
             if not self._report_dedup.should_send(suspect, now):
                 return
             self._report_dedup.record(suspect, now)
-        out_q, in_q = self.monitor.report_pair(suspect)
+        out_q, in_q = self.store.report_pair(suspect)
         reported = apply_cheat(
             self.cheat_strategy,
             out_q,
@@ -497,7 +497,7 @@ class DDPoliceEngine:
             # its membership in the BG is itself fabricated (the
             # consistent neighbor-list lie), so it has no real counters,
             # only the excuse apply_cheat will produce.
-            out_q, in_q = self.monitor.report_pair(suspect)
+            out_q, in_q = self.store.report_pair(suspect)
             colluding_for = (
                 self.collusion is not None and suspect in self.collusion.members
             )
@@ -550,98 +550,48 @@ class DDPoliceEngine:
         if self._stopped:
             return
         inv = self._investigations.get(suspect)
-        if inv is None or inv.outcome is not InvestigationOutcome.PENDING:
+        if inv is None or inv.verdict is not None:
             return
-        quorum = self.config.report_quorum
-        if quorum > 0.0 and not inv.quorum_met(quorum):
+        verdict = inv.decide(self.config)
+        if verdict.outcome is Outcome.UNDECIDED:
             if inv.window_extensions < self.config.quorum_extension_limit:
-                # Too little evidence to judge on assumed zeros: extend
-                # the window, which also gives backed-off retries time.
+                # Extend the window, which also gives backed-off retries
+                # time; still below quorum after that, abstain.
                 inv.window_extensions += 1
                 self.window_extensions_used += 1
                 self.network.sim.schedule_in(
                     self.config.collection_window_s, self._conclude, suspect
                 )
                 return
-            # Still below quorum after extending: abstain. Convicting
-            # here would mean cutting on mostly-assumed zeros -- exactly
-            # the loss-driven false negatives the quorum exists to stop.
             self.quorum_abstentions += 1
-            inv.abstain(tracer=self.network.tracer, now=self.network.now)
-            g, s = inv.indicator_pair()
-            self.judgments.record(
-                Judgment(
-                    time=self.network.now,
-                    observer=self.peer.id,
-                    suspect=suspect,
-                    g_value=g,
-                    s_value=s,
-                    disconnected=False,
-                    reason="quorum_unmet",
-                )
+        tracer = self.network.tracer
+        if tracer is not None:
+            tracer.event(
+                "police.decision", t=self.network.now, **verdict.trace_fields()
             )
-            self._investigations.pop(suspect, None)
-            return
-        outcome = inv.decide(
-            self.config, tracer=self.network.tracer, now=self.network.now
-        )
-        g, s = inv.indicator_pair()
-        disconnected = outcome is InvestigationOutcome.CONVICTED
-        if disconnected and suspect in self.peer.neighbors:
-            self._disconnect(suspect, reason="ddos", g=g, s=s)
+        if verdict.convicted and suspect in self.peer.neighbors:
+            self._disconnect(verdict)
         else:
-            self.judgments.record(
-                Judgment(
-                    time=self.network.now,
-                    observer=self.peer.id,
-                    suspect=suspect,
-                    g_value=g,
-                    s_value=s,
-                    disconnected=False,
-                )
-            )
+            self.judgments.record(verdict.judgment(self.network.now, executed=False))
         # _disconnect may already have evicted the entry via the
         # neighbor-gone listener.
         self._investigations.pop(suspect, None)
 
     def _disconnect(
-        self,
-        suspect: PeerId,
-        *,
-        reason: str,
-        g: float,
-        s: float,
-        bye_code: int = Bye.REASON_DDOS_SUSPECT,
+        self, verdict: Verdict, *, bye_code: int = Bye.REASON_DDOS_SUSPECT
     ) -> None:
+        suspect = verdict.suspect
         self.disconnects_issued += 1
         tracer = self.network.tracer
         if tracer is not None:
-            tracer.event(
-                "police.cut",
-                t=self.network.now,
-                observer=self.peer.id.value,
-                suspect=suspect.value,
-                reason=reason,
-                g=None if g != g else g,
-                s=None if s != s else s,
-            )
-        self.judgments.record(
-            Judgment(
-                time=self.network.now,
-                observer=self.peer.id,
-                suspect=suspect,
-                g_value=g,
-                s_value=s,
-                disconnected=True,
-                reason=reason,
-            )
-        )
+            tracer.event("police.cut", t=self.network.now, **verdict.trace_fields())
+        self.judgments.record(verdict.judgment(self.network.now))
         bye = Bye(
             guid=self.network.guid_factory.new(),
             ttl=1,
             hops=0,
             reason_code=bye_code,
-            reason_text=reason,
+            reason_text=verdict.reason,
         )
         try:
             self.peer.send_control(suspect, bye)
@@ -662,7 +612,7 @@ class DDPoliceEngine:
         # Bye needs no protocol action here.
 
     def _on_neighbor_gone(self, neighbor: PeerId, reason_code: int) -> None:
-        # Keep the monitor history: it is still valid evidence about the
+        # Keep the store's history: it is still valid evidence about the
         # just-ended minute, and buddy groups may ask for it right after a
         # disconnection race. The bounded history ages it out naturally.
         self._investigations.pop(neighbor, None)

@@ -1,7 +1,8 @@
 """Pluggable per-neighbor traffic evidence stores.
 
 The :class:`TrafficStore` interface is the Section 3.2 Out_query/In_query
-bookkeeping extracted from ``core/monitor.py``:
+bookkeeping ("two lists are designed in a peer for each of its logical
+neighbors"), held directly by each :class:`~repro.core.police.DDPoliceEngine`:
 
 * :class:`ExactTrafficStore` -- the pre-refactor behavior, verbatim: a
   bounded deque of :class:`MinuteSample` per neighbor.  The default, and
@@ -49,7 +50,7 @@ class MinuteSample:
 
 
 class TrafficStore(abc.ABC):
-    """Evidence backing for one peer's TrafficMonitor."""
+    """One peer's per-neighbor minute-window evidence."""
 
     history_minutes: int
 

@@ -275,7 +275,7 @@ def run_des_experiment(config: DESConfig) -> DESRun:
         obs=obs,
         wall_s=wall_s,
         evidence_bytes=sum(
-            e.monitor.evidence_bytes() + e._report_dedup.evidence_bytes()
+            e.store.evidence_bytes() + e._report_dedup.evidence_bytes()
             for e in engines.values()
         ),
     )

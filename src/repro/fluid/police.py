@@ -1,8 +1,9 @@
 """DD-POLICE detection over fluid per-edge counts.
 
-Runs the same decision logic as the message-level engine -- warning
-threshold, buddy-group reports, Definitions 2.1/2.2, cut threshold --
-against the per-minute per-edge query counts the fluid engine produces.
+Gathers, from the per-minute per-edge query counts the fluid engine
+produces, the evidence the message-level engine collects by messages --
+warning threshold, buddy group, each member's report -- and judges it
+through the same verdict kernel (:mod:`repro.core.decision`).
 
 Faithfulness notes:
 
@@ -11,8 +12,8 @@ Faithfulness notes:
   period stale -- new neighbors are invisible (their traffic inflates g),
   departed members report zero (their ghost membership deflates g);
 * compromised peers answer with their configured
-  :class:`~repro.attack.cheating.CheatStrategy`; silence is mapped to
-  (0, 0) per Section 3.4;
+  :class:`~repro.attack.cheating.CheatStrategy`; a SILENT or offline
+  member is a missing report, which the kernel treats per Section 3.4;
 * a suspect convicted by an observer loses that one edge; a peer cut by
   *all* its neighbors drops out and must rejoin through bootstrap (the
   model marks it offline so the churn process re-admits it later).
@@ -30,10 +31,10 @@ import numpy as np
 
 from repro.attack.cheating import CheatStrategy, apply_cheat
 from repro.core.config import DDPoliceConfig
-from repro.core.indicators import indicators_from_totals
+from repro.core.decision import judge, judge_rate_cutoff, reduce_reports
 from repro.errors import ConfigError
 from repro.fluid.graphstate import GraphState
-from repro.metrics.errors import Judgment, JudgmentLog
+from repro.metrics.errors import JudgmentLog
 
 
 def _edge_arrays_for(state: GraphState, *per_edge: np.ndarray):
@@ -85,6 +86,28 @@ class FluidPolice:
         self.record_clears = record_clears
 
     # ------------------------------------------------------------------
+    def _reports(self, state: GraphState, members, live, discarded):
+        """The ``(Out_query, In_query)`` report of every member that
+        answers; a member yielding nothing is a missing report."""
+        for m in members:
+            counts = live.get(m)
+            if counts is None:
+                if not state.online[m]:
+                    continue  # offline: no answer within the window
+                counts = (0, 0)  # stale membership: honest zeros
+            # DD-POLICE-r (r > 1): members are cross-validated with
+            # *their* buddy groups over the wider radius. A member that
+            # is itself a suspect (crossed the warning at any of its own
+            # neighbors) cannot vouch for this suspect -- its report is
+            # discarded, defeating pairwise collusion.
+            if m in discarded:
+                continue
+            if m in self.bad_peers:
+                counts = apply_cheat(self.cheat_strategy, *counts)
+                if counts is None:
+                    continue
+            yield counts
+
     def step(
         self,
         minute: float,
@@ -100,8 +123,6 @@ class FluidPolice:
         (pre-link-loss; pass ``delivered`` twice when link loss is not
         modelled).
         """
-        ct = self.config.cut_threshold
-        q = self.config.q_threshold_qpm
         wide = self.config.radius > 1
 
         # 1. Gather suspects: (suspect -> observers that crossed warning),
@@ -137,63 +158,31 @@ class FluidPolice:
             # Each observer is a live neighbor, hence a group member even
             # if the published list hasn't caught up.
             members.update(observers)
-            # Reports are integer counts, so the group reduces to exact,
-            # order-free totals (a missing report counts as (0, 0)).
-            responders = total_out = total_in = 0
-            for m in members:
-                counts = live.get(m)
-                if counts is None:
-                    if not state.online[m]:
-                        continue  # offline: no answer within the window
-                    counts = (0, 0)  # stale membership: honest zeros
-                # DD-POLICE-r (r > 1): members are cross-validated with
-                # *their* buddy groups over the wider radius. A member
-                # that is itself a suspect (crossed the warning at any of
-                # its own neighbors) cannot vouch for this suspect -- its
-                # report is discarded, defeating pairwise collusion.
-                if wide and m in suspects:
-                    continue
-                if m in self.bad_peers:
-                    counts = apply_cheat(self.cheat_strategy, *counts)
-                    if counts is None:
-                        continue
-                responders += 1
-                total_out += counts[0]
-                total_in += counts[1]
+            group = reduce_reports(
+                len(members),
+                self._reports(state, members, live, suspects if wide else ()),
+            )
             # Message accounting: every responding member broadcasts to
             # the other members once per round (5 s dedup collapses the
             # per-observer requests).
-            self.stats.traffic_messages += responders * max(0, len(members) - 1)
+            self.stats.traffic_messages += group.answered * max(0, len(members) - 1)
 
             convicted = False
             for i in observers:
                 # An observer judges with its own true counts; they are
                 # already in the totals unless its report was discarded.
-                own_out, own_in = live[i]
-                discarded = wide and i in suspects
-                g, s = indicators_from_totals(
-                    len(members),
-                    total_in + own_in if discarded else total_in,
-                    total_out + own_out if discarded else total_out,
-                    own_out,
-                    own_in,
-                    q,
+                # A minute step has no window to extend: an undecided
+                # verdict stands as an abstention.
+                verdict = judge(
+                    self.config, group, i, suspect, *live[i],
+                    own_counted=not (wide and i in suspects),
                 )
-                guilty = g > ct or s > ct
+                guilty = verdict.convicted
                 if guilty:
                     convicted = True
                     pending_cuts.append((i, suspect))
                 if guilty or self.record_clears:
-                    self.judgments.record(
-                        Judgment(
-                            time=minute,
-                            observer=i,
-                            suspect=suspect,
-                            g_value=g,
-                            s_value=s,
-                            disconnected=guilty,
-                        )
-                    )
+                    self.judgments.record(verdict.judgment(minute))
             if convicted:
                 self.stats.convictions += 1
 
@@ -241,15 +230,7 @@ class FluidNaiveCutoff:
             if i in self.bad_peers or j not in state.adjacency[i]:
                 continue
             self.judgments.record(
-                Judgment(
-                    time=minute,
-                    observer=i,
-                    suspect=j,
-                    g_value=f / self.cutoff_qpm,
-                    s_value=float("nan"),
-                    disconnected=True,
-                    reason="naive_cutoff",
-                )
+                judge_rate_cutoff(self.cutoff_qpm, i, j, f).judgment(minute)
             )
             state.remove_edge(i, j)
             cut += 1

@@ -23,6 +23,14 @@ loop never permutes any single receiver's arrival sequence). Dedup
 winners, reverse routes, token-bucket grants, drop counts, per-minute
 rows, and S(t) therefore match the message DES float-for-float.
 
+A DD-POLICE run judges through the same verdict kernel as the message
+engine (:mod:`repro.core.decision`): the police round only gathers each
+buddy group's counts from one CSR slice and works out when each
+investigator's conclusion fires. What the kernel owns therefore needs no
+code here (``assume_zero_on_missing`` is honoured either way); what needs
+*scheduling* this engine does not model -- quorum window extensions, report
+retries, radius > 1 groups, non-SILENT cheats -- is rejected up front.
+
 Known divergences, all confined to DD-POLICE runs:
 
 * the SoA engine sends no control-plane messages (exchange lists,
@@ -45,13 +53,13 @@ from typing import Dict, List, Optional, Set, TYPE_CHECKING, Tuple
 import numpy as np
 
 from repro.attack.cheating import CheatStrategy
-from repro.core.indicators import NeighborReport, indicators_from_reports
+from repro.core.decision import GroupEvidence, Verdict, judge
 from repro.errors import ConfigError
 from repro.evidence.hashing import mix64
 from repro.fluid.flows import build_edge_arrays, edge_slice_index
 from repro.metrics.accounting import QueryAccounting
 from repro.metrics.collectors import _SeriesMixin
-from repro.metrics.errors import ErrorCounts, Judgment, JudgmentLog
+from repro.metrics.errors import ErrorCounts, JudgmentLog
 from repro.overlay.content import ContentCatalog
 from repro.overlay.ids import PeerId
 from repro.overlay.message import GNUTELLA_HEADER_SIZE
@@ -179,14 +187,15 @@ def _reject_unsupported(config: "DESConfig") -> None:
             )
         if config.police.radius != 1:
             raise ConfigError("backend 'des-soa' requires police radius 1")
-        if not config.police.assume_zero_on_missing:
+        if config.police.report_quorum:
             raise ConfigError(
-                "backend 'des-soa' requires assume_zero_on_missing=True"
+                "backend 'des-soa' cannot honour police.report_quorum (it "
+                "schedules no collection-window extension; DES only)"
             )
-        if getattr(config.police, "report_quorum", 0):
-            raise ConfigError("backend 'des-soa' does not model report quorums")
-        if getattr(config.police, "report_retry_limit", 0):
-            raise ConfigError("backend 'des-soa' does not model report retries")
+        if config.police.report_retry_limit:
+            raise ConfigError(
+                "backend 'des-soa' cannot honour police.report_retry_limit (DES only)"
+            )
     if config.network.evidence.sketched:
         raise ConfigError(
             "backend 'des-soa' keys its seen-set by integer qid (Int64Map, "
@@ -231,8 +240,6 @@ class SoaFloodEngine:
         self._indptr = edge_slice_index(self._src, n)
         self._E = len(src)
         self._deg = np.diff(self._indptr)
-        #: (src, dst)-packed keys; sorted because edges are (src, dst)-sorted.
-        self._ekeys = self._src * n + self._dst
         self.edge_alive = np.ones(self._E, dtype=bool)
 
         # DES peers keep neighbors in a Python set, and issue_query /
@@ -400,9 +407,6 @@ class SoaFloodEngine:
         if self._sketched:
             return int(self._cm_out.nbytes + self._cm_in.nbytes)
         return int(self.win_out.nbytes + self.win_in.nbytes)
-
-    def _edge_id(self, u: int, v: int) -> int:
-        return int(np.searchsorted(self._ekeys, u * self.n + v))
 
     def _alive_out_edges(self, p: int) -> np.ndarray:
         a, b = int(self._indptr[p]), int(self._indptr[p + 1])
@@ -752,51 +756,52 @@ class SoaFloodEngine:
         (``Investigation.complete``) produces.
         """
         police = self.config.police
-        crossing = np.flatnonzero(
-            self.edge_alive & (prev_in > police.warning_threshold_qpm)
-        )
-        if not len(crossing):
+        hot = self.edge_alive & (prev_in > police.warning_threshold_qpm)
+        if not hot.any():
             return
         now = self.sim.now
         report_at = now + self._hop  # direct observers' reports land here
-        by_time: Dict[float, List[Tuple[int, int, float, float, bool]]] = {}
-        suspects = np.unique(self._src[crossing])
-        for j in suspects.tolist():
-            observers = set(
-                self._dst[crossing[self._src[crossing] == j]].tolist()
-            )
-            good_direct = any(not self._bad_mask[u] for u in observers)
-            nbrs = self._dst[self._alive_out_edges(j)].tolist()
+        by_time: Dict[float, List[Tuple[int, int, Verdict]]] = {}
+        for j in np.unique(self._src[hot]).tolist():
+            # The buddy group: j's alive out-edges (j -> m), members m
+            # ascending. sent[x] = Q_jm as m counted it arriving,
+            # received[x] = Q_mj as m counted it leaving on the reverse edge.
+            e_jm = self._alive_out_edges(j)
+            e_mj = self._rev[e_jm]
+            members = self._dst[e_jm]
+            observer = hot[e_jm]
+            k = len(e_jm)
             # Without a good direct observer no reports circulate, so
             # nobody joins: only the directs investigate (on silence).
-            members = nbrs if good_direct else sorted(observers)
-            for u in members:
-                own_out = int(prev_out[self._edge_id(u, j)])
-                own_in = int(prev_in[self._edge_id(j, u)])
-                reports: Dict[int, Optional[NeighborReport]] = {}
-                missing = False
-                last_direct = -1
-                last_joiner = -1
-                for mem in nbrs:
-                    if mem == u:
-                        continue
-                    if good_direct and not self._bad_mask[mem]:
-                        reports[mem] = NeighborReport(
-                            member=mem,
-                            outgoing=int(prev_out[self._edge_id(mem, j)]),
-                            incoming=int(prev_in[self._edge_id(j, mem)]),
-                        )
-                        if mem in observers:
-                            last_direct = max(last_direct, mem)
-                        else:
-                            last_joiner = max(last_joiner, mem)
-                    else:
-                        reports[mem] = None
-                        missing = True
-                g, s = indicators_from_reports(
-                    u, own_out, own_in, reports, police.q_threshold_qpm
+            bad = self._bad_mask[members]
+            if (observer & ~bad).any():
+                reporter = ~bad
+                judges = range(k)
+            else:
+                reporter = np.zeros(k, dtype=bool)
+                judges = np.flatnonzero(observer).tolist()
+            sent = prev_in[e_jm]
+            received = prev_out[e_mj]
+            group = GroupEvidence(
+                k,
+                int(np.count_nonzero(reporter)),
+                int(sent[reporter].sum()),
+                int(received[reporter].sum()),
+            )
+            # The two highest-id reporting directs / joiners: the last
+            # report an investigator waits for is the highest not its own.
+            directs = np.flatnonzero(reporter & observer)[-2:].tolist()
+            joiners = np.flatnonzero(reporter & ~observer)[-2:].tolist()
+            members, e_mj, sent, received, reporter, observer = (
+                arr.tolist()
+                for arr in (members, e_mj, sent, received, reporter, observer)
+            )
+            for x in judges:
+                u = members[x]
+                verdict = judge(
+                    police, group, PeerId(u), PeerId(j), received[x], sent[x],
+                    own_counted=reporter[x],
                 )
-                convicted = g > police.cut_threshold or s > police.cut_threshold
                 # An investigation completes at the arrival of its *last*
                 # expected report, and a conviction's disconnect evicts
                 # the endpoints' still-pending investigations of each
@@ -805,55 +810,41 @@ class SoaFloodEngine:
                 # rank of that last report -- the sender's id -- orders
                 # same-instant conclusions exactly like the message
                 # engine's event sequence.
-                if missing or not reports:
+                if verdict.answered < verdict.expected or k == 1:
                     # Never completes: the collection-window timer fires,
                     # anchored at the investigation's opening time (the
                     # roll for directs, first report arrival for joiners);
                     # timers fire in opening order = observer-id order.
-                    opened = now if u in observers else report_at
+                    opened = now if observer[x] else report_at
                     t_end = opened + police.collection_window_s
                     rank = u
-                elif last_joiner < 0:
-                    t_end = report_at
-                    rank = last_direct
-                else:
+                elif joiners and joiners != [x]:
                     t_end = report_at + self._hop
-                    rank = last_joiner
-                by_time.setdefault(t_end, []).append((rank, u, j, g, s, convicted))
+                    rank = members[max(y for y in joiners if y != x)]
+                else:
+                    t_end = report_at
+                    rank = members[max(y for y in directs if y != x)]
+                # Edge ids are (src, dst)-sorted: (rank, u -> j edge) is
+                # the (rank, observer, suspect) order.
+                by_time.setdefault(t_end, []).append((rank, e_mj[x], verdict))
         for t_end in sorted(by_time):
-            decisions = [
-                d[1:] for d in sorted(by_time[t_end])
-            ]
+            decisions = [d[1:] for d in sorted(by_time[t_end])]
             self.sim.schedule_at(t_end, self._conclude, decisions)
 
-    def _conclude(self, decisions: List[Tuple[int, int, float, float, bool]]) -> None:
+    def _conclude(self, decisions: List[Tuple[int, Verdict]]) -> None:
         now = self.sim.now
-        for u, j, g, s, convicted in decisions:
-            e_uj = self._edge_id(u, j)
+        for e_uj, verdict in decisions:
             if not self.edge_alive[e_uj]:
                 # The edge died before this conclusion (possibly cut by an
                 # earlier decision in this same batch): the message engine
                 # evicts the investigation via its neighbor-gone listener,
                 # so no judgment is recorded.
                 continue
-            if convicted:
-                e_ju = self._edge_id(j, u)
+            if verdict.convicted:
                 self.edge_alive[e_uj] = False
-                self.edge_alive[e_ju] = False
+                self.edge_alive[self._rev[e_uj]] = False
                 self.stats.edges_cut += 1
-                disconnected = True
-            else:
-                disconnected = False
-            self.judgments.record(
-                Judgment(
-                    time=now,
-                    observer=PeerId(u),
-                    suspect=PeerId(j),
-                    g_value=g,
-                    s_value=s,
-                    disconnected=disconnected,
-                )
-            )
+            self.judgments.record(verdict.judgment(now))
 
     # ------------------------------------------------------------------
     def run(self) -> None:

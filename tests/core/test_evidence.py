@@ -3,9 +3,12 @@
 import pytest
 
 from repro.core.config import DDPoliceConfig
-from repro.core.evidence import Investigation, InvestigationOutcome
+import math
+
+from repro.core.decision import Outcome
+from repro.core.evidence import Investigation
 from repro.core.indicators import NeighborReport
-from repro.errors import ConfigError, ProtocolError
+from repro.errors import ConfigError
 
 
 def make_inv(own_out=100, own_in=6000, members=("m1", "m2")):
@@ -43,10 +46,10 @@ def test_decide_convicts_heavy_sender():
     inv = make_inv(own_out=10, own_in=6000)
     inv.add_report("m1", NeighborReport(member=1, outgoing=10, incoming=6000))
     inv.add_report("m2", NeighborReport(member=2, outgoing=10, incoming=6000))
-    outcome = inv.decide(DDPoliceConfig())
-    assert outcome is InvestigationOutcome.CONVICTED
-    g, s = inv.indicator_pair()
-    assert g > 5 and s > 5
+    verdict = inv.decide(DDPoliceConfig())
+    assert verdict.outcome is Outcome.CONVICTED and verdict.convicted
+    assert verdict.g > 5 and verdict.s > 5
+    assert (verdict.expected, verdict.answered) == (2, 2)
 
 
 def test_decide_clears_pure_forwarder():
@@ -54,18 +57,17 @@ def test_decide_clears_pure_forwarder():
     inv = make_inv(own_out=1000, own_in=2000)
     inv.add_report("m1", NeighborReport(member=1, outgoing=1000, incoming=2000))
     inv.add_report("m2", NeighborReport(member=2, outgoing=1000, incoming=2000))
-    outcome = inv.decide(DDPoliceConfig())
-    assert outcome is InvestigationOutcome.CLEARED
+    assert inv.decide(DDPoliceConfig()).outcome is Outcome.CLEARED
 
 
 def test_missing_reports_assumed_zero():
     inv = make_inv(own_out=0, own_in=700)
     # nobody reports: with assume-zero, g = own_in/(q*k) computed anyway
-    outcome = inv.decide(DDPoliceConfig())
-    assert outcome in (InvestigationOutcome.CONVICTED, InvestigationOutcome.CLEARED)
-    g, s = inv.indicator_pair()
+    verdict = inv.decide(DDPoliceConfig())
+    assert verdict.outcome in (Outcome.CONVICTED, Outcome.CLEARED)
     # own_in=700, k=3 members total, q=100 -> g = 700/300
-    assert g == pytest.approx(700 / 300.0)
+    assert verdict.g == pytest.approx(700 / 300.0)
+    assert (verdict.expected, verdict.answered) == (2, 0)
 
 
 def test_without_assume_zero_missing_reports_clear():
@@ -73,7 +75,12 @@ def test_without_assume_zero_missing_reports_clear():
 
     inv = make_inv(own_out=0, own_in=99999)
     config = replace(DDPoliceConfig(), assume_zero_on_missing=False)
-    assert inv.decide(config) is InvestigationOutcome.CLEARED
+    verdict = inv.decide(config)
+    assert verdict.outcome is Outcome.CLEARED
+    # No claim about the suspect's rate -- but always a pair and a reason.
+    assert math.isnan(verdict.g) and math.isnan(verdict.s)
+    assert verdict.reason == "report_missing"
+    assert not verdict.judgment(5.0).disconnected
 
 
 def test_decide_is_idempotent():
@@ -88,9 +95,10 @@ def test_reports_after_decision_rejected():
     assert not inv.add_report("m1", report("m1"))
 
 
-def test_indicator_pair_before_decision_raises():
-    with pytest.raises(ProtocolError):
-        make_inv().indicator_pair()
+def test_pending_investigation_has_no_verdict():
+    inv = make_inv()
+    assert inv.verdict is None
+    assert inv.decide(DDPoliceConfig()) is inv.verdict
 
 
 def test_validation():

@@ -13,7 +13,8 @@ import pytest
 from repro.attack.agent import AgentConfig, DDoSAgent
 from repro.attack.cheating import CheatStrategy
 from repro.core.config import DDPoliceConfig
-from repro.core.evidence import Investigation, InvestigationOutcome
+from repro.core.decision import Outcome
+from repro.core.evidence import Investigation
 from repro.core.indicators import NeighborReport
 from repro.core.police import deploy_ddpolice
 from repro.errors import ConfigError
@@ -87,15 +88,18 @@ def test_investigation_quorum_and_abstention():
         own_out_to_suspect=0,
         own_in_from_suspect=0,
     )
-    assert inv.received_fraction == 0.0
+    assert inv.decide(DDPoliceConfig(report_quorum=0.1)).outcome is Outcome.UNDECIDED
     assert inv.add_report("c", NeighborReport(member="c", outgoing=1, incoming=2))
-    assert inv.received_fraction == 0.5
-    assert inv.quorum_met(0.5)
-    assert not inv.quorum_met(0.75)
-    inv.abstain()
-    assert inv.outcome is InvestigationOutcome.CLEARED
-    assert math.isnan(inv.g_value) and math.isnan(inv.s_value)
-    # A settled investigation accepts nothing further.
+    abstained = inv.decide(DDPoliceConfig(report_quorum=0.75))
+    assert abstained.outcome is Outcome.UNDECIDED and not abstained.convicted
+    assert abstained.reason == "quorum_unmet"
+    assert (abstained.expected, abstained.answered) == (2, 1)
+    assert math.isnan(abstained.g) and math.isnan(abstained.s)
+    # An undecided investigation stays open (the engine may extend the
+    # window): half the reports meet a 0.5 quorum, which settles it ...
+    assert inv.verdict is None
+    assert inv.decide(DDPoliceConfig(report_quorum=0.5)).outcome is Outcome.CLEARED
+    # ... and a settled investigation accepts nothing further.
     assert not inv.add_report("d", NeighborReport(member="d", outgoing=0, incoming=0))
 
 
@@ -108,8 +112,7 @@ def test_trivial_investigation_always_meets_quorum():
         own_out_to_suspect=0,
         own_in_from_suspect=0,
     )
-    assert inv.received_fraction == 1.0
-    assert inv.quorum_met(1.0)
+    assert inv.decide(DDPoliceConfig(report_quorum=1.0)).outcome is Outcome.CLEARED
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +298,7 @@ def test_stopped_engine_does_not_conclude():
     recorded_before = len(observer.judgments.judgments)
     observer.stop()
     observer._conclude(PeerId(0))
-    assert observer._investigations[PeerId(0)].outcome is InvestigationOutcome.PENDING
+    assert observer._investigations[PeerId(0)].verdict is None
     assert len(observer.judgments.judgments) == recorded_before
 
 

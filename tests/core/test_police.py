@@ -1,5 +1,7 @@
 """Integration tests for the DES DD-POLICE engine (Section 3 end to end)."""
 
+import math
+
 import pytest
 
 from repro.attack.agent import AgentConfig, DDoSAgent
@@ -75,6 +77,24 @@ def test_silent_attacker_gets_its_forwarders_cut_but_attack_isolated():
     assert PeerId(0) in cut  # the attacker still falls
     # the attack is isolated: the attacker has no neighbors left
     assert net.neighbors_of(PeerId(0)) == set()
+
+
+def test_silent_buddy_without_assume_zero_is_no_claim_not_a_crash():
+    """``assume_zero_on_missing=False``: an observer whose buddy group holds
+    the SILENT attacker makes no claim about the forwarder it suspects --
+    a recorded, non-disconnecting judgment with NaN indicators. (It used
+    to escape ``Simulator.run`` as a ProtocolError.)"""
+    config = DDPoliceConfig(exchange_period_s=30.0, assume_zero_on_missing=False)
+    sim, net, engines, agent = attack_run(config=config)
+    log = engines[PeerId(1)].judgments
+    no_claim = [j for j in log.judgments if j.reason == "report_missing"]
+    assert no_claim
+    for j in no_claim:
+        assert not j.disconnected
+        assert math.isnan(j.g_value) and math.isnan(j.s_value)
+        assert j.suspect in {PeerId(1), PeerId(2), PeerId(3)}  # 0's forwarders
+    # The attacker's own group ({1, 2, 3}) is fully honest: still convicted.
+    assert log.disconnected_suspects() == {PeerId(0)}
 
 
 def test_no_attack_no_disconnects():

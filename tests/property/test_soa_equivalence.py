@@ -19,6 +19,7 @@ Known, documented divergences (see docs/PERF.md):
 
 import pytest
 
+from repro.core.config import DDPoliceConfig
 from repro.experiments.runner import DESConfig, run_des_experiment
 from repro.overlay.network import NetworkConfig
 from repro.overlay.soa_network import run_soa_experiment
@@ -159,6 +160,50 @@ def test_ddpolice_judgments_are_exact(model):
     _assert_oracle_counters_match(des, soa)
 
 
+@pytest.mark.parametrize("model", MODELS)
+def test_no_assume_zero_judgments_are_exact(model):
+    # Both engines hand the same evidence to the same verdict kernel, so a
+    # policy field it owns needs no per-engine code: with SILENT agents in
+    # the buddy groups, assume_zero_on_missing=False turns their observers'
+    # verdicts into "no claim" (NaN indicators, hence the repr) at the same
+    # instants on both.
+    cfg = _config(
+        7,
+        model,
+        n=120,
+        duration_s=190.0,
+        ttl=3,
+        num_agents=2,
+        attack_start_s=130.0,
+        attack_rate_qpm=3000.0,
+        defense="ddpolice",
+        police=DDPoliceConfig(assume_zero_on_missing=False),
+    )
+
+    def judgment_log(run):
+        return sorted(
+            (
+                j.time,
+                j.observer.value,
+                j.suspect.value,
+                repr(j.g_value),
+                repr(j.s_value),
+                j.disconnected,
+                j.reason,
+            )
+            for j in run.judgments.judgments
+        )
+
+    des = run_des_experiment(cfg)
+    soa = run_soa_experiment(cfg)
+    log = judgment_log(des)
+    assert log == judgment_log(soa)
+    assert {"ddos", "report_missing"} <= {row[-1] for row in log}
+    assert _traffic_rows(des) == _traffic_rows(soa)
+    assert _series(des) == _series(soa)
+    _assert_oracle_counters_match(des, soa)
+
+
 @pytest.mark.parametrize("defense", ["none", "ddpolice"])
 @pytest.mark.parametrize("model", MODELS)
 def test_binding_capacity_clamp_is_exact(model, defense):
@@ -198,6 +243,16 @@ def test_soa_rejects_unsupported_features():
         run_soa_experiment(cfg)
     with pytest.raises(ConfigError):
         run_soa_experiment(DESConfig(n=50, duration_s=60.0, defense="naive"))
+    # a policy field is honoured through the kernel or refused by name
+    with pytest.raises(ConfigError, match="police.report_quorum"):
+        run_soa_experiment(
+            DESConfig(
+                n=50,
+                duration_s=60.0,
+                defense="ddpolice",
+                police=DDPoliceConfig(report_quorum=0.5),
+            )
+        )
     # jitter breaks the shared-timestamp wave contract
     with pytest.raises(ConfigError):
         run_soa_experiment(

@@ -76,3 +76,37 @@ def test_exceptions_rooted_at_repro_error():
     for name in ("ConfigError", "ProtocolError", "WireFormatError", "TopologyError"):
         exc = getattr(errors, name)
         assert issubclass(exc, errors.ReproError)
+
+
+def test_the_verdict_policy_lives_in_one_module():
+    """The DD-POLICE decision -- the CT comparison and the verdict record --
+    is written once, in ``core/decision.py``. ``structured/`` runs its own,
+    different policy; ``core/config.py`` declares CT; ``experiments/`` only
+    *sets* it for the CT sweeps; ``cli.py`` names it in help text."""
+    from pathlib import Path
+
+    root = Path(repro.__file__).parent
+    sources = {
+        path.relative_to(root).as_posix(): path.read_text()
+        for path in root.rglob("*.py")
+    }
+
+    def mentioning(needle, *, outside=()):
+        return {
+            name
+            for name, text in sources.items()
+            if needle in text and not name.startswith(outside)
+        }
+
+    assert mentioning(
+        "cut_threshold", outside=("structured/", "core/config.py", "experiments/", "cli.py")
+    ) == {"core/decision.py"}
+    # Other defenses keep their own records; every DD-POLICE (and naive
+    # cutoff) row is the kernel's Verdict projection.
+    assert mentioning("Judgment(") == {
+        "core/decision.py",
+        "baselines/traceback.py",
+        "structured/defense.py",
+    }
+    # Engines hand the kernel totals, not per-member report objects.
+    assert not mentioning("NeighborReport") & {"fluid/police.py", "overlay/soa_network.py"}
