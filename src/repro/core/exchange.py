@@ -15,16 +15,20 @@ tolerance, disconnection with an explanatory Bye.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Hashable, Iterable, List, NamedTuple, Optional, Set, Tuple,
+)
 
 from repro.core.config import DDPoliceConfig, ExchangePolicy
 from repro.errors import ConfigError
 
 
-@dataclass(frozen=True)
-class ListSnapshot:
-    """A neighbor list received from one peer."""
+class ListSnapshot(NamedTuple):
+    """A neighbor list received from one peer.
+
+    A tuple, not a ``__dict__``-backed dataclass: one is alive per
+    (observer, owner) pair -- n^2 of them once the lists are confirmed.
+    """
 
     owner: Hashable
     neighbors: FrozenSet[Hashable]
@@ -56,7 +60,7 @@ class NeighborListDirectory:
     def update(
         self,
         owner: Hashable,
-        neighbors: Set[Hashable],
+        neighbors: Iterable[Hashable],
         now: float,
         *,
         sent_at: Optional[float] = None,
@@ -72,23 +76,21 @@ class NeighborListDirectory:
         if sent_at is not None:
             if held is not None and held.sent_at is not None and sent_at < held.sent_at:
                 return False
-        new = frozenset(neighbors)
-        old = held.neighbors if held is not None else frozenset()
-        for peer in old - new:
-            self._claimed_by[peer].discard(owner)
-        for peer in new - old:
-            self._claimed_by.setdefault(peer, set()).add(owner)
+        new = frozenset(neighbors)  # no copy when handed a frozenset
         if held is None:
+            old: FrozenSet[Hashable] = frozenset()
             # Mirrors dict key semantics: overwriting keeps the original
             # position, so the sequence number is assigned once.
             self._seq[owner] = self._next_seq
             self._next_seq += 1
-        self._lists[owner] = ListSnapshot(
-            owner=owner,
-            neighbors=new,
-            received_at=now,
-            sent_at=sent_at,
-        )
+        else:
+            old = held.neighbors
+        if new != old:  # a re-published list leaves the reverse index alone
+            for peer in old - new:
+                self._claimed_by[peer].discard(owner)
+            for peer in new - old:
+                self._claimed_by.setdefault(peer, set()).add(owner)
+        self._lists[owner] = ListSnapshot(owner, new, now, sent_at)
         return True
 
     def forget(self, owner: Hashable) -> None:
@@ -103,11 +105,11 @@ class NeighborListDirectory:
 
     def known_neighbors(self, owner: Hashable) -> FrozenSet[Hashable]:
         snap = self._lists.get(owner)
-        return snap.neighbors if snap else frozenset()
+        return snap.neighbors if snap is not None else frozenset()
 
     def age(self, owner: Hashable, now: float) -> Optional[float]:
         snap = self._lists.get(owner)
-        return (now - snap.received_at) if snap else None
+        return (now - snap.received_at) if snap is not None else None
 
     def owners(self) -> List[Hashable]:
         return list(self._lists.keys())
@@ -122,6 +124,8 @@ class NeighborListDirectory:
         found = self._claimed_by.get(peer)
         if not found:
             return []
+        if len(found) == 1:
+            return list(found)
         return sorted(found, key=self._seq.__getitem__)
 
     # ------------------------------------------------------------------
@@ -171,7 +175,8 @@ class ConsistencyTracker:
 
     def observe_consistent(self, a: Hashable, b: Hashable) -> None:
         """The pair's lists agree again: forgive accumulated strikes."""
-        self._strikes.pop(self._key(a, b), None)
+        if self._strikes:  # the common case holds none: build no key
+            self._strikes.pop(self._key(a, b), None)
 
     def strikes(self, a: Hashable, b: Hashable) -> int:
         return self._strikes.get(self._key(a, b), 0)

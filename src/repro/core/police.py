@@ -24,7 +24,7 @@ reports* -- exactly the adversary model of Section 3.4.
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Set
+from typing import Dict, FrozenSet, Optional, Set
 
 from repro.attack.adaptive import CollusionRing
 from repro.attack.cheating import CheatStrategy, apply_cheat
@@ -53,7 +53,15 @@ from repro.simkit.timers import PeriodicTask
 
 
 class DDPoliceEngine:
-    """One peer's DD-POLICE instance."""
+    """One peer's DD-POLICE instance.
+
+    It reaches its host only through ``network.now``, ``.sim.schedule_in``,
+    ``.transmit``, ``.guid_factory``, ``.disconnect``, ``.tracer``,
+    ``.minute_listeners`` and the ``peer`` surface: a
+    ``repro.live.node.LiveNode`` is both facades. On the DES the ids it
+    handles are the network's canonical ``PeerId`` objects (identity hits);
+    on a live node they are decoded off the wire, so it compares by value.
+    """
 
     def __init__(
         self,
@@ -147,7 +155,7 @@ class DDPoliceEngine:
     # ------------------------------------------------------------------
     # step 1: neighbor-list exchange
     # ------------------------------------------------------------------
-    def _make_list_msg(self) -> NeighborListMessage:
+    def _make_list_msg(self, now: float) -> NeighborListMessage:
         claimed = frozenset(self.peer.neighbors)
         if self.collusion is not None:
             # The consistent lie: claim every fellow colluder as a
@@ -162,14 +170,15 @@ class DDPoliceEngine:
             hops=0,
             sender=self.peer.id,
             neighbors=claimed,
-            sent_at=self.network.now,
+            sent_at=now,
         )
 
     def _broadcast_list(self) -> None:
-        if not self.peer.online or not self.peer.neighbors:
+        # stop() leaves the event-driven listeners and announcement armed.
+        if self._stopped or not self.peer.online or not self.peer.neighbors:
             return
-        msg = self._make_list_msg()
         now = self.network.now
+        msg = self._make_list_msg(now)
         for nb in list(self.peer.neighbors):
             self.peer.send_control(nb, msg)
             self.lists_sent += 1
@@ -197,25 +206,27 @@ class DDPoliceEngine:
         if self._last_list_from.get(nb, float("-inf")) >= sent_at:
             return
         self.list_retransmits_sent += 1
-        msg = self._make_list_msg()
-        self.peer.send_control(nb, msg)
+        now = self.network.now
+        self.peer.send_control(nb, self._make_list_msg(now))
         self.lists_sent += 1
         if attempt < self.config.exchange_retransmit_limit:
             self.network.sim.schedule_in(
                 self.config.exchange_retransmit_timeout_s,
                 self._maybe_retransmit_list,
                 nb,
-                self.network.now,
+                now,
                 attempt + 1,
             )
 
     def _on_neighbor_list(self, src: PeerId, msg: NeighborListMessage) -> None:
-        if msg.sender is None:
+        sender = msg.sender
+        if sender is None:
             raise ProtocolError("neighbor list without sender")
-        self._last_list_from[src] = self.network.now
-        if not self.directory.update(
-            msg.sender, set(msg.neighbors), self.network.now, sent_at=msg.sent_at
-        ):
+        now = self.network.now
+        listed = msg.neighbors
+        directory = self.directory
+        self._last_list_from[src] = now
+        if not directory.update(sender, listed, now, sent_at=msg.sent_at):
             # Reordered/duplicated stale list: fresher evidence already
             # held, so neither the directory nor the consistency checks
             # may regress to it.
@@ -225,31 +236,32 @@ class DDPoliceEngine:
         # corresponding peers": ask claimed peers whose list we lack (or
         # hold only a stale copy of) to exchange lists with us (they
         # reciprocate below).
-        for claimed in msg.neighbors:
-            if claimed == self.peer.id:
+        me = self.peer.id
+        period = self.config.exchange_period_s
+        for claimed in listed:
+            if claimed == me:
                 continue
-            age = self.directory.age(claimed, self.network.now)
-            if age is None or age > self.config.exchange_period_s:
-                self._send_list_to(claimed)
+            snap = directory.get(claimed)
+            if snap is None or now - snap.received_at > period:
+                self._send_list_to(claimed, now)
         # A list from a peer that is not our neighbor is a confirmation
         # request: reciprocate so the asker can cross-check.
-        if msg.sender not in self.peer.neighbors:
-            self._send_list_to(msg.sender)
-        self._check_consistency(msg.sender, set(msg.neighbors))
+        if sender not in self.peer.neighbors:
+            self._send_list_to(sender, now)
+        self._check_consistency(sender, listed, now)
 
-    def _send_list_to(self, target: PeerId) -> None:
+    def _send_list_to(self, target: PeerId, now: float) -> None:
         """Send our list directly to ``target``, at most once per period."""
-        if not self.peer.online or self._stopped:
-            return
-        now = self.network.now
         last = self._list_courtesy.get(target)
         if last is not None and now - last < self.config.exchange_period_s:
             return
+        if not self.peer.online or self._stopped:
+            return
         self._list_courtesy[target] = now
-        self.network.transmit(self.peer.id, target, self._make_list_msg())
+        self.network.transmit(self.peer.id, target, self._make_list_msg(now))
         self.lists_sent += 1
 
-    def _check_consistency(self, owner: PeerId, claimed: Set[PeerId]) -> None:
+    def _check_consistency(self, owner: PeerId, claimed: FrozenSet[PeerId], now: float) -> None:
         """Cross-check a fresh list against lists we already hold.
 
         "If a peer finds out that the claim of a pair of neighboring peers
@@ -260,14 +272,10 @@ class DDPoliceEngine:
         ex-neighbors).
         """
         max_age = 1.5 * self.config.exchange_period_s
-        now = self.network.now
-
-        def fresh(snap) -> bool:
-            return snap is not None and now - snap.received_at <= max_age
-
+        directory = self.directory
         for other in claimed:
-            snap = self.directory.get(other)
-            if not fresh(snap):
+            snap = directory.get(other)
+            if snap is None or now - snap.received_at > max_age:
                 continue
             if owner not in snap.neighbors:
                 self._strike_pair(owner, other)
@@ -277,10 +285,11 @@ class DDPoliceEngine:
         # owner's fresh list does not reciprocate. The reverse index
         # yields the same owners (in the same order) a full directory
         # scan filtered on membership would.
-        for peer in self.directory.claimers(owner):
+        for peer in directory.claimers(owner):
             if peer == owner:
                 continue
-            if not fresh(self.directory.get(peer)):
+            snap = directory.get(peer)
+            if snap is None or now - snap.received_at > max_age:
                 continue
             if peer not in claimed:
                 self._strike_pair(peer, owner)
@@ -313,16 +322,18 @@ class DDPoliceEngine:
         """
         if not self.peer.online:
             return
-        for owner in list(self.directory.owners()):
-            missed = self._awaiting_pong.get(owner, 0)
+        network = self.network
+        me = self.peer.id
+        awaiting = self._awaiting_pong
+        for owner in self.directory.owners():
+            missed = awaiting.get(owner, 0)
             if missed >= 2:
                 self.directory.forget(owner)
-                self._awaiting_pong.pop(owner, None)
+                del awaiting[owner]
                 continue
-            self._awaiting_pong[owner] = missed + 1
-            ping = Ping(guid=self.network.guid_factory.new(), ttl=1)
+            awaiting[owner] = missed + 1
             # BG members need not be direct neighbors; ping them directly.
-            self.network.transmit(self.peer.id, owner, ping)
+            network.transmit(me, owner, Ping(guid=network.guid_factory.new(), ttl=1))
             self.pings_sent += 1
 
     def _on_pong(self, src: PeerId) -> None:

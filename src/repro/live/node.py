@@ -458,9 +458,8 @@ class LiveNode(asyncio.DatagramProtocol):
                 self._send(nb, fwd)
 
     def _match_content(self, msg: Query) -> Optional[int]:
-        try:
-            obj = self.catalog.object_for_keywords(msg.keywords)
-        except ConfigError:
+        obj = self.catalog.find_object(msg.keywords)
+        if obj is None:
             return None  # bogus attack keywords never resolve
         return obj if self.catalog.peer_has(self.id.value, obj) else None
 

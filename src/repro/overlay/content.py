@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigError
 
@@ -123,14 +123,22 @@ class ContentCatalog:
         noun = _NOUNS[(obj // len(_ADJECTIVES)) % len(_NOUNS)]
         return (adj, noun, f"id{obj}")
 
-    def object_for_keywords(self, keywords: Sequence[str]) -> int:
-        """Inverse of :meth:`keywords_for` (resolves on the ``idN`` token)."""
+    def find_object(self, keywords: Sequence[str]) -> Optional[int]:
+        """Inverse of :meth:`keywords_for` (resolves on the ``idN`` token);
+        ``None`` when no object is named, as in every bogus attack query."""
         for token in keywords:
             if token.startswith("id") and token[2:].isdigit():
                 obj = int(token[2:])
                 if 0 <= obj < self.config.num_objects:
                     return obj
-        raise ConfigError(f"no object token found in keywords {keywords!r}")
+        return None
+
+    def object_for_keywords(self, keywords: Sequence[str]) -> int:
+        """:meth:`find_object`, raising ``ConfigError`` when nothing resolves."""
+        obj = self.find_object(keywords)
+        if obj is None:
+            raise ConfigError(f"no object token found in keywords {keywords!r}")
+        return obj
 
     # -- matching ----------------------------------------------------------
     def peer_has(self, peer: int, obj: int) -> bool:

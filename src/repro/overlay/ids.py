@@ -24,6 +24,12 @@ class PeerId:
     every delivery). Its value must stay ``hash((value,))``, what the
     dataclass would generate: DES fan-out order and the ``des-soa``
     engine's replay of it both follow ``set[PeerId]`` iteration order.
+
+    Ids are canonical inside one ``OverlayNetwork``: the objects that key
+    ``network.peers`` are the ones wired into every neighbor set, so dict
+    and set probes with an id out of a message, directory or route table
+    hit on identity without calling ``__eq__``. Equality is still by value:
+    ids decoded off the wire (``repro.live``) or written as literals work.
     """
 
     value: int
@@ -35,6 +41,13 @@ class PeerId:
 
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return self.value == other.value  # type: ignore[attr-defined]
+        return NotImplemented
 
     @property
     def ipv4(self) -> str:
@@ -92,6 +105,4 @@ class GuidFactory:
 
     def new(self) -> Guid:
         self._counter += 1
-        head = self._rng.getrandbits(64).to_bytes(8, "big")
-        tail = self._counter.to_bytes(8, "big")
-        return Guid(head + tail)
+        return Guid((self._rng.getrandbits(64) << 64 | self._counter).to_bytes(16, "big"))

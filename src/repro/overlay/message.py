@@ -66,12 +66,23 @@ class Message:
         return GNUTELLA_HEADER_SIZE + self.payload_size
 
     def aged_copy(self) -> "Message":
-        """Copy with ttl-1 / hops+1, as done when forwarding."""
-        import copy
+        """Copy with ttl-1 / hops+1, as done when forwarding.
 
+        What ``copy.copy`` gives, without its reduce protocol on each
+        forwarded query: every slot of every class in the MRO (``kind`` and
+        ``payload_size`` too; ``__post_init__`` is not re-run), and the
+        ``__dict__`` a subclass that declares no ``__slots__`` has.
+        """
         if self.ttl <= 0:
             raise ValueError("cannot forward a message with ttl<=0")
-        clone = copy.copy(self)
+        cls = type(self)
+        clone = cls.__new__(cls)
+        for klass in cls.__mro__:
+            for name in klass.__dict__.get("__slots__", ()):
+                setattr(clone, name, getattr(self, name))
+        extra = getattr(self, "__dict__", None)
+        if extra:
+            clone.__dict__.update(extra)
         clone.ttl = self.ttl - 1
         clone.hops = self.hops + 1
         return clone

@@ -220,11 +220,13 @@ class OverlayNetwork:
                 else config.processing_qpm_good
             )
             self.peers[pid] = Peer(pid, self, processing_qpm=qpm)
-        for u in range(topology.n):
-            pu = self.peers[PeerId(u)]
+        # Neighbor sets hold the key objects of ``self.peers`` (canonical
+        # ids), so later dict/set probes hit on identity, not ``__eq__``.
+        pids = list(self.peers)
+        for u, pu in enumerate(self.peers.values()):
             pu.go_online()
             for v in topology.adjacency[u]:
-                pu.add_neighbor(PeerId(v))
+                pu.add_neighbor(pids[v])
 
         # Negative priority: the roll must observe state *before* any
         # application event scheduled at the exact window boundary, so a
@@ -255,9 +257,8 @@ class OverlayNetwork:
         Attack queries carry keyword tuples that resolve to no object and
         therefore never match -- 'bogus queries' in the paper's terms.
         """
-        try:
-            obj = self.content.object_for_keywords(query.keywords)
-        except ConfigError:
+        obj = self.content.find_object(query.keywords)
+        if obj is None:
             return None
         return obj if self.content.peer_has(pid.value, obj) else None
 
@@ -307,7 +308,9 @@ class OverlayNetwork:
                     )
                 return
             delay = shaped
-        self.sim.schedule_in(delay, self._deliver, src, dst, msg)
+        # ``schedule_in`` minus its frame; the same float.
+        sim = self.sim
+        sim.schedule_at(sim.now + delay, self._deliver, src, dst, msg)
 
     def _deliver(self, src: PeerId, dst: PeerId, msg: Message) -> None:
         peer = self.peers[dst]
@@ -384,11 +387,7 @@ class OverlayNetwork:
     # query bookkeeping
     # ------------------------------------------------------------------
     def note_query_issued(self, origin: PeerId, msg: Query) -> None:
-        obj: Optional[int]
-        try:
-            obj = self.content.object_for_keywords(msg.keywords)
-        except ConfigError:
-            obj = None
+        obj = self.content.find_object(msg.keywords)
         is_attack = origin in self.attack_origins
         window = self.accounting.on_issued(msg.guid.raw, is_attack)
         self.query_records[msg.guid.raw] = QueryRecord(

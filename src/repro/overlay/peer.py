@@ -32,6 +32,7 @@ from repro.overlay.message import (
     Bye,
     Message,
     MessageKind,
+    NeighborListMessage,
     NeighborTrafficMessage,
     Ping,
     Pong,
@@ -287,14 +288,15 @@ class Peer:
     def on_message(self, src: PeerId, msg: Message) -> None:
         """Entry point for all deliveries (called by the network).
 
-        Dispatch is a ``kind``-keyed table (see ``_DISPATCH`` below) rather
-        than an isinstance chain: one dict hit per delivery on the hottest
-        receive path.
+        Dispatch is a table (see ``_DISPATCH`` below) rather than an
+        isinstance chain: one dict hit on ``type(msg)`` per delivery, a
+        second on ``msg.kind`` for a subclass of a message class.
         """
         if self.state is not PeerState.ONLINE:
             return
         self.counters.bytes_received += msg.size_bytes
-        handler = self._DISPATCH.get(msg.kind)
+        dispatch = self._DISPATCH
+        handler = dispatch.get(type(msg)) or dispatch.get(msg.kind)
         if handler is None:  # pragma: no cover - future message kinds
             raise ProtocolError(f"unhandled message kind {msg.kind}")
         handler(self, src, msg)
@@ -398,13 +400,15 @@ class Peer:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Peer({self.id.value}, deg={len(self.neighbors)}, {self.state.value})"
 
-    #: kind-keyed receive dispatch (class-level; instances stay slotted).
+    #: Receive dispatch (class-level; instances stay slotted), keyed by
+    #: message class -- a type hashes in C, ``MessageKind.__hash__`` is a
+    #: Python frame per delivery -- and by kind for subclasses.
     _DISPATCH = {
-        MessageKind.QUERY: _on_query,
-        MessageKind.QUERY_HIT: _on_query_hit,
-        MessageKind.PING: _on_ping,
-        MessageKind.PONG: _on_control,
-        MessageKind.NEIGHBOR_LIST: _on_control,
-        MessageKind.NEIGHBOR_TRAFFIC: _on_control,
-        MessageKind.BYE: _on_control,
+        Query: _on_query, MessageKind.QUERY: _on_query,
+        QueryHit: _on_query_hit, MessageKind.QUERY_HIT: _on_query_hit,
+        Ping: _on_ping, MessageKind.PING: _on_ping,
+        Pong: _on_control, MessageKind.PONG: _on_control,
+        NeighborListMessage: _on_control, MessageKind.NEIGHBOR_LIST: _on_control,
+        NeighborTrafficMessage: _on_control, MessageKind.NEIGHBOR_TRAFFIC: _on_control,
+        Bye: _on_control, MessageKind.BYE: _on_control,
     }

@@ -17,10 +17,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
-from repro.simkit.events import Event, EventState
-
-_CANCELLED = EventState.CANCELLED
-_PENDING = EventState.PENDING
+from repro.simkit.events import _CANCELLED, _PENDING, Event
 
 #: One heap entry: ``(time, priority, seq, event)``.
 _Entry = Tuple[float, int, int, Event]

@@ -6,6 +6,7 @@ from repro.core.config import DDPoliceConfig, ExchangePolicy
 from repro.core.exchange import (
     ConsistencyTracker,
     ListExchangeProtocol,
+    ListSnapshot,
     NeighborListDirectory,
 )
 from repro.errors import ConfigError
@@ -17,6 +18,28 @@ def test_directory_stores_latest_list():
     d.update("j", {"c"}, now=2.0)
     assert d.known_neighbors("j") == frozenset({"c"})
     assert d.age("j", now=5.0) == 3.0
+
+
+def test_republished_list_refreshes_stamp_and_keeps_claimers():
+    d = NeighborListDirectory()
+    for owner in ("b", "a", "c"):  # insertion order, not sorted order
+        d.update(owner, {"x", owner + "'"}, now=1.0, sent_at=0.5)
+    d.update("solo", {"y"}, now=1.0)
+    before = {peer: d.claimers(peer) for peer in ("x", "y", "a'", "ghost")}
+    assert before == {"x": ["b", "a", "c"], "y": ["solo"], "a'": ["a"], "ghost": []}
+    held = d.get("a")
+    assert d.update("a", frozenset({"a'", "x"}), now=9.0, sent_at=8.5)  # unchanged
+    assert {peer: d.claimers(peer) for peer in before} == before
+    assert d.get("a") == ListSnapshot("a", held.neighbors, 9.0, 8.5)
+    assert d.age("a", now=10.0) == 1.0
+    assert d.update("a", {"x"}, now=11.0)  # changed: the index follows
+    assert d.claimers("a'") == [] and d.claimers("x") == ["b", "a", "c"]
+
+
+def test_list_snapshot_positional_and_keyword_forms():
+    snap = ListSnapshot(owner="j", neighbors=frozenset({"a"}), received_at=2.0)
+    assert snap == ListSnapshot("j", frozenset({"a"}), 2.0, None)
+    assert (snap.owner, snap.received_at, snap.sent_at) == ("j", 2.0, None)
 
 
 def test_directory_unknown_owner():
@@ -75,10 +98,14 @@ def test_consistency_tracker_pairs_independent():
 
 def test_consistency_tracker_forgiveness():
     t = ConsistencyTracker(tolerance=3)
+    t.observe_consistent("x", "y")  # nothing held: a no-op
+    assert t.strikes("x", "y") == 0 and t.strikes_involving("x") == 0
+    t.strike("x", "z")
     t.strike("x", "y")
     t.strike("x", "y")
-    t.observe_consistent("x", "y")
+    t.observe_consistent("y", "x")  # pair is unordered
     assert t.strikes("x", "y") == 0
+    assert t.strikes("x", "z") == 1  # other pairs keep theirs
     assert not t.strike("x", "y")  # counter restarted
 
 

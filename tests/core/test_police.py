@@ -187,9 +187,20 @@ def test_cyclic_echo_neutralizes_indicator():
     assert negatives and all(g < 0 for g in negatives)
 
 
-def test_engine_stop_halts_exchange():
+@pytest.mark.parametrize("policy", list(ExchangePolicy), ids=lambda p: p.value)
+def test_engine_stop_halts_exchange(policy):
+    """A stopped engine sends no list: not from its periodic task, and not
+    from what the event-driven policy leaves armed after ``stop()`` -- the
+    startup announcement and the connect/disconnect listeners (a draining
+    ``LiveNode`` stops its engine, then loses its neighbors one by one)."""
     sim, net = make_network(TOPOLOGY, seed=5)
-    engines = deploy_ddpolice(net, FAST_EXCHANGE)
+    config = DDPoliceConfig(exchange_period_s=30.0, exchange_policy=policy)
+    engines = deploy_ddpolice(net, config)
     engines[PeerId(0)].stop()
     sim.run(until=65.0)
     assert engines[PeerId(0)].lists_sent == 0
+    net.connect(PeerId(0), PeerId(4))
+    net.disconnect(PeerId(0), PeerId(1))
+    sim.run(until=130.0)
+    assert engines[PeerId(0)].lists_sent == 0
+    assert engines[PeerId(4)].lists_sent > 0  # the others carry on

@@ -37,6 +37,21 @@ def test_peer_id_ordering_and_hash():
     assert len({PeerId(3), PeerId(3)}) == 1
 
 
+def test_peer_id_equality_is_by_value_and_only_between_peer_ids():
+    # Inside a network ids are canonical (dict/set probes hit on identity),
+    # but ids decoded off the wire or written as literals are twins of them.
+    a, twin = PeerId(3), PeerId(3)
+    assert a is not twin
+    assert a == twin and not (a != twin)
+    assert a != PeerId(4)
+    assert {a: "x"}[twin] == "x" and twin in {a} and {a, twin} == {a}
+    assert a != 3 and a != (3,)
+    assert (a == object()) is False  # the NotImplemented path
+    assert a.__eq__(3) is NotImplemented
+    assert sorted([PeerId(9), a, PeerId(1)]) == [PeerId(1), a, PeerId(9)]
+    assert a <= twin and a >= twin and not a < twin
+
+
 def test_peer_id_hash_is_the_hash_of_its_field_tuple():
     # The memoised hash must stay what @dataclass(frozen=True) generates:
     # neighbor sets are set[PeerId], and both the DES fan-out and the
@@ -103,6 +118,16 @@ def test_guid_factory_deterministic():
     a = GuidFactory(random.Random(5)).new()
     b = GuidFactory(random.Random(5)).new()
     assert a.raw == b.raw
+
+
+def test_guid_factory_bytes_are_head_draw_then_counter():
+    # One 64-bit draw per GUID, big-endian, then the 64-bit counter: the
+    # two-``to_bytes`` form the factory used before it built them in one.
+    factory = GuidFactory(random.Random(7))
+    rng = random.Random(7)
+    for counter in range(1, 1001):
+        head = rng.getrandbits(64).to_bytes(8, "big")
+        assert factory.new().raw == head + counter.to_bytes(8, "big")
 
 
 def test_guid_hex():

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ProtocolError
 from repro.overlay.ids import PeerId
 from repro.overlay.network import NetworkConfig
-from tests.conftest import make_network
+from tests.conftest import make_network, make_topology
 
 
 def test_latency_applied_per_hop(line_network):
@@ -83,6 +83,38 @@ def test_query_records_track_object_resolution():
 def test_bogus_queries_never_match():
     sim, net = make_network({0: {1}})
     assert net.match_content(PeerId(1), type("Q", (), {"keywords": ("bogus", "x1n1")})()) is None
+
+
+def test_bogus_keywords_resolve_to_none_without_raising():
+    from repro.errors import ConfigError
+
+    sim, net = make_network({0: {1}})
+    assert net.content.find_object(("bogus", "x1n1")) is None
+    assert net.content.find_object(net.content.keywords_for(2)) == 2
+    with pytest.raises(ConfigError):
+        net.content.object_for_keywords(("bogus", "x1n1"))
+
+
+def test_neighbor_sets_hold_the_canonical_peer_ids():
+    # Every id that circulates (messages, directories, route tables) comes
+    # out of a neighbor set, so it must *be* the key object of net.peers:
+    # dict/set probes then hit on identity and never call PeerId.__eq__.
+    adjacency = {0: {1, 2, 3, 17}, 1: {4, 5, 256}, 2: {6, 7}, 3: {8, 9, 12}, 9: {40, 41}}
+    sim, net = make_network(adjacency)
+    canonical = {id(pid) for pid in net.peers}
+    for pid, peer in net.peers.items():
+        assert peer.id is pid
+        assert all(id(nb) in canonical for nb in peer.neighbors)
+    # Same hashes, same insertions: the iteration order (DES fan-out order,
+    # replayed by des-soa) is that of a set of fresh ids built the same way.
+    topo = make_topology(adjacency)
+    for u, peer in enumerate(net.peers.values()):
+        fresh = set()
+        for v in topo.adjacency[u]:
+            fresh.add(PeerId(v))
+        assert [nb.value for nb in peer.neighbors] == [nb.value for nb in fresh]
+    # Ids from outside the network still work, by value.
+    assert net.neighbors_of(PeerId(2)) == {PeerId(0), PeerId(6), PeerId(7)}
 
 
 def test_transmit_to_unknown_peer_rejected(line_network):
