@@ -27,8 +27,6 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import publish
-from repro.core.config import DDPoliceConfig
-from repro.evidence import EvidenceConfig
 from repro.experiments.reporting import render_table
 from repro.obs.manifest import build_manifest
 from repro.experiments.runner import DESConfig, run_des_experiment
@@ -99,29 +97,18 @@ def soa_throughput(
     attack_start_s: float = 0.0,
     attack_rate_qpm: float = 2_000.0,
     ba_m: Optional[int] = None,
-    evidence_backend: Optional[str] = None,
 ) -> dict:
     """One batched-SoA run; events = deliveries + sparse heap events.
 
     The SoA engine fires one heap event per wave, so ``sim.events_fired``
     is not comparable to the message DES; delivered messages are the
     common unit (the message DES fires one event per delivery).
-
-    With ``evidence_backend`` given ("exact" | "sketch") the run deploys
-    DD-POLICE on that evidence store (docs/SKETCH.md) and reports its
-    end-of-run evidence bytes alongside throughput.
     """
     topo = (
         TopologyConfig(n=n, seed=seed)
         if ba_m is None
         else TopologyConfig(n=n, seed=seed, ba_m=ba_m)
     )
-    police_kw = {}
-    if evidence_backend is not None:
-        police_kw = dict(
-            defense="ddpolice",
-            police=DDPoliceConfig(evidence=EvidenceConfig(backend=evidence_backend)),
-        )
     cfg = DESConfig(
         n=n,
         duration_s=duration_s,
@@ -132,7 +119,6 @@ def soa_throughput(
         num_agents=num_agents,
         attack_start_s=attack_start_s,
         attack_rate_qpm=attack_rate_qpm,
-        **police_kw,
     )
     run = run_soa_experiment(cfg)
     events = run.stats.messages_delivered + run.heap_events
@@ -147,8 +133,6 @@ def soa_throughput(
         "wall_s": run.wall_s,
         "events_per_s": events / run.wall_s,
         "peak_rss_mb": peak_rss_mb,
-        "evidence": evidence_backend or "",
-        "evidence_bytes": run.evidence_bytes,
         "waves": run.waves_processed,
         "attack_issued": run.accounting.totals("attack").issued,
         "attacked_sim_s": (
@@ -193,24 +177,6 @@ ENGINE_SWEEP = {
 }
 ENGINE_SWEEP["paper"] = ENGINE_SWEEP["bench"]
 
-#: evidence-store comparison (docs/SKETCH.md): the same attacked
-#: DD-POLICE run on the exact per-edge windows and on the count-min
-#: sketch, spawn-isolated like every other row. Bench runs the paper's
-#: n=20,000 (the >= 10x memory claim in bench_sketch_frontier); smoke
-#: keeps the lane fast with n=1,000.
-_FIG9_20K = dict(num_agents=10, attack_start_s=60.0, ba_m=1)
-EVIDENCE_SWEEP = {
-    "bench": [
-        (20_000, 300.0, 3, dict(_FIG9_20K, evidence_backend="exact")),
-        (20_000, 300.0, 3, dict(_FIG9_20K, evidence_backend="sketch")),
-    ],
-    "smoke": [
-        (1_000, 120.0, 3, dict(_FIG9_20K, num_agents=5, evidence_backend="exact")),
-        (1_000, 120.0, 3, dict(_FIG9_20K, num_agents=5, evidence_backend="sketch")),
-    ],
-}
-EVIDENCE_SWEEP["paper"] = EVIDENCE_SWEEP["bench"]
-
 
 def _sweep_plan():
     return ENGINE_SWEEP[os.environ.get("REPRO_SCALE", "bench").lower()]
@@ -253,17 +219,6 @@ def soa_rows(engine_filter):
     ]
 
 
-@pytest.fixture(scope="module")
-def evidence_rows(engine_filter):
-    if engine_filter == "message":
-        return []
-    plan = EVIDENCE_SWEEP[os.environ.get("REPRO_SCALE", "bench").lower()]
-    return [
-        _isolated(soa_throughput, n, duration_s=sim_s, ttl=ttl, **extra)
-        for n, sim_s, ttl, extra in plan
-    ]
-
-
 def _engine_table(rows) -> str:
     return render_table(
         [
@@ -296,41 +251,8 @@ def _engine_table(rows) -> str:
     )
 
 
-def _evidence_table(rows) -> str:
-    exact = next(r for r in rows if r["evidence"] == "exact")
-    return render_table(
-        [
-            "evidence",
-            "peers",
-            "agents",
-            "sim s",
-            "events/s",
-            "peak RSS MB",
-            "evidence KiB",
-            "vs exact",
-        ],
-        [
-            [
-                r["evidence"],
-                r["n"],
-                r["agents"],
-                int(r["sim_s"]),
-                f"{r['events_per_s']:,.0f}",
-                round(r["peak_rss_mb"]),
-                f"{r['evidence_bytes'] / 1024.0:.1f}",
-                f"{exact['evidence_bytes'] / r['evidence_bytes']:.1f}x",
-            ]
-            for r in rows
-        ],
-        title=(
-            "Evidence store: exact per-edge windows vs count-min sketch "
-            "(attacked DD-POLICE run, soa engine; docs/SKETCH.md)"
-        ),
-    )
-
-
-def test_scaling_table(results_dir, scaling_rows, des_rows, soa_rows, evidence_rows):
-    engine_rows = des_rows + soa_rows + evidence_rows
+def test_scaling_table(results_dir, scaling_rows, des_rows, soa_rows):
+    engine_rows = des_rows + soa_rows
     text = render_table(
         ["peers", "damage at 0.5% agents (%)"],
         scaling_rows,
@@ -349,7 +271,6 @@ def test_scaling_table(results_dir, scaling_rows, des_rows, soa_rows, evidence_r
                     "agents": r["agents"],
                     "ttl": r["ttl"],
                     "sim_s": r["sim_s"],
-                    "evidence": r.get("evidence", ""),
                 }
                 for r in engine_rows
             ],
@@ -358,14 +279,11 @@ def test_scaling_table(results_dir, scaling_rows, des_rows, soa_rows, evidence_r
         tasks=len(scaling_rows) + len(engine_rows),
         duration_s=sum(r["wall_s"] for r in engine_rows),
         counters={
-            f"{r['engine']}.events_n{r['n']}_ttl{r['ttl']}"
-            + (f"_{r['evidence']}" if r.get("evidence") else ""): r["events"]
+            f"{r['engine']}.events_n{r['n']}_ttl{r['ttl']}": r["events"]
             for r in engine_rows
         },
     )
-    body = text + "\n" + _engine_table(des_rows + soa_rows)
-    if evidence_rows:
-        body += "\n" + _evidence_table(evidence_rows)
+    body = text + "\n" + _engine_table(engine_rows)
     publish(results_dir, "scaling", body, manifest=manifest)
 
 
@@ -424,29 +342,6 @@ def test_soa_fig9_attack_at_half_million(soa_rows):
     assert big["attacked_sim_s"] >= 60.0
     assert big["attack_issued"] > 0  # the agents actually flooded
     assert big["events"] > 10_000_000
-
-
-def test_sketch_evidence_memory_reduction(evidence_rows):
-    """The count-min store beats exact per-edge windows >= 10x at n=20,000.
-
-    Exact evidence grows with the edge count (two int64 minute cells per
-    directed edge); the sketch is a fixed 2 x depth x width int32 budget.
-    The full claim (all attackers still convicted) is gated in
-    bench_sketch_frontier; this row tracks the memory/throughput side in
-    the scaling table. Smoke runs n=1,000, where the fixed sketch budget
-    has nothing to amortize -- skip the ratio there.
-    """
-    if not evidence_rows:
-        pytest.skip("soa engine deselected via --engine")
-    exact = next(r for r in evidence_rows if r["evidence"] == "exact")
-    sketch = next(r for r in evidence_rows if r["evidence"] == "sketch")
-    assert exact["evidence_bytes"] > 0 and sketch["evidence_bytes"] > 0
-    if exact["n"] < 20_000:
-        pytest.skip("memory-reduction ratio is a bench/paper-scale claim")
-    assert exact["evidence_bytes"] >= 10 * sketch["evidence_bytes"], (
-        exact["evidence_bytes"],
-        sketch["evidence_bytes"],
-    )
 
 
 def test_damage_density_roughly_scale_invariant(scaling_rows):

@@ -23,7 +23,6 @@ import enum
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
-from repro.evidence.config import EvidenceConfig
 
 
 class ExchangePolicy(enum.Enum):
@@ -79,15 +78,6 @@ class DDPoliceConfig:
     exchange_retransmit_limit: int = 0
     #: Silence window before a neighbor-list retransmission.
     exchange_retransmit_timeout_s: float = 10.0
-
-    # -- evidence representation (exact by default; docs/SKETCH.md) ------
-    #: How the engine stores its evidence: the per-neighbor traffic
-    #: monitor and the report-dedup window ("exact" reproduces the
-    #: pre-sketch code byte for byte; "sketch" bounds memory with
-    #: count-min counters and rotating Bloom filters).  Validated by
-    #: :class:`repro.evidence.config.EvidenceConfig`; reachable as
-    #: ``police.evidence.*`` dotted paths from the spec layer.
-    evidence: EvidenceConfig = EvidenceConfig()
 
     def __post_init__(self) -> None:
         if self.q_threshold_qpm <= 0:

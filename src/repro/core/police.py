@@ -8,7 +8,7 @@ Wires the three protocol steps of Section 3 onto a live
    buddy groups are derived from; pairwise consistency is cross-checked.
 2. **Neighbor query traffic monitoring** -- each minute window's
    In/Out_query snapshots feed the peer's
-   :class:`~repro.evidence.store.TrafficStore`.
+   :class:`~repro.evidence.store.ExactTrafficStore`.
 3. **Bad peer recognizing** -- a neighbor whose last-minute incoming count
    exceeds the warning threshold opens an :class:`Investigation`;
    Neighbor_Traffic messages are exchanged with the suspect's buddy
@@ -35,8 +35,8 @@ from repro.core.evidence import Investigation
 from repro.core.exchange import ConsistencyTracker, NeighborListDirectory
 from repro.core.indicators import NeighborReport
 from repro.errors import ProtocolError
-from repro.evidence.dedup import make_dedup_window
-from repro.evidence.store import make_traffic_store
+from repro.evidence.dedup import ExactDedupWindow
+from repro.evidence.store import ExactTrafficStore
 from repro.metrics.errors import JudgmentLog
 from repro.overlay.ids import PeerId
 from repro.overlay.message import (
@@ -89,14 +89,11 @@ class DDPoliceEngine:
         self.judgments = judgment_log if judgment_log is not None else JudgmentLog()
         self._rng = rng or random.Random(peer.id.value)
 
-        # Evidence stores, pluggable (exact by default; docs/SKETCH.md).
-        self.store = make_traffic_store(config.evidence)
+        self.store = ExactTrafficStore()
         self.directory = NeighborListDirectory()
         self.consistency = ConsistencyTracker(config.inconsistency_tolerance)
         self._investigations: Dict[PeerId, Investigation] = {}
-        self._report_dedup = make_dedup_window(
-            config.evidence, window_s=config.report_dedup_window_s
-        )
+        self._report_dedup = ExactDedupWindow(config.report_dedup_window_s)
 
         self.reports_sent = 0
         self.reports_received = 0

@@ -1,49 +1,16 @@
-"""Pluggable evidence-store layer for DD-POLICE (docs/SKETCH.md).
+"""The three evidence structures DD-POLICE keeps, each exact.
 
-Exact (default, byte-identical to the pre-refactor engines) and
-sketch-backed (count-min traffic counters, rotating-Bloom dedup)
-implementations of the three evidence structures the defense keeps,
-selected by :class:`EvidenceConfig` (``police.evidence.*`` /
-``network.evidence.*`` dotted paths).
+Per-neighbor Out/In query minute windows (:mod:`repro.evidence.store`),
+the per-peer query-GUID seen cache and the Neighbor_Traffic report
+dedup window (:mod:`repro.evidence.dedup`).
 """
 
-from repro.evidence.bloom import RotatingBloom
-from repro.evidence.config import BACKENDS, EvidenceConfig
-from repro.evidence.countmin import CountMinSketch
-from repro.evidence.dedup import (
-    BloomDedupWindow,
-    BloomSeenCache,
-    DedupWindow,
-    ExactDedupWindow,
-    ExactSeenCache,
-    SeenCache,
-    make_dedup_window,
-    make_seen_cache,
-)
-from repro.evidence.store import (
-    CountMinTrafficStore,
-    ExactTrafficStore,
-    MinuteSample,
-    TrafficStore,
-    make_traffic_store,
-)
+from repro.evidence.dedup import ExactDedupWindow, ExactSeenCache
+from repro.evidence.store import ExactTrafficStore, MinuteSample
 
 __all__ = [
-    "BACKENDS",
-    "BloomDedupWindow",
-    "BloomSeenCache",
-    "CountMinSketch",
-    "CountMinTrafficStore",
-    "DedupWindow",
-    "EvidenceConfig",
     "ExactDedupWindow",
     "ExactSeenCache",
     "ExactTrafficStore",
     "MinuteSample",
-    "RotatingBloom",
-    "SeenCache",
-    "TrafficStore",
-    "make_dedup_window",
-    "make_seen_cache",
-    "make_traffic_store",
 ]

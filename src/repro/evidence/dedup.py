@@ -1,63 +1,30 @@
-"""Pluggable duplicate-suppression state: seen caches and dedup windows.
+"""Duplicate-suppression state: the seen cache and the report dedup window.
 
-Two dedup shapes extracted from the engines:
-
-* :class:`SeenCache` -- the query-GUID membership cache every peer keeps
-  ("a query message will be dropped if the query message has visited
-  the peer before").  :class:`ExactSeenCache` is the pre-refactor LRU
-  ``OrderedDict`` verbatim; :class:`BloomSeenCache` is a rotating Bloom
-  filter at a fixed bit budget (no false negative within the rotation
-  window; a false positive drops a non-duplicate query, the safe
-  direction under flooding).
-* :class:`DedupWindow` -- the Section 3.3 "don't re-send
+* :class:`ExactSeenCache` -- the query-GUID membership cache every peer
+  keeps ("a query message will be dropped if the query message has
+  visited the peer before"): a bounded LRU ``OrderedDict``.
+* :class:`ExactDedupWindow` -- the Section 3.3 "don't re-send
   Neighbor_Traffic for the same suspect within 5 seconds" rule in
-  ``core/police.py``.  :class:`ExactDedupWindow` reproduces the
-  timestamp-dict logic bit for bit; :class:`BloomDedupWindow` rotates
-  two Bloom generations on the window clock instead of keying exact
-  suspect ids (a false positive suppresses one extra report, which the
-  buddy-group quorum absorbs).
+  ``core/police.py``: a suspect -> last-send-timestamp dict.
 
-Callers split the old check-then-record sequence into ``should_send``
-(pure) and ``record`` so the force-resend path stays expressible.
+Callers split the check-then-record sequence into ``should_send``
+(pure) and ``record`` so the force-resend path stays expressible.  Both
+are property-tested against frozen copies of the code they replaced.
 """
 
 from __future__ import annotations
 
-import abc
 from collections import OrderedDict
 from typing import Dict, Hashable
 
 from repro.errors import ConfigError
-from repro.evidence.bloom import RotatingBloom
-from repro.evidence.config import EvidenceConfig
 
 
-class SeenCache(abc.ABC):
-    """Approximate-or-exact membership over recently seen keys."""
-
-    @abc.abstractmethod
-    def add(self, key: Hashable) -> None: ...
-
-    @abc.abstractmethod
-    def __contains__(self, key: Hashable) -> bool: ...
-
-    @abc.abstractmethod
-    def __len__(self) -> int: ...
-
-    @abc.abstractmethod
-    def clear(self) -> None: ...
-
-    @abc.abstractmethod
-    def evidence_bytes(self) -> int:
-        """Nominal bytes of dedup state currently held."""
-
-
-class ExactSeenCache(SeenCache):
-    """LRU membership, identical to the old bounded ``OrderedDict``."""
+class ExactSeenCache:
+    """LRU membership over recently seen keys."""
 
     #: Nominal payload bytes per entry (16-byte GUID + table slot) --
-    #: a lower bound on the real dict overhead, favoring this baseline
-    #: in memory comparisons.
+    #: a lower bound on the real dict overhead.
     ENTRY_NBYTES = 24
 
     def __init__(self, limit: int) -> None:
@@ -81,35 +48,15 @@ class ExactSeenCache(SeenCache):
         self._entries.clear()
 
     def evidence_bytes(self) -> int:
+        """Nominal bytes of dedup state currently held."""
         return len(self._entries) * self.ENTRY_NBYTES
 
 
-class BloomSeenCache(SeenCache):
-    """Rotating-Bloom membership at a fixed bit budget."""
-
-    def __init__(
-        self, bits: int, hashes: int, capacity: int, seed: int = 0
-    ) -> None:
-        self._bloom = RotatingBloom(bits, hashes, capacity, seed=seed)
-
-    def add(self, key: Hashable) -> None:
-        self._bloom.add(key)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._bloom
-
-    def __len__(self) -> int:
-        return len(self._bloom)
-
-    def clear(self) -> None:
-        self._bloom.clear()
-
-    def evidence_bytes(self) -> int:
-        return self._bloom.nbytes
-
-
-class DedupWindow(abc.ABC):
+class ExactDedupWindow:
     """Suppress repeat sends for the same key within a time window."""
+
+    #: Nominal payload bytes per entry (key word + float timestamp).
+    ENTRY_NBYTES = 16
 
     def __init__(self, window_s: float) -> None:
         if window_s < 0:
@@ -117,112 +64,16 @@ class DedupWindow(abc.ABC):
                 f"dedup window must be non-negative, got {window_s}"
             )
         self.window_s = window_s
-
-    @abc.abstractmethod
-    def should_send(self, key: Hashable, now: float) -> bool:
-        """True unless a send for ``key`` was recorded within the window."""
-
-    @abc.abstractmethod
-    def record(self, key: Hashable, now: float) -> None:
-        """Note a send for ``key`` at ``now`` (also used by force paths)."""
-
-    @abc.abstractmethod
-    def evidence_bytes(self) -> int: ...
-
-
-class ExactDedupWindow(DedupWindow):
-    """The pre-refactor suspect -> last-send-timestamp dict, verbatim."""
-
-    #: Nominal payload bytes per entry (key word + float timestamp).
-    ENTRY_NBYTES = 16
-
-    def __init__(self, window_s: float) -> None:
-        super().__init__(window_s)
         self._last_sent: Dict[Hashable, float] = {}
 
     def should_send(self, key: Hashable, now: float) -> bool:
+        """True unless a send for ``key`` was recorded within the window."""
         last = self._last_sent.get(key)
         return last is None or now - last >= self.window_s
 
     def record(self, key: Hashable, now: float) -> None:
+        """Note a send for ``key`` at ``now`` (also used by force paths)."""
         self._last_sent[key] = now
 
     def evidence_bytes(self) -> int:
         return len(self._last_sent) * self.ENTRY_NBYTES
-
-
-class BloomDedupWindow(DedupWindow):
-    """Time-rotating two-generation Bloom over recently reported keys.
-
-    Generations rotate every ``window_s`` of the caller's clock, and a
-    key present in either generation is suppressed -- so a repeat send
-    is never allowed within ``window_s`` of the recorded one (the exact
-    rule's guarantee) and is allowed again after at most ``2*window_s``.
-    """
-
-    def __init__(
-        self, window_s: float, bits: int, hashes: int, seed: int = 0
-    ) -> None:
-        super().__init__(window_s)
-        # Rotation is driven by the clock, not insert count; make the
-        # insert-count rotation unreachable.
-        self._bloom = RotatingBloom(bits, hashes, 1 << 62, seed=seed)
-        self._epoch_start = 0.0
-        self._primed = False
-
-    def _advance(self, now: float) -> None:
-        if not self._primed:
-            self._epoch_start = now
-            self._primed = True
-            return
-        if self.window_s <= 0:
-            return
-        gap = now - self._epoch_start
-        if gap >= 2 * self.window_s:
-            # Both generations predate the window; no need to replay
-            # every missed rotation.
-            self._bloom.clear()
-            self._epoch_start = now
-        elif gap >= self.window_s:
-            self._bloom.rotate()
-            self._epoch_start += self.window_s
-
-    def should_send(self, key: Hashable, now: float) -> bool:
-        self._advance(now)
-        if self.window_s <= 0:
-            return True
-        return key not in self._bloom
-
-    def record(self, key: Hashable, now: float) -> None:
-        self._advance(now)
-        self._bloom.add(key)
-
-    def evidence_bytes(self) -> int:
-        return self._bloom.nbytes
-
-
-def make_seen_cache(
-    evidence: EvidenceConfig, *, limit: int, seed: int = 0
-) -> SeenCache:
-    """The seen cache a config selects for an exact limit of ``limit``."""
-    if evidence.sketched:
-        return BloomSeenCache(
-            evidence.bloom_bits,
-            evidence.bloom_hashes,
-            capacity=evidence.bloom_rotation or limit,
-            seed=seed,
-        )
-    return ExactSeenCache(limit)
-
-
-def make_dedup_window(
-    evidence: EvidenceConfig, *, window_s: float, seed: int = 0
-) -> DedupWindow:
-    """The report-dedup window a config selects."""
-    if evidence.sketched:
-        # Suspect-id cardinality is tiny next to GUID streams; a small
-        # fixed filter (1 KiB per generation) keeps collisions rare.
-        return BloomDedupWindow(
-            window_s, bits=1 << 13, hashes=evidence.bloom_hashes, seed=seed
-        )
-    return ExactDedupWindow(window_s)

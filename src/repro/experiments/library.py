@@ -15,7 +15,6 @@ scenario                  produces
 ``exchange-frequency``    Section 3.7.1 (neighbor-list exchange policies)
 ``fault-sweep``           loss x crash robustness grid (DES, message level)
 ``robustness-matrix``     defense x adaptive adversary x topology grid (DES)
-``sketch-frontier``       count-min evidence memory x attack rate (des-soa)
 ========================  ====================================================
 
 A scenario driver expands the spec into backend-neutral
@@ -40,7 +39,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.attack.adaptive import ADAPTIVE_STRATEGIES, AdaptiveConfig
 from repro.core.config import DDPoliceConfig
 from repro.errors import ConfigError
-from repro.evidence import EvidenceConfig
 from repro.exec import resolve_workers
 from repro.experiments.reporting import render_table
 from repro.experiments.scenarios import (
@@ -1113,179 +1111,6 @@ def format_robustness_matrix(ms: MatrixSpec, rows: Sequence[MatrixRow]) -> str:
     return "\n".join(lines)
 
 
-# ---------------------------------------------------------------------------
-# scenario: sketch-frontier (evidence memory budget x attack rate, des-soa)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FrontierRow:
-    """Aggregated outcome of one (evidence backend, width, rate) cell."""
-
-    #: "exact" or "sketch" (the :class:`EvidenceConfig` backend).
-    backend: str
-    #: Count-min cells per row; 0 for the exact baseline.
-    cm_width: int
-    attack_rate_qpm: float
-    #: Mean censored detection latency (s from attack start).
-    detection_latency_s: float
-    caught_attackers: float
-    total_attackers: int
-    #: Mean good peers wrongly cut (false suspects; the price of
-    #: count-min collisions at small widths).
-    false_suspects: float
-    #: Bytes of per-minute traffic-evidence state (identical across
-    #: trials: BA m=1 always has 2(n-1) directed edges).
-    evidence_bytes: int
-    #: Evidence-memory reduction vs the exact baseline at this rate.
-    reduction: float
-    trials: int
-
-
-def _frontier_axes(spec: ExperimentSpec) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:
-    """(cm_widths, attack rates) with smoke-shrunk width defaults.
-
-    Explicit ``grid`` tuples win. The default widths bracket the
-    interesting regime: small enough that collision mass shows up as
-    false suspicion at the low end, comfortably collision-free at the
-    high end -- all far below the exact per-edge window cost at scale.
-    """
-    if spec.grid.cm_widths:
-        widths = spec.grid.cm_widths
-    elif spec.scale.name == "smoke":
-        widths = (256, 1024)
-    else:
-        widths = (512, 2048, 8192)
-    rates = spec.grid.attack_rates_qpm or (spec.workload.attack_rate_qpm,)
-    return widths, rates
-
-
-def _scn_sketch_frontier(
-    spec: ExperimentSpec,
-    *,
-    workers: Optional[int] = None,
-    obs: Optional[ObsConfig] = None,
-) -> ScenarioOutput:
-    """Count-min evidence memory vs detection quality, against exact.
-
-    Every cell runs the same fig9-style flooding attack (BA m=1, silent
-    agents, DD-POLICE) on the batched SoA engine with the per-minute
-    traffic windows either exact (two int64 cells per directed edge) or
-    sketched (two ``(depth, width)`` int32 count-min arrays shared by
-    all edges). Count-min never undercounts, so the sketch convicts
-    every attacker the exact windows convict; shrinking the width buys
-    memory at the price of collision-driven false suspicion, and the
-    table charts exactly that frontier.
-    """
-    sc = spec.scale
-    agents = _derived_agents(spec)
-    widths, rates = _frontier_axes(spec)
-    depth = spec.police.evidence.cm_depth
-
-    def frontier_case(evidence: EvidenceConfig, rate: float, trial: int) -> Case:
-        return Case(
-            n=sc.n_peers,
-            minutes=sc.sim_minutes,
-            seed=trial_seed(spec.seed, trial),
-            num_agents=agents,
-            attack_start_min=sc.attack_start_min,
-            defense="ddpolice",
-            police=replace(spec.police, evidence=evidence),
-            workload=replace(spec.workload, attack_rate_qpm=rate),
-            topology="ba",
-            ba_m=1,
-        )
-
-    exact = EvidenceConfig(backend="exact")
-    cells: List[Tuple[str, int, float]] = []
-    cases: List[Case] = []
-    for rate in rates:
-        cells.append(("exact", 0, rate))
-        cases.extend(
-            frontier_case(exact, rate, t) for t in range(sc.trials)
-        )
-        for width in widths:
-            cells.append(("sketch", width, rate))
-            sketched = replace(
-                exact, backend="sketch", cm_width=width, cm_depth=depth
-            )
-            cases.extend(
-                frontier_case(sketched, rate, t) for t in range(sc.trials)
-            )
-
-    results = _execute(spec, cases, workers, obs)
-    exact_bytes: Dict[float, int] = {}
-    rows: List[FrontierRow] = []
-    for i, (backend, width, rate) in enumerate(cells):
-        trials = results[i * sc.trials:(i + 1) * sc.trials]
-        ev_bytes = max(r.evidence_bytes for r in trials)
-        if backend == "exact":
-            exact_bytes[rate] = ev_bytes
-        rows.append(
-            FrontierRow(
-                backend=backend,
-                cm_width=width,
-                attack_rate_qpm=rate,
-                detection_latency_s=mean(
-                    [r.detection_latency_s or 0.0 for r in trials]
-                ),
-                caught_attackers=mean(
-                    [float(r.caught_attackers) for r in trials]
-                ),
-                total_attackers=agents,
-                false_suspects=mean(
-                    [float(r.false_negative) for r in trials]
-                ),
-                evidence_bytes=ev_bytes,
-                reduction=exact_bytes[rate] / ev_bytes if ev_bytes else 0.0,
-                trials=sc.trials,
-            )
-        )
-
-    tables = {"sketch_frontier": format_sketch_frontier(spec, rows)}
-    return ScenarioOutput(
-        data=rows,
-        tables=tables,
-        cases=len(cases),
-        seed_derivation=("trial", "<t>"),
-    )
-
-
-def format_sketch_frontier(spec: ExperimentSpec, rows: Sequence[FrontierRow]) -> str:
-    """Fixed-width sketch-frontier table, ready for ``results/``."""
-    sc = spec.scale
-    depth = spec.police.evidence.cm_depth
-    lines = [
-        "Sketch frontier: count-min traffic evidence vs exact windows "
-        "(DD-POLICE, des-soa)",
-        f"scale={sc.name}  n={sc.n_peers}  agents={_derived_agents(spec)}  "
-        f"attack from minute {sc.attack_start_min}  "
-        f"duration={sc.sim_minutes} min  trials={sc.trials}  "
-        f"topology=ba(m=1)  cm_depth={depth}",
-        "evidence = per-minute Out/In query windows; exact keeps two int64 "
-        "cells per directed edge, sketch keeps two (depth x width) int32 "
-        "count-min arrays for the whole overlay",
-        "count-min never undercounts per-minute evidence (suspect superset, "
-        "tests/property); narrow widths add collision mass -> false suspects "
-        "(FS), and cutting that much collateral can itself sever evidence "
-        "paths and delay or lose convictions",
-        "latency_s = mean censored seconds from attack start to first "
-        "disconnection; FS = good peers wrongly cut; means over trials",
-        "",
-        f"{'evidence':>8} {'width':>6} {'attack_qpm':>10} {'latency_s':>9} "
-        f"{'caught':>9} {'FS':>6} {'evidence_KiB':>12} {'vs_exact':>8}",
-    ]
-    for r in rows:
-        width = str(r.cm_width) if r.cm_width else "-"
-        caught = f"{r.caught_attackers:.1f}/{r.total_attackers}"
-        lines.append(
-            f"{r.backend:>8} {width:>6} {r.attack_rate_qpm:>10.1f} "
-            f"{r.detection_latency_s:>9.0f} {caught:>9} "
-            f"{r.false_suspects:>6.1f} {r.evidence_bytes / 1024.0:>12.1f} "
-            f"{r.reduction:>7.1f}x"
-        )
-    return "\n".join(lines)
-
-
 register_scenario(Scenario(
     name="testbed-rate",
     driver=_scn_testbed_rate,
@@ -1327,12 +1152,6 @@ register_scenario(Scenario(
     driver=_scn_robustness_matrix,
     tables=("robustness_matrix",),
     description="defense x adaptive adversary x topology grid (DES)",
-))
-register_scenario(Scenario(
-    name="sketch-frontier",
-    driver=_scn_sketch_frontier,
-    tables=("sketch_frontier",),
-    description="count-min evidence memory x attack rate frontier (des-soa)",
 ))
 
 
@@ -1581,16 +1400,4 @@ register_spec(ExperimentSpec(
     adversary=AdaptiveConfig(pulse_period_s=30.0),
     matrix=matrix_grid_for("bench"),
     tables=("robustness_matrix",),
-))
-register_spec(ExperimentSpec(
-    name="sketch-frontier",
-    scenario="sketch-frontier",
-    title="Sketch frontier: count-min evidence memory vs detection quality",
-    backend="des-soa",
-    seed=31,
-    # Same fig9-style workload the agent sweep uses; the rate axis
-    # brackets the warning threshold so narrow sketches have something
-    # to falsely push over it.
-    grid=GridSpec(attack_rates_qpm=(1000.0, 2000.0)),
-    tables=("sketch_frontier",),
 ))

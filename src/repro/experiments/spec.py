@@ -141,12 +141,6 @@ class GridSpec:
     topologies: Tuple[str, ...] = ()
     #: Robustness-matrix defense rows; empty = scenario default.
     defenses: Tuple[str, ...] = ()
-    #: Sketch-frontier count-min widths (cells per row) swept against
-    #: the exact baseline; empty = scenario default.
-    cm_widths: Tuple[int, ...] = ()
-    #: Sketch-frontier attack rates (qpm per agent); empty = scenario
-    #: default.
-    attack_rates_qpm: Tuple[float, ...] = ()
     #: Simulated minutes; 0 = derive from the scale.
     minutes: int = 0
 
@@ -184,10 +178,6 @@ class GridSpec:
                     f"defenses: unknown defense {d!r} "
                     f"(valid: {', '.join(self._MATRIX_DEFENSES)})"
                 )
-        if any(w < 1 for w in self.cm_widths):
-            raise ConfigError("cm_widths must be >= 1")
-        if any(r <= 0 for r in self.attack_rates_qpm):
-            raise ConfigError("attack_rates_qpm must be positive")
         if self.minutes < 0:
             raise ConfigError("minutes must be non-negative")
 
@@ -564,9 +554,6 @@ class CaseResult:
     detection_latency_s: Optional[float] = None
     caught_attackers: int = 0
     total_attackers: int = 0
-    #: Bytes of DD-POLICE traffic-evidence state (exact per-edge minute
-    #: windows or count-min cells); 0 when the backend does not report it.
-    evidence_bytes: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -733,55 +720,15 @@ def _extract_case_result(
         detection_latency_s=latency,
         caught_attackers=caught,
         total_attackers=len(run.bad_peers),
-        evidence_bytes=int(getattr(run, "evidence_bytes", 0)),
     )
 
 
-def _des_case_task(case: Case) -> CaseResult:
-    """One message-level case (pure, picklable): build config, run, extract."""
-    from repro.experiments.runner import DESConfig
-    from repro.overlay.network import NetworkConfig
-    from repro.overlay.topology import TopologyConfig
-    from repro.workload.generator import WorkloadConfig
+def _des_config(case: Case, **network: Any) -> Any:
+    """The :class:`DESConfig` of one message-level case.
 
-    topo_kwargs: Dict[str, Any] = dict(n=case.n, seed=case.seed)
-    if case.ba_m is not None:
-        topo_kwargs["ba_m"] = case.ba_m
-    if case.topology is not None:
-        topo_kwargs["model"] = case.topology
-    topology = TopologyConfig(**topo_kwargs)
-    kwargs: Dict[str, Any] = dict(
-        n=case.n,
-        duration_s=case.minutes * 60.0,
-        seed=case.seed,
-        topology=topology,
-        network=NetworkConfig(processing_qpm_good=case.workload.capacity_qpm),
-        workload=WorkloadConfig(
-            queries_per_minute=case.workload.queries_per_minute, seed=case.seed
-        ),
-        num_agents=case.num_agents,
-        attack_start_s=case.attack_start_min * 60.0,
-        attack_rate_qpm=case.workload.attack_rate_qpm,
-        cheat_strategy=case.workload.cheat,
-        adaptive=case.adaptive,
-        defense=case.defense,
-        police=case.police,
-        traceback=case.traceback,
-        faults=case.faults,
-    )
-    if case.obs is not None:
-        kwargs["obs"] = case.obs
-    return des_case_result(DESConfig(**kwargs), case.settle_min)
-
-
-def _soa_case_task(case: Case) -> CaseResult:
-    """One batched SoA case (pure, picklable): build config, run, extract.
-
-    Builds the same :class:`DESConfig` as the ``des`` backend except that
-    hop-latency jitter is pinned to zero -- the wave-batched engine
-    coalesces same-timestamp deliveries, which requires the deterministic
-    hop grid. Unsupported feature combinations (churn, faults, traceback,
-    non-silent cheats, ...) are rejected loudly by the engine itself.
+    The one builder behind the ``des`` and ``des-soa`` backends, so a
+    :class:`Case` field cannot reach one and miss the other; ``network``
+    overrides :class:`NetworkConfig` fields.
     """
     from repro.experiments.runner import DESConfig
     from repro.overlay.network import NetworkConfig
@@ -793,15 +740,13 @@ def _soa_case_task(case: Case) -> CaseResult:
         topo_kwargs["ba_m"] = case.ba_m
     if case.topology is not None:
         topo_kwargs["model"] = case.topology
-    topology = TopologyConfig(**topo_kwargs)
     kwargs: Dict[str, Any] = dict(
         n=case.n,
         duration_s=case.minutes * 60.0,
         seed=case.seed,
-        topology=topology,
+        topology=TopologyConfig(**topo_kwargs),
         network=NetworkConfig(
-            processing_qpm_good=case.workload.capacity_qpm,
-            hop_latency_jitter_s=0.0,
+            processing_qpm_good=case.workload.capacity_qpm, **network
         ),
         workload=WorkloadConfig(
             queries_per_minute=case.workload.queries_per_minute, seed=case.seed
@@ -818,7 +763,24 @@ def _soa_case_task(case: Case) -> CaseResult:
     )
     if case.obs is not None:
         kwargs["obs"] = case.obs
-    return soa_case_result(DESConfig(**kwargs), case.settle_min)
+    return DESConfig(**kwargs)
+
+
+def _des_case_task(case: Case) -> CaseResult:
+    """One message-level case (pure, picklable): build config, run, extract."""
+    return des_case_result(_des_config(case), case.settle_min)
+
+
+def _soa_case_task(case: Case) -> CaseResult:
+    """One batched SoA case (pure, picklable): build config, run, extract.
+
+    Hop-latency jitter is pinned to zero -- the wave-batched engine
+    coalesces same-timestamp deliveries, which requires the deterministic
+    hop grid. Unsupported feature combinations (churn, faults, traceback,
+    non-silent cheats, ...) are rejected loudly by the engine itself.
+    """
+    cfg = _des_config(case, hop_latency_jitter_s=0.0)
+    return soa_case_result(cfg, case.settle_min)
 
 
 def _live_case_task(case: Case) -> CaseResult:

@@ -54,7 +54,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.attack.cheating import CheatStrategy
 from repro.core.config import DDPoliceConfig, ExchangePolicy
 from repro.errors import ConfigError, ProtocolError, WireFormatError
-from repro.evidence import EvidenceConfig, SeenCache, make_seen_cache
+from repro.evidence.dedup import ExactSeenCache
 from repro.live.clock import LiveClock, LiveTimer
 from repro.live.ports import bind_udp_socket
 from repro.live.wire import decode_message, encode_message
@@ -111,10 +111,6 @@ class NodeConfig:
     seed: int = 0
     ttl: int = 7
     seen_cache: int = 50_000
-    #: EvidenceConfig field overrides (JSON dict, like ``police``);
-    #: drives the node's seen-cache strategy and, via ``police_config``,
-    #: the engine's traffic store and report-dedup window.
-    evidence: Dict[str, Any] = field(default_factory=dict)
     capacity_qpm: float = 10_000.0
     queries_per_minute: float = 0.0
     #: Attack role (Fig-9/10/11 static flooder).
@@ -166,19 +162,12 @@ class NodeConfig:
             raise ConfigError(f"unknown defense: {self.defense!r}")
         if self.max_degree < 1:
             raise ConfigError(f"max_degree must be >= 1, got {self.max_degree}")
-        self.evidence_config()  # bad evidence overrides fail at parse time
-
-    def evidence_config(self) -> EvidenceConfig:
-        return EvidenceConfig(**self.evidence)
 
     def police_config(self) -> DDPoliceConfig:
         fields = dict(self.police)
         policy = fields.pop("exchange_policy", None)
         if policy is not None:
             fields["exchange_policy"] = ExchangePolicy(policy)
-        evidence = fields.get("evidence")
-        if isinstance(evidence, dict):
-            fields["evidence"] = EvidenceConfig(**evidence)
         return DDPoliceConfig(**fields)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -259,9 +248,7 @@ class LiveNode(asyncio.DatagramProtocol):
         self.last_minute_out: Dict[PeerId, int] = {}
         self.last_minute_in: Dict[PeerId, int] = {}
         self.processing = TokenBucket(rate_per_min=config.capacity_qpm)
-        self._seen: SeenCache = make_seen_cache(
-            config.evidence_config(), limit=config.seen_cache
-        )
+        self._seen = ExactSeenCache(config.seen_cache)
         self._route_back: "OrderedDict[bytes, PeerId]" = OrderedDict()
         #: Own issued queries: guid -> issue time (success attribution).
         self._issued: "OrderedDict[bytes, float]" = OrderedDict()

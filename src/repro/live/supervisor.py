@@ -40,7 +40,6 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.config import DDPoliceConfig
 from repro.errors import ConfigError
-from repro.evidence import EvidenceConfig
 from repro.live.ports import allocate_udp_ports
 from repro.live.node import NodeConfig
 from repro.obs.manifest import (
@@ -80,9 +79,6 @@ class SwarmConfig:
     ba_m: int = 1
     ttl: int = 7
     seen_cache: int = 50_000
-    #: Evidence-store strategy for the nodes' dedup caches and the
-    #: police engine's traffic windows (exact or sketch-backed).
-    evidence: EvidenceConfig = EvidenceConfig()
     #: Liveness timing (protocol seconds).
     ping_period_s: float = 60.0
     ping_timeout_s: float = 15.0
@@ -262,7 +258,6 @@ class Supervisor:
                 seed=cfg.seed,
                 ttl=cfg.ttl,
                 seen_cache=cfg.seen_cache,
-                evidence=dict(jsonable_config(cfg.evidence)),
                 capacity_qpm=cfg.capacity_qpm,
                 queries_per_minute=cfg.queries_per_minute,
                 agent=i in self.agent_ids,

@@ -133,13 +133,6 @@ class ContentCatalog:
                     return obj
         return None
 
-    def object_for_keywords(self, keywords: Sequence[str]) -> int:
-        """:meth:`find_object`, raising ``ConfigError`` when nothing resolves."""
-        obj = self.find_object(keywords)
-        if obj is None:
-            raise ConfigError(f"no object token found in keywords {keywords!r}")
-        return obj
-
     # -- matching ----------------------------------------------------------
     def peer_has(self, peer: int, obj: int) -> bool:
         return peer in self.replica_holders[obj]

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
 from repro.errors import ConfigError, ProtocolError
-from repro.evidence.config import EvidenceConfig
 from repro.metrics.accounting import QueryAccounting
 from repro.overlay.capacity import TokenBucket
 from repro.overlay.content import ContentCatalog, ContentConfig
@@ -58,12 +57,6 @@ class NetworkConfig:
     #: servents.  Promoted from a module constant so cache sizing is a
     #: first-class, validated knob (``network.seen_cache_limit``).
     seen_cache_limit: int = 50_000
-    #: Representation of each peer's GUID seen cache: exact LRU by
-    #: default, rotating Bloom at a fixed bit budget under
-    #: ``backend="sketch"`` (docs/SKETCH.md).  The reverse-path route
-    #: table stays exact either way -- it stores route *values*, which
-    #: a membership sketch cannot.
-    evidence: EvidenceConfig = EvidenceConfig()
     seed: int = 0
 
     def __post_init__(self) -> None:

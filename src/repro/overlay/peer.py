@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ProtocolError
-from repro.evidence.dedup import SeenCache, make_seen_cache
+from repro.evidence.dedup import ExactSeenCache
 from repro.overlay.capacity import TokenBucket
 from repro.overlay.ids import Guid, PeerId
 from repro.overlay.message import (
@@ -126,16 +126,10 @@ class Peer:
         self.counters = PeerCounters()
 
         # GUID -> neighbor the query arrived from (reverse-path table), LRU.
-        # Always exact: it stores route *values*, which a membership
-        # sketch cannot.
         self._route_back: "OrderedDict[bytes, PeerId]" = OrderedDict()
-        # GUIDs already seen (includes own issues): pluggable membership
-        # (exact LRU by default, rotating Bloom under the sketch
-        # evidence backend -- docs/SKETCH.md), sized by the network's
-        # validated seen_cache_limit.
-        self._seen: SeenCache = make_seen_cache(
-            network.config.evidence, limit=network.config.seen_cache_limit
-        )
+        # GUIDs already seen (includes own issues), LRU, sized by the
+        # network's validated seen_cache_limit.
+        self._seen = ExactSeenCache(network.config.seen_cache_limit)
 
         # Per-neighbor per-current-minute counters (rolled by the network).
         self.out_query_window: Dict[PeerId, int] = {}

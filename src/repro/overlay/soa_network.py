@@ -55,7 +55,6 @@ import numpy as np
 from repro.attack.cheating import CheatStrategy
 from repro.core.decision import GroupEvidence, Verdict, judge
 from repro.errors import ConfigError
-from repro.evidence.hashing import mix64
 from repro.fluid.flows import build_edge_arrays, edge_slice_index
 from repro.metrics.accounting import QueryAccounting
 from repro.metrics.collectors import _SeriesMixin
@@ -144,8 +143,7 @@ class SoaRun:
     wall_s: float = 0.0
     heap_events: int = 0
     waves_processed: int = 0
-    #: Bytes of per-minute traffic-evidence state (exact windows or
-    #: count-min cells) at the end of the run.
+    #: Bytes of per-minute traffic-evidence state at the end of the run.
     evidence_bytes: int = 0
 
     @property
@@ -196,13 +194,6 @@ def _reject_unsupported(config: "DESConfig") -> None:
             raise ConfigError(
                 "backend 'des-soa' cannot honour police.report_retry_limit (DES only)"
             )
-    if config.network.evidence.sketched:
-        raise ConfigError(
-            "backend 'des-soa' keys its seen-set by integer qid (Int64Map, "
-            "already O(in-flight) memory); Bloom dedup applies to the "
-            "message engines only. Set police.evidence.backend='sketch' "
-            "for sketched traffic windows instead."
-        )
     if config.network.hop_latency_jitter_s != 0.0:
         raise ConfigError(
             "backend 'des-soa' requires hop_latency_jitter_s=0 (wave "
@@ -279,24 +270,8 @@ class SoaFloodEngine:
         self._hop = net.hop_latency_s
         self._default_ttl = net.default_ttl
         self.bucket = TokenBucketArray(n, net.processing_qpm_good)
-        ev = config.police.evidence
-        self._sketched = ev.sketched
-        if self._sketched:
-            # Count-min traffic evidence: one (depth, width) int32 sketch
-            # per direction replaces the two length-E minute windows.
-            # Updates are plain (non-conservative) count-min -- batched
-            # ``np.add.at`` cannot do the read-modify-min of conservative
-            # update -- which still never undercounts, so no attacker
-            # edge is ever missed; collisions only add false suspicion.
-            self._cm_w = ev.cm_width
-            self._cm_d = ev.cm_depth
-            self._cm_out = np.zeros((ev.cm_depth, ev.cm_width), dtype=np.int32)
-            self._cm_in = np.zeros((ev.cm_depth, ev.cm_width), dtype=np.int32)
-            self.win_out: Optional[np.ndarray] = None
-            self.win_in: Optional[np.ndarray] = None
-        else:
-            self.win_out = np.zeros(self._E, dtype=np.int64)
-            self.win_in = np.zeros(self._E, dtype=np.int64)
+        self.win_out = np.zeros(self._E, dtype=np.int64)
+        self.win_in = np.zeros(self._E, dtype=np.int64)
         # Seen-set + reverse routes; epoch is sized to 3x the one-way
         # flood depth so entries (which survive 1-2 epochs) always outlive
         # a query's full out-and-back lifetime of 2*ttl*hop.
@@ -365,47 +340,18 @@ class SoaFloodEngine:
     # ------------------------------------------------------------------
     # small helpers
     # ------------------------------------------------------------------
-    def _cm_columns(self, eids: np.ndarray, row: int) -> np.ndarray:
-        """Sketch columns of ``eids`` in ``row`` (stateless: no column
-        table is stored, so evidence memory is the cells alone)."""
-        return mix64(eids.astype(np.uint64), seed=row + 1) % np.uint64(self._cm_w)
-
     def _count_out(self, eids: np.ndarray) -> None:
         """Count one outgoing query on each edge id (repeats allowed)."""
-        if not len(eids):
-            return
-        if self._sketched:
-            for r in range(self._cm_d):
-                np.add.at(self._cm_out[r], self._cm_columns(eids, r), 1)
-        else:
+        if len(eids):
             np.add.at(self.win_out, eids, 1)
 
     def _count_in(self, eids: np.ndarray) -> None:
         """Count one incoming query on each edge id (repeats allowed)."""
-        if not len(eids):
-            return
-        if self._sketched:
-            for r in range(self._cm_d):
-                np.add.at(self._cm_in[r], self._cm_columns(eids, r), 1)
-        else:
+        if len(eids):
             np.add.at(self.win_in, eids, 1)
-
-    def _cm_estimate_all(self, cm: np.ndarray) -> np.ndarray:
-        """Row-min estimates for every edge id, materialized as int64.
-
-        The police round then runs unchanged over these (possibly
-        overestimated, never underestimated) per-edge minute counts.
-        """
-        eids = np.arange(self._E, dtype=np.uint64)
-        est = cm[0][self._cm_columns(eids, 0)].astype(np.int64)
-        for r in range(1, self._cm_d):
-            est = np.minimum(est, cm[r][self._cm_columns(eids, r)])
-        return est
 
     def evidence_bytes(self) -> int:
         """Bytes of per-minute traffic-evidence state (both directions)."""
-        if self._sketched:
-            return int(self._cm_out.nbytes + self._cm_in.nbytes)
         return int(self.win_out.nbytes + self.win_in.nbytes)
 
     def _alive_out_edges(self, p: int) -> np.ndarray:
@@ -717,19 +663,10 @@ class SoaFloodEngine:
     # ------------------------------------------------------------------
     def _roll_minute(self) -> None:
         self.minute_index += 1
-        if self._sketched:
-            # Materialize per-edge row-min estimates into transient
-            # arrays so the police round below runs unchanged, then
-            # reset the sketches for the next minute window.
-            prev_out = self._cm_estimate_all(self._cm_out)
-            prev_in = self._cm_estimate_all(self._cm_in)
-            self._cm_out.fill(0)
-            self._cm_in.fill(0)
-        else:
-            prev_out = self.win_out
-            prev_in = self.win_in
-            self.win_out = np.zeros(self._E, dtype=np.int64)
-            self.win_in = np.zeros(self._E, dtype=np.int64)
+        prev_out = self.win_out
+        prev_in = self.win_in
+        self.win_out = np.zeros(self._E, dtype=np.int64)
+        self.win_in = np.zeros(self._E, dtype=np.int64)
         self.accounting.on_minute_rolled(
             self.sim.now,
             self.stats.messages_delivered,

@@ -2,7 +2,7 @@
 
 "Two lists are designed in a peer for each of its logical neighbors,
 Out_query(i) and In_query(i)": the engine holds them as the
-:class:`~repro.evidence.store.TrafficStore` from ``make_traffic_store``.
+:class:`~repro.evidence.store.ExactTrafficStore`.
 """
 
 import pytest
@@ -10,15 +10,13 @@ import pytest
 from repro.core.config import DDPoliceConfig
 from repro.core.police import DDPoliceEngine
 from repro.errors import ConfigError
-from repro.evidence.config import EvidenceConfig
-from repro.evidence.store import ExactTrafficStore, make_traffic_store
+from repro.evidence.store import ExactTrafficStore
 from repro.overlay.ids import PeerId
 from tests.conftest import make_network
 
 
 def test_latest_window_counts():
-    mon = make_traffic_store(EvidenceConfig())
-    assert isinstance(mon, ExactTrafficStore)
+    mon = ExactTrafficStore()
     mon.record_window(1, {"a": 10, "b": 5}, {"a": 3})
     assert mon.out_query("a") == 10
     assert mon.in_query("a") == 3

@@ -31,6 +31,8 @@ def test_run_paths_lists_override_paths(capsys):
         "grid.agent_counts",
     ):
         assert path in out
+    # Exact is the only evidence representation: nothing selects another.
+    assert not [p for p in out if "evidence" in p or "cm_widths" in p]
 
 
 def test_run_without_specs_is_an_error(capsys):
@@ -48,6 +50,11 @@ def test_run_unknown_override_path_is_an_error(capsys):
     assert main(["run", "fig5", "--set", "police.cut_treshold=7"]) == 2
     err = capsys.readouterr().err
     assert "unknown key" in err and "cut_threshold" in err
+    # The deleted sketch backend's knobs are unknown paths, not no-ops.
+    for removed in ("police.evidence.backend=sketch", "grid.cm_widths=512"):
+        assert main(["run", "fig9", "--set", removed]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown key {removed.split('=')[0]!r}" in err
 
 
 def test_run_invalid_override_value_is_an_error(capsys):
@@ -122,7 +129,7 @@ def test_every_committed_scenario_table_is_reachable_from_run_list(capsys):
     renderable = {table for s in list_scenarios() for table in s.tables}
     results = Path(__file__).resolve().parents[2] / "results"
     committed = renderable & {p.stem for p in results.glob("*.txt")}
-    assert len(committed) >= 13  # Figs 5, 6, 9-14, exchange + the studies
+    assert len(committed) >= 12  # Figs 5, 6, 9-14, exchange + the two studies
     assert committed <= reachable
 
 

@@ -1,6 +1,7 @@
 """Unit tests for experiment-result persistence."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,8 +14,11 @@ from repro.experiments.io import (
     save_records,
     save_rows,
 )
-from repro.experiments.spec import get_spec, spec_sha256
+from repro.experiments.spec import get_spec, spec_from_jsonable, spec_sha256
 from repro.fluid.model import FluidConfig, FluidSimulation
+from repro.obs.manifest import load_manifest, verify_manifest
+
+RESULTS = Path(__file__).resolve().parents[2] / "results"
 
 
 def test_minute_rows_roundtrip(tmp_path):
@@ -176,3 +180,21 @@ def test_save_is_atomic(tmp_path, monkeypatch):
     assert path.read_bytes() == original  # old artifact untouched
     assert [p.name for p in tmp_path.iterdir()] == ["run.json"]  # no temp litter
     assert load_rows(path) == rows
+
+
+def test_committed_spec_run_sidecars_match_the_current_schema():
+    """Every committed ``spec-run`` sidecar is self-consistent, rebuilds
+    under today's spec schema (strict: a removed or renamed config field
+    raises) and hashes to the ``spec_sha256`` it records -- so a PR that
+    changes the schema must regenerate them, not leave stale provenance."""
+    checked = 0
+    for path in sorted(RESULTS.glob("*.manifest.json")):
+        manifest = load_manifest(path)
+        if manifest["kind"] != "spec-run":
+            continue
+        spec = spec_from_jsonable(manifest["config"])
+        assert verify_manifest(manifest, config=spec), path.name
+        assert spec_sha256(spec) == manifest["extra"]["spec_sha256"], path.name
+        assert path.with_name(path.name.replace(".manifest.json", ".txt")).exists()
+        checked += 1
+    assert checked >= 12

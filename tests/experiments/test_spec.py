@@ -35,7 +35,6 @@ ALL_SPECS = (
     "exchange",
     "fault-sweep",
     "robustness-matrix",
-    "sketch-frontier",
 )
 
 

@@ -38,12 +38,12 @@ def test_popular_objects_have_more_replicas(catalog):
 def test_keywords_roundtrip(catalog):
     for obj in (0, 7, 49):
         kws = catalog.keywords_for(obj)
-        assert catalog.object_for_keywords(kws) == obj
+        assert catalog.find_object(kws) == obj
 
 
-def test_object_for_unknown_keywords_raises(catalog):
-    with pytest.raises(ConfigError):
-        catalog.object_for_keywords(("bogus", "xq1n5"))
+def test_unknown_keywords_resolve_to_none(catalog):
+    assert catalog.find_object(("bogus", "xq1n5")) is None
+    assert catalog.find_object(("id50",)) is None  # past num_objects
 
 
 def test_keywords_for_out_of_range(catalog):

@@ -1,12 +1,15 @@
-"""Unit tests for the standard Gnutella 0.6 body codecs."""
+"""Example-based tests for the classic Gnutella payload codecs.
+
+``tests/live/test_live_wire.py`` holds :mod:`repro.core.wire` to the
+round-trip and malformed-input contract by property; these cases pin
+concrete values, the encode-side field checks and the byte order
+docs/PROTOCOL.md §1 states.
+"""
 
 import pytest
 
-from repro.errors import WireFormatError
-from repro.overlay.ids import Guid, PeerId
-from repro.overlay.message import Ping, Pong, Query, QueryHit
-from repro.overlay.wire import (
-    HitRecord,
+from repro.core.wire import (
+    HEADER_SIZE,
     decode_ping,
     decode_pong,
     decode_query,
@@ -16,6 +19,9 @@ from repro.overlay.wire import (
     encode_query,
     encode_query_hit,
 )
+from repro.errors import WireFormatError
+from repro.overlay.ids import Guid, PeerId
+from repro.overlay.message import Ping, Pong, Query, QueryHit
 
 
 def guid(n=1):
@@ -29,17 +35,19 @@ def test_ping_roundtrip():
 
 
 def test_ping_is_header_only():
-    assert len(encode_ping(Ping(guid=guid()))) == 23
+    assert len(encode_ping(Ping(guid=guid()))) == HEADER_SIZE == 23
 
 
 def test_pong_roundtrip():
     msg = Pong(guid=guid(2), ttl=1, hops=0, responder=PeerId(777), shared_files=42)
-    decoded, port, kbytes = decode_pong(
-        encode_pong(msg, port=6347, shared_kbytes=1024)
-    )
+    raw = encode_pong(msg, port=0x1234)
+    decoded = decode_pong(raw)
     assert decoded.responder == PeerId(777)
     assert decoded.shared_files == 42
-    assert (port, kbytes) == (6347, 1024)
+    # Body fields are big-endian (PROTOCOL.md §1), unlike Gnutella 0.6.
+    body = raw[HEADER_SIZE:]
+    assert body[:2] == b"\x12\x34"
+    assert body[6:10] == (42).to_bytes(4, "big")
 
 
 def test_pong_requires_responder():
@@ -51,11 +59,15 @@ def test_pong_requires_responder():
 
 def test_query_roundtrip():
     msg = Query(guid=guid(3), ttl=7, hops=0, keywords=("red", "song", "id3"),
-                min_speed=56)
-    decoded = decode_query(encode_query(msg))
+                min_speed=0x0102)
+    raw = encode_query(msg)
+    decoded = decode_query(raw)
     assert decoded.keywords == ("red", "song", "id3")
-    assert decoded.min_speed == 56
+    assert decoded.min_speed == 0x0102
     assert decoded.search_string == msg.search_string
+    # Header length little-endian, body fields big-endian.
+    assert raw[19:23] == (len(raw) - HEADER_SIZE).to_bytes(4, "little")
+    assert raw[HEADER_SIZE:HEADER_SIZE + 2] == b"\x01\x02"
 
 
 def test_query_empty_keywords():
@@ -70,45 +82,46 @@ def test_query_nul_rejected():
         encode_query(msg)
 
 
+def test_query_undecodable_text_is_a_wire_error():
+    """A bad UTF-8 byte in the search string is a WireFormatError, never
+    a UnicodeDecodeError (malformed input raises only the wire error)."""
+    raw = bytearray(encode_query(Query(guid=guid(), keywords=("red",))))
+    raw[HEADER_SIZE + 2] = 0xFF
+    with pytest.raises(WireFormatError):
+        decode_query(bytes(raw))
+
+
 def test_query_hit_roundtrip():
     msg = QueryHit(
         guid=guid(4), ttl=5, hops=0, responder=PeerId(9), result_count=2,
         query_guid=guid(5),
     )
-    hits = [
-        HitRecord(file_index=1, file_size=1_000_000, name="red song.mp3"),
-        HitRecord(file_index=2, file_size=2_000_000, name="blue song.mp3"),
-    ]
-    decoded, got_hits = decode_query_hit(encode_query_hit(msg, hits, port=6346,
-                                                          speed=1000))
+    raw = encode_query_hit(msg, port=6346)
+    decoded = decode_query_hit(raw)
     assert decoded.responder == PeerId(9)
     assert decoded.query_guid == guid(5)
     assert decoded.result_count == 2
-    assert got_hits == hits
+    assert raw[HEADER_SIZE + 1:HEADER_SIZE + 3] == (6346).to_bytes(2, "big")
 
 
 def test_query_hit_requires_fields():
-    msg = QueryHit(guid=guid(), responder=None, query_guid=guid(5))
     with pytest.raises(WireFormatError):
-        encode_query_hit(msg, [HitRecord(1, 1, "x")])
-    msg2 = QueryHit(guid=guid(), responder=PeerId(1), query_guid=guid(5))
+        encode_query_hit(QueryHit(guid=guid(), responder=None, query_guid=guid(5)))
     with pytest.raises(WireFormatError):
-        encode_query_hit(msg2, [])
+        encode_query_hit(QueryHit(guid=guid(), responder=PeerId(1), query_guid=None))
+    with pytest.raises(WireFormatError):
+        encode_query_hit(
+            QueryHit(guid=guid(), responder=PeerId(1), result_count=256,
+                     query_guid=guid(5))
+        )
 
 
 def test_query_hit_truncation_detected():
     msg = QueryHit(guid=guid(), responder=PeerId(1), result_count=1,
                    query_guid=guid(5))
-    raw = encode_query_hit(msg, [HitRecord(1, 10, "a.mp3")])
+    raw = encode_query_hit(msg)
     with pytest.raises(WireFormatError):
         decode_query_hit(raw[:-4])
-
-
-def test_hit_record_validation():
-    with pytest.raises(WireFormatError):
-        HitRecord(file_index=-1, file_size=0, name="x")
-    with pytest.raises(WireFormatError):
-        HitRecord(file_index=0, file_size=0, name="a\x00b")
 
 
 def test_cross_kind_decode_rejected():

@@ -110,3 +110,28 @@ def test_the_verdict_policy_lives_in_one_module():
     }
     # Engines hand the kernel totals, not per-member report objects.
     assert not mentioning("NeighborReport") & {"fluid/police.py", "overlay/soa_network.py"}
+
+
+def test_evidence_has_one_representation():
+    """The paper's evidence is two exact per-neighbour lists. The sketch
+    backend (count-min windows, Bloom dedup) measured worse on every axis
+    and was deleted in PR 19; neither it nor its selector may grow back."""
+    import re
+    from pathlib import Path
+
+    import repro.evidence
+
+    pattern = re.compile(r"sketch|count.?min|bloom|EvidenceConfig|mix64", re.IGNORECASE)
+    root = Path(repro.__file__).parent
+    hits = [
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*.py")
+        if pattern.search(path.read_text())
+    ]
+    assert not hits
+    assert sorted(repro.evidence.__all__) == [
+        "ExactDedupWindow",
+        "ExactSeenCache",
+        "ExactTrafficStore",
+        "MinuteSample",
+    ]
