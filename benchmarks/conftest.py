@@ -38,20 +38,23 @@ def engine_filter(request) -> str:
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
-    # Non-default scales write to a subdirectory so the bench-scale
-    # tables cited by EXPERIMENTS.md are not clobbered.
-    scale_name = os.environ.get("REPRO_SCALE", "bench").lower()
-    target = RESULTS_DIR if scale_name == "bench" else RESULTS_DIR / scale_name
-    target.mkdir(parents=True, exist_ok=True)
-    return target
+def scale():
+    """The :class:`~repro.experiments.scenarios.Scale` ``$REPRO_SCALE`` names."""
+    from repro.experiments.scenarios import SCALES
+
+    name = os.environ.get("REPRO_SCALE", "bench").lower()
+    if name not in SCALES:
+        raise pytest.UsageError(f"unknown REPRO_SCALE {name!r} ({'|'.join(SCALES)})")
+    return SCALES[name]
 
 
 @pytest.fixture(scope="session")
-def scale():
-    from repro.experiments.scenarios import active_scale
-
-    return active_scale()
+def results_dir(scale) -> Path:
+    # Non-default scales write to a subdirectory so the bench-scale
+    # tables cited by EXPERIMENTS.md are not clobbered.
+    target = RESULTS_DIR if scale.name == "bench" else RESULTS_DIR / scale.name
+    target.mkdir(parents=True, exist_ok=True)
+    return target
 
 
 def publish(

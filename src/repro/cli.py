@@ -26,6 +26,7 @@ from repro.errors import ConfigError
 from repro.exec import resolve_workers
 from repro.experiments.library import run_spec
 from repro.experiments.reporting import render_timelines
+from repro.experiments.scenarios import SCALES
 from repro.experiments.spec import (
     list_backends,
     list_specs,
@@ -85,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--scale",
-        choices=("bench", "paper", "smoke"),
+        choices=sorted(SCALES),
         default=None,
         help="re-target the spec at a named scale before overrides",
     )

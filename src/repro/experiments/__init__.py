@@ -8,29 +8,16 @@ publish the same rows the paper reports.
 """
 
 from repro.experiments.runner import DESConfig, DESRun, run_des_experiment
-from repro.experiments.scenarios import Scale, bench_scale, paper_scale, active_scale
-from repro.experiments.reporting import (
-    render_table,
-    render_series,
-    render_timelines,
-    sparkline,
-)
-from repro.experiments.io import load_records, load_rows, save_records, save_rows
+from repro.experiments.scenarios import SCALES, Scale
+from repro.experiments.reporting import render_table, render_timelines, sparkline
 
 __all__ = [
     "DESConfig",
     "DESRun",
     "run_des_experiment",
+    "SCALES",
     "Scale",
-    "bench_scale",
-    "paper_scale",
-    "active_scale",
     "render_table",
-    "render_series",
     "render_timelines",
     "sparkline",
-    "load_records",
-    "load_rows",
-    "save_records",
-    "save_rows",
 ]

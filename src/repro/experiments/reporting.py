@@ -42,17 +42,6 @@ def render_table(
     return "\n".join(lines)
 
 
-def render_series(
-    xlabel: str,
-    ylabel: str,
-    points: Sequence[Sequence[float]],
-    *,
-    title: Optional[str] = None,
-) -> str:
-    """Two-column series rendering for figure data."""
-    return render_table([xlabel, ylabel], points, title=title)
-
-
 _SPARK_LEVELS = " .:-=+*#%@"
 
 

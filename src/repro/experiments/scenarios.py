@@ -4,14 +4,14 @@ The paper simulates 20,000 peers with 10..200 DDoS agents
 (0.05%..1% of the population) and 1,000,000 search operations. The bench
 default scales the population down 10x while preserving every *density*:
 agents/peer, queries/peer/minute, attack rate, capacities, churn rates.
-Set ``REPRO_SCALE=paper`` to run full scale.
+:data:`SCALES` is the one table of named tiers; ``repro run --scale``
+and :func:`~repro.experiments.library.spec_at_scale` select from it.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-from typing import List, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Tuple
 
 from repro.errors import ConfigError
 
@@ -56,37 +56,23 @@ class Scale:
         return round(agents / self.n_peers * 20_000)
 
 
-def paper_scale() -> Scale:
-    """Full paper scale (20,000 peers)."""
-    return Scale(
-        name="paper", n_peers=20_000, sim_minutes=40, attack_start_min=10, trials=1
-    )
-
-
-def bench_scale() -> Scale:
-    """Default laptop scale: 10x smaller population, same densities."""
-    return Scale(
+#: The named scale tiers. The fault-sweep, robustness-matrix and live
+#: layers size themselves per tier through :func:`fault_grid_for`,
+#: :func:`matrix_grid_for` and :func:`repro.live.spec.live_grid_for`.
+SCALES: Dict[str, Scale] = {
+    # default laptop scale: 10x smaller population, same densities
+    "bench": Scale(
         name="bench", n_peers=2_000, sim_minutes=30, attack_start_min=8, trials=1
-    )
-
-
-def smoke_scale() -> Scale:
-    """Tiny scale for tests."""
-    return Scale(
+    ),
+    # full paper scale
+    "paper": Scale(
+        name="paper", n_peers=20_000, sim_minutes=40, attack_start_min=10, trials=1
+    ),
+    # tiny scale for tests and CI
+    "smoke": Scale(
         name="smoke", n_peers=300, sim_minutes=12, attack_start_min=4, trials=1
-    )
-
-
-def active_scale() -> Scale:
-    """Scale selected by the REPRO_SCALE environment variable."""
-    name = os.environ.get("REPRO_SCALE", "bench").lower()
-    if name == "paper":
-        return paper_scale()
-    if name == "smoke":
-        return smoke_scale()
-    if name == "bench":
-        return bench_scale()
-    raise ConfigError(f"unknown REPRO_SCALE {name!r} (bench|paper|smoke)")
+    ),
+}
 
 
 # ----------------------------------------------------------------------
@@ -140,19 +126,7 @@ class FaultSweepSpec:
 
 def fault_grid_for(name: str) -> FaultSweepSpec:
     """Fault-sweep grid for a named scale (smoke shrinks the grid)."""
-    if name == "smoke":
-        return FaultSweepSpec(
-            name="smoke",
-            n_peers=40,
-            sim_minutes=5,
-            attack_start_min=1,
-            trials=1,
-            loss_fractions=(0.0, 0.3),
-            crash_counts=(0,),
-            num_agents=2,
-            attack_rate_qpm=600.0,
-        )
-    return FaultSweepSpec(
+    grid = FaultSweepSpec(
         name=name,
         n_peers=40,
         sim_minutes=6,
@@ -163,11 +137,16 @@ def fault_grid_for(name: str) -> FaultSweepSpec:
         num_agents=2,
         attack_rate_qpm=600.0,
     )
-
-
-def fault_sweep_spec() -> FaultSweepSpec:
-    """Fault-sweep grid for the active ``REPRO_SCALE``."""
-    return fault_grid_for(os.environ.get("REPRO_SCALE", "bench").lower())
+    if name == "smoke":
+        return replace(
+            grid,
+            sim_minutes=5,
+            attack_start_min=1,
+            trials=1,
+            loss_fractions=(0.0, 0.3),
+            crash_counts=(0,),
+        )
+    return grid
 
 
 # ----------------------------------------------------------------------
@@ -216,17 +195,7 @@ class MatrixSpec:
 
 def matrix_grid_for(name: str) -> MatrixSpec:
     """Robustness-matrix sizing for a named scale (smoke shrinks runs)."""
-    if name == "smoke":
-        return MatrixSpec(
-            name="smoke",
-            n_peers=30,
-            sim_minutes=5,
-            attack_start_min=2,
-            trials=1,
-            num_agents=2,
-            attack_rate_qpm=600.0,
-        )
-    return MatrixSpec(
+    sizing = MatrixSpec(
         name=name,
         n_peers=30,
         sim_minutes=6,
@@ -235,3 +204,6 @@ def matrix_grid_for(name: str) -> MatrixSpec:
         num_agents=2,
         attack_rate_qpm=600.0,
     )
+    if name == "smoke":
+        return replace(sizing, sim_minutes=5, trials=1)
+    return sizing

@@ -1,20 +1,23 @@
-"""Declarative experiment specs, backend registry, and the shared pipeline.
+"""Declarative experiment specs, the backend table, and the shared pipeline.
 
 This module makes experiments *data*. An :class:`ExperimentSpec` is a
 frozen, JSON-serializable description of one experiment -- scenario id,
 scale, sweep grid, defense (police) layer, workload layer, fault layer,
-and table selectors -- decoupled from the engine that executes it. Two
-engines implement the :class:`Backend` protocol:
+and table selectors -- decoupled from the engine that executes it. The
+engines are the rows of the :class:`Backend` table at the end of this
+module:
 
 * ``fluid`` -- the per-minute fluid-flow model (:mod:`repro.fluid`),
   used for every paper figure at scale;
 * ``des``   -- the message-level discrete-event runner
   (:mod:`repro.experiments.runner`), used for the fault sweep and for
-  cross-validating fluid results at small N.
+  cross-validating fluid results at small N;
+* ``des-soa`` / ``live`` -- the batched struct-of-arrays engine and the
+  real-socket UDP testbed behind the same contract.
 
-Both consume the backend-neutral :class:`Case` (one simulation run) and
+All consume the backend-neutral :class:`Case` (one simulation run) and
 return a :class:`CaseResult`; scenario drivers in
-:mod:`repro.experiments.library` expand a spec into a flat case list,
+:mod:`repro.experiments.library` expand a spec into a keyed case plan,
 fan it out through :func:`repro.exec.pmap` (``workers=1`` stays
 byte-identical), and aggregate.
 
@@ -30,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import (
     Any,
     Callable,
@@ -50,13 +53,15 @@ from repro.core.config import DDPoliceConfig
 from repro.errors import ConfigError, MetricsError
 from repro.exec import ExecStats, pmap
 from repro.experiments.scenarios import (
+    SCALES,
     FaultSweepSpec,
     MatrixSpec,
     Scale,
-    bench_scale,
+    fault_grid_for,
+    matrix_grid_for,
 )
 from repro.faults.plan import FaultPlan
-from repro.live.spec import LiveSpec
+from repro.live.spec import LiveSpec, live_grid_for
 from repro.obs.config import ObsConfig
 from repro.obs.manifest import config_sha256, jsonable_config
 from repro.simkit.rng import derive_seed
@@ -191,7 +196,8 @@ class ExperimentSpec:
     :class:`Backend`. ``tables`` selects which of the scenario's output
     tables to render (empty = all). The remaining fields are the
     override layers: ``scale``, ``police`` (defense), ``workload``,
-    ``faults``, and the sweep ``grid``.
+    ``faults``, and the sweep ``grid``. The sizing layers default to the
+    ``bench`` tier, the one ``--scale bench`` selects.
     """
 
     name: str
@@ -200,40 +206,18 @@ class ExperimentSpec:
     backend: str = "fluid"
     seed: int = 0
     trials: int = 1
-    scale: Scale = field(default_factory=bench_scale)
+    scale: Scale = SCALES["bench"]
     police: DDPoliceConfig = DDPoliceConfig()
     workload: WorkloadSpec = WorkloadSpec()
-    faults: FaultSweepSpec = FaultSweepSpec(
-        name="bench",
-        n_peers=40,
-        sim_minutes=6,
-        attack_start_min=2,
-        trials=3,
-        loss_fractions=(0.0, 0.1, 0.2, 0.3),
-        crash_counts=(0, 2),
-        num_agents=2,
-        attack_rate_qpm=600.0,
-    )
+    faults: FaultSweepSpec = fault_grid_for("bench")
     #: Adaptive-adversary layer (robustness matrix; "static" elsewhere).
     adversary: AdaptiveConfig = AdaptiveConfig()
     #: Robustness-matrix sizing (DES; mirrors the ``faults`` pattern).
-    matrix: MatrixSpec = MatrixSpec(
-        name="bench",
-        n_peers=30,
-        sim_minutes=6,
-        attack_start_min=2,
-        trials=2,
-        num_agents=2,
-        attack_rate_qpm=600.0,
-    )
+    matrix: MatrixSpec = matrix_grid_for("bench")
     #: PPM traceback baseline parameters (the matrix's third defense).
     traceback: TracebackConfig = TracebackConfig()
-    #: Real-socket swarm sizing (``live`` backend only; others ignore
-    #: it). The default matches the default ``bench`` scale the same
-    #: way ``live_grid_for`` does for ``--scale``.
-    live: LiveSpec = LiveSpec(
-        name="bench", n_nodes=200, minute_s=2.0, drain_timeout_s=20.0
-    )
+    #: Real-socket swarm sizing (``live`` backend only; others ignore it).
+    live: LiveSpec = live_grid_for("bench")
     grid: GridSpec = GridSpec()
     tables: Tuple[str, ...] = ()
 
@@ -534,8 +518,8 @@ class Case:
 class CaseResult:
     """What every backend reports back for one case."""
 
-    #: Per-minute (time, success-rate) samples. The fluid backend uses
-    #: integer minutes; DES uses the collector's second timestamps.
+    #: Per-minute (minute, success-rate) samples: the time axis is in
+    #: simulated minutes on every backend (the producer converts).
     rows: Tuple[Tuple[float, float], ...]
     #: (traffic k-msgs/min, response s, success) means over the
     #: steady-state window, when ``settle_min`` was given.
@@ -581,34 +565,9 @@ def steady_means(rows: Sequence[Any], first_minute: int) -> Tuple[float, float, 
     )
 
 
-def fluid_case_result(
-    cfg: Any, minutes: int, settle_min: Optional[int] = None
-) -> CaseResult:
-    """Run one :class:`~repro.fluid.model.FluidConfig` and extract results.
-
-    The engine step behind the ``fluid`` backend.
-    """
-    from repro.fluid.model import FluidSimulation
-
-    sim = FluidSimulation(cfg)
-    sim.run(minutes)
-    errors = sim.error_counts()
-    steady = steady_means(sim.rows, settle_min) if settle_min is not None else None
-    result = CaseResult(
-        rows=tuple((r.minute, r.success_rate) for r in sim.rows),
-        steady=steady,
-        false_negative=errors.false_negative,
-        false_positive=errors.false_positive,
-        online_mean=sim.mean_over(1, "online") if minutes > 1 else 0.0,
-        churn_events=sim.state.joins + sim.state.leaves,
-    )
-    sim.close_obs()
-    return result
-
-
 def _fluid_case_task(case: Case) -> CaseResult:
     """One fluid-model case (pure, picklable): build config, run, extract."""
-    from repro.fluid.model import FluidConfig
+    from repro.fluid.model import FluidConfig, FluidSimulation
 
     # The fluid model is topology-free, simulates the *static* flooder,
     # and aggregates Neighbor_Traffic without per-report collusion
@@ -645,34 +604,31 @@ def _fluid_case_task(case: Case) -> CaseResult:
     )
     if case.obs is not None:
         kwargs["obs"] = case.obs
-    return fluid_case_result(FluidConfig(**kwargs), case.minutes, case.settle_min)
+    sim = FluidSimulation(FluidConfig(**kwargs))
+    sim.run(case.minutes)
+    errors = sim.error_counts()
+    result = CaseResult(
+        rows=tuple((r.minute, r.success_rate) for r in sim.rows),
+        steady=(
+            steady_means(sim.rows, case.settle_min)
+            if case.settle_min is not None
+            else None
+        ),
+        false_negative=errors.false_negative,
+        false_positive=errors.false_positive,
+        online_mean=sim.mean_over(1, "online") if case.minutes > 1 else 0.0,
+        churn_events=sim.state.joins + sim.state.leaves,
+    )
+    sim.close_obs()
+    return result
 
 
-def des_case_result(cfg: Any, settle_min: Optional[int] = None) -> CaseResult:
-    """Run one :class:`~repro.experiments.runner.DESConfig` and extract.
+def _extract_case_result(run: Any, cfg: Any, settle_min: Optional[int]) -> CaseResult:
+    """Map a finished message/SoA run to the backend result contract.
 
-    The engine step behind the ``des`` backend.
+    The two run objects expose the same collector/judgment surface by
+    design; the collector's second timestamps become minutes here, once.
     """
-    from repro.experiments.runner import run_des_experiment
-
-    return _extract_case_result(run_des_experiment(cfg), cfg, settle_min)
-
-
-def soa_case_result(cfg: Any, settle_min: Optional[int] = None) -> CaseResult:
-    """Run one config on the batched SoA engine and extract.
-
-    Same extraction contract as :func:`des_case_result` -- the two run
-    objects expose the same collector/judgment surface by design.
-    """
-    from repro.overlay.soa_network import run_soa_experiment
-
-    return _extract_case_result(run_soa_experiment(cfg), cfg, settle_min)
-
-
-def _extract_case_result(
-    run: Any, cfg: Any, settle_min: Optional[int] = None
-) -> CaseResult:
-    """Map a finished message/SoA run to the backend result contract."""
     success = run.collector.success_series()
     if run.judgments is not None:
         errors = run.error_counts()
@@ -705,13 +661,16 @@ def _extract_case_result(
         traffic = run.collector.traffic_series().window(settle_s, horizon)
         response = run.collector.response_series().window(settle_s, horizon)
         succ = success.window(settle_s, horizon)
+        # Every reported minute has a traffic and a success sample (the
+        # window holds one: ``_des_config`` checked); a minute with no
+        # successful query has no response time.
         steady = (
-            (traffic.mean() / 1000.0) if len(traffic) else 0.0,
+            traffic.mean() / 1000.0,
             response.mean() if len(response) else 0.0,
-            succ.mean() if len(succ) else 0.0,
+            succ.mean(),
         )
     return CaseResult(
-        rows=tuple(success),
+        rows=tuple((t / 60.0, s) for t, s in success),
         steady=steady,
         false_negative=fn,
         false_positive=fp,
@@ -735,6 +694,17 @@ def _des_config(case: Case, **network: Any) -> Any:
     from repro.overlay.topology import TopologyConfig
     from repro.workload.generator import WorkloadConfig
 
+    net = NetworkConfig(processing_qpm_good=case.workload.capacity_qpm, **network)
+    # The collector publishes a minute only once its grace window has
+    # passed, so the run's last minute(s) never become rows: reject a
+    # steady-state window that opens past them before simulating.
+    reported = case.minutes - net.metrics_grace_minutes
+    if case.settle_min is not None and case.settle_min > reported:
+        raise ConfigError(
+            f"a {case.minutes}-minute message-level run reports minutes "
+            f"1..{reported}: no steady-state window from minute "
+            f"{case.settle_min} on (simulate more minutes)"
+        )
     topo_kwargs: Dict[str, Any] = dict(n=case.n, seed=case.seed)
     if case.ba_m is not None:
         topo_kwargs["ba_m"] = case.ba_m
@@ -745,9 +715,7 @@ def _des_config(case: Case, **network: Any) -> Any:
         duration_s=case.minutes * 60.0,
         seed=case.seed,
         topology=TopologyConfig(**topo_kwargs),
-        network=NetworkConfig(
-            processing_qpm_good=case.workload.capacity_qpm, **network
-        ),
+        network=net,
         workload=WorkloadConfig(
             queries_per_minute=case.workload.queries_per_minute, seed=case.seed
         ),
@@ -768,7 +736,10 @@ def _des_config(case: Case, **network: Any) -> Any:
 
 def _des_case_task(case: Case) -> CaseResult:
     """One message-level case (pure, picklable): build config, run, extract."""
-    return des_case_result(_des_config(case), case.settle_min)
+    from repro.experiments.runner import run_des_experiment
+
+    cfg = _des_config(case)
+    return _extract_case_result(run_des_experiment(cfg), cfg, case.settle_min)
 
 
 def _soa_case_task(case: Case) -> CaseResult:
@@ -779,8 +750,10 @@ def _soa_case_task(case: Case) -> CaseResult:
     hop grid. Unsupported feature combinations (churn, faults, traceback,
     non-silent cheats, ...) are rejected loudly by the engine itself.
     """
+    from repro.overlay.soa_network import run_soa_experiment
+
     cfg = _des_config(case, hop_latency_jitter_s=0.0)
-    return soa_case_result(cfg, case.settle_min)
+    return _extract_case_result(run_soa_experiment(cfg), cfg, case.settle_min)
 
 
 def _live_case_task(case: Case) -> CaseResult:
@@ -798,7 +771,7 @@ def _live_case_task(case: Case) -> CaseResult:
 
 @dataclass(frozen=True)
 class Backend:
-    """A registered execution engine for :class:`Case` lists."""
+    """One execution engine for :class:`Case` lists."""
 
     name: str
     #: Module-level pure function mapping a case to its result (must be
@@ -807,61 +780,51 @@ class Backend:
     description: str = ""
 
 
-_BACKENDS: Dict[str, Backend] = {}
+_BACKENDS: Dict[str, Backend] = {
+    b.name: b
+    for b in (
+        Backend(
+            name="fluid",
+            task_fn=_fluid_case_task,
+            description="per-minute fluid-flow model (paper figures at scale)",
+        ),
+        Backend(
+            name="des",
+            task_fn=_des_case_task,
+            description="message-level discrete-event runner (small N, faults)",
+        ),
+        Backend(
+            name="des-soa",
+            task_fn=_soa_case_task,
+            description="batched struct-of-arrays flood engine (100k-1M peers)",
+        ),
+        Backend(
+            name="live",
+            task_fn=_live_case_task,
+            description="real-socket UDP testbed (node processes on localhost)",
+        ),
+    )
+}
 
 
-def register_backend(backend: Backend) -> Backend:
-    """Register (or replace) a backend under ``backend.name``."""
-    if not backend.name:
-        raise ConfigError("backend name must be non-empty")
-    _BACKENDS[backend.name] = backend
-    return backend
+def lookup(table: Mapping[str, Any], kind: str, name: str) -> Any:
+    """``table[name]``; an unknown name lists the registered ones."""
+    try:
+        return table[name]
+    except KeyError:
+        raise ConfigError(
+            f"unknown {kind} {name!r} (registered: {', '.join(sorted(table))})"
+        )
 
 
 def get_backend(name: str) -> Backend:
     """Look a backend up by name; unknown names list the valid ones."""
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown backend {name!r} (registered: "
-            f"{', '.join(sorted(_BACKENDS)) or 'none'})"
-        )
+    return lookup(_BACKENDS, "backend", name)
 
 
 def list_backends() -> List[Backend]:
     """All registered backends, sorted by name."""
     return [_BACKENDS[k] for k in sorted(_BACKENDS)]
-
-
-register_backend(
-    Backend(
-        name="fluid",
-        task_fn=_fluid_case_task,
-        description="per-minute fluid-flow model (paper figures at scale)",
-    )
-)
-register_backend(
-    Backend(
-        name="des",
-        task_fn=_des_case_task,
-        description="message-level discrete-event runner (small N, faults)",
-    )
-)
-register_backend(
-    Backend(
-        name="des-soa",
-        task_fn=_soa_case_task,
-        description="batched struct-of-arrays flood engine (100k-1M peers)",
-    )
-)
-register_backend(
-    Backend(
-        name="live",
-        task_fn=_live_case_task,
-        description="real-socket UDP testbed (node processes on localhost)",
-    )
-)
 
 
 def run_cases(
@@ -894,38 +857,24 @@ def mean(values: Sequence[float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# spec registry
+# spec lookup
 # ---------------------------------------------------------------------------
 
-_SPECS: Dict[str, ExperimentSpec] = {}
+def _specs() -> Mapping[str, ExperimentSpec]:
+    # The spec table lives beside the scenario drivers in
+    # repro.experiments.library, which imports this module: resolve it
+    # at call time, not at module load.
+    from repro.experiments.library import SPECS
 
-
-def register_spec(spec: ExperimentSpec) -> ExperimentSpec:
-    """Register (or replace) a spec under ``spec.name``."""
-    _SPECS[spec.name] = spec
-    return spec
+    return SPECS
 
 
 def get_spec(name: str) -> ExperimentSpec:
-    """Look a registered spec up by name (loading the default library)."""
-    _ensure_library()
-    try:
-        return _SPECS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown spec {name!r} (registered: "
-            f"{', '.join(sorted(_SPECS)) or 'none'})"
-        )
+    """Look a registered spec up by name; unknown names list the valid ones."""
+    return lookup(_specs(), "spec", name)
 
 
 def list_specs() -> List[ExperimentSpec]:
     """All registered specs, sorted by name."""
-    _ensure_library()
-    return [_SPECS[k] for k in sorted(_SPECS)]
-
-
-def _ensure_library() -> None:
-    # The default spec library lives in repro.experiments.library, which
-    # imports this module; import lazily to register its specs on first
-    # lookup without a circular import at module load.
-    import repro.experiments.library  # noqa: F401
+    specs = _specs()
+    return [specs[k] for k in sorted(specs)]

@@ -133,13 +133,11 @@ def case_result_from_swarm(case: Any, result: SwarmResult) -> Any:
     for minute in sorted(minutes):
         agg = minutes[minute]
         rate = agg["succeeded"] / agg["issued"] if agg["issued"] else 0.0
-        rows.append((minute * 60.0, rate))
+        rows.append((float(minute), rate))
 
     steady: Optional[Tuple[float, float, float]] = None
     if case.settle_min is not None:
-        settle_s = case.settle_min * 60.0
-        horizon = case.minutes * 60.0 + 1.0
-        window = [m for m in sorted(minutes) if settle_s <= m * 60.0 < horizon]
+        window = [m for m in sorted(minutes) if case.settle_min <= m <= case.minutes]
         if window:
             traffic = sum(minutes[m]["messages"] for m in window) / len(window)
             resp_vals = []

@@ -91,10 +91,11 @@ class LiveSpec:
 def live_grid_for(name: str) -> LiveSpec:
     """The swarm sizing for a named scale tier.
 
-    Mirrors :func:`repro.experiments.spec.scale_for`: smoke fits CI,
-    bench is the 200-node acceptance swarm, paper pushes to 500
-    processes and slows the clock so per-process scheduling jitter
-    stays small relative to the minute.
+    One row per tier of :data:`repro.experiments.scenarios.SCALES`
+    (:func:`~repro.experiments.library.spec_at_scale` swaps it in with
+    the rest): smoke fits CI, bench is the 200-node acceptance swarm,
+    paper pushes to 500 processes and slows the clock so per-process
+    scheduling jitter stays small relative to the minute.
     """
     if name == "smoke":
         return LiveSpec(name="smoke", n_nodes=25, minute_s=0.5)

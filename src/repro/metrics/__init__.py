@@ -13,14 +13,13 @@ diagnostics. See docs/METRICS.md.
 """
 
 from repro.metrics.series import TimeSeries
-from repro.metrics.damage import damage_rate_series, damage_recovery_time
+from repro.metrics.damage import damage_recovery_time
 from repro.metrics.errors import Judgment, JudgmentLog, ErrorCounts
 from repro.metrics.accounting import ClassTotals, MinuteMetrics, QueryAccounting
 from repro.metrics.collectors import LegacyMetricsCollector, MetricsCollector
 
 __all__ = [
     "TimeSeries",
-    "damage_rate_series",
     "damage_recovery_time",
     "Judgment",
     "JudgmentLog",

@@ -36,22 +36,6 @@ def damage_rate(success_baseline: float, success_attacked: float) -> float:
     return min(100.0, max(0.0, d))
 
 
-def damage_rate_series(baseline: TimeSeries, attacked: TimeSeries) -> TimeSeries:
-    """D(t) for every point of ``attacked``, matching baseline by time.
-
-    The baseline value used at time t is the most recent baseline sample
-    at or before t (runs are sampled on the same minute grid, so this is
-    an exact match in practice).
-    """
-    out = TimeSeries()
-    for t, s_attacked in attacked:
-        s_base = baseline.value_at_or_before(t)
-        if s_base is None:
-            continue
-        out.append(t, damage_rate(s_base, s_attacked))
-    return out
-
-
 def damage_recovery_time(
     damage: TimeSeries,
     *,

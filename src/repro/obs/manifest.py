@@ -13,8 +13,8 @@ or that was copied next to the wrong artifact -- fails loudly.
 
 All writes go through :func:`atomic_write_text` (temp file +
 ``os.replace``), so a crashed or OOM-killed run can never leave a
-truncated manifest (or, via :mod:`repro.experiments.io`, a truncated
-results file) behind.
+truncated manifest (or, for the callers that write tables through it, a
+truncated results file) behind.
 """
 
 from __future__ import annotations

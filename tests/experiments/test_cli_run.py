@@ -60,6 +60,21 @@ def test_run_unknown_override_path_is_an_error(capsys):
 def test_run_invalid_override_value_is_an_error(capsys):
     assert main(["run", "fig9", "--scale", "smoke", "--set", "scale.n_peers=10"]) == 2
     assert "invalid --set scale.n_peers" in capsys.readouterr().err
+    # Valid field by field, but the agent sweep's steady-state window
+    # (from attack_start_min + 4 on) is empty: rejected from the spec
+    # alone, before any case runs.
+    assert main(["run", "fig9", "--scale", "smoke", "--set", "scale.sim_minutes=7"]) == 2
+    captured = capsys.readouterr()
+    assert "scale.sim_minutes" in captured.err
+    assert "scale.attack_start_min" in captured.err
+    assert captured.out == ""
+    # The message-level collectors hold the run's last minute back, so
+    # there the window from minute 8 needs a ninth: rejected by the first
+    # case, before it simulates anything.
+    argv = ["run", "fig9", "--scale", "smoke", "--backend", "des-soa"]
+    assert main(argv + ["--set", "scale.sim_minutes=8"]) == 2
+    captured = capsys.readouterr()
+    assert "reports minutes 1..7" in captured.err and captured.out == ""
 
 
 def test_run_fig5_prints_table_and_provenance(capsys):

@@ -7,7 +7,7 @@ qualitative claims, while the benchmarks publish the full tables.
 import pytest
 
 from repro.experiments.library import run_spec
-from repro.experiments.scenarios import smoke_scale
+from repro.experiments.scenarios import SCALES
 from repro.experiments.spec import steady_means
 
 
@@ -55,7 +55,7 @@ def test_fig11_attack_monotone(sweep):
 
 
 def test_fig12_timelines():
-    scale = smoke_scale()
+    scale = SCALES["smoke"]
     tls = run_spec(
         "fig12",
         scale="smoke",
@@ -87,7 +87,7 @@ def test_fig13_fig14_rows():
             "seed": 5,
             "trials": 1,
             "grid.cut_thresholds": (3.0, 7.0),
-            "grid.minutes": smoke_scale().sim_minutes,
+            "grid.minutes": SCALES["smoke"].sim_minutes,
             "tables": ("fig13_errors", "fig14_recovery"),
         },
     )
@@ -107,6 +107,38 @@ def test_exchange_frequency_rows():
     labels = [r.policy for r in rows]
     assert labels == ["periodic-1min", "periodic-4min", "event-driven"]
     assert all(r.control_overhead_kqpm >= 0 for r in rows)
+
+
+def test_timelines_read_in_minutes_on_a_message_backend():
+    """``CaseResult.rows`` is in minutes whatever engine produced it: the
+    des-soa timelines sit on the axis 1..N (the collector's grace drops
+    the last minute), damage is pinned to zero before the attack, and
+    the stabilised-damage window [minutes - 5, minutes] is not empty.
+    The flood saturates the lowered capacity and CT=5 convicts nobody in
+    five minutes, so a window that found its rows reads well above 0."""
+    overrides = {
+        "trials": 1,
+        "scale.n_peers": 100,
+        "scale.attack_start_min": 2,
+        "grid.minutes": 7,
+        "grid.agents": 1,
+        "grid.cut_thresholds": (5.0,),
+        "workload.queries_per_minute": 1.0,
+        "workload.attack_rate_qpm": 600.0,
+        "workload.capacity_qpm": 150.0,
+    }
+
+    def data(name):
+        return run_spec(
+            name, scale="smoke", backend="des-soa", overrides=overrides
+        ).data
+
+    for timeline in data("fig12"):
+        assert timeline.minutes == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        assert timeline.damage_pct[:2] == [0.0, 0.0]
+        assert max(timeline.damage_pct[2:]) > 10.0
+    (row,) = data("fig13")
+    assert row.stabilized_damage_pct > 10.0
 
 
 def test_steady_means_empty_window_raises_metrics_error():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.experiments.reporting import render_series, render_table
+from repro.experiments.reporting import render_table
 
 
 def test_render_table_basic():
@@ -24,12 +24,6 @@ def test_render_table_alignment():
 def test_render_table_arity_checked():
     with pytest.raises(ConfigError):
         render_table(["a", "b"], [[1]])
-
-
-def test_render_series():
-    out = render_series("agents", "traffic", [(10, 1.5), (20, 3.0)])
-    assert "agents" in out and "traffic" in out
-    assert "10" in out and "20" in out
 
 
 def test_float_formatting():

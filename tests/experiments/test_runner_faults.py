@@ -8,7 +8,7 @@ from repro.core.config import DDPoliceConfig
 from repro.errors import ConfigError
 from repro.experiments.runner import DESConfig, run_des_experiment
 from repro.experiments.library import FAULT_PROFILES, run_spec
-from repro.experiments.scenarios import FaultSweepSpec, fault_sweep_spec
+from repro.experiments.scenarios import FaultSweepSpec
 from repro.faults.plan import CrashRule, FaultPlan
 from repro.overlay.topology import TopologyConfig
 
@@ -101,9 +101,3 @@ def test_fault_sweep_produces_one_point_per_cell_and_profile():
 def test_fault_sweep_spec_validation(kwargs):
     with pytest.raises(ConfigError):
         replace(TINY_SPEC, **kwargs)
-
-
-def test_fault_sweep_spec_for_active_scale_is_valid():
-    spec = fault_sweep_spec()
-    assert spec.loss_fractions[0] == 0.0  # always includes a clean column
-    assert spec.trials >= 1

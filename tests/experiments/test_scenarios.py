@@ -3,44 +3,25 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.experiments.scenarios import (
-    PAPER_AGENT_FRACTIONS,
-    Scale,
-    active_scale,
-    bench_scale,
-    paper_scale,
-    smoke_scale,
-)
+from repro.experiments.scenarios import PAPER_AGENT_FRACTIONS, SCALES, Scale
 
 
 def test_paper_scale_matches_paper():
-    scale = paper_scale()
+    scale = SCALES["paper"]
     assert scale.n_peers == 20_000
     assert scale.agent_counts() == [10, 20, 50, 100, 200]
 
 
 def test_bench_scale_preserves_densities():
-    scale = bench_scale()
+    scale = SCALES["bench"]
     for agents, frac in zip(scale.agent_counts(), PAPER_AGENT_FRACTIONS):
         assert agents == pytest.approx(frac * scale.n_peers, abs=1)
 
 
 def test_paper_equivalent_agents():
-    scale = bench_scale()
+    scale = SCALES["bench"]
     assert scale.paper_equivalent_agents(10) == 100
-    assert paper_scale().paper_equivalent_agents(100) == 100
-
-
-def test_active_scale_env(monkeypatch):
-    monkeypatch.setenv("REPRO_SCALE", "paper")
-    assert active_scale().name == "paper"
-    monkeypatch.setenv("REPRO_SCALE", "smoke")
-    assert active_scale().name == "smoke"
-    monkeypatch.delenv("REPRO_SCALE")
-    assert active_scale().name == "bench"
-    monkeypatch.setenv("REPRO_SCALE", "galaxy")
-    with pytest.raises(ConfigError):
-        active_scale()
+    assert SCALES["paper"].paper_equivalent_agents(100) == 100
 
 
 def test_scale_validation():
@@ -53,4 +34,4 @@ def test_scale_validation():
 
 
 def test_smoke_scale_small():
-    assert smoke_scale().n_peers <= 500
+    assert SCALES["smoke"].n_peers <= 500

@@ -1,10 +1,12 @@
 """Unit tests for the declarative experiment-spec layer."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.core.config import DDPoliceConfig
 from repro.errors import ConfigError
-from repro.experiments.library import list_scenarios, spec_at_scale
+from repro.experiments.library import list_scenarios, run_spec, spec_at_scale
 from repro.experiments.spec import (
     ExperimentSpec,
     GridSpec,
@@ -21,6 +23,9 @@ from repro.experiments.spec import (
     spec_sha256,
     spec_to_jsonable,
 )
+from repro.obs.manifest import load_manifest, verify_manifest
+
+RESULTS = Path(__file__).resolve().parents[2] / "results"
 
 ALL_SPECS = (
     "fig5",
@@ -98,6 +103,44 @@ def test_figures_9_10_11_share_the_scenario_hash():
     assert len(hashes) == 1
     # ... while the full provenance hash still tells them apart.
     assert len({spec_sha256(get_spec(n)) for n in ("fig9", "fig10", "fig11")}) == 3
+
+
+# ---------------------------------------------------------------------------
+# committed artifacts
+# ---------------------------------------------------------------------------
+
+def test_committed_spec_run_sidecars_match_the_current_schema():
+    """Every committed ``spec-run`` sidecar is self-consistent, rebuilds
+    under today's spec schema (strict: a removed or renamed config field
+    raises), hashes to the ``spec_sha256`` it records and names a
+    registered spec with that same hash -- so a PR that changes the
+    schema or a registered spec must regenerate them, not leave stale
+    provenance."""
+    checked = 0
+    for path in sorted(RESULTS.glob("*.manifest.json")):
+        manifest = load_manifest(path)
+        if manifest["kind"] != "spec-run":
+            continue
+        spec = spec_from_jsonable(manifest["config"])
+        assert verify_manifest(manifest, config=spec), path.name
+        recorded = manifest["extra"]["spec_sha256"]
+        assert spec_sha256(spec) == recorded, path.name
+        # The registered spec, not just the file, is what made the table.
+        assert spec_sha256(get_spec(manifest["extra"]["spec_name"])) == recorded
+        assert path.with_name(path.name.replace(".manifest.json", ".txt")).exists()
+        checked += 1
+    assert checked >= 12
+
+
+@pytest.mark.parametrize("name", ALL_SPECS)
+def test_smoke_tables_match_the_committed_fixtures(name):
+    """The local form of CI's ``spec-smoke`` diff: every registered spec
+    at smoke scale renders exactly ``results/smoke/<table>.txt``."""
+    run = run_spec(name, scale="smoke", workers=1)
+    assert run.tables
+    for table, text in run.tables.items():
+        fixture = RESULTS / "smoke" / f"{table}.txt"
+        assert text + "\n" == fixture.read_text(), table
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Tests for multi-trial aggregation in the timeline scenarios."""
 
 from repro.experiments.library import run_spec
-from repro.experiments.scenarios import smoke_scale
+from repro.experiments.scenarios import SCALES
 
 
 def rows(name, seed, trials, cut_thresholds=(5.0,)):
@@ -12,7 +12,7 @@ def rows(name, seed, trials, cut_thresholds=(5.0,)):
             "seed": seed,
             "trials": trials,
             "grid.cut_thresholds": cut_thresholds,
-            "grid.minutes": smoke_scale().sim_minutes,
+            "grid.minutes": SCALES["smoke"].sim_minutes,
         },
     ).data
 
@@ -25,7 +25,7 @@ def test_damage_timelines_trials_average():
     # pre-attack zeros survive averaging
     pre = [
         d for m, d in zip(averaged[0].minutes, averaged[0].damage_pct)
-        if m < smoke_scale().attack_start_min
+        if m < SCALES["smoke"].attack_start_min
     ]
     assert all(d == 0.0 for d in pre)
 

@@ -151,7 +151,7 @@ def test_rows_and_steady_from_minute_records():
         for minute in (1, 2, 3)
     ]
     result = case_result_from_swarm(case, swarm_result(case, records))
-    assert result.rows == ((60.0, 0.8), (120.0, 0.8), (180.0, 0.8))
+    assert result.rows == ((1.0, 0.8), (2.0, 0.8), (3.0, 0.8))  # minutes
     traffic_k, response_s, success = result.steady
     assert traffic_k == pytest.approx(0.2)   # 200 msgs/min over 2 nodes
     assert response_s == pytest.approx(2.0)
@@ -172,7 +172,7 @@ def test_agent_workload_excluded_after_attack_starts():
     )
     # Minute 1 (the attack minute itself) still counts the agent's good
     # workload; from minute 2 on only the good node's queries count.
-    assert result.rows == ((60.0, 0.5), (120.0, 1.0))
+    assert result.rows == ((1.0, 0.5), (2.0, 1.0))
 
 
 def test_detection_latency_and_error_counts():

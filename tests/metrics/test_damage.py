@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.metrics.damage import damage_rate, damage_rate_series, damage_recovery_time
+from repro.metrics.damage import damage_rate, damage_recovery_time
 from repro.metrics.series import TimeSeries
 
 
@@ -27,20 +27,6 @@ def test_damage_rate_validation():
         damage_rate(1.5, 0.5)
     with pytest.raises(ConfigError):
         damage_rate(0.5, -0.1)
-
-
-def test_damage_series_aligns_by_time():
-    baseline = TimeSeries([(0.0, 0.8), (1.0, 0.8), (2.0, 0.9)])
-    attacked = TimeSeries([(0.0, 0.8), (1.0, 0.4), (2.0, 0.45)])
-    d = damage_rate_series(baseline, attacked)
-    assert d.values == [0.0, 50.0, 50.0]
-
-
-def test_damage_series_skips_points_before_baseline():
-    baseline = TimeSeries([(5.0, 0.8)])
-    attacked = TimeSeries([(1.0, 0.4), (6.0, 0.4)])
-    d = damage_rate_series(baseline, attacked)
-    assert d.times == [6.0]
 
 
 def test_recovery_time_definition():

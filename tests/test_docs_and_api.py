@@ -135,3 +135,26 @@ def test_evidence_has_one_representation():
         "ExactTrafficStore",
         "MinuteSample",
     ]
+
+
+def test_result_rows_have_one_unit_and_src_reads_no_scale_env():
+    """``CaseResult.rows`` is in minutes from every producer, so nothing
+    under ``experiments/`` compares a backend *name* to decide how to read
+    a result; and the ``bench|paper|smoke`` choice reaches ``src/`` as an
+    argument (``--scale``, ``run_spec(scale=...)``), never through
+    ``$REPRO_SCALE``, which only the ``benchmarks/`` tree reads."""
+    import re
+    from pathlib import Path
+
+    root = Path(repro.__file__).parent
+    comparison = re.compile(r"backend\s*(==|!=|in\b|not\s+in\b)")
+    assert not [
+        path.name
+        for path in (root / "experiments").glob("*.py")
+        if comparison.search(path.read_text())
+    ]
+    assert not [
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*.py")
+        if "REPRO_SCALE" in path.read_text()
+    ]
