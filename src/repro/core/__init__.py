@@ -10,10 +10,11 @@ Module map
 ``config``      tunables (q, warning threshold, CT, exchange period, ...)
 ``indicators``  Definitions 2.1-2.3: g(j,t), s(j,t,i), classification
 ``decision``    the verdict kernel every engine judges through (3.3-3.4)
-``wire``        Gnutella 0.6 header + Neighbor_Traffic body codec (Table 1)
+``wire``        Gnutella 0.6 header, every payload codec (Table 1 included)
+                and the one-message-per-datagram entry points
 ``buddy``       buddy groups BG1-j (and the BGr-j generalization)
 ``exchange``    neighbor-list exchange policies + lying detection
-``evidence``    per-suspect report collection with the 5 s window
+``investigation``  per-suspect report collection with the 5 s window
                 (the per-neighbor minute windows are :mod:`repro.evidence`)
 ``police``      the per-peer protocol engine for the message-level overlay
 """
@@ -37,7 +38,7 @@ from repro.core.wire import (
     decode_neighbor_list,
 )
 from repro.core.exchange import NeighborListDirectory, ListExchangeProtocol
-from repro.core.evidence import Investigation
+from repro.core.investigation import Investigation
 from repro.core.police import DDPoliceEngine, deploy_ddpolice
 
 __all__ = [

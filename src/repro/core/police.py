@@ -31,7 +31,7 @@ from repro.attack.cheating import CheatStrategy, apply_cheat
 from repro.core.buddy import buddy_group_of
 from repro.core.config import DDPoliceConfig, ExchangePolicy
 from repro.core.decision import NAN, Outcome, Verdict
-from repro.core.evidence import Investigation
+from repro.core.investigation import Investigation
 from repro.core.exchange import ConsistencyTracker, NeighborListDirectory
 from repro.core.indicators import NeighborReport
 from repro.errors import ProtocolError
@@ -57,10 +57,13 @@ class DDPoliceEngine:
 
     It reaches its host only through ``network.now``, ``.sim.schedule_in``,
     ``.transmit``, ``.guid_factory``, ``.disconnect``, ``.tracer``,
-    ``.minute_listeners`` and the ``peer`` surface: a
-    ``repro.live.node.LiveNode`` is both facades. On the DES the ids it
-    handles are the network's canonical ``PeerId`` objects (identity hits);
-    on a live node they are decoded off the wire, so it compares by value.
+    ``.minute_listeners`` and the ``peer`` surface. The peer is a real
+    :class:`Peer` on both substrates; on the testbed the network is a
+    ``repro.live.node.LiveNode``, which implements those names plus what
+    ``Peer`` itself calls (listed once in docs/LIVE.md). On the DES the
+    ids it handles are the network's canonical ``PeerId`` objects
+    (identity hits); on a live node they are decoded off the wire, so it
+    compares by value.
     """
 
     def __init__(

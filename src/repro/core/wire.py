@@ -23,7 +23,18 @@ The live UDP testbed (:mod:`repro.live`) additionally needs the classic
 Gnutella payloads on the wire; their codecs live here next to the
 DD-POLICE bodies so every descriptor shares one contract: encode
 validates field ranges, decode raises only
-:class:`~repro.errors.WireFormatError` on malformed input.
+:class:`~repro.errors.WireFormatError` (a
+:class:`~repro.errors.ProtocolError`) on malformed input, never a bare
+struct/Unicode error. :func:`decode_message` / :func:`encode_message`
+dispatch over every descriptor -- one message per UDP datagram -- so a
+node's receive loop is a single call.
+
+One deliberate divergence from the DES objects: the in-memory
+``NeighborListMessage.sent_at`` stamp is not on the wire (real servents
+would carry a sequence number), so decoded lists arrive with
+``sent_at=None`` and the police engine's stale-list reorder guard is
+inert on the testbed -- UDP on loopback essentially never reorders
+across the 2-minute exchange period.
 
 Query body (payload 0x80)::
 
@@ -50,10 +61,13 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Callable, Dict, Tuple
+
 from repro.errors import WireFormatError
 from repro.overlay.ids import Guid, PeerId
 from repro.overlay.message import (
     Bye,
+    Message,
     MessageKind,
     NeighborListMessage,
     NeighborTrafficMessage,
@@ -64,6 +78,8 @@ from repro.overlay.message import (
 )
 
 HEADER_SIZE = 23
+#: Largest UDP payload we will emit (IPv4 65,535 minus IP/UDP headers).
+MAX_DATAGRAM = 65_507
 NEIGHBOR_TRAFFIC_BODY_SIZE = 20
 PONG_BODY_SIZE = 14
 _HEADER_STRUCT = struct.Struct("<16sBBBI")  # GUID, kind, ttl, hops, length
@@ -457,3 +473,42 @@ def decode_bye(raw: bytes) -> Bye:
         reason_code=code,
         reason_text=_decode_text(body[2:], "reason"),
     )
+
+
+# ---------------------------------------------------------------------------
+# datagram entry points: one message per datagram, any descriptor
+# ---------------------------------------------------------------------------
+
+_CODECS: Dict[
+    MessageKind, Tuple[Callable[[Message], bytes], Callable[[bytes], Message]]
+] = {
+    MessageKind.PING: (encode_ping, decode_ping),
+    MessageKind.PONG: (encode_pong, decode_pong),
+    MessageKind.QUERY: (encode_query, decode_query),
+    MessageKind.QUERY_HIT: (encode_query_hit, decode_query_hit),
+    MessageKind.BYE: (encode_bye, decode_bye),
+    MessageKind.NEIGHBOR_LIST: (encode_neighbor_list, decode_neighbor_list),
+    MessageKind.NEIGHBOR_TRAFFIC: (encode_neighbor_traffic, decode_neighbor_traffic),
+}
+
+
+def decode_message(raw: bytes) -> Message:
+    """Decode one datagram into its message object.
+
+    The header's payload descriptor selects the codec; every defect --
+    unknown descriptor, truncation, bad address bytes, bad UTF-8 --
+    surfaces as :class:`~repro.errors.WireFormatError`.
+    """
+    if len(raw) > MAX_DATAGRAM:
+        raise WireFormatError(f"datagram too large: {len(raw)} bytes")
+    return _CODECS[GnutellaHeader.decode(raw).kind][1](raw)
+
+
+def encode_message(msg: Message) -> bytes:
+    """Encode one message object into its datagram."""
+    raw = _CODECS[msg.kind][0](msg)
+    if len(raw) > MAX_DATAGRAM:
+        raise WireFormatError(
+            f"encoded {msg.kind.name} exceeds the datagram limit: {len(raw)} bytes"
+        )
+    return raw

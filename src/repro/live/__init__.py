@@ -8,16 +8,15 @@ evidence engine against wall-clock minute rolls.
 
 Layout:
 
-* :mod:`repro.live.wire` -- datagram framing: one message per UDP
-  datagram, encode/decode dispatch over every payload descriptor.
 * :mod:`repro.live.clock` -- :class:`LiveClock`, the wall-clock scheduler
   facade that lets the unmodified DES-facing police engine run in
   (optionally compressed) real time.
 * :mod:`repro.live.ports` -- UDP port allocation with ``EADDRINUSE``
   retry and the ``$REPRO_LIVE_PORT_BASE`` deterministic override.
-* :mod:`repro.live.node` -- one overlay node: PING/PONG liveness, TTL
-  flood with bounded seen-set dedup, content matching, DD-POLICE, and
-  the static-flooder attack role.
+* :mod:`repro.live.node` -- one overlay node: transport, PING/PONG
+  liveness and bootstrap around one real :class:`repro.overlay.peer.Peer`
+  (framed by :func:`repro.core.wire.decode_message`), hosting DD-POLICE
+  and the static-flooder :class:`~repro.attack.agent.DDoSAgent`.
 * :mod:`repro.live.supervisor` -- spawns and babysits the node swarm,
   then aggregates per-node JSONL stats into the minute-table format.
 * :mod:`repro.live.spec` -- :class:`LiveSpec`, the sizing layer the

@@ -1,30 +1,28 @@
 """One live overlay node: an asyncio UDP process speaking real Gnutella.
 
-A :class:`LiveNode` is the testbed counterpart of the DES
-:class:`~repro.overlay.peer.Peer` plus its slice of
-:class:`~repro.overlay.network.OverlayNetwork`:
+A :class:`LiveNode` is the *network* a single real
+:class:`~repro.overlay.peer.Peer` lives in. The servent behaviour --
+flooding, GUID dedup, capacity drops, content match, reverse-path
+QueryHits, the per-neighbor In/Out minute windows -- is that ``Peer``,
+the same class the DES runs; the node adds what only a real process has:
 
 * **transport** -- an :class:`asyncio.DatagramProtocol` bound to one UDP
-  socket; one overlay message per datagram via :mod:`repro.live.wire`;
-  malformed datagrams are counted and dropped, never fatal.
+  socket; one overlay message per datagram via
+  :func:`repro.core.wire.decode_message` / ``encode_message``;
+  malformed datagrams are counted and dropped, never fatal. Received
+  messages go to ``peer.on_message``; ``Peer._send`` comes back through
+  :meth:`LiveNode.transmit` onto the socket.
 * **liveness** -- periodic PING to every neighbor, PONG matched by GUID,
   bounded-backoff retries, and eviction of neighbors that stay silent
   (dead processes must not count as silent (0, 0) witnesses forever).
-* **flooding** -- QUERY handling mirrors ``Peer._on_query`` exactly:
-  per-neighbor In/Out minute counters, GUID seen-set dedup (bounded
-  LRU), token-bucket processing capacity, content match against the
-  shared :class:`~repro.overlay.content.ContentCatalog`, reverse-path
-  QueryHit routing, TTL-decremented forwarding.
-* **DD-POLICE** -- the *unmodified* :class:`repro.core.police.DDPoliceEngine`
-  runs on this node. The engine was written against the DES network/peer
-  surfaces; ``LiveNode`` implements both (they share no attribute
-  names), with :class:`~repro.live.clock.LiveClock` standing in for the
-  DES scheduler so minute rolls happen on the (compressed) wall clock.
-* **attack role** -- the Fig-9/10/11 static flooder: from the attack
-  minute on, ``attack_rate_qpm`` bogus single-neighbor queries per
-  protocol minute, round-robin over sorted neighbors with fractional
-  carry -- the same batch arithmetic as
-  :class:`repro.attack.agent.DDoSAgent`.
+* **bootstrap** -- the PING/PONG join handshake below.
+* **clock** -- :class:`~repro.live.clock.LiveClock` stands in for the
+  DES scheduler, so minute rolls happen on the (compressed) wall clock.
+* **roles** -- the Poisson workload calls ``peer.issue_query``; the
+  *unmodified* :class:`repro.core.police.DDPoliceEngine` and, on the
+  Fig-9/10/11 static flooder, the *unmodified*
+  :class:`repro.attack.agent.DDoSAgent` run against this node as their
+  ``network`` and its ``Peer`` as their peer.
 
 Peers are addressed two ways at once: a :class:`~repro.overlay.ids.PeerId`
 on the wire (the protocol identity) and a ``(host, port)`` UDP address
@@ -49,29 +47,21 @@ import sys
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Collection, Dict, List, Optional, Tuple
 
+from repro.attack.agent import AgentConfig, DDoSAgent
 from repro.attack.cheating import CheatStrategy
 from repro.core.config import DDPoliceConfig, ExchangePolicy
+from repro.core.police import DDPoliceEngine
+from repro.core.wire import decode_message, encode_message
 from repro.errors import ConfigError, ProtocolError, WireFormatError
-from repro.evidence.dedup import ExactSeenCache
 from repro.live.clock import LiveClock, LiveTimer
 from repro.live.ports import bind_udp_socket
-from repro.live.wire import decode_message, encode_message
 from repro.obs.trace import JsonlSink, Tracer
-from repro.overlay.capacity import TokenBucket
 from repro.overlay.content import ContentCatalog, ContentConfig
-from repro.overlay.ids import Guid, GuidFactory, PeerId
-from repro.overlay.message import (
-    Bye,
-    Message,
-    MessageKind,
-    NeighborTrafficMessage,
-    Ping,
-    Pong,
-    Query,
-    QueryHit,
-)
+from repro.overlay.ids import GuidFactory, PeerId
+from repro.overlay.message import Bye, Message, MessageKind, Ping, Pong, Query, QueryHit
+from repro.overlay.peer import Peer
 from repro.simkit.rng import derive_seed
 
 Address = Tuple[str, int]
@@ -110,7 +100,9 @@ class NodeConfig:
     start_at: float = 0.0
     seed: int = 0
     ttl: int = 7
-    seen_cache: int = 50_000
+    #: Bound on the peer's seen-GUID cache and reverse-path table (the
+    #: name ``Peer`` reads off its network's config).
+    seen_cache_limit: int = 50_000
     capacity_qpm: float = 10_000.0
     queries_per_minute: float = 0.0
     #: Attack role (Fig-9/10/11 static flooder).
@@ -148,8 +140,10 @@ class NodeConfig:
             raise ConfigError(f"minutes must be non-negative, got {self.minutes}")
         if not (1 <= self.ttl <= 32):
             raise ConfigError(f"ttl out of range [1, 32]: {self.ttl}")
-        if self.seen_cache < 64:
-            raise ConfigError(f"seen_cache must be >= 64, got {self.seen_cache}")
+        if self.seen_cache_limit < 64:
+            raise ConfigError(
+                f"seen_cache_limit must be >= 64, got {self.seen_cache_limit}"
+            )
         if self.capacity_qpm <= 0:
             raise ConfigError(f"capacity_qpm must be positive, got {self.capacity_qpm}")
         if self.queries_per_minute < 0 or self.attack_rate_qpm < 0:
@@ -189,13 +183,11 @@ class NodeConfig:
 
 
 class _MinuteStats:
-    """Counters reset at every minute roll (one JSONL record each)."""
+    """Node-side counters reset at every minute roll (one JSONL record each)."""
 
     __slots__ = (
         "issued", "succeeded", "response_sum_s", "attack_sent", "sent",
-        "received", "malformed", "unroutable", "dropped_capacity",
-        "dropped_duplicate", "dropped_ttl", "hits_generated", "hits_routed",
-        "hits_dropped", "evicted", "protocol_errors",
+        "received", "malformed", "unroutable", "evicted", "protocol_errors",
     )
 
     def __init__(self) -> None:
@@ -207,15 +199,28 @@ class _MinuteStats:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
+#: ``live.minute`` field -> the lifetime ``PeerCounters`` field whose
+#: growth since the previous roll it reports.
+_PEER_MINUTE_FIELDS = {
+    "dropped_capacity": "queries_dropped_capacity",
+    "dropped_duplicate": "queries_dropped_duplicate",
+    "dropped_ttl": "queries_dropped_ttl",
+    "hits_generated": "hits_generated",
+    "hits_routed": "hits_routed",
+    "hits_dropped": "hits_dropped_no_route",
+}
+
+
 class LiveNode(asyncio.DatagramProtocol):
     """One overlay node over a real UDP socket.
 
-    Doubles as the ``network`` *and* ``peer`` facade for the unmodified
-    DD-POLICE engine: the network side is ``sim``/``now``/``guid_factory``
-    /``tracer``/``minute_listeners``/``transmit``/``disconnect``, the
-    peer side ``id``/``online``/``neighbors``/``send_control``/the hook
-    lists/the minute snapshots. The two surfaces are disjoint, so one
-    object can serve both without adapters.
+    The node is the ``network`` of its one :class:`Peer` -- and of the
+    DD-POLICE engine and DDoS agent attached to that peer. The surface
+    they call is the part of ``OverlayNetwork`` a single process can
+    mean: ``config.seen_cache_limit``, ``sim``, ``now``, ``guid_factory``,
+    ``tracer``, ``minute_listeners``, ``peers``, ``transmit``,
+    ``disconnect``, ``shared_objects``, ``match_content``, the four
+    ``note_*`` bookkeeping calls and the attack-origin registration.
     """
 
     def __init__(
@@ -238,20 +243,15 @@ class LiveNode(asyncio.DatagramProtocol):
         self.tracer = tracer
         self.minute_listeners: List[Any] = []
 
-        # Peer facade state (mirrors overlay.peer.Peer).
-        self.neighbors: set = set()
-        self.control_handlers: List[Any] = []
-        self.disconnect_listeners: List[Any] = []
-        self.connect_listeners: List[Any] = []
-        self.out_query_window: Dict[PeerId, int] = {}
-        self.in_query_window: Dict[PeerId, int] = {}
-        self.last_minute_out: Dict[PeerId, int] = {}
-        self.last_minute_in: Dict[PeerId, int] = {}
-        self.processing = TokenBucket(rate_per_min=config.capacity_qpm)
-        self._seen = ExactSeenCache(config.seen_cache)
-        self._route_back: "OrderedDict[bytes, PeerId]" = OrderedDict()
+        self.peer = Peer(self.id, self, processing_qpm=config.capacity_qpm)
+        self.peer.go_online()
+        self.peers = {self.id: self.peer}
+        self._counters_at_roll = dataclasses.replace(self.peer.counters)
         #: Own issued queries: guid -> issue time (success attribution).
         self._issued: "OrderedDict[bytes, float]" = OrderedDict()
+        #: True while the DDoS agent is running: queries this node
+        #: originates are attack traffic, not workload.
+        self._attacking = False
 
         # Transport identity maps.
         self._addr_of: Dict[PeerId, Address] = {
@@ -272,17 +272,15 @@ class LiveNode(asyncio.DatagramProtocol):
 
         self._minute = 0
         self._m = _MinuteStats()
-        self._attack_carry = 0.0
-        self._attack_rr = 0
-        self._attack_nonce = 0
         self._timers: List[LiveTimer] = []
         self._closing = False
         self.done = asyncio.Event()
         self.transport: Optional[asyncio.DatagramTransport] = None
         self.engine = None
+        self.agent: Optional[DDoSAgent] = None
 
     # ------------------------------------------------------------------
-    # network facade (what DDPoliceEngine calls "network")
+    # network facade (what Peer, DDPoliceEngine and DDoSAgent call)
     # ------------------------------------------------------------------
     @property
     def now(self) -> float:
@@ -299,41 +297,54 @@ class LiveNode(asyncio.DatagramProtocol):
         nb = b if a == self.id else a
         self._drop_link(nb, reason_code)
 
-    # ------------------------------------------------------------------
-    # peer facade (what DDPoliceEngine calls "peer")
-    # ------------------------------------------------------------------
-    @property
-    def online(self) -> bool:
-        return not self._closing
+    def shared_objects(self, pid: PeerId) -> Collection[int]:
+        return self.catalog.peer_objects.get(pid.value, ())
 
-    def send_control(self, dst: PeerId, msg: Message) -> None:
-        if dst not in self.neighbors and not isinstance(
-            msg, (Bye, NeighborTrafficMessage)
-        ):
-            raise ProtocolError(f"{self.id} sending {msg.kind} to non-neighbor {dst}")
-        self._send(dst, msg)
+    def match_content(self, pid: PeerId, query: Query) -> Optional[int]:
+        obj = self.catalog.find_object(query.keywords)
+        if obj is None:
+            return None  # bogus attack keywords never resolve
+        return obj if self.catalog.peer_has(pid.value, obj) else None
+
+    def register_attack_origin(self, pid: PeerId) -> None:
+        self._attacking = True
+
+    def unregister_attack_origin(self, pid: PeerId) -> None:
+        self._attacking = False
+
+    def note_query_issued(self, origin: PeerId, msg: Query) -> None:
+        if self._attacking:
+            self._m.attack_sent += 1
+            return
+        self._m.issued += 1
+        self._issued[msg.guid.raw] = self.now
+        while len(self._issued) > ISSUED_CACHE_LIMIT:
+            self._issued.popitem(last=False)
+
+    def note_response_arrived(self, origin: PeerId, hit: QueryHit) -> None:
+        issued_at = self._issued.pop(hit.query_guid.raw, None)
+        if issued_at is not None:
+            # First response to one of our own queries: success.
+            self._m.succeeded += 1
+            self._m.response_sum_s += max(0.0, self.now - issued_at)
+
+    def note_query_dropped(self, pid: PeerId, msg: Query) -> None:
+        """Counted by ``PeerCounters``; nothing network-wide to add."""
+
+    def note_query_hit(self, responder: PeerId, query: Query, hit: QueryHit) -> None:
+        """Counted by ``PeerCounters``; delivery is ``Peer._send``."""
 
     # ------------------------------------------------------------------
     # links
     # ------------------------------------------------------------------
     def _add_link(self, nb: PeerId) -> None:
-        if nb == self.id or nb in self.neighbors:
-            return
-        self.neighbors.add(nb)
-        self.out_query_window.setdefault(nb, 0)
-        self.in_query_window.setdefault(nb, 0)
-        for listener in list(self.connect_listeners):
-            listener(nb)
+        if nb != self.id and nb not in self.peer.neighbors:
+            self.peer.add_neighbor(nb)
 
     def _drop_link(self, nb: PeerId, reason_code: int) -> None:
-        if nb not in self.neighbors:
-            return
-        self.neighbors.discard(nb)
-        self.out_query_window.pop(nb, None)
-        self.in_query_window.pop(nb, None)
-        self._pending_ping.pop(nb, None)
-        for listener in list(self.disconnect_listeners):
-            listener(nb, reason_code)
+        if nb in self.peer.neighbors:
+            self._pending_ping.pop(nb, None)
+            self.peer.remove_neighbor(nb, reason_code)
 
     # ------------------------------------------------------------------
     # transport
@@ -352,8 +363,6 @@ class LiveNode(asyncio.DatagramProtocol):
         if addr is None:
             self._m.unroutable += 1
             return
-        if msg.kind is MessageKind.QUERY and dst in self.neighbors:
-            self.out_query_window[dst] = self.out_query_window.get(dst, 0) + 1
         self._sendto(encode_message(msg), addr)
 
     def datagram_received(self, data: bytes, addr: Address) -> None:
@@ -367,8 +376,14 @@ class LiveNode(asyncio.DatagramProtocol):
         try:
             if src is None:
                 self._on_unknown_sender(addr, msg)
-            else:
-                self._dispatch(src, msg)
+            elif not self._closing:
+                if msg.kind is MessageKind.PONG:
+                    pending = self._pending_ping.get(src)
+                    if pending is not None and pending[0] == msg.guid.raw:
+                        del self._pending_ping[src]
+                elif msg.kind is MessageKind.BYE:
+                    self._drop_link(src, msg.reason_code)
+                self.peer.on_message(src, msg)
         except ProtocolError:
             # Semantically invalid but well-formed input from a remote
             # (e.g. a control message missing a required field): the
@@ -379,117 +394,9 @@ class LiveNode(asyncio.DatagramProtocol):
         # ICMP port-unreachable from a crashed peer; liveness will evict.
         del exc
 
-    def _dispatch(self, src: PeerId, msg: Message) -> None:
-        if self._closing:
-            return
-        kind = msg.kind
-        if kind is MessageKind.QUERY:
-            self._on_query(src, msg)
-        elif kind is MessageKind.QUERY_HIT:
-            self._on_query_hit(src, msg)
-        elif kind is MessageKind.PING:
-            self._on_ping(src, msg)
-        elif kind is MessageKind.PONG:
-            self._on_pong(src, msg)
-        elif kind is MessageKind.BYE:
-            self._drop_link(src, msg.reason_code)
-            self._on_control(src, msg)
-        else:  # NEIGHBOR_LIST / NEIGHBOR_TRAFFIC
-            self._on_control(src, msg)
-
-    def _on_control(self, src: PeerId, msg: Message) -> None:
-        for handler in list(self.control_handlers):
-            handler(src, msg)
-
-    # ------------------------------------------------------------------
-    # query plane (mirrors Peer._on_query / _on_query_hit)
-    # ------------------------------------------------------------------
-    def _remember_seen(self, guid: Guid) -> None:
-        self._seen.add(guid.raw)
-
-    def _on_query(self, src: PeerId, msg: Query) -> None:
-        if src in self.neighbors:
-            self.in_query_window[src] = self.in_query_window.get(src, 0) + 1
-        key = msg.guid.raw
-        if key in self._seen:
-            self._m.dropped_duplicate += 1
-            return
-        self._remember_seen(msg.guid)
-        self._route_back[key] = src
-        while len(self._route_back) > self.config.seen_cache:
-            self._route_back.popitem(last=False)
-
-        if not self.processing.try_consume(self.now):
-            self._m.dropped_capacity += 1
-            return
-
-        obj = self._match_content(msg)
-        if obj is not None:
-            self._m.hits_generated += 1
-            hit = QueryHit(
-                guid=self.guid_factory.new(),
-                ttl=msg.hops + 1,
-                hops=0,
-                responder=self.id,
-                result_count=1,
-                query_guid=msg.guid,
-            )
-            self._send(src, hit)
-
-        if msg.ttl <= 1:
-            self._m.dropped_ttl += 1
-            return
-        fwd = msg.aged_copy()
-        for nb in list(self.neighbors):
-            if nb != src:
-                self._send(nb, fwd)
-
-    def _match_content(self, msg: Query) -> Optional[int]:
-        obj = self.catalog.find_object(msg.keywords)
-        if obj is None:
-            return None  # bogus attack keywords never resolve
-        return obj if self.catalog.peer_has(self.id.value, obj) else None
-
-    def _on_query_hit(self, src: PeerId, msg: QueryHit) -> None:
-        del src
-        if msg.query_guid is None:
-            raise ProtocolError("QueryHit without query_guid")
-        key = msg.query_guid.raw
-        back = self._route_back.get(key)
-        if back is None:
-            issued_at = self._issued.pop(key, None)
-            if issued_at is not None:
-                # First response to one of our own queries: success.
-                self._m.succeeded += 1
-                self._m.response_sum_s += max(0.0, self.now - issued_at)
-            elif key not in self._seen:
-                self._m.hits_dropped += 1
-            return
-        if back not in self.neighbors:
-            self._m.hits_dropped += 1
-            return
-        self._m.hits_routed += 1
-        self._send(back, msg.aged_copy() if msg.ttl > 0 else msg)
-
     # ------------------------------------------------------------------
     # liveness + bootstrap (PING/PONG)
     # ------------------------------------------------------------------
-    def _on_ping(self, src: PeerId, msg: Ping) -> None:
-        pong = Pong(
-            guid=msg.guid,
-            ttl=1,
-            hops=0,
-            responder=self.id,
-            shared_files=len(self.catalog.peer_objects.get(self.id.value, ())),
-        )
-        self._send(src, pong)
-
-    def _on_pong(self, src: PeerId, msg: Pong) -> None:
-        pending = self._pending_ping.get(src)
-        if pending is not None and pending[0] == msg.guid.raw:
-            del self._pending_ping[src]
-        self._on_control(src, msg)
-
     def _on_unknown_sender(self, addr: Address, msg: Message) -> None:
         """Join traffic from an address outside the book (bootstrap mode).
 
@@ -521,7 +428,7 @@ class LiveNode(asyncio.DatagramProtocol):
                 guid=self.guid_factory.new(), ttl=1, hops=0, responder=self.id
             )
             self._send(pid, confirm)
-        elif len(self.neighbors) < self.config.max_degree:
+        elif len(self.peer.neighbors) < self.config.max_degree:
             # A joiner's confirmation PONG: reciprocate the link.
             self._add_link(pid)
         else:
@@ -541,7 +448,7 @@ class LiveNode(asyncio.DatagramProtocol):
             # Unanswered join PINGs are re-sent every round.
             ping = Ping(guid=self.guid_factory.new(), ttl=1)
             self._sendto(encode_message(ping), addr)
-        for nb in list(self.neighbors):
+        for nb in list(self.peer.neighbors):
             if nb in self._pending_ping:
                 continue  # retry chain already running
             self._send_liveness_ping(nb, 0)
@@ -573,51 +480,18 @@ class LiveNode(asyncio.DatagramProtocol):
         self._send_liveness_ping(nb, attempt)
 
     # ------------------------------------------------------------------
-    # workload + attack
+    # workload
     # ------------------------------------------------------------------
-    def _issue_query(self, keywords: Tuple[str, ...], target: Optional[PeerId]) -> None:
-        msg = Query(
-            guid=self.guid_factory.new(), ttl=self.config.ttl, hops=0, keywords=keywords
-        )
-        self._remember_seen(msg.guid)
-        if target is None:
-            self._issued[msg.guid.raw] = self.now
-            while len(self._issued) > ISSUED_CACHE_LIMIT:
-                self._issued.popitem(last=False)
-            self._m.issued += 1
-            for nb in list(self.neighbors):
-                self._send(nb, msg)
-        else:
-            self._m.attack_sent += 1
-            self._send(target, msg)
-
     def _workload_tick(self) -> None:
         if self._closing:
             return
-        if self.now >= 0 and self.neighbors:
+        if self.now >= 0 and self.peer.neighbors:
             obj = self.catalog.sample_object(self._rng)
-            self._issue_query(self.catalog.keywords_for(obj), None)
+            self.peer.issue_query(self.catalog.keywords_for(obj), ttl=self.config.ttl)
         self._schedule(
             self._rng.expovariate(self.config.queries_per_minute / 60.0),
             self._workload_tick,
         )
-
-    def _attack_tick(self) -> None:
-        """One 1-protocol-second flooder batch (DDoSAgent arithmetic)."""
-        if self._closing:
-            return
-        targets = sorted(self.neighbors, key=lambda p: p.value)
-        if targets:
-            per_batch = self.config.attack_rate_qpm / 60.0 + self._attack_carry
-            count = int(per_batch)
-            self._attack_carry = per_batch - count
-            for i in range(count):
-                nb = targets[(self._attack_rr + i) % len(targets)]
-                self._attack_nonce += 1
-                keywords = ("bogus", f"x{self.id.value}n{self._attack_nonce}")
-                self._issue_query(keywords, nb)
-            self._attack_rr += count
-        self._schedule(1.0, self._attack_tick)
 
     # ------------------------------------------------------------------
     # minute roll + stats
@@ -634,25 +508,24 @@ class LiveNode(asyncio.DatagramProtocol):
             return
         self._minute += 1
         now = self.now
-        out_snap = dict(self.out_query_window)
-        in_snap = dict(self.in_query_window)
-        for k in self.out_query_window:
-            self.out_query_window[k] = 0
-        for k in self.in_query_window:
-            self.in_query_window[k] = 0
-        self.last_minute_out = out_snap
-        self.last_minute_in = in_snap
-
+        self.peer.roll_minute_window()
+        counters = dataclasses.replace(self.peer.counters)
         if self.tracer is not None:
+            before = self._counters_at_roll
             self.tracer.event(
                 "live.minute",
                 t=now,
                 node=self.id.value,
                 minute=self._minute,
                 agent=int(self.config.agent),
-                neighbors=len(self.neighbors),
+                neighbors=len(self.peer.neighbors),
                 **self._m.as_fields(),
+                **{
+                    name: getattr(counters, attr) - getattr(before, attr)
+                    for name, attr in _PEER_MINUTE_FIELDS.items()
+                },
             )
+        self._counters_at_roll = counters
         self._m = _MinuteStats()
 
         for listener in list(self.minute_listeners):
@@ -693,11 +566,9 @@ class LiveNode(asyncio.DatagramProtocol):
                 self._sendto(encode_message(ping), seed_addr)
 
         if self.config.defense == "ddpolice":
-            from repro.core.police import DDPoliceEngine
-
             self.engine = DDPoliceEngine(
                 self,
-                self,
+                self.peer,
                 self.config.police_config(),
                 cheat_strategy=CheatStrategy(self.config.cheat_strategy),
                 rng=random.Random(
@@ -714,8 +585,17 @@ class LiveNode(asyncio.DatagramProtocol):
                 self._workload_tick,
             )
         if self.config.agent and self.config.attack_rate_qpm > 0:
+            # Fig-9/10/11 static flooder, from the attack minute on.
+            self.agent = DDoSAgent(
+                self.sim,
+                self,
+                self.id,
+                AgentConfig(
+                    nominal_rate_qpm=self.config.attack_rate_qpm, ttl=self.config.ttl
+                ),
+            )
             attack_at = self.config.attack_start_min * 60.0
-            self._schedule(max(start_gap, attack_at - self.now), self._attack_tick)
+            self._schedule(max(start_gap, attack_at - self.now), self.agent.start)
         self._schedule(
             start_gap + self._rng.uniform(0.0, self.config.ping_period_s),
             self._ping_round,
@@ -726,7 +606,7 @@ class LiveNode(asyncio.DatagramProtocol):
         if self._closing:
             return
         self._closing = True
-        for nb in list(self.neighbors):
+        for nb in list(self.peer.neighbors):
             bye = Bye(
                 guid=self.guid_factory.new(),
                 ttl=1,
@@ -737,6 +617,8 @@ class LiveNode(asyncio.DatagramProtocol):
             self._send(nb, bye)
         if self.engine is not None:
             self.engine.stop()
+        if self.agent is not None:
+            self.agent.stop()
         for timer in self._timers:
             timer.cancel()
         self._timers.clear()
@@ -747,10 +629,11 @@ class LiveNode(asyncio.DatagramProtocol):
                 node=self.id.value,
                 agent=int(self.config.agent),
                 minutes=self._minute,
-                neighbors=len(self.neighbors),
+                neighbors=len(self.peer.neighbors),
                 clean=1,
             )
             self.tracer.close()
+        self.peer.go_offline()
         if self.transport is not None:
             self.transport.close()
         self.done.set()

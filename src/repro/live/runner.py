@@ -57,6 +57,11 @@ def _reject_unsupported(case: Any) -> None:
         )
 
 
+def _case_key(case: Any) -> str:
+    """Names one case in errors and in ``$REPRO_LIVE_OUT_DIR``."""
+    return f"case-{case.seed}-k{case.num_agents}-{case.defense}"
+
+
 def swarm_config_for(case: Any) -> SwarmConfig:
     """The swarm a case maps to (pure; unit-testable without sockets)."""
     _reject_unsupported(case)
@@ -138,25 +143,31 @@ def case_result_from_swarm(case: Any, result: SwarmResult) -> Any:
     steady: Optional[Tuple[float, float, float]] = None
     if case.settle_min is not None:
         window = [m for m in sorted(minutes) if case.settle_min <= m <= case.minutes]
-        if window:
-            traffic = sum(minutes[m]["messages"] for m in window) / len(window)
-            resp_vals = []
-            succ_vals = []
-            for m in window:
-                agg = minutes[m]
-                resp_vals.append(
-                    agg["response_sum_s"] / agg["succeeded"] if agg["succeeded"] else 0.0
-                )
-                succ_vals.append(
-                    agg["succeeded"] / agg["issued"] if agg["issued"] else 0.0
-                )
-            steady = (
-                traffic / 1000.0,
-                sum(resp_vals) / len(resp_vals),
-                sum(succ_vals) / len(succ_vals),
+        if not window:
+            # Which minutes a swarm reports is only known once it ran, so
+            # this cannot be rejected up front like the des backends do;
+            # three zeros would read as a measured result in a table.
+            raise ConfigError(
+                f"live {_case_key(case)}: the swarm reported minutes "
+                f"{sorted(minutes)}, none in the steady-state window "
+                f"{case.settle_min}..{case.minutes}"
             )
-        else:
-            steady = (0.0, 0.0, 0.0)
+        traffic = sum(minutes[m]["messages"] for m in window) / len(window)
+        resp_vals = []
+        succ_vals = []
+        for m in window:
+            agg = minutes[m]
+            resp_vals.append(
+                agg["response_sum_s"] / agg["succeeded"] if agg["succeeded"] else 0.0
+            )
+            succ_vals.append(
+                agg["succeeded"] / agg["issued"] if agg["issued"] else 0.0
+            )
+        steady = (
+            traffic / 1000.0,
+            sum(resp_vals) / len(resp_vals),
+            sum(succ_vals) / len(succ_vals),
+        )
 
     agent_ids = result.agent_ids
     cut_suspects: Dict[int, float] = {}
@@ -208,7 +219,7 @@ def run_live_case(case: Any) -> Any:
     swarm = swarm_config_for(case)
     keep_dir = os.environ.get(ENV_OUT_DIR)
     if keep_dir:
-        out_dir = Path(keep_dir) / f"case-{case.seed}-k{case.num_agents}-{case.defense}"
+        out_dir = Path(keep_dir) / _case_key(case)
         result = Supervisor(swarm, out_dir).run()
     else:
         with tempfile.TemporaryDirectory(prefix="repro-live-") as tmp:

@@ -257,7 +257,7 @@ class Supervisor:
                 minute_s=cfg.minute_s,
                 seed=cfg.seed,
                 ttl=cfg.ttl,
-                seen_cache=cfg.seen_cache,
+                seen_cache_limit=cfg.seen_cache,
                 capacity_qpm=cfg.capacity_qpm,
                 queries_per_minute=cfg.queries_per_minute,
                 agent=i in self.agent_ids,

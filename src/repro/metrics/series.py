@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigError
@@ -71,8 +71,3 @@ class TimeSeries:
         if not self._values:
             raise ConfigError("max of empty time series")
         return max(self._values)
-
-    def value_at_or_before(self, t: float) -> Optional[float]:
-        """Most recent value at time <= t, or None."""
-        idx = bisect_right(self._times, t) - 1
-        return self._values[idx] if idx >= 0 else None

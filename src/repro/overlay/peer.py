@@ -49,13 +49,6 @@ class PeerState(enum.Enum):
     ONLINE = "online"
 
 
-#: Historical default bound on remembered GUIDs per peer.  The live
-#: knob is :attr:`repro.overlay.network.NetworkConfig.seen_cache_limit`
-#: (validated there); this constant remains only as that default's
-#: documented origin and for backward-compatible imports.
-SEEN_CACHE_LIMIT = 50_000
-
-
 @dataclass
 class PeerCounters:
     """Lifetime counters for one peer (monotone, never reset)."""
@@ -283,14 +276,12 @@ class Peer:
         """Entry point for all deliveries (called by the network).
 
         Dispatch is a table (see ``_DISPATCH`` below) rather than an
-        isinstance chain: one dict hit on ``type(msg)`` per delivery, a
-        second on ``msg.kind`` for a subclass of a message class.
+        isinstance chain: one dict hit on ``type(msg)`` per delivery.
         """
         if self.state is not PeerState.ONLINE:
             return
         self.counters.bytes_received += msg.size_bytes
-        dispatch = self._DISPATCH
-        handler = dispatch.get(type(msg)) or dispatch.get(msg.kind)
+        handler = self._DISPATCH.get(type(msg))
         if handler is None:  # pragma: no cover - future message kinds
             raise ProtocolError(f"unhandled message kind {msg.kind}")
         handler(self, src, msg)
@@ -395,14 +386,14 @@ class Peer:
         return f"Peer({self.id.value}, deg={len(self.neighbors)}, {self.state.value})"
 
     #: Receive dispatch (class-level; instances stay slotted), keyed by
-    #: message class -- a type hashes in C, ``MessageKind.__hash__`` is a
-    #: Python frame per delivery -- and by kind for subclasses.
+    #: message class: a type hashes in C, ``MessageKind.__hash__`` is a
+    #: Python frame per delivery.
     _DISPATCH = {
-        Query: _on_query, MessageKind.QUERY: _on_query,
-        QueryHit: _on_query_hit, MessageKind.QUERY_HIT: _on_query_hit,
-        Ping: _on_ping, MessageKind.PING: _on_ping,
-        Pong: _on_control, MessageKind.PONG: _on_control,
-        NeighborListMessage: _on_control, MessageKind.NEIGHBOR_LIST: _on_control,
-        NeighborTrafficMessage: _on_control, MessageKind.NEIGHBOR_TRAFFIC: _on_control,
-        Bye: _on_control, MessageKind.BYE: _on_control,
+        Query: _on_query,
+        QueryHit: _on_query_hit,
+        Ping: _on_ping,
+        Pong: _on_control,
+        NeighborListMessage: _on_control,
+        NeighborTrafficMessage: _on_control,
+        Bye: _on_control,
     }

@@ -21,7 +21,7 @@ from repro.core.decision import (
     judge_rate_cutoff,
     reduce_reports,
 )
-from repro.core.evidence import Investigation
+from repro.core.investigation import Investigation
 from repro.core.indicators import (
     NeighborReport,
     general_indicator,

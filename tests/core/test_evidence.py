@@ -6,7 +6,7 @@ from repro.core.config import DDPoliceConfig
 import math
 
 from repro.core.decision import Outcome
-from repro.core.evidence import Investigation
+from repro.core.investigation import Investigation
 from repro.core.indicators import NeighborReport
 from repro.errors import ConfigError
 

@@ -14,7 +14,7 @@ from repro.attack.agent import AgentConfig, DDoSAgent
 from repro.attack.cheating import CheatStrategy
 from repro.core.config import DDPoliceConfig
 from repro.core.decision import Outcome
-from repro.core.evidence import Investigation
+from repro.core.investigation import Investigation
 from repro.core.indicators import NeighborReport
 from repro.core.police import deploy_ddpolice
 from repro.errors import ConfigError

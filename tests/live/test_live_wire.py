@@ -14,19 +14,21 @@ from hypothesis import strategies as st
 
 from repro.core.wire import (
     HEADER_SIZE,
+    MAX_DATAGRAM,
     decode_bye,
+    decode_message,
     decode_ping,
     decode_pong,
     decode_query,
     decode_query_hit,
     encode_bye,
+    encode_message,
     encode_ping,
     encode_pong,
     encode_query,
     encode_query_hit,
 )
 from repro.errors import ProtocolError, WireFormatError
-from repro.live.wire import MAX_DATAGRAM, decode_message, encode_message
 from repro.overlay.ids import Guid, PeerId
 from repro.overlay.message import Bye, Ping, Pong, Query, QueryHit
 

@@ -158,6 +158,19 @@ def test_rows_and_steady_from_minute_records():
     assert success == pytest.approx(0.8)
 
 
+def test_empty_steady_window_is_an_error_not_three_zeros():
+    # The swarm died (or was cut short) before the settle minute: no
+    # reported minute falls in [settle_min, minutes].
+    case = make_case(n=2, num_agents=0, defense="none", minutes=6, settle_min=3,
+                     live=LiveSpec(n_nodes=2))
+    records = [minute_rec(node, minute) for node in (0, 1) for minute in (1, 2)]
+    with pytest.raises(ConfigError) as err:
+        case_result_from_swarm(case, swarm_result(case, records))
+    assert "case-3-k0-none" in str(err.value)
+    assert "[1, 2]" in str(err.value)
+    assert "3..6" in str(err.value)
+
+
 def test_agent_workload_excluded_after_attack_starts():
     case = make_case(n=2, num_agents=1, defense="none", minutes=2,
                      attack_start_min=1, settle_min=None, live=LiveSpec(n_nodes=2))

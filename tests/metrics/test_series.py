@@ -50,10 +50,3 @@ def test_empty_reductions_rejected():
         ts.last()
     assert ts.total() == 0.0
 
-
-def test_value_at_or_before():
-    ts = TimeSeries([(1.0, 10.0), (5.0, 50.0)])
-    assert ts.value_at_or_before(0.5) is None
-    assert ts.value_at_or_before(1.0) == 10.0
-    assert ts.value_at_or_before(3.0) == 10.0
-    assert ts.value_at_or_before(9.0) == 50.0

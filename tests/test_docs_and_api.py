@@ -112,6 +112,38 @@ def test_the_verdict_policy_lives_in_one_module():
     assert not mentioning("NeighborReport") & {"fluid/police.py", "overlay/soa_network.py"}
 
 
+def test_the_gnutella_data_plane_lives_in_one_class():
+    """Flooding, dedup, reverse-path hits and the In/Out windows are
+    ``overlay.peer.Peer``; a live node drives one instead of mirroring it,
+    and the datagram codec sits on the codecs it dispatches over."""
+    import asyncio
+    from pathlib import Path
+
+    from repro.live.node import LiveNode, NodeConfig
+    from repro.overlay.peer import Peer
+
+    loop = asyncio.new_event_loop()
+    try:
+        node = LiveNode(NodeConfig(node_id=0), loop)
+    finally:
+        loop.close()
+    assert type(node.peer) is Peer
+    for name in (
+        "_on_query", "_on_query_hit", "_on_ping", "_remember_seen", "_route_back",
+        "_seen", "out_query_window", "in_query_window", "last_minute_out",
+        "send_control",
+    ):
+        assert not hasattr(node, name), name
+
+    root = Path(repro.__file__).parent
+    for path in (root / "live").glob("*.py"):
+        text = path.read_text()
+        assert "aged_copy(" not in text and "try_consume(" not in text, path.name
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.live.wire")
+    assert not (root / "core" / "evidence.py").exists()
+
+
 def test_evidence_has_one_representation():
     """The paper's evidence is two exact per-neighbour lists. The sketch
     backend (count-min windows, Bloom dedup) measured worse on every axis
