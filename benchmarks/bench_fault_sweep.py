@@ -14,8 +14,6 @@ The sweep itself is the registered ``fault-sweep`` spec
 asserts the robustness claims against its points.
 """
 
-import os
-
 import pytest
 
 from benchmarks.conftest import publish
@@ -25,14 +23,13 @@ SEED = 23  # the registered fault-sweep spec's seed
 
 
 @pytest.fixture(scope="module")
-def run():
-    scale_name = os.environ.get("REPRO_SCALE", "bench").lower()
-    return run_spec("fault-sweep", scale=scale_name)
+def run(scale):
+    return run_spec("fault-sweep", scale=scale.name)
 
 
 @pytest.fixture(scope="module")
-def spec(run):
-    return run.spec.faults
+def grid(run):
+    return run.spec.grid
 
 
 @pytest.fixture(scope="module")
@@ -48,11 +45,11 @@ def _total_fn(points, profile, min_loss):
     )
 
 
-def test_fault_sweep_table(results_dir, run, spec, points):
+def test_fault_sweep_table(results_dir, run, grid, points):
     assert run.spec.seed == SEED
     publish(results_dir, "fault_sweep", run.tables["fault_sweep"], manifest=run.manifest)
     assert len(points) == (
-        len(spec.loss_fractions) * len(spec.crash_counts) * 2
+        len(grid.loss_fractions) * len(grid.crash_counts) * len(grid.profiles)
     )
 
 
@@ -82,15 +79,11 @@ def test_loss_manufactures_false_negatives_for_paper_rule(points):
     assert fn_lossy > fn_clean
 
 
-def test_bench_fault_point(benchmark, spec):
-    from dataclasses import replace
-
-    tiny = replace(
-        spec, loss_fractions=(0.3,), crash_counts=(0,), trials=1
-    )
+def test_bench_fault_point(benchmark, scale):
+    tiny = {"trials": 1, "grid.loss_fractions": (0.3,), "grid.crash_counts": (0,)}
 
     def one_cell():
-        return run_spec("fault-sweep", overrides={"faults": tiny}, cache=False)
+        return run_spec("fault-sweep", scale=scale.name, overrides=tiny, cache=False)
 
     result = benchmark.pedantic(one_cell, rounds=1, iterations=1)
     assert len(result.data) == 2

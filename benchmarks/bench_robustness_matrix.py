@@ -12,20 +12,17 @@ The grid itself is the registered ``robustness-matrix`` spec
 asserts the evasion claims against its cells.
 """
 
-import os
-
 import pytest
 
 from benchmarks.conftest import publish
-from repro.experiments.library import _matrix_axes, run_spec
+from repro.experiments.library import run_spec
 
 SEED = 29  # the registered robustness-matrix spec's seed
 
 
 @pytest.fixture(scope="module")
-def run():
-    scale_name = os.environ.get("REPRO_SCALE", "bench").lower()
-    return run_spec("robustness-matrix", scale=scale_name)
+def run(scale):
+    return run_spec("robustness-matrix", scale=scale.name)
 
 
 @pytest.fixture(scope="module")
@@ -53,15 +50,17 @@ def test_robustness_matrix_table(results_dir, run, rows):
         results_dir, "robustness_matrix",
         run.tables["robustness_matrix"], manifest=run.manifest,
     )
-    defenses, adversaries, topologies = _matrix_axes(run.spec)
-    assert len(rows) == len(defenses) * len(adversaries) * len(topologies)
+    grid = run.spec.grid
+    assert len(rows) == (
+        len(grid.defenses) * len(grid.adversaries) * len(grid.topologies)
+    )
 
 
 def test_static_flooder_is_caught_on_trees(run, rows):
     # The control row: the paper's own scenario. DD-POLICE convicts the
     # unmodified flooder well before the run ends.
-    ms = run.spec.matrix
-    censored = (ms.sim_minutes - ms.attack_start_min) * 60.0
+    scale = run.spec.scale
+    censored = (scale.sim_minutes - scale.attack_start_min) * 60.0
     r = _cell(rows, "paper", "static", "ba")
     assert r.caught_attackers == r.total_attackers, r
     assert r.detection_latency_s < censored, r
@@ -120,15 +119,15 @@ def test_bench_matrix_cell(benchmark, run):
     from repro.experiments.runner import DESConfig, run_des_experiment
     from repro.overlay.topology import TopologyConfig
 
-    ms = run.spec.matrix
+    scale = run.spec.scale
     cfg = DESConfig(
-        n=ms.n_peers,
-        duration_s=ms.sim_minutes * 60.0,
+        n=scale.n_peers,
+        duration_s=scale.sim_minutes * 60.0,
         seed=SEED,
-        topology=TopologyConfig(n=ms.n_peers, seed=SEED, ba_m=1),
-        num_agents=ms.num_agents,
-        attack_start_s=ms.attack_start_min * 60.0,
-        attack_rate_qpm=ms.attack_rate_qpm,
+        topology=TopologyConfig(n=scale.n_peers, seed=SEED, ba_m=1),
+        num_agents=run.spec.grid.agents,
+        attack_start_s=scale.attack_start_min * 60.0,
+        attack_rate_qpm=run.spec.workload.attack_rate_qpm,
         adaptive=replace(run.spec.adversary, strategy="throttle"),
         defense="ddpolice",
         police=run.spec.police,

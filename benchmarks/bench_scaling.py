@@ -17,7 +17,6 @@ attacked minute in one process. Select one engine with ``--engine``.
 """
 
 import multiprocessing
-import os
 import resource
 import time
 from dataclasses import replace
@@ -178,10 +177,6 @@ ENGINE_SWEEP = {
 ENGINE_SWEEP["paper"] = ENGINE_SWEEP["bench"]
 
 
-def _sweep_plan():
-    return ENGINE_SWEEP[os.environ.get("REPRO_SCALE", "bench").lower()]
-
-
 def _isolated(fn, *args, **kwargs):
     """Run one throughput row in a fresh spawn child.
 
@@ -200,22 +195,22 @@ def scaling_rows():
 
 
 @pytest.fixture(scope="module")
-def des_rows(engine_filter):
+def des_rows(engine_filter, scale):
     if engine_filter == "soa":
         return []
     return [
         _isolated(des_throughput, n, duration_s=sim_s, ttl=ttl)
-        for n, sim_s, ttl, _ in _sweep_plan()["message"]
+        for n, sim_s, ttl, _ in ENGINE_SWEEP[scale.name]["message"]
     ]
 
 
 @pytest.fixture(scope="module")
-def soa_rows(engine_filter):
+def soa_rows(engine_filter, scale):
     if engine_filter == "message":
         return []
     return [
         _isolated(soa_throughput, n, duration_s=sim_s, ttl=ttl, **extra)
-        for n, sim_s, ttl, extra in _sweep_plan()["soa"]
+        for n, sim_s, ttl, extra in ENGINE_SWEEP[scale.name]["soa"]
     ]
 
 

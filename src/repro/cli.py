@@ -8,7 +8,7 @@ with dotted-path config overrides (see EXPERIMENTS.md)::
     repro run fig9 fig10 fig11                  # shared sweep, run once
     repro run fig9 --backend des --scale smoke
     repro run fig13 --set police.cut_threshold=7 --set scale.n_peers=500
-    repro run fault-sweep --set faults.trials=1 --out /tmp/tables
+    repro run fault-sweep --set trials=1 --out /tmp/tables
     repro run fig12 --scale smoke --trace /tmp/run.jsonl --profile
     repro trace summarize /tmp/run.jsonl
 """

@@ -45,14 +45,7 @@ from repro.core.config import DDPoliceConfig
 from repro.errors import ConfigError
 from repro.exec import resolve_workers
 from repro.experiments.reporting import render_table
-from repro.experiments.scenarios import (
-    SCALES,
-    FaultSweepSpec,
-    MatrixSpec,
-    Scale,
-    fault_grid_for,
-    matrix_grid_for,
-)
+from repro.experiments.scenarios import SCALES, TIER_OVERRIDES, Scale
 from repro.experiments.spec import (
     Case,
     CaseResult,
@@ -64,13 +57,14 @@ from repro.experiments.spec import (
     get_spec,
     lookup,
     mean,
+    parse_assignments,
     run_cases,
     scenario_sha256,
     spec_sha256,
     trial_seed,
 )
 from repro.faults.plan import CrashRule, FaultPlan
-from repro.live.spec import live_grid_for
+from repro.live.spec import LIVE_TIERS
 from repro.metrics.damage import damage_rate, damage_recovery_time
 from repro.metrics.series import TimeSeries
 from repro.obs.config import ObsConfig
@@ -154,12 +148,6 @@ class FaultPoint:
     #: Trials where the damage both crossed 20% and recovered to 15%.
     recovered_trials: int
     trials: int
-
-
-#: Robustness-matrix default axes (bench scale; smoke shrinks them).
-MATRIX_DEFENSES: Tuple[str, ...] = ("paper", "hardened", "traceback")
-MATRIX_ADVERSARIES: Tuple[str, ...] = ADAPTIVE_STRATEGIES
-MATRIX_TOPOLOGIES: Tuple[str, ...] = ("ba", "hard_cutoff", "bittorrent")
 
 
 @dataclass(frozen=True)
@@ -583,7 +571,7 @@ def _scn_exchange_frequency(
 # scenario: fault-sweep (loss x crashes, DES)
 # ---------------------------------------------------------------------------
 
-def _fault_plan(spec: FaultSweepSpec, loss: float, crashes: int) -> FaultPlan:
+def _fault_plan(scale: Scale, loss: float, crashes: int) -> FaultPlan:
     plan = FaultPlan()
     if loss > 0.0:
         plan = plan.merged(FaultPlan.control_loss(loss))
@@ -594,7 +582,7 @@ def _fault_plan(spec: FaultSweepSpec, loss: float, crashes: int) -> FaultPlan:
             FaultPlan(
                 crashes=(
                     CrashRule(
-                        at_s=(spec.attack_start_min + 1) * 60.0, count=crashes
+                        at_s=(scale.attack_start_min + 1) * 60.0, count=crashes
                     ),
                 )
             )
@@ -614,12 +602,16 @@ def _scn_fault_sweep(
     => assume 0); ``hardened`` adds bounded retries, the report quorum
     with one window extension, and exchange retransmission
     (:meth:`DDPoliceConfig.with_hardening`). Both see the exact same
-    fault schedule per (grid point, trial). The grid comes from
-    ``spec.faults``; agents flood but *report honestly*, so every false
-    negative is a network/evidence artifact, not Section 3.4 cheating.
+    fault schedule per (grid point, trial). Message-level runs, so the
+    registered population is far below the fluid scales: every
+    Neighbor_Traffic message is real, which is precisely what the fault
+    layer perturbs. Agents flood but *report honestly*, so any false
+    negative at loss 0 is a protocol artifact and every additional one
+    under loss is attributable to injected faults, not Section 3.4
+    cheating.
     """
-    fs = spec.faults
-    profiles = spec.grid.profiles or FAULT_PROFILES
+    scale, grid = spec.scale, spec.grid
+    profiles = grid.profiles or FAULT_PROFILES
     police_by_profile = {
         "paper": spec.police,
         "hardened": spec.police.with_hardening(),
@@ -627,8 +619,10 @@ def _scn_fault_sweep(
     for profile in profiles:
         if profile not in police_by_profile:
             raise ConfigError(f"unknown fault profile {profile!r}")
-    cells = [(loss, crashes) for loss in fs.loss_fractions for crashes in fs.crash_counts]
-    trials = range(fs.trials)
+    cells = [
+        (loss, crashes) for loss in grid.loss_fractions for crashes in grid.crash_counts
+    ]
+    trials = range(spec.trials)
 
     # One clean-run baseline per (loss, crashes, trial), shared by the
     # profiles: with no attackers there are no investigations, so the
@@ -638,14 +632,14 @@ def _scn_fault_sweep(
     # faults.
     plan: Dict[Any, Case] = {
         ("clean", loss, crashes, t): Case(
-            n=fs.n_peers,
-            minutes=fs.sim_minutes,
+            n=scale.n_peers,
+            minutes=scale.sim_minutes,
             seed=trial_seed(spec.seed, t),
-            attack_start_min=fs.attack_start_min,
+            attack_start_min=scale.attack_start_min,
             defense="ddpolice",
             police=spec.police,
-            workload=replace(spec.workload, attack_rate_qpm=fs.attack_rate_qpm),
-            faults=_fault_plan(fs, loss, crashes),
+            workload=spec.workload,
+            faults=_fault_plan(scale, loss, crashes),
             ba_m=1,
         )
         for loss, crashes in cells
@@ -656,7 +650,7 @@ def _scn_fault_sweep(
             for t in trials:
                 plan[profile, loss, crashes, t] = replace(
                     plan["clean", loss, crashes, t],
-                    num_agents=fs.num_agents,
+                    num_agents=grid.agents,
                     police=police_by_profile[profile],
                 )
     results = _run_plan(spec, plan, workers, obs)
@@ -670,7 +664,7 @@ def _scn_fault_sweep(
                 (profile, loss, crashes),
                 ("clean", loss, crashes),
                 trials,
-                fs.attack_start_min,
+                scale.attack_start_min,
             )
             # The table reports seconds.
             recoveries = [rec * 60.0 for rec in _recovery_minutes(damages)]
@@ -686,7 +680,7 @@ def _scn_fault_sweep(
                     false_judgment=fn + fp,
                     recovery_time_s=mean(recoveries) if recoveries else None,
                     recovered_trials=len(recoveries),
-                    trials=fs.trials,
+                    trials=spec.trials,
                 )
             )
     return ScenarioOutput(
@@ -694,14 +688,15 @@ def _scn_fault_sweep(
     )
 
 
-def format_fault_sweep(spec: FaultSweepSpec, points: Sequence[FaultPoint]) -> str:
+def format_fault_sweep(spec: ExperimentSpec, points: Sequence[FaultPoint]) -> str:
     """Fixed-width table of a fault sweep, ready for ``results/``."""
+    scale = spec.scale
     lines = [
         "Fault-robustness sweep: control-plane loss x fail-stop crashes",
-        f"scale={spec.name}  n={spec.n_peers}  agents={spec.num_agents} "
-        f"(honest reporters)  attack={spec.attack_rate_qpm:g} qpm "
-        f"from minute {spec.attack_start_min}  "
-        f"duration={spec.sim_minutes} min  trials={spec.trials}",
+        f"scale={scale.name}  n={scale.n_peers}  agents={spec.grid.agents} "
+        f"(honest reporters)  attack={spec.workload.attack_rate_qpm:g} qpm "
+        f"from minute {scale.attack_start_min}  "
+        f"duration={scale.sim_minutes} min  trials={spec.trials}",
         "profiles: paper = assume-0 on missing reports (Section 3.3); "
         "hardened = retries + quorum 0.5 + window extension + "
         "list retransmit",
@@ -726,27 +721,6 @@ def format_fault_sweep(spec: FaultSweepSpec, points: Sequence[FaultPoint]) -> st
 # scenario: robustness-matrix (defense x adversary x topology, DES)
 # ---------------------------------------------------------------------------
 
-def _matrix_axes(
-    spec: ExperimentSpec,
-) -> Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]]:
-    """(defenses, adversaries, topologies) with smoke-shrunk defaults.
-
-    Explicit ``grid`` tuples win; empty tuples fall back to defaults
-    sized by the matrix scale (smoke keeps CI under a handful of runs
-    while still containing a paper-literal row and an evading
-    adversary, so degradation stays observable).
-    """
-    if spec.matrix.name == "smoke":
-        defaults = (("paper", "traceback"), ("static", "throttle", "pulse"), ("ba",))
-    else:
-        defaults = (MATRIX_DEFENSES, MATRIX_ADVERSARIES, MATRIX_TOPOLOGIES)
-    return (
-        spec.grid.defenses or defaults[0],
-        spec.grid.adversaries or defaults[1],
-        spec.grid.topologies or defaults[2],
-    )
-
-
 def _scn_robustness_matrix(
     spec: ExperimentSpec,
     *,
@@ -763,23 +737,22 @@ def _scn_robustness_matrix(
     :meth:`DDPoliceConfig.with_hardening`, ``traceback`` is the PPM
     last-hop marking baseline. The ``collude`` adversary forces the
     matching Neighbor_Traffic cheat so colluders actually corroborate
-    each other's excuse reports.
+    each other's excuse reports. A full grid is dozens of message-level
+    runs, so the registered population is deliberately small.
     """
-    ms = spec.matrix
-    defenses, adversaries, topologies = _matrix_axes(spec)
+    scale, grid = spec.scale, spec.grid
     cells = [
         (defense, adversary, topo)
-        for defense in defenses
-        for adversary in adversaries
-        for topo in topologies
+        for defense in grid.defenses
+        for adversary in grid.adversaries
+        for topo in grid.topologies
     ]
-    trials = range(ms.trials)
+    trials = range(spec.trials)
     police_by_defense = {
         "paper": spec.police,
         "hardened": spec.police.with_hardening(),
     }
-    workload = replace(spec.workload, attack_rate_qpm=ms.attack_rate_qpm)
-    collude_workload = replace(workload, cheat_strategy="collude")
+    collude_workload = replace(spec.workload, cheat_strategy="collude")
 
     # ba_m=1 keeps the preferential-attachment topologies duplicate-free
     # (the fault-sweep convention): the flood visits every edge once, so
@@ -793,25 +766,25 @@ def _scn_robustness_matrix(
     # neither the defense nor the adversary behaviour can matter.
     plan: Dict[Any, Case] = {
         ("clean", topo, t): Case(
-            n=ms.n_peers,
-            minutes=ms.sim_minutes,
+            n=scale.n_peers,
+            minutes=scale.sim_minutes,
             seed=trial_seed(spec.seed, t),
-            workload=workload,
+            workload=spec.workload,
             topology=topo,
             ba_m=1,
         )
-        for topo in topologies
+        for topo in grid.topologies
         for t in trials
     }
     for defense, adversary, topo in cells:
         for t in trials:
             plan[defense, adversary, topo, t] = replace(
                 plan["clean", topo, t],
-                num_agents=ms.num_agents,
-                attack_start_min=ms.attack_start_min,
+                num_agents=grid.agents,
+                attack_start_min=scale.attack_start_min,
                 defense="traceback" if defense == "traceback" else "ddpolice",
                 police=police_by_defense.get(defense, spec.police),
-                workload=collude_workload if adversary == "collude" else workload,
+                workload=collude_workload if adversary == "collude" else spec.workload,
                 adaptive=replace(spec.adversary, strategy=adversary),
                 traceback=spec.traceback,
             )
@@ -825,7 +798,7 @@ def _scn_robustness_matrix(
             (defense, adversary, topo),
             ("clean", topo),
             trials,
-            ms.attack_start_min,
+            scale.attack_start_min,
         )
         rows.append(
             MatrixRow(
@@ -836,12 +809,12 @@ def _scn_robustness_matrix(
                     [res.detection_latency_s or 0.0 for res in runs]
                 ),
                 caught_attackers=mean([float(res.caught_attackers) for res in runs]),
-                total_attackers=ms.num_agents,
+                total_attackers=grid.agents,
                 false_negative=mean([float(res.false_negative) for res in runs]),
                 damage_pct=mean(
-                    [_mean_damage_from(d, ms.attack_start_min) for d in damages]
+                    [_mean_damage_from(d, scale.attack_start_min) for d in damages]
                 ),
-                trials=ms.trials,
+                trials=spec.trials,
             )
         )
     return ScenarioOutput(
@@ -849,13 +822,15 @@ def _scn_robustness_matrix(
     )
 
 
-def format_robustness_matrix(ms: MatrixSpec, rows: Sequence[MatrixRow]) -> str:
+def format_robustness_matrix(spec: ExperimentSpec, rows: Sequence[MatrixRow]) -> str:
     """Fixed-width robustness-matrix table, ready for ``results/``."""
+    scale = spec.scale
     lines = [
         "Robustness matrix: defense x adaptive adversary x overlay topology (DES)",
-        f"scale={ms.name}  n={ms.n_peers}  agents={ms.num_agents}  "
-        f"attack={ms.attack_rate_qpm:g} qpm from minute {ms.attack_start_min}  "
-        f"duration={ms.sim_minutes} min  trials={ms.trials}",
+        f"scale={scale.name}  n={scale.n_peers}  agents={spec.grid.agents}  "
+        f"attack={spec.workload.attack_rate_qpm:g} qpm "
+        f"from minute {scale.attack_start_min}  "
+        f"duration={scale.sim_minutes} min  trials={spec.trials}",
         "defenses: paper = literal Section 3.3 evidence; hardened = retries + "
         "quorum + window extension; traceback = PPM last-hop marking",
         "latency_s = mean seconds from attack start to first disconnection, "
@@ -988,19 +963,13 @@ _SCENARIOS: Dict[str, Scenario] = {
             name="fault-sweep",
             description="control-plane loss x crash robustness grid (DES)",
             driver=_scn_fault_sweep,
-            tables={
-                "fault_sweep": lambda spec, pts: format_fault_sweep(spec.faults, pts)
-            },
+            tables={"fault_sweep": format_fault_sweep},
         ),
         Scenario(
             name="robustness-matrix",
             description="defense x adaptive adversary x topology grid (DES)",
             driver=_scn_robustness_matrix,
-            tables={
-                "robustness_matrix": lambda spec, rows: format_robustness_matrix(
-                    spec.matrix, rows
-                )
-            },
+            tables={"robustness_matrix": format_robustness_matrix},
         ),
     )
 }
@@ -1020,29 +989,22 @@ def list_scenarios() -> List[Scenario]:
 # running specs
 # ---------------------------------------------------------------------------
 
-def spec_at_scale(
-    spec: ExperimentSpec, scale: Union[str, Scale]
-) -> ExperimentSpec:
-    """Re-target a spec at a scale.
+def spec_at_scale(spec: ExperimentSpec, tier: str) -> ExperimentSpec:
+    """Re-target a registered spec at a named tier (``bench``/``paper``/``smoke``).
 
-    A named scale (``bench``/``paper``/``smoke``) also swaps the fault
-    and robustness-matrix grids to that scale's variants; an explicit
-    :class:`Scale` instance replaces only the ``scale`` layer.
+    One lookup: a :data:`TIER_OVERRIDES` row goes through
+    :func:`apply_overrides` exactly as if the user had typed each of its
+    assignments after ``--set``; every other (scenario, tier) takes
+    ``SCALES[tier]``. The live swarm sizing follows the tier either way.
     """
-    if isinstance(scale, Scale):
-        return replace(spec, scale=scale)
-    name = str(scale).lower()
-    if name not in SCALES:
-        raise ConfigError(
-            f"unknown scale {name!r} (valid: {', '.join(sorted(SCALES))})"
-        )
-    return replace(
-        spec,
-        scale=SCALES[name],
-        faults=fault_grid_for(name),
-        matrix=matrix_grid_for(name),
-        live=live_grid_for(name),
-    )
+    name = tier.lower()
+    scale = lookup(SCALES, "scale", name)
+    row = TIER_OVERRIDES.get((spec.scenario, name))
+    if row is None:
+        spec = replace(spec, scale=scale)
+    else:
+        spec = apply_overrides(spec, {"scale.name": name, **parse_assignments(row)})
+    return replace(spec, live=LIVE_TIERS[name])
 
 
 @dataclass
@@ -1071,7 +1033,7 @@ _RESULT_CACHE: Dict[Tuple[str, Optional[ObsConfig]], ScenarioOutput] = {}
 def run_spec(
     spec: Union[str, ExperimentSpec],
     *,
-    scale: Optional[Union[str, Scale]] = None,
+    scale: Optional[str] = None,
     backend: Optional[str] = None,
     overrides: Optional[Mapping[str, Any]] = None,
     workers: Optional[int] = None,
@@ -1219,9 +1181,18 @@ SPECS: Dict[str, ExperimentSpec] = {
             title="Fault-robustness sweep: control-plane loss x fail-stop crashes",
             backend="des",
             seed=23,
+            trials=3,
+            scale=Scale("bench", n_peers=40, sim_minutes=6, attack_start_min=2),
             police=DDPoliceConfig(exchange_period_s=30.0),
-            workload=WorkloadSpec(queries_per_minute=2.0, cheat_strategy="honest"),
-            grid=GridSpec(profiles=("paper", "hardened")),
+            workload=WorkloadSpec(
+                queries_per_minute=2.0, attack_rate_qpm=600.0, cheat_strategy="honest"
+            ),
+            grid=GridSpec(
+                agents=2,
+                profiles=("paper", "hardened"),
+                loss_fractions=(0.0, 0.1, 0.2, 0.3),
+                crash_counts=(0, 2),
+            ),
             tables=("fault_sweep",),
         ),
         ExperimentSpec(
@@ -1230,15 +1201,25 @@ SPECS: Dict[str, ExperimentSpec] = {
             title="Robustness matrix: defense x adaptive adversary x topology",
             backend="des",
             seed=29,
+            trials=2,
+            scale=Scale("bench", n_peers=30, sim_minutes=6, attack_start_min=2),
             # Exchange period and q scale down with the workload rates
             # (paper: 120 s and q=100 against 20,000 qpm floods; here
             # 30 s and q=10 against 600 qpm), keeping indicator
             # magnitudes comparable.
             police=DDPoliceConfig(exchange_period_s=30.0, q_threshold_qpm=10.0),
-            workload=WorkloadSpec(queries_per_minute=2.0, cheat_strategy="silent"),
+            workload=WorkloadSpec(
+                queries_per_minute=2.0, attack_rate_qpm=600.0, cheat_strategy="silent"
+            ),
             # Pulse adversaries phase-lock to the exchange period above;
             # churn evaders stay up ~3 exchange windows and flee for one.
             adversary=AdaptiveConfig(pulse_period_s=30.0),
+            grid=GridSpec(
+                agents=2,
+                defenses=("paper", "hardened", "traceback"),
+                adversaries=ADAPTIVE_STRATEGIES,
+                topologies=("ba", "hard_cutoff", "bittorrent"),
+            ),
             tables=("robustness_matrix",),
         ),
     )

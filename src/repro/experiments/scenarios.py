@@ -4,13 +4,17 @@ The paper simulates 20,000 peers with 10..200 DDoS agents
 (0.05%..1% of the population) and 1,000,000 search operations. The bench
 default scales the population down 10x while preserving every *density*:
 agents/peer, queries/peer/minute, attack rate, capacities, churn rates.
-:data:`SCALES` is the one table of named tiers; ``repro run --scale``
-and :func:`~repro.experiments.library.spec_at_scale` select from it.
+
+:class:`Scale` is the one population/duration layer of a spec; trial
+count, agent count, attack rate and sweep axes live once each on the
+spec beside it (``trials``, ``grid.*``, ``workload.*``). :data:`SCALES`
+and :data:`TIER_OVERRIDES` are the named tiers ``repro run --scale`` and
+:func:`~repro.experiments.library.spec_at_scale` select from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.errors import ConfigError
@@ -27,25 +31,24 @@ PAPER_AGENT_FRACTIONS: Tuple[float, ...] = (
 
 @dataclass(frozen=True)
 class Scale:
-    """One experiment scale."""
+    """One experiment scale: population, duration and attack onset."""
 
     name: str
     n_peers: int
     sim_minutes: int
     attack_start_min: int
-    trials: int
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("scale name must be non-empty")
-        if self.n_peers < 100:
-            raise ConfigError("n_peers must be >= 100")
+        # The message-level sweeps run n=40 and n=30; below 10 peers no
+        # engine has an overlay worth flooding.
+        if self.n_peers < 10:
+            raise ConfigError("n_peers must be >= 10")
         if self.attack_start_min < 0:
             raise ConfigError("attack_start_min must be non-negative")
         if self.sim_minutes <= self.attack_start_min:
             raise ConfigError("sim_minutes must exceed attack_start_min")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
 
     def agent_counts(self) -> List[int]:
         """Agent counts realizing the paper's densities at this scale."""
@@ -56,154 +59,41 @@ class Scale:
         return round(agents / self.n_peers * 20_000)
 
 
-#: The named scale tiers. The fault-sweep, robustness-matrix and live
-#: layers size themselves per tier through :func:`fault_grid_for`,
-#: :func:`matrix_grid_for` and :func:`repro.live.spec.live_grid_for`.
+#: The named scale tiers: what ``--scale <tier>`` puts in ``spec.scale``.
 SCALES: Dict[str, Scale] = {
     # default laptop scale: 10x smaller population, same densities
-    "bench": Scale(
-        name="bench", n_peers=2_000, sim_minutes=30, attack_start_min=8, trials=1
-    ),
+    "bench": Scale(name="bench", n_peers=2_000, sim_minutes=30, attack_start_min=8),
     # full paper scale
-    "paper": Scale(
-        name="paper", n_peers=20_000, sim_minutes=40, attack_start_min=10, trials=1
-    ),
+    "paper": Scale(name="paper", n_peers=20_000, sim_minutes=40, attack_start_min=10),
     # tiny scale for tests and CI
-    "smoke": Scale(
-        name="smoke", n_peers=300, sim_minutes=12, attack_start_min=4, trials=1
-    ),
+    "smoke": Scale(name="smoke", n_peers=300, sim_minutes=12, attack_start_min=4),
 }
 
-
-# ----------------------------------------------------------------------
-# fault-robustness sweep (message-level; not a paper figure)
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FaultSweepSpec:
-    """Grid for the loss x crash robustness sweep.
-
-    Message-level (DES) runs, so the populations are much smaller than
-    the fluid-model scales above: every Neighbor_Traffic message is
-    real, which is precisely what the fault layer perturbs. Attackers
-    flood but *report honestly*, so any false negative at loss 0 is a
-    protocol artifact and every additional one under loss is
-    attributable to injected faults.
-    """
-
-    name: str
-    n_peers: int
-    sim_minutes: int
-    attack_start_min: int
-    trials: int
-    loss_fractions: Tuple[float, ...]
-    crash_counts: Tuple[int, ...]
-    num_agents: int
-    attack_rate_qpm: float
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigError("name must be non-empty")
-        if self.n_peers < 10:
-            raise ConfigError("n_peers must be >= 10")
-        if self.attack_start_min < 0:
-            raise ConfigError("attack_start_min must be non-negative")
-        if self.sim_minutes <= self.attack_start_min:
-            raise ConfigError("sim_minutes must exceed attack_start_min")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if not self.loss_fractions or not self.crash_counts:
-            raise ConfigError("loss_fractions and crash_counts must be non-empty")
-        if any(not (0.0 <= p <= 1.0) for p in self.loss_fractions):
-            raise ConfigError("loss fractions must be in [0, 1]")
-        if any(c < 0 for c in self.crash_counts):
-            raise ConfigError("crash counts must be non-negative")
-        if not (0 < self.num_agents < self.n_peers):
-            raise ConfigError("num_agents out of range")
-        if self.attack_rate_qpm <= 0:
-            raise ConfigError("attack_rate_qpm must be positive")
-
-
-def fault_grid_for(name: str) -> FaultSweepSpec:
-    """Fault-sweep grid for a named scale (smoke shrinks the grid)."""
-    grid = FaultSweepSpec(
-        name=name,
-        n_peers=40,
-        sim_minutes=6,
-        attack_start_min=2,
-        trials=3,
-        loss_fractions=(0.0, 0.1, 0.2, 0.3),
-        crash_counts=(0, 2),
-        num_agents=2,
-        attack_rate_qpm=600.0,
-    )
-    if name == "smoke":
-        return replace(
-            grid,
-            sim_minutes=5,
-            attack_start_min=1,
-            trials=1,
-            loss_fractions=(0.0, 0.3),
-            crash_counts=(0,),
-        )
-    return grid
-
-
-# ----------------------------------------------------------------------
-# robustness matrix: defense x adversary x topology (message-level)
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MatrixSpec:
-    """Sizing of the robustness-matrix runs (DES, like the fault sweep).
-
-    The matrix crosses defenses with adaptive adversaries and overlay
-    topologies, so a full grid is dozens of message-level runs; the
-    populations here are deliberately small (every Neighbor_Traffic
-    message is simulated). ``k > n`` and degenerate attack windows are
-    rejected at construction -- spec-parse time under the dotted-path
-    override machinery.
-    """
-
-    name: str
-    n_peers: int
-    sim_minutes: int
-    attack_start_min: int
-    trials: int
-    num_agents: int
-    attack_rate_qpm: float
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigError("name must be non-empty")
-        if self.n_peers < 10:
-            raise ConfigError("n_peers must be >= 10")
-        if self.attack_start_min < 0:
-            raise ConfigError("attack_start_min must be non-negative")
-        if self.sim_minutes <= self.attack_start_min:
-            raise ConfigError("sim_minutes must exceed attack_start_min")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if not (0 < self.num_agents < self.n_peers):
-            raise ConfigError(
-                f"num_agents out of range (need 0 < k < n, got "
-                f"k={self.num_agents}, n={self.n_peers})"
-            )
-        if self.attack_rate_qpm <= 0:
-            raise ConfigError("attack_rate_qpm must be positive")
-
-
-def matrix_grid_for(name: str) -> MatrixSpec:
-    """Robustness-matrix sizing for a named scale (smoke shrinks runs)."""
-    sizing = MatrixSpec(
-        name=name,
-        n_peers=30,
-        sim_minutes=6,
-        attack_start_min=2,
-        trials=2,
-        num_agents=2,
-        attack_rate_qpm=600.0,
-    )
-    if name == "smoke":
-        return replace(sizing, sim_minutes=5, trials=1)
-    return sizing
+#: The (scenario, tier) pairs that do not take ``SCALES[tier]``. The two
+#: message-level sweeps simulate every Neighbor_Traffic message, so their
+#: registered spec states a population far below the fluid tiers and
+#: keeps it at every tier; a row is the tier spelled as the ``--set``
+#: assignments it stands for *on top of that registered spec* (with
+#: ``scale.name`` set to the tier), validated like any user override.
+#: Smoke keeps CI to a handful of runs that still contain a lossy cell, a
+#: paper-literal row and an evading adversary.
+TIER_OVERRIDES: Dict[Tuple[str, str], Tuple[str, ...]] = {
+    ("fault-sweep", "bench"): (),
+    ("fault-sweep", "paper"): (),
+    ("fault-sweep", "smoke"): (
+        "scale.sim_minutes=5",
+        "scale.attack_start_min=1",
+        "trials=1",
+        "grid.loss_fractions=0,0.3",
+        "grid.crash_counts=0",
+    ),
+    ("robustness-matrix", "bench"): (),
+    ("robustness-matrix", "paper"): (),
+    ("robustness-matrix", "smoke"): (
+        "scale.sim_minutes=5",
+        "trials=1",
+        "grid.defenses=paper,traceback",
+        "grid.adversaries=static,throttle,pulse",
+        "grid.topologies=ba",
+    ),
+}

@@ -2,8 +2,12 @@
 
 This module makes experiments *data*. An :class:`ExperimentSpec` is a
 frozen, JSON-serializable description of one experiment -- scenario id,
-scale, sweep grid, defense (police) layer, workload layer, fault layer,
-and table selectors -- decoupled from the engine that executes it. The
+scale, trial count, sweep grid, defense (police) layer, workload layer
+and table selectors -- decoupled from the engine that executes it. Each
+size is stated once: population and duration in ``scale``, ``trials`` at
+the top, agent counts and every sweep axis in ``grid``, rates in
+``workload``; no scenario keeps a private copy, so an accepted ``--set``
+always reaches the run and the manifest records the sizes that ran. The
 engines are the rows of the :class:`Backend` table at the end of this
 module:
 
@@ -52,16 +56,9 @@ from repro.baselines.traceback import TracebackConfig
 from repro.core.config import DDPoliceConfig
 from repro.errors import ConfigError, MetricsError
 from repro.exec import ExecStats, pmap
-from repro.experiments.scenarios import (
-    SCALES,
-    FaultSweepSpec,
-    MatrixSpec,
-    Scale,
-    fault_grid_for,
-    matrix_grid_for,
-)
+from repro.experiments.scenarios import SCALES, Scale
 from repro.faults.plan import FaultPlan
-from repro.live.spec import LiveSpec, live_grid_for
+from repro.live.spec import LIVE_TIERS, LiveSpec
 from repro.obs.config import ObsConfig
 from repro.obs.manifest import config_sha256, jsonable_config
 from repro.simkit.rng import derive_seed
@@ -122,17 +119,17 @@ class GridSpec:
     """Sweep grid layer: the x-axes of the figure scenarios.
 
     The registered specs set their sweep tuples explicitly; an empty
-    ``cut_thresholds``/``periods_min`` is taken verbatim (an empty
-    sweep), while empty ``agent_counts``, zero ``agents``, and zero
-    ``minutes`` mean "derive from the scale".
+    ``cut_thresholds``/``periods_min`` or robustness-matrix axis is taken
+    verbatim (an empty sweep), while empty ``agent_counts``, zero
+    ``agents``, and zero ``minutes`` mean "derive from the scale".
     """
 
     #: Figures 9-11 agent counts; empty = the paper densities at scale.
     agent_counts: Tuple[int, ...] = ()
     #: Figures 12-14 agent density (the paper's 100/20,000 = 0.5%).
     agent_fraction: float = 0.005
-    #: Explicit agent count for the timeline scenarios; 0 = derive the
-    #: count from ``agent_fraction`` at the active scale.
+    #: Explicit agent count; 0 = derive the count from ``agent_fraction``
+    #: at the active scale (the two message-level sweeps need it explicit).
     agents: int = 0
     #: Cut thresholds swept by Figures 12-14.
     cut_thresholds: Tuple[float, ...] = ()
@@ -140,12 +137,17 @@ class GridSpec:
     periods_min: Tuple[int, ...] = ()
     #: Fault-sweep evidence profiles; empty = ("paper", "hardened").
     profiles: Tuple[str, ...] = ()
-    #: Robustness-matrix adversary strategies; empty = scenario default.
+    #: Robustness-matrix adversary strategies.
     adversaries: Tuple[str, ...] = ()
-    #: Robustness-matrix overlay topology models; empty = scenario default.
+    #: Robustness-matrix overlay topology models.
     topologies: Tuple[str, ...] = ()
-    #: Robustness-matrix defense rows; empty = scenario default.
+    #: Robustness-matrix defense rows.
     defenses: Tuple[str, ...] = ()
+    #: Fault-sweep control-plane loss probabilities.
+    loss_fractions: Tuple[float, ...] = ()
+    #: Fault-sweep fail-stop crash counts (good peers, one minute into
+    #: the attack).
+    crash_counts: Tuple[int, ...] = ()
     #: Simulated minutes; 0 = derive from the scale.
     minutes: int = 0
 
@@ -183,6 +185,10 @@ class GridSpec:
                     f"defenses: unknown defense {d!r} "
                     f"(valid: {', '.join(self._MATRIX_DEFENSES)})"
                 )
+        if any(not (0.0 <= p <= 1.0) for p in self.loss_fractions):
+            raise ConfigError("loss_fractions must be in [0, 1]")
+        if any(c < 0 for c in self.crash_counts):
+            raise ConfigError("crash_counts must be non-negative")
         if self.minutes < 0:
             raise ConfigError("minutes must be non-negative")
 
@@ -195,9 +201,9 @@ class ExperimentSpec:
     :mod:`repro.experiments.library`); ``backend`` names a registered
     :class:`Backend`. ``tables`` selects which of the scenario's output
     tables to render (empty = all). The remaining fields are the
-    override layers: ``scale``, ``police`` (defense), ``workload``,
-    ``faults``, and the sweep ``grid``. The sizing layers default to the
-    ``bench`` tier, the one ``--scale bench`` selects.
+    override layers: ``scale``, ``police`` (defense), ``workload``, and
+    the sweep ``grid``. ``scale`` and ``live`` default to the ``bench``
+    tier, the one ``--scale bench`` selects.
     """
 
     name: str
@@ -209,15 +215,12 @@ class ExperimentSpec:
     scale: Scale = SCALES["bench"]
     police: DDPoliceConfig = DDPoliceConfig()
     workload: WorkloadSpec = WorkloadSpec()
-    faults: FaultSweepSpec = fault_grid_for("bench")
     #: Adaptive-adversary layer (robustness matrix; "static" elsewhere).
     adversary: AdaptiveConfig = AdaptiveConfig()
-    #: Robustness-matrix sizing (DES; mirrors the ``faults`` pattern).
-    matrix: MatrixSpec = matrix_grid_for("bench")
     #: PPM traceback baseline parameters (the matrix's third defense).
     traceback: TracebackConfig = TracebackConfig()
     #: Real-socket swarm sizing (``live`` backend only; others ignore it).
-    live: LiveSpec = live_grid_for("bench")
+    live: LiveSpec = LIVE_TIERS["bench"]
     grid: GridSpec = GridSpec()
     tables: Tuple[str, ...] = ()
 
@@ -244,6 +247,22 @@ class ExperimentSpec:
                     f"grid.agent_counts: cannot compromise {k} of "
                     f"{n} peers (k must not exceed scale.n_peers)"
                 )
+        # The message-level sweeps plant exactly grid.agents attackers
+        # among good peers, so there the count is explicit and 0 < k < n.
+        if self.scenario in ("fault-sweep", "robustness-matrix") and not (
+            0 < self.grid.agents < n
+        ):
+            raise ConfigError(
+                f"grid.agents: scenario {self.scenario!r} needs 0 < k < n "
+                f"(got k={self.grid.agents}, scale.n_peers={n})"
+            )
+        if self.scenario == "fault-sweep" and not (
+            self.grid.loss_fractions and self.grid.crash_counts
+        ):
+            raise ConfigError(
+                "grid.loss_fractions and grid.crash_counts must be non-empty "
+                "for the fault sweep"
+            )
 
 
 def spec_sha256(spec: ExperimentSpec) -> str:

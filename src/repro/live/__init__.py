@@ -27,6 +27,6 @@ Layout:
 See docs/LIVE.md for the architecture and operating guide.
 """
 
-from repro.live.spec import LiveSpec, live_grid_for
+from repro.live.spec import LIVE_TIERS, LiveSpec
 
-__all__ = ["LiveSpec", "live_grid_for"]
+__all__ = ["LIVE_TIERS", "LiveSpec"]

@@ -17,7 +17,7 @@ socket machinery (which must stay lazy for ``pmap`` workers).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.errors import ConfigError
 
@@ -88,25 +88,20 @@ class LiveSpec:
         return 60.0 / self.minute_s
 
 
-def live_grid_for(name: str) -> LiveSpec:
-    """The swarm sizing for a named scale tier.
-
-    One row per tier of :data:`repro.experiments.scenarios.SCALES`
-    (:func:`~repro.experiments.library.spec_at_scale` swaps it in with
-    the rest): smoke fits CI, bench is the 200-node acceptance swarm,
-    paper pushes to 500 processes and slows the clock so per-process
-    scheduling jitter stays small relative to the minute.
-    """
-    if name == "smoke":
-        return LiveSpec(name="smoke", n_nodes=25, minute_s=0.5)
-    if name == "bench":
-        return LiveSpec(name="bench", n_nodes=200, minute_s=2.0, drain_timeout_s=20.0)
-    if name == "paper":
-        return LiveSpec(
-            name="paper",
-            n_nodes=500,
-            minute_s=2.0,
-            spawn_stagger_s=0.02,
-            drain_timeout_s=30.0,
-        )
-    raise ConfigError(f"unknown live scale: {name!r}")
+#: The swarm sizing per scale tier, one row per tier of
+#: :data:`repro.experiments.scenarios.SCALES`
+#: (:func:`~repro.experiments.library.spec_at_scale` swaps it in with the
+#: rest): smoke fits CI, bench is the 200-node acceptance swarm, paper
+#: pushes to 500 processes and slows the clock so per-process scheduling
+#: jitter stays small relative to the minute.
+LIVE_TIERS: Dict[str, LiveSpec] = {
+    "smoke": LiveSpec(name="smoke", n_nodes=25, minute_s=0.5),
+    "bench": LiveSpec(name="bench", n_nodes=200, minute_s=2.0, drain_timeout_s=20.0),
+    "paper": LiveSpec(
+        name="paper",
+        n_nodes=500,
+        minute_s=2.0,
+        spawn_stagger_s=0.02,
+        drain_timeout_s=30.0,
+    ),
+}

@@ -27,7 +27,7 @@ def test_run_paths_lists_override_paths(capsys):
         "police.cut_threshold",
         "scale.n_peers",
         "workload.capacity_qpm",
-        "faults.trials",
+        "grid.loss_fractions",
         "grid.agent_counts",
     ):
         assert path in out
@@ -50,15 +50,22 @@ def test_run_unknown_override_path_is_an_error(capsys):
     assert main(["run", "fig5", "--set", "police.cut_treshold=7"]) == 2
     err = capsys.readouterr().err
     assert "unknown key" in err and "cut_threshold" in err
-    # The deleted sketch backend's knobs are unknown paths, not no-ops.
-    for removed in ("police.evidence.backend=sketch", "grid.cm_widths=512"):
+    # The deleted sketch backend's knobs and the deleted second and third
+    # sizing layers are unknown paths, not no-ops.
+    for removed in (
+        "police.evidence.backend=sketch",
+        "grid.cm_widths=512",
+        "faults.trials=1",
+        "matrix.n_peers=20",
+        "scale.trials=2",
+    ):
         assert main(["run", "fig9", "--set", removed]) == 2
         err = capsys.readouterr().err
         assert f"unknown key {removed.split('=')[0]!r}" in err
 
 
 def test_run_invalid_override_value_is_an_error(capsys):
-    assert main(["run", "fig9", "--scale", "smoke", "--set", "scale.n_peers=10"]) == 2
+    assert main(["run", "fig9", "--scale", "smoke", "--set", "scale.n_peers=9"]) == 2
     assert "invalid --set scale.n_peers" in capsys.readouterr().err
     # Valid field by field, but the agent sweep's steady-state window
     # (from attack_start_min + 4 on) is empty: rejected from the spec
@@ -75,6 +82,47 @@ def test_run_invalid_override_value_is_an_error(capsys):
     assert main(argv + ["--set", "scale.sim_minutes=8"]) == 2
     captured = capsys.readouterr()
     assert "reports minutes 1..7" in captured.err and captured.out == ""
+
+
+def test_accepted_sizing_overrides_reach_the_run():
+    """Every size is read from the one place ``--set`` writes it."""
+    from repro.experiments.library import run_spec
+
+    run = run_spec(
+        "fault-sweep",
+        scale="smoke",
+        overrides={
+            "scale.n_peers": "20",
+            "workload.attack_rate_qpm": "300",
+            "grid.agents": "1",
+            "grid.loss_fractions": "0",
+            "grid.crash_counts": "0",
+        },
+        workers=1,
+        cache=False,
+    )
+    header = run.tables["fault_sweep"].splitlines()[1]
+    assert "scale=smoke  n=20  agents=1 " in header
+    assert "attack=300 qpm from minute 1  duration=5 min  trials=1" in header
+    assert run.cases == 3 and run.manifest["config"]["scale"]["n_peers"] == 20
+
+    run = run_spec(
+        "robustness-matrix",
+        scale="smoke",
+        overrides={
+            "trials": "1",
+            "scale.n_peers": "20",
+            "grid.agents": "1",
+            "grid.defenses": "paper",
+            "grid.adversaries": "static",
+        },
+        workers=1,
+        cache=False,
+    )
+    header = run.tables["robustness_matrix"].splitlines()[1]
+    assert "scale=smoke  n=20  agents=1  attack=600 qpm" in header
+    assert header.endswith("duration=5 min  trials=1")
+    assert run.cases == 2
 
 
 def test_run_fig5_prints_table_and_provenance(capsys):

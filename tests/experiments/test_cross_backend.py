@@ -29,7 +29,7 @@ def _spec(backend: str) -> ExperimentSpec:
         backend=backend,
         seed=5,
         scale=Scale(
-            name="xback", n_peers=400, sim_minutes=6, attack_start_min=1, trials=1
+            name="xback", n_peers=400, sim_minutes=6, attack_start_min=1
         ),
         workload=WorkloadSpec(
             queries_per_minute=0.3,

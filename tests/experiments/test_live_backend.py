@@ -52,7 +52,7 @@ def _spec(backend: str) -> ExperimentSpec:
         backend=backend,
         seed=7,
         scale=Scale(
-            name="xlive", n_peers=100, sim_minutes=8, attack_start_min=1, trials=1
+            name="xlive", n_peers=100, sim_minutes=8, attack_start_min=1
         ),
         police=DDPoliceConfig(exchange_period_s=30.0, q_threshold_qpm=10.0),
         workload=WorkloadSpec(

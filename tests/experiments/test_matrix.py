@@ -5,19 +5,18 @@ import pytest
 from repro.errors import ConfigError
 from repro.experiments.library import (
     MatrixRow,
-    _matrix_axes,
     format_robustness_matrix,
     run_spec,
     spec_at_scale,
 )
-from repro.experiments.spec import get_spec
+from repro.experiments.spec import apply_overrides, get_spec
 
 TINY_OVERRIDES = {
-    "matrix.n_peers": "20",
-    "matrix.sim_minutes": "3",
-    "matrix.attack_start_min": "1",
-    "matrix.trials": "1",
-    "matrix.num_agents": "1",
+    "scale.n_peers": "20",
+    "scale.sim_minutes": "3",
+    "scale.attack_start_min": "1",
+    "trials": "1",
+    "grid.agents": "1",
     "grid.defenses": "paper",
     "grid.adversaries": "throttle",
     "grid.topologies": "ba",
@@ -55,25 +54,36 @@ def test_tiny_matrix_table_renders(tiny_run):
 
 
 def test_explicit_grid_axes_win_over_defaults():
-    spec = spec_at_scale(get_spec("robustness-matrix"), "smoke")
-    assert _matrix_axes(spec) == (
+    bench = get_spec("robustness-matrix")
+    assert (bench.scale.n_peers, bench.scale.sim_minutes, bench.trials) == (30, 6, 2)
+    assert "hardened" in bench.grid.defenses
+    assert set(bench.grid.adversaries) == {
+        "static", "throttle", "collude", "churn", "pulse"
+    }
+    assert "bittorrent" in bench.grid.topologies
+    smoke = spec_at_scale(bench, "smoke")
+    assert (smoke.grid.defenses, smoke.grid.adversaries, smoke.grid.topologies) == (
         ("paper", "traceback"), ("static", "throttle", "pulse"), ("ba",)
     )
-    bench = get_spec("robustness-matrix")
-    defenses, adversaries, topologies = _matrix_axes(bench)
-    assert "hardened" in defenses
-    assert set(adversaries) == {"static", "throttle", "collude", "churn", "pulse"}
-    assert "bittorrent" in topologies
+    assert (smoke.scale.name, smoke.scale.n_peers, smoke.scale.sim_minutes) == (
+        "smoke", 30, 5
+    )
+    assert smoke.trials == 1 and smoke.grid.agents == 2
+    # ... and a user --set applied after the tier still wins.
+    assert apply_overrides(smoke, {"grid.defenses": "hardened"}).grid.defenses == (
+        "hardened",
+    )
 
 
 def test_format_includes_censoring_legend():
-    ms = spec_at_scale(get_spec("robustness-matrix"), "smoke").matrix
+    spec = spec_at_scale(get_spec("robustness-matrix"), "smoke")
     row = MatrixRow(
         defense="paper", adversary="static", topology="ba",
         detection_latency_s=65.0, caught_attackers=2.0, total_attackers=2,
         false_negative=0.0, damage_pct=12.5, trials=1,
     )
-    table = format_robustness_matrix(ms, [row])
+    table = format_robustness_matrix(spec, [row])
+    assert "scale=smoke  n=30  agents=2  attack=600 qpm" in table
     assert "censored" in table
     assert "2.0/2" in table
 

@@ -1,14 +1,12 @@
 """Fault-plan wiring through the DES experiment runner."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.core.config import DDPoliceConfig
 from repro.errors import ConfigError
 from repro.experiments.runner import DESConfig, run_des_experiment
 from repro.experiments.library import FAULT_PROFILES, run_spec
-from repro.experiments.scenarios import FaultSweepSpec
+from repro.experiments.spec import apply_overrides, get_spec
 from repro.faults.plan import CrashRule, FaultPlan
 from repro.overlay.topology import TopologyConfig
 
@@ -60,21 +58,20 @@ def test_runner_executes_scheduled_crashes():
 # fault-sweep plumbing
 # ---------------------------------------------------------------------------
 
-TINY_SPEC = FaultSweepSpec(
-    name="tiny",
-    n_peers=20,
-    sim_minutes=3,
-    attack_start_min=1,
-    trials=1,
-    loss_fractions=(0.3,),
-    crash_counts=(0,),
-    num_agents=1,
-    attack_rate_qpm=600.0,
-)
+TINY_OVERRIDES = {
+    "seed": 2,
+    "trials": 1,
+    "scale.n_peers": 20,
+    "scale.sim_minutes": 3,
+    "scale.attack_start_min": 1,
+    "grid.agents": 1,
+    "grid.loss_fractions": (0.3,),
+    "grid.crash_counts": (0,),
+}
 
 
 def test_fault_sweep_produces_one_point_per_cell_and_profile():
-    run = run_spec("fault-sweep", overrides={"seed": 2, "faults": TINY_SPEC})
+    run = run_spec("fault-sweep", overrides=TINY_OVERRIDES)
     points = run.data
     assert len(points) == len(FAULT_PROFILES)
     assert {p.profile for p in points} == set(FAULT_PROFILES)
@@ -88,16 +85,20 @@ def test_fault_sweep_produces_one_point_per_cell_and_profile():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"n_peers": 5},
-        {"sim_minutes": 1},  # not past attack_start_min
+        {"scale.n_peers": 5},
+        {"scale.sim_minutes": 1},  # not past attack_start_min
         {"trials": 0},
-        {"loss_fractions": ()},
-        {"loss_fractions": (1.5,)},
-        {"crash_counts": (-1,)},
-        {"num_agents": 0},
-        {"attack_rate_qpm": 0.0},
+        {"grid.loss_fractions": ()},
+        {"grid.loss_fractions": (1.5,)},
+        {"grid.crash_counts": (-1,)},
+        {"grid.agents": 0},
+        {"workload.attack_rate_qpm": 0.0},
+        {"grid.crash_counts": ()},
+        {"grid.agents": 20},  # k == n
     ],
 )
 def test_fault_sweep_spec_validation(kwargs):
-    with pytest.raises(ConfigError):
-        replace(TINY_SPEC, **kwargs)
+    tiny = apply_overrides(get_spec("fault-sweep"), TINY_OVERRIDES)
+    (path,) = kwargs
+    with pytest.raises(ConfigError, match=f"invalid --set {path}"):
+        apply_overrides(tiny, kwargs)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.experiments.scenarios import PAPER_AGENT_FRACTIONS, SCALES, Scale
+from repro.experiments.spec import ExperimentSpec
 
 
 def test_paper_scale_matches_paper():
@@ -26,11 +27,14 @@ def test_paper_equivalent_agents():
 
 def test_scale_validation():
     with pytest.raises(ConfigError):
-        Scale(name="x", n_peers=10, sim_minutes=10, attack_start_min=1, trials=1)
+        Scale(name="x", n_peers=9, sim_minutes=10, attack_start_min=1)
     with pytest.raises(ConfigError):
-        Scale(name="x", n_peers=200, sim_minutes=5, attack_start_min=5, trials=1)
-    with pytest.raises(ConfigError):
-        Scale(name="x", n_peers=200, sim_minutes=10, attack_start_min=1, trials=0)
+        Scale(name="x", n_peers=200, sim_minutes=5, attack_start_min=5)
+    # The trial count is the spec's, not the scale's.
+    with pytest.raises(ConfigError, match="trials must be >= 1"):
+        ExperimentSpec(name="x", scenario="agent-sweep", trials=0)
+    with pytest.raises(TypeError):
+        Scale(name="x", n_peers=200, sim_minutes=10, attack_start_min=1, trials=1)
 
 
 def test_smoke_scale_small():

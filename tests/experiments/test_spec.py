@@ -1,5 +1,6 @@
 """Unit tests for the declarative experiment-spec layer."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from repro.core.config import DDPoliceConfig
 from repro.errors import ConfigError
 from repro.experiments.library import list_scenarios, run_spec, spec_at_scale
+from repro.experiments.scenarios import SCALES, TIER_OVERRIDES
 from repro.experiments.spec import (
     ExperimentSpec,
     GridSpec,
@@ -23,6 +25,7 @@ from repro.experiments.spec import (
     spec_sha256,
     spec_to_jsonable,
 )
+from repro.live.spec import LIVE_TIERS
 from repro.obs.manifest import load_manifest, verify_manifest
 
 RESULTS = Path(__file__).resolve().parents[2] / "results"
@@ -165,7 +168,7 @@ def test_override_each_config_layer():
                 "police.cut_threshold=7",
                 "scale.n_peers=500",
                 "workload.issue_rate_qpm=0.5",
-                "faults.trials=1",
+                "grid.loss_fractions=0,0.5",
                 "grid.cut_thresholds=3,5",
                 "trials=2",
             ]
@@ -174,7 +177,7 @@ def test_override_each_config_layer():
     assert out.police.cut_threshold == 7.0
     assert out.scale.n_peers == 500
     assert out.workload.issue_rate_qpm == 0.5
-    assert out.faults.trials == 1
+    assert out.grid.loss_fractions == (0.0, 0.5)
     assert out.grid.cut_thresholds == (3.0, 5.0)
     assert out.trials == 2
     assert spec == get_spec("fig13")  # original untouched (frozen tree)
@@ -196,9 +199,9 @@ def test_section_path_without_leaf_rejected():
 
 
 def test_invariant_violation_names_the_path():
-    # Scale requires n_peers >= 100; the error carries the dotted path.
+    # Scale requires n_peers >= 10; the error carries the dotted path.
     with pytest.raises(ConfigError, match="invalid --set scale.n_peers"):
-        apply_overrides(get_spec("fig9"), {"scale.n_peers": "10"})
+        apply_overrides(get_spec("fig9"), {"scale.n_peers": "9"})
 
 
 def test_non_numeric_value_rejected_with_path():
@@ -223,7 +226,8 @@ def test_override_paths_cover_every_layer():
         "scale.n_peers",
         "police.cut_threshold",
         "workload.attack_rate_qpm",
-        "faults.loss_fractions",
+        "grid.loss_fractions",
+        "grid.crash_counts",
         "grid.agent_counts",
     ):
         assert expected in paths
@@ -242,14 +246,27 @@ def test_overridden_spec_roundtrips_through_json():
 
 def test_spec_at_scale_by_name():
     spec = spec_at_scale(get_spec("fig9"), "smoke")
-    assert spec.scale.n_peers == 300
-    assert spec.faults.name == "smoke"
+    assert spec.scale == SCALES["smoke"]
+    assert spec.live == LIVE_TIERS["smoke"]
+    assert LIVE_TIERS.keys() == SCALES.keys()
 
 
 def test_spec_at_scale_swaps_matrix_sizing():
-    spec = spec_at_scale(get_spec("robustness-matrix"), "smoke")
-    assert spec.matrix.name == "smoke"
-    assert spec.matrix.trials == 1
+    # The message-level sweeps keep their registered population at every
+    # tier; a tier row is a list of --set assignments on top of it.
+    bench = get_spec("robustness-matrix")
+    assert spec_at_scale(bench, "bench") == bench
+    assert spec_at_scale(bench, "paper").scale == replace(bench.scale, name="paper")
+    spec = spec_at_scale(bench, "smoke")
+    assert spec.scale == replace(bench.scale, name="smoke", sim_minutes=5)
+    assert spec.trials == 1
+    faults = spec_at_scale(get_spec("fault-sweep"), "smoke")
+    assert (faults.scale.n_peers, faults.scale.sim_minutes, faults.trials) == (40, 5, 1)
+    assert faults.grid.loss_fractions == (0.0, 0.3)
+    assert faults.grid.crash_counts == (0,)
+    assert {scenario for scenario, _ in TIER_OVERRIDES} == {
+        "fault-sweep", "robustness-matrix"
+    }
 
 
 def test_spec_at_scale_unknown_name():
@@ -273,6 +290,10 @@ def test_grid_validation():
         GridSpec(cut_thresholds=(0.0,))
     with pytest.raises(ConfigError, match="periods_min must be >= 1"):
         GridSpec(periods_min=(0,))
+    with pytest.raises(ConfigError, match=r"loss_fractions must be in \[0, 1\]"):
+        GridSpec(loss_fractions=(1.5,))
+    with pytest.raises(ConfigError, match="crash_counts must be non-negative"):
+        GridSpec(crash_counts=(-1,))
 
 
 def test_grid_matrix_axes_validated():
@@ -307,13 +328,12 @@ def test_adversary_knobs_overridable_by_dotted_path():
 
 
 def test_matrix_num_agents_bounds():
-    from repro.experiments.scenarios import MatrixSpec
-
-    with pytest.raises(ConfigError, match="0 < k < n"):
-        MatrixSpec(
-            name="x", n_peers=20, sim_minutes=5, attack_start_min=1,
-            trials=1, num_agents=20, attack_rate_qpm=600.0,
-        )
+    for scenario in ("robustness-matrix", "fault-sweep"):
+        for k in ("0", "20"):
+            with pytest.raises(ConfigError, match="grid.agents.*0 < k < n"):
+                apply_overrides(
+                    get_spec(scenario), {"scale.n_peers": "20", "grid.agents": k}
+                )
 
 
 def test_case_rejects_overfull_botnet():

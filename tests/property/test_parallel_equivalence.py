@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.library import run_spec
-from repro.experiments.scenarios import FaultSweepSpec
 
 
 def both_ways(name, overrides):
@@ -50,18 +49,18 @@ def test_sweep_workers4_exactly_equals_serial(seed, n, agents, trials):
     assert run.cases == 3 * trials
 
 
-FAULT_SPEC = FaultSweepSpec(
-    name="equivalence-tiny",
-    n_peers=16,
-    sim_minutes=3,
-    attack_start_min=1,
-    trials=2,
-    loss_fractions=(0.0, 0.25),
-    crash_counts=(0,),
-    num_agents=1,
-    attack_rate_qpm=600.0,
-)
-
-
 def test_fault_sweep_workers4_exactly_equals_serial():
-    both_ways("fault-sweep", {"seed": 5, "faults": FAULT_SPEC})
+    both_ways(
+        "fault-sweep",
+        {
+            "seed": 5,
+            "trials": 2,
+            "scale.name": "equivalence-tiny",
+            "scale.n_peers": 16,
+            "scale.sim_minutes": 3,
+            "scale.attack_start_min": 1,
+            "grid.agents": 1,
+            "grid.loss_fractions": (0.0, 0.25),
+            "grid.crash_counts": (0,),
+        },
+    )

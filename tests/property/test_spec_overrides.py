@@ -31,13 +31,16 @@ _PATH_VALUES = {
     "workload.issue_rate_qpm": st.floats(0.0, 10.0, **_finite).map(repr),
     "workload.attack_rate_qpm": st.floats(1.0, 50_000.0, **_finite).map(repr),
     "workload.cheat_strategy": st.sampled_from(["silent", "honest"]),
-    "faults.trials": st.integers(1, 4).map(str),
+    "grid.loss_fractions": st.lists(
+        st.floats(0.0, 1.0, **_finite), min_size=1, max_size=3
+    ).map(lambda xs: ",".join(repr(x) for x in xs)),
     "grid.agent_fraction": st.floats(0.001, 1.0, **_finite).map(repr),
     "grid.cut_thresholds": st.lists(
         st.floats(0.5, 20.0, **_finite), min_size=0, max_size=4
     ).map(lambda xs: ",".join(repr(x) for x in xs)),
+    # k <= scale.n_peers on every spec drawn below (fault-sweep runs n=40).
     "grid.agent_counts": st.lists(
-        st.integers(0, 100), min_size=0, max_size=4
+        st.integers(0, 40), min_size=0, max_size=4
     ).map(lambda xs: ",".join(str(x) for x in xs)),
 }
 

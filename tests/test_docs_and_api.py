@@ -190,3 +190,35 @@ def test_result_rows_have_one_unit_and_src_reads_no_scale_env():
         for path in root.rglob("*.py")
         if "REPRO_SCALE" in path.read_text()
     ]
+
+
+def test_every_size_is_stated_at_one_path():
+    """A spec is sized by ``scale`` + ``trials`` + ``grid`` (+ the rates in
+    ``workload``) and nothing else: no size is settable at two dotted
+    paths, the per-scenario sizing classes are gone, and a tier name
+    selects a table row (``SCALES``, ``TIER_OVERRIDES``, ``LIVE_TIERS``)
+    -- nothing under ``src/`` branches on one. ``live.n_nodes`` is a host
+    cap, not a population, and keeps its own name."""
+    import re
+    from pathlib import Path
+
+    from repro.experiments import scenarios
+    from repro.experiments.spec import override_paths
+
+    leaves = [path.rsplit(".", 1)[-1] for path in override_paths()]
+    for leaf in (
+        "n_peers", "sim_minutes", "attack_start_min", "trials", "num_agents",
+        "attack_rate_qpm", "loss_fractions", "crash_counts",
+    ):
+        assert leaves.count(leaf) <= 1, leaf
+    assert not hasattr(scenarios, "FaultSweepSpec")
+    assert not hasattr(scenarios, "MatrixSpec")
+
+    tier = r"""["'](smoke|bench|paper)["']"""
+    comparison = re.compile(rf"(==|!=)\s*{tier}|{tier}\s*(==|!=)")
+    root = Path(repro.__file__).parent
+    assert not [
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*.py")
+        if comparison.search(path.read_text())
+    ]
