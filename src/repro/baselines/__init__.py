@@ -4,9 +4,6 @@
   is dangerous ("Disconnecting all the peers who send out a large number
   of queries is dangerous in that a large number of good peers could be
   forwarding queries for bad peers", Section 2.1).
-* :mod:`~repro.baselines.load_balance` -- the Daswani & Garcia-Molina
-  query-flood load-balancing defense ([21], CCS'02), the paper's "most
-  related work": fair-share forwarding without identifying attackers.
 * :mod:`~repro.baselines.traceback` -- probabilistic packet-marking
   traceback (Savage et al. / Barak-Pelleg et al.) adapted to the
   overlay's minute granularity: sampled mark accumulation per incoming
@@ -14,14 +11,11 @@
 """
 
 from repro.baselines.naive import NaiveCutoffDefense, NaiveCutoffConfig
-from repro.baselines.load_balance import LoadBalancingDefense, LoadBalancingConfig
 from repro.baselines.traceback import TracebackConfig, TracebackDefense, deploy_traceback
 
 __all__ = [
     "NaiveCutoffDefense",
     "NaiveCutoffConfig",
-    "LoadBalancingDefense",
-    "LoadBalancingConfig",
     "TracebackConfig",
     "TracebackDefense",
     "deploy_traceback",

@@ -46,7 +46,3 @@ class WorkerCrashError(ExecError):
     """A worker process died without returning a result (segfault, OOM
     kill, interpreter abort). The pool is torn down and the error names
     the first task of the chunk that was lost."""
-
-
-class TaskTimeoutError(ExecError):
-    """A dispatched task chunk exceeded the executor's ``timeout_s``."""

@@ -18,9 +18,9 @@ Design rules that keep parallel runs bit-identical to serial ones:
   plain list comprehension in the calling process: no subprocesses, no
   pickling, byte-identical to the pre-executor code path.
 * **Typed failure surfacing.** A dead worker raises
-  :class:`~repro.errors.WorkerCrashError`; a deadline overrun raises
-  :class:`~repro.errors.TaskTimeoutError`; an exception *inside* ``fn``
-  is re-raised as-is (same behavior as the serial path).
+  :class:`~repro.errors.WorkerCrashError` and its pool is discarded; an
+  exception *inside* ``fn`` is re-raised as-is (same behavior as the
+  serial path).
 
 Worker processes use the ``spawn`` start method: children re-import the
 module that defines ``fn`` instead of forking the parent's (possibly
@@ -29,21 +29,22 @@ platform and under threaded callers. Consequently ``fn`` and every task
 must be picklable -- module-level functions and frozen dataclasses, not
 closures. Pools are cached per worker count so repeated ``pmap`` calls
 amortize interpreter startup.
+
+``pmap`` takes one option, ``workers``: it is the only one the sweeps
+pass. A run is observed from outside -- ``repro run --profile`` wraps
+the whole call, ``perfbench`` wraps ``pmap`` by path -- so the executor
+carries no deadline, progress hook, stats record or per-chunk profiler.
 """
 
 from __future__ import annotations
 
 import atexit
 import os
-import time
-import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigError, ExecError, TaskTimeoutError, WorkerCrashError
-from repro.obs.metrics import global_registry
+from repro.errors import ConfigError, ExecError, WorkerCrashError
 
 #: Environment variable holding the default worker count for sweeps that
 #: do not pass ``workers`` explicitly (benchmarks, CLI).
@@ -71,58 +72,9 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return workers
 
 
-@dataclass
-class ExecStats:
-    """Timing/progress record of one :func:`pmap` call."""
-
-    tasks: int = 0
-    workers: int = 1
-    chunks: int = 0
-    wall_s: float = 0.0
-    #: Per-chunk (first_task_index, task_count, elapsed_s) in completion
-    #: order -- elapsed is measured in the parent, so for the serial path
-    #: it is the task's own runtime and for the parallel path it includes
-    #: queueing.
-    chunk_timings: List[Tuple[int, int, float]] = field(default_factory=list)
-    #: Progress-hook exceptions swallowed during this call (hooks are
-    #: observers; a broken one must not kill the sweep).
-    hook_errors: int = 0
-    #: With ``profile=True``: one report dict per chunk, in completion
-    #: order, shipped back from the worker ({"first_task", "tasks",
-    #: "wall_s", and -- under cProfile -- "profile_top"}).
-    worker_profiles: List[Dict[str, Any]] = field(default_factory=list)
-
-
-ProgressHook = Callable[[int, int], None]
-
-
-class _SafeProgress:
-    """Wraps a progress hook so its exceptions cannot kill the run.
-
-    The first failure emits one :class:`RuntimeWarning`; every failure
-    increments both ``stats.hook_errors`` and the process-wide
-    ``exec.progress_hook_errors`` counter.
-    """
-
-    def __init__(self, hook: ProgressHook, stats: ExecStats) -> None:
-        self._hook = hook
-        self._stats = stats
-        self._warned = False
-
-    def __call__(self, done: int, total: int) -> None:
-        try:
-            self._hook(done, total)
-        except Exception as exc:
-            self._stats.hook_errors += 1
-            global_registry().counter("exec.progress_hook_errors").inc()
-            if not self._warned:
-                self._warned = True
-                warnings.warn(
-                    f"pmap progress hook raised {type(exc).__name__}: {exc}; "
-                    "suppressing further hook errors for this call",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
+#: Dispatch units per worker: enough that stragglers rebalance, few
+#: enough that per-chunk IPC stays amortized.
+_CHUNKS_PER_WORKER = 4
 
 
 def _chunk_bounds(n_tasks: int, chunk_size: int) -> List[Tuple[int, int]]:
@@ -132,23 +84,6 @@ def _chunk_bounds(n_tasks: int, chunk_size: int) -> List[Tuple[int, int]]:
 def _run_chunk(fn: Callable[[Any], Any], tasks: Sequence[Any]) -> List[Any]:
     """Worker-side body: run one chunk serially, preserving order."""
     return [fn(task) for task in tasks]
-
-
-def _run_chunk_profiled(
-    fn: Callable[[Any], Any], tasks: Sequence[Any], first_task: int, top: int
-) -> Tuple[List[Any], Dict[str, Any]]:
-    """Worker-side body under ``profile=True``: results + a profile report.
-
-    cProfile runs around the whole chunk and the top-``top``
-    cumulative-time rows travel back as text, so the parent can show
-    where worker wall-time went without any shared state.
-    """
-    from repro.obs.profile import Profiler
-
-    profiler = Profiler(cprofile=True, top=top)
-    with profiler.scope("exec.chunk", first_task=first_task, tasks=len(tasks)):
-        results = [fn(task) for task in tasks]
-    return results, profiler.reports[0]
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +129,6 @@ def pmap(
     tasks: Sequence[Any],
     *,
     workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    timeout_s: Optional[float] = None,
-    on_progress: Optional[ProgressHook] = None,
-    stats: Optional[ExecStats] = None,
-    profile: bool = False,
-    profile_top: int = 20,
 ) -> List[Any]:
     """Map ``fn`` over ``tasks``, optionally on a process pool.
 
@@ -211,148 +140,44 @@ def pmap(
         Task payloads; each must be picklable when ``workers > 1``.
     workers:
         Process count (see :func:`resolve_workers`); 1 = serial in-process.
-    chunk_size:
-        Tasks per dispatch unit. Defaults to roughly four chunks per
-        worker, so stragglers rebalance while per-chunk IPC stays
-        amortized.
-    timeout_s:
-        Overall deadline; on expiry pending work is cancelled and
-        :class:`~repro.errors.TaskTimeoutError` is raised.
-    on_progress:
-        ``on_progress(done, total)`` after each task (serial) or chunk
-        (parallel) completes, in the parent process. Exceptions raised by
-        the hook are swallowed (counted in ``stats.hook_errors`` and the
-        global ``exec.progress_hook_errors`` counter, one warning per
-        call) -- a broken observer must not kill the sweep.
-    stats:
-        Optional :class:`ExecStats` to fill with timing details.
-    profile:
-        Run cProfile around each chunk (in the worker) and ship the
-        top-``profile_top`` cumulative rows back in
-        ``stats.worker_profiles``. Opt-in: adds real overhead.
 
     Returns ``[fn(t) for t in tasks]`` in task order.
     """
     workers = resolve_workers(workers)
     tasks = list(tasks)
     total = len(tasks)
-    stats = stats if stats is not None else ExecStats()
-    stats.tasks = total
-    stats.workers = workers
-    if on_progress is not None:
-        on_progress = _SafeProgress(on_progress, stats)
-    started = time.perf_counter()
-
     if workers == 1 or total <= 1:
-        # Serial fallback: identical to the historical inline loop -- the
-        # deadline is best-effort (checked between tasks, never killing a
-        # running one, so a single long task behaves exactly as before).
-        results: List[Any] = []
-        stats.chunks = total
-        profiler = None
-        if profile and total:
-            from repro.obs.profile import Profiler
+        return [fn(task) for task in tasks]
 
-            profiler = Profiler(cprofile=True, top=profile_top)
-            profiler_scope = profiler.scope(
-                "exec.chunk", first_task=0, tasks=total
-            )
-            profiler_scope.__enter__()
-        try:
-            for index, task in enumerate(tasks):
-                if timeout_s is not None and time.perf_counter() - started > timeout_s:
-                    raise TaskTimeoutError(
-                        f"serial pmap exceeded {timeout_s:g}s after {index}/{total} tasks"
-                    )
-                t0 = time.perf_counter()
-                results.append(fn(task))
-                stats.chunk_timings.append((index, 1, time.perf_counter() - t0))
-                if on_progress is not None:
-                    on_progress(index + 1, total)
-        finally:
-            if profiler is not None:
-                profiler_scope.__exit__(None, None, None)
-                stats.worker_profiles.extend(profiler.reports)
-        stats.wall_s = time.perf_counter() - started
-        return results
-
-    if chunk_size is None:
-        chunk_size = max(1, total // (workers * 4))
-    if chunk_size < 1:
-        raise ConfigError("chunk_size must be >= 1")
-
-    bounds = _chunk_bounds(total, chunk_size)
-    stats.chunks = len(bounds)
+    bounds = _chunk_bounds(total, max(1, total // (workers * _CHUNKS_PER_WORKER)))
     pool = _pool(workers)
-    slots: List[Optional[List[Any]]] = [None] * total
+    slots: List[Any] = [None] * total
     try:
-        if profile:
-            future_bounds = {
-                pool.submit(
-                    _run_chunk_profiled, fn, tasks[lo:hi], lo, profile_top
-                ): (lo, hi)
-                for lo, hi in bounds
-            }
-        else:
-            future_bounds = {
-                pool.submit(_run_chunk, fn, tasks[lo:hi]): (lo, hi)
-                for lo, hi in bounds
-            }
+        future_bounds = {
+            pool.submit(_run_chunk, fn, tasks[lo:hi]): (lo, hi) for lo, hi in bounds
+        }
     except BrokenProcessPool as exc:  # pool died before accepting work
         _discard_pool(workers)
         raise WorkerCrashError(f"worker pool broken at submit: {exc}") from exc
 
-    done_tasks = 0
-    pending = set(future_bounds)
     try:
-        while pending:
-            remaining: Optional[float] = None
-            if timeout_s is not None:
-                remaining = timeout_s - (time.perf_counter() - started)
-                if remaining <= 0:
-                    raise TaskTimeoutError(
-                        f"pmap exceeded {timeout_s:g}s with "
-                        f"{done_tasks}/{total} tasks done"
-                    )
-            finished, pending = wait(
-                pending, timeout=remaining, return_when=FIRST_COMPLETED
-            )
-            if not finished:
-                raise TaskTimeoutError(
-                    f"pmap exceeded {timeout_s:g}s with "
-                    f"{done_tasks}/{total} tasks done"
+        for future in as_completed(future_bounds):
+            lo, hi = future_bounds[future]
+            try:
+                chunk_results = future.result()
+            except BrokenProcessPool as exc:
+                raise WorkerCrashError(
+                    f"worker crashed while running tasks [{lo}, {hi}): {exc}"
+                ) from exc
+            if len(chunk_results) != hi - lo:
+                raise ExecError(
+                    f"chunk [{lo}, {hi}) returned {len(chunk_results)} results"
                 )
-            for future in finished:
-                lo, hi = future_bounds[future]
-                try:
-                    chunk_results = future.result()
-                except BrokenProcessPool as exc:
-                    raise WorkerCrashError(
-                        f"worker crashed while running tasks [{lo}, {hi}): {exc}"
-                    ) from exc
-                if profile:
-                    chunk_results, report = chunk_results
-                    stats.worker_profiles.append(report)
-                if len(chunk_results) != hi - lo:
-                    raise ExecError(
-                        f"chunk [{lo}, {hi}) returned {len(chunk_results)} results"
-                    )
-                slots[lo:hi] = chunk_results
-                done_tasks += hi - lo
-                stats.chunk_timings.append(
-                    (lo, hi - lo, time.perf_counter() - started)
-                )
-                if on_progress is not None:
-                    on_progress(done_tasks, total)
-    except (WorkerCrashError, TaskTimeoutError):
+            slots[lo:hi] = chunk_results
+    except BaseException as exc:
         for future in future_bounds:
             future.cancel()
-        _discard_pool(workers)
+        if isinstance(exc, WorkerCrashError):
+            _discard_pool(workers)
         raise
-    except BaseException:
-        for future in future_bounds:
-            future.cancel()
-        raise
-
-    stats.wall_s = time.perf_counter() - started
-    return list(slots)
+    return slots

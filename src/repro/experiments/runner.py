@@ -8,8 +8,8 @@ fluid-vs-DES cross-validation bench.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional, Set, Union
+from dataclasses import dataclass, field
+from typing import Any, Dict, Optional, Set
 
 from repro.attack.adaptive import AdaptiveConfig
 from repro.attack.cheating import CheatStrategy
@@ -22,7 +22,7 @@ from repro.core.police import deploy_ddpolice
 from repro.errors import ConfigError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.metrics.collectors import LegacyMetricsCollector, MetricsCollector
+from repro.metrics.accounting import QueryAccounting
 from repro.metrics.errors import ErrorCounts, JudgmentLog
 from repro.obs.config import Observability, ObsConfig
 from repro.overlay.content import ContentCatalog, ContentConfig
@@ -60,11 +60,6 @@ class DESConfig:
     police: DDPoliceConfig = DDPoliceConfig()
     naive_cutoff_qpm: float = 500.0
     traceback: TracebackConfig = TracebackConfig()
-    #: Metrics path: "incremental" (default, O(1) per event, bounded
-    #: memory) or "legacy" (full per-minute record scan; forces record
-    #: retention). Legacy exists only as the oracle for the equivalence
-    #: property test.
-    metrics_mode: str = "incremental"
     #: Fault schedule executed against the run (empty plan = no injector
     #: attached, transmit path untouched). Random crash / fail-slow
     #: victims are drawn from the *good* population so the ground-truth
@@ -96,8 +91,6 @@ class DESConfig:
             )
         if self.naive_cutoff_qpm <= 0:
             raise ConfigError("naive_cutoff_qpm must be positive")
-        if self.metrics_mode not in ("incremental", "legacy"):
-            raise ConfigError(f"unknown metrics_mode {self.metrics_mode!r}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
 
@@ -109,7 +102,6 @@ class DESRun:
     config: DESConfig
     sim: Simulator
     network: OverlayNetwork
-    collector: Union[MetricsCollector, LegacyMetricsCollector]
     churn: Optional[ChurnProcess]
     scenario: Optional[AttackScenario]
     judgments: Optional[JudgmentLog]
@@ -124,6 +116,11 @@ class DESRun:
     #: Bytes of DD-POLICE evidence state summed over all engines
     #: (traffic stores + report-dedup windows); 0 without the defense.
     evidence_bytes: int = 0
+
+    @property
+    def accounting(self) -> QueryAccounting:
+        """The network's accounting; ``rows`` is the per-minute view."""
+        return self.network.accounting
 
     @property
     def success_rate(self) -> float:
@@ -159,17 +156,9 @@ def run_des_experiment(config: DESConfig) -> DESRun:
         raise ConfigError("topology n must match config n")
     topo = generate_topology(topo_cfg)
     content = ContentCatalog(config.content, config.n)
-    net_cfg = config.network
-    if config.metrics_mode == "legacy" and net_cfg.retire_settled_records:
-        net_cfg = replace(net_cfg, retire_settled_records=False)
     network = OverlayNetwork(
-        sim, topo, config=net_cfg, content=content, rng_registry=rngs, obs=obs
+        sim, topo, config=config.network, content=content, rng_registry=rngs, obs=obs
     )
-    collector: Union[MetricsCollector, LegacyMetricsCollector]
-    if config.metrics_mode == "legacy":
-        collector = LegacyMetricsCollector(network)
-    else:
-        collector = MetricsCollector(network)
 
     # Churn-assisted evasion drives a ChurnProcess even when natural
     # churn is disabled: the evading agents need the leave/rejoin
@@ -266,7 +255,6 @@ def run_des_experiment(config: DESConfig) -> DESRun:
         config=config,
         sim=sim,
         network=network,
-        collector=collector,
         churn=churn,
         scenario=scenario,
         judgments=judgments,

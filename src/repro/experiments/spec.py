@@ -55,7 +55,7 @@ from repro.attack.cheating import CheatStrategy
 from repro.baselines.traceback import TracebackConfig
 from repro.core.config import DDPoliceConfig
 from repro.errors import ConfigError, MetricsError
-from repro.exec import ExecStats, pmap
+from repro.exec import pmap
 from repro.experiments.scenarios import SCALES, Scale
 from repro.faults.plan import FaultPlan
 from repro.live.spec import LIVE_TIERS, LiveSpec
@@ -645,10 +645,10 @@ def _fluid_case_task(case: Case) -> CaseResult:
 def _extract_case_result(run: Any, cfg: Any, settle_min: Optional[int]) -> CaseResult:
     """Map a finished message/SoA run to the backend result contract.
 
-    The two run objects expose the same collector/judgment surface by
-    design; the collector's second timestamps become minutes here, once.
+    The two run objects expose the same accounting/judgment surface by
+    design; the rows' second timestamps become minutes here, once.
     """
-    success = run.collector.success_series()
+    minutes = run.accounting.rows
     if run.judgments is not None:
         errors = run.error_counts()
         fn, fp = errors.false_negative, errors.false_positive
@@ -675,21 +675,22 @@ def _extract_case_result(run: Any, cfg: Any, settle_min: Optional[int]) -> CaseR
         latency = sum(samples) / len(samples)
     steady: Optional[Tuple[float, float, float]] = None
     if settle_min is not None:
-        settle_s = settle_min * 60.0
-        horizon = cfg.duration_s + 1.0
-        traffic = run.collector.traffic_series().window(settle_s, horizon)
-        response = run.collector.response_series().window(settle_s, horizon)
-        succ = success.window(settle_s, horizon)
+        window = [m for m in minutes if m.time_s >= settle_min * 60.0]
         # Every reported minute has a traffic and a success sample (the
         # window holds one: ``_des_config`` checked); a minute with no
         # successful query has no response time.
+        response = [
+            m.mean_response_time_s
+            for m in window
+            if m.mean_response_time_s is not None
+        ]
         steady = (
-            traffic.mean() / 1000.0,
-            response.mean() if len(response) else 0.0,
-            succ.mean(),
+            sum(float(m.messages) for m in window) / len(window) / 1000.0,
+            sum(response) / len(response) if response else 0.0,
+            sum(m.success_rate for m in window) / len(window),
         )
     return CaseResult(
-        rows=tuple((t / 60.0, s) for t, s in success),
+        rows=tuple((m.time_s / 60.0, m.success_rate) for m in minutes),
         steady=steady,
         false_negative=fn,
         false_positive=fp,
@@ -714,7 +715,7 @@ def _des_config(case: Case, **network: Any) -> Any:
     from repro.workload.generator import WorkloadConfig
 
     net = NetworkConfig(processing_qpm_good=case.workload.capacity_qpm, **network)
-    # The collector publishes a minute only once its grace window has
+    # The accounting publishes a minute only once its grace window has
     # passed, so the run's last minute(s) never become rows: reject a
     # steady-state window that opens past them before simulating.
     reported = case.minutes - net.metrics_grace_minutes
@@ -851,14 +852,13 @@ def run_cases(
     *,
     backend: str = "fluid",
     workers: Optional[int] = None,
-    stats: Optional[ExecStats] = None,
 ) -> List[CaseResult]:
     """Execute cases on a backend through the parallel executor.
 
     Results are in case order and bit-identical for any worker count
     (the :func:`repro.exec.pmap` contract).
     """
-    return pmap(get_backend(backend).task_fn, list(cases), workers=workers, stats=stats)
+    return pmap(get_backend(backend).task_fn, list(cases), workers=workers)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from repro.metrics.series import TimeSeries
 from repro.metrics.damage import damage_recovery_time
 from repro.metrics.errors import Judgment, JudgmentLog, ErrorCounts
 from repro.metrics.accounting import ClassTotals, MinuteMetrics, QueryAccounting
-from repro.metrics.collectors import LegacyMetricsCollector, MetricsCollector
 
 __all__ = [
     "TimeSeries",
@@ -27,6 +26,4 @@ __all__ = [
     "ClassTotals",
     "MinuteMetrics",
     "QueryAccounting",
-    "MetricsCollector",
-    "LegacyMetricsCollector",
 ]

@@ -21,8 +21,14 @@ Accounting is O(1) per event, not O(records) per minute:
 
 Responses arriving after their window was finalized are counted in
 ``late_responses`` but change neither the window row nor the lifetime
-totals -- exactly the cutoff the legacy full-scan collector applied by
-evaluating each window once, ``grace`` minutes after it closed.
+totals: each window is evaluated once, ``grace`` minutes after it closed
+(the cutoff of the full-scan oracle whose output is frozen in
+``tests/metrics/fixtures/minute_rows.json``).
+
+``rows`` is the only per-minute view of a message-level run: the ``des``
+and ``des-soa`` run objects both expose their accounting, and every
+reader (result extraction, tests, examples) derives its series from the
+rows directly.
 """
 
 from __future__ import annotations
@@ -106,7 +112,7 @@ class MinuteMetrics:
 
     @property
     def all_success_rate(self) -> float:
-        """Legacy denominator: every origin, agents included (diagnostic)."""
+        """All-traffic denominator: every origin, agents included (diagnostic)."""
         if self.all_queries_issued == 0:
             return 0.0
         return self.all_queries_succeeded / self.all_queries_issued
@@ -130,7 +136,7 @@ class QueryAccounting:
 
     Owned by the overlay network, which feeds it three event streams
     (issue, first response, minute rollover) and applies the retirement
-    lists it returns. Collectors read ``rows`` -- they never scan records.
+    lists it returns. Readers take ``rows`` -- nothing scans records.
     """
 
     def __init__(self, *, grace_minutes: int = 1, retire_records: bool = True) -> None:
@@ -146,20 +152,6 @@ class QueryAccounting:
         self._roll_times: List[float] = [0.0]
         self._last_messages = 0
         self._last_bytes = 0
-
-    # ------------------------------------------------------------------
-    def configure_grace(self, grace_minutes: int) -> None:
-        """Adjust the grace window; only valid before the first rollover."""
-        if grace_minutes < 0:
-            raise ConfigError("grace_minutes must be non-negative")
-        if grace_minutes == self.grace_minutes:
-            return
-        if self._rolls > 0:
-            raise ConfigError(
-                "cannot change grace_minutes after the first minute rollover "
-                f"(have {self.grace_minutes}, requested {grace_minutes})"
-            )
-        self.grace_minutes = grace_minutes
 
     # ------------------------------------------------------------------
     # event stream

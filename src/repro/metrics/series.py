@@ -1,4 +1,4 @@
-"""Simple time series container used by every collector."""
+"""Simple time series container (damage curves and their recovery time)."""
 
 from __future__ import annotations
 

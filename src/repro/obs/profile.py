@@ -4,8 +4,8 @@ A :class:`Profiler` hands out named ``scope()`` context managers that
 always record wall time (``time.perf_counter``) and, when built with
 ``cprofile=True``, additionally run :mod:`cProfile` over the block and
 keep the top-N rows (by cumulative time) as text. Reports accumulate on
-the profiler and are JSON-able, so worker processes can ship them back
-to the parent through ``exec.pmap``'s :class:`~repro.exec.ExecStats`.
+the profiler and are JSON-able; a run's reports stay on its
+:class:`~repro.obs.config.Observability` bundle (``run.obs.profiler``).
 
 Profiling is strictly opt-in: nothing in this module runs unless a
 config asked for it, and the simulators guard every scope behind a

@@ -42,15 +42,10 @@ class NetworkConfig:
     #: downstream budget are dropped in flight. Off by default so unit
     #: tests see lossless links.
     bandwidth_enabled: bool = False
-    #: Drop settled ``QueryRecord``s once their window's grace period has
-    #: elapsed, folding them into compact per-class running aggregates.
-    #: Bounds metrics memory at paper scale; turn off only for the legacy
-    #: full-scan collector (which needs every record retained).
-    retire_settled_records: bool = True
     #: Windows to wait after a minute closes before its metrics row is
-    #: emitted and its records retired (in-flight responses land during
-    #: the grace). ``MetricsCollector`` may override before the first
-    #: rollover.
+    #: emitted and its settled ``QueryRecord``s retired (in-flight
+    #: responses land during the grace). The only place a grace is set:
+    #: ``des`` and ``des-soa`` both hand it to their accounting.
     metrics_grace_minutes: int = 1
     #: Upper bound on remembered GUIDs per peer (seen cache + reverse-
     #: path routes), mirroring the bounded routing tables of real
@@ -110,10 +105,6 @@ class QueryRecord:
     window: int = 0
 
     @property
-    def succeeded(self) -> bool:
-        return self.responses > 0
-
-    @property
     def response_time(self) -> Optional[float]:
         if self.first_response_at is None:
             return None
@@ -140,7 +131,7 @@ class OverlayNetwork:
 
     ``minute_listeners`` fire once per minute window with
     ``(minute_index, now)`` *after* every peer's window has been rolled;
-    DD-POLICE engines and metric collectors subscribe there.
+    DD-POLICE engines subscribe there.
     """
 
     def __init__(
@@ -177,8 +168,7 @@ class OverlayNetwork:
         #: from the default service metrics (see docs/METRICS.md).
         self.attack_origins: Set[PeerId] = set()
         self.accounting = QueryAccounting(
-            grace_minutes=config.metrics_grace_minutes,
-            retire_records=config.retire_settled_records,
+            grace_minutes=config.metrics_grace_minutes, retire_records=True
         )
         self.minute_listeners: List[Callable[[int, float], None]] = []
         self.minute_index = 0
@@ -223,9 +213,8 @@ class OverlayNetwork:
 
         # Negative priority: the roll must observe state *before* any
         # application event scheduled at the exact window boundary, so a
-        # query issued at t == 120.0 lands in the [120, 180) window for
-        # both the incremental accounting (rolls counter) and the legacy
-        # timestamp scan.
+        # query issued at t == 120.0 lands in the [120, 180) window of
+        # the accounting's rolls counter.
         self._minute_task = PeriodicTask(
             sim,
             config.minute_window_s,

@@ -57,7 +57,6 @@ from repro.core.decision import GroupEvidence, Verdict, judge
 from repro.errors import ConfigError
 from repro.fluid.flows import build_edge_arrays, edge_slice_index
 from repro.metrics.accounting import QueryAccounting
-from repro.metrics.collectors import _SeriesMixin
 from repro.metrics.errors import ErrorCounts, JudgmentLog
 from repro.overlay.content import ContentCatalog
 from repro.overlay.ids import PeerId
@@ -118,17 +117,6 @@ class SoaStats:
     edges_cut: int = 0
 
 
-class SoaCollector(_SeriesMixin):
-    """Read-side facade over the accounting rows (collector duck type)."""
-
-    def __init__(self, accounting: QueryAccounting) -> None:
-        self._accounting = accounting
-
-    @property
-    def minutes(self):
-        return self._accounting.rows
-
-
 @dataclass
 class SoaRun:
     """A finished SoA run with the surfaces result extraction needs."""
@@ -137,7 +125,6 @@ class SoaRun:
     n: int
     stats: SoaStats
     accounting: QueryAccounting
-    collector: SoaCollector
     judgments: Optional[JudgmentLog]
     bad_peers: Set[PeerId] = field(default_factory=set)
     wall_s: float = 0.0
@@ -201,8 +188,6 @@ def _reject_unsupported(config: "DESConfig") -> None:
         )
     if config.network.bandwidth_enabled:
         raise ConfigError("backend 'des-soa' has no bandwidth model (DES only)")
-    if config.metrics_mode != "incremental":
-        raise ConfigError("backend 'des-soa' supports metrics_mode 'incremental' only")
 
 
 class SoaFloodEngine:
@@ -288,7 +273,6 @@ class SoaFloodEngine:
         self.accounting = QueryAccounting(
             grace_minutes=net.metrics_grace_minutes, retire_records=False
         )
-        self.collector = SoaCollector(self.accounting)
         #: qid -> (window, issued_at, is_attack) for queries that can be
         #: answered (workload-issued; bogus attack batches never match).
         self._meta: Dict[int, Tuple[int, float, bool]] = {}
@@ -800,7 +784,6 @@ def run_soa_experiment(config: "DESConfig") -> SoaRun:
         n=engine.n,
         stats=engine.stats,
         accounting=engine.accounting,
-        collector=engine.collector,
         judgments=engine.judgments,
         bad_peers=engine.bad_peers,
         wall_s=wall_s,

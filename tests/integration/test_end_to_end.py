@@ -56,7 +56,7 @@ TAIL_FROM_MINUTE = 4
 def _mean_success(run, lo, hi=None):
     ms = [
         m
-        for m in run.collector.minutes
+        for m in run.accounting.rows
         if m.minute >= lo and (hi is None or m.minute <= hi) and m.queries_issued
     ]
     assert ms
@@ -76,8 +76,8 @@ def test_pre_attack_minutes_match_clean_baseline(runs):
     baseline, undefended, _ = runs
     # Same seed, and attack origins register only at attack start: the
     # first two minutes must be *identical*, not merely close.
-    pre_base = [m for m in baseline.collector.minutes if m.minute <= 2]
-    pre_atk = [m for m in undefended.collector.minutes if m.minute <= 2]
+    pre_base = [m for m in baseline.accounting.rows if m.minute <= 2]
+    pre_atk = [m for m in undefended.accounting.rows if m.minute <= 2]
     assert [m.queries_issued for m in pre_base] == [
         m.queries_issued for m in pre_atk
     ]
@@ -102,7 +102,7 @@ def test_good_metric_diverges_from_all_traffic_under_attack(runs):
     _, undefended, _ = runs
     post = [
         m
-        for m in undefended.collector.minutes
+        for m in undefended.accounting.rows
         if m.minute >= TAIL_FROM_MINUTE and m.attack_queries_issued
     ]
     assert post

@@ -4,6 +4,9 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.metrics.accounting import ClassTotals, MinuteMetrics, QueryAccounting
+from repro.overlay.network import NetworkConfig
+from repro.workload.generator import QueryWorkload, WorkloadConfig
+from tests.conftest import make_network
 
 
 def roll(acc, now, messages=0, bytes_=0):
@@ -119,18 +122,6 @@ def test_per_class_totals_and_all_merge():
         acc.totals("bogus")
 
 
-def test_configure_grace_rejected_after_first_roll():
-    acc = QueryAccounting(grace_minutes=1)
-    acc.configure_grace(2)  # fine before any roll
-    assert acc.grace_minutes == 2
-    roll(acc, 60.0)
-    acc.configure_grace(2)  # no-op is always allowed
-    with pytest.raises(ConfigError):
-        acc.configure_grace(3)
-    with pytest.raises(ConfigError):
-        acc.configure_grace(-1)
-
-
 def test_negative_grace_rejected_at_construction():
     with pytest.raises(ConfigError):
         QueryAccounting(grace_minutes=-1)
@@ -163,3 +154,61 @@ def test_minute_metrics_all_traffic_properties():
     assert row.all_queries_issued == 100
     assert row.all_queries_succeeded == 6
     assert row.all_success_rate == 0.06
+
+
+# ---------------------------------------------------------------------------
+# the rows of a live network (``net.accounting.rows`` is the read side)
+# ---------------------------------------------------------------------------
+
+def ring(n):
+    return {i: {(i + 1) % n} for i in range(n)}
+
+
+def _start_workload(sim, net, qpm, seed):
+    QueryWorkload(sim, net, WorkloadConfig(queries_per_minute=qpm, seed=seed)).start()
+
+
+def test_minutes_collected_with_grace():
+    sim, net = make_network(ring(10), seed=1)
+    _start_workload(sim, net, 6.0, 1)
+    sim.run(until=310.0)
+    # 5 minute rolls happened; with 1 minute grace, 4 windows evaluated
+    assert [m.minute for m in net.accounting.rows] == [1, 2, 3, 4]
+
+
+def test_success_rate_definition():
+    sim, net = make_network(ring(6), seed=3)
+    # make every query succeed: object 0 replicated everywhere
+    for obj in range(len(net.content.replica_holders)):
+        net.content.replica_holders[obj] = set(range(6))
+    net.content.peer_objects = {
+        p: set(range(len(net.content.replica_holders))) for p in range(6)
+    }
+    _start_workload(sim, net, 6.0, 3)
+    sim.run(until=200.0)
+    for m in net.accounting.rows:
+        if m.queries_issued:
+            assert m.success_rate == 1.0
+            assert m.mean_response_time_s is not None
+
+
+def test_traffic_series_deltas():
+    sim, net = make_network(
+        ring(10),
+        seed=4,
+        config=NetworkConfig(hop_latency_jitter_s=0.0, seed=4, metrics_grace_minutes=0),
+    )
+    _start_workload(sim, net, 6.0, 4)
+    sim.run(until=190.0)
+    # grace 0: every closed minute is a row, and the deltas never overcount
+    assert [m.minute for m in net.accounting.rows] == [1, 2, 3]
+    assert sum(m.messages for m in net.accounting.rows) <= net.stats.messages_delivered
+
+
+def test_series_accessors():
+    sim, net = make_network(ring(6), seed=5)
+    _start_workload(sim, net, 10.0, 5)
+    sim.run(until=250.0)
+    rows = net.accounting.rows
+    assert rows and all(0.0 <= m.success_rate <= 1.0 for m in rows)
+    assert [m.time_s for m in rows] == [60.0 * m.minute for m in rows]

@@ -17,7 +17,6 @@ the agents.
 import pytest
 
 from repro.attack.scenario import AttackScenario, ScenarioConfig
-from repro.metrics.collectors import MetricsCollector
 from repro.overlay.content import ContentCatalog, ContentConfig
 from repro.overlay.network import NetworkConfig, OverlayNetwork
 from repro.overlay.topology import TopologyConfig, generate_topology
@@ -44,7 +43,6 @@ def _run(launch_attack: bool):
         content=content,
         rng_registry=rngs,
     )
-    collector = MetricsCollector(net)
     scenario = AttackScenario(
         sim,
         net,
@@ -64,7 +62,7 @@ def _run(launch_attack: bool):
     if launch_attack:
         scenario.launch()
     sim.run(until=300.0)
-    return net, collector, scenario
+    return net, net.accounting.rows, scenario
 
 
 @pytest.fixture(scope="module")
@@ -73,9 +71,7 @@ def paired_runs():
 
 
 def test_good_metrics_identical_to_no_attack_baseline(paired_runs):
-    (base_net, base_col, _), (atk_net, atk_col, _) = paired_runs
-    base_rows = base_col.minutes
-    atk_rows = atk_col.minutes
+    (base_net, base_rows, _), (atk_net, atk_rows, _) = paired_runs
     assert len(base_rows) == len(atk_rows) >= 3
     for b, a in zip(base_rows, atk_rows):
         assert (b.queries_issued, b.queries_succeeded) == (
@@ -87,17 +83,17 @@ def test_good_metrics_identical_to_no_attack_baseline(paired_runs):
 
 
 def test_attack_queries_recorded_in_their_own_class(paired_runs):
-    (_, base_col, _), (atk_net, atk_col, _) = paired_runs
-    assert all(m.attack_queries_issued == 0 for m in base_col.minutes)
-    post = [m for m in atk_col.minutes if m.time_s > 120.0]
+    (_, base_rows, _), (atk_net, atk_rows, _) = paired_runs
+    assert all(m.attack_queries_issued == 0 for m in base_rows)
+    post = [m for m in atk_rows if m.time_s > 120.0]
     assert post and all(m.attack_queries_issued > 0 for m in post)
     # the flood's queries are bogus (unique nonce keywords): none succeed
     assert atk_net.accounting.totals("attack").succeeded == 0
 
 
 def test_all_traffic_diagnostic_shows_the_old_pollution(paired_runs):
-    _, (atk_net, atk_col, _) = paired_runs
-    post = [m for m in atk_col.minutes if m.attack_queries_issued]
+    _, (atk_net, atk_rows, _) = paired_runs
+    post = [m for m in atk_rows if m.attack_queries_issued]
     assert post
     for m in post:
         assert m.all_success_rate < m.success_rate

@@ -1,15 +1,31 @@
-"""Property test: incremental accounting == legacy full-scan collector.
+"""The incremental accounting rows against the frozen full-scan oracle.
 
-The incremental metrics path (O(1) per event, bounded memory) replaced
-the per-minute scan over every ``QueryRecord``.  The legacy collector is
-kept in-tree behind ``DESConfig(metrics_mode="legacy")`` as the oracle:
-for any seeded workload -- including churn, an attack flood, and
-injected message faults -- both paths must produce the same per-minute
-rows, because identical seeds give identical event streams and neither
-path perturbs the simulation it measures.
+The incremental metrics path (O(1) per event, bounded memory) replaced a
+per-minute scan over every retained ``QueryRecord``. That scan
+(``LegacyMetricsCollector`` behind ``DESConfig(metrics_mode="legacy")``)
+was kept in ``src`` only as the oracle of this file and is deleted;
+``tests/metrics/fixtures/minute_rows.json`` is its *output*: for each
+config in ``CASES``, the rows the legacy collector published plus the
+run's two whole-run success rates, floats by ``repr``. It was written at
+commit ``a109d29`` (the last one with the collector) by running every
+case under ``metrics_mode="legacy"`` and writing ``run.collector.minutes``
+in the layout of :func:`dump`; the incremental rows of that same commit
+passed this file against it before the collector was removed (and
+re-dumping them reproduces the file byte for byte). Identical seeds give
+identical event streams and accounting never perturbs the simulation it
+measures, so the rows here must still equal the full scan's -- on plain
+workloads, under churn plus an attack flood, and with injected message
+loss under DD-POLICE.
+
+The oracle is gone, so the fixture cannot be regenerated from it; after
+an *intended* change of simulated behaviour, running this file as a
+script re-bases it on the incremental rows::
+
+    PYTHONPATH=src python tests/property/test_metrics_equivalence.py
 """
 
-from dataclasses import replace
+import json
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +37,18 @@ from repro.overlay.topology import TopologyConfig
 from repro.workload.generator import WorkloadConfig
 
 TOL = 1e-9
+FIXTURE = Path(__file__).parents[1] / "metrics" / "fixtures" / "minute_rows.json"
+
+_EXACT = (
+    "minute",
+    "messages",
+    "bytes_transferred",
+    "queries_issued",
+    "queries_succeeded",
+    "attack_queries_issued",
+    "attack_queries_succeeded",
+)
+_FLOATS = ("time_s", "mean_response_time_s", "attack_mean_response_time_s")
 
 
 def _config(seed: int, **overrides) -> DESConfig:
@@ -35,96 +63,107 @@ def _config(seed: int, **overrides) -> DESConfig:
     return DESConfig(**base)
 
 
-def _assert_rows_equal(incremental, legacy):
-    inc_rows = incremental.collector.minutes
-    leg_rows = legacy.collector.minutes
-    assert len(inc_rows) == len(leg_rows) > 0
-    for i, (a, b) in enumerate(zip(inc_rows, leg_rows)):
-        assert a.minute == b.minute, i
-        assert a.time_s == pytest.approx(b.time_s, abs=TOL)
-        assert a.messages == b.messages
-        assert a.bytes_transferred == b.bytes_transferred
-        assert a.queries_issued == b.queries_issued
-        assert a.queries_succeeded == b.queries_succeeded
-        assert a.attack_queries_issued == b.attack_queries_issued
-        assert a.attack_queries_succeeded == b.attack_queries_succeeded
-        for attr in ("mean_response_time_s", "attack_mean_response_time_s"):
-            x, y = getattr(a, attr), getattr(b, attr)
-            if x is None or y is None:
-                assert x == y, (i, attr)
-            else:
-                assert x == pytest.approx(y, abs=TOL), (i, attr)
-    # whole-run summaries agree too
-    assert incremental.success_rate == pytest.approx(legacy.success_rate, abs=TOL)
-    assert incremental.success_rate_all_traffic == pytest.approx(
-        legacy.success_rate_all_traffic, abs=TOL
+def _churn(seed: int, mean_on_s: float, mean_off_s: float) -> ChurnConfig:
+    return ChurnConfig(
+        lifetime=LifetimeConfig(family="exponential", mean_s=mean_on_s),
+        offtime=LifetimeConfig(family="exponential", mean_s=mean_off_s),
+        enabled=True,
+        seed=seed,
     )
 
 
-def _run_both(config: DESConfig):
-    incremental = run_des_experiment(config)
-    legacy = run_des_experiment(replace(config, metrics_mode="legacy"))
-    return incremental, legacy
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("seed", [0, 7, 23])
-def test_equivalence_plain_workload(seed):
-    _assert_rows_equal(*_run_both(_config(seed)))
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("seed", [11, 42])
-def test_equivalence_under_churn_and_attack(seed):
-    cfg = _config(
-        seed,
-        churn=ChurnConfig(
-            lifetime=LifetimeConfig(family="exponential", mean_s=180.0),
-            offtime=LifetimeConfig(family="exponential", mean_s=90.0),
-            enabled=True,
-            seed=seed,
-        ),
-        num_agents=3,
-        attack_start_s=90.0,
-        attack_rate_qpm=1_500.0,
-    )
-    incremental, legacy = _run_both(cfg)
-    _assert_rows_equal(incremental, legacy)
-    # the scenario must actually exercise the attack class
-    assert any(m.attack_queries_issued for m in incremental.collector.minutes)
-
-
-@pytest.mark.slow
-def test_equivalence_with_faults_and_defense():
-    cfg = _config(
+CASES = {
+    **{f"plain-{seed}": _config(seed) for seed in (0, 7, 23)},
+    **{
+        f"churn-attack-{seed}": _config(
+            seed,
+            churn=_churn(seed, 180.0, 90.0),
+            num_agents=3,
+            attack_start_s=90.0,
+            attack_rate_qpm=1_500.0,
+        )
+        for seed in (11, 42)
+    },
+    "faults-defense-5": _config(
         5,
-        churn=ChurnConfig(
-            lifetime=LifetimeConfig(family="exponential", mean_s=200.0),
-            offtime=LifetimeConfig(family="exponential", mean_s=100.0),
-            enabled=True,
-            seed=5,
-        ),
+        churn=_churn(5, 200.0, 100.0),
         num_agents=2,
         attack_start_s=60.0,
         attack_rate_qpm=1_000.0,
         defense="ddpolice",
         faults=FaultPlan.message_loss(0.02, start_s=30.0),
+    ),
+}
+
+
+def _frozen(value):
+    return repr(value) if isinstance(value, float) else value
+
+
+def dump(run) -> dict:
+    """The fixture entry of one finished run (floats by ``repr``)."""
+    return {
+        "rows": [
+            {attr: _frozen(getattr(m, attr)) for attr in _EXACT + _FLOATS}
+            for m in run.accounting.rows
+        ],
+        "success_rate": repr(run.success_rate),
+        "success_rate_all_traffic": repr(run.success_rate_all_traffic),
+    }
+
+
+def _run_against_fixture(name: str):
+    frozen = json.loads(FIXTURE.read_text())[name]
+    run = run_des_experiment(CASES[name])
+    rows = run.accounting.rows
+    assert len(rows) == len(frozen["rows"]) > 0
+    for i, (row, want) in enumerate(zip(rows, frozen["rows"])):
+        for attr in _EXACT:
+            assert getattr(row, attr) == want[attr], (i, attr)
+        for attr in _FLOATS:
+            x, y = getattr(row, attr), want[attr]
+            if x is None or y is None:
+                assert x is None and y is None, (i, attr)
+            else:
+                assert x == pytest.approx(float(y), abs=TOL), (i, attr)
+    # whole-run summaries agree too
+    assert run.success_rate == pytest.approx(float(frozen["success_rate"]), abs=TOL)
+    assert run.success_rate_all_traffic == pytest.approx(
+        float(frozen["success_rate_all_traffic"]), abs=TOL
     )
-    _assert_rows_equal(*_run_both(cfg))
+    return run
 
 
-def test_legacy_mode_forces_record_retention():
-    incremental, legacy = _run_both(_config(3, duration_s=240.0))
-    # incremental default retires settled records; legacy keeps them all
-    assert legacy.network.config.retire_settled_records is False
-    assert len(legacy.network.query_records) > len(incremental.network.query_records)
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [0, 7, 23])
+def test_equivalence_plain_workload(seed):
+    _run_against_fixture(f"plain-{seed}")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [11, 42])
+def test_equivalence_under_churn_and_attack(seed):
+    run = _run_against_fixture(f"churn-attack-{seed}")
+    # the scenario must actually exercise the attack class
+    assert any(m.attack_queries_issued for m in run.accounting.rows)
+
+
+@pytest.mark.slow
+def test_equivalence_with_faults_and_defense():
+    _run_against_fixture("faults-defense-5")
 
 
 def test_incremental_memory_stays_bounded():
     run = run_des_experiment(_config(3, duration_s=240.0))
-    assert run.network.accounting.live_window_count <= 2  # grace + 1
+    assert run.accounting.live_window_count <= 2  # grace + 1
     # only queries from unfinalized windows remain live
     rolls = int(run.config.duration_s // 60.0)
     tail_start = (rolls - 1) * 60.0
     for rec in run.network.query_records.values():
         assert rec.issued_at >= tail_start - 60.0
+
+
+if __name__ == "__main__":
+    frozen = {name: dump(run_des_experiment(config)) for name, config in CASES.items()}
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text(json.dumps(frozen, indent=1) + "\n")

@@ -17,6 +17,8 @@ Known, documented divergences (see docs/PERF.md):
   delivered messages, not the event counter.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import DDPoliceConfig
@@ -43,7 +45,7 @@ def _full_rows(run):
             r.attack_queries_succeeded,
             r.attack_mean_response_time_s,
         )
-        for r in run.collector.minutes
+        for r in run.accounting.rows
     ]
 
 
@@ -53,7 +55,7 @@ def _traffic_rows(run):
 
 
 def _series(run):
-    return list(run.collector.success_series())
+    return [(r.time_s, r.success_rate) for r in run.accounting.rows]
 
 
 def _judgment_set(run):
@@ -127,7 +129,7 @@ def test_attack_flood_is_exact(seed, model):
     # per-class issue accounting agrees in every window, so the attack
     # batches fired the same query counts at the same minute boundaries;
     # make sure attacked windows actually reached the emitted rows
-    assert sum(r.attack_queries_issued for r in des.collector.minutes) > 0
+    assert sum(r.attack_queries_issued for r in des.accounting.rows) > 0
     _assert_oracle_counters_match(des, soa)
 
 
@@ -232,6 +234,26 @@ def test_binding_capacity_clamp_is_exact(model, defense):
         assert _traffic_rows(des) == _traffic_rows(soa)
         assert _judgment_set(des) == _judgment_set(soa)
         assert des.error_counts() == soa.error_counts()
+
+
+@pytest.mark.parametrize("grace", [0, 2])
+def test_configured_grace_is_honoured_by_both_engines(grace):
+    # NetworkConfig.metrics_grace_minutes is the one place a grace is set:
+    # a 6-minute run publishes minutes 1..6-grace on either engine.
+    cfg = replace(
+        _config(
+            1, "ba", n=40, duration_s=360.0, ttl=5,
+            network={"metrics_grace_minutes": grace},
+        ),
+        topology=TopologyConfig(n=40, seed=1, ba_m=1),
+    )
+    des = run_des_experiment(cfg)
+    soa = run_soa_experiment(cfg)
+    published = list(range(1, 7 - grace))
+    assert [r.minute for r in des.accounting.rows] == published
+    assert [r.minute for r in soa.accounting.rows] == published
+    assert des.network.accounting.grace_minutes == grace
+    assert _full_rows(des) == _full_rows(soa)
 
 
 def test_soa_rejects_unsupported_features():

@@ -20,7 +20,6 @@ PACKAGES = [
     "repro.baselines",
     "repro.metrics",
     "repro.experiments",
-    "repro.structured",
     "repro.simkit",
 ]
 
@@ -80,9 +79,9 @@ def test_exceptions_rooted_at_repro_error():
 
 def test_the_verdict_policy_lives_in_one_module():
     """The DD-POLICE decision -- the CT comparison and the verdict record --
-    is written once, in ``core/decision.py``. ``structured/`` runs its own,
-    different policy; ``core/config.py`` declares CT; ``experiments/`` only
-    *sets* it for the CT sweeps; ``cli.py`` names it in help text."""
+    is written once, in ``core/decision.py``. ``core/config.py`` declares
+    CT; ``experiments/`` only *sets* it for the CT sweeps; ``cli.py`` names
+    it in help text."""
     from pathlib import Path
 
     root = Path(repro.__file__).parent
@@ -99,17 +98,54 @@ def test_the_verdict_policy_lives_in_one_module():
         }
 
     assert mentioning(
-        "cut_threshold", outside=("structured/", "core/config.py", "experiments/", "cli.py")
+        "cut_threshold", outside=("core/config.py", "experiments/", "cli.py")
     ) == {"core/decision.py"}
     # Other defenses keep their own records; every DD-POLICE (and naive
     # cutoff) row is the kernel's Verdict projection.
     assert mentioning("Judgment(") == {
         "core/decision.py",
         "baselines/traceback.py",
-        "structured/defense.py",
     }
     # Engines hand the kernel totals, not per-member report objects.
     assert not mentioning("NeighborReport") & {"fluid/police.py", "overlay/soa_network.py"}
+
+
+def test_every_module_is_reachable_from_the_cli():
+    """``src/`` is what ``repro run`` reaches: the import closure from
+    ``repro.cli`` is every module. Imports inside functions count; edges
+    *out of* a package ``__init__.py`` do not (a re-export is not a use),
+    so a module only its own package re-exports is dead and named here."""
+    import ast
+    from pathlib import Path
+
+    root = Path(repro.__file__).parent
+    files = {}
+    for path in root.rglob("*.py"):
+        parts = ("repro",) + path.relative_to(root).with_suffix("").parts
+        files[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+
+    def imported(path):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                assert not node.level, f"{path}: src/ uses absolute imports only"
+                for alias in node.names:
+                    submodule = f"{node.module}.{alias.name}"
+                    yield submodule if submodule in files else node.module
+
+    reached, frontier = set(), ["repro.cli"]
+    while frontier:
+        module = frontier.pop()
+        # importing a.b.c runs a and a.b too, but nothing is followed out of them
+        parents = module.split(".")
+        reached.update(".".join(parents[:i]) for i in range(1, len(parents)))
+        if module in reached or module not in files:
+            continue
+        reached.add(module)
+        if files[module].name != "__init__.py":
+            frontier.extend(imported(files[module]))
+    assert sorted(set(files) - reached) == []
 
 
 def test_the_gnutella_data_plane_lives_in_one_class():

@@ -1,18 +1,11 @@
 """Unit tests for the deterministic parallel executor (:mod:`repro.exec`)."""
 
 import os
-import time
 
 import pytest
 
-from repro.errors import ConfigError, TaskTimeoutError, WorkerCrashError
-from repro.exec import (
-    WORKERS_ENV,
-    ExecStats,
-    _chunk_bounds,
-    pmap,
-    resolve_workers,
-)
+from repro.errors import ConfigError, WorkerCrashError
+from repro.exec import WORKERS_ENV, _POOLS, _chunk_bounds, pmap, resolve_workers
 
 
 # Worker payload functions must live at module level so the spawn start
@@ -31,9 +24,8 @@ def _kill_worker(x):
     os._exit(13)
 
 
-def _sleep_task(seconds):
-    time.sleep(seconds)
-    return seconds
+def _pid(x):
+    return os.getpid()
 
 
 # ---------------------------------------------------------------------------
@@ -84,26 +76,9 @@ def test_serial_pmap_propagates_task_exception():
         pmap(_fail_on_three, [1, 2, 3, 4], workers=1)
 
 
-def test_serial_pmap_progress_and_stats():
-    seen = []
-    stats = ExecStats()
-    out = pmap(
-        _square,
-        [1, 2, 3],
-        workers=1,
-        on_progress=lambda done, total: seen.append((done, total)),
-        stats=stats,
-    )
-    assert out == [1, 4, 9]
-    assert seen == [(1, 3), (2, 3), (3, 3)]
-    assert stats.tasks == 3 and stats.workers == 1 and stats.chunks == 3
-    assert stats.wall_s > 0
-    assert [(i, n) for i, n, _ in stats.chunk_timings] == [(0, 1), (1, 1), (2, 1)]
-
-
-def test_serial_pmap_deadline_between_tasks():
-    with pytest.raises(TaskTimeoutError, match="serial pmap exceeded"):
-        pmap(_sleep_task, [0.05, 0.05, 0.05], workers=1, timeout_s=0.01)
+def test_serial_pmap_runs_in_process():
+    pids = pmap(_pid, [1, 2, 3], workers=1)
+    assert pids == [os.getpid()] * 3
 
 
 def test_empty_task_list():
@@ -123,125 +98,27 @@ def test_chunk_bounds_cover_exactly():
     assert _chunk_bounds(0, 3) == []
 
 
-def test_chunk_size_validation():
-    with pytest.raises(ConfigError, match="chunk_size"):
-        pmap(_square, [1, 2, 3], workers=2, chunk_size=0)
-
-
 # ---------------------------------------------------------------------------
 # parallel path (spawns real worker processes -- keep these few and small)
 # ---------------------------------------------------------------------------
 
 def test_parallel_pmap_ordered_and_equal_to_serial():
+    # 23 tasks on 2 workers: twelve chunks of two (the last of one), so
+    # reassembly has real completion-order freedom to undo
     tasks = list(range(23))
-    stats = ExecStats()
-    seen = []
-    out = pmap(
-        _square,
-        tasks,
-        workers=2,
-        chunk_size=4,
-        on_progress=lambda done, total: seen.append((done, total)),
-        stats=stats,
-    )
-    assert out == pmap(_square, tasks, workers=1)
-    assert stats.workers == 2 and stats.chunks == 6
-    # progress is monotone and ends complete, whatever the completion order
-    assert [d for d, _ in seen] == sorted(d for d, _ in seen)
-    assert seen[-1] == (23, 23)
+    assert pmap(_square, tasks, workers=2) == pmap(_square, tasks, workers=1)
+    # the spawn pool is cached for the next call
+    assert 2 in _POOLS
 
 
 def test_parallel_pmap_propagates_task_exception():
     with pytest.raises(ValueError, match="task three exploded"):
-        pmap(_fail_on_three, [1, 2, 3, 4], workers=2, chunk_size=1)
+        pmap(_fail_on_three, [1, 2, 3, 4], workers=2)
 
 
 def test_parallel_worker_crash_is_typed():
     with pytest.raises(WorkerCrashError):
-        pmap(_kill_worker, [1, 2], workers=2, chunk_size=1)
-
-
-def test_parallel_timeout_is_typed():
-    with pytest.raises(TaskTimeoutError, match="pmap exceeded"):
-        pmap(_sleep_task, [2.0, 2.0], workers=2, chunk_size=1, timeout_s=0.3)
-
-
-# ---------------------------------------------------------------------------
-# progress-hook robustness
-# ---------------------------------------------------------------------------
-
-def _broken_hook(done, total):
-    raise RuntimeError("observer exploded")
-
-
-def test_broken_progress_hook_does_not_kill_the_sweep():
-    from repro.obs.metrics import global_registry
-
-    before = global_registry().counter("exec.progress_hook_errors").value
-    stats = ExecStats()
-    with pytest.warns(RuntimeWarning, match="progress hook raised"):
-        out = pmap(_square, [1, 2, 3], workers=1, on_progress=_broken_hook,
-                   stats=stats)
-    # results are untouched; every failure is counted, warned only once
-    assert out == [1, 4, 9]
-    assert stats.hook_errors == 3
-    assert global_registry().counter("exec.progress_hook_errors").value == before + 3
-
-
-def test_broken_progress_hook_parallel_path():
-    stats = ExecStats()
-    with pytest.warns(RuntimeWarning):
-        out = pmap(_square, [1, 2, 3, 4], workers=2, chunk_size=2,
-                   on_progress=_broken_hook, stats=stats)
-    assert out == [1, 4, 9, 16]
-    assert stats.hook_errors == 2  # one per completed chunk
-
-
-def test_intermittent_hook_failure_keeps_reporting():
-    calls = []
-
-    def flaky(done, total):
-        calls.append((done, total))
-        if done == 2:
-            raise ValueError("only the second call fails")
-
-    stats = ExecStats()
-    with pytest.warns(RuntimeWarning):
-        pmap(_square, [1, 2, 3], workers=1, on_progress=flaky, stats=stats)
-    assert calls == [(1, 3), (2, 3), (3, 3)]  # hook still invoked after failing
-    assert stats.hook_errors == 1
-
-
-# ---------------------------------------------------------------------------
-# worker profiling
-# ---------------------------------------------------------------------------
-
-def test_serial_profile_reports():
-    stats = ExecStats()
-    out = pmap(_square, [1, 2, 3], workers=1, stats=stats, profile=True)
-    assert out == [1, 4, 9]
-    (report,) = stats.worker_profiles
-    assert report["scope"] == "exec.chunk"
-    assert report["tasks"] == 3
-    assert "profile_top" in report
-
-
-def test_parallel_profile_ships_reports_back():
-    stats = ExecStats()
-    out = pmap(
-        _square, list(range(6)), workers=2, chunk_size=3, stats=stats,
-        profile=True, profile_top=5,
-    )
-    assert out == [t * t for t in range(6)]
-    assert len(stats.worker_profiles) == 2
-    assert sorted(r["first_task"] for r in stats.worker_profiles) == [0, 3]
-    for report in stats.worker_profiles:
-        assert report["tasks"] == 3
-        assert "cumulative" in report["profile_top"]
-
-
-def test_profile_off_means_no_reports():
-    stats = ExecStats()
-    pmap(_square, [1, 2], workers=1, stats=stats)
-    assert stats.worker_profiles == []
-    assert stats.hook_errors == 0
+        pmap(_kill_worker, [1, 2], workers=2)
+    # the broken pool is discarded: the next call builds a fresh one
+    assert 2 not in _POOLS
+    assert pmap(_square, [1, 2], workers=2) == [1, 4]
