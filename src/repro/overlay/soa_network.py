@@ -5,11 +5,15 @@ heap event per message delivery; at n >= 100k the flood dominates and
 per-event dispatch caps throughput around tens of thousands of events
 per second. This module replays the *same* protocol semantics with peer
 state in numpy arrays indexed by peer id and flooding advanced in
-*waves*: every query delivery sharing one exact virtual timestamp is
-processed as one vectorized step (dedup mask -> token-bucket clamp ->
-CSR gather/scatter fan-out). The binary-heap engine is retained for the
-sparse control plane: workload issue timers, attack batches, the
-per-minute window roll, and DD-POLICE conclusion timeouts.
+*waves*: the deliveries sharing one exact virtual timestamp. Every wave
+keeps its own heap event, but the first one to fire takes the whole
+*hop window* behind it -- every buffered wave less than one hop later
+and before the next minute roll or DD-POLICE conclusion -- through one
+vectorized step (dedup mask -> seen-map insert -> token-bucket clamp ->
+hits and CSR gather/scatter fan-out); the later waves' events then
+return at once. The binary-heap engine is retained for the sparse
+control plane: workload issue timers, attack batches, the per-minute
+window roll, and DD-POLICE conclusion timeouts.
 
 Equivalence contract (enforced by ``tests/property/test_soa_equivalence.py``)
 -----------------------------------------------------------------------------
@@ -22,6 +26,26 @@ to many *distinct* receivers, so reordering inside a forwarder's send
 loop never permutes any single receiver's arrival sequence). Dedup
 winners, reverse routes, token-bucket grants, drop counts, per-minute
 rows, and S(t) therefore match the message DES float-for-float.
+
+Batching a hop window changes none of that, because:
+
+* one query's waves are one hop apart (repeated float addition is
+  monotone), so a window holds at most one timestamp per qid and
+  everything keyed by ``(qid, peer)`` -- dedup, the seen/route map,
+  ``_meta`` -- is independent across the window's timestamps;
+* every wave of the window is buffered when its first one fires: its
+  producer ran at least one hop earlier;
+* only minute rolls and conclusions change state a wave reads (window
+  counters, live edges), and the window ends before the next of each;
+  issues and attack batches touch integer counters, fresh qids and the
+  pending origin keys, so they commute with it;
+* per-peer token buckets are consumed in rounds -- round ``r`` grants
+  each peer's ``r``-th timestamp of the window at that timestamp -- so
+  each bucket sees the sequential float ops in the sequential order;
+* every output goes to its own row's timestamp plus one hop, tagged
+  with its producer's ``(time, priority)``, and a wave concatenates its
+  chunks in tag order: a batch that pushed before an earlier-stamped
+  issue still lands behind it, as in the DES event order.
 
 A DD-POLICE run judges through the same verdict kernel as the message
 engine (:mod:`repro.core.decision`): the police round only gathers each
@@ -46,8 +70,10 @@ Known divergences, all confined to DD-POLICE runs:
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Set, TYPE_CHECKING, Tuple
 
 import numpy as np
@@ -78,6 +104,17 @@ MISSING = -3
 #: QueryHit wire size: 23-byte header + 11 + 40 * result_count(1) + 16.
 HIT_SIZE = 90
 
+#: Heap priority of a wave event: same-time issues, attack batches and
+#: police conclusions (0) and the minute roll (-1) fire first, matching
+#: the DES seq order of in-flight deliveries.
+WAVE_PRIORITY = 1
+
+#: Where each chunk kind sits in a wave buffer.
+QUERIES, HITS = 0, 1
+
+#: A chunk's first field: its producer's ``(time, priority)``.
+_tag = itemgetter(0)
+
 
 def _run_bounds(sorted_vals: np.ndarray) -> np.ndarray:
     """Bounds ``b`` of the equal-value runs of a sorted, non-empty array:
@@ -87,6 +124,31 @@ def _run_bounds(sorted_vals: np.ndarray) -> np.ndarray:
     bound[0] = bound[k] = True
     np.not_equal(sorted_vals[1:], sorted_vals[:-1], out=bound[1:k])
     return bound.nonzero()[0]
+
+
+def _gather(waves: list, kind: int) -> Optional[tuple]:
+    """One chunk kind's rows over a hop window, in DES event order.
+
+    Rows run by timestamp, then by producer tag, then in append order.
+    Returns ``(w, *columns)`` with ``w`` each row's index into the
+    window's timestamps, or None when no wave carries that kind.
+    """
+    chunks: list = []
+    index: List[int] = []
+    for i, wave in enumerate(waves):
+        part = wave[kind]
+        if len(part) > 1:
+            part.sort(key=_tag)  # stable: equal tags keep append order
+        chunks += part
+        index += [i] * len(part)
+    if not chunks:
+        return None
+    if len(chunks) == 1:
+        cols = chunks[0][1:]
+        return (np.full(len(cols[0]), index[0], dtype=np.int64), *cols)
+    w = np.repeat(np.array(index, dtype=np.int64), [len(c[1]) for c in chunks])
+    _, *cols = zip(*chunks)
+    return (w, *(np.concatenate(col) for col in cols))
 
 
 def query_size_bytes(keywords: Tuple[str, ...]) -> int:
@@ -257,13 +319,17 @@ class SoaFloodEngine:
         self.bucket = TokenBucketArray(n, net.processing_qpm_good)
         self.win_out = np.zeros(self._E, dtype=np.int64)
         self.win_in = np.zeros(self._E, dtype=np.int64)
-        # Seen-set + reverse routes; epoch is sized to 3x the one-way
-        # flood depth so entries (which survive 1-2 epochs) always outlive
-        # a query's full out-and-back lifetime of 2*ttl*hop.
+        # Seen-set + reverse routes. Entries survive at least one epoch
+        # past their insert. A key is inserted by its hop window's batch,
+        # up to one hop before its own timestamp, and read until at most
+        # a query's out-and-back lifetime (2*ttl*hop) after it, so the
+        # epoch must cover lifetime + hop. 1.5 * lifetime does whenever
+        # ttl >= 1 (0.5 * lifetime = ttl * hop >= hop), and
+        # NetworkConfig rejects ttl < 1.
         lifetime = 2.0 * self._default_ttl * self._hop
-        self.seen = Int64Map(
-            initial_log2_cap=14, epoch_s=max(0.5, 1.5 * lifetime)
-        )
+        epoch_s = max(0.5, 1.5 * lifetime)
+        assert epoch_s >= lifetime + self._hop, (epoch_s, lifetime, self._hop)
+        self.seen = Int64Map(initial_log2_cap=14, epoch_s=epoch_s)
         self._pending_seen: List[np.ndarray] = []
 
         # -- metrics ----------------------------------------------------
@@ -289,10 +355,14 @@ class SoaFloodEngine:
             priority=-1,
         )
         #: wave buffers: timestamp -> (query chunks, hit chunks). A chunk
-        #: is a tuple of parallel arrays appended in DES event order: a
-        #: query copy is (qid, directed edge id it travels on, ttl, obj,
-        #: size), a hit is (qid, receiving peer).
+        #: is its producer's (time, priority) tag followed by parallel
+        #: arrays: a query copy is (qid, directed edge id it travels on,
+        #: ttl, obj, size), a hit is (qid, receiving peer).
         self._waves: Dict[float, Tuple[list, list]] = {}
+        #: min-heap of the buffered timestamps (the keys of ``_waves``)
+        self._wave_times: List[float] = []
+        #: min-heap of the scheduled ``_conclude`` times
+        self._conclude_times: List[float] = []
         self.waves_processed = 0
 
         # -- workload ----------------------------------------------------
@@ -348,29 +418,32 @@ class SoaFloodEngine:
         e = self._proto_edge[a:b]
         return e[self.edge_alive[e]]
 
-    def _wave_at(self, t: float) -> Tuple[list, list]:
+    def _push(
+        self, t: float, tag: Tuple[float, int], kind: int, *cols: np.ndarray
+    ) -> None:
+        """Buffer one chunk of ``kind`` for delivery at ``t``; ``tag`` is
+        its producer's ``(time, priority)``."""
         wave = self._waves.get(t)
         if wave is None:
             wave = self._waves[t] = ([], [])
-            # Priority 1: same-time heap events (issues, attack batches,
-            # police conclusions at 0; minute roll at -1) fire first,
-            # matching the DES seq order of in-flight deliveries.
-            self.sim.schedule_at(t, self._process_wave, t, priority=1)
-        return wave
+            heapq.heappush(self._wave_times, t)
+            self.sim.schedule_at(t, self._process_wave, t, priority=WAVE_PRIORITY)
+        wave[kind].append((tag, *cols))
 
-    def _push_queries(
-        self,
-        t: float,
-        qid: np.ndarray,
-        edge: np.ndarray,
-        ttl: np.ndarray,
-        obj: np.ndarray,
-        size: np.ndarray,
+    def _push_window(
+        self, times: List[float], w: np.ndarray, kind: int, *cols: np.ndarray
     ) -> None:
-        self._wave_at(t)[0].append((qid, edge, ttl, obj, size))
-
-    def _push_hits(self, t: float, qid: np.ndarray, at: np.ndarray) -> None:
-        self._wave_at(t)[1].append((qid, at))
+        """Send rows produced by a hop window, each one hop after its own
+        timestamp ``times[w]``; ``w`` is non-decreasing."""
+        hop = self._hop
+        i, j = int(w[0]), int(w[-1])
+        cut = w.searchsorted(np.arange(i, j + 2)).tolist()
+        for k, ts in enumerate(times[i : j + 1]):
+            a, b = cut[k], cut[k + 1]
+            if a < b:
+                self._push(
+                    ts + hop, (ts, WAVE_PRIORITY), kind, *(c[a:b] for c in cols)
+                )
 
     # ------------------------------------------------------------------
     # workload (good queries; replicates QueryWorkload's rng sequence)
@@ -401,8 +474,10 @@ class SoaFloodEngine:
             )
             self._count_out(eids)
             k = len(eids)
-            self._push_queries(
+            self._push(
                 now + self._hop,
+                (now, 0),
+                QUERIES,
                 np.full(k, qid, dtype=np.int64),
                 eids,
                 np.full(k, self._default_ttl, dtype=np.int64),
@@ -462,8 +537,10 @@ class SoaFloodEngine:
             # sorts its neighbor set by peer id).
             te = np.resize(eids, count)
             self._count_out(te)
-            self._push_queries(
+            self._push(
                 deliver_at,
+                (now, 0),
+                QUERIES,
                 qids,
                 te,
                 np.full(count, self._default_ttl, dtype=np.int64),
@@ -478,31 +555,88 @@ class SoaFloodEngine:
     # wave processing
     # ------------------------------------------------------------------
     def _take_pending_seen(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Origin keys of the queries issued since the last wave, with
+        """Origin keys of the queries issued since the last batch, with
         their ``ORIGIN`` route values."""
         keys = np.concatenate(self._pending_seen)
         self._pending_seen.clear()
         return keys, np.full(len(keys), ORIGIN, dtype=np.int64)
 
+    def _take_window(self, t0: float) -> List[float]:
+        """Pop the buffered timestamps of the hop window opened at ``t0``.
+
+        The window is ``t0 <= t < t0 + hop``, cut before the next minute
+        roll and the next conclusion (both fire ahead of a same-time wave
+        and change what it reads) and at the end of the run.
+        """
+        end = min(t0 + self._hop, self._minute_task.next_time)
+        if self._conclude_times:
+            end = min(end, self._conclude_times[0])
+        last = self.config.duration_s
+        heap = self._wave_times
+        times = []
+        while heap and heap[0] < end and heap[0] <= last:
+            times.append(heapq.heappop(heap))
+        return times
+
     def _process_wave(self, t: float) -> None:
-        qchunks, hchunks = self._waves.pop(t)
-        if self._pending_seen and not qchunks:
-            # A query wave inserts them together with its own keys.
+        """Heap event of the wave at ``t``: the first wave of a hop
+        window runs the whole window as one batch."""
+        self.waves_processed += 1
+        if t not in self._waves:
+            return  # delivered by the batch of an earlier hop window
+        times = self._take_window(t)
+        waves = [self._waves.pop(ts) for ts in times]
+        queries = _gather(waves, QUERIES)
+        hits = _gather(waves, HITS)
+        del waves  # frees the chunks _gather concatenated
+        if self._pending_seen and queries is None:
+            # A query batch inserts them together with its own keys.
             self.seen.insert_new(*self._take_pending_seen())
         self.seen.maybe_rotate(t)
-        if qchunks:
-            self._process_queries(t, qchunks)
-        if hchunks:
-            self._process_hits(t, hchunks)
-        self.waves_processed += 1
+        if queries is not None:
+            self._process_queries(times, *queries)
+        if hits is not None:
+            self._process_hits(times, *hits)
 
-    def _process_queries(self, t: float, chunks: list) -> None:
-        if len(chunks) == 1:
-            qid, edge, ttl, obj, size = chunks[0]
-        else:
-            qid, edge, ttl, obj, size = (
-                np.concatenate([c[i] for c in chunks]) for i in range(5)
-            )
+    def _grant(
+        self, times: List[float], groups: np.ndarray, counts: np.ndarray
+    ) -> np.ndarray:
+        """Token grants for sorted ``peer * len(times) + w`` groups.
+
+        Round ``r`` grants every peer's ``r``-th timestamp of the window,
+        at that timestamp, so each bucket refills and consumes in time
+        order exactly as one grant per wave would.
+        """
+        nw = len(times)
+        if nw == 1:
+            return self.bucket.grant(groups, counts, times[0])
+        peers, w = np.divmod(groups, nw)
+        now = np.array(times)[w]
+        runs = _run_bounds(peers)
+        if len(runs) - 1 == len(peers):
+            return self.bucket.grant(peers, counts, now)
+        rank = np.arange(len(peers)) - np.repeat(runs[:-1], np.diff(runs))
+        granted = np.empty(len(peers), dtype=np.int64)
+        for r in range(int(rank.max()) + 1):
+            sel = (rank == r).nonzero()[0]
+            granted[sel] = self.bucket.grant(peers[sel], counts[sel], now[sel])
+        return granted
+
+    def _process_queries(
+        self,
+        times: List[float],
+        w: np.ndarray,
+        qid: np.ndarray,
+        edge: np.ndarray,
+        ttl: np.ndarray,
+        obj: np.ndarray,
+        size: np.ndarray,
+    ) -> None:
+        """One hop window's query copies, ``w`` indexing ``times``.
+
+        Each stage is a method of its own, so its temporaries are freed
+        before the next one allocates.
+        """
         m = len(qid)
         stats = self.stats
         stats.messages_delivered += m
@@ -514,14 +648,41 @@ class SoaFloodEngine:
         # not resurrect the counter key).
         self._count_in(edge[self.edge_alive[edge]])
 
-        # Duplicate suppression: within-wave first occurrence, then the
-        # cross-wave seen-set. Route = arrival edge of the first sight,
-        # recorded even for copies the capacity clamp later drops. The
-        # origin keys of queries issued since the last wave join the
-        # batch: none can equal a wave key, because a query's first wave
-        # (one hop_latency_s > 0 after its issue) flushes its origin key
-        # and never delivers to its origin.
         dst = self._dst[edge]
+        keep = self._first_sights(qid, dst, edge)
+        if keep is not None:
+            stats.queries_dropped_duplicate += m - len(keep)
+            if not len(keep):
+                return
+            w, qid, dst, edge, ttl, obj, size = (
+                a[keep] for a in (w, qid, dst, edge, ttl, obj, size)
+            )
+        passed = self._clamp(times, w, dst)
+        if passed is not None:
+            kept = int(np.count_nonzero(passed))
+            stats.queries_dropped_capacity += len(passed) - kept
+            if not kept:
+                return
+            w, qid, dst, edge, ttl, obj, size = (
+                a[passed] for a in (w, qid, dst, edge, ttl, obj, size)
+            )
+        self._answer(times, w, qid, dst, edge, obj)
+        self._fan_out(times, w, qid, dst, edge, ttl, obj, size)
+
+    def _first_sights(
+        self, qid: np.ndarray, dst: np.ndarray, edge: np.ndarray
+    ) -> Optional[np.ndarray]:
+        """Duplicate suppression: the rows to keep, in arrival order, or
+        None to keep them all.
+
+        Within-window first occurrence, then the cross-window seen-set.
+        Route = arrival edge of the first sight, recorded even for copies
+        the capacity clamp later drops. The origin keys of queries issued
+        since the last batch join it: none can equal a window key,
+        because a query's first wave (one hop_latency_s > 0 after its
+        issue) is no earlier than this window, its second is past it, and
+        the first never delivers to its origin.
+        """
         keys = qid * self.n + dst
         order = keys.argsort(kind="stable")
         keys = keys[order]
@@ -534,55 +695,71 @@ class SoaFloodEngine:
             new_keys = np.concatenate([new_keys, origin_keys])
             routes = np.concatenate([routes, origins])
         fresh = self.seen.insert_new(new_keys, routes)[: len(first_idx)]
-        kept = int(np.count_nonzero(fresh))
-        if kept < m:
-            stats.queries_dropped_duplicate += m - kept
-            if not kept:
-                return
-            keep = np.sort(first_idx[fresh])  # back to arrival order
-            qid, dst, edge, ttl, obj, size = (
-                a[keep] for a in (qid, dst, edge, ttl, obj, size)
-            )
+        if int(np.count_nonzero(fresh)) == len(qid):
+            return None
+        return np.sort(first_idx[fresh])  # back to arrival order
 
-        # Capacity clamp: per receiving peer, the first `granted` fresh
-        # arrivals (in arrival order) consume tokens; the rest drop.
-        order = dst.argsort(kind="stable")
-        ds = dst[order]
-        bounds = _run_bounds(ds)
+    def _clamp(
+        self, times: List[float], w: np.ndarray, dst: np.ndarray
+    ) -> Optional[np.ndarray]:
+        """Capacity clamp: the passed mask, or None when all pass.
+
+        Per receiving peer and timestamp, the first ``granted`` fresh
+        arrivals (in arrival order) consume tokens; the rest drop.
+        """
+        group = dst * len(times) + w if len(times) > 1 else dst
+        order = group.argsort(kind="stable")
+        gs = group[order]
+        bounds = _run_bounds(gs)
         starts = bounds[:-1]
         counts = bounds[1:] - starts
-        granted = self.bucket.grant(ds[starts], counts, t)
-        if (granted < counts).any():
-            rank = np.arange(len(ds)) - np.repeat(starts, counts)
-            passed = np.empty(len(ds), dtype=bool)
-            passed[order] = rank < np.repeat(granted, counts)
-            stats.queries_dropped_capacity += len(ds) - int(granted.sum())
-            if not granted.any():
-                return
-            qid, dst, edge, ttl, obj, size = (
-                a[passed] for a in (qid, dst, edge, ttl, obj, size)
-            )
+        granted = self._grant(times, gs[starts], counts)
+        if not (granted < counts).any():
+            return None
+        rank = np.arange(len(gs)) - np.repeat(starts, counts)
+        passed = np.empty(len(gs), dtype=bool)
+        passed[order] = rank < np.repeat(granted, counts)
+        return passed
 
-        # Local content match -> QueryHit back along the arrival edge.
+    def _answer(
+        self,
+        times: List[float],
+        w: np.ndarray,
+        qid: np.ndarray,
+        dst: np.ndarray,
+        edge: np.ndarray,
+        obj: np.ndarray,
+    ) -> None:
+        """Local content match -> QueryHit back along the arrival edge."""
         cand = obj >= 0
-        if cand.any():
-            hkeys = obj[cand] * self.n + dst[cand]
-            holders = self._holder_keys
-            if len(holders):
-                pos = holders.searchsorted(hkeys)
-                # A key past the last holder probes slot 0 instead; the
-                # equality test rejects it there.
-                pos[pos == len(holders)] = 0
-                found = holders[pos] == hkeys
-            else:
-                found = np.zeros(len(hkeys), dtype=bool)
-            if found.any():
-                self._push_hits(
-                    t + self._hop, qid[cand][found], self._src[edge[cand][found]]
-                )
+        if not cand.any():
+            return
+        hkeys = obj[cand] * self.n + dst[cand]
+        holders = self._holder_keys
+        if not len(holders):
+            return
+        pos = holders.searchsorted(hkeys)
+        # A key past the last holder probes slot 0 instead; the equality
+        # test rejects it there.
+        pos[pos == len(holders)] = 0
+        found = holders[pos] == hkeys
+        if found.any():
+            sel = cand.nonzero()[0][found]
+            self._push_window(times, w[sel], HITS, qid[sel], self._src[edge[sel]])
 
-        # CSR fan-out of the survivors with TTL left: forward on every
-        # alive out-edge except the reverse of the arrival edge.
+    def _fan_out(
+        self,
+        times: List[float],
+        w: np.ndarray,
+        qid: np.ndarray,
+        dst: np.ndarray,
+        edge: np.ndarray,
+        ttl: np.ndarray,
+        obj: np.ndarray,
+        size: np.ndarray,
+    ) -> None:
+        """CSR fan-out of the survivors with TTL left: forward on every
+        alive out-edge except the reverse of the arrival edge."""
         f_idx = (ttl > 1).nonzero()[0]
         u = dst[f_idx]
         lens = self._deg[u]
@@ -602,16 +779,14 @@ class SoaFloodEngine:
             return
         owner = owner[ok]
         self._count_out(e)
-        self._push_queries(
-            t + self._hop, qid[owner], e, ttl[owner] - 1, obj[owner], size[owner]
+        self._push_window(
+            times, w[owner], QUERIES, qid[owner], e, ttl[owner] - 1, obj[owner], size[owner]
         )
 
-    def _process_hits(self, t: float, chunks: list) -> None:
-        if len(chunks) == 1:
-            qid, at = chunks[0]
-        else:
-            qid = np.concatenate([c[0] for c in chunks])
-            at = np.concatenate([c[1] for c in chunks])
+    def _process_hits(
+        self, times: List[float], w: np.ndarray, qid: np.ndarray, at: np.ndarray
+    ) -> None:
+        """One hop window's hit copies, ``w`` indexing ``times``."""
         m = len(qid)
         stats = self.stats
         stats.messages_delivered += m
@@ -623,24 +798,26 @@ class SoaFloodEngine:
         arrival = self.seen.lookup(qid * self.n + at, missing=MISSING)
         is_origin = arrival == ORIGIN
         if is_origin.any():
+            # Row order is time-then-chunk order, the order the DES
+            # delivers them in, so the accounting float sums match.
             meta = self._meta
-            for q in qid[is_origin].tolist():
+            for q, i in zip(qid[is_origin].tolist(), w[is_origin].tolist()):
                 rec = meta.pop(q, None)
                 if rec is not None:
                     window, issued_at, is_attack = rec
                     self.accounting.on_first_response(
-                        window, is_attack, t - issued_at
+                        window, is_attack, times[i] - issued_at
                     )
         stats.hits_dropped_no_route += int((arrival == MISSING).sum())
         route = arrival >= 0
         if not route.any():
             return
-        q2 = qid[route]
-        a2 = arrival[route]
-        alive = self.edge_alive[self._rev[a2]]
-        stats.hits_dropped_no_route += int((~alive).sum())
+        sel = route.nonzero()[0]
+        alive = self.edge_alive[self._rev[arrival[sel]]]
+        stats.hits_dropped_no_route += len(sel) - int(np.count_nonzero(alive))
         if alive.any():
-            self._push_hits(t + self._hop, q2[alive], self._src[a2[alive]])
+            sel = sel[alive]
+            self._push_window(times, w[sel], HITS, qid[sel], self._src[arrival[sel]])
 
     # ------------------------------------------------------------------
     # minute roll + DD-POLICE
@@ -750,9 +927,11 @@ class SoaFloodEngine:
                 by_time.setdefault(t_end, []).append((rank, e_mj[x], verdict))
         for t_end in sorted(by_time):
             decisions = [d[1:] for d in sorted(by_time[t_end])]
+            heapq.heappush(self._conclude_times, t_end)
             self.sim.schedule_at(t_end, self._conclude, decisions)
 
     def _conclude(self, decisions: List[Tuple[int, Verdict]]) -> None:
+        heapq.heappop(self._conclude_times)
         now = self.sim.now
         for e_uj, verdict in decisions:
             if not self.edge_alive[e_uj]:

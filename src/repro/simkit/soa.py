@@ -1,9 +1,9 @@
 """Struct-of-arrays primitives for the batched flood engine.
 
 The SoA backend (:mod:`repro.overlay.soa_network`) advances flooding in
-*waves*: every message delivery sharing one exact virtual timestamp is
-processed as one vectorized step. That step needs two primitives that
-have no per-element Python cost:
+*hop windows*: every message delivery less than one hop after the
+earliest pending one is processed as one vectorized step. That step
+needs two primitives that have no per-element Python cost:
 
 * :class:`Int64Map` -- an open-addressing int64 -> int64 hash table with
   fully vectorized batch insert/lookup. It backs the unified seen-set /
@@ -22,7 +22,7 @@ have no per-element Python cost:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -231,18 +231,22 @@ class TokenBucketArray:
         self.tokens = np.full(n, self.burst, dtype=np.float64)
         self.last = np.zeros(n, dtype=np.float64)
 
-    def grant(self, peers: np.ndarray, counts: np.ndarray, now: float) -> np.ndarray:
+    def grant(
+        self, peers: np.ndarray, counts: np.ndarray, now: Union[float, np.ndarray]
+    ) -> np.ndarray:
         """Refill ``peers`` (unique) at ``now``; grant up to ``counts`` tokens.
 
-        Returns the integer number granted per peer. Matches running
-        ``try_consume(now)`` ``counts[i]`` times on the sequential
+        ``now`` is one time for every peer or one per peer. Returns the
+        integer number granted per peer. Matches running
+        ``try_consume(now[i])`` ``counts[i]`` times on the sequential
         bucket: the bucket admits ``floor(tokens + 1e-12)`` unit
         consumes, and failed consumes still advance the refill clock.
         """
         t = self.tokens[peers]
         dt = now - self.last[peers]
-        # DES tolerates out-of-order stamps by skipping refill; waves are
-        # time-ordered so dt >= 0 always, but clip for safety.
+        # DES tolerates out-of-order stamps by skipping refill; each
+        # peer's grants are time-ordered so dt >= 0 always, but clip for
+        # safety.
         np.maximum(dt, 0.0, out=dt)
         t = np.minimum(self.burst, t + dt * self.rate_per_sec)
         avail = np.floor(t + 1e-12).astype(np.int64)

@@ -95,6 +95,12 @@ class PeriodicTask:
         return self._period
 
     @property
+    def next_time(self) -> Optional[float]:
+        """Time of the pending firing, read between firings; None once
+        stopped."""
+        return None if self._event is None else self._event.time
+
+    @property
     def active(self) -> bool:
         return not self._stopped
 

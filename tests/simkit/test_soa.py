@@ -170,6 +170,35 @@ def test_token_bucket_array_matches_sequential_bucket_exactly():
         assert arr.tokens[p] == seq[p]._tokens
 
 
+def test_token_bucket_array_per_peer_now_matches_sequential_bucket_exactly():
+    # One grant call with a time per peer, as a hop-window round issues
+    # it: each peer's own clock advances at its own pace, and the float
+    # state still equals the scalar bucket's consume sequence.
+    rng = random.Random(13)
+    rate = 77.7
+    n = 6
+    seq = [TokenBucket(rate_per_min=rate) for _ in range(n)]
+    arr = TokenBucketArray(n, rate)
+    clock = [0.0] * n
+    for _ in range(200):
+        peers = sorted(rng.sample(range(n), rng.randint(1, n)))
+        for p in peers:
+            clock[p] += rng.random() * 0.4
+        now = [clock[p] for p in peers]
+        counts = [rng.randint(1, 4) for _ in peers]
+        granted = arr.grant(
+            np.array(peers, dtype=np.int64),
+            np.array(counts, dtype=np.int64),
+            np.array(now, dtype=np.float64),
+        )
+        for p, c, t, g in zip(peers, counts, now, granted.tolist()):
+            want = sum(1 for _ in range(c) if seq[p].try_consume(t))
+            assert g == want, (p, c, t)
+    for p in range(n):
+        assert arr.tokens[p] == seq[p]._tokens
+        assert arr.last[p] == clock[p]
+
+
 def test_token_bucket_array_rejects_nonpositive_rate():
     with pytest.raises(ConfigError):
         TokenBucketArray(3, 0.0)

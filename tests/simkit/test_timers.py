@@ -24,6 +24,16 @@ def test_periodic_start_delay():
     assert times == [1.0, 6.0, 11.0]
 
 
+def test_periodic_next_time_reads_the_pending_firing():
+    sim = Simulator()
+    task = PeriodicTask(sim, 5.0, lambda: None, start_delay=1.0)
+    assert task.next_time == 1.0
+    sim.run(until=3.0)
+    assert task.next_time == 6.0
+    task.stop()
+    assert task.next_time is None
+
+
 def test_periodic_stop_cancels_future_firings():
     sim = Simulator()
     count = []
