@@ -73,6 +73,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 from typing import Dict, List, Optional, Set, TYPE_CHECKING, Tuple
 
@@ -306,11 +307,16 @@ class SoaFloodEngine:
 
         # -- content ----------------------------------------------------
         self.content = ContentCatalog(config.content, n)
-        holder_keys: List[int] = []
-        for peer, objs in self.content.peer_objects.items():
-            for obj in objs:
-                holder_keys.append(obj * n + peer)
-        self._holder_keys = np.array(sorted(holder_keys), dtype=np.int64)
+        # Bit ``obj * n + peer`` of ``_holders`` is set when ``peer``
+        # shares ``obj``.
+        holders = self.content.replica_holders
+        sizes = [len(h) for h in holders]
+        keys = np.repeat(np.arange(len(holders), dtype=np.int64) * n, sizes)
+        keys += np.fromiter(chain.from_iterable(holders), np.int64, len(keys))
+        self._holders = np.zeros((len(holders) * n + 7) // 8, dtype=np.uint8)
+        np.bitwise_or.at(
+            self._holders, keys >> 3, np.left_shift(1, keys & 7).astype(np.uint8)
+        )
 
         # -- per-peer / per-edge dynamic state --------------------------
         net = config.network
@@ -329,7 +335,7 @@ class SoaFloodEngine:
         lifetime = 2.0 * self._default_ttl * self._hop
         epoch_s = max(0.5, 1.5 * lifetime)
         assert epoch_s >= lifetime + self._hop, (epoch_s, lifetime, self._hop)
-        self.seen = Int64Map(initial_log2_cap=14, epoch_s=epoch_s)
+        self.seen = Int64Map(epoch_s=epoch_s)
         self._pending_seen: List[np.ndarray] = []
 
         # -- metrics ----------------------------------------------------
@@ -684,10 +690,11 @@ class SoaFloodEngine:
         the first never delivers to its origin.
         """
         keys = qid * self.n + dst
-        order = keys.argsort(kind="stable")
+        order = keys.argsort()
         keys = keys[order]
         first = _run_bounds(keys)[:-1]
-        first_idx = order[first]
+        # Each key's earliest arrival, however the sort broke ties.
+        first_idx = np.minimum.reduceat(order, first)
         new_keys = keys[first]
         routes = edge[first_idx]
         if self._pending_seen:
@@ -706,10 +713,17 @@ class SoaFloodEngine:
 
         Per receiving peer and timestamp, the first ``granted`` fresh
         arrivals (in arrival order) consume tokens; the rest drop.
+        Groups are sorted with each row's arrival index packed into the
+        low bits, so ties within a group keep arrival order.
         """
-        group = dst * len(times) + w if len(times) > 1 else dst
-        order = group.argsort(kind="stable")
-        gs = group[order]
+        nw = len(times)
+        group = dst * nw + w if nw > 1 else dst
+        bits = len(group).bit_length()
+        # group < n * nw, and PeerId keeps n below 2**24.
+        assert (self.n * nw).bit_length() + bits <= 63, (self.n, nw, bits)
+        packed = np.sort((group << bits) | np.arange(len(group)))
+        order = packed & ((1 << bits) - 1)
+        gs = packed >> bits
         bounds = _run_bounds(gs)
         starts = bounds[:-1]
         counts = bounds[1:] - starts
@@ -735,14 +749,7 @@ class SoaFloodEngine:
         if not cand.any():
             return
         hkeys = obj[cand] * self.n + dst[cand]
-        holders = self._holder_keys
-        if not len(holders):
-            return
-        pos = holders.searchsorted(hkeys)
-        # A key past the last holder probes slot 0 instead; the equality
-        # test rejects it there.
-        pos[pos == len(holders)] = 0
-        found = holders[pos] == hkeys
+        found = ((self._holders[hkeys >> 3] >> (hkeys & 7)) & 1) != 0
         if found.any():
             sel = cand.nonzero()[0][found]
             self._push_window(times, w[sel], HITS, qid[sel], self._src[edge[sel]])

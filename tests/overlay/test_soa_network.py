@@ -3,8 +3,10 @@
 The des == des-soa contract lives in ``tests/property/test_soa_equivalence.py``;
 these tests pin what that suite cannot see: the engine's own event and
 batch counts, the two hit-drop branches, the edge ids its chunks carry,
-and the hop-window edges -- chunk order inside a wave, and the minute
-roll, DD-POLICE conclusions and the end of the run cutting a window.
+the hop-window edges -- chunk order inside a wave, and the minute
+roll, DD-POLICE conclusions and the end of the run cutting a window --
+and the tie-breaks of the batch sorts, which must keep arrival order
+however numpy orders equal keys.
 """
 
 from dataclasses import asdict
@@ -23,12 +25,12 @@ from repro.overlay.soa_network import (
 from repro.overlay.topology import TopologyConfig
 
 
-def _config(network=None, **kwargs):
+def _config(network=None, ba_m=2, **kwargs):
     n = 150
     return DESConfig(
         n=n,
         seed=3,
-        topology=TopologyConfig(n=n, seed=3, ba_m=2),
+        topology=TopologyConfig(n=n, seed=3, ba_m=ba_m),
         network=NetworkConfig(
             hop_latency_jitter_s=0.0, default_ttl=3, **(network or {})
         ),
@@ -260,3 +262,55 @@ def test_the_run_end_cuts_the_hop_window():
     engine.sim.run(until=engine.config.duration_s)
     assert engine.stats.query_messages == 1
     assert list(engine._waves) == [10.01]
+
+
+# ----------------------------------------------------------------------
+# tie-breaks of the batch sorts
+# ----------------------------------------------------------------------
+# Each test crowds more than 16 equal sort keys into one batch, so
+# numpy's small-array insertion sort cannot hide an unstable order.
+def _hub_engine(**network):
+    """An idle engine on a topology whose hub has 40 neighbours."""
+    engine = _idle_engine(ba_m=3, network=network)
+    hub = int(engine._deg.argmax())
+    assert engine._deg[hub] == 40
+    return engine, hub
+
+
+def _push_rows(engine, t, qid, edge, ttl):
+    size = np.full(len(qid), 30)
+    engine._push(t, (0.0, 0), QUERIES, qid, edge, ttl, np.full(len(qid), -1), size)
+
+
+def test_a_crowded_key_keeps_the_route_of_its_earliest_arrival():
+    # Three queries reach the hub 40 times each in one wave, once on
+    # every in-edge, interleaved in a different order per query: the
+    # route is the edge of each query's first copy.
+    engine, hub = _hub_engine()
+    rng = np.random.default_rng(8)
+    into_hub = _in_edges(engine, hub)
+    orders = {q: rng.permutation(into_hub) for q in (5, 6, 7)}
+    qid = np.tile(list(orders), 40)
+    edge = np.stack(list(orders.values()), axis=1).ravel()
+    _push_rows(engine, 1.0, qid, edge, np.ones(len(qid), dtype=np.int64))
+    engine.sim.run(until=1.0)
+    assert engine.stats.queries_dropped_duplicate == 3 * 39
+    routes = engine.seen.lookup(np.array(list(orders)) * engine.n + hub)
+    assert routes.tolist() == [int(order[0]) for order in orders.values()]
+
+
+def test_a_binding_bucket_passes_the_earliest_arrivals_of_a_crowded_peer():
+    # The hub holds 10 tokens and 40 fresh queries reach it in one wave,
+    # interleaved with single copies to its neighbours: the first 10 to
+    # arrive pass (and are forwarded), the other 30 drop.
+    engine, hub = _hub_engine(processing_qpm_good=600.0)
+    into_hub = _in_edges(engine, hub)
+    others = _out_edges(engine, hub)
+    qid = np.arange(100, 180)
+    edge = np.stack([into_hub[::-1], others], axis=1).ravel()
+    ttl = np.tile([2, 1], 40)
+    _push_rows(engine, 1.0, qid, edge, ttl)
+    engine.sim.run(until=1.0)
+    assert engine.stats.queries_dropped_capacity == 30
+    forwarded = [q for q in qid[::2].tolist() if hub in _senders(engine, 1.0 + engine._hop, q)]
+    assert forwarded == qid[::2][:10].tolist()

@@ -4,10 +4,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.overlay.capacity import TokenBucket
-from repro.simkit.soa import Int64Map, TokenBucketArray, _hashes
+from repro.simkit.soa import Int64Map, TokenBucketArray
 
 
 # ----------------------------------------------------------------------
@@ -15,7 +17,7 @@ from repro.simkit.soa import Int64Map, TokenBucketArray, _hashes
 # ----------------------------------------------------------------------
 def test_int64map_matches_dict_oracle_under_random_batches():
     rng = random.Random(42)
-    table = Int64Map(initial_log2_cap=4, epoch_s=1e9)  # never rotates
+    table = Int64Map(epoch_s=1e9)  # never rotates
     oracle = {}
     for _ in range(50):
         batch = rng.sample(range(10_000), rng.randint(1, 200))
@@ -35,7 +37,7 @@ def test_int64map_matches_dict_oracle_under_random_batches():
 
 
 def test_int64map_first_writer_wins_on_reinsert():
-    table = Int64Map(initial_log2_cap=4, epoch_s=1e9)
+    table = Int64Map(epoch_s=1e9)
     keys = np.array([7, 8, 9], dtype=np.int64)
     assert table.insert_new(keys, np.array([1, 2, 3])).all()
     fresh = table.insert_new(keys, np.array([10, 20, 30]))
@@ -44,7 +46,7 @@ def test_int64map_first_writer_wins_on_reinsert():
 
 
 def test_int64map_rotation_retires_only_stale_generations():
-    table = Int64Map(initial_log2_cap=4, epoch_s=1.0)
+    table = Int64Map(epoch_s=1.0)
     a = np.array([1, 2], dtype=np.int64)
     b = np.array([3, 4], dtype=np.int64)
     table.insert_new(a, a)
@@ -60,11 +62,9 @@ def test_int64map_rotation_retires_only_stale_generations():
     assert table.rotations == 2
 
 
-def test_int64map_handles_slot_collisions_in_one_batch():
-    # With a 16-slot initial table and >16 keys, several keys of one
-    # batch must contend for slots; growth keeps load factor <= 0.5.
-    table = Int64Map(initial_log2_cap=4, epoch_s=1e9)
-    keys = np.arange(0, 4096, 7, dtype=np.int64)
+def test_int64map_inserts_a_large_unsorted_batch_at_once():
+    table = Int64Map(epoch_s=1e9)
+    keys = np.random.default_rng(5).permutation(np.arange(0, 4096, 7, dtype=np.int64))
     fresh = table.insert_new(keys, keys * 2)
     assert fresh.all()
     assert table.lookup(keys).tolist() == (keys * 2).tolist()
@@ -74,7 +74,7 @@ def test_int64map_matches_generational_dict_oracle_while_rotating():
     # The oracle keeps one dict per generation and rotates on the same
     # clock, so a key that fell off both generations is fresh again.
     rng = random.Random(11)
-    table = Int64Map(initial_log2_cap=4, epoch_s=1.0)
+    table = Int64Map(epoch_s=1.0)
     current, previous = {}, {}
     now = epoch_start = 0.0
     for _ in range(120):
@@ -98,25 +98,68 @@ def test_int64map_matches_generational_dict_oracle_while_rotating():
     assert table.rotations > 20
 
 
-def test_int64map_many_claimants_of_one_empty_slot_insert_once_each():
-    # Keys chosen to hash to the same home slot of the 2**10 table: all
-    # of them see it empty in the first round and claim it together.
-    table = Int64Map(initial_log2_cap=10, epoch_s=1e9)
-    cand = np.arange(200_000, dtype=np.int64)
-    home = _hashes(cand) >> np.uint64(64 - 10)
-    keys = cand[home == home[0]][:40]
-    assert len(keys) == 40
-    fresh = table.insert_new(keys, keys + 5)
-    assert fresh.all()
-    assert table.size == 40
-    assert table.lookup(keys).tolist() == (keys + 5).tolist()
-    assert int((table._current.keys >= 0).sum()) == 40
-    assert not table.insert_new(keys, keys).any()
-    assert table.size == 40
+def test_int64map_generations_stay_sorted_with_values_aligned():
+    # Batches arrive as the engine's dedup hands them over: the window's
+    # keys sorted, then the origin keys of fresh issues appended (larger
+    # qids, so the batch as a whole is unsorted), partly overlapping
+    # what is stored.
+    rng = np.random.default_rng(3)
+    table = Int64Map(epoch_s=1.0)
+    current, previous = {}, {}
+    for step in range(1, 61):
+        if step % 20 == 0:  # an epoch per 20 batches
+            table.maybe_rotate(step / 20)
+            current, previous = {}, current
+        window = np.unique(rng.integers(0, 50_000, rng.integers(1, 400)))
+        origins = rng.choice(np.arange(50_000, 60_000), rng.integers(0, 30), replace=False)
+        keys = np.concatenate([window, origins]).astype(np.int64)
+        vals = np.concatenate(
+            [rng.integers(0, 10**6, len(window)), np.full(len(origins), -2)]
+        ).astype(np.int64)
+        fresh = table.insert_new(keys, vals)
+        for k, v, f in zip(keys.tolist(), vals.tolist(), fresh.tolist()):
+            assert f == (k not in current and k not in previous)
+            if f:
+                current[k] = v
+        for gen, oracle in ((table._current, current), (table._previous, previous)):
+            assert (np.diff(gen.keys) > 0).all()
+            assert gen.keys.tolist() == sorted(oracle)
+            assert gen.vals.tolist() == [oracle[k] for k in gen.keys.tolist()]
+    assert table.rotations == 3
+
+
+_KEYS = st.lists(st.integers(min_value=0, max_value=300), max_size=40, unique=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=0.8), _KEYS, _KEYS), max_size=25
+    )
+)
+def test_int64map_property_matches_a_generational_dict_oracle(steps):
+    table = Int64Map(epoch_s=1.0)
+    current, previous = {}, {}
+    now = epoch_start = 0.0
+    for i, (gap, inserts, probes) in enumerate(steps):
+        now += gap
+        if now - epoch_start >= 1.0:
+            current, previous, epoch_start = {}, current, now
+        table.maybe_rotate(now)
+        vals = [i * 1000 + j for j in range(len(inserts))]
+        fresh = table.insert_new(np.array(inserts, dtype=np.int64), np.array(vals))
+        want_fresh = [k not in current and k not in previous for k in inserts]
+        assert fresh.tolist() == want_fresh
+        for k, v, f in zip(inserts, vals, want_fresh):
+            if f:
+                current[k] = v
+        got = table.lookup(np.array(probes, dtype=np.int64), missing=-3)
+        assert got.tolist() == [current.get(k, previous.get(k, -3)) for k in probes]
+        assert table.size == len(current) + len(previous)
 
 
 def test_int64map_batch_mixing_previous_current_and_new_keys():
-    table = Int64Map(initial_log2_cap=4, epoch_s=1.0)
+    table = Int64Map(epoch_s=1.0)
     old = np.arange(0, 30, dtype=np.int64)
     live = np.arange(100, 130, dtype=np.int64)
     new = np.arange(200, 230, dtype=np.int64)
@@ -135,8 +178,6 @@ def test_int64map_batch_mixing_previous_current_and_new_keys():
 def test_int64map_rejects_bad_config():
     with pytest.raises(ConfigError):
         Int64Map(epoch_s=0.0)
-    with pytest.raises(ConfigError):
-        Int64Map(initial_log2_cap=2)
 
 
 # ----------------------------------------------------------------------
