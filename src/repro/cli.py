@@ -16,6 +16,9 @@ with dotted-path config overrides (see EXPERIMENTS.md)::
 from __future__ import annotations
 
 import argparse
+import cProfile
+import io
+import pstats
 import sys
 import time
 from contextlib import nullcontext
@@ -33,9 +36,7 @@ from repro.experiments.spec import (
     override_paths,
     parse_assignments,
 )
-from repro.obs.config import ObsConfig
 from repro.obs.manifest import atomic_write_text, build_manifest, write_manifest
-from repro.obs.profile import Profiler
 from repro.obs.trace import summarize_trace
 
 
@@ -184,7 +185,7 @@ def _run_command(args: argparse.Namespace) -> int:
         print(f"run: {exc}", file=sys.stderr)
         return 2
 
-    obs: Optional[ObsConfig] = None
+    trace_path: Optional[str] = None
     if args.trace is not None:
         if workers != 1:
             print(
@@ -192,16 +193,11 @@ def _run_command(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             workers = 1
-        # Fresh trace per invocation: JsonlSink appends, so clear any
-        # leftover file from a previous run first.
-        Path(args.trace).unlink(missing_ok=True)
-        obs = ObsConfig(
-            trace=True,
-            trace_path=str(args.trace),
-            metrics=True,
-            profile=args.profile,
-        )
-    profiler = Profiler(cprofile=True, top=15) if args.profile else None
+        # Fresh trace per invocation, created even when no spec simulates
+        # anything: every run appends to it.
+        trace_path = str(args.trace)
+        Path(trace_path).parent.mkdir(parents=True, exist_ok=True)
+        Path(trace_path).write_text("", encoding="utf-8")
 
     out_dir = Path(args.out) if args.out is not None else None
     if out_dir is not None:
@@ -209,20 +205,22 @@ def _run_command(args: argparse.Namespace) -> int:
 
     started = time.perf_counter()
     for name in args.specs:
-        scope = profiler.scope(f"cli.{name}") if profiler else nullcontext()
+        profiler = cProfile.Profile() if args.profile else None
+        spec_started = time.perf_counter()
         try:
-            with scope:
+            with profiler if profiler is not None else nullcontext():
                 run = run_spec(
                     name,
                     scale=args.scale,
                     backend=args.backend,
                     overrides=overrides,
                     workers=workers,
-                    obs=obs,
+                    trace_path=trace_path,
                 )
         except ConfigError as exc:
             print(f"run: {exc}", file=sys.stderr)
             return 2
+        spec_wall_s = time.perf_counter() - spec_started
         print(_render_run(run))
         print()
         print(
@@ -230,9 +228,10 @@ def _run_command(args: argparse.Namespace) -> int:
             f"cases={run.cases} wall={run.duration_s:.2f}s"
         )
         if profiler is not None:
-            report = profiler.reports[-1]
-            print(f"# profile {report['scope']}: {report['wall_s']:.2f}s wall")
-            print(report["profile_top"])
+            top = io.StringIO()
+            pstats.Stats(profiler, stream=top).sort_stats("cumulative").print_stats(15)
+            print(f"# profile cli.{name}: {spec_wall_s:.2f}s wall")
+            print(top.getvalue())
         if out_dir is not None:
             for table, text in run.tables.items():
                 artifact = out_dir / f"{table}.txt"
@@ -248,7 +247,6 @@ def _run_command(args: argparse.Namespace) -> int:
                 "scale": args.scale,
                 "backend": args.backend,
                 "overrides": overrides,
-                "obs": obs,
             },
             workers=workers,
             tasks=len(args.specs),

@@ -29,7 +29,7 @@ the exact text published under ``results/`` -- the benchmarks and the
 CLI both call :func:`run_spec`, so there is one implementation to keep
 byte-identical.
 
-Scenario results are cached per ``(scenario_sha256, obs)``: fig9/10/11
+Scenario results are cached per ``(scenario_sha256, trace_path)``: fig9/10/11
 share one agent sweep, and fig13/fig14/fig12-stabilized share one cut-
 threshold sweep.
 """
@@ -67,7 +67,6 @@ from repro.faults.plan import CrashRule, FaultPlan
 from repro.live.spec import LIVE_TIERS
 from repro.metrics.damage import damage_rate, damage_recovery_time
 from repro.metrics.series import TimeSeries
-from repro.obs.config import ObsConfig
 from repro.obs.manifest import build_manifest
 from repro.testbed.pipeline import run_rate_sweep
 
@@ -186,7 +185,7 @@ class ScenarioOutput:
     seed_derivation: Tuple[str, ...] = ()
 
 
-#: Driver signature: (spec, *, workers, obs) -> ScenarioOutput.
+#: Driver signature: (spec, *, workers, trace_path) -> ScenarioOutput.
 Driver = Callable[..., ScenarioOutput]
 
 #: Table renderer: (spec, ScenarioOutput.data) -> the published text.
@@ -209,16 +208,16 @@ def _run_plan(
     spec: ExperimentSpec,
     plan: Mapping[Any, Case],
     workers: Optional[int],
-    obs: Optional[ObsConfig],
+    trace_path: Optional[str],
 ) -> Dict[Any, CaseResult]:
     """Run an ordered ``{key: Case}`` plan; results come back under its keys.
 
     The flat task list handed to :func:`run_cases` is the plan's values
     in insertion order, so manifest ``tasks`` and trace order are the
-    plan's. Every case carries the run's obs attachment and live sizing
+    plan's. Every case carries the run's trace path and live sizing
     (only the ``live`` backend reads the latter).
     """
-    cases = [replace(case, obs=obs, live=spec.live) for case in plan.values()]
+    cases = [replace(case, trace_path=trace_path, live=spec.live) for case in plan.values()]
     return dict(zip(plan, run_cases(cases, backend=spec.backend, workers=workers)))
 
 
@@ -295,7 +294,7 @@ def _scn_testbed_rate(
     spec: ExperimentSpec,
     *,
     workers: Optional[int] = None,
-    obs: Optional[ObsConfig] = None,
+    trace_path: Optional[str] = None,
 ) -> ScenarioOutput:
     """A->B->C capacity sweep (closed form; scale/backend-independent)."""
     return ScenarioOutput(data=list(run_rate_sweep()), cases=0)
@@ -309,7 +308,7 @@ def _scn_agent_sweep(
     spec: ExperimentSpec,
     *,
     workers: Optional[int] = None,
-    obs: Optional[ObsConfig] = None,
+    trace_path: Optional[str] = None,
 ) -> ScenarioOutput:
     """For each agent density: no attack, attack, attack + DD-POLICE."""
     scale = spec.scale
@@ -343,7 +342,7 @@ def _scn_agent_sweep(
         )
         plan["attack", i] = attack
         plan["defended", i] = replace(attack, defense="ddpolice", police=spec.police)
-    results = _run_plan(spec, plan, workers, obs)
+    results = _run_plan(spec, plan, workers, trace_path)
 
     t0, r0, s0 = results["clean"].steady
     rows: List[AgentSweepRow] = []
@@ -405,7 +404,7 @@ def _scn_damage_timelines(
     spec: ExperimentSpec,
     *,
     workers: Optional[int] = None,
-    obs: Optional[ObsConfig] = None,
+    trace_path: Optional[str] = None,
 ) -> ScenarioOutput:
     """No-defense + DD-POLICE-CT damage trajectories, trial-averaged."""
     scale = spec.scale
@@ -421,7 +420,7 @@ def _scn_damage_timelines(
             plan[ct, t] = replace(
                 attack, defense="ddpolice", police=spec.police.with_cut_threshold(ct)
             )
-    results = _run_plan(spec, plan, workers, obs)
+    results = _run_plan(spec, plan, workers, trace_path)
 
     timelines: List[DamageTimeline] = []
     for ct in (None, *spec.grid.cut_thresholds):
@@ -460,7 +459,7 @@ def _scn_cut_threshold_sweep(
     spec: ExperimentSpec,
     *,
     workers: Optional[int] = None,
-    obs: Optional[ObsConfig] = None,
+    trace_path: Optional[str] = None,
 ) -> ScenarioOutput:
     """Errors / recovery / stabilized damage per cut threshold."""
     scale = spec.scale
@@ -474,7 +473,7 @@ def _scn_cut_threshold_sweep(
             plan[ct, t] = replace(
                 attack, defense="ddpolice", police=spec.police.with_cut_threshold(ct)
             )
-    results = _run_plan(spec, plan, workers, obs)
+    results = _run_plan(spec, plan, workers, trace_path)
     minutes = plan["clean", 0].minutes
 
     rows: List[CutThresholdRow] = []
@@ -511,7 +510,7 @@ def _scn_exchange_frequency(
     spec: ExperimentSpec,
     *,
     workers: Optional[int] = None,
-    obs: Optional[ObsConfig] = None,
+    trace_path: Optional[str] = None,
 ) -> ScenarioOutput:
     """Periodic exchange at several periods + the event-driven policy.
 
@@ -541,7 +540,7 @@ def _scn_exchange_frequency(
             police=spec.police,
             exchange_period_min=period or 1,
         )
-    results = _run_plan(spec, plan, workers, obs)
+    results = _run_plan(spec, plan, workers, trace_path)
 
     rows: List[ExchangeFrequencyRow] = []
     for label, period in policies.items():
@@ -594,7 +593,7 @@ def _scn_fault_sweep(
     spec: ExperimentSpec,
     *,
     workers: Optional[int] = None,
-    obs: Optional[ObsConfig] = None,
+    trace_path: Optional[str] = None,
 ) -> ScenarioOutput:
     """Control-plane loss x fail-stop crashes, per evidence profile.
 
@@ -653,7 +652,7 @@ def _scn_fault_sweep(
                     num_agents=grid.agents,
                     police=police_by_profile[profile],
                 )
-    results = _run_plan(spec, plan, workers, obs)
+    results = _run_plan(spec, plan, workers, trace_path)
 
     points: List[FaultPoint] = []
     for loss, crashes in cells:
@@ -725,7 +724,7 @@ def _scn_robustness_matrix(
     spec: ExperimentSpec,
     *,
     workers: Optional[int] = None,
-    obs: Optional[ObsConfig] = None,
+    trace_path: Optional[str] = None,
 ) -> ScenarioOutput:
     """DD-POLICE variants and the PPM baseline vs adversaries that adapt.
 
@@ -788,7 +787,7 @@ def _scn_robustness_matrix(
                 adaptive=replace(spec.adversary, strategy=adversary),
                 traceback=spec.traceback,
             )
-    results = _run_plan(spec, plan, workers, obs)
+    results = _run_plan(spec, plan, workers, trace_path)
 
     rows: List[MatrixRow] = []
     for defense, adversary, topo in cells:
@@ -1025,9 +1024,9 @@ class SpecRun:
 
 
 #: Scenario results shared between specs with equal scenario hashes
-#: (fig9/10/11; fig13/fig14/fig12-stabilized). Obs is part of the key:
-#: a traced run must not satisfy an untraced request, or vice versa.
-_RESULT_CACHE: Dict[Tuple[str, Optional[ObsConfig]], ScenarioOutput] = {}
+#: (fig9/10/11; fig13/fig14/fig12-stabilized). The trace path is part of
+#: the key: a traced run must not satisfy an untraced request, or vice versa.
+_RESULT_CACHE: Dict[Tuple[str, Optional[str]], ScenarioOutput] = {}
 
 
 def run_spec(
@@ -1037,7 +1036,7 @@ def run_spec(
     backend: Optional[str] = None,
     overrides: Optional[Mapping[str, Any]] = None,
     workers: Optional[int] = None,
-    obs: Optional[ObsConfig] = None,
+    trace_path: Optional[str] = None,
     cache: bool = True,
 ) -> SpecRun:
     """Resolve, validate, execute, and render one experiment spec.
@@ -1065,11 +1064,11 @@ def run_spec(
             f"{scenario.name!r} (valid: {', '.join(scenario.tables)})"
         )
 
-    key = (scenario_sha256(spec), obs)
+    key = (scenario_sha256(spec), trace_path)
     started = time.perf_counter()
     output = _RESULT_CACHE.get(key) if cache else None
     if output is None:
-        output = scenario.driver(spec, workers=workers, obs=obs)
+        output = scenario.driver(spec, workers=workers, trace_path=trace_path)
         if cache:
             _RESULT_CACHE[key] = output
     duration_s = time.perf_counter() - started

@@ -24,7 +24,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.metrics.accounting import QueryAccounting
 from repro.metrics.errors import ErrorCounts, JudgmentLog
-from repro.obs.config import Observability, ObsConfig
+from repro.obs.trace import JsonlSink, Tracer
 from repro.overlay.content import ContentCatalog, ContentConfig
 from repro.overlay.ids import PeerId
 from repro.overlay.network import NetworkConfig, OverlayNetwork
@@ -65,10 +65,10 @@ class DESConfig:
     #: victims are drawn from the *good* population so the ground-truth
     #: error accounting stays meaningful; explicit peer lists override.
     faults: FaultPlan = FaultPlan()
-    #: Observability (tracing / metrics / profiling). Fully disabled by
-    #: default: every instrumentation site reduces to one falsy branch
-    #: and the run is bit-identical to pre-obs builds.
-    obs: ObsConfig = ObsConfig()
+    #: JSONL file the run appends its trace records to. ``None`` (the
+    #: default) builds no tracer: every instrumentation site reduces to
+    #: one falsy branch and the run is bit-identical to a traced one.
+    trace_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -107,10 +107,6 @@ class DESRun:
     judgments: Optional[JudgmentLog]
     bad_peers: Set[PeerId] = field(default_factory=set)
     injector: Optional[FaultInjector] = None
-    #: Observability bundle of the run (None when disabled); trace ring
-    #: buffer, metrics registry, and profiler reports stay inspectable
-    #: after the run even though file sinks are already flushed/closed.
-    obs: Optional[Observability] = None
     #: Wall-clock duration of the event loop (seconds).
     wall_s: float = 0.0
     #: Bytes of DD-POLICE evidence state summed over all engines
@@ -149,15 +145,17 @@ class DESRun:
 def run_des_experiment(config: DESConfig) -> DESRun:
     """Build and run one message-level experiment end to end."""
     rngs = RngRegistry(config.seed)
-    obs = Observability.from_config(config.obs, run=f"des-seed{config.seed}")
-    sim = Simulator(tracer=obs.tracer if obs is not None else None)
+    tracer: Optional[Tracer] = None
+    if config.trace_path is not None:
+        tracer = Tracer(sinks=[JsonlSink(config.trace_path)], run=f"des-seed{config.seed}")
+    sim = Simulator(tracer=tracer)
     topo_cfg = config.topology or TopologyConfig(n=config.n, seed=config.seed)
     if topo_cfg.n != config.n:
         raise ConfigError("topology n must match config n")
     topo = generate_topology(topo_cfg)
     content = ContentCatalog(config.content, config.n)
     network = OverlayNetwork(
-        sim, topo, config=config.network, content=content, rng_registry=rngs, obs=obs
+        sim, topo, config=config.network, content=content, rng_registry=rngs, tracer=tracer
     )
 
     # Churn-assisted evasion drives a ChurnProcess even when natural
@@ -241,16 +239,12 @@ def run_des_experiment(config: DESConfig) -> DESRun:
     import time as _time
 
     started = _time.perf_counter()
-    if obs is not None and obs.profiler is not None:
-        with obs.profiler.scope("des.run", n=config.n, seed=config.seed):
-            sim.run(until=config.duration_s)
-    else:
+    try:
         sim.run(until=config.duration_s)
+    finally:
+        if tracer is not None:
+            tracer.close()
     wall_s = _time.perf_counter() - started
-    if obs is not None:
-        # Flush/close file sinks now; the ring buffer, metrics registry
-        # and profiler reports remain readable on the returned run.
-        obs.close()
     return DESRun(
         config=config,
         sim=sim,
@@ -260,7 +254,6 @@ def run_des_experiment(config: DESConfig) -> DESRun:
         judgments=judgments,
         bad_peers=bad_peers,
         injector=injector,
-        obs=obs,
         wall_s=wall_s,
         evidence_bytes=sum(
             e.store.evidence_bytes() + e._report_dedup.evidence_bytes()

@@ -59,7 +59,6 @@ from repro.exec import pmap
 from repro.experiments.scenarios import SCALES, Scale
 from repro.faults.plan import FaultPlan
 from repro.live.spec import LIVE_TIERS, LiveSpec
-from repro.obs.config import ObsConfig
 from repro.obs.manifest import config_sha256, jsonable_config
 from repro.simkit.rng import derive_seed
 
@@ -521,7 +520,8 @@ class Case:
     traceback: TracebackConfig = TracebackConfig()
     #: First minute of the steady-state window; None skips steady means.
     settle_min: Optional[int] = None
-    obs: Optional[ObsConfig] = None
+    #: JSONL trace file the case appends to (des and fluid only).
+    trace_path: Optional[str] = None
     #: Real-socket swarm sizing (``live`` backend only; others ignore it).
     live: LiveSpec = LiveSpec()
 
@@ -608,7 +608,7 @@ def _fluid_case_task(case: Case) -> CaseResult:
         raise ConfigError(
             "backend 'fluid' cannot simulate cheat_strategy 'collude' (DES only)"
         )
-    kwargs: Dict[str, Any] = dict(
+    config = FluidConfig(
         n=case.n,
         seed=case.seed,
         num_agents=case.num_agents,
@@ -620,13 +620,15 @@ def _fluid_case_task(case: Case) -> CaseResult:
         attack_nominal_qpm=case.workload.attack_nominal_qpm,
         capacity_qpm=case.workload.capacity_qpm,
         cheat_strategy=case.workload.cheat,
+        trace_path=case.trace_path,
     )
-    if case.obs is not None:
-        kwargs["obs"] = case.obs
-    sim = FluidSimulation(FluidConfig(**kwargs))
-    sim.run(case.minutes)
+    sim = FluidSimulation(config)
+    try:
+        sim.run(case.minutes)
+    finally:
+        sim.close_trace()
     errors = sim.error_counts()
-    result = CaseResult(
+    return CaseResult(
         rows=tuple((r.minute, r.success_rate) for r in sim.rows),
         steady=(
             steady_means(sim.rows, case.settle_min)
@@ -638,8 +640,6 @@ def _fluid_case_task(case: Case) -> CaseResult:
         online_mean=sim.mean_over(1, "online") if case.minutes > 1 else 0.0,
         churn_events=sim.state.joins + sim.state.leaves,
     )
-    sim.close_obs()
-    return result
 
 
 def _extract_case_result(run: Any, cfg: Any, settle_min: Optional[int]) -> CaseResult:
@@ -730,7 +730,7 @@ def _des_config(case: Case, **network: Any) -> Any:
         topo_kwargs["ba_m"] = case.ba_m
     if case.topology is not None:
         topo_kwargs["model"] = case.topology
-    kwargs: Dict[str, Any] = dict(
+    return DESConfig(
         n=case.n,
         duration_s=case.minutes * 60.0,
         seed=case.seed,
@@ -748,10 +748,8 @@ def _des_config(case: Case, **network: Any) -> Any:
         police=case.police,
         traceback=case.traceback,
         faults=case.faults,
+        trace_path=case.trace_path,
     )
-    if case.obs is not None:
-        kwargs["obs"] = case.obs
-    return DESConfig(**kwargs)
 
 
 def _des_case_task(case: Case) -> CaseResult:

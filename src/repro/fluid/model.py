@@ -30,7 +30,7 @@ from repro.fluid.flows import FlowResult, propagate_flows
 from repro.fluid.graphstate import FluidChurnConfig, GraphState
 from repro.fluid.police import FluidNaiveCutoff, FluidPolice
 from repro.metrics.errors import ErrorCounts, JudgmentLog
-from repro.obs.config import Observability, ObsConfig
+from repro.obs.trace import JsonlSink, Tracer
 from repro.overlay.bandwidth import BandwidthModel
 from repro.simkit.rng import RngRegistry, derive_seed
 from repro.overlay.content import ContentCatalog, ContentConfig
@@ -73,10 +73,10 @@ class FluidConfig:
     hop_latency_s: float = 0.05
     max_queue_wait_s: float = 2.0
     seed: int = 0
-    #: Observability (tracing / metrics / profiling). The default is
-    #: fully disabled, which costs one branch per minute step and keeps
-    #: rows bit-identical to pre-obs builds.
-    obs: ObsConfig = ObsConfig()
+    #: JSONL file the run appends one ``fluid.minute`` record per step
+    #: to. ``None`` (the default) costs one branch per minute step, and
+    #: rows are bit-identical either way.
+    trace_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -221,13 +221,13 @@ class FluidSimulation:
         self._was_online: Dict[int, bool] = {u: True for u in self.bad_peers}
         self._control_messages_acc = 0.0
 
-        #: None when config.obs is fully disabled (the default), so the
-        #: per-minute guard in :meth:`step` is a single falsy branch.
-        self.obs = Observability.from_config(
-            config.obs, run=f"fluid-seed{config.seed}"
-        )
-        self._tracer = self.obs.tracer if self.obs is not None else None
-        self._metrics = self.obs.metrics if self.obs is not None else None
+        #: None without a ``trace_path`` (the default), so the per-minute
+        #: guard in :meth:`step` is a single falsy branch.
+        self._tracer: Optional[Tracer] = None
+        if config.trace_path is not None:
+            self._tracer = Tracer(
+                sinks=[JsonlSink(config.trace_path)], run=f"fluid-seed{config.seed}"
+            )
 
     # ------------------------------------------------------------------
     @property
@@ -240,28 +240,22 @@ class FluidSimulation:
     # ------------------------------------------------------------------
     def step(self) -> MinuteRow:
         """Advance one minute and return its metrics row."""
-        if self._tracer is None and self._metrics is None:
+        if self._tracer is None:
             return self._step_minute()
         import time as _time
 
         started = _time.perf_counter()
         row = self._step_minute()
-        wall = _time.perf_counter() - started
-        if self._metrics is not None:
-            self._metrics.timer("fluid.minute_wall_s").observe(wall)
-            self._metrics.gauge("fluid.online").set(row.online)
-            self._metrics.counter("fluid.minutes").inc()
-        if self._tracer is not None:
-            self._tracer.event(
-                "fluid.minute",
-                t=row.minute * 60.0,
-                minute=row.minute,
-                online=row.online,
-                agents_attacking=row.agents_attacking,
-                success_rate=row.success_rate,
-                edges_cut=row.edges_cut,
-                wall_s=wall,
-            )
+        self._tracer.event(
+            "fluid.minute",
+            t=row.minute * 60.0,
+            minute=row.minute,
+            online=row.online,
+            agents_attacking=row.agents_attacking,
+            success_rate=row.success_rate,
+            edges_cut=row.edges_cut,
+            wall_s=_time.perf_counter() - started,
+        )
         return row
 
     def _step_minute(self) -> MinuteRow:
@@ -378,20 +372,14 @@ class FluidSimulation:
         """Advance ``minutes`` minutes; returns all accumulated rows."""
         if minutes < 1:
             raise ConfigError("minutes must be >= 1")
-        profiler = self.obs.profiler if self.obs is not None else None
-        if profiler is not None:
-            with profiler.scope("fluid.run", minutes=minutes, n=self.config.n):
-                for _ in range(minutes):
-                    self.step()
-        else:
-            for _ in range(minutes):
-                self.step()
+        for _ in range(minutes):
+            self.step()
         return self.rows
 
-    def close_obs(self) -> None:
-        """Flush and close trace sinks (no-op when obs is disabled)."""
-        if self.obs is not None:
-            self.obs.close()
+    def close_trace(self) -> None:
+        """Close the trace file (no-op without a ``trace_path``)."""
+        if self._tracer is not None:
+            self._tracer.close()
 
     # ------------------------------------------------------------------
     # derived service metrics

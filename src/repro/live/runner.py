@@ -14,7 +14,7 @@ which is what the Fig-9/10/11 curves are about).
 
 Features the testbed does not implement are rejected loudly with
 :class:`~repro.errors.ConfigError` -- fault injection schedules, adaptive
-adversaries, the traceback baseline, collusion, and obs attachments (the
+adversaries, the traceback baseline, collusion, and a trace path (the
 swarm's per-node JSONL *is* its observability story).
 """
 
@@ -50,10 +50,9 @@ def _reject_unsupported(case: Any) -> None:
         raise ConfigError(
             "backend 'live' cannot simulate cheat_strategy 'collude' (DES only)"
         )
-    if case.obs is not None:
+    if case.trace_path is not None:
         raise ConfigError(
-            "backend 'live' has per-node JSONL stats; obs attachments are "
-            "DES/fluid only"
+            "backend 'live' has per-node JSONL stats; --trace is des/fluid only"
         )
 
 

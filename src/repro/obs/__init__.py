@@ -1,30 +1,26 @@
-"""Observability layer: tracing, counters, run manifests, profiling.
+"""Run telemetry: one trace channel plus run manifests.
 
 `repro.obs` is the always-available instrumentation substrate behind
 every simulation run. It is designed around one invariant: **disabled
 observability is free and invisible** -- every instrumentation point in
-the simulators guards on a single ``is not None`` branch, and enabling
-any part of it must never perturb an experiment's random draws or its
-published numbers (proven by the trace-on/off equivalence property
-tests).
+the simulators guards on a single ``is not None`` branch, and a traced
+run must never perturb an experiment's random draws or its published
+numbers (proven by the trace-on/off equivalence property tests).
 
-Four parts:
+Two parts:
 
 * :mod:`repro.obs.trace` -- structured, schema-versioned trace records
-  through a bounded ring buffer and pluggable sinks (JSONL file,
-  in-memory for tests);
-* :mod:`repro.obs.metrics` -- process-local counters, gauges, and
-  histogram timers, exportable as JSON and Prometheus-style text;
+  through pluggable sinks (JSONL file, in-memory for tests); a run is
+  traced by giving its config a ``trace_path``;
 * :mod:`repro.obs.manifest` -- ``*.manifest.json`` sidecars recording
   the config (and its SHA-256), seeds, workers, code version, and
-  environment behind every ``results/`` artifact;
-* :mod:`repro.obs.profile` -- opt-in cProfile / ``perf_counter`` scopes
-  around the hot loops.
+  environment behind every ``results/`` artifact.
 
-See docs/OBSERVABILITY.md for the record schemas and usage.
+Host time is measured outside the simulators (``repro run --profile``
+and the ``perfbench`` harness). See docs/OBSERVABILITY.md for the
+record schemas and usage.
 """
 
-from repro.obs.config import Observability, ObsConfig
 from repro.obs.manifest import (
     build_manifest,
     config_sha256,
@@ -33,8 +29,6 @@ from repro.obs.manifest import (
     verify_manifest,
     write_manifest,
 )
-from repro.obs.metrics import MetricsRegistry, global_registry
-from repro.obs.profile import Profiler
 from repro.obs.trace import (
     JsonlSink,
     MemorySink,
@@ -44,16 +38,11 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "ObsConfig",
-    "Observability",
     "Tracer",
     "JsonlSink",
     "MemorySink",
     "validate_record",
     "summarize_trace",
-    "MetricsRegistry",
-    "global_registry",
-    "Profiler",
     "build_manifest",
     "write_manifest",
     "load_manifest",

@@ -1,4 +1,4 @@
-"""Structured tracing: typed records, bounded ring buffer, pluggable sinks.
+"""Structured tracing: typed records and pluggable sinks.
 
 A trace is a stream of flat, schema-versioned dicts. Every record carries
 
@@ -7,15 +7,12 @@ A trace is a stream of flat, schema-versioned dicts. Every record carries
 * ``t``    -- the *simulated* time the record refers to (seconds),
 * ``kind`` -- a dotted event name (``net.deliver``, ``police.cut``, ...),
 
-plus arbitrary caller-supplied fields (JSON scalars or flat lists). Span
-records additionally carry ``dur_s``, the wall-clock duration of the
-spanned block. The flat shape keeps traces greppable and ``jq``-able.
+plus arbitrary caller-supplied fields (JSON scalars or flat lists). The
+flat shape keeps traces greppable and ``jq``-able.
 
-The :class:`Tracer` keeps the most recent records in a bounded ring
-buffer (post-run inspection without unbounded memory) and forwards every
-record to its sinks. :class:`JsonlSink` appends one JSON object per line
-with optional size-based rotation; :class:`MemorySink` collects records
-in a list for tests.
+The :class:`Tracer` forwards every record to its sinks.
+:class:`JsonlSink` appends one JSON object per line; :class:`MemorySink`
+collects records in a list for tests.
 
 Tracing records state -- it never draws randomness and never mutates the
 simulation, so a traced run is bit-identical to an untraced one.
@@ -24,11 +21,7 @@ simulation, so a traced run is bit-identical to an untraced one.
 from __future__ import annotations
 
 import json
-import os
-import time
 from collections import Counter as _Counter
-from collections import deque
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
@@ -38,7 +31,7 @@ from repro.errors import ConfigError
 SCHEMA_VERSION = 1
 
 #: Keys the tracer assigns itself; caller fields must not collide.
-RESERVED_KEYS = frozenset({"v", "seq", "t", "kind", "dur_s"})
+RESERVED_KEYS = frozenset({"v", "seq", "t", "kind"})
 
 _SCALAR_TYPES = (str, int, float, bool, type(None))
 
@@ -79,10 +72,6 @@ def validate_record(record: Dict[str, Any]) -> None:
     t = record.get("t")
     if not isinstance(t, (int, float)) or isinstance(t, bool):
         raise ConfigError(f"trace record t must be a number, got {t!r}")
-    if "dur_s" in record:
-        dur = record["dur_s"]
-        if not isinstance(dur, (int, float)) or isinstance(dur, bool) or dur < 0:
-            raise ConfigError(f"trace record dur_s must be non-negative, got {dur!r}")
     for key, value in record.items():
         if not isinstance(key, str):
             raise ConfigError(f"trace record key {key!r} is not a string")
@@ -106,58 +95,21 @@ class MemorySink:
 
 
 class JsonlSink:
-    """Appends one compact JSON object per line, with size-based rotation.
-
-    With ``max_bytes > 0`` the sink rotates before a write would push the
-    current file past the limit: existing backups shift
-    ``path.1 -> path.2 -> ...`` (the oldest beyond ``backups`` is
-    dropped), the live file becomes ``path.1``, and a fresh file is
-    opened. ``backups=0`` with rotation truncates in place.
+    """Appends one compact JSON object per line.
 
     Each record is flushed as it is written, so a crashed run leaves at
     worst one truncated final line (skipped by :func:`iter_records`).
     """
 
-    def __init__(
-        self,
-        path: Union[str, Path],
-        *,
-        max_bytes: int = 0,
-        backups: int = 3,
-    ) -> None:
-        if max_bytes < 0:
-            raise ConfigError(f"max_bytes must be non-negative, got {max_bytes}")
-        if backups < 0:
-            raise ConfigError(f"backups must be non-negative, got {backups}")
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self.max_bytes = max_bytes
-        self.backups = backups
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._file = open(self.path, "a", encoding="utf-8")
 
     def write(self, record: Dict[str, Any]) -> None:
         line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        if (
-            self.max_bytes
-            and self._file.tell() > 0
-            and self._file.tell() + len(line) > self.max_bytes
-        ):
-            self._rotate()
         self._file.write(line)
         self._file.flush()
-
-    def _rotate(self) -> None:
-        self._file.close()
-        if self.backups > 0:
-            for i in range(self.backups - 1, 0, -1):
-                older = self.path.with_name(f"{self.path.name}.{i}")
-                newer = self.path.with_name(f"{self.path.name}.{i + 1}")
-                if older.exists():
-                    os.replace(older, newer)
-            os.replace(self.path, self.path.with_name(f"{self.path.name}.1"))
-        else:
-            self.path.unlink()
-        self._file = open(self.path, "a", encoding="utf-8")
 
     def close(self) -> None:
         if not self._file.closed:
@@ -165,39 +117,23 @@ class JsonlSink:
 
 
 class Tracer:
-    """Emits trace records into a ring buffer and the attached sinks.
+    """Emits trace records into the attached sinks.
 
-    >>> tracer = Tracer(ring_size=2)
-    >>> _ = tracer.event("sim.dispatch", t=1.0, tag="roll")
-    >>> with tracer.span("fluid.minute", t=60.0, minute=1):
-    ...     pass
-    >>> [r["kind"] for r in tracer.recent()]
-    ['sim.dispatch', 'fluid.minute']
+    >>> sink = MemorySink()
+    >>> tracer = Tracer(sinks=[sink])
+    >>> _ = tracer.event("sim.dispatch", t=1.0)
+    >>> [r["kind"] for r in sink.records]
+    ['sim.dispatch']
     """
 
-    def __init__(
-        self,
-        *,
-        ring_size: int = 4096,
-        sinks: Sequence[Any] = (),
-        run: Optional[str] = None,
-    ) -> None:
-        if ring_size < 1:
-            raise ConfigError(f"ring_size must be >= 1, got {ring_size}")
-        self._ring: deque = deque(maxlen=ring_size)
+    def __init__(self, *, sinks: Sequence[Any] = (), run: Optional[str] = None) -> None:
         self._sinks = list(sinks)
         self._run = run
         self._seq = 0
         self._closed = False
 
-    # ------------------------------------------------------------------
-    def _emit(self, record: Dict[str, Any]) -> Dict[str, Any]:
-        self._ring.append(record)
-        for sink in self._sinks:
-            sink.write(record)
-        return record
-
-    def _build(self, kind: str, t: float, fields: Dict[str, Any]) -> Dict[str, Any]:
+    def event(self, kind: str, *, t: float = 0.0, **fields: Any) -> Dict[str, Any]:
+        """Emit one point-in-time record."""
         if not kind:
             raise ConfigError("trace kind must be non-empty")
         clash = RESERVED_KEYS.intersection(fields)
@@ -215,40 +151,9 @@ class Tracer:
             record["run"] = self._run
         record.update(fields)
         self._seq += 1
+        for sink in self._sinks:
+            sink.write(record)
         return record
-
-    def event(self, kind: str, *, t: float = 0.0, **fields: Any) -> Dict[str, Any]:
-        """Emit one point-in-time record."""
-        return self._emit(self._build(kind, t, fields))
-
-    @contextmanager
-    def span(self, kind: str, *, t: float = 0.0, **fields: Any) -> Iterator[Dict[str, Any]]:
-        """Wrap a block; the record (with wall ``dur_s``) is emitted on exit.
-
-        The yielded dict may be extended with result fields from inside
-        the block; they land in the emitted record.
-        """
-        record = self._build(kind, t, fields)
-        started = time.perf_counter()
-        try:
-            yield record
-        finally:
-            record["dur_s"] = time.perf_counter() - started
-            self._emit(record)
-
-    # ------------------------------------------------------------------
-    def recent(self) -> List[Dict[str, Any]]:
-        """The ring buffer's contents, oldest first."""
-        return list(self._ring)
-
-    def counts_by_kind(self) -> Dict[str, int]:
-        """Per-kind record counts over the ring buffer."""
-        return dict(_Counter(r["kind"] for r in self._ring))
-
-    @property
-    def emitted(self) -> int:
-        """Total records emitted (ring buffer may hold fewer)."""
-        return self._seq
 
     def close(self) -> None:
         if self._closed:

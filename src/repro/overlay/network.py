@@ -25,7 +25,7 @@ from repro.simkit.rng import RngRegistry
 from repro.simkit.timers import PeriodicTask
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from repro.obs.config import Observability
+    from repro.obs.trace import Tracer
 
 
 @dataclass(frozen=True)
@@ -143,18 +143,13 @@ class OverlayNetwork:
         content: Optional[ContentCatalog] = None,
         rng_registry: Optional[RngRegistry] = None,
         processing_qpm: Optional[Dict[int, float]] = None,
-        obs: Optional["Observability"] = None,
+        tracer: Optional["Tracer"] = None,
     ) -> None:
         self.sim = sim
         self.config = config
-        #: Optional observability bundle (``repro.obs.Observability``).
-        #: ``tracer``/``metrics`` are unpacked onto the network so hot
-        #: paths pay one attribute load + falsy branch when disabled.
-        self.obs = obs
-        self.tracer = obs.tracer if obs is not None else None
-        self.metrics = obs.metrics if obs is not None else None
-        self._minute_wall_last: Optional[float] = None
-        self._minute_events_last = 0
+        #: Optional ``repro.obs.Tracer``; hot paths pay one attribute
+        #: load + falsy branch when tracing is off.
+        self.tracer = tracer
         self.rngs = rng_registry or RngRegistry(config.seed)
         self._latency_rng = self.rngs.stream("net.latency")
         self.guid_factory = GuidFactory(self.rngs.stream("net.guid"))
@@ -326,8 +321,6 @@ class OverlayNetwork:
                 msg=kind.name,
                 size=msg.size_bytes,
             )
-        if self.metrics is not None:
-            self.metrics.counter(f"net.messages.{kind.name.lower()}").inc()
         peer.on_message(src, msg)
 
     # ------------------------------------------------------------------
@@ -419,8 +412,6 @@ class OverlayNetwork:
             records.pop(key, None)
         for listener in self.minute_listeners:
             listener(self.minute_index, self.now)
-        if self.metrics is not None:
-            self._observe_minute()
         if self.tracer is not None:
             self.tracer.event(
                 "net.minute",
@@ -429,25 +420,6 @@ class OverlayNetwork:
                 delivered=self.stats.messages_delivered,
                 queue_depth=self.sim.pending_count,
             )
-
-    def _observe_minute(self) -> None:
-        """Per-sim-minute instrument updates (metrics enabled only)."""
-        import time as _time
-
-        wall = _time.perf_counter()
-        fired = self.sim.events_fired
-        metrics = self.metrics
-        metrics.gauge("sim.queue_depth").set(self.sim.pending_count)
-        metrics.gauge("sim.events_fired").set(fired)
-        if self._minute_wall_last is not None:
-            wall_delta = wall - self._minute_wall_last
-            metrics.timer("sim.minute_wall_s").observe(wall_delta)
-            if wall_delta > 0:
-                metrics.gauge("sim.events_per_s").set(
-                    (fired - self._minute_events_last) / wall_delta
-                )
-        self._minute_wall_last = wall
-        self._minute_events_last = fired
 
     # ------------------------------------------------------------------
     # summaries

@@ -251,6 +251,8 @@ def _reject_unsupported(config: "DESConfig") -> None:
         )
     if config.network.bandwidth_enabled:
         raise ConfigError("backend 'des-soa' has no bandwidth model (DES only)")
+    if config.trace_path is not None:
+        raise ConfigError("backend 'des-soa' emits no trace records (--trace is des/fluid only)")
 
 
 class SoaFloodEngine:

@@ -84,7 +84,6 @@ class Simulator:
         callback: Callable[..., Any],
         *args: Any,
         priority: int = 0,
-        tag: Optional[str] = None,
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute virtual time ``time``.
 
@@ -98,7 +97,7 @@ class Simulator:
                 f"cannot schedule into the past: t={time} < now={self._now}"
             )
         time = float(time)
-        ev = Event(time, callback, args, tag, self)
+        ev = Event(time, callback, args, self)
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(self._heap, (time, priority, seq, ev))
@@ -110,21 +109,17 @@ class Simulator:
         callback: Callable[..., Any],
         *args: Any,
         priority: int = 0,
-        tag: Optional[str] = None,
     ) -> Event:
         """Schedule ``callback(*args)`` ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"delay must be non-negative, got {delay}")
-        return self.schedule_at(
-            self._now + delay, callback, *args, priority=priority, tag=tag
-        )
+        return self.schedule_at(self._now + delay, callback, *args, priority=priority)
 
     def schedule_bulk(
         self,
         items: Iterable[Tuple[Any, ...]],
         *,
         priority: int = 0,
-        tag: Optional[str] = None,
     ) -> List[Event]:
         """Schedule many events at once with a single heapify.
 
@@ -147,7 +142,7 @@ class Simulator:
                 )
             time = float(time)
             entries.append(
-                (time, priority, seq, Event(time, callback, tuple(args), tag, self))
+                (time, priority, seq, Event(time, callback, tuple(args), self))
             )
             seq += 1
         self._seq = seq
@@ -196,7 +191,7 @@ class Simulator:
             ev = heapq.heappop(self._heap)[3]
             self._now = ev.time
             if self.tracer is not None:
-                self.tracer.event("sim.dispatch", t=ev.time, tag=ev.tag)
+                self.tracer.event("sim.dispatch", t=ev.time)
             ev.fire()
             self._events_fired += 1
             return ev
@@ -236,7 +231,7 @@ class Simulator:
                 heappop(heap)
                 self._now = time
                 if tracer is not None:
-                    tracer.event("sim.dispatch", t=time, tag=nxt.tag)
+                    tracer.event("sim.dispatch", t=time)
                 nxt.fire()
                 self._events_fired += 1
                 fired += 1

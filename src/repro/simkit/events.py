@@ -43,28 +43,24 @@ class Event:
         Virtual time at which the event fires.
     callback:
         Callable invoked as ``callback(*args)`` when the event fires.
-    tag:
-        Optional label reported by the dispatch tracer.
     owner:
         Owning scheduler; lets ``cancel`` report lazily-cancelled events
         so the engine can keep an O(1) pending count and compact the heap.
     """
 
-    __slots__ = ("time", "callback", "args", "state", "tag", "owner")
+    __slots__ = ("time", "callback", "args", "state", "owner")
 
     def __init__(
         self,
         time: float,
         callback: Callable[..., Any],
         args: Tuple[Any, ...] = (),
-        tag: Optional[str] = None,
         owner: Optional[Any] = None,
     ) -> None:
         self.time = time
         self.callback = callback
         self.args = args
         self.state = _PENDING
-        self.tag = tag
         self.owner = owner
 
     def cancel(self) -> bool:

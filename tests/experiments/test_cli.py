@@ -110,6 +110,17 @@ def test_trace_flag_writes_trace_and_manifest(tmp_path, capsys):
     assert verify_manifest(manifest)
 
 
+def test_trace_flag_without_a_simulation_writes_an_empty_trace(tmp_path, capsys):
+    # fig5 is closed-form (no case runs): the trace it reports must still
+    # exist, and summarize it as empty rather than missing.
+    trace = tmp_path / "run.jsonl"
+    trace.write_text("stale line from an earlier run\n")  # must be replaced
+    assert main(["run", "fig5", "--scale", "smoke", "--trace", str(trace)]) == 0
+    assert "trace written" in capsys.readouterr().out
+    assert main(["trace", "summarize", str(trace)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["records: 0"]
+
+
 def test_profile_flag_prints_top_functions(capsys):
     assert main(["run", "fig5", "--scale", "smoke", "--profile"]) == 0
     out = capsys.readouterr().out

@@ -84,6 +84,18 @@ def test_run_invalid_override_value_is_an_error(capsys):
     assert "reports minutes 1..7" in captured.err and captured.out == ""
 
 
+def test_run_des_soa_rejects_a_trace_it_cannot_write(tmp_path, capsys):
+    # des-soa has no trace hooks: a trace path is refused by the engine,
+    # before any case simulates, instead of reported as written.
+    trace = tmp_path / "run.jsonl"
+    argv = ["run", "fig9", "--scale", "smoke", "--backend", "des-soa"]
+    assert main(argv + ["--trace", str(trace)]) == 2
+    captured = capsys.readouterr()
+    assert "des-soa" in captured.err and "trace" in captured.err
+    assert "trace written" not in captured.out
+    assert not (tmp_path / "run.manifest.json").exists()
+
+
 def test_accepted_sizing_overrides_reach_the_run():
     """Every size is read from the one place ``--set`` writes it."""
     from repro.experiments.library import run_spec

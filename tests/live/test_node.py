@@ -19,7 +19,7 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.live.node import LiveNode, NodeConfig, decode_message, encode_message
-from repro.obs.trace import Tracer, validate_record
+from repro.obs.trace import MemorySink, Tracer, validate_record
 from repro.overlay.content import ContentCatalog, ContentConfig
 from repro.overlay.ids import Guid, PeerId
 from repro.overlay.message import Bye, MessageKind, Ping, Pong, Query, QueryHit
@@ -78,8 +78,8 @@ class Harness:
             start_at=time.time() - 1.0,  # protocol t > 0 already
         )
         fields.update(overrides)
-        self.tracer = Tracer()
-        self.node = LiveNode(NodeConfig(**fields), loop, tracer=self.tracer)
+        self.trace = MemorySink()
+        self.node = LiveNode(NodeConfig(**fields), loop, tracer=Tracer(sinks=[self.trace]))
         self.transport = FakeTransport()
         self.node.connection_made(self.transport)
         self.node.start()
@@ -92,7 +92,7 @@ class Harness:
     def roll(self):
         """Roll the minute; returns the ``live.minute`` record it emitted."""
         self.node._roll_minute()
-        record = [r for r in self.tracer.recent() if r["kind"] == "live.minute"][-1]
+        record = [r for r in self.trace.records if r["kind"] == "live.minute"][-1]
         validate_record(record)
         return record
 

@@ -8,7 +8,6 @@ from repro.core.config import DDPoliceConfig
 from repro.errors import ConfigError
 from repro.experiments.spec import Case, WorkloadSpec
 from repro.faults.plan import CrashRule, FaultPlan
-from repro.obs.config import ObsConfig
 from repro.live.runner import case_result_from_swarm, swarm_config_for
 from repro.live.spec import LiveSpec
 from repro.live.supervisor import SwarmResult
@@ -89,7 +88,7 @@ def test_workload_and_police_carry_over():
         {"faults": FaultPlan(crashes=(CrashRule(at_s=60.0, count=1),))},
         {"defense": "traceback"},
         {"workload": WorkloadSpec(cheat_strategy="collude")},
-        {"obs": ObsConfig()},
+        {"trace_path": "trace.jsonl"},
     ],
     ids=["faults", "traceback", "collude", "obs"],
 )

@@ -1,4 +1,4 @@
-"""Tracer, ring buffer, sinks, and the JSONL read-back path."""
+"""Tracer, sinks, and the JSONL read-back path."""
 
 import json
 
@@ -32,35 +32,11 @@ def test_event_record_shape():
 
 
 def test_sequence_numbers_are_monotone():
-    tracer = Tracer()
+    sink = MemorySink()
+    tracer = Tracer(sinks=[sink])
     seqs = [tracer.event("a", t=0.0)["seq"] for _ in range(5)]
     assert seqs == [0, 1, 2, 3, 4]
-    assert tracer.emitted == 5
-
-
-def test_ring_buffer_bounds_memory():
-    tracer = Tracer(ring_size=3)
-    for i in range(10):
-        tracer.event("sim.dispatch", t=float(i))
-    recent = tracer.recent()
-    assert len(recent) == 3
-    assert [r["t"] for r in recent] == [7.0, 8.0, 9.0]
-    assert tracer.emitted == 10  # ring truncation never loses the count
-
-
-def test_ring_size_validated():
-    with pytest.raises(ConfigError):
-        Tracer(ring_size=0)
-
-
-def test_span_emits_duration_on_exit():
-    tracer = Tracer()
-    with tracer.span("fluid.minute", t=60.0, minute=1) as rec:
-        rec["online"] = 42
-    (emitted,) = tracer.recent()
-    assert emitted["dur_s"] >= 0.0
-    assert emitted["online"] == 42
-    validate_record(emitted)
+    assert [r["seq"] for r in sink.records] == seqs
 
 
 def test_reserved_keys_rejected():
@@ -75,14 +51,6 @@ def test_non_scalar_fields_rejected_by_validation():
         validate_record({**base, "payload": {"nested": 1}})
     with pytest.raises(ConfigError, match="flatten"):
         validate_record({**base, "items": [{"nested": 1}]})
-
-
-def test_counts_by_kind():
-    tracer = Tracer()
-    for _ in range(3):
-        tracer.event("x", t=0.0)
-    tracer.event("y", t=0.0)
-    assert tracer.counts_by_kind() == {"x": 3, "y": 1}
 
 
 def test_memory_sink_receives_every_record():
@@ -105,36 +73,6 @@ def test_jsonl_sink_roundtrip(tmp_path):
     assert [r["kind"] for r in records] == ["net.deliver", "net.drop.fault"]
     for rec in records:
         validate_record(rec)
-
-
-def test_jsonl_sink_rotation(tmp_path):
-    path = tmp_path / "trace.jsonl"
-    sink = JsonlSink(path, max_bytes=200, backups=2)
-    tracer = Tracer(sinks=[sink])
-    for i in range(40):
-        tracer.event("sim.dispatch", t=float(i))
-    tracer.close()
-    assert path.exists()
-    assert path.stat().st_size <= 200
-    backup1 = tmp_path / "trace.jsonl.1"
-    backup2 = tmp_path / "trace.jsonl.2"
-    assert backup1.exists() and backup2.exists()
-    # no backup beyond the configured limit
-    assert not (tmp_path / "trace.jsonl.3").exists()
-    # every surviving file is valid JSONL
-    for f in (path, backup1, backup2):
-        for rec in iter_records(f):
-            validate_record(rec)
-
-
-def test_jsonl_sink_zero_backups_truncates(tmp_path):
-    path = tmp_path / "trace.jsonl"
-    tracer = Tracer(sinks=[JsonlSink(path, max_bytes=150, backups=0)])
-    for i in range(30):
-        tracer.event("sim.dispatch", t=float(i))
-    tracer.close()
-    assert path.stat().st_size <= 150
-    assert not (tmp_path / "trace.jsonl.1").exists()
 
 
 def test_iter_records_skips_truncated_tail(tmp_path):
@@ -175,7 +113,5 @@ def test_validate_record_rejects_bad_version_and_fields():
         validate_record({"v": SCHEMA_VERSION, "seq": -1, "t": 0.0, "kind": "a"})
     with pytest.raises(ConfigError, match="kind"):
         validate_record({"v": SCHEMA_VERSION, "seq": 0, "t": 0.0, "kind": ""})
-    with pytest.raises(ConfigError, match="dur_s"):
-        validate_record(
-            {"v": SCHEMA_VERSION, "seq": 0, "t": 0.0, "kind": "a", "dur_s": -1}
-        )
+    with pytest.raises(ConfigError, match="t must be a number"):
+        validate_record({"v": SCHEMA_VERSION, "seq": 0, "t": "0", "kind": "a"})

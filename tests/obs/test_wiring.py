@@ -1,92 +1,53 @@
 """End-to-end wiring: the simulators actually emit through repro.obs."""
 
-import pytest
+from collections import Counter
 
-from repro.errors import ConfigError
 from repro.experiments.runner import DESConfig, run_des_experiment
 from repro.fluid.model import FluidConfig, FluidSimulation
-from repro.obs.config import Observability, ObsConfig
 from repro.obs.trace import iter_records, validate_record
 
 
 def test_default_obs_config_is_disabled():
-    cfg = ObsConfig()
-    assert not cfg.enabled
-    assert Observability.from_config(cfg) is None
-    assert Observability.from_config(None) is None
+    # The default config carries no trace path and attaches no tracer.
+    run = run_des_experiment(DESConfig(n=10, duration_s=30.0, seed=2))
+    assert run.sim.tracer is None and run.network.tracer is None
+    sim = FluidSimulation(FluidConfig(n=40, seed=4))
+    assert sim._tracer is None
+    sim.close_trace()  # a no-op without a trace path
 
 
-def test_obs_config_validation():
-    with pytest.raises(ConfigError):
-        ObsConfig(trace_path="/tmp/x.jsonl")  # trace_path without trace
-    with pytest.raises(ConfigError):
-        ObsConfig(profile_cprofile=True)  # cprofile without profile
-    with pytest.raises(ConfigError):
-        ObsConfig(trace_ring=0)
-
-
-def test_des_run_emits_trace_and_metrics():
+def test_des_run_emits_trace(tmp_path):
+    path = tmp_path / "des.jsonl"
     cfg = DESConfig(
         n=12,
         duration_s=45.0,
         seed=1,
         num_agents=2,
         defense="ddpolice",
-        obs=ObsConfig(trace=True, metrics=True, trace_ring=1_000_000),
+        trace_path=str(path),
     )
     run = run_des_experiment(cfg)
-    assert run.obs is not None
-    # ring is larger than the run, so per-kind counts are complete
-    assert run.obs.tracer.emitted == len(run.obs.tracer.recent())
-    kinds = run.obs.tracer.counts_by_kind()
-    assert kinds.get("sim.dispatch", 0) > 0
-    assert kinds.get("net.deliver", 0) > 0
-    for rec in run.obs.tracer.recent()[:100]:
+    records = list(iter_records(path))
+    for rec in records:
         validate_record(rec)
-    snap = run.obs.counters_snapshot()
-    assert sum(
-        v for k, v in snap["counters"].items() if k.startswith("net.messages.")
-    ) == kinds["net.deliver"]
+        assert rec["run"] == "des-seed1"
+    kinds = Counter(r["kind"] for r in records)
+    assert kinds["sim.dispatch"] == run.sim.events_fired
+    assert kinds["net.deliver"] == run.network.stats.messages_delivered
+    assert [r["seq"] for r in records] == list(range(len(records)))
     assert run.wall_s > 0.0
-
-
-def test_des_profile_scope_reported():
-    cfg = DESConfig(
-        n=10, duration_s=30.0, seed=2, obs=ObsConfig(profile=True)
-    )
-    run = run_des_experiment(cfg)
-    (report,) = run.obs.profiler.reports
-    assert report["scope"] == "des.run"
-    assert report["n"] == 10
 
 
 def test_fluid_run_emits_minute_records(tmp_path):
     path = tmp_path / "fluid.jsonl"
-    cfg = FluidConfig(
-        n=60,
-        seed=4,
-        num_agents=2,
-        obs=ObsConfig(trace=True, trace_path=str(path), metrics=True),
-    )
+    cfg = FluidConfig(n=60, seed=4, num_agents=2, trace_path=str(path))
     sim = FluidSimulation(cfg)
     sim.run(5)
-    sim.close_obs()
+    sim.close_trace()
     records = list(iter_records(path))
     assert [r["minute"] for r in records] == [1, 2, 3, 4, 5]
     for rec in records:
         validate_record(rec)
         assert rec["kind"] == "fluid.minute"
         assert rec["run"] == "fluid-seed4"
-    snap = sim.obs.counters_snapshot()
-    assert snap["counters"]["fluid.minutes"] == 5
-    assert snap["timers"]["fluid.minute_wall_s"]["count"] == 5
-
-
-def test_fluid_profile_scope(tmp_path):
-    sim = FluidSimulation(
-        FluidConfig(n=40, seed=4, obs=ObsConfig(profile=True))
-    )
-    sim.run(3)
-    (report,) = sim.obs.profiler.reports
-    assert report["scope"] == "fluid.run"
-    assert report["minutes"] == 3
+        assert rec["wall_s"] >= 0.0

@@ -284,3 +284,13 @@ def test_soa_rejects_unsupported_features():
                 network=NetworkConfig(hop_latency_jitter_s=0.01),
             )
         )
+    # the wave engine has no trace hooks: a trace path is refused, not dropped
+    with pytest.raises(ConfigError, match="emits no trace records"):
+        run_soa_experiment(
+            DESConfig(
+                n=50,
+                duration_s=60.0,
+                network=NetworkConfig(hop_latency_jitter_s=0.0),
+                trace_path="trace.jsonl",
+            )
+        )
