@@ -13,8 +13,8 @@ Flooding-based DDoS*, ICPP 2007. The package provides:
 * :mod:`repro.attack`, :mod:`repro.churn`, :mod:`repro.workload`,
   :mod:`repro.testbed` -- the attack, dynamics, workload, and physical
   testbed models of Sections 2 and 3.5;
-* :mod:`repro.baselines` -- naive rate cutoff and query-flood load
-  balancing comparators;
+* :mod:`repro.baselines` -- the naive rate cutoff and probabilistic
+  packet-marking traceback comparators;
 * :mod:`repro.experiments`, :mod:`repro.metrics` -- the harness that
   regenerates every evaluation figure.
 
@@ -27,41 +27,38 @@ Quickstart
 True
 """
 
-from repro.core import (
-    DDPoliceConfig,
-    DDPoliceEngine,
-    deploy_ddpolice,
-    general_indicator,
-    single_indicator,
-    is_bad_peer,
-)
-from repro.fluid import FluidConfig, FluidSimulation
-from repro.experiments import DESConfig, run_des_experiment
-from repro.overlay import (
-    OverlayNetwork,
-    NetworkConfig,
-    TopologyConfig,
-    generate_topology,
-)
-from repro.simkit import Simulator
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DDPoliceConfig",
-    "DDPoliceEngine",
-    "deploy_ddpolice",
-    "general_indicator",
-    "single_indicator",
-    "is_bad_peer",
-    "FluidConfig",
-    "FluidSimulation",
-    "DESConfig",
-    "run_des_experiment",
-    "OverlayNetwork",
-    "NetworkConfig",
-    "TopologyConfig",
-    "generate_topology",
-    "Simulator",
-    "__version__",
-]
+#: Public name -> defining module. The names resolve on first access
+#: (PEP 562), so ``import repro.<module>`` loads only that module's own
+#: imports and never the whole package.
+_EXPORTS = {
+    "DDPoliceConfig": "repro.core.config",
+    "DDPoliceEngine": "repro.core.police",
+    "deploy_ddpolice": "repro.core.police",
+    "general_indicator": "repro.core.indicators",
+    "single_indicator": "repro.core.indicators",
+    "is_bad_peer": "repro.core.indicators",
+    "FluidConfig": "repro.fluid.model",
+    "FluidSimulation": "repro.fluid.model",
+    "DESConfig": "repro.experiments.runner",
+    "run_des_experiment": "repro.experiments.runner",
+    "OverlayNetwork": "repro.overlay.network",
+    "NetworkConfig": "repro.overlay.network",
+    "TopologyConfig": "repro.overlay.topology",
+    "generate_topology": "repro.overlay.topology",
+    "Simulator": "repro.simkit.engine",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str) -> object:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

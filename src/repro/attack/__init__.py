@@ -14,26 +14,3 @@ Implements the bad-peer behaviour of Sections 2.1-2.3:
   back: threshold-aware throttling, coordinated collusion, churn-assisted
   evasion, and exchange-phase-locked pulsing.
 """
-
-from repro.attack.adaptive import (
-    ADAPTIVE_STRATEGIES,
-    AdaptiveAgent,
-    AdaptiveConfig,
-    CollusionRing,
-)
-from repro.attack.agent import AgentConfig, DDoSAgent
-from repro.attack.cheating import CheatStrategy, apply_cheat
-from repro.attack.scenario import AttackScenario, ScenarioConfig
-
-__all__ = [
-    "ADAPTIVE_STRATEGIES",
-    "AdaptiveAgent",
-    "AdaptiveConfig",
-    "CollusionRing",
-    "AgentConfig",
-    "DDoSAgent",
-    "CheatStrategy",
-    "apply_cheat",
-    "AttackScenario",
-    "ScenarioConfig",
-]

@@ -9,14 +9,3 @@
   overlay's minute granularity: sampled mark accumulation per incoming
   edge, with PPM's coupon-collection time-to-identify.
 """
-
-from repro.baselines.naive import NaiveCutoffDefense, NaiveCutoffConfig
-from repro.baselines.traceback import TracebackConfig, TracebackDefense, deploy_traceback
-
-__all__ = [
-    "NaiveCutoffDefense",
-    "NaiveCutoffConfig",
-    "TracebackConfig",
-    "TracebackDefense",
-    "deploy_traceback",
-]

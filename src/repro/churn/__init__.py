@@ -6,13 +6,3 @@ the distribution observed in [19]. The mean of the distribution is chosen
 to be 10 minutes. The value of the variance is chosen to be half of the
 value of the mean."
 """
-
-from repro.churn.lifetimes import LifetimeConfig, LifetimeDistribution
-from repro.churn.process import ChurnConfig, ChurnProcess
-
-__all__ = [
-    "LifetimeConfig",
-    "LifetimeDistribution",
-    "ChurnConfig",
-    "ChurnProcess",
-]

@@ -18,52 +18,3 @@ Module map
                 (the per-neighbor minute windows are :mod:`repro.evidence`)
 ``police``      the per-peer protocol engine for the message-level overlay
 """
-
-from repro.core.config import DDPoliceConfig, ExchangePolicy
-from repro.core.indicators import (
-    NeighborReport,
-    general_indicator,
-    single_indicator,
-    indicators_from_reports,
-    indicators_from_totals,
-    is_bad_peer,
-)
-from repro.core.decision import GroupEvidence, Outcome, Verdict, judge
-from repro.core.buddy import BuddyGroup, buddy_group_of
-from repro.core.wire import (
-    GnutellaHeader,
-    encode_neighbor_traffic,
-    decode_neighbor_traffic,
-    encode_neighbor_list,
-    decode_neighbor_list,
-)
-from repro.core.exchange import NeighborListDirectory, ListExchangeProtocol
-from repro.core.investigation import Investigation
-from repro.core.police import DDPoliceEngine, deploy_ddpolice
-
-__all__ = [
-    "DDPoliceConfig",
-    "ExchangePolicy",
-    "NeighborReport",
-    "general_indicator",
-    "single_indicator",
-    "indicators_from_reports",
-    "indicators_from_totals",
-    "is_bad_peer",
-    "GroupEvidence",
-    "Outcome",
-    "Verdict",
-    "judge",
-    "BuddyGroup",
-    "buddy_group_of",
-    "GnutellaHeader",
-    "encode_neighbor_traffic",
-    "decode_neighbor_traffic",
-    "encode_neighbor_list",
-    "decode_neighbor_list",
-    "NeighborListDirectory",
-    "ListExchangeProtocol",
-    "Investigation",
-    "DDPoliceEngine",
-    "deploy_ddpolice",
-]

@@ -4,13 +4,3 @@ Per-neighbor Out/In query minute windows (:mod:`repro.evidence.store`),
 the per-peer query-GUID seen cache and the Neighbor_Traffic report
 dedup window (:mod:`repro.evidence.dedup`).
 """
-
-from repro.evidence.dedup import ExactDedupWindow, ExactSeenCache
-from repro.evidence.store import ExactTrafficStore, MinuteSample
-
-__all__ = [
-    "ExactDedupWindow",
-    "ExactSeenCache",
-    "ExactTrafficStore",
-    "MinuteSample",
-]

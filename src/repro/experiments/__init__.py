@@ -6,18 +6,3 @@ for the index) executed by :func:`repro.experiments.library.run_spec`;
 ``repro run <spec>`` and the ``benchmarks/`` tree both go through it and
 publish the same rows the paper reports.
 """
-
-from repro.experiments.runner import DESConfig, DESRun, run_des_experiment
-from repro.experiments.scenarios import SCALES, Scale
-from repro.experiments.reporting import render_table, render_timelines, sparkline
-
-__all__ = [
-    "DESConfig",
-    "DESRun",
-    "run_des_experiment",
-    "SCALES",
-    "Scale",
-    "render_table",
-    "render_timelines",
-    "sparkline",
-]

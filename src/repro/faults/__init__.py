@@ -6,33 +6,9 @@ messages; its own evidence rule ("missing report => assume 0", Section
 Neighbor_Traffic messages. This package models the conditions a real
 overlay runs under -- probabilistic loss, duplication, latency spikes
 and reordering, fail-stop crashes, fail-slow peers -- as a scriptable
-:class:`FaultPlan` executed by a :class:`FaultInjector` hooked into
+:class:`~repro.faults.plan.FaultPlan` executed by a
+:class:`~repro.faults.injector.FaultInjector` hooked into
 :meth:`repro.overlay.network.OverlayNetwork.transmit` and the churn
 process. All randomness is drawn from named ``simkit.rng`` streams so
 any faulted run replays exactly from its seed.
 """
-
-from repro.faults.plan import (
-    CONTROL_KINDS,
-    CrashRule,
-    DelayRule,
-    DuplicateRule,
-    FailSlowRule,
-    FaultPlan,
-    FaultWindow,
-    LossRule,
-)
-from repro.faults.injector import FaultInjector, FaultStats
-
-__all__ = [
-    "CONTROL_KINDS",
-    "CrashRule",
-    "DelayRule",
-    "DuplicateRule",
-    "FailSlowRule",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultStats",
-    "FaultWindow",
-    "LossRule",
-]

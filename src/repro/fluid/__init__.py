@@ -18,24 +18,3 @@ over the edge set (vectorized numpy), with
 The message-level engine cross-validates the fluid model at small N
 (``benchmarks/bench_ablation_fluid_vs_des.py``).
 """
-
-from repro.fluid.coverage import novelty_schedule, expected_coverage
-from repro.fluid.flows import FlowResult, propagate_flows, build_edge_arrays
-from repro.fluid.graphstate import GraphState, FluidChurnConfig
-from repro.fluid.police import FluidPolice, FluidPoliceStats
-from repro.fluid.model import FluidConfig, FluidSimulation, MinuteRow
-
-__all__ = [
-    "novelty_schedule",
-    "expected_coverage",
-    "FlowResult",
-    "propagate_flows",
-    "build_edge_arrays",
-    "GraphState",
-    "FluidChurnConfig",
-    "FluidPolice",
-    "FluidPoliceStats",
-    "FluidConfig",
-    "FluidSimulation",
-    "MinuteRow",
-]

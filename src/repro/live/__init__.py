@@ -26,7 +26,3 @@ Layout:
 
 See docs/LIVE.md for the architecture and operating guide.
 """
-
-from repro.live.spec import LIVE_TIERS, LiveSpec
-
-__all__ = ["LIVE_TIERS", "LiveSpec"]

@@ -11,19 +11,3 @@ queries are classified at issue time and excluded from the default
 (paper) metrics; the all-traffic variants remain available for
 diagnostics. See docs/METRICS.md.
 """
-
-from repro.metrics.series import TimeSeries
-from repro.metrics.damage import damage_recovery_time
-from repro.metrics.errors import Judgment, JudgmentLog, ErrorCounts
-from repro.metrics.accounting import ClassTotals, MinuteMetrics, QueryAccounting
-
-__all__ = [
-    "TimeSeries",
-    "damage_recovery_time",
-    "Judgment",
-    "JudgmentLog",
-    "ErrorCounts",
-    "ClassTotals",
-    "MinuteMetrics",
-    "QueryAccounting",
-]

@@ -20,33 +20,3 @@ Host time is measured outside the simulators (``repro run --profile``
 and the ``perfbench`` harness). See docs/OBSERVABILITY.md for the
 record schemas and usage.
 """
-
-from repro.obs.manifest import (
-    build_manifest,
-    config_sha256,
-    load_manifest,
-    sidecar_path,
-    verify_manifest,
-    write_manifest,
-)
-from repro.obs.trace import (
-    JsonlSink,
-    MemorySink,
-    Tracer,
-    summarize_trace,
-    validate_record,
-)
-
-__all__ = [
-    "Tracer",
-    "JsonlSink",
-    "MemorySink",
-    "validate_record",
-    "summarize_trace",
-    "build_manifest",
-    "write_manifest",
-    "load_manifest",
-    "verify_manifest",
-    "sidecar_path",
-    "config_sha256",
-]

@@ -18,47 +18,3 @@ Message-level model of the system the paper attacks and defends:
   routing, capacity-limited processing).
 * :mod:`~repro.overlay.hostcache` -- bootstrap host cache used on join.
 """
-
-from repro.overlay.ids import PeerId, Guid, GuidFactory
-from repro.overlay.message import (
-    Message,
-    MessageKind,
-    Ping,
-    Pong,
-    Query,
-    QueryHit,
-    Bye,
-    NeighborListMessage,
-    NeighborTrafficMessage,
-)
-from repro.overlay.topology import TopologyConfig, generate_topology, degree_statistics
-from repro.overlay.bandwidth import BandwidthModel, BandwidthClass
-from repro.overlay.content import ContentCatalog, ContentConfig
-from repro.overlay.network import OverlayNetwork, NetworkConfig
-from repro.overlay.peer import Peer, PeerState
-
-__all__ = [
-    "PeerId",
-    "Guid",
-    "GuidFactory",
-    "Message",
-    "MessageKind",
-    "Ping",
-    "Pong",
-    "Query",
-    "QueryHit",
-    "Bye",
-    "NeighborListMessage",
-    "NeighborTrafficMessage",
-    "TopologyConfig",
-    "generate_topology",
-    "degree_statistics",
-    "BandwidthModel",
-    "BandwidthClass",
-    "ContentCatalog",
-    "ContentConfig",
-    "OverlayNetwork",
-    "NetworkConfig",
-    "Peer",
-    "PeerState",
-]

@@ -22,8 +22,9 @@ class PeerId:
 
     The hash is computed once at construction (peers are dict/set keys on
     every delivery). Its value must stay ``hash((value,))``, what the
-    dataclass would generate: DES fan-out order and the ``des-soa``
-    engine's replay of it both follow ``set[PeerId]`` iteration order.
+    dataclass would generate: DES fan-out order follows ``set[PeerId]``
+    iteration order, and the ``des-soa`` engine replays it with sets of
+    1-tuples ``(value,)``, which iterate alike because they hash alike.
 
     Ids are canonical inside one ``OverlayNetwork``: the objects that key
     ``network.peers`` are the ones wired into every neighbor set, so dict

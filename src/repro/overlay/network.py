@@ -147,7 +147,7 @@ class OverlayNetwork:
     ) -> None:
         self.sim = sim
         self.config = config
-        #: Optional ``repro.obs.Tracer``; hot paths pay one attribute
+        #: Optional ``repro.obs.trace.Tracer``; hot paths pay one attribute
         #: load + falsy branch when tracing is off.
         self.tracer = tracer
         self.rngs = rng_registry or RngRegistry(config.seed)

@@ -251,6 +251,11 @@ def _reject_unsupported(config: "DESConfig") -> None:
         )
     if config.network.bandwidth_enabled:
         raise ConfigError("backend 'des-soa' has no bandwidth model (DES only)")
+    if config.network.seen_cache_limit != type(config.network).seen_cache_limit:
+        raise ConfigError(
+            "backend 'des-soa' cannot honour network.seen_cache_limit (its "
+            "seen map never evicts; DES only)"
+        )
     if config.trace_path is not None:
         raise ConfigError("backend 'des-soa' emits no trace records (--trace is des/fluid only)")
 
@@ -291,20 +296,19 @@ class SoaFloodEngine:
         # fan-out emits in the same order. Replaying the identical
         # insertions into an identical set reproduces the (deterministic)
         # order; edge cuts never reorder survivors, matching set.discard.
-        proto = np.empty(self._E, dtype=np.int64)
-        pids = [PeerId(v) for v in range(n)]
-        for u in range(n):
-            a, b = int(self._indptr[u]), int(self._indptr[u + 1])
-            if a == b:
-                continue
-            replay = {pids[v] for v in topology.adjacency[u]}
-            order = np.fromiter(
-                (p.value for p in replay), dtype=np.int64, count=b - a
-            )
-            proto[a:b] = a + np.searchsorted(self._dst[a:b], order)
-        # n id objects: free them before the content, bucket and evidence
-        # allocations below rather than at the end of __init__.
-        del pids
+        # ``PeerId.__hash__`` is ``hash((value,))``, so a set of 1-tuples
+        # iterates in the same order with the hash computed in C.
+        order = np.fromiter(
+            chain.from_iterable(
+                chain.from_iterable({(v,) for v in vs} for vs in topology.adjacency)
+            ),
+            dtype=np.int64,
+            count=self._E,
+        )
+        edge_keys = self._src * n + self._dst
+        replay_keys = self._src * n + order
+        proto = np.searchsorted(edge_keys, replay_keys)
+        assert np.array_equal(edge_keys[proto], replay_keys)
         self._proto_edge = proto
 
         # -- content ----------------------------------------------------

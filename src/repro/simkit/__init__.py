@@ -12,18 +12,3 @@ A small, dependency-free DES engine used by every other subsystem:
   random streams so that sub-components draw from decoupled sequences and
   experiments stay reproducible when one component's draw count changes.
 """
-
-from repro.simkit.engine import Simulator, SimulationError
-from repro.simkit.events import Event, EventState
-from repro.simkit.timers import PeriodicTask, Timeout
-from repro.simkit.rng import RngRegistry
-
-__all__ = [
-    "Simulator",
-    "SimulationError",
-    "Event",
-    "EventState",
-    "PeriodicTask",
-    "Timeout",
-    "RngRegistry",
-]

@@ -57,7 +57,7 @@ class Simulator:
         self._stopped = False
         self._events_fired = 0
         self._cancelled_in_heap = 0
-        #: Optional ``repro.obs.Tracer``; None keeps every dispatch on the
+        #: Optional ``repro.obs.trace.Tracer``; None keeps every dispatch on the
         #: untraced fast path (a single falsy branch per event).
         self.tracer = tracer
 

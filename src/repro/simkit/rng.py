@@ -13,8 +13,6 @@ import hashlib
 import random
 from typing import Dict, Union
 
-import numpy as np
-
 from repro.errors import ConfigError
 
 
@@ -40,7 +38,7 @@ def derive_seed(master_seed: int, *stream_labels: Union[str, int]) -> int:
 
 
 class RngRegistry:
-    """Factory of named :class:`random.Random` / numpy Generator streams.
+    """Factory of named :class:`random.Random` streams.
 
     >>> reg = RngRegistry(42)
     >>> a = reg.stream("churn")
@@ -54,21 +52,12 @@ class RngRegistry:
     def __init__(self, master_seed: int = 0) -> None:
         self.master_seed = int(master_seed)
         self._streams: Dict[str, random.Random] = {}
-        self._np_streams: Dict[str, np.random.Generator] = {}
 
     def stream(self, name: str) -> random.Random:
         """Return the (memoized) stdlib stream for ``name``."""
         if name not in self._streams:
             self._streams[name] = random.Random(derive_seed(self.master_seed, name))
         return self._streams[name]
-
-    def numpy_stream(self, name: str) -> np.random.Generator:
-        """Return the (memoized) numpy Generator for ``name``."""
-        if name not in self._np_streams:
-            self._np_streams[name] = np.random.default_rng(
-                derive_seed(self.master_seed, "np:" + name)
-            )
-        return self._np_streams[name]
 
     def fork(self, name: str) -> "RngRegistry":
         """Child registry with a seed derived from this one.

@@ -10,14 +10,3 @@ We reproduce the measurement with a calibrated queueing model of a
 LimeWire servent (:mod:`~repro.testbed.limewire`) inside the same A->B->C
 pipeline (:mod:`~repro.testbed.pipeline`).
 """
-
-from repro.testbed.limewire import LimewirePeerModel, ServiceParameters
-from repro.testbed.pipeline import PipelineExperiment, PipelinePoint, run_rate_sweep
-
-__all__ = [
-    "LimewirePeerModel",
-    "ServiceParameters",
-    "PipelineExperiment",
-    "PipelinePoint",
-    "run_rate_sweep",
-]

@@ -5,15 +5,3 @@ UW KaZaA trace) with synthetic equivalents that preserve the statistics
 the defense and the evaluation depend on: per-peer issue rate
 (0.3 queries/minute), Zipf keyword popularity, and query distinctness.
 """
-
-from repro.workload.generator import WorkloadConfig, QueryWorkload
-from repro.workload.trace import QueryTraceWriter, QueryTraceReader, TraceRecord, synthesize_trace
-
-__all__ = [
-    "WorkloadConfig",
-    "QueryWorkload",
-    "QueryTraceWriter",
-    "QueryTraceReader",
-    "TraceRecord",
-    "synthesize_trace",
-]

@@ -26,7 +26,8 @@ from repro.attack.cheating import CheatStrategy
 from repro.attack.scenario import AttackScenario, ScenarioConfig
 from repro.core.config import DDPoliceConfig, ExchangePolicy
 from repro.core.police import deploy_ddpolice
-from repro.faults import DuplicateRule, FaultInjector, FaultPlan
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import DuplicateRule, FaultPlan
 from repro.overlay.content import ContentCatalog, ContentConfig
 from repro.overlay.ids import PeerId
 from repro.overlay.network import NetworkConfig, OverlayNetwork

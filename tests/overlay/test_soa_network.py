@@ -12,9 +12,11 @@ however numpy orders equal keys.
 from dataclasses import asdict
 
 import numpy as np
+import pytest
 
 from repro.experiments.runner import DESConfig
-from repro.overlay.network import NetworkConfig
+from repro.overlay.ids import PeerId
+from repro.overlay.network import NetworkConfig, OverlayNetwork
 from repro.overlay.soa_network import (
     HITS,
     MISSING,
@@ -22,7 +24,8 @@ from repro.overlay.soa_network import (
     QUERIES,
     SoaFloodEngine,
 )
-from repro.overlay.topology import TopologyConfig
+from repro.overlay.topology import TopologyConfig, generate_topology
+from repro.simkit.engine import Simulator
 
 
 def _config(network=None, ba_m=2, **kwargs):
@@ -82,6 +85,31 @@ def test_pinned_run_keeps_its_event_and_delivery_counts():
     assert stats.edges_cut == 2
     # numpy scalars would break the JSON digests downstream
     assert all(type(v) is int for v in asdict(stats).values())
+
+
+@pytest.mark.parametrize(
+    "model", ["ba", "waxman", "random", "two_tier", "hard_cutoff", "bittorrent"]
+)
+def test_fan_out_order_is_the_des_neighbor_set_order(model):
+    """Each peer's prototype edges list its neighbours in the order the
+    message DES's ``Peer.neighbors`` set iterates them, which decides
+    the dedup winners one hop on."""
+    n = 150
+    topology = TopologyConfig(n=n, seed=3, model=model)
+    engine = SoaFloodEngine(
+        DESConfig(
+            n=n,
+            seed=3,
+            topology=topology,
+            network=NetworkConfig(hop_latency_jitter_s=0.0),
+        )
+    )
+    network = OverlayNetwork(Simulator(), generate_topology(topology))
+    indptr = engine._indptr
+    for u in range(n):
+        replay = engine._dst[engine._proto_edge[indptr[u] : indptr[u + 1]]]
+        des = [v.value for v in network.peers[PeerId(u)].neighbors]
+        assert replay.tolist() == des, u
 
 
 def _idle_engine(**kwargs):

@@ -10,7 +10,8 @@ from collections import OrderedDict, deque
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.evidence import ExactDedupWindow, ExactSeenCache, ExactTrafficStore
+from repro.evidence.dedup import ExactDedupWindow, ExactSeenCache
+from repro.evidence.store import ExactTrafficStore
 
 WINDOW_OPS = st.lists(
     st.tuples(

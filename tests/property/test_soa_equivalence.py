@@ -275,6 +275,15 @@ def test_soa_rejects_unsupported_features():
                 police=DDPoliceConfig(report_quorum=0.5),
             )
         )
+    # the DES peers' LRU seen/route caches evict; the seen map does not
+    with pytest.raises(ConfigError, match="network.seen_cache_limit"):
+        run_soa_experiment(
+            DESConfig(
+                n=50,
+                duration_s=60.0,
+                network=NetworkConfig(hop_latency_jitter_s=0.0, seen_cache_limit=3),
+            )
+        )
     # jitter breaks the shared-timestamp wave contract
     with pytest.raises(ConfigError):
         run_soa_experiment(

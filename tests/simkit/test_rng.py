@@ -38,24 +38,6 @@ def test_derive_seed_sensitive_to_both_inputs():
     assert derive_seed(1, "a") != derive_seed(1, "b")
 
 
-def test_numpy_stream_memoized_and_reproducible():
-    reg = RngRegistry(7)
-    g1 = reg.numpy_stream("flows")
-    assert g1 is reg.numpy_stream("flows")
-    x = RngRegistry(7).numpy_stream("flows").random()
-    y = RngRegistry(7).numpy_stream("flows").random()
-    assert x == y
-
-
-def test_numpy_and_stdlib_streams_independent():
-    reg = RngRegistry(7)
-    _ = reg.stream("flows").random()
-    # consuming the stdlib stream must not perturb the numpy one
-    x = reg.numpy_stream("flows").random()
-    reg2 = RngRegistry(7)
-    assert x == reg2.numpy_stream("flows").random()
-
-
 def test_fork_derives_child_registry():
     parent = RngRegistry(5)
     c1 = parent.fork("trial-1")

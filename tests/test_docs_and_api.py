@@ -187,8 +187,6 @@ def test_evidence_has_one_representation():
     import re
     from pathlib import Path
 
-    import repro.evidence
-
     pattern = re.compile(r"sketch|count.?min|bloom|EvidenceConfig|mix64", re.IGNORECASE)
     root = Path(repro.__file__).parent
     hits = [
@@ -197,12 +195,58 @@ def test_evidence_has_one_representation():
         if pattern.search(path.read_text())
     ]
     assert not hits
-    assert sorted(repro.evidence.__all__) == [
+    classes = []
+    for info in pkgutil.iter_modules([str(root / "evidence")]):
+        module = importlib.import_module(f"repro.evidence.{info.name}")
+        classes += [
+            name
+            for name, obj in vars(module).items()
+            if inspect.isclass(obj)
+            and obj.__module__ == module.__name__
+            and not name.startswith("_")
+        ]
+    assert sorted(classes) == [
         "ExactDedupWindow",
         "ExactSeenCache",
         "ExactTrafficStore",
         "MinuteSample",
     ]
+
+
+def test_an_engine_import_loads_only_what_the_engine_uses():
+    """Package ``__init__``s import nothing, so importing one module loads
+    that module's own imports: the soa engine pulls in no message DES,
+    control plane, fluid model, harness or telemetry, and neither the DES
+    runner nor a live node loads numpy."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    def loaded(module):
+        code = (
+            "import importlib, json, sys; importlib.import_module(sys.argv[1]); "
+            "print(json.dumps(sorted(sys.modules)))"
+        )
+        src = str(Path(repro.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code, module],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        return set(json.loads(out))
+
+    soa = loaded("repro.overlay.soa_network")
+    for module in (
+        "repro.overlay.network", "repro.overlay.peer", "repro.core.police",
+        "repro.core.wire", "repro.fluid.model",
+    ):
+        assert module not in soa, module
+    for package in ("repro.experiments", "repro.obs", "repro.live"):
+        assert not [m for m in soa if m == package or m.startswith(package + ".")]
+    for module in ("repro.experiments.runner", "repro.live.node"):
+        assert "numpy" not in loaded(module), module
 
 
 def test_result_rows_have_one_unit_and_src_reads_no_scale_env():
