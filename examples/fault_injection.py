@@ -82,8 +82,8 @@ def main() -> None:
         "\nprofile re-requests missing reports (cheaters still gain nothing"
         "\n-- a liar's reply goes through its cheat strategy again) and"
         "\nrefuses to judge below a report quorum, recovering most of the"
-        "\nmanufactured false negatives. benchmarks/bench_fault_sweep.py"
-        "\nsweeps the full loss x crash grid; docs/FAULTS.md has the model."
+        "\nmanufactured false negatives. `repro run fault-sweep` sweeps"
+        "\nthe full loss x crash grid; docs/FAULTS.md has the model."
     )
 
 

@@ -24,8 +24,8 @@ def main() -> None:
     # --- substrate: a 30-peer unstructured overlay ---------------------
     # ba_m=1 gives a tree: at this toy scale, cycles let the attacker's
     # distinct per-neighbor queries echo back into it and mask the
-    # indicators (run `pytest benchmarks/bench_ablation_echo.py` for the
-    # full story; at the paper's scale congestion attenuates the echoes).
+    # indicators (run `repro run ablation-echo` for the full story; at
+    # the paper's scale congestion attenuates the echoes).
     sim = Simulator()
     topology = generate_topology(TopologyConfig(n=30, ba_m=1, seed=42))
     network = OverlayNetwork(

@@ -164,9 +164,12 @@ def _trace_summarize(args: argparse.Namespace) -> int:
 def _run_command(args: argparse.Namespace) -> int:
     """``repro run <spec> [--set dotted.path=value ...]``."""
     if args.list_specs:
-        for spec in list_specs():
+        specs = list_specs()
+        name_w = max(len(spec.name) for spec in specs)
+        scenario_w = max(len(spec.scenario) for spec in specs)
+        for spec in specs:
             print(
-                f"{spec.name:<17} scenario={spec.scenario:<20} "
+                f"{spec.name:<{name_w}} scenario={spec.scenario:<{scenario_w}} "
                 f"backend={spec.backend:<5} {spec.title}"
             )
         return 0

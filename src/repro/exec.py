@@ -47,7 +47,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.errors import ConfigError, ExecError, WorkerCrashError
 
 #: Environment variable holding the default worker count for sweeps that
-#: do not pass ``workers`` explicitly (benchmarks, CLI).
+#: do not pass ``workers`` explicitly (``run_spec`` callers, CLI).
 WORKERS_ENV = "REPRO_WORKERS"
 
 

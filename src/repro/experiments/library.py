@@ -1,21 +1,28 @@
 """The experiment library: scenario drivers, their tables, the spec table.
 
-Every figure of the paper's evaluation (and the robustness studies that
-grew around it) is an :class:`~repro.experiments.spec.ExperimentSpec` in
-:data:`SPECS`, resolved by name -- ``repro run fig12`` -- over one of
-the scenarios in the table at the end of the drivers:
+Every table of the paper's evaluation (and the robustness studies and
+ablations that grew around it) is an
+:class:`~repro.experiments.spec.ExperimentSpec` in :data:`SPECS`,
+resolved by name -- ``repro run fig12`` -- over one of the scenarios in
+the table at the end of the drivers:
 
-========================  ====================================================
-scenario                  produces
-========================  ====================================================
-``testbed-rate``          Figures 5 & 6 (A->B->C capacity sweep, closed form)
-``agent-sweep``           Figures 9-11 (service quality vs #agents)
-``damage-timelines``      Figure 12 (damage over time per cut threshold)
-``cut-threshold-sweep``   Figures 13/14 + stabilized damage vs CT
-``exchange-frequency``    Section 3.7.1 (neighbor-list exchange policies)
-``fault-sweep``           loss x crash robustness grid (DES, message level)
-``robustness-matrix``     defense x adaptive adversary x topology grid (DES)
-========================  ====================================================
+=========================  ===================================================
+scenario                   produces
+=========================  ===================================================
+``testbed-rate``           Figures 5 & 6 (A->B->C capacity sweep, closed form)
+``agent-sweep``            Figures 9-11 (service quality vs #agents)
+``damage-timelines``       Figure 12 (damage over time per cut threshold)
+``cut-threshold-sweep``    Figures 13/14 + stabilized damage vs CT
+``exchange-frequency``     Section 3.7.1 (neighbor-list exchange policies)
+``fault-sweep``            loss x crash robustness grid (DES, message level)
+``robustness-matrix``      defense x adaptive adversary x topology grid (DES)
+``table1-wire``            Table 1 (Neighbor_Traffic body layout, closed form)
+``scaling``                Section 3.6 (damage vs network size, fluid)
+``ablation-baselines``     DD-POLICE vs the naive rate cutoff (fluid)
+``ablation-echo``          query-echo bias of Definition 2.1 (DES)
+``ablation-fluid-vs-des``  fluid-engine message volume vs the DES
+``ablation-topology``      topology family vs attack impact (fluid)
+=========================  ===================================================
 
 A scenario is declared in two parts. Its *driver* states the grid as an
 ordered ``{key: Case}`` plan, runs it through :func:`_run_plan` (one
@@ -23,10 +30,13 @@ pmap over the whole plan, in plan order; ``workers=1`` byte-identical)
 and aggregates the keyed results into scenario-native rows: damage is
 always :func:`_damage_vs_baseline` against the clean twin run, and
 trials are always averaged by :func:`~repro.experiments.spec.mean` (one
-trial is the n = 1 case, not a separate branch). Its *tables* map each
-artifact name, declared once, to the renderer that turns those rows into
-the exact text published under ``results/`` -- the benchmarks and the
-CLI both call :func:`run_spec`, so there is one implementation to keep
+trial is the n = 1 case, not a separate branch). The ``scaling`` and
+``ablation-*`` drivers run fixed engine setups that no backend-neutral
+``Case`` expresses, so they map a module-level task over their own
+payloads with the same :func:`repro.exec.pmap`. A scenario's *tables*
+map each artifact name, declared once, to the renderer that turns those
+rows into the exact text published under ``results/`` -- ``repro run``
+is the only writer, so there is one implementation to keep
 byte-identical.
 
 Scenario results are cached per ``(scenario_sha256, trace_path)``: fig9/10/11
@@ -43,7 +53,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.attack.adaptive import ADAPTIVE_STRATEGIES, AdaptiveConfig
 from repro.core.config import DDPoliceConfig
 from repro.errors import ConfigError
-from repro.exec import resolve_workers
+from repro.exec import pmap, resolve_workers
 from repro.experiments.reporting import render_table
 from repro.experiments.scenarios import SCALES, TIER_OVERRIDES, Scale
 from repro.experiments.spec import (
@@ -167,6 +177,55 @@ class MatrixRow:
     #: Mean damage rate (%) over the post-attack window.
     damage_pct: float
     trials: int
+
+
+@dataclass(frozen=True)
+class ScalingRow:
+    """One population of the Section 3.6 scale claim."""
+
+    peers: int
+    damage_pct: float
+
+
+@dataclass(frozen=True)
+class DefenseRow:
+    """One defense of the naive-cutoff ablation."""
+
+    defense: str
+    #: Mean success rate over the settled post-attack tail.
+    success: float
+    #: Good peers cut / agents missed; ``None`` for the undefended run.
+    false_negative: Optional[int]
+    false_positive: Optional[int]
+
+
+@dataclass(frozen=True)
+class EchoRow:
+    """One hand-built overlay of the query-echo ablation."""
+
+    topology: str
+    #: Largest General Indicator any judge computed for the attacker.
+    g_max: float
+    detected: bool
+
+
+@dataclass(frozen=True)
+class FluidVsDesRow:
+    """Query-message volume of one overlay in both engines."""
+
+    peers: int
+    des_msgs_per_min: float
+    fluid_msgs_per_min: float
+
+
+@dataclass(frozen=True)
+class TopologyRow:
+    """Mean settled success rate of one topology family, three ways."""
+
+    model: str
+    clean: float
+    attacked: float
+    defended: float
 
 
 # ---------------------------------------------------------------------------
@@ -851,6 +910,329 @@ def format_robustness_matrix(spec: ExperimentSpec, rows: Sequence[MatrixRow]) ->
 
 
 # ---------------------------------------------------------------------------
+# scenarios: table1-wire (closed form), scaling (Section 3.6) and the
+# ablations of the reproduction's own substitutions. Their sizes are the
+# driver constants below, as testbed-rate's are; each imports its engine
+# when it runs, as the backends do.
+# ---------------------------------------------------------------------------
+
+def _scn_table1_wire(
+    spec: ExperimentSpec,
+    *,
+    workers: Optional[int] = None,
+    trace_path: Optional[str] = None,
+) -> ScenarioOutput:
+    """One Neighbor_Traffic message on the wire (closed form)."""
+    from repro.core.wire import encode_neighbor_traffic
+    from repro.overlay.ids import Guid, PeerId
+    from repro.overlay.message import NeighborTrafficMessage
+
+    msg = NeighborTrafficMessage(
+        guid=Guid(b"\x01" * 16),
+        ttl=1,
+        hops=0,
+        source=PeerId(0x0A0B0C),
+        suspect=PeerId(0x010203),
+        timestamp=1_000_000,
+        outgoing_queries=4_321,
+        incoming_queries=987,
+    )
+    return ScenarioOutput(data=encode_neighbor_traffic(msg), cases=0)
+
+
+def _render_table1(spec: ExperimentSpec, raw: bytes) -> str:
+    """Table 1 as the decoder reads it back from the encoded bytes."""
+    from repro.core.wire import decode_neighbor_traffic
+
+    msg = decode_neighbor_traffic(raw)
+    return render_table(
+        ["field", "byte offset", "size", "value"],
+        [
+            ["Source IP Address", 0, 4, msg.source.ipv4],
+            ["Suspect IP Address", 4, 4, msg.suspect.ipv4],
+            ["Source timestamp", 8, 4, msg.timestamp],
+            ["# of Outgoing queries", 12, 4, msg.outgoing_queries],
+            ["# of Incoming queries", 16, 4, msg.incoming_queries],
+        ],
+        title="Table 1: Neighbor_Traffic message body (payload 0x83)",
+    )
+
+
+def _fluid_tail(task: Tuple[Any, int, int]) -> Tuple[float, int, int]:
+    """pmap task: run a ``FluidConfig`` for ``minutes``.
+
+    Returns the mean success rate from minute ``tail_from`` on and the
+    run's (false negative, false positive) counts.
+    """
+    import numpy as np
+
+    from repro.fluid.model import FluidSimulation
+
+    config, minutes, tail_from = task
+    sim = FluidSimulation(config)
+    sim.run(minutes)
+    success = float(np.mean([r.success_rate for r in sim.rows if r.minute >= tail_from]))
+    errors = sim.error_counts()
+    return success, errors.false_negative, errors.false_positive
+
+
+#: Section 3.6: fluid populations compared at one agent density, each
+#: run for 12 minutes with the attack from minute 4; damage is read over
+#: the last six.
+_SCALING_SIZES = (500, 1000, 2000, 4000)
+_SCALING_MINUTES, _SCALING_ATTACK_MIN, _SCALING_TAIL = 12, 4, 6
+
+
+def _scn_scaling(
+    spec: ExperimentSpec,
+    *,
+    workers: Optional[int] = None,
+    trace_path: Optional[str] = None,
+) -> ScenarioOutput:
+    """Damage at a fixed agent density across network sizes (fluid)."""
+    from repro.fluid.model import FluidConfig
+
+    tail_from = _SCALING_MINUTES - _SCALING_TAIL + 1
+    tasks = []
+    for n in _SCALING_SIZES:
+        clean = FluidConfig(n=n, seed=spec.seed, attack_start_min=_SCALING_ATTACK_MIN)
+        agents = max(1, round(spec.grid.agent_fraction * n))
+        tasks += [
+            (clean, _SCALING_MINUTES, tail_from),
+            (replace(clean, num_agents=agents), _SCALING_MINUTES, tail_from),
+        ]
+    success = [s for s, _, _ in pmap(_fluid_tail, tasks, workers=workers)]
+    rows = [
+        ScalingRow(peers=n, damage_pct=damage_rate(s0, min(s1, s0)))
+        for n, s0, s1 in zip(_SCALING_SIZES, success[::2], success[1::2])
+    ]
+    return ScenarioOutput(data=rows, cases=len(tasks))
+
+
+def _scn_ablation_baselines(
+    spec: ExperimentSpec,
+    *,
+    workers: Optional[int] = None,
+    trace_path: Optional[str] = None,
+) -> ScenarioOutput:
+    """DD-POLICE vs no defense vs the naive rate cutoff (Section 2.1, fluid)."""
+    from repro.fluid.model import FluidConfig
+
+    scale = spec.scale
+    base = FluidConfig(
+        n=scale.n_peers,
+        seed=spec.seed,
+        num_agents=_derived_agents(spec),
+        attack_start_min=scale.attack_start_min,
+    )
+    defenses = ("none", "ddpolice", "naive")
+    tasks = [
+        (replace(base, defense=d), scale.sim_minutes, scale.attack_start_min + 4)
+        for d in defenses
+    ]
+    rows = [
+        DefenseRow(
+            defense=d,
+            success=success,
+            false_negative=None if d == "none" else fn,
+            false_positive=None if d == "none" else fp,
+        )
+        for d, (success, fn, fp) in zip(defenses, pmap(_fluid_tail, tasks, workers=workers))
+    ]
+    return ScenarioOutput(data=rows, cases=len(tasks))
+
+
+#: Three hand-built overlays, attacker at node 0, in growing cyclicity:
+#: no alternate path back to the attacker, one cycle among its
+#: neighbours, and a dense graph where every attack query loops back.
+_ECHO_TOPOLOGIES: Dict[str, Dict[int, Tuple[int, ...]]] = {
+    "tree": {0: (1, 2, 3), 1: (4, 5), 2: (6, 7), 3: (8, 9)},
+    "one-cycle": {0: (1, 2, 3), 1: (4, 5), 2: (6, 7), 3: (8, 9), 4: (6,)},
+    "dense": {0: (1, 2, 3), 1: (4,), 2: (4, 5), 3: (5,), 4: (5,)},
+}
+
+
+def _echo_point(task: Tuple[Dict[int, Tuple[int, ...]], int]) -> Tuple[float, bool]:
+    """pmap task: one attacker flooding a hand-built overlay under DD-POLICE.
+
+    Returns the largest General Indicator peer 1 computed for the
+    attacker and whether peer 1 disconnected it.
+    """
+    from repro.attack.agent import AgentConfig, DDoSAgent
+    from repro.attack.cheating import CheatStrategy
+    from repro.core.police import deploy_ddpolice
+    from repro.overlay.content import ContentCatalog, ContentConfig
+    from repro.overlay.ids import PeerId
+    from repro.overlay.network import NetworkConfig, OverlayNetwork
+    from repro.overlay.topology import topology_from_adjacency
+    from repro.simkit.engine import Simulator
+
+    adjacency, seed = task
+    topo = topology_from_adjacency(adjacency)
+    sim = Simulator()
+    net = OverlayNetwork(
+        sim,
+        topo,
+        config=NetworkConfig(hop_latency_jitter_s=0.0, seed=seed),
+        content=ContentCatalog(ContentConfig(num_objects=20, seed=seed), topo.n),
+    )
+    attacker = PeerId(0)
+    engines = deploy_ddpolice(
+        net,
+        DDPoliceConfig(exchange_period_s=30.0),
+        bad_peers={attacker},
+        bad_strategy=CheatStrategy.HONEST,
+    )
+    DDoSAgent(
+        sim, net, attacker, AgentConfig(nominal_rate_qpm=3000.0, per_neighbor=True)
+    ).start()
+    sim.run(until=200.0)
+    log = engines[PeerId(1)].judgments
+    g_values = [j.g_value for j in log.judgments if j.suspect == attacker]
+    return (
+        max(g_values) if g_values else float("nan"),
+        attacker in log.disconnected_suspects(),
+    )
+
+
+def _scn_ablation_echo(
+    spec: ExperimentSpec,
+    *,
+    workers: Optional[int] = None,
+    trace_path: Optional[str] = None,
+) -> ScenarioOutput:
+    """Query-echo bias of the General Indicator (Definition 2.1, DES).
+
+    On cyclic overlays an attacker's own distinct queries loop back
+    through alternate paths and count as its inflow, masking the issued
+    volume.
+    """
+    tasks = [(adjacency, spec.seed) for adjacency in _ECHO_TOPOLOGIES.values()]
+    rows = [
+        EchoRow(topology=name, g_max=g_max, detected=detected)
+        for name, (g_max, detected) in zip(
+            _ECHO_TOPOLOGIES, pmap(_echo_point, tasks, workers=workers)
+        )
+    ]
+    return ScenarioOutput(data=rows, cases=len(tasks))
+
+
+#: Fluid-vs-DES: BA m=2 overlays of these sizes, 6 queries/min per peer,
+#: five simulated minutes; the fluid side floods at TTL 7.
+_FLUID_VS_DES_SIZES = (40, 60, 100)
+_FLUID_VS_DES_QPM, _FLUID_VS_DES_MINUTES, _FLUID_VS_DES_TTL = 6.0, 5.0, 7
+
+
+def _fluid_vs_des_point(task: Tuple[int, int]) -> Tuple[float, float]:
+    """pmap task: query messages/min of one overlay, (DES, fluid)."""
+    import numpy as np
+
+    from repro.fluid.coverage import novelty_schedule
+    from repro.fluid.flows import build_edge_arrays, propagate_flows
+    from repro.overlay.network import NetworkConfig, OverlayNetwork
+    from repro.overlay.topology import TopologyConfig, generate_topology
+    from repro.simkit.engine import Simulator
+    from repro.simkit.rng import RngRegistry
+    from repro.workload.generator import QueryWorkload, WorkloadConfig
+
+    n, seed = task
+    rate = _FLUID_VS_DES_QPM
+    topo = generate_topology(TopologyConfig(n=n, ba_m=2, seed=seed))
+    sim = Simulator()
+    net = OverlayNetwork(
+        sim,
+        topo,
+        config=NetworkConfig(hop_latency_jitter_s=0.0, seed=seed),
+        rng_registry=RngRegistry(seed),
+    )
+    QueryWorkload(sim, net, WorkloadConfig(queries_per_minute=rate, seed=seed)).start()
+    sim.run(until=_FLUID_VS_DES_MINUTES * 60.0)
+    des = net.stats.query_messages / _FLUID_VS_DES_MINUTES
+
+    src, dst, rev = build_edge_arrays({u: set(vs) for u, vs in enumerate(topo.adjacency)})
+    flow = propagate_flows(
+        src,
+        dst,
+        rev,
+        n,
+        good_rate=np.full(n, rate),
+        attack_edge_inject=np.zeros(len(src)),
+        capacity=np.full(n, 1e12),
+        ttl=_FLUID_VS_DES_TTL,
+        sigma=novelty_schedule(topo.degrees(), _FLUID_VS_DES_TTL, n=n),
+    )
+    return des, flow.total_messages_per_min
+
+
+def _scn_ablation_fluid_vs_des(
+    spec: ExperimentSpec,
+    *,
+    workers: Optional[int] = None,
+    trace_path: Optional[str] = None,
+) -> ScenarioOutput:
+    """Fluid-engine message volume against the message-level DES.
+
+    The measured error of the fluid substitution (DESIGN.md section
+    1.1) on static overlays both engines can run.
+    """
+    tasks = [(n, spec.seed) for n in _FLUID_VS_DES_SIZES]
+    rows = [
+        FluidVsDesRow(peers=n, des_msgs_per_min=des, fluid_msgs_per_min=fluid)
+        for (n, _), (des, fluid) in zip(tasks, pmap(_fluid_vs_des_point, tasks, workers=workers))
+    ]
+    return ScenarioOutput(data=rows, cases=2 * len(tasks))
+
+
+#: Topology ablation: at most this many peers (Waxman generation is
+#: O(n^2)), 16 minutes with the attack from minute 5, success read from
+#: minute 10 on.
+_TOPOLOGY_MAX_PEERS = 1000
+_TOPOLOGY_MINUTES, _TOPOLOGY_ATTACK_MIN, _TOPOLOGY_TAIL_FROM = 16, 5, 10
+
+
+def _scn_ablation_topology(
+    spec: ExperimentSpec,
+    *,
+    workers: Optional[int] = None,
+    trace_path: Optional[str] = None,
+) -> ScenarioOutput:
+    """Clean / attacked / defended success per topology family (fluid).
+
+    Checks that the headline result is not an artifact of the BA graphs
+    the paper's BRITE setup stands for.
+    """
+    from repro.fluid.model import FluidConfig
+    from repro.overlay.topology import TopologyConfig
+
+    n = min(spec.scale.n_peers, _TOPOLOGY_MAX_PEERS)
+    agents = max(1, round(spec.grid.agent_fraction * n))
+    tasks = []
+    for model in spec.grid.topologies:
+        topology = TopologyConfig(n=n, model=model, seed=spec.seed)
+        attacked = FluidConfig(
+            n=n,
+            topology=topology,
+            num_agents=agents,
+            attack_start_min=_TOPOLOGY_ATTACK_MIN,
+            defense="none",
+            seed=spec.seed,
+        )
+        tasks += [
+            (FluidConfig(n=n, topology=topology, seed=spec.seed),
+             _TOPOLOGY_MINUTES, _TOPOLOGY_TAIL_FROM),
+            (attacked, _TOPOLOGY_MINUTES, _TOPOLOGY_TAIL_FROM),
+            (replace(attacked, defense="ddpolice"), _TOPOLOGY_MINUTES, _TOPOLOGY_TAIL_FROM),
+        ]
+    success = [s for s, _, _ in pmap(_fluid_tail, tasks, workers=workers)]
+    rows = [
+        TopologyRow(model=model, clean=success[i], attacked=success[i + 1],
+                    defended=success[i + 2])
+        for model, i in zip(spec.grid.topologies, range(0, len(success), 3))
+    ]
+    return ScenarioOutput(data=rows, cases=len(tasks))
+
+
+# ---------------------------------------------------------------------------
 # the scenario table: driver + {table name: renderer}, declared once
 # ---------------------------------------------------------------------------
 
@@ -969,6 +1351,88 @@ _SCENARIOS: Dict[str, Scenario] = {
             description="defense x adaptive adversary x topology grid (DES)",
             driver=_scn_robustness_matrix,
             tables={"robustness_matrix": format_robustness_matrix},
+        ),
+        Scenario(
+            name="table1-wire",
+            description="Neighbor_Traffic body layout (Table 1, closed form)",
+            driver=_scn_table1_wire,
+            tables={"table1_wire": _render_table1},
+        ),
+        Scenario(
+            name="scaling",
+            description="damage vs network size at fixed density (Section 3.6)",
+            driver=_scn_scaling,
+            tables={
+                "scaling": _table(
+                    "Section 3.6: damage vs network size at fixed agent density",
+                    ["peers", "damage at 0.5% agents (%)"],
+                    lambda r: [r.peers, round(r.damage_pct, 1)],
+                ),
+            },
+        ),
+        Scenario(
+            name="ablation-baselines",
+            description="DD-POLICE vs the naive rate cutoff (fluid)",
+            driver=_scn_ablation_baselines,
+            tables={
+                "ablation_baselines": _table(
+                    "Ablation: defense comparison at 0.5% compromised peers",
+                    ["defense", "success (%)", "good peers cut", "agents missed"],
+                    lambda r: [
+                        r.defense,
+                        round(100 * r.success, 1),
+                        "-" if r.false_negative is None else r.false_negative,
+                        "-" if r.false_positive is None else r.false_positive,
+                    ],
+                ),
+            },
+        ),
+        Scenario(
+            name="ablation-echo",
+            description="query-echo bias of the General Indicator (DES)",
+            driver=_scn_ablation_echo,
+            tables={
+                "ablation_echo": _table(
+                    "Ablation: query-echo bias of the General Indicator",
+                    ["topology", "max g(attacker)", "detected"],
+                    lambda r: [r.topology, round(r.g_max, 1), "yes" if r.detected else "no"],
+                ),
+            },
+        ),
+        Scenario(
+            name="ablation-fluid-vs-des",
+            description="fluid-engine message volume vs the message DES",
+            driver=_scn_ablation_fluid_vs_des,
+            tables={
+                "ablation_fluid_vs_des": _table(
+                    "Ablation: fluid-engine message volume vs message-level DES",
+                    ["peers", "DES msgs/min", "fluid msgs/min", "ratio"],
+                    lambda r: [
+                        r.peers,
+                        int(r.des_msgs_per_min),
+                        int(r.fluid_msgs_per_min),
+                        round(r.fluid_msgs_per_min / r.des_msgs_per_min, 2),
+                    ],
+                ),
+            },
+        ),
+        Scenario(
+            name="ablation-topology",
+            description="topology family vs attack impact and defense (fluid)",
+            driver=_scn_ablation_topology,
+            tables={
+                "ablation_topology": _table(
+                    "Ablation: topology family vs attack impact (0.5% agents)",
+                    ["topology", "success % (clean)", "success % (attacked)",
+                     "success % (DD-POLICE)"],
+                    lambda r: [
+                        r.model,
+                        round(100 * r.clean, 1),
+                        round(100 * r.attacked, 1),
+                        round(100 * r.defended, 1),
+                    ],
+                ),
+            },
         ),
     )
 }
@@ -1220,6 +1684,50 @@ SPECS: Dict[str, ExperimentSpec] = {
                 topologies=("ba", "hard_cutoff", "bittorrent"),
             ),
             tables=("robustness_matrix",),
+        ),
+        ExperimentSpec(
+            name="table1-wire",
+            scenario="table1-wire",
+            title="Table 1: Neighbor_Traffic message body layout",
+            tables=("table1_wire",),
+        ),
+        ExperimentSpec(
+            name="scaling",
+            scenario="scaling",
+            title="Section 3.6: damage vs network size at fixed agent density",
+            seed=29,
+            tables=("scaling",),
+        ),
+        ExperimentSpec(
+            name="ablation-baselines",
+            scenario="ablation-baselines",
+            title="Ablation: DD-POLICE vs the naive rate cutoff",
+            seed=23,
+            tables=("ablation_baselines",),
+        ),
+        ExperimentSpec(
+            name="ablation-echo",
+            scenario="ablation-echo",
+            title="Ablation: query-echo bias of the General Indicator",
+            backend="des",
+            seed=1,
+            tables=("ablation_echo",),
+        ),
+        ExperimentSpec(
+            name="ablation-fluid-vs-des",
+            scenario="ablation-fluid-vs-des",
+            title="Ablation: fluid-engine message volume vs message-level DES",
+            backend="des",
+            seed=5,
+            tables=("ablation_fluid_vs_des",),
+        ),
+        ExperimentSpec(
+            name="ablation-topology",
+            scenario="ablation-topology",
+            title="Ablation: topology family vs attack impact",
+            seed=31,
+            grid=GridSpec(topologies=("ba", "waxman", "random", "two_tier")),
+            tables=("ablation_topology",),
         ),
     )
 }

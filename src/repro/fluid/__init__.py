@@ -16,5 +16,5 @@ over the edge set (vectorized numpy), with
   :mod:`model`).
 
 The message-level engine cross-validates the fluid model at small N
-(``benchmarks/bench_ablation_fluid_vs_des.py``).
+(``repro run ablation-fluid-vs-des``).
 """

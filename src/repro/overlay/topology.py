@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import TopologyError
 
@@ -111,6 +111,26 @@ class Topology:
         if self.n == 0:
             return True
         return len(self.connected_component(0)) == self.n
+
+
+def topology_from_adjacency(
+    adjacency: Mapping[int, Iterable[int]], n: Optional[int] = None
+) -> Topology:
+    """An explicit topology from a (possibly partial, one-sided) adjacency map.
+
+    Every listed edge is made symmetric; ``n`` defaults to one past the
+    largest node id named anywhere in ``adjacency``.
+    """
+    nodes = set(adjacency)
+    for vs in adjacency.values():
+        nodes |= set(vs)
+    size = n if n is not None else (max(nodes) + 1 if nodes else 0)
+    adj: List[Set[int]] = [set() for _ in range(size)]
+    for u, vs in adjacency.items():
+        for v in vs:
+            adj[u].add(v)
+            adj[v].add(u)
+    return Topology(n=size, adjacency=adj, kind="explicit")
 
 
 @dataclass(frozen=True)

@@ -1,27 +1,18 @@
 """Shared fixtures for the test suite."""
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 import pytest
 
 from repro.overlay.content import ContentCatalog, ContentConfig
 from repro.overlay.network import NetworkConfig, OverlayNetwork
-from repro.overlay.topology import Topology
+from repro.overlay.topology import Topology, topology_from_adjacency
 from repro.simkit.engine import Simulator
 
 
 def make_topology(adjacency: Dict[int, Set[int]], n: Optional[int] = None) -> Topology:
     """Build a Topology from a (possibly partial) adjacency mapping."""
-    nodes = set(adjacency)
-    for vs in adjacency.values():
-        nodes |= set(vs)
-    size = n if n is not None else (max(nodes) + 1 if nodes else 0)
-    adj: List[Set[int]] = [set() for _ in range(size)]
-    for u, vs in adjacency.items():
-        for v in vs:
-            adj[u].add(v)
-            adj[v].add(u)
-    return Topology(n=size, adjacency=adj, kind="explicit")
+    return topology_from_adjacency(adjacency, n=n)
 
 
 def make_network(

@@ -16,6 +16,17 @@ def test_list_command(capsys):
         assert spec.name in out
 
 
+def test_list_columns_line_up(capsys):
+    """Every ``--list`` row starts its ``scenario=`` column at one offset,
+    however long the longest registered name, and the first
+    whitespace-separated field is the spec name (CI reads it with awk)."""
+    assert main(["run", "--list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == [s.name for s in list_specs()]
+    assert len({line.index(" scenario=") for line in lines}) == 1
+    assert len({line.index(" backend=") for line in lines}) == 1
+
+
 def test_unknown_experiment_rejected(capsys):
     assert main(["run", "fig99"]) == 2
     assert "unknown spec" in capsys.readouterr().err

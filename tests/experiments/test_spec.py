@@ -43,6 +43,12 @@ ALL_SPECS = (
     "exchange",
     "fault-sweep",
     "robustness-matrix",
+    "table1-wire",
+    "scaling",
+    "ablation-baselines",
+    "ablation-echo",
+    "ablation-fluid-vs-des",
+    "ablation-topology",
 )
 
 
@@ -113,26 +119,38 @@ def test_figures_9_10_11_share_the_scenario_hash():
 # ---------------------------------------------------------------------------
 
 def test_committed_spec_run_sidecars_match_the_current_schema():
-    """Every committed ``spec-run`` sidecar is self-consistent, rebuilds
+    """``results/`` holds exactly the registered spec tables: every
+    top-level table has a ``spec-run`` sidecar naming a registered spec,
+    and every registered spec table has a committed table and a
+    ``results/smoke/`` fixture. Each sidecar is self-consistent, rebuilds
     under today's spec schema (strict: a removed or renamed config field
     raises), hashes to the ``spec_sha256`` it records and names a
     registered spec with that same hash -- so a PR that changes the
     schema or a registered spec must regenerate them, not leave stale
     provenance."""
-    checked = 0
-    for path in sorted(RESULTS.glob("*.manifest.json")):
+    sidecar_tables = set()
+    for table in sorted(RESULTS.glob("*.txt")):
+        path = table.with_name(f"{table.stem}.manifest.json")
+        assert path.exists(), f"{table.name} has no run manifest"
         manifest = load_manifest(path)
-        if manifest["kind"] != "spec-run":
-            continue
+        assert manifest["kind"] == "spec-run", path.name
         spec = spec_from_jsonable(manifest["config"])
         assert verify_manifest(manifest, config=spec), path.name
         recorded = manifest["extra"]["spec_sha256"]
         assert spec_sha256(spec) == recorded, path.name
         # The registered spec, not just the file, is what made the table.
-        assert spec_sha256(get_spec(manifest["extra"]["spec_name"])) == recorded
-        assert path.with_name(path.name.replace(".manifest.json", ".txt")).exists()
-        checked += 1
-    assert checked >= 12
+        registered = get_spec(manifest["extra"]["spec_name"])
+        assert spec_sha256(registered) == recorded, path.name
+        assert table.stem in registered.tables, path.name
+        sidecar_tables.add(table.stem)
+
+    spec_tables = {t for spec in list_specs() for t in spec.tables}
+    assert sidecar_tables == spec_tables
+    smoke = {path.stem for path in (RESULTS / "smoke").glob("*.txt")}
+    assert smoke == spec_tables
+    assert {p.name for p in RESULTS.glob("*.manifest.json")} == {
+        f"{t}.manifest.json" for t in spec_tables
+    }
 
 
 @pytest.mark.parametrize("name", ALL_SPECS)

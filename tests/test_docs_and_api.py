@@ -253,8 +253,8 @@ def test_result_rows_have_one_unit_and_src_reads_no_scale_env():
     """``CaseResult.rows`` is in minutes from every producer, so nothing
     under ``experiments/`` compares a backend *name* to decide how to read
     a result; and the ``bench|paper|smoke`` choice reaches ``src/`` as an
-    argument (``--scale``, ``run_spec(scale=...)``), never through
-    ``$REPRO_SCALE``, which only the ``benchmarks/`` tree reads."""
+    argument (``--scale``, ``run_spec(scale=...)``), never through an
+    environment variable."""
     import re
     from pathlib import Path
 
@@ -265,10 +265,11 @@ def test_result_rows_have_one_unit_and_src_reads_no_scale_env():
         for path in (root / "experiments").glob("*.py")
         if comparison.search(path.read_text())
     ]
+    scale_env = re.compile(r"environ\b.*SCALE|getenv\(.*SCALE")
     assert not [
         path.relative_to(root).as_posix()
         for path in root.rglob("*.py")
-        if "REPRO_SCALE" in path.read_text()
+        if scale_env.search(path.read_text())
     ]
 
 
@@ -302,3 +303,45 @@ def test_every_size_is_stated_at_one_path():
         for path in root.rglob("*.py")
         if comparison.search(path.read_text())
     ]
+
+
+#: Prose documents whose backticked repository paths must exist
+#: (``perfbench/README.md`` belongs to the benchmark harness and is
+#: checked there, not here).
+DOC_FILES = (
+    "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    "results/README.md",
+    "docs/*.md",
+    ".claude/skills/verify/SKILL.md",
+)
+
+
+def test_backticked_repo_paths_in_the_docs_exist():
+    """Every backticked path under a repository directory in the prose
+    docs names a file or directory that exists. ``<placeholder>`` and
+    ``*`` segments must match at least one path; a ``::test`` suffix is
+    dropped. Lines that cite git history name deleted files on purpose."""
+    import re
+    from pathlib import Path
+
+    root = Path(repro.__file__).resolve().parents[2]
+    code = re.compile(r"`+([^`\n]+?)`+")
+    path = re.compile(
+        r"(?<![\w./-])((?:src|tests|results|docs|examples|benchmarks|perfbench|\.github)"
+        r"/[^\s`'\"),;]*)"
+    )
+    docs = [p for pattern in DOC_FILES for p in sorted(root.glob(pattern))]
+    assert len(docs) > len(DOC_FILES)
+    dead = []
+    for doc in docs:
+        for lineno, line in enumerate(doc.read_text().splitlines(), 1):
+            if "git history" in line:
+                continue
+            for span in code.findall(line):
+                for cited in path.findall(span):
+                    pattern = re.sub(r"<[^>]*>", "*", cited.split("::")[0].rstrip(".:"))
+                    if not any(root.glob(pattern.rstrip("/"))):
+                        dead.append(f"{doc.relative_to(root)}:{lineno}: {cited}")
+    assert not dead, "\n".join(dead)
