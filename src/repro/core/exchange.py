@@ -1,6 +1,7 @@
 """Neighbor-list exchange (Section 3.1).
 
-Two policies are compared in Section 3.7.1:
+Two policies (:class:`~repro.core.config.ExchangePolicy`, scheduled by
+:mod:`repro.core.police`) are compared in Section 3.7.1:
 
 * **periodic** -- every peer sends its neighbor list to all neighbors
   every ``s`` minutes (the paper settles on s = 2);
@@ -15,11 +16,8 @@ tolerance, disconnection with an explanatory Bye.
 
 from __future__ import annotations
 
-from typing import (
-    Callable, Dict, FrozenSet, Hashable, Iterable, List, NamedTuple, Optional, Set, Tuple,
-)
+from typing import Dict, FrozenSet, Hashable, Iterable, List, NamedTuple, Optional, Set
 
-from repro.core.config import DDPoliceConfig, ExchangePolicy
 from repro.errors import ConfigError
 
 
@@ -128,21 +126,6 @@ class NeighborListDirectory:
             return list(found)
         return sorted(found, key=self._seq.__getitem__)
 
-    # ------------------------------------------------------------------
-    def find_inconsistencies(self) -> List[Tuple[Hashable, Hashable]]:
-        """Pairs (a, b) where a's list claims b but b's list omits a.
-
-        Only pairs with *both* lists present are judged; the claim is
-        asymmetric, so (a, b) means "a claims b as a neighbor and b's own
-        list contradicts it".
-        """
-        bad: List[Tuple[Hashable, Hashable]] = []
-        for owner, snap in self._lists.items():
-            for claimed in snap.neighbors:
-                other = self._lists.get(claimed)
-                if other is not None and owner not in other.neighbors:
-                    bad.append((owner, claimed))
-        return bad
 
 
 class ConsistencyTracker:
@@ -181,36 +164,5 @@ class ConsistencyTracker:
     def strikes(self, a: Hashable, b: Hashable) -> int:
         return self._strikes.get(self._key(a, b), 0)
 
-    def strikes_involving(self, peer: Hashable) -> int:
-        return sum(c for k, c in self._strikes.items() if peer in k)
-
     def clear(self, a: Hashable, b: Hashable) -> None:
         self._strikes.pop(self._key(a, b), None)
-
-
-class ListExchangeProtocol:
-    """Policy wrapper deciding *when* lists are (re)sent.
-
-    Transport-agnostic: the owner supplies ``send_list(targets)`` which
-    actually emits the message. The DES engine calls
-    :meth:`on_timer_tick` from a PeriodicTask (periodic policy) and
-    :meth:`on_membership_change` from the peer's connect/disconnect hooks
-    (event-driven policy counts and emits there instead).
-    """
-
-    def __init__(
-        self,
-        config: DDPoliceConfig,
-        send_list: Callable[[], int],
-    ) -> None:
-        self.config = config
-        self._send_list = send_list
-        self.exchanges_sent = 0
-
-    def on_timer_tick(self) -> None:
-        if self.config.exchange_policy is ExchangePolicy.PERIODIC:
-            self.exchanges_sent += self._send_list()
-
-    def on_membership_change(self) -> None:
-        if self.config.exchange_policy is ExchangePolicy.EVENT_DRIVEN:
-            self.exchanges_sent += self._send_list()

@@ -20,7 +20,8 @@ module:
   real-socket UDP testbed behind the same contract.
 
 All consume the backend-neutral :class:`Case` (one simulation run) and
-return a :class:`CaseResult`; scenario drivers in
+return a :class:`CaseResult`, each through a thin adapter into the one
+reduction :func:`case_result`; scenario drivers in
 :mod:`repro.experiments.library` expand a spec into a keyed case plan,
 fan it out through :func:`repro.exec.pmap` (``workers=1`` stays
 byte-identical), and aggregate.
@@ -41,7 +42,9 @@ from dataclasses import dataclass, replace
 from typing import (
     Any,
     Callable,
+    Collection,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -526,16 +529,24 @@ class Case:
     live: LiveSpec = LiveSpec()
 
     def __post_init__(self) -> None:
+        if self.minutes < 1:
+            raise ConfigError(f"minutes must be >= 1, got {self.minutes}")
         if not (0 <= self.num_agents <= self.n):
             raise ConfigError(
                 f"num_agents: cannot compromise {self.num_agents} of "
                 f"{self.n} peers (k must not exceed n)"
             )
+        if self.defense not in ("none", "ddpolice", "naive", "traceback"):
+            raise ConfigError(f"unknown defense: {self.defense!r}")
 
 
 @dataclass(frozen=True)
 class CaseResult:
-    """What every backend reports back for one case."""
+    """What every backend reports back for one case.
+
+    Built by :func:`case_result` alone, so every field means the same on
+    every backend.
+    """
 
     #: Per-minute (minute, success-rate) samples: the time axis is in
     #: simulated minutes on every backend (the producer converts).
@@ -560,33 +571,113 @@ class CaseResult:
 
 
 # ---------------------------------------------------------------------------
-# backends
+# the one reduction: raw engine outputs -> CaseResult
 # ---------------------------------------------------------------------------
 
-def steady_means(rows: Sequence[Any], first_minute: int) -> Tuple[float, float, float]:
-    """(traffic k-msgs/min, response s, success) averaged from a minute on.
+#: One reported minute: (minute, traffic k-msgs, mean response s or None
+#: when no query succeeded, success rate).
+Minute = Tuple[float, float, Optional[float], float]
 
-    Raises :class:`~repro.errors.MetricsError` when no row lies at or
-    after ``first_minute`` (the steady-state window is empty).
-    """
-    sel = [r for r in rows if r.minute >= first_minute]
-    if not sel:
-        last = rows[-1].minute if rows else None
-        raise MetricsError(
-            f"no steady-state rows at minute >= {first_minute} "
-            f"(last simulated minute: {last})"
-        )
-    k = len(sel)
-    return (
-        sum(r.traffic_cost_kqpm for r in sel) / k,
-        sum(r.response_time_s for r in sel) / k,
-        sum(r.success_rate for r in sel) / k,
+
+def case_key(case: Case) -> str:
+    """Names one case (seed, agents, defense) in errors and artifacts."""
+    return f"case-{case.seed}-k{case.num_agents}-{case.defense}"
+
+
+def first_cuts(cuts: Iterable[Tuple[int, float]]) -> Dict[int, float]:
+    """Each suspect's earliest time in ``(suspect, seconds)`` cut pairs."""
+    first: Dict[int, float] = {}
+    for suspect, t in cuts:
+        if suspect not in first or t < first[suspect]:
+            first[suspect] = t
+    return first
+
+
+def _judged_cuts(log: Any, seconds_per_unit: float = 1.0) -> Dict[int, float]:
+    """:func:`first_cuts` of a judgment log's executed cuts (None = no log)."""
+    if log is None:
+        return {}
+    return first_cuts(
+        (int(j.suspect), j.time * seconds_per_unit)
+        for j in log.judgments
+        if j.disconnected
     )
 
 
-def _fluid_case_task(case: Case) -> CaseResult:
-    """One fluid-model case (pure, picklable): build config, run, extract."""
-    from repro.fluid.model import FluidConfig, FluidSimulation
+def case_result(
+    case: Case,
+    minutes: Sequence[Minute],
+    first_cut: Mapping[int, float],
+    bad: Collection[int],
+) -> CaseResult:
+    """Reduce one run's raw outputs to the :class:`CaseResult` contract.
+
+    The one reduction behind every backend, so a quantity means the same
+    on each: ``minutes`` are the reported per-minute samples,
+    ``first_cut`` maps each cut suspect to its earliest executed cut (in
+    simulated seconds), ``bad`` holds the ground-truth attacker ids.
+
+    * the steady window is ``settle_min <= minute <= case.minutes``; its
+      response mean is over the minutes that have a response;
+    * fn/fp follow :meth:`~repro.metrics.errors.JudgmentLog.error_counts`
+      and are 0/0 without a defense (no judgments were made);
+    * the detection latency is the censored mean over the attackers in
+      ascending id order: one never cut counts the whole attack span.
+
+    Raises :class:`~repro.errors.MetricsError` when the steady window
+    holds no reported minute. Fluid's ``online_mean`` / ``churn_events``
+    stay 0; its adapter fills them in.
+    """
+    steady: Optional[Tuple[float, float, float]] = None
+    if case.settle_min is not None:
+        window = [m for m in minutes if case.settle_min <= m[0] <= case.minutes]
+        if not window:
+            raise MetricsError(
+                f"{case_key(case)}: the run reported minutes "
+                f"{[m[0] for m in minutes]}, none in the steady-state window "
+                f"{case.settle_min}..{case.minutes}"
+            )
+        response = [r for _, _, r, _ in window if r is not None]
+        steady = (
+            sum(t for _, t, _, _ in window) / len(window),
+            sum(response) / len(response) if response else 0.0,
+            sum(s for _, _, _, s in window) / len(window),
+        )
+    if case.defense == "none":
+        fn = fp = 0
+    else:
+        fn = len([s for s in first_cut if s not in bad])
+        fp = len([b for b in bad if b not in first_cut])
+    latency: Optional[float] = None
+    if bad:
+        start = case.attack_start_min * 60.0
+        censored = case.minutes * 60.0 - start
+        samples = [
+            max(0.0, first_cut[b] - start) if b in first_cut else censored
+            for b in sorted(bad)
+        ]
+        latency = sum(samples) / len(samples)
+    return CaseResult(
+        rows=tuple((m[0], m[3]) for m in minutes),
+        steady=steady,
+        false_negative=fn,
+        false_positive=fp,
+        online_mean=0.0,
+        churn_events=0,
+        detection_latency_s=latency,
+        caught_attackers=len([b for b in bad if b in first_cut]),
+        total_attackers=len(bad),
+    )
+
+
+# ---------------------------------------------------------------------------
+# backends: each adapts a case to its engine and the engine's run to
+# :func:`case_result`'s inputs
+# ---------------------------------------------------------------------------
+
+def _fluid_config(case: Case) -> Any:
+    """The :class:`FluidConfig` of one case; rejects what fluid cannot run."""
+    from repro.fluid.model import FluidConfig
 
     # The fluid model is topology-free, simulates the *static* flooder,
     # and aggregates Neighbor_Traffic without per-report collusion
@@ -608,7 +699,7 @@ def _fluid_case_task(case: Case) -> CaseResult:
         raise ConfigError(
             "backend 'fluid' cannot simulate cheat_strategy 'collude' (DES only)"
         )
-    config = FluidConfig(
+    return FluidConfig(
         n=case.n,
         seed=case.seed,
         num_agents=case.num_agents,
@@ -622,84 +713,50 @@ def _fluid_case_task(case: Case) -> CaseResult:
         cheat_strategy=case.workload.cheat,
         trace_path=case.trace_path,
     )
-    sim = FluidSimulation(config)
+
+
+def _fluid_case_task(case: Case) -> CaseResult:
+    """One fluid-model case (pure, picklable): build config, run, reduce.
+
+    Fluid judgments are stamped in minutes; the cuts become seconds here.
+    """
+    from repro.fluid.model import FluidSimulation
+
+    sim = FluidSimulation(_fluid_config(case))
     try:
         sim.run(case.minutes)
     finally:
         sim.close_trace()
-    errors = sim.error_counts()
-    return CaseResult(
-        rows=tuple((r.minute, r.success_rate) for r in sim.rows),
-        steady=(
-            steady_means(sim.rows, case.settle_min)
-            if case.settle_min is not None
-            else None
-        ),
-        false_negative=errors.false_negative,
-        false_positive=errors.false_positive,
+    result = case_result(
+        case,
+        [
+            (r.minute, r.traffic_cost_kqpm, r.response_time_s, r.success_rate)
+            for r in sim.rows
+        ],
+        _judged_cuts(sim.judgments, 60.0),
+        sim.bad_peers,
+    )
+    return replace(
+        result,
         online_mean=sim.mean_over(1, "online") if case.minutes > 1 else 0.0,
         churn_events=sim.state.joins + sim.state.leaves,
     )
 
 
-def _extract_case_result(run: Any, cfg: Any, settle_min: Optional[int]) -> CaseResult:
-    """Map a finished message/SoA run to the backend result contract.
+def topology_config(case: Case, n: int) -> Any:
+    """The overlay of one case at ``n`` peers.
 
-    The two run objects expose the same accounting/judgment surface by
-    design; the rows' second timestamps become minutes here, once.
+    The des backends build it at ``case.n``, the live swarm at its capped
+    node count, so both run the same graph for the same case.
     """
-    minutes = run.accounting.rows
-    if run.judgments is not None:
-        errors = run.error_counts()
-        fn, fp = errors.false_negative, errors.false_positive
-    else:
-        fn = fp = 0
-    latency: Optional[float] = None
-    caught = 0
-    if run.bad_peers:
-        first_cut: Dict[Any, float] = {}
-        if run.judgments is not None:
-            for j in run.judgments.judgments:
-                if j.disconnected and j.suspect in run.bad_peers:
-                    if j.suspect not in first_cut or j.time < first_cut[j.suspect]:
-                        first_cut[j.suspect] = j.time
-        caught = len(first_cut)
-        # Censored mean: an attacker that evades detection for the whole
-        # run contributes (duration - attack_start), so "never caught"
-        # is numerically worse than any real detection.
-        censored = cfg.duration_s - cfg.attack_start_s
-        samples = [
-            max(0.0, first_cut[b] - cfg.attack_start_s) if b in first_cut else censored
-            for b in sorted(run.bad_peers, key=lambda p: p.value)
-        ]
-        latency = sum(samples) / len(samples)
-    steady: Optional[Tuple[float, float, float]] = None
-    if settle_min is not None:
-        window = [m for m in minutes if m.time_s >= settle_min * 60.0]
-        # Every reported minute has a traffic and a success sample (the
-        # window holds one: ``_des_config`` checked); a minute with no
-        # successful query has no response time.
-        response = [
-            m.mean_response_time_s
-            for m in window
-            if m.mean_response_time_s is not None
-        ]
-        steady = (
-            sum(float(m.messages) for m in window) / len(window) / 1000.0,
-            sum(response) / len(response) if response else 0.0,
-            sum(m.success_rate for m in window) / len(window),
-        )
-    return CaseResult(
-        rows=tuple((m.time_s / 60.0, m.success_rate) for m in minutes),
-        steady=steady,
-        false_negative=fn,
-        false_positive=fp,
-        online_mean=0.0,
-        churn_events=0,
-        detection_latency_s=latency,
-        caught_attackers=caught,
-        total_attackers=len(run.bad_peers),
-    )
+    from repro.overlay.topology import TopologyConfig
+
+    kwargs: Dict[str, Any] = dict(n=n, seed=case.seed)
+    if case.ba_m is not None:
+        kwargs["ba_m"] = case.ba_m
+    if case.topology is not None:
+        kwargs["model"] = case.topology
+    return TopologyConfig(**kwargs)
 
 
 def _des_config(case: Case, **network: Any) -> Any:
@@ -711,7 +768,6 @@ def _des_config(case: Case, **network: Any) -> Any:
     """
     from repro.experiments.runner import DESConfig
     from repro.overlay.network import NetworkConfig
-    from repro.overlay.topology import TopologyConfig
     from repro.workload.generator import WorkloadConfig
 
     net = NetworkConfig(processing_qpm_good=case.workload.capacity_qpm, **network)
@@ -725,16 +781,11 @@ def _des_config(case: Case, **network: Any) -> Any:
             f"1..{reported}: no steady-state window from minute "
             f"{case.settle_min} on (simulate more minutes)"
         )
-    topo_kwargs: Dict[str, Any] = dict(n=case.n, seed=case.seed)
-    if case.ba_m is not None:
-        topo_kwargs["ba_m"] = case.ba_m
-    if case.topology is not None:
-        topo_kwargs["model"] = case.topology
     return DESConfig(
         n=case.n,
         duration_s=case.minutes * 60.0,
         seed=case.seed,
-        topology=TopologyConfig(**topo_kwargs),
+        topology=topology_config(case, case.n),
         network=net,
         workload=WorkloadConfig(
             queries_per_minute=case.workload.queries_per_minute, seed=case.seed
@@ -752,16 +803,35 @@ def _des_config(case: Case, **network: Any) -> Any:
     )
 
 
+def _des_case_result(case: Case, run: Any) -> CaseResult:
+    """Reduce a finished message/SoA run (the two expose the same
+    accounting/judgment surface by design); the rows' second timestamps
+    become minutes here, once."""
+    return case_result(
+        case,
+        [
+            (
+                m.time_s / 60.0,
+                m.messages / 1000.0,
+                m.mean_response_time_s,
+                m.success_rate,
+            )
+            for m in run.accounting.rows
+        ],
+        _judged_cuts(run.judgments),
+        {int(p) for p in run.bad_peers},
+    )
+
+
 def _des_case_task(case: Case) -> CaseResult:
-    """One message-level case (pure, picklable): build config, run, extract."""
+    """One message-level case (pure, picklable): build config, run, reduce."""
     from repro.experiments.runner import run_des_experiment
 
-    cfg = _des_config(case)
-    return _extract_case_result(run_des_experiment(cfg), cfg, case.settle_min)
+    return _des_case_result(case, run_des_experiment(_des_config(case)))
 
 
 def _soa_case_task(case: Case) -> CaseResult:
-    """One batched SoA case (pure, picklable): build config, run, extract.
+    """One batched SoA case (pure, picklable): build config, run, reduce.
 
     Hop-latency jitter is pinned to zero -- the wave-batched engine
     coalesces same-timestamp deliveries, which requires the deterministic
@@ -771,16 +841,17 @@ def _soa_case_task(case: Case) -> CaseResult:
     from repro.overlay.soa_network import run_soa_experiment
 
     cfg = _des_config(case, hop_latency_jitter_s=0.0)
-    return _extract_case_result(run_soa_experiment(cfg), cfg, case.settle_min)
+    return _des_case_result(case, run_soa_experiment(cfg))
 
 
 def _live_case_task(case: Case) -> CaseResult:
-    """One real-socket swarm case (pure, picklable): spawn, babysit, extract.
+    """One real-socket swarm case (pure, picklable): spawn, babysit, reduce.
 
     The heavy import stays lazy so ``pmap`` workers that never run a
     live case don't pay for (or require) the asyncio/socket machinery.
     Unsupported feature combinations (faults, adaptive adversaries,
-    traceback, collusion) are rejected loudly by the runner.
+    traceback and naive defenses, collusion) are rejected loudly by the
+    runner.
     """
     from repro.live.runner import run_live_case
 

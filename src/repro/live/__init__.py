@@ -17,12 +17,14 @@ Layout:
   liveness and bootstrap around one real :class:`repro.overlay.peer.Peer`
   (framed by :func:`repro.core.wire.decode_message`), hosting DD-POLICE
   and the static-flooder :class:`~repro.attack.agent.DDoSAgent`.
-* :mod:`repro.live.supervisor` -- spawns and babysits the node swarm,
-  then aggregates per-node JSONL stats into the minute-table format.
+* :mod:`repro.live.supervisor` -- sizes, spawns and babysits the node
+  swarm of one :class:`~repro.experiments.spec.Case`, then collects its
+  per-node JSONL stats.
 * :mod:`repro.live.spec` -- :class:`LiveSpec`, the sizing layer the
   experiment specs carry for the ``live`` backend.
-* :mod:`repro.live.runner` -- the :class:`~repro.experiments.spec.Case`
-  adapter behind the registered ``live`` backend.
+* :mod:`repro.live.runner` -- the registered ``live`` backend: rejects
+  what the testbed cannot run and reduces the stats to a
+  :class:`~repro.experiments.spec.CaseResult`.
 
 See docs/LIVE.md for the architecture and operating guide.
 """

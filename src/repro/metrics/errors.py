@@ -13,7 +13,7 @@ meanings -- we keep the paper's definitions and note the swap):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Set, Tuple
+from typing import Hashable, List, Optional, Set
 
 from repro.errors import ConfigError
 
@@ -78,14 +78,3 @@ class JudgmentLog:
         good_cut = len({s for s in cut if s not in bad_peers})
         bad_missed = len([b for b in bad_peers if b not in cut])
         return ErrorCounts(false_negative=good_cut, false_positive=bad_missed)
-
-    def detection_latency(
-        self, bad_peers: Set[Hashable], attack_start: float
-    ) -> List[Tuple[Hashable, float]]:
-        """(bad peer, seconds from attack start to first disconnect)."""
-        out = []
-        for b in bad_peers:
-            t = self.first_disconnect_time(b)
-            if t is not None:
-                out.append((b, t - attack_start))
-        return out

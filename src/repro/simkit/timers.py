@@ -1,9 +1,10 @@
-"""Periodic tasks and cancellable timeouts on top of the DES engine.
+"""Periodic tasks on top of the DES engine.
 
 DD-POLICE is built out of periodic protocol rounds (neighbor-list exchange
 every 2 minutes, per-minute traffic-window rollover, buddy-group liveness
-pings) and one-shot timeouts (the 5-second Neighbor_Traffic collection
-window). These helpers encapsulate the rescheduling logic.
+pings); :class:`PeriodicTask` encapsulates their rescheduling logic.
+One-shot timeouts (the 5-second Neighbor_Traffic collection window) are
+plain ``schedule_in`` events, cancelled through the returned event.
 """
 
 from __future__ import annotations
@@ -110,39 +111,3 @@ class PeriodicTask:
         if self._event is not None:
             self._event.cancel()
             self._event = None
-
-
-class Timeout:
-    """One-shot cancellable timeout.
-
-    Wraps a single scheduled event with an explicit ``cancel``/``expired``
-    interface, used for protocol collection windows.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        delay: float,
-        callback: Callable[[], Any],
-    ) -> None:
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
-        self._fired = False
-        self._event = sim.schedule_in(delay, self._fire)
-        self._callback = callback
-
-    def _fire(self) -> None:
-        self._fired = True
-        self._callback()
-
-    @property
-    def expired(self) -> bool:
-        return self._fired
-
-    @property
-    def pending(self) -> bool:
-        return self._event.pending
-
-    def cancel(self) -> bool:
-        """Cancel if still pending; returns True on success."""
-        return self._event.cancel()

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.core.config import DDPoliceConfig, ExchangePolicy
-from repro.core.exchange import (
-    ConsistencyTracker,
-    ListExchangeProtocol,
-    ListSnapshot,
-    NeighborListDirectory,
-)
+from repro.core.exchange import ConsistencyTracker, ListSnapshot, NeighborListDirectory
 from repro.errors import ConfigError
 
 
@@ -56,26 +50,6 @@ def test_directory_forget():
     assert d.get("j") is None
 
 
-def test_find_inconsistencies_detects_one_sided_claims():
-    d = NeighborListDirectory()
-    d.update("liar", {"victim"}, now=0.0)
-    d.update("victim", set(), now=0.0)
-    assert ("liar", "victim") in d.find_inconsistencies()
-
-
-def test_consistent_pairs_not_flagged():
-    d = NeighborListDirectory()
-    d.update("a", {"b"}, now=0.0)
-    d.update("b", {"a"}, now=0.0)
-    assert d.find_inconsistencies() == []
-
-
-def test_claims_about_unknown_peers_not_judged():
-    d = NeighborListDirectory()
-    d.update("a", {"mystery"}, now=0.0)
-    assert d.find_inconsistencies() == []
-
-
 def test_consistency_tracker_tolerance():
     t = ConsistencyTracker(tolerance=3)
     assert not t.strike("x", "y")
@@ -92,14 +66,13 @@ def test_consistency_tracker_pairs_independent():
     t.strike("x", "z")
     assert t.strikes("x", "y") == 1
     assert t.strikes("x", "z") == 1
-    assert t.strikes_involving("x") == 2
-    assert t.strikes_involving("y") == 1
+    assert t.strikes("y", "z") == 0
 
 
 def test_consistency_tracker_forgiveness():
     t = ConsistencyTracker(tolerance=3)
     t.observe_consistent("x", "y")  # nothing held: a no-op
-    assert t.strikes("x", "y") == 0 and t.strikes_involving("x") == 0
+    assert t.strikes("x", "y") == 0
     t.strike("x", "z")
     t.strike("x", "y")
     t.strike("x", "y")
@@ -112,23 +85,3 @@ def test_consistency_tracker_forgiveness():
 def test_consistency_tracker_validation():
     with pytest.raises(ConfigError):
         ConsistencyTracker(tolerance=0)
-
-
-def test_periodic_protocol_sends_on_timer_only():
-    sends = []
-    config = DDPoliceConfig(exchange_policy=ExchangePolicy.PERIODIC)
-    proto = ListExchangeProtocol(config, lambda: sends.append(1) or 1)
-    proto.on_timer_tick()
-    proto.on_membership_change()
-    assert len(sends) == 1
-    assert proto.exchanges_sent == 1
-
-
-def test_event_driven_protocol_sends_on_change_only():
-    sends = []
-    config = DDPoliceConfig(exchange_policy=ExchangePolicy.EVENT_DRIVEN)
-    proto = ListExchangeProtocol(config, lambda: sends.append(1) or 1)
-    proto.on_timer_tick()
-    proto.on_membership_change()
-    proto.on_membership_change()
-    assert len(sends) == 2

@@ -8,7 +8,6 @@ import pytest
 
 from repro.experiments.library import run_spec
 from repro.experiments.scenarios import SCALES
-from repro.experiments.spec import steady_means
 
 
 @pytest.fixture(scope="module")
@@ -142,15 +141,3 @@ def test_timelines_read_in_minutes_on_a_message_backend():
         assert max(timeline.damage_pct[2:]) > 10.0
     (row,) = data("fig13")
     assert row.stabilized_damage_pct > 10.0
-
-
-def test_steady_means_empty_window_raises_metrics_error():
-    from repro.errors import MetricsError
-    from repro.fluid.model import FluidConfig, FluidSimulation
-
-    sim = FluidSimulation(FluidConfig(n=60, seed=1, churn_warmup_min=1))
-    sim.run(3)
-    with pytest.raises(MetricsError, match="no steady-state rows"):
-        steady_means(sim.rows, 99)
-    with pytest.raises(MetricsError, match="no steady-state rows"):
-        steady_means([], 0)

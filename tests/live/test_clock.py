@@ -5,7 +5,7 @@ import asyncio
 import pytest
 
 from repro.live.clock import LiveClock, LiveTimer
-from repro.simkit.timers import PeriodicTask, Timeout
+from repro.simkit.timers import PeriodicTask
 
 
 def run(coro):
@@ -119,10 +119,12 @@ def test_timeout_runs_on_live_clock():
         loop = asyncio.get_running_loop()
         clock = make_clock(loop, minute_s=0.02)
         fired = []
-        Timeout(clock, 5.0, lambda: fired.append(True))
-        cancelled = Timeout(clock, 5.0, lambda: fired.append(False))
+        timer = clock.schedule_in(5.0, lambda: fired.append(True))
+        cancelled = clock.schedule_in(5.0, lambda: fired.append(False))
         cancelled.cancel()
+        assert timer.pending and not cancelled.pending
         await asyncio.sleep(0.05)
         assert fired == [True]
+        assert not timer.pending
 
     run(main())

@@ -35,7 +35,7 @@ def flooder_id():
     return random.Random(derive_seed(SEED, "agents")).sample(range(N), 1)[0]
 
 
-async def run_swarm_in_process(tmp_path, *, defense):
+async def run_nodes_in_process(tmp_path, *, defense):
     topology = generate_topology(TopologyConfig(n=N, model="ba", ba_m=1, seed=SEED))
     agent = flooder_id()
     socks = [bind_udp_socket("127.0.0.1", 0) for _ in range(N)]
@@ -91,7 +91,7 @@ def collect_events(tmp_path, n=N):
 
 
 def test_flooder_is_warned_convicted_and_cut(tmp_path):
-    flooder = asyncio.run(run_swarm_in_process(tmp_path, defense="ddpolice"))
+    flooder = asyncio.run(run_nodes_in_process(tmp_path, defense="ddpolice"))
     events = collect_events(tmp_path)
     kinds = {e["kind"] for e in events}
 
@@ -120,7 +120,7 @@ def test_flooder_is_warned_convicted_and_cut(tmp_path):
 
 
 def test_no_defense_means_no_police_events(tmp_path):
-    asyncio.run(run_swarm_in_process(tmp_path, defense="none"))
+    asyncio.run(run_nodes_in_process(tmp_path, defense="none"))
     events = collect_events(tmp_path)
     assert events
     assert not any(e["kind"].startswith("police.") for e in events)

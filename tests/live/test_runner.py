@@ -1,16 +1,17 @@
-"""Unit tests for the Case -> swarm adaptation layer (no sockets)."""
+"""Unit tests for the Case -> swarm adaptation layer (no node processes)."""
 
 from dataclasses import replace
 
 import pytest
 
 from repro.core.config import DDPoliceConfig
-from repro.errors import ConfigError
-from repro.experiments.spec import Case, WorkloadSpec
+from repro.errors import ConfigError, MetricsError
+from repro.experiments.spec import Case, WorkloadSpec, topology_config
 from repro.faults.plan import CrashRule, FaultPlan
-from repro.live.runner import case_result_from_swarm, swarm_config_for
+from repro.live.runner import case_result_from_swarm, run_live_case
 from repro.live.spec import LiveSpec
-from repro.live.supervisor import SwarmResult
+from repro.live.supervisor import Supervisor, SwarmResult, swarm_size
+from repro.overlay.topology import generate_topology
 
 
 def make_case(**overrides):
@@ -33,33 +34,28 @@ def make_case(**overrides):
 # ---------------------------------------------------------------------------
 
 def test_swarm_caps_nodes_and_scales_agents_proportionally():
-    cfg = swarm_config_for(make_case(n=400, num_agents=16))
-    assert cfg.n_nodes == 25
     # 16/400 = 4% density -> 1 agent per 25 nodes.
-    assert cfg.num_agents == 1
-    assert cfg.minute_s == 0.5
+    assert swarm_size(make_case(n=400, num_agents=16)) == (25, 1)
 
 
 def test_swarm_below_cap_runs_uncapped():
-    cfg = swarm_config_for(make_case(n=400, live=LiveSpec(n_nodes=500)))
-    assert cfg.n_nodes == 400
-    assert cfg.num_agents == 2  # taken verbatim, not rescaled
+    # Taken verbatim, not rescaled.
+    assert swarm_size(make_case(n=400, live=LiveSpec(n_nodes=500))) == (400, 2)
 
 
 def test_scaled_agent_count_never_reaches_swarm_size():
-    # 300 agents in 400 peers -> proportionally ~19 of 25; a pathological
+    # 399 agents in 400 peers -> proportionally 4 of 4; a pathological
     # density can round up to the whole swarm, which must be clamped so
     # at least one good node exists.
-    cfg = swarm_config_for(make_case(n=400, num_agents=399, live=LiveSpec(n_nodes=4)))
-    assert cfg.num_agents == 3
+    case = make_case(n=400, num_agents=399, live=LiveSpec(n_nodes=4))
+    assert swarm_size(case) == (4, 3)
 
 
 def test_scaled_agent_count_never_drops_to_zero():
-    cfg = swarm_config_for(make_case(n=400, num_agents=1))
-    assert cfg.num_agents == 1
+    assert swarm_size(make_case(n=400, num_agents=1)) == (25, 1)
 
 
-def test_workload_and_police_carry_over():
+def test_workload_and_police_carry_over(tmp_path):
     police = DDPoliceConfig(exchange_period_s=30.0, q_threshold_qpm=10.0)
     case = make_case(
         police=police,
@@ -69,17 +65,27 @@ def test_workload_and_police_carry_over():
         topology="random",
         ba_m=2,
     )
-    cfg = swarm_config_for(case)
-    assert cfg.police == police
-    assert cfg.queries_per_minute == 3.0
-    assert cfg.attack_rate_qpm == 2000.0
-    assert cfg.capacity_qpm == 400.0
-    assert cfg.topology_model == "random"
-    assert cfg.ba_m == 2
+    supervisor = Supervisor(case, tmp_path)
+    nodes = supervisor.node_configs()
+    assert [n.node_id for n in nodes] == list(range(25))
+    (agent,) = supervisor.agent_ids
+    for node in nodes:
+        assert node.police["exchange_period_s"] == 30.0
+        assert node.police["q_threshold_qpm"] == 10.0
+        assert node.queries_per_minute == 3.0
+        assert node.capacity_qpm == 400.0
+        assert node.minute_s == 0.5
+        assert node.attack_rate_qpm == (2000.0 if node.node_id == agent else 0.0)
+    # The swarm runs the overlay the des backends build for the case.
+    topology = generate_topology(topology_config(case, 25))
+    assert topology_config(case, 25).model == "random"
+    assert [n.neighbors for n in nodes] == [
+        tuple(sorted(topology.neighbors(i))) for i in range(25)
+    ]
 
 
 # ---------------------------------------------------------------------------
-# unsupported features are rejected loudly
+# unsupported features are rejected loudly, before any node is spawned
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -87,28 +93,29 @@ def test_workload_and_police_carry_over():
     [
         {"faults": FaultPlan(crashes=(CrashRule(at_s=60.0, count=1),))},
         {"defense": "traceback"},
+        {"defense": "naive"},
         {"workload": WorkloadSpec(cheat_strategy="collude")},
         {"trace_path": "trace.jsonl"},
     ],
-    ids=["faults", "traceback", "collude", "obs"],
+    ids=["faults", "traceback", "naive", "collude", "obs"],
 )
 def test_unsupported_case_features_rejected(overrides):
     with pytest.raises(ConfigError):
-        swarm_config_for(make_case(**overrides))
+        run_live_case(make_case(**overrides))
 
 
 def test_adaptive_adversary_rejected():
     case = make_case()
     case = replace(case, adaptive=replace(case.adaptive, strategy="pulse"))
     with pytest.raises(ConfigError):
-        swarm_config_for(case)
+        run_live_case(case)
 
 
-def test_honest_cheat_strategy_is_fine():
-    cfg = swarm_config_for(
-        make_case(workload=WorkloadSpec(cheat_strategy="honest"))
-    )
-    assert cfg.cheat_strategy == "honest"
+def test_honest_cheat_strategy_is_fine(tmp_path):
+    case = make_case(workload=WorkloadSpec(cheat_strategy="honest"))
+    assert {n.cheat_strategy for n in Supervisor(case, tmp_path).node_configs()} == {
+        "honest"
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -131,13 +138,11 @@ def minute_rec(node, minute, *, issued=10, succeeded=8, sent=100, agent=0):
 
 def swarm_result(case, minute_records, police_records=(), agent_ids=frozenset()):
     return SwarmResult(
-        config=swarm_config_for(case),
         minute_records=list(minute_records),
         police_records=list(police_records),
         agent_ids=set(agent_ids),
         crashed=[],
         clean_exits=case.live.n_nodes,
-        duration_s=1.0,
     )
 
 
@@ -163,11 +168,29 @@ def test_empty_steady_window_is_an_error_not_three_zeros():
     case = make_case(n=2, num_agents=0, defense="none", minutes=6, settle_min=3,
                      live=LiveSpec(n_nodes=2))
     records = [minute_rec(node, minute) for node in (0, 1) for minute in (1, 2)]
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(MetricsError) as err:
         case_result_from_swarm(case, swarm_result(case, records))
     assert "case-3-k0-none" in str(err.value)
     assert "[1, 2]" in str(err.value)
     assert "3..6" in str(err.value)
+
+
+def test_minute_without_a_successful_query_has_no_response_time():
+    # Minute 3 issued queries and none succeeded: it has no response time,
+    # so the steady response is the mean over minutes 2 and 4 alone (as
+    # the des backends compute it), not an average with a 0.0 s sample.
+    case = make_case(n=2, num_agents=0, defense="none", minutes=4, settle_min=2,
+                     live=LiveSpec(n_nodes=2))
+    records = [
+        minute_rec(node, minute, succeeded=0 if minute == 3 else 8)
+        for node in (0, 1)
+        for minute in (1, 2, 3, 4)
+    ]
+    result = case_result_from_swarm(case, swarm_result(case, records))
+    traffic_k, response_s, success = result.steady
+    assert response_s == 2.0
+    assert success == pytest.approx((0.8 + 0.0 + 0.8) / 3)
+    assert result.rows[2] == (3, 0.0)
 
 
 def test_agent_workload_excluded_after_attack_starts():

@@ -11,22 +11,25 @@ import time
 import pytest
 
 from repro.errors import ConfigError
-from repro.live.supervisor import Supervisor, SwarmConfig, run_swarm
-from repro.obs.manifest import verify_manifest
+from repro.experiments.spec import Case, WorkloadSpec
+from repro.live.runner import run_live_case
+from repro.live.spec import LiveSpec
+from repro.live.supervisor import Supervisor
 
 
-def tiny_config(**overrides):
+def tiny_case(**overrides):
     base = dict(
-        n_nodes=4,
+        n=4,
         minutes=2,
         seed=5,
-        minute_s=0.4,
-        queries_per_minute=6.0,
-        spawn_stagger_s=0.0,
-        drain_timeout_s=8.0,
+        ba_m=1,
+        workload=WorkloadSpec(queries_per_minute=6.0),
+        live=LiveSpec(
+            n_nodes=4, minute_s=0.4, spawn_stagger_s=0.0, drain_timeout_s=8.0
+        ),
     )
     base.update(overrides)
-    return SwarmConfig(**base)
+    return Case(**base)
 
 
 def assert_all_reaped(supervisor):
@@ -36,17 +39,19 @@ def assert_all_reaped(supervisor):
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        SwarmConfig(n_nodes=1, minutes=2)
+        LiveSpec(n_nodes=1)
     with pytest.raises(ConfigError):
-        SwarmConfig(n_nodes=4, minutes=0)
+        tiny_case(minutes=0)
     with pytest.raises(ConfigError):
-        SwarmConfig(n_nodes=4, minutes=2, num_agents=4)
+        tiny_case(num_agents=5)
     with pytest.raises(ConfigError):
-        SwarmConfig(n_nodes=4, minutes=2, defense="firewall")
+        tiny_case(defense="firewall")
+    with pytest.raises(ConfigError, match="naive"):
+        run_live_case(tiny_case(defense="naive"))
 
 
 def test_clean_run_drains_every_node(tmp_path):
-    supervisor = Supervisor(tiny_config(), tmp_path)
+    supervisor = Supervisor(tiny_case(), tmp_path)
     result = supervisor.run()
     assert_all_reaped(supervisor)
     assert result.crashed == []
@@ -55,11 +60,12 @@ def test_clean_run_drains_every_node(tmp_path):
     assert {1, 2} <= minutes
     nodes_seen = {r["node"] for r in result.minute_records}
     assert nodes_seen == {0, 1, 2, 3}
+    assert supervisor.node_stats(0).exists()
 
 
 def test_killed_node_is_detected_and_swarm_drains(tmp_path):
     """SIGKILL one node mid-run: the swarm must still drain cleanly."""
-    supervisor = Supervisor(tiny_config(minutes=3), tmp_path)
+    supervisor = Supervisor(tiny_case(minutes=3), tmp_path)
     victim = 2
     try:
         supervisor.start()
@@ -85,7 +91,7 @@ def test_killed_node_is_detected_and_swarm_drains(tmp_path):
 
 def test_keyboard_interrupt_still_reaps(tmp_path):
     """A KeyboardInterrupt in the watch loop must not orphan children."""
-    supervisor = Supervisor(tiny_config(), tmp_path)
+    supervisor = Supervisor(tiny_case(), tmp_path)
 
     def interrupted_wait(poll_s=0.1):
         raise KeyboardInterrupt
@@ -98,7 +104,7 @@ def test_keyboard_interrupt_still_reaps(tmp_path):
 
 
 def test_double_start_rejected(tmp_path):
-    supervisor = Supervisor(tiny_config(), tmp_path)
+    supervisor = Supervisor(tiny_case(), tmp_path)
     try:
         supervisor.start()
         with pytest.raises(ConfigError):
@@ -111,9 +117,9 @@ def test_double_start_rejected(tmp_path):
 def test_reused_out_dir_does_not_merge_stale_records(tmp_path):
     """JSONL sinks append, so a second swarm in the same directory must
     scrub the first swarm's per-node stats instead of merging them."""
-    first = Supervisor(tiny_config(), tmp_path).run()
+    first = Supervisor(tiny_case(), tmp_path).run()
     assert first.clean_exits == 4
-    second = Supervisor(tiny_config(), tmp_path).run()
+    second = Supervisor(tiny_case(), tmp_path).run()
     assert second.clean_exits == 4
     per_node_minutes = {}
     for rec in second.minute_records:
@@ -123,14 +129,3 @@ def test_reused_out_dir_does_not_merge_stale_records(tmp_path):
             f"node {node} reported duplicate minutes: stale records leaked"
         )
 
-
-def test_run_swarm_writes_table_and_verified_manifest(tmp_path):
-    result = run_swarm(tiny_config(), tmp_path)
-    assert result.clean_exits == 4
-    artifact = tmp_path / "swarm_minutes.txt"
-    assert artifact.exists()
-    assert "live swarm" in artifact.read_text()
-    sidecar = artifact.with_suffix(".manifest.json")
-    assert sidecar.exists()
-    verify_manifest(sidecar)
-    assert (tmp_path / "node-0000.jsonl").exists()

@@ -50,14 +50,6 @@ def test_first_disconnect_time():
     assert log.first_disconnect_time("ghost") is None
 
 
-def test_detection_latency():
-    log = JudgmentLog()
-    log.record(judgment("bad1", time=12.0))
-    log.record(judgment("bad2", time=15.0))
-    latencies = dict(log.detection_latency({"bad1", "bad2", "bad3"}, attack_start=10.0))
-    assert latencies == {"bad1": 2.0, "bad2": 5.0}
-
-
 def test_perfect_run_zero_errors():
     log = JudgmentLog()
     log.record(judgment("bad1"))

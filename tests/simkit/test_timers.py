@@ -1,11 +1,16 @@
-"""Unit tests for periodic tasks and timeouts."""
+"""Unit tests for periodic tasks and one-shot timeouts.
+
+A one-shot protocol timeout (the Neighbor_Traffic collection window) is a
+plain ``schedule_in`` event; these tests pin the behaviour the protocol
+relies on.
+"""
 
 import random
 
 import pytest
 
-from repro.simkit.engine import Simulator
-from repro.simkit.timers import PeriodicTask, Timeout
+from repro.simkit.engine import SimulationError, Simulator
+from repro.simkit.timers import PeriodicTask
 
 
 def test_periodic_fires_every_period():
@@ -88,40 +93,40 @@ def test_fire_count_tracks():
 def test_timeout_fires_once():
     sim = Simulator()
     fired = []
-    t = Timeout(sim, 3.0, lambda: fired.append(sim.now))
+    ev = sim.schedule_in(3.0, lambda: fired.append(sim.now))
     sim.run()
     assert fired == [3.0]
-    assert t.expired
+    assert not ev.pending
 
 
 def test_timeout_cancel():
     sim = Simulator()
     fired = []
-    t = Timeout(sim, 3.0, lambda: fired.append(1))
-    assert t.cancel()
+    ev = sim.schedule_in(3.0, lambda: fired.append(1))
+    assert ev.cancel()
     sim.run()
     assert fired == []
-    assert not t.expired
+    assert not ev.pending
 
 
 def test_timeout_cancel_after_fire_fails():
     sim = Simulator()
-    t = Timeout(sim, 1.0, lambda: None)
+    ev = sim.schedule_in(1.0, lambda: None)
     sim.run()
-    assert t.cancel() is False
+    assert ev.cancel() is False
 
 
 def test_timeout_negative_delay_rejected():
-    with pytest.raises(ValueError):
-        Timeout(Simulator(), -0.1, lambda: None)
+    with pytest.raises(SimulationError):
+        Simulator().schedule_in(-0.1, lambda: None)
 
 
 def test_timeout_pending_state():
     sim = Simulator()
-    t = Timeout(sim, 5.0, lambda: None)
-    assert t.pending
+    ev = sim.schedule_in(5.0, lambda: None)
+    assert ev.pending
     sim.run()
-    assert not t.pending
+    assert not ev.pending
 
 
 def test_jitter_without_rng_rejected():
