@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.core.decision import judge_rate_cutoff
+from repro.core.decision import NAIVE_THRESHOLD_QPM, judge_rate_cutoff
 from repro.errors import ConfigError
 from repro.metrics.errors import JudgmentLog
 from repro.overlay.ids import PeerId
@@ -27,7 +27,7 @@ class NaiveCutoffConfig:
     """Threshold for the naive defense (same scale as DD-POLICE's
     warning threshold so comparisons are apples-to-apples)."""
 
-    cutoff_qpm: float = 500.0
+    cutoff_qpm: float = NAIVE_THRESHOLD_QPM
 
     def __post_init__(self) -> None:
         if self.cutoff_qpm <= 0:

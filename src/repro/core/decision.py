@@ -164,6 +164,11 @@ def judge(
     )
 
 
+#: The naive baseline's cutoff (queries/min over one link): DD-POLICE's
+#: warning threshold, so the two defenses are compared at the same scale.
+NAIVE_THRESHOLD_QPM = 500.0
+
+
 def judge_rate_cutoff(
     cutoff_qpm: float, observer: Hashable, suspect: Hashable, count: float
 ) -> Verdict:

@@ -30,10 +30,11 @@ pmap over the whole plan, in plan order; ``workers=1`` byte-identical)
 and aggregates the keyed results into scenario-native rows: damage is
 always :func:`_damage_vs_baseline` against the clean twin run, and
 trials are always averaged by :func:`~repro.experiments.spec.mean` (one
-trial is the n = 1 case, not a separate branch). The ``scaling`` and
-``ablation-*`` drivers run fixed engine setups that no backend-neutral
-``Case`` expresses, so they map a module-level task over their own
-payloads with the same :func:`repro.exec.pmap`. A scenario's *tables*
+trial is the n = 1 case, not a separate branch). Only ``ablation-echo``
+and ``ablation-fluid-vs-des`` run fixed DES setups that no
+backend-neutral ``Case`` expresses: they map a module-level task over
+their own payloads with the same :func:`repro.exec.pmap` and refuse any
+other backend and a trace. A scenario's *tables*
 map each artifact name, declared once, to the renderer that turns those
 rows into the exact text published under ``results/`` -- ``repro run``
 is the only writer, so there is one implementation to keep
@@ -280,11 +281,14 @@ def _run_plan(
     return dict(zip(plan, run_cases(cases, backend=spec.backend, workers=workers)))
 
 
+def _agents_at_density(spec: ExperimentSpec, n: int) -> int:
+    """Agents among ``n`` peers at the grid's agent fraction (at least one)."""
+    return max(1, round(spec.grid.agent_fraction * n))
+
+
 def _derived_agents(spec: ExperimentSpec) -> int:
     """Timeline-scenario agent count: explicit or density at scale."""
-    if spec.grid.agents:
-        return spec.grid.agents
-    return max(1, round(spec.grid.agent_fraction * spec.scale.n_peers))
+    return spec.grid.agents or _agents_at_density(spec, spec.scale.n_peers)
 
 
 def _damage_vs_baseline(
@@ -911,9 +915,11 @@ def format_robustness_matrix(spec: ExperimentSpec, rows: Sequence[MatrixRow]) ->
 
 # ---------------------------------------------------------------------------
 # scenarios: table1-wire (closed form), scaling (Section 3.6) and the
-# ablations of the reproduction's own substitutions. Their sizes are the
-# driver constants below, as testbed-rate's are; each imports its engine
-# when it runs, as the backends do.
+# ablations of the reproduction's own substitutions. Their fixed sizes are
+# the driver constants below, as testbed-rate's are. scaling,
+# ablation-baselines and ablation-topology run Case plans; ablation-echo
+# and ablation-fluid-vs-des import their DES when they run, as the
+# backends do.
 # ---------------------------------------------------------------------------
 
 def _scn_table1_wire(
@@ -958,29 +964,11 @@ def _render_table1(spec: ExperimentSpec, raw: bytes) -> str:
     )
 
 
-def _fluid_tail(task: Tuple[Any, int, int]) -> Tuple[float, int, int]:
-    """pmap task: run a ``FluidConfig`` for ``minutes``.
-
-    Returns the mean success rate from minute ``tail_from`` on and the
-    run's (false negative, false positive) counts.
-    """
-    import numpy as np
-
-    from repro.fluid.model import FluidSimulation
-
-    config, minutes, tail_from = task
-    sim = FluidSimulation(config)
-    sim.run(minutes)
-    success = float(np.mean([r.success_rate for r in sim.rows if r.minute >= tail_from]))
-    errors = sim.error_counts()
-    return success, errors.false_negative, errors.false_positive
-
-
 #: Section 3.6: fluid populations compared at one agent density, each
 #: run for 12 minutes with the attack from minute 4; damage is read over
-#: the last six.
+#: minutes 7..12.
 _SCALING_SIZES = (500, 1000, 2000, 4000)
-_SCALING_MINUTES, _SCALING_ATTACK_MIN, _SCALING_TAIL = 12, 4, 6
+_SCALING_MINUTES, _SCALING_ATTACK_MIN, _SCALING_SETTLE_MIN = 12, 4, 7
 
 
 def _scn_scaling(
@@ -989,24 +977,21 @@ def _scn_scaling(
     workers: Optional[int] = None,
     trace_path: Optional[str] = None,
 ) -> ScenarioOutput:
-    """Damage at a fixed agent density across network sizes (fluid)."""
-    from repro.fluid.model import FluidConfig
-
-    tail_from = _SCALING_MINUTES - _SCALING_TAIL + 1
-    tasks = []
+    """Damage at a fixed agent density across network sizes."""
+    plan: Dict[Any, Case] = {}
     for n in _SCALING_SIZES:
-        clean = FluidConfig(n=n, seed=spec.seed, attack_start_min=_SCALING_ATTACK_MIN)
-        agents = max(1, round(spec.grid.agent_fraction * n))
-        tasks += [
-            (clean, _SCALING_MINUTES, tail_from),
-            (replace(clean, num_agents=agents), _SCALING_MINUTES, tail_from),
-        ]
-    success = [s for s, _, _ in pmap(_fluid_tail, tasks, workers=workers)]
-    rows = [
-        ScalingRow(peers=n, damage_pct=damage_rate(s0, min(s1, s0)))
-        for n, s0, s1 in zip(_SCALING_SIZES, success[::2], success[1::2])
-    ]
-    return ScenarioOutput(data=rows, cases=len(tasks))
+        clean = Case(
+            n=n, minutes=_SCALING_MINUTES, seed=spec.seed, workload=spec.workload,
+            attack_start_min=_SCALING_ATTACK_MIN, settle_min=_SCALING_SETTLE_MIN,
+        )
+        plan["clean", n] = clean
+        plan["attack", n] = replace(clean, num_agents=_agents_at_density(spec, n))
+    results = _run_plan(spec, plan, workers, trace_path)
+    rows = []
+    for n in _SCALING_SIZES:
+        s0, s1 = results["clean", n].steady[2], results["attack", n].steady[2]
+        rows.append(ScalingRow(peers=n, damage_pct=damage_rate(s0, min(s1, s0))))
+    return ScenarioOutput(data=rows, cases=len(plan))
 
 
 def _scn_ablation_baselines(
@@ -1015,31 +1000,48 @@ def _scn_ablation_baselines(
     workers: Optional[int] = None,
     trace_path: Optional[str] = None,
 ) -> ScenarioOutput:
-    """DD-POLICE vs no defense vs the naive rate cutoff (Section 2.1, fluid)."""
-    from repro.fluid.model import FluidConfig
-
+    """DD-POLICE vs no defense vs the naive rate cutoff (Section 2.1)."""
     scale = spec.scale
-    base = FluidConfig(
+    base = Case(
         n=scale.n_peers,
+        minutes=scale.sim_minutes,
         seed=spec.seed,
         num_agents=_derived_agents(spec),
         attack_start_min=scale.attack_start_min,
+        police=spec.police,
+        workload=spec.workload,
+        settle_min=scale.attack_start_min + 4,
     )
-    defenses = ("none", "ddpolice", "naive")
-    tasks = [
-        (replace(base, defense=d), scale.sim_minutes, scale.attack_start_min + 4)
-        for d in defenses
-    ]
+    plan = {d: replace(base, defense=d) for d in ("none", "ddpolice", "naive")}
+    results = _run_plan(spec, plan, workers, trace_path)
     rows = [
         DefenseRow(
             defense=d,
-            success=success,
-            false_negative=None if d == "none" else fn,
-            false_positive=None if d == "none" else fp,
+            success=res.steady[2],
+            false_negative=None if d == "none" else res.false_negative,
+            false_positive=None if d == "none" else res.false_positive,
         )
-        for d, (success, fn, fp) in zip(defenses, pmap(_fluid_tail, tasks, workers=workers))
+        for d, res in results.items()
     ]
-    return ScenarioOutput(data=rows, cases=len(tasks))
+    return ScenarioOutput(data=rows, cases=len(plan))
+
+
+def _fixed_engine(
+    spec: ExperimentSpec,
+    trace_path: Optional[str],
+    engines: Mapping[str, Callable[[Any], Any]],
+) -> Callable[[Any], Any]:
+    """The pmap task, from ``engines`` by backend, of a driver that runs
+    its own setups, not ``Case``s; they have no trace hooks either."""
+    task = engines.get(spec.backend)
+    if task is None:
+        raise ConfigError(
+            f"spec {spec.name!r} runs its own setups on backend "
+            f"{', '.join(map(repr, engines))} only, not {spec.backend!r}"
+        )
+    if trace_path is not None:
+        raise ConfigError(f"spec {spec.name!r} emits no trace records (no --trace)")
+    return task
 
 
 #: Three hand-built overlays, attacker at node 0, in growing cyclicity:
@@ -1107,11 +1109,12 @@ def _scn_ablation_echo(
     through alternate paths and count as its inflow, masking the issued
     volume.
     """
+    task = _fixed_engine(spec, trace_path, {"des": _echo_point})
     tasks = [(adjacency, spec.seed) for adjacency in _ECHO_TOPOLOGIES.values()]
     rows = [
         EchoRow(topology=name, g_max=g_max, detected=detected)
         for name, (g_max, detected) in zip(
-            _ECHO_TOPOLOGIES, pmap(_echo_point, tasks, workers=workers)
+            _ECHO_TOPOLOGIES, pmap(task, tasks, workers=workers)
         )
     ]
     return ScenarioOutput(data=rows, cases=len(tasks))
@@ -1175,10 +1178,11 @@ def _scn_ablation_fluid_vs_des(
     The measured error of the fluid substitution (DESIGN.md section
     1.1) on static overlays both engines can run.
     """
+    task = _fixed_engine(spec, trace_path, {"des": _fluid_vs_des_point})
     tasks = [(n, spec.seed) for n in _FLUID_VS_DES_SIZES]
     rows = [
         FluidVsDesRow(peers=n, des_msgs_per_min=des, fluid_msgs_per_min=fluid)
-        for (n, _), (des, fluid) in zip(tasks, pmap(_fluid_vs_des_point, tasks, workers=workers))
+        for (n, _), (des, fluid) in zip(tasks, pmap(task, tasks, workers=workers))
     ]
     return ScenarioOutput(data=rows, cases=2 * len(tasks))
 
@@ -1187,7 +1191,7 @@ def _scn_ablation_fluid_vs_des(
 #: O(n^2)), 16 minutes with the attack from minute 5, success read from
 #: minute 10 on.
 _TOPOLOGY_MAX_PEERS = 1000
-_TOPOLOGY_MINUTES, _TOPOLOGY_ATTACK_MIN, _TOPOLOGY_TAIL_FROM = 16, 5, 10
+_TOPOLOGY_MINUTES, _TOPOLOGY_ATTACK_MIN, _TOPOLOGY_SETTLE_MIN = 16, 5, 10
 
 
 def _scn_ablation_topology(
@@ -1196,40 +1200,32 @@ def _scn_ablation_topology(
     workers: Optional[int] = None,
     trace_path: Optional[str] = None,
 ) -> ScenarioOutput:
-    """Clean / attacked / defended success per topology family (fluid).
+    """Clean / attacked / defended success per topology family.
 
     Checks that the headline result is not an artifact of the BA graphs
     the paper's BRITE setup stands for.
     """
-    from repro.fluid.model import FluidConfig
-    from repro.overlay.topology import TopologyConfig
-
     n = min(spec.scale.n_peers, _TOPOLOGY_MAX_PEERS)
-    agents = max(1, round(spec.grid.agent_fraction * n))
-    tasks = []
+    plan: Dict[Any, Case] = {}
     for model in spec.grid.topologies:
-        topology = TopologyConfig(n=n, model=model, seed=spec.seed)
-        attacked = FluidConfig(
-            n=n,
-            topology=topology,
-            num_agents=agents,
-            attack_start_min=_TOPOLOGY_ATTACK_MIN,
-            defense="none",
-            seed=spec.seed,
+        clean = Case(
+            n=n, minutes=_TOPOLOGY_MINUTES, seed=spec.seed, police=spec.police,
+            workload=spec.workload, topology=model, settle_min=_TOPOLOGY_SETTLE_MIN,
         )
-        tasks += [
-            (FluidConfig(n=n, topology=topology, seed=spec.seed),
-             _TOPOLOGY_MINUTES, _TOPOLOGY_TAIL_FROM),
-            (attacked, _TOPOLOGY_MINUTES, _TOPOLOGY_TAIL_FROM),
-            (replace(attacked, defense="ddpolice"), _TOPOLOGY_MINUTES, _TOPOLOGY_TAIL_FROM),
-        ]
-    success = [s for s, _, _ in pmap(_fluid_tail, tasks, workers=workers)]
+        attacked = replace(
+            clean, num_agents=_agents_at_density(spec, n),
+            attack_start_min=_TOPOLOGY_ATTACK_MIN,
+        )
+        plan["clean", model] = clean
+        plan["attacked", model] = attacked
+        plan["defended", model] = replace(attacked, defense="ddpolice")
+    results = _run_plan(spec, plan, workers, trace_path)
+    runs = ("clean", "attacked", "defended")
     rows = [
-        TopologyRow(model=model, clean=success[i], attacked=success[i + 1],
-                    defended=success[i + 2])
-        for model, i in zip(spec.grid.topologies, range(0, len(success), 3))
+        TopologyRow(model, *(results[run, model].steady[2] for run in runs))
+        for model in spec.grid.topologies
     ]
-    return ScenarioOutput(data=rows, cases=len(tasks))
+    return ScenarioOutput(data=rows, cases=len(plan))
 
 
 # ---------------------------------------------------------------------------

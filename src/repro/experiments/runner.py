@@ -14,7 +14,7 @@ from typing import Any, Dict, Optional, Set
 from repro.attack.adaptive import AdaptiveConfig
 from repro.attack.cheating import CheatStrategy
 from repro.attack.scenario import AttackScenario, ScenarioConfig
-from repro.baselines.naive import NaiveCutoffConfig, deploy_naive
+from repro.baselines.naive import deploy_naive
 from repro.baselines.traceback import TracebackConfig, deploy_traceback
 from repro.churn.process import ChurnConfig, ChurnProcess
 from repro.core.config import DDPoliceConfig
@@ -58,7 +58,6 @@ class DESConfig:
     #: Defense: "none" | "ddpolice" | "naive" | "traceback".
     defense: str = "none"
     police: DDPoliceConfig = DDPoliceConfig()
-    naive_cutoff_qpm: float = 500.0
     traceback: TracebackConfig = TracebackConfig()
     #: Fault schedule executed against the run (empty plan = no injector
     #: attached, transmit path untouched). Random crash / fail-slow
@@ -89,8 +88,6 @@ class DESConfig:
             raise ConfigError(
                 "adaptive strategy 'collude' requires cheat_strategy 'collude'"
             )
-        if self.naive_cutoff_qpm <= 0:
-            raise ConfigError("naive_cutoff_qpm must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
 
@@ -219,7 +216,7 @@ def run_des_experiment(config: DESConfig) -> DESRun:
         )
         judgments = next(iter(engines.values())).judgments if engines else None
     elif config.defense == "naive":
-        defenses = deploy_naive(network, NaiveCutoffConfig(config.naive_cutoff_qpm))
+        defenses = deploy_naive(network)
         judgments = next(iter(defenses.values())).judgments if defenses else None
     elif config.defense == "traceback":
         tracebacks = deploy_traceback(

@@ -512,10 +512,11 @@ class Case:
     workload: WorkloadSpec = WorkloadSpec()
     #: Fault schedule (DES backend only; fluid ignores it).
     faults: FaultPlan = FaultPlan()
-    #: DES topology attachment parameter override (None = default).
+    #: Message-level topology attachment parameter override (None =
+    #: default); the fluid backend ignores it and floods the default BA.
     ba_m: Optional[int] = None
-    #: DES topology model override (None = default BA); the fluid
-    #: backend is topology-free and rejects any override.
+    #: Topology model override (None = default BA), honoured by every
+    #: backend through :func:`topology_config`.
     topology: Optional[str] = None
     #: Adaptive-adversary behaviour (DES backend only).
     adaptive: AdaptiveConfig = AdaptiveConfig()
@@ -676,22 +677,20 @@ def case_result(
 # ---------------------------------------------------------------------------
 
 def _fluid_config(case: Case) -> Any:
-    """The :class:`FluidConfig` of one case; rejects what fluid cannot run."""
+    """The :class:`FluidConfig` of one case; rejects what fluid cannot run.
+
+    The one producer of a ``FluidConfig`` in the experiment layer.
+    """
     from repro.fluid.model import FluidConfig
 
-    # The fluid model is topology-free, simulates the *static* flooder,
-    # and aggregates Neighbor_Traffic without per-report collusion
-    # semantics -- reject matrix-only features loudly rather than run a
-    # simulation that silently ignores them.
+    # The fluid model simulates the *static* flooder and aggregates
+    # Neighbor_Traffic without per-report collusion semantics -- reject
+    # matrix-only features loudly rather than run a simulation that
+    # silently ignores them.
     if case.adaptive.strategy != "static":
         raise ConfigError(
             f"backend 'fluid' cannot simulate adaptive strategy "
             f"{case.adaptive.strategy!r} (DES only)"
-        )
-    if case.topology is not None:
-        raise ConfigError(
-            f"backend 'fluid' is topology-free; cannot honor topology "
-            f"{case.topology!r} (DES only)"
         )
     if case.defense == "traceback":
         raise ConfigError("backend 'fluid' has no traceback defense (DES only)")
@@ -701,6 +700,9 @@ def _fluid_config(case: Case) -> Any:
         )
     return FluidConfig(
         n=case.n,
+        # ba_m stays message-level only: fig9-11 pin ba_m=1 for the DES,
+        # and their fluid tables run the default BA overlay.
+        topology=topology_config(replace(case, ba_m=None), case.n),
         seed=case.seed,
         num_agents=case.num_agents,
         attack_start_min=case.attack_start_min,

@@ -17,13 +17,14 @@ One :class:`FluidSimulation` advances minute by minute:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 import numpy as np
 
 from repro.attack.cheating import CheatStrategy
 from repro.core.config import DDPoliceConfig
+from repro.core.decision import NAIVE_THRESHOLD_QPM
 from repro.errors import ConfigError, MetricsError
 from repro.fluid.coverage import novelty_schedule
 from repro.fluid.flows import FlowResult, propagate_flows
@@ -36,6 +37,11 @@ from repro.simkit.rng import RngRegistry, derive_seed
 from repro.overlay.content import ContentCatalog, ContentConfig
 from repro.overlay.topology import TopologyConfig, generate_topology
 
+#: Flood radius of every query (the Gnutella default).
+TTL = 7
+#: Per-hop link latency and the cap on a hop's queueing wait (seconds).
+HOP_LATENCY_S, QUEUE_WAIT_CAP_S = 0.05, 2.0
+
 
 @dataclass(frozen=True)
 class FluidConfig:
@@ -43,19 +49,13 @@ class FluidConfig:
 
     n: int = 2000
     topology: Optional[TopologyConfig] = None
-    ttl: int = 7
     #: Normal-peer behaviour.
     issue_rate_qpm: float = 0.3
     capacity_qpm: float = 10_000.0
-    #: Attack.
+    #: Attack: each agent floods at min(nominal, its upstream capacity).
     num_agents: int = 0
     attack_start_min: int = 0
     attack_nominal_qpm: float = 20_000.0
-    cap_attack_by_bandwidth: bool = True
-    #: Agents stay online for the whole attack by default ("keep sending
-    #: out attack queries at the maximum rate"); they still lose their
-    #: position when the defense expels them, and rejoin via churn.
-    agents_churn: bool = False
     cheat_strategy: CheatStrategy = CheatStrategy.SILENT
     #: Dynamics.
     churn: FluidChurnConfig = FluidChurnConfig()
@@ -67,11 +67,6 @@ class FluidConfig:
     #: Defense: "none" | "ddpolice" | "naive".
     defense: str = "none"
     police: DDPoliceConfig = DDPoliceConfig()
-    naive_cutoff_qpm: float = 500.0
-    #: Content / service model.
-    content: ContentConfig = ContentConfig()
-    hop_latency_s: float = 0.05
-    max_queue_wait_s: float = 2.0
     seed: int = 0
     #: JSONL file the run appends one ``fluid.minute`` record per step
     #: to. ``None`` (the default) costs one branch per minute step, and
@@ -81,8 +76,6 @@ class FluidConfig:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ConfigError("n must be >= 2")
-        if self.ttl < 1:
-            raise ConfigError("ttl must be >= 1")
         if self.issue_rate_qpm < 0:
             raise ConfigError("issue_rate_qpm must be non-negative")
         if self.capacity_qpm <= 0:
@@ -99,18 +92,8 @@ class FluidConfig:
             raise ConfigError("exchange_period_min must be >= 1")
         if self.defense not in ("none", "ddpolice", "naive"):
             raise ConfigError(f"unknown defense {self.defense!r}")
-        if self.naive_cutoff_qpm <= 0:
-            raise ConfigError("naive_cutoff_qpm must be positive")
-        if self.hop_latency_s <= 0:
-            raise ConfigError("hop_latency_s must be positive")
-        if self.max_queue_wait_s < 0:
-            raise ConfigError("max_queue_wait_s must be non-negative")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-
-    def without_attack(self) -> "FluidConfig":
-        """Baseline twin (same seed, no agents) for damage-rate series."""
-        return replace(self, num_agents=0, defense="none")
 
 
 @dataclass
@@ -173,18 +156,15 @@ class FluidSimulation:
         # Attack rate per agent: Q_d = min(nominal, upstream capacity).
         self.attack_rate: Dict[int, float] = {}
         for u in sorted(self.bad_peers):
-            cap = (
-                float(self.upstream_qpm[u])
-                if config.cap_attack_by_bandwidth
-                else float("inf")
+            self.attack_rate[u] = min(
+                config.attack_nominal_qpm, float(self.upstream_qpm[u])
             )
-            self.attack_rate[u] = min(config.attack_nominal_qpm, cap)
 
         self.capacity = np.full(config.n, config.capacity_qpm)
-        self.catalog = ContentCatalog(config.content, config.n)
+        self.catalog = ContentCatalog(ContentConfig(), config.n)
         self._pop = np.asarray(self.catalog.popularity)
         self._rep = np.asarray(
-            [self.catalog.replica_count(o) for o in range(config.content.num_objects)],
+            [self.catalog.replica_count(o) for o in range(self.catalog.config.num_objects)],
             dtype=float,
         )
 
@@ -200,11 +180,13 @@ class FluidSimulation:
             )
         elif config.defense == "naive":
             self.naive = FluidNaiveCutoff(
-                config.naive_cutoff_qpm, self.bad_peers, judgment_log=self.judgments
+                NAIVE_THRESHOLD_QPM, self.bad_peers, judgment_log=self.judgments
             )
 
-        if not config.agents_churn:
-            self.state.pinned = set(self.bad_peers)
+        # Agents stay online for the whole attack ("keep sending out
+        # attack queries at the maximum rate"); they still lose their
+        # position when the defense expels them, and rejoin via churn.
+        self.state.pinned = set(self.bad_peers)
 
         # Churn-only warmup: converge the online population/topology to
         # steady state before minute 0.
@@ -311,7 +293,7 @@ class FluidSimulation:
         degrees = deg_all[state.online]
         if degrees.size == 0:
             degrees = [0]
-        sigma = novelty_schedule(degrees, cfg.ttl, n=max(1, online))
+        sigma = novelty_schedule(degrees, TTL, n=max(1, online))
         flow = propagate_flows(
             src,
             dst,
@@ -320,7 +302,7 @@ class FluidSimulation:
             good_rate=good_rate,
             attack_edge_inject=attack_inject,
             capacity=self.capacity,
-            ttl=cfg.ttl,
+            ttl=TTL,
             sigma=sigma,
             upstream_qpm=self.upstream_qpm,
             downstream_qpm=self.downstream_qpm,
@@ -393,7 +375,7 @@ class FluidSimulation:
         fraction, so survival multiplies the path-weighted rho per hop.
         """
         if flow.good_injected <= 0:
-            return np.zeros(self.config.ttl)
+            return np.zeros(TTL)
         per_hop = flow.good_processed_per_hop / flow.good_injected
         survival = np.cumprod(flow.good_path_quality_per_hop)
         return per_hop * survival
@@ -438,7 +420,7 @@ class FluidSimulation:
         if total <= 1e-12:
             return 0.0
         pmf = np.diff(np.concatenate([[0.0], p_h])) / total
-        hops = np.arange(1, cfg.ttl + 1)
+        hops = np.arange(1, TTL + 1)
         expected_hops = float((pmf * hops).sum())
         # Congestion delay: demand-weighted utilization across nodes (a
         # response crosses the nodes where the load actually is).
@@ -449,8 +431,8 @@ class FluidSimulation:
         mean_util = min(mean_util, 0.98)
         service_s = 60.0 / cfg.capacity_qpm
         wait = service_s * mean_util / (2.0 * (1.0 - mean_util))
-        wait = min(wait, cfg.max_queue_wait_s)
-        hop_delay = cfg.hop_latency_s + wait
+        wait = min(wait, QUEUE_WAIT_CAP_S)
+        hop_delay = HOP_LATENCY_S + wait
         return 2.0 * expected_hops * hop_delay
 
     # ------------------------------------------------------------------

@@ -132,6 +132,26 @@ def test_trace_flag_without_a_simulation_writes_an_empty_trace(tmp_path, capsys)
     assert capsys.readouterr().out.splitlines() == ["records: 0"]
 
 
+@pytest.mark.parametrize("name", ["ablation-echo", "ablation-fluid-vs-des"])
+def test_fixed_des_ablations_refuse_other_backends_and_trace(name, tmp_path, capsys):
+    assert main(["run", name, "--backend", "fluid"]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "'fluid'" in err
+    assert main(["run", name, "--trace", str(tmp_path / "t.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "trace" in err
+
+
+def test_trace_reaches_every_ablation_baselines_case(tmp_path, capsys):
+    trace = tmp_path / "run.jsonl"
+    argv = ["run", "ablation-baselines", "--scale", "smoke", "--trace", str(trace)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["trace", "summarize", str(trace)]) == 0
+    # three defenses x 12 smoke minutes
+    assert "  fluid.minute: 36" in capsys.readouterr().out.splitlines()
+
+
 def test_profile_flag_prints_top_functions(capsys):
     assert main(["run", "fig5", "--scale", "smoke", "--profile"]) == 0
     out = capsys.readouterr().out

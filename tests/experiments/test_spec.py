@@ -369,10 +369,47 @@ def test_fluid_backend_rejects_des_only_features():
     with pytest.raises(ConfigError, match="adaptive strategy.*DES only"):
         task(Case(n=300, minutes=3, seed=0,
                   adaptive=AdaptiveConfig(strategy="pulse")))
-    with pytest.raises(ConfigError, match="topology.*DES only"):
-        task(Case(n=300, minutes=3, seed=0, topology="bittorrent"))
     with pytest.raises(ConfigError, match="traceback.*DES only"):
         task(Case(n=300, minutes=3, seed=0, defense="traceback"))
+
+
+def test_fluid_config_builds_the_case_topology():
+    from repro.experiments.spec import Case, _fluid_config
+    from repro.overlay.topology import TopologyConfig
+
+    waxman = _fluid_config(Case(n=300, minutes=3, seed=4, topology="waxman"))
+    assert waxman.topology == TopologyConfig(n=300, seed=4, model="waxman")
+    # ba_m is message-level only: fig9-11 pin ba_m=1 and their fluid
+    # tables flood the default BA overlay.
+    pinned = _fluid_config(Case(n=300, minutes=3, seed=4, ba_m=1))
+    assert pinned.topology == TopologyConfig(n=300, seed=4)
+
+
+def test_fluid_specs_hand_their_cases_to_the_run_backend(monkeypatch):
+    """scaling, ablation-baselines and ablation-topology run ``Case``s, so
+    ``--backend`` and ``--trace`` reach every one of them."""
+    import repro.experiments.library as library
+    from repro.experiments.spec import case_result
+
+    calls = []
+
+    def fake_run_cases(cases, *, backend, workers):
+        calls.append((backend, list(cases)))
+        minutes = [(float(m), 1.0, 0.1, 0.9) for m in range(1, 17)]
+        return [case_result(c, minutes[: c.minutes], {}, ()) for c in cases]
+
+    monkeypatch.setattr(library, "run_cases", fake_run_cases)
+    for name, n_cases in (
+        ("scaling", 8),
+        ("ablation-baselines", 3),
+        ("ablation-topology", 12),
+    ):
+        calls.clear()
+        run_spec(name, backend="des", trace_path="t.jsonl", cache=False)
+        [(backend, cases)] = calls
+        assert backend == "des"
+        assert len(cases) == n_cases
+        assert all(c.trace_path == "t.jsonl" for c in cases)
 
 
 def test_spec_validation():
