@@ -16,7 +16,7 @@ tolerance, disconnection with an explanatory Bye.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, List, NamedTuple, Optional, Set
+from typing import Dict, FrozenSet, Hashable, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigError
 
@@ -47,11 +47,13 @@ class NeighborListDirectory:
 
     def __init__(self) -> None:
         self._lists: Dict[Hashable, ListSnapshot] = {}
-        #: Reverse index: peer -> owners whose stored list claims it.
-        #: Makes the per-list consistency cross-check O(claimers) instead
-        #: of O(directory); behavior-identical because :meth:`claimers`
-        #: replays the owners in ``_lists`` insertion order (``_seq``).
-        self._claimed_by: Dict[Hashable, Set[Hashable]] = {}
+        #: Reverse index: peer -> owners whose stored list claims it, as
+        #: one tuple kept in ``_lists`` insertion order (``_seq``). Makes
+        #: the per-list consistency cross-check O(claimers) instead of
+        #: O(directory); behavior-identical because :meth:`claimers`
+        #: yields the owners an :meth:`owners` scan would. A peer nobody
+        #: claims has no key.
+        self._claimed_by: Dict[Hashable, Tuple[Hashable, ...]] = {}
         self._seq: Dict[Hashable, int] = {}
         self._next_seq = 0
 
@@ -83,19 +85,38 @@ class NeighborListDirectory:
             self._next_seq += 1
         else:
             old = held.neighbors
-        if new != old:  # a re-published list leaves the reverse index alone
+        # A re-published list -- usually the very object already held --
+        # leaves the reverse index alone.
+        if new is not old and new != old:
             for peer in old - new:
-                self._claimed_by[peer].discard(owner)
+                self._unclaim(peer, owner)
             for peer in new - old:
-                self._claimed_by.setdefault(peer, set()).add(owner)
+                self._claim(peer, owner)
         self._lists[owner] = ListSnapshot(owner, new, now, sent_at)
         return True
+
+    def _claim(self, peer: Hashable, owner: Hashable) -> None:
+        held = self._claimed_by.get(peer, ())
+        seq = self._seq
+        rank = seq[owner]
+        i = len(held)
+        while i and seq[held[i - 1]] > rank:  # usually appends
+            i -= 1
+        self._claimed_by[peer] = held[:i] + (owner,) + held[i:]
+
+    def _unclaim(self, peer: Hashable, owner: Hashable) -> None:
+        held = self._claimed_by[peer]
+        if len(held) == 1:
+            del self._claimed_by[peer]
+        else:
+            i = held.index(owner)
+            self._claimed_by[peer] = held[:i] + held[i + 1:]
 
     def forget(self, owner: Hashable) -> None:
         snap = self._lists.pop(owner, None)
         if snap is not None:
             for peer in snap.neighbors:
-                self._claimed_by[peer].discard(owner)
+                self._unclaim(peer, owner)
             del self._seq[owner]
 
     def get(self, owner: Hashable) -> Optional[ListSnapshot]:
@@ -119,13 +140,7 @@ class NeighborListDirectory:
         :meth:`owners` scan filtered on membership would yield, so
         consumers switching to this index see identical iteration order.
         """
-        found = self._claimed_by.get(peer)
-        if not found:
-            return []
-        if len(found) == 1:
-            return list(found)
-        return sorted(found, key=self._seq.__getitem__)
-
+        return list(self._claimed_by.get(peer, ()))
 
 
 class ConsistencyTracker:

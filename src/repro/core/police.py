@@ -24,7 +24,7 @@ reports* -- exactly the adversary model of Section 3.4.
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, Optional, Set
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.attack.adaptive import CollusionRing
 from repro.attack.cheating import CheatStrategy, apply_cheat
@@ -119,8 +119,12 @@ class DDPoliceEngine:
         # Rate limiter for confirmation list exchanges with non-neighbors.
         self._list_courtesy: Dict[PeerId, float] = {}
         # Last time each peer's list reached us -- the implicit ack that
-        # cancels a pending exchange retransmission.
+        # cancels a pending exchange retransmission (kept only when
+        # retransmission is on).
         self._last_list_from: Dict[PeerId, float] = {}
+        # (published list, that list plus the fellow colluders), rebuilt
+        # when the peer's neighbor list changes.
+        self._lie: Optional[Tuple[FrozenSet[PeerId], FrozenSet[PeerId]]] = None
         self._stopped = False
 
         peer.control_handlers.append(self._on_control)
@@ -156,14 +160,20 @@ class DDPoliceEngine:
     # step 1: neighbor-list exchange
     # ------------------------------------------------------------------
     def _make_list_msg(self, now: float) -> NeighborListMessage:
-        claimed = frozenset(self.peer.neighbors)
+        # One object per neighbor-set version: every message and every
+        # receiving directory share it.
+        claimed = self.peer.neighbor_list
         if self.collusion is not None:
             # The consistent lie: claim every fellow colluder as a
             # neighbor. Each of them claims us back, so the pairwise
             # cross-check of Section 3.2 sees two corroborating lists --
             # and the fabricated members enlarge the suspect's buddy
             # group with witnesses that will excuse it.
-            claimed = claimed | (self.collusion.members - {self.peer.id})
+            if self._lie is None or self._lie[0] is not claimed:
+                self._lie = (
+                    claimed, claimed | (self.collusion.members - {self.peer.id})
+                )
+            claimed = self._lie[1]
         return NeighborListMessage(
             guid=self.network.guid_factory.new(),
             ttl=1,
@@ -225,7 +235,8 @@ class DDPoliceEngine:
         now = self.network.now
         listed = msg.neighbors
         directory = self.directory
-        self._last_list_from[src] = now
+        if self.config.exchange_retransmit_limit > 0:
+            self._last_list_from[src] = now
         if not directory.update(sender, listed, now, sent_at=msg.sent_at):
             # Reordered/duplicated stale list: fresher evidence already
             # held, so neither the directory nor the consistency checks

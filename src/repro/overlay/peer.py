@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.errors import ProtocolError
 from repro.evidence.dedup import ExactSeenCache
@@ -86,6 +86,7 @@ class Peer:
         "network",
         "state",
         "neighbors",
+        "_neighbor_list",
         "processing",
         "upstream_qpm",
         "counters",
@@ -114,6 +115,7 @@ class Peer:
         self.network = network
         self.state = PeerState.OFFLINE
         self.neighbors: Set[PeerId] = set()
+        self._neighbor_list: Optional[FrozenSet[PeerId]] = None
         self.processing = TokenBucket(rate_per_min=processing_qpm)
         self.upstream_qpm = upstream_qpm
         self.counters = PeerCounters()
@@ -149,6 +151,7 @@ class Peer:
     def go_offline(self) -> None:
         self.state = PeerState.OFFLINE
         self.neighbors.clear()
+        self._neighbor_list = None
         self._route_back.clear()
         self._seen.clear()
         self.out_query_window.clear()
@@ -166,10 +169,26 @@ class Peer:
     # ------------------------------------------------------------------
     # neighbor management
     # ------------------------------------------------------------------
+    @property
+    def neighbor_list(self) -> FrozenSet[PeerId]:
+        """The neighbor list this peer publishes: ``frozenset(neighbors)``.
+
+        Built once per neighbor-set version and shared by every message
+        and every directory that stores it, so n observers of one list
+        hold one object. The three mutators drop it, so it is always a
+        frozenset of the set as it is now and iterates exactly like a
+        per-message copy would.
+        """
+        published = self._neighbor_list
+        if published is None:
+            published = self._neighbor_list = frozenset(self.neighbors)
+        return published
+
     def add_neighbor(self, other: PeerId) -> None:
         if other == self.id:
             raise ProtocolError(f"peer {self.id} cannot neighbor itself")
         self.neighbors.add(other)
+        self._neighbor_list = None
         self.out_query_window.setdefault(other, 0)
         self.in_query_window.setdefault(other, 0)
         for listener in self.connect_listeners:
@@ -177,6 +196,7 @@ class Peer:
 
     def remove_neighbor(self, other: PeerId, reason_code: int = Bye.REASON_NORMAL) -> None:
         self.neighbors.discard(other)
+        self._neighbor_list = None
         self.out_query_window.pop(other, None)
         self.in_query_window.pop(other, None)
         for listener in self.disconnect_listeners:

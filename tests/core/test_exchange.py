@@ -1,6 +1,8 @@
 """Unit tests for neighbor-list exchange and consistency checking."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.exchange import ConsistencyTracker, ListSnapshot, NeighborListDirectory
 from repro.errors import ConfigError
@@ -85,3 +87,44 @@ def test_consistency_tracker_forgiveness():
 def test_consistency_tracker_validation():
     with pytest.raises(ConfigError):
         ConsistencyTracker(tolerance=0)
+
+
+# The directory's reverse index against its definition, over random
+# update / forget / re-publish / re-add sequences on a five-id alphabet
+# (owners and claimed peers drawn from the same ids, self-claims included).
+IDS = "abcde"
+_lists = st.frozensets(st.sampled_from(IDS), max_size=len(IDS))
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("update"), st.sampled_from(IDS), _lists,
+                  st.none() | st.integers(0, 3)),
+        st.tuples(st.just("forget"), st.sampled_from(IDS)),
+        st.tuples(st.just("republish"), st.sampled_from(IDS)),
+        st.tuples(st.just("readd"), st.sampled_from(IDS), _lists),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=_ops)
+def test_claimer_index_matches_a_directory_scan(ops):
+    d = NeighborListDirectory()
+    for step, (op, owner, *args) in enumerate(ops):
+        if op == "update":
+            neighbors, sent_at = args
+            d.update(owner, neighbors, now=float(step), sent_at=sent_at)
+        elif op == "forget":
+            d.forget(owner)
+        elif op == "republish" and d.get(owner) is not None:
+            held = d.get(owner)
+            assert d.update(owner, held.neighbors, now=float(step), sent_at=held.sent_at)
+            assert d.get(owner).neighbors is held.neighbors
+        elif op == "readd":  # back at the end of the insertion order
+            d.forget(owner)
+            d.update(owner, args[0], now=float(step))
+        for p in IDS:
+            assert d.claimers(p) == [o for o in d.owners() if p in d.known_neighbors(o)]
+        # No key outlives its last claimer.
+        claimed = {p for o in d.owners() for p in d.known_neighbors(o)}
+        assert set(d._claimed_by) == claimed

@@ -178,6 +178,30 @@ def test_connect_listeners_fire(line_network):
     assert events == [PeerId(2)]
 
 
+def test_neighbor_list_is_one_object_per_neighbor_set_version(star_network):
+    sim, net = star_network
+    center = net.peers[PeerId(0)]
+    published = center.neighbor_list
+    assert center.neighbor_list is published
+    assert list(published) == list(frozenset(center.neighbors))
+    seen = []  # listeners run after the memo is dropped
+    center.connect_listeners.append(lambda nb: seen.append(center.neighbor_list))
+    center.disconnect_listeners.append(
+        lambda nb, code: seen.append(center.neighbor_list)
+    )
+    for mutate in (
+        lambda: center.add_neighbor(PeerId(5)),
+        lambda: center.remove_neighbor(PeerId(1)),
+        center.go_offline,
+    ):
+        mutate()
+        assert center.neighbor_list is not published
+        published = center.neighbor_list
+        assert published == center.neighbors
+        assert list(published) == list(frozenset(center.neighbors))
+    assert [sorted(p.value for p in lst) for lst in seen] == [[1, 2, 3, 4, 5], [2, 3, 4, 5]]
+
+
 def test_self_neighbor_rejected(line_network):
     sim, net = line_network
     with pytest.raises(ProtocolError):
