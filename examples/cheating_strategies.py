@@ -53,7 +53,7 @@ def run_strategy(strategy: CheatStrategy):
         bad_strategy=strategy,
     )
     agent = DDoSAgent(
-        sim, net, attacker, AgentConfig(nominal_rate_qpm=3000.0, per_neighbor=True)
+        sim, net, attacker, AgentConfig(nominal_rate_qpm=3000.0)
     )
     agent.start()
     sim.run(until=240.0)

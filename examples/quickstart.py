@@ -61,7 +61,7 @@ def main() -> None:
         sim,
         network,
         attacker,
-        AgentConfig(nominal_rate_qpm=6000.0, per_neighbor=True),
+        AgentConfig(nominal_rate_qpm=6000.0),
     )
     agent.start()
     print(f"attacker {attacker.ipv4} starts flooding "

@@ -33,10 +33,10 @@ once the defense's mechanics are public, each selectable through
     per-minute counters investigations judge on straddle the bursts, so
     detection latency stretches with the duty cycle.
 
-``static`` (the default) reproduces the paper's attacker exactly --
-:class:`repro.attack.scenario.AttackScenario` builds plain
-:class:`~repro.attack.agent.DDoSAgent` instances on that path, keeping
-every existing figure byte-identical.
+``static`` (the default) reproduces the paper's attacker exactly -- the
+DES runner (:func:`repro.experiments.runner.run_des_experiment`) plants
+plain :class:`~repro.attack.agent.DDoSAgent` instances on that path,
+keeping every existing figure byte-identical.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from repro.simkit.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.churn.process import ChurnProcess
-    from repro.workload.trace import QueryTraceReader
 
 #: Valid values of :attr:`AdaptiveConfig.strategy`.
 ADAPTIVE_STRATEGIES: Tuple[str, ...] = (
@@ -167,9 +166,8 @@ class AdaptiveAgent(DDoSAgent):
         *,
         churn: Optional["ChurnProcess"] = None,
         rng: Optional[random.Random] = None,
-        trace: Optional["QueryTraceReader"] = None,
     ) -> None:
-        super().__init__(sim, network, peer_id, config, rng=rng, trace=trace)
+        super().__init__(sim, network, peer_id, config, rng=rng)
         if adaptive.strategy == "churn" and churn is None:
             raise ConfigError(
                 "churn-assisted evasion needs a ChurnProcess to drive"

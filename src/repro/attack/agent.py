@@ -5,30 +5,31 @@ that it generates and issues a large number of queries during every time
 unit." Section 3.5 fixes the rate law: ``Q_d = min(20,000, link
 capacity)`` queries per minute.
 
-The agent batches its issue events (default once per second) to keep the
-event count tractable; each batch sends ``rate/batches_per_min`` distinct
-bogus queries. With ``per_neighbor=True`` (default) every neighbor gets a
-*different* query -- the Figure 1 pattern that maximizes damage and makes
-naive rate-based blocking dangerous.
+The agent batches its issue events (once per :data:`BATCH_INTERVAL_S`)
+to keep the event count tractable; each batch sends
+``rate/batches_per_min`` distinct bogus queries, round-robin over the
+neighbors so every neighbor gets a *different* query -- the Figure 1
+pattern that maximizes damage and makes naive rate-based blocking
+dangerous.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-import itertools
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.attack.cheating import CheatStrategy
 from repro.errors import ConfigError
 from repro.overlay.ids import PeerId
-from repro.overlay.network import OverlayNetwork
 from repro.simkit.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.workload.trace import QueryTraceReader
+    from repro.overlay.network import OverlayNetwork
+
+#: Seconds between an agent's issue batches (the des-soa engine's attack
+#: batches read the same constant).
+BATCH_INTERVAL_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,6 @@ class AgentConfig:
 
     nominal_rate_qpm: float = 20_000.0
     link_capacity_qpm: float = float("inf")
-    per_neighbor: bool = True
-    batch_interval_s: float = 1.0
     cheat_strategy: CheatStrategy = CheatStrategy.SILENT
     ttl: Optional[int] = None
 
@@ -47,8 +46,6 @@ class AgentConfig:
             raise ConfigError("nominal_rate_qpm must be positive")
         if self.link_capacity_qpm <= 0:
             raise ConfigError("link_capacity_qpm must be positive")
-        if self.batch_interval_s <= 0:
-            raise ConfigError("batch_interval_s must be positive")
 
     @property
     def effective_rate_qpm(self) -> float:
@@ -72,7 +69,6 @@ class DDoSAgent:
         config: AgentConfig = AgentConfig(),
         *,
         rng: Optional[random.Random] = None,
-        trace: Optional["QueryTraceReader"] = None,
     ) -> None:
         self.sim = sim
         self.network = network
@@ -83,12 +79,6 @@ class DDoSAgent:
         self._carry = 0.0  # fractional queries carried between batches
         self._nonce = 0
         self.queries_sent = 0
-        # Section 2.3: "The querying thread reads queries from the log
-        # file collected by the monitoring node and issues these
-        # queries." Cycled forever, like the prototype's replay loop.
-        self._trace_iter: Optional[Iterator] = None
-        if trace is not None:
-            self._trace_iter = itertools.cycle(trace.read_all())
 
     @property
     def active(self) -> bool:
@@ -124,12 +114,6 @@ class DDoSAgent:
 
     def _bogus_keywords(self) -> Tuple[str, ...]:
         self._nonce += 1
-        if self._trace_iter is not None:
-            record = next(self._trace_iter)
-            # replayed queries keep their captured search strings; every
-            # message still gets a fresh GUID, so dedup never collapses
-            # them (same as the LimeWire prototype)
-            return tuple(record.search_string.split())
         return ("bogus", f"x{self.peer_id.value}n{self._nonce}")
 
     def _batch_rate_qpm(self, n_neighbors: int) -> float:
@@ -147,20 +131,12 @@ class DDoSAgent:
         peer = self.network.peers[self.peer_id]
         if peer.online and peer.neighbors:
             rate_qpm = self._batch_rate_qpm(len(peer.neighbors))
-            per_batch = (
-                rate_qpm
-                * self.config.batch_interval_s
-                / 60.0
-                + self._carry
-            )
+            per_batch = rate_qpm * BATCH_INTERVAL_S / 60.0 + self._carry
             count = int(per_batch)
             self._carry = per_batch - count
             neighbors = sorted(peer.neighbors, key=lambda p: p.value)
             for i in range(count):
-                if self.config.per_neighbor:
-                    nb = neighbors[i % len(neighbors)]
-                    peer.originate_query_to(nb, self._bogus_keywords(), ttl=self.config.ttl)
-                else:
-                    peer.issue_query(self._bogus_keywords(), ttl=self.config.ttl)
+                nb = neighbors[i % len(neighbors)]
+                peer.originate_query_to(nb, self._bogus_keywords(), ttl=self.config.ttl)
                 self.queries_sent += 1
-        self.sim.schedule_in(self.config.batch_interval_s, self._batch)
+        self.sim.schedule_in(BATCH_INTERVAL_S, self._batch)

@@ -135,6 +135,31 @@ class GnutellaHeader:
 
 
 # ---------------------------------------------------------------------------
+# shared decode plumbing for every payload
+# ---------------------------------------------------------------------------
+
+def _decode_body(raw: bytes, kind: MessageKind) -> "tuple[GnutellaHeader, bytes]":
+    """Common prologue: parse + kind-check the header, length-check the body."""
+    header = GnutellaHeader.decode(raw)
+    if header.kind is not kind:
+        raise WireFormatError(f"expected {kind.name}, got {header.kind}")
+    body = raw[HEADER_SIZE:]
+    if len(body) != header.payload_length:
+        raise WireFormatError(
+            f"body length {len(body)} != header payload_length "
+            f"{header.payload_length}"
+        )
+    return header, body
+
+
+def _decode_text(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise WireFormatError(f"bad {what} text: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
 # Neighbor_Traffic (Table 1)
 # ---------------------------------------------------------------------------
 
@@ -167,20 +192,13 @@ def encode_neighbor_traffic(msg: NeighborTrafficMessage) -> bytes:
 
 def decode_neighbor_traffic(raw: bytes) -> NeighborTrafficMessage:
     """Parse header + body back into a message object."""
-    header = GnutellaHeader.decode(raw)
-    if header.kind is not MessageKind.NEIGHBOR_TRAFFIC:
-        raise WireFormatError(f"expected Neighbor_Traffic, got {header.kind}")
-    if header.payload_length != NEIGHBOR_TRAFFIC_BODY_SIZE:
+    header, body = _decode_body(raw, MessageKind.NEIGHBOR_TRAFFIC)
+    if len(body) != NEIGHBOR_TRAFFIC_BODY_SIZE:
         raise WireFormatError(
             f"Neighbor_Traffic body must be {NEIGHBOR_TRAFFIC_BODY_SIZE} bytes, "
-            f"header says {header.payload_length}"
+            f"got {len(body)}"
         )
-    body = raw[HEADER_SIZE:]
-    if len(body) < NEIGHBOR_TRAFFIC_BODY_SIZE:
-        raise WireFormatError(f"truncated body: {len(body)} bytes")
-    src_raw, sus_raw, ts, out_q, in_q = _TRAFFIC_BODY_STRUCT.unpack(
-        body[:NEIGHBOR_TRAFFIC_BODY_SIZE]
-    )
+    src_raw, sus_raw, ts, out_q, in_q = _TRAFFIC_BODY_STRUCT.unpack(body)
     return NeighborTrafficMessage(
         guid=header.guid,
         ttl=header.ttl,
@@ -218,14 +236,7 @@ def encode_neighbor_list(msg: NeighborListMessage) -> bytes:
 
 def decode_neighbor_list(raw: bytes) -> NeighborListMessage:
     """Parse header + neighbor-list body back into a message object."""
-    header = GnutellaHeader.decode(raw)
-    if header.kind is not MessageKind.NEIGHBOR_LIST:
-        raise WireFormatError(f"expected NeighborList, got {header.kind}")
-    body = raw[HEADER_SIZE:]
-    if len(body) != header.payload_length:
-        raise WireFormatError(
-            f"body length {len(body)} != header payload_length {header.payload_length}"
-        )
+    header, body = _decode_body(raw, MessageKind.NEIGHBOR_LIST)
     if len(body) < 6:
         raise WireFormatError("neighbor-list body too short")
     sender = _decode_addr(body[:4], "sender")
@@ -246,31 +257,6 @@ def decode_neighbor_list(raw: bytes) -> NeighborListMessage:
         sender=sender,
         neighbors=frozenset(neighbors),
     )
-
-
-# ---------------------------------------------------------------------------
-# shared decode plumbing for the classic Gnutella payloads
-# ---------------------------------------------------------------------------
-
-def _decode_body(raw: bytes, kind: MessageKind) -> "tuple[GnutellaHeader, bytes]":
-    """Common prologue: parse + kind-check the header, length-check the body."""
-    header = GnutellaHeader.decode(raw)
-    if header.kind is not kind:
-        raise WireFormatError(f"expected {kind.name}, got {header.kind}")
-    body = raw[HEADER_SIZE:]
-    if len(body) != header.payload_length:
-        raise WireFormatError(
-            f"body length {len(body)} != header payload_length "
-            f"{header.payload_length}"
-        )
-    return header, body
-
-
-def _decode_text(raw: bytes, what: str) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise WireFormatError(f"bad {what} text: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -600,8 +600,7 @@ def _scn_exchange_frequency(
             num_agents=_derived_agents(spec),
             attack_start_min=scale.attack_start_min,
             defense="ddpolice",
-            police=spec.police,
-            exchange_period_min=period or 1,
+            police=replace(spec.police, exchange_period_s=60.0 * (period or 1)),
         )
     results = _run_plan(spec, plan, workers, trace_path)
 
@@ -1086,7 +1085,7 @@ def _echo_point(task: Tuple[Dict[int, Tuple[int, ...]], int]) -> Tuple[float, bo
         bad_strategy=CheatStrategy.HONEST,
     )
     DDoSAgent(
-        sim, net, attacker, AgentConfig(nominal_rate_qpm=3000.0, per_neighbor=True)
+        sim, net, attacker, AgentConfig(nominal_rate_qpm=3000.0)
     ).start()
     sim.run(until=200.0)
     log = engines[PeerId(1)].judgments

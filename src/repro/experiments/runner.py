@@ -8,12 +8,13 @@ fluid-vs-DES cross-validation bench.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Set
 
-from repro.attack.adaptive import AdaptiveConfig
+from repro.attack.adaptive import AdaptiveAgent, AdaptiveConfig, CollusionRing
+from repro.attack.agent import AgentConfig, DDoSAgent
 from repro.attack.cheating import CheatStrategy
-from repro.attack.scenario import AttackScenario, ScenarioConfig
 from repro.baselines.naive import deploy_naive
 from repro.baselines.traceback import TracebackConfig, deploy_traceback
 from repro.churn.process import ChurnConfig, ChurnProcess
@@ -75,7 +76,10 @@ class DESConfig:
         if self.duration_s <= 0:
             raise ConfigError("duration_s must be positive")
         if not (0 <= self.num_agents <= self.n):
-            raise ConfigError("num_agents out of range")
+            raise ConfigError(
+                f"num_agents: cannot compromise {self.num_agents} of "
+                f"{self.n} peers (k must not exceed n)"
+            )
         if self.attack_start_s < 0:
             raise ConfigError("attack_start_s must be non-negative")
         if self.attack_rate_qpm <= 0:
@@ -100,7 +104,8 @@ class DESRun:
     sim: Simulator
     network: OverlayNetwork
     churn: Optional[ChurnProcess]
-    scenario: Optional[AttackScenario]
+    #: The planted attack agents by peer (empty for a clean run).
+    agents: Dict[PeerId, DDoSAgent]
     judgments: Optional[JudgmentLog]
     bad_peers: Set[PeerId] = field(default_factory=set)
     injector: Optional[FaultInjector] = None
@@ -139,6 +144,39 @@ class DESRun:
         return self.judgments.error_counts(set(self.bad_peers))
 
 
+def _plant_agents(
+    sim: Simulator,
+    network: OverlayNetwork,
+    config: DESConfig,
+    rng: random.Random,
+    churn: Optional[ChurnProcess],
+) -> Dict[PeerId, DDoSAgent]:
+    """Compromise ``config.num_agents`` random peers and arm their agents.
+
+    Section 3.6: "k random peers ... are selected as DDoS compromised
+    peers and each of them keeps sending out attack queries at the
+    maximum rate they are capable of." The draws are one ``sample`` over
+    the ids in ascending order, then one ``getrandbits(32)`` per agent
+    (its own rng), whatever the strategy. The agents are not started.
+    """
+    agent_cfg = AgentConfig(
+        nominal_rate_qpm=config.attack_rate_qpm,
+        cheat_strategy=config.cheat_strategy,
+    )
+    ids = sorted(network.peers, key=lambda p: p.value)
+    agents: Dict[PeerId, DDoSAgent] = {}
+    for pid in rng.sample(ids, config.num_agents):
+        agent_rng = random.Random(rng.getrandbits(32))
+        if config.adaptive.strategy == "static":
+            agents[pid] = DDoSAgent(sim, network, pid, agent_cfg, rng=agent_rng)
+        else:
+            agents[pid] = AdaptiveAgent(
+                sim, network, pid, agent_cfg, config.adaptive,
+                churn=churn, rng=agent_rng,
+            )
+    return agents
+
+
 def run_des_experiment(config: DESConfig) -> DESRun:
     """Build and run one message-level experiment end to end."""
     rngs = RngRegistry(config.seed)
@@ -167,28 +205,12 @@ def run_des_experiment(config: DESConfig) -> DESRun:
             sim, network, config.churn, rng=rngs.stream("churn")
         )
 
-    scenario: Optional[AttackScenario] = None
-    bad_peers: Set[PeerId] = set()
-    if config.num_agents > 0:
-        scenario = AttackScenario(
-            sim,
-            network,
-            ScenarioConfig(
-                num_agents=config.num_agents,
-                start_time_s=config.attack_start_s,
-                nominal_rate_qpm=config.attack_rate_qpm,
-                cheat_strategy=config.cheat_strategy,
-                seed=config.seed,
-            ),
-            rng=rngs.stream("attack"),
-            adaptive=config.adaptive,
-            churn=churn,
-        )
-        bad_peers = set(scenario.compromised)
-        if evading and churn is not None:
-            # The agents time their own leave/rejoin cycle; pin them so
-            # the sampled churn cycle cannot double-drive them.
-            churn.pinned.update(bad_peers)
+    agents = _plant_agents(sim, network, config, rngs.stream("attack"), churn)
+    bad_peers: Set[PeerId] = set(agents)
+    if evading and churn is not None:
+        # The agents time their own leave/rejoin cycle; pin them so
+        # the sampled churn cycle cannot double-drive them.
+        churn.pinned.update(bad_peers)
 
     injector: Optional[FaultInjector] = None
     if config.faults.enabled:
@@ -200,8 +222,6 @@ def run_des_experiment(config: DESConfig) -> DESRun:
     if config.defense == "ddpolice":
         collusion = None
         if config.cheat_strategy is CheatStrategy.COLLUDE and bad_peers:
-            from repro.attack.adaptive import CollusionRing
-
             collusion = CollusionRing(
                 members=frozenset(bad_peers),
                 excuse_qpm=config.adaptive.collude_excuse_qpm,
@@ -230,8 +250,12 @@ def run_des_experiment(config: DESConfig) -> DESRun:
     workload.start()
     if churn is not None:
         churn.start()
-    if scenario is not None:
-        scenario.launch()
+    # Section 3.6: every agent floods from the attack start on.
+    for agent in agents.values():
+        if config.attack_start_s <= sim.now:
+            agent.start()
+        else:
+            sim.schedule_at(config.attack_start_s, agent.start)
 
     import time as _time
 
@@ -247,7 +271,7 @@ def run_des_experiment(config: DESConfig) -> DESRun:
         sim=sim,
         network=network,
         churn=churn,
-        scenario=scenario,
+        agents=agents,
         judgments=judgments,
         bad_peers=bad_peers,
         injector=injector,

@@ -507,10 +507,13 @@ class Case:
     num_agents: int = 0
     attack_start_min: int = 0
     defense: str = "none"
+    #: DD-POLICE parameters. ``exchange_period_s`` is the one statement
+    #: of the neighbor-list exchange period: des and live exchange at it,
+    #: and fluid republishes every ``exchange_period_s // 60`` minutes
+    #: (it rejects a period that is not whole minutes).
     police: DDPoliceConfig = DDPoliceConfig()
-    exchange_period_min: int = 2
     workload: WorkloadSpec = WorkloadSpec()
-    #: Fault schedule (DES backend only; fluid ignores it).
+    #: Fault schedule (``des`` backend only; the others reject it).
     faults: FaultPlan = FaultPlan()
     #: Message-level topology attachment parameter override (None =
     #: default); the fluid backend ignores it and floods the default BA.
@@ -698,6 +701,8 @@ def _fluid_config(case: Case) -> Any:
         raise ConfigError(
             "backend 'fluid' cannot simulate cheat_strategy 'collude' (DES only)"
         )
+    if case.faults.enabled:
+        raise ConfigError("backend 'fluid' cannot inject fault schedules (DES only)")
     return FluidConfig(
         n=case.n,
         # ba_m stays message-level only: fig9-11 pin ba_m=1 for the DES,
@@ -708,7 +713,6 @@ def _fluid_config(case: Case) -> Any:
         attack_start_min=case.attack_start_min,
         defense=case.defense,
         police=case.police,
-        exchange_period_min=case.exchange_period_min,
         issue_rate_qpm=case.workload.issue_rate_qpm,
         attack_nominal_qpm=case.workload.attack_nominal_qpm,
         capacity_qpm=case.workload.capacity_qpm,

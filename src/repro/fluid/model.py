@@ -35,12 +35,13 @@ from repro.obs.trace import JsonlSink, Tracer
 from repro.overlay.bandwidth import BandwidthModel
 from repro.simkit.rng import RngRegistry, derive_seed
 from repro.overlay.content import ContentCatalog, ContentConfig
+from repro.overlay.message import HOP_LATENCY_S
 from repro.overlay.topology import TopologyConfig, generate_topology
 
 #: Flood radius of every query (the Gnutella default).
 TTL = 7
-#: Per-hop link latency and the cap on a hop's queueing wait (seconds).
-HOP_LATENCY_S, QUEUE_WAIT_CAP_S = 0.05, 2.0
+#: Cap on a hop's queueing wait (seconds).
+QUEUE_WAIT_CAP_S = 2.0
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,6 @@ class FluidConfig:
     #: population and topology begin at churn steady state instead of
     #: decaying through the measurement window.
     churn_warmup_min: int = 15
-    exchange_period_min: int = 2
     #: Defense: "none" | "ddpolice" | "naive".
     defense: str = "none"
     police: DDPoliceConfig = DDPoliceConfig()
@@ -88,8 +88,13 @@ class FluidConfig:
             raise ConfigError("attack_nominal_qpm must be positive")
         if self.churn_warmup_min < 0:
             raise ConfigError("churn_warmup_min must be non-negative")
-        if self.exchange_period_min < 1:
-            raise ConfigError("exchange_period_min must be >= 1")
+        period = self.police.exchange_period_s
+        if period < 60.0 or period % 60.0:
+            raise ConfigError(
+                f"police.exchange_period_s: the fluid model steps whole "
+                f"minutes, so the exchange period must be a whole number "
+                f"of minutes >= 1, got {period} s"
+            )
         if self.defense not in ("none", "ddpolice", "naive"):
             raise ConfigError(f"unknown defense {self.defense!r}")
         if self.seed < 0:
@@ -141,7 +146,7 @@ class FluidSimulation:
             config.n,
             {u: set(vs) for u, vs in enumerate(topo.adjacency)},
             churn=config.churn,
-            exchange_period_min=config.exchange_period_min,
+            exchange_period_min=int(config.police.exchange_period_s // 60),
             rng=self._rngs.stream("churn"),
         )
         # Ground truth: which peers are compromised.

@@ -21,6 +21,11 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigError
 
+#: Zipf exponent of object popularity.
+ZIPF_S = 0.9
+#: Fewest replicas any object gets.
+REPLICAS_MIN = 1
+
 #: Synthetic keyword vocabulary used to render query strings.
 _ADJECTIVES = (
     "red", "blue", "fast", "live", "remix", "acoustic", "classic", "rare",
@@ -37,15 +42,13 @@ _NOUNS = (
 class ContentConfig:
     """Catalog parameters.
 
-    ``num_objects`` distinct shared objects with Zipf(``zipf_s``)
+    ``num_objects`` distinct shared objects with Zipf(:data:`ZIPF_S`)
     popularity; object *i* (0-based rank) gets ``replicas_base`` replicas
-    scaled by relative popularity, floored at ``replicas_min``.
+    scaled by relative popularity, floored at :data:`REPLICAS_MIN`.
     """
 
     num_objects: int = 500
-    zipf_s: float = 0.9
     replication_ratio: float = 0.01  # replicas per object ~= ratio * n_peers
-    replicas_min: int = 1
     #: Cap on any object's replica share of the population. The KaZaA
     #: trace's fetch-at-most-once behaviour flattens the top of the
     #: replica distribution; without a cap the head objects are replicated
@@ -56,14 +59,10 @@ class ContentConfig:
     def __post_init__(self) -> None:
         if self.num_objects < 1:
             raise ConfigError(f"num_objects must be >= 1, got {self.num_objects}")
-        if self.zipf_s <= 0:
-            raise ConfigError(f"zipf_s must be positive, got {self.zipf_s}")
         if not (0 < self.replication_ratio <= 1):
             raise ConfigError(
                 f"replication_ratio must be in (0,1], got {self.replication_ratio}"
             )
-        if self.replicas_min < 1:
-            raise ConfigError(f"replicas_min must be >= 1, got {self.replicas_min}")
         if not (0 < self.replicas_max_fraction <= 1):
             raise ConfigError(
                 f"replicas_max_fraction must be in (0,1], got {self.replicas_max_fraction}"
@@ -81,7 +80,7 @@ class ContentCatalog:
         self._rng = random.Random(config.seed)
 
         # Zipf popularity over ranks 1..K.
-        weights = [1.0 / (rank ** config.zipf_s) for rank in range(1, config.num_objects + 1)]
+        weights = [1.0 / (rank ** ZIPF_S) for rank in range(1, config.num_objects + 1)]
         total = sum(weights)
         self.popularity: List[float] = [w / total for w in weights]
         self._cum: List[float] = []
@@ -92,14 +91,14 @@ class ContentCatalog:
         self._cum[-1] = 1.0  # guard against float drift
 
         # Replica placement: hot objects get proportionally more replicas.
-        mean_replicas = max(config.replicas_min, config.replication_ratio * n_peers)
+        mean_replicas = max(REPLICAS_MIN, config.replication_ratio * n_peers)
         self.replica_holders: List[Set[int]] = []
         for rank, p in enumerate(self.popularity):
             count = max(
-                config.replicas_min,
+                REPLICAS_MIN,
                 int(round(mean_replicas * p * config.num_objects)),
             )
-            cap = max(config.replicas_min, int(config.replicas_max_fraction * n_peers))
+            cap = max(REPLICAS_MIN, int(config.replicas_max_fraction * n_peers))
             count = min(count, cap, n_peers)
             holders = set(self._rng.sample(range(n_peers), count))
             self.replica_holders.append(holders)

@@ -24,6 +24,14 @@ GNUTELLA_HEADER_SIZE = 23
 #: Default TTL for flooded queries (Gnutella convention).
 DEFAULT_TTL = 7
 
+#: One overlay hop's link latency in seconds, before any jitter (every
+#: engine: message DES, des-soa waves and the fluid response time).
+HOP_LATENCY_S = 0.05
+
+#: Length of the per-neighbor In/Out traffic window in seconds: the
+#: "minute" that DD-POLICE's counters and the metrics rows roll on.
+MINUTE_WINDOW_S = 60.0
+
 
 class MessageKind(enum.Enum):
     """Payload descriptor values (Gnutella 0.6 + DD-POLICE extension)."""

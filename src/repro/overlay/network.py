@@ -17,7 +17,14 @@ from repro.metrics.accounting import QueryAccounting
 from repro.overlay.capacity import TokenBucket
 from repro.overlay.content import ContentCatalog, ContentConfig
 from repro.overlay.ids import Guid, GuidFactory, PeerId
-from repro.overlay.message import Message, MessageKind, Query, QueryHit
+from repro.overlay.message import (
+    HOP_LATENCY_S,
+    MINUTE_WINDOW_S,
+    Message,
+    MessageKind,
+    Query,
+    QueryHit,
+)
 from repro.overlay.peer import Peer, PeerState
 from repro.overlay.topology import Topology
 from repro.simkit.engine import Simulator
@@ -33,9 +40,8 @@ class NetworkConfig:
     """Message-level network parameters."""
 
     default_ttl: int = 7
-    hop_latency_s: float = 0.05
+    #: Uniform extra latency per hop, on top of ``HOP_LATENCY_S``.
     hop_latency_jitter_s: float = 0.02
-    minute_window_s: float = 60.0
     processing_qpm_good: float = 10_000.0
     #: Enforce per-peer access-link rates (Section 3.5's Saroiu
     #: assignment): messages beyond the sender's upstream or receiver's
@@ -57,18 +63,10 @@ class NetworkConfig:
     def __post_init__(self) -> None:
         if self.default_ttl < 1:
             raise ConfigError(f"default_ttl must be >= 1, got {self.default_ttl}")
-        if self.hop_latency_s <= 0:
-            raise ConfigError(
-                f"hop_latency_s must be positive, got {self.hop_latency_s}"
-            )
         if self.hop_latency_jitter_s < 0:
             raise ConfigError(
                 f"hop_latency_jitter_s must be non-negative, "
                 f"got {self.hop_latency_jitter_s}"
-            )
-        if self.minute_window_s <= 0:
-            raise ConfigError(
-                f"minute_window_s must be positive, got {self.minute_window_s}"
             )
         if self.processing_qpm_good <= 0:
             raise ConfigError(
@@ -212,9 +210,9 @@ class OverlayNetwork:
         # the accounting's rolls counter.
         self._minute_task = PeriodicTask(
             sim,
-            config.minute_window_s,
+            MINUTE_WINDOW_S,
             self._roll_minute,
-            start_delay=config.minute_window_s,
+            start_delay=MINUTE_WINDOW_S,
             priority=-1,
         )
 
@@ -268,7 +266,7 @@ class OverlayNetwork:
                         msg=msg.kind.name,
                     )
                 return
-        delay = self.config.hop_latency_s
+        delay = HOP_LATENCY_S
         if self.config.hop_latency_jitter_s > 0:
             delay += self._latency_rng.uniform(0, self.config.hop_latency_jitter_s)
         if self.fault_injector is not None:

@@ -71,14 +71,14 @@ class Peer:
 
     Hooks
     -----
-    ``query_tap(neighbor, query)``
-        Called for every query received from ``neighbor`` *before*
-        processing; DD-POLICE's traffic monitor subscribes here.
     ``control_handler(neighbor, message)``
-        Receives NeighborList / NeighborTraffic / Bye control messages.
-    ``forward_filter(query, targets) -> targets``
-        Lets attached behaviours veto or reshape forwarding (used by the
-        load-balancing baseline).
+        Receives Pong / NeighborList / NeighborTraffic / Bye control
+        messages.
+    ``disconnect_listener(neighbor, reason)`` / ``connect_listener(neighbor)``
+        Told about every closed / opened connection.
+
+    Query traffic needs no hook: DD-POLICE reads the per-neighbor
+    In/Out windows the network rolls every minute.
     """
 
     __slots__ = (
@@ -88,7 +88,6 @@ class Peer:
         "neighbors",
         "_neighbor_list",
         "processing",
-        "upstream_qpm",
         "counters",
         "_route_back",
         "_seen",
@@ -96,9 +95,7 @@ class Peer:
         "in_query_window",
         "last_minute_out",
         "last_minute_in",
-        "query_taps",
         "control_handlers",
-        "forward_filters",
         "disconnect_listeners",
         "connect_listeners",
     )
@@ -109,7 +106,6 @@ class Peer:
         network: "OverlayNetwork",
         *,
         processing_qpm: float = 10_000.0,
-        upstream_qpm: float = 10_000.0,
     ) -> None:
         self.id = peer_id
         self.network = network
@@ -117,7 +113,6 @@ class Peer:
         self.neighbors: Set[PeerId] = set()
         self._neighbor_list: Optional[FrozenSet[PeerId]] = None
         self.processing = TokenBucket(rate_per_min=processing_qpm)
-        self.upstream_qpm = upstream_qpm
         self.counters = PeerCounters()
 
         # GUID -> neighbor the query arrived from (reverse-path table), LRU.
@@ -134,11 +129,7 @@ class Peer:
         self.last_minute_in: Dict[PeerId, int] = {}
 
         # Hooks.
-        self.query_taps: List[Callable[[PeerId, Query], None]] = []
         self.control_handlers: List[Callable[[PeerId, Message], None]] = []
-        self.forward_filters: List[
-            Callable[[Query, List[PeerId]], List[PeerId]]
-        ] = []
         self.disconnect_listeners: List[Callable[[PeerId, int], None]] = []
         self.connect_listeners: List[Callable[[PeerId], None]] = []
 
@@ -326,8 +317,6 @@ class Peer:
         # re-create the departed neighbor's counter key (see _send).
         if src in self.neighbors:
             self.in_query_window[src] = self.in_query_window.get(src, 0) + 1
-        for tap in self.query_taps:
-            tap(src, msg)
 
         key = msg.guid.raw
         if key in self._seen:
@@ -365,8 +354,6 @@ class Peer:
             return
         fwd = msg.aged_copy()
         targets = [nb for nb in self.neighbors if nb != src]
-        for filt in self.forward_filters:
-            targets = filt(fwd, targets)  # type: ignore[arg-type]
         for nb in targets:
             self.counters.queries_forwarded += 1
             self._send(nb, fwd)

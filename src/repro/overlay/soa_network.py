@@ -19,7 +19,7 @@ Equivalence contract (enforced by ``tests/property/test_soa_equivalence.py``)
 -----------------------------------------------------------------------------
 With churn/faults/bandwidth off and ``hop_latency_jitter_s == 0`` the
 wave schedule reproduces the message engine's delivery timeline exactly:
-every hop adds the same ``hop_latency_s`` float, so all copies of one
+every hop adds the same ``HOP_LATENCY_S`` float, so all copies of one
 TTL generation share one timestamp, and per-receiver arrival order is
 identical to the DES event order (one forwarder event sends one query
 to many *distinct* receivers, so reordering inside a forwarder's send
@@ -79,6 +79,7 @@ from typing import Dict, List, Optional, Set, TYPE_CHECKING, Tuple
 
 import numpy as np
 
+from repro.attack.agent import BATCH_INTERVAL_S
 from repro.attack.cheating import CheatStrategy
 from repro.core.decision import GroupEvidence, Verdict, judge
 from repro.errors import ConfigError
@@ -87,7 +88,7 @@ from repro.metrics.accounting import QueryAccounting
 from repro.metrics.errors import ErrorCounts, JudgmentLog
 from repro.overlay.content import ContentCatalog
 from repro.overlay.ids import PeerId
-from repro.overlay.message import GNUTELLA_HEADER_SIZE
+from repro.overlay.message import GNUTELLA_HEADER_SIZE, HOP_LATENCY_S, MINUTE_WINDOW_S
 from repro.overlay.topology import TopologyConfig, generate_topology
 from repro.simkit.engine import Simulator
 from repro.simkit.rng import RngRegistry
@@ -326,7 +327,7 @@ class SoaFloodEngine:
 
         # -- per-peer / per-edge dynamic state --------------------------
         net = config.network
-        self._hop = net.hop_latency_s
+        self._hop = HOP_LATENCY_S
         self._default_ttl = net.default_ttl
         self.bucket = TokenBucketArray(n, net.processing_qpm_good)
         self.win_out = np.zeros(self._E, dtype=np.int64)
@@ -361,9 +362,9 @@ class SoaFloodEngine:
         self.minute_index = 0
         self._minute_task = PeriodicTask(
             self.sim,
-            net.minute_window_s,
+            MINUTE_WINDOW_S,
             self._roll_minute,
-            start_delay=net.minute_window_s,
+            start_delay=MINUTE_WINDOW_S,
             priority=-1,
         )
         #: wave buffers: timestamp -> (query chunks, hit chunks). A chunk
@@ -380,8 +381,6 @@ class SoaFloodEngine:
         # -- workload ----------------------------------------------------
         self._wl_rng = rngs.stream("workload")
         self._wl_mean_gap = 60.0 / config.workload.queries_per_minute
-        self._wl_max = config.workload.max_queries_total
-        self._wl_issued = 0
         self._origin_mask = np.zeros(n, dtype=bool)
 
         # -- attack ------------------------------------------------------
@@ -468,8 +467,6 @@ class SoaFloodEngine:
         )
 
     def _issue(self, pid: int) -> None:
-        if self._wl_max is not None and self._wl_issued >= self._wl_max:
-            return
         eids = self._proto_out_edges(pid)
         if len(eids):
             obj = self.content.sample_object(self._wl_rng)
@@ -496,14 +493,14 @@ class SoaFloodEngine:
                 np.full(k, obj, dtype=np.int64),
                 np.full(k, size, dtype=np.int64),
             )
-            self._wl_issued += 1
             self.stats.queries_issued += 1
         self.sim.schedule_in(
             self._wl_rng.expovariate(1.0 / self._wl_mean_gap), self._issue, pid
         )
 
     # ------------------------------------------------------------------
-    # attack (replicates AttackScenario/DDoSAgent batch arithmetic)
+    # attack (replicates the DES runner's agent planting and the
+    # DDoSAgent batch arithmetic)
     # ------------------------------------------------------------------
     def _attack_launch(self) -> None:
         # Origins register at launch (not construction): agent peers'
@@ -524,7 +521,7 @@ class SoaFloodEngine:
             eids = self._alive_out_edges(pid)
             if not len(eids):
                 continue  # carry/nonce untouched, exactly like the DES agent
-            per_batch = rate_qpm * 1.0 / 60.0 + agent["carry"]
+            per_batch = rate_qpm * BATCH_INTERVAL_S / 60.0 + agent["carry"]
             count = int(per_batch)
             agent["carry"] = per_batch - count
             if count == 0:
@@ -561,7 +558,7 @@ class SoaFloodEngine:
             )
             self.stats.attack_queries_sent += count
             self.stats.queries_issued += count
-        self.sim.schedule_in(1.0, self._attack_batch)
+        self.sim.schedule_in(BATCH_INTERVAL_S, self._attack_batch)
 
     # ------------------------------------------------------------------
     # wave processing
@@ -691,7 +688,7 @@ class SoaFloodEngine:
         Route = arrival edge of the first sight, recorded even for copies
         the capacity clamp later drops. The origin keys of queries issued
         since the last batch join it: none can equal a window key,
-        because a query's first wave (one hop_latency_s > 0 after its
+        because a query's first wave (one HOP_LATENCY_S > 0 after its
         issue) is no earlier than this window, its second is past it, and
         the first never delivers to its origin.
         """

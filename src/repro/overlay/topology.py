@@ -133,26 +133,31 @@ def topology_from_adjacency(
     return Topology(n=size, adjacency=adj, kind="explicit")
 
 
+#: waxman: link-probability scale and distance decay.
+WAXMAN_ALPHA, WAXMAN_BETA = 0.15, 0.4
+#: random: target mean degree (the paper's 6).
+TARGET_MEAN_DEGREE = 6.0
+#: two_tier: share of the nodes that are super-peers.
+SUPER_FRACTION = 0.15
+#: hard_cutoff: maximum degree; saturated nodes stop accepting links.
+DEGREE_CUTOFF = 12
+#: bittorrent: peer-set bounds handed out by the "tracker".
+BT_MIN_PEERS, BT_MAX_PEERS = 4, 12
+
+
 @dataclass(frozen=True)
 class TopologyConfig:
     """Parameters for :func:`generate_topology`.
 
-    ``model`` is one of ``"ba"``, ``"waxman"``, ``"random"``. Default
-    values reproduce the paper's stated degree profile.
+    ``model`` is one of ``"ba"``, ``"waxman"``, ``"random"``,
+    ``"two_tier"``, ``"hard_cutoff"``, ``"bittorrent"``; each model's own
+    shape parameters are the module constants above. Default values
+    reproduce the paper's stated degree profile.
     """
 
     n: int = 2000
     model: str = "ba"
     ba_m: int = 3
-    waxman_alpha: float = 0.15
-    waxman_beta: float = 0.4
-    target_mean_degree: float = 6.0
-    super_fraction: float = 0.15
-    #: hard_cutoff: maximum degree; saturated nodes stop accepting links.
-    degree_cutoff: int = 12
-    #: bittorrent: peer-set bounds handed out by the "tracker".
-    bt_min_peers: int = 4
-    bt_max_peers: int = 12
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -167,24 +172,6 @@ class TopologyConfig:
         if self.model in ("ba", "hard_cutoff") and self.n <= self.ba_m:
             raise TopologyError(
                 f"BA needs n > m ({self.n} <= {self.ba_m})"
-            )
-        if not (0 < self.super_fraction < 1):
-            raise TopologyError(
-                f"super_fraction must be in (0,1), got {self.super_fraction}"
-            )
-        if self.degree_cutoff <= self.ba_m:
-            raise TopologyError(
-                f"degree_cutoff must exceed ba_m "
-                f"({self.degree_cutoff} <= {self.ba_m})"
-            )
-        if self.bt_min_peers < 1:
-            raise TopologyError(
-                f"bt_min_peers must be >= 1, got {self.bt_min_peers}"
-            )
-        if self.bt_max_peers < self.bt_min_peers:
-            raise TopologyError(
-                f"bt_max_peers < bt_min_peers "
-                f"({self.bt_max_peers} < {self.bt_min_peers})"
             )
 
 
@@ -422,19 +409,15 @@ def generate_topology(config: TopologyConfig) -> Topology:
     if config.model == "ba":
         topo = barabasi_albert(config.n, config.ba_m, rng)
     elif config.model == "hard_cutoff":
-        topo = hard_cutoff_scale_free(
-            config.n, config.ba_m, config.degree_cutoff, rng
-        )
+        topo = hard_cutoff_scale_free(config.n, config.ba_m, DEGREE_CUTOFF, rng)
     elif config.model == "bittorrent":
-        topo = bittorrent_like(
-            config.n, config.bt_min_peers, config.bt_max_peers, rng
-        )
+        topo = bittorrent_like(config.n, BT_MIN_PEERS, BT_MAX_PEERS, rng)
     elif config.model == "waxman":
-        topo = waxman(config.n, config.waxman_alpha, config.waxman_beta, rng)
+        topo = waxman(config.n, WAXMAN_ALPHA, WAXMAN_BETA, rng)
     elif config.model == "two_tier":
-        topo = two_tier(config.n, config.super_fraction, rng, super_m=config.ba_m)
+        topo = two_tier(config.n, SUPER_FRACTION, rng, super_m=config.ba_m)
     else:
-        topo = random_regularish(config.n, config.target_mean_degree, rng)
+        topo = random_regularish(config.n, TARGET_MEAN_DEGREE, rng)
     if not topo.is_connected():
         _stitch_components(topo, rng)
     return topo

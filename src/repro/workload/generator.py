@@ -27,7 +27,6 @@ class WorkloadConfig:
     """Workload parameters."""
 
     queries_per_minute: float = 0.3
-    max_queries_total: Optional[int] = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -35,8 +34,6 @@ class WorkloadConfig:
             raise ConfigError(
                 f"queries_per_minute must be positive, got {self.queries_per_minute}"
             )
-        if self.max_queries_total is not None and self.max_queries_total < 0:
-            raise ConfigError("max_queries_total must be non-negative")
 
 
 class QueryWorkload:
@@ -78,11 +75,6 @@ class QueryWorkload:
         )
 
     def _issue(self, pid: PeerId) -> None:
-        if (
-            self.config.max_queries_total is not None
-            and self.issued >= self.config.max_queries_total
-        ):
-            return
         peer = self.network.peers[pid]
         if peer.online and peer.neighbors:
             obj = self.network.content.sample_object(self._rng)

@@ -7,7 +7,8 @@ client with logging) that recorded 13,075,339 queries over 24 hours into a
 We reproduce the pipeline: :func:`synthesize_trace` generates a log with
 the same *statistical* content (timestamped, Zipf-popular search strings,
 ~8.6 bytes/record overhead matching the reported 112 MB / 13.1 M ratio);
-:class:`QueryTraceReader` streams it back for the attack agent to replay.
+:class:`QueryTraceReader` streams it back for the testbed's replaying
+sender (:mod:`repro.testbed.pipeline`).
 
 Format: one record per line, tab-separated::
 

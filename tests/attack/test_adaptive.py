@@ -1,5 +1,7 @@
 """Unit tests for the adaptive-adversary strategies."""
 
+import random
+
 import pytest
 
 from repro.attack.adaptive import (
@@ -8,10 +10,9 @@ from repro.attack.adaptive import (
     CollusionRing,
     pulse_is_on,
 )
-from repro.attack.agent import AgentConfig
-from repro.attack.scenario import AttackScenario, ScenarioConfig
+from repro.attack.agent import AgentConfig, DDoSAgent
 from repro.errors import ConfigError
-from repro.experiments.runner import DESConfig, run_des_experiment
+from repro.experiments.runner import DESConfig, _plant_agents, run_des_experiment
 from repro.overlay.ids import PeerId
 from tests.conftest import make_network
 
@@ -50,9 +51,8 @@ def test_collusion_ring_rejects_negative_excuse():
 
 
 def test_scenario_k_greater_than_n_names_the_bound():
-    sim, net = make_network(ring(5), seed=0)
-    with pytest.raises(ConfigError, match="k must not exceed n"):
-        AttackScenario(sim, net, ScenarioConfig(num_agents=6))
+    with pytest.raises(ConfigError, match="cannot compromise 6 of 5 peers"):
+        DESConfig(n=5, num_agents=6)
 
 
 def test_churn_strategy_needs_a_churn_process():
@@ -138,16 +138,18 @@ def test_nonbinding_throttle_equals_static():
 
 def test_static_path_builds_plain_agents():
     sim, net = make_network(ring(10), seed=3)
-    scenario = AttackScenario(
-        sim, net, ScenarioConfig(num_agents=2, seed=3),
-        adaptive=AdaptiveConfig(),  # static
+    static = _plant_agents(
+        sim, net, DESConfig(n=10, num_agents=2), random.Random(3), None
     )
-    assert not any(isinstance(a, AdaptiveAgent) for a in scenario.agents.values())
-    adaptive = AttackScenario(
-        sim, net, ScenarioConfig(num_agents=2, seed=3),
-        adaptive=AdaptiveConfig(strategy="pulse"),
+    assert all(type(a) is DDoSAgent for a in static.values())
+    pulse = _plant_agents(
+        sim, net,
+        DESConfig(n=10, num_agents=2, adaptive=AdaptiveConfig(strategy="pulse")),
+        random.Random(3), None,
     )
-    assert all(isinstance(a, AdaptiveAgent) for a in adaptive.agents.values())
+    assert all(type(a) is AdaptiveAgent for a in pulse.values())
+    # The strategy picks the class only: both draw the same peers.
+    assert list(static) == list(pulse)
 
 
 # -- attack-origin hygiene (stop / churn rejoin) ---------------------------
@@ -174,7 +176,7 @@ def test_churn_evasion_cycles_and_leaves_no_stale_origins():
             strategy="churn", evade_on_s=40.0, evade_off_s=30.0
         ),
     ))
-    agents = run.scenario.agents.values()
+    agents = run.agents.values()
     assert sum(a.evasions for a in agents) > 0  # the flee cycle ran
     # Evading agents are pinned: the sampled churn cycle cannot
     # double-drive them (natural churn is disabled here anyway).

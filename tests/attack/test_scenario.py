@@ -1,11 +1,12 @@
-"""Unit tests for attack scenarios."""
+"""Unit tests for attack-agent planting in the DES runner (Section 3.6:
+k random peers are compromised and flood from the attack start on)."""
+
+import random
 
 import pytest
 
-from repro.attack.scenario import AttackScenario, ScenarioConfig
 from repro.errors import ConfigError
-from repro.overlay.bandwidth import BandwidthModel
-from repro.overlay.ids import PeerId
+from repro.experiments.runner import DESConfig, _plant_agents, run_des_experiment
 from tests.conftest import make_network
 
 
@@ -13,73 +14,50 @@ def ring(n):
     return {i: {(i + 1) % n} for i in range(n)}
 
 
-def test_selects_k_random_peers():
+def plant(k, rng_seed):
     sim, net = make_network(ring(20), seed=1)
-    scenario = AttackScenario(sim, net, ScenarioConfig(num_agents=5, seed=1))
-    assert len(scenario.compromised) == 5
-    assert scenario.compromised <= set(net.peers)
+    return _plant_agents(
+        sim, net, DESConfig(n=20, num_agents=k), random.Random(rng_seed), None
+    )
+
+
+def test_selects_k_random_peers():
+    agents = plant(5, 1)
+    assert len(agents) == 5  # five distinct peers (dict keys)
+    assert [a.peer_id for a in agents.values()] == list(agents)
 
 
 def test_selection_deterministic_by_seed():
-    sim1, net1 = make_network(ring(20), seed=1)
-    sim2, net2 = make_network(ring(20), seed=1)
-    a = AttackScenario(sim1, net1, ScenarioConfig(num_agents=5, seed=9)).compromised
-    b = AttackScenario(sim2, net2, ScenarioConfig(num_agents=5, seed=9)).compromised
-    assert a == b
+    assert list(plant(5, 9)) == list(plant(5, 9))
+    # One sample over the ascending ids, as the planting always drew:
+    # every attacked table keeps its agents.
+    assert [p.value for p in plant(5, 9)] == [14, 11, 8, 4, 5]
+    run = run_des_experiment(DESConfig(n=30, duration_s=1.0, seed=5, num_agents=4))
+    assert sorted(p.value for p in run.bad_peers) == [8, 15, 25, 29]
+    assert set(run.agents) == run.bad_peers
 
 
 def test_launch_at_start_time():
-    sim, net = make_network(ring(10), seed=2)
-    scenario = AttackScenario(
-        sim, net, ScenarioConfig(num_agents=2, start_time_s=30.0,
-                                 nominal_rate_qpm=600.0, seed=2)
-    )
-    scenario.launch()
-    sim.run(until=29.0)
-    assert scenario.total_attack_queries() == 0
-    sim.run(until=90.0)
-    assert scenario.total_attack_queries() > 0
+    def sent(until):
+        run = run_des_experiment(DESConfig(
+            n=10, duration_s=until, num_agents=2, attack_start_s=30.0,
+            attack_rate_qpm=600.0, seed=2,
+        ))
+        return sum(a.queries_sent for a in run.agents.values())
 
-
-def test_bandwidth_caps_applied():
-    sim, net = make_network(ring(10), seed=3)
-    bw = BandwidthModel(seed=3)
-    modem = next(c for c in bw.classes if c.name == "modem")
-    classes = {i: modem for i in range(10)}
-    scenario = AttackScenario(
-        sim,
-        net,
-        ScenarioConfig(num_agents=3, seed=3),
-        bandwidth_model=bw,
-        bandwidth_classes=classes,
-    )
-    for agent in scenario.agents.values():
-        assert agent.config.effective_rate_qpm == pytest.approx(bw.upstream_qpm(modem))
-
-
-def test_stop_all():
-    sim, net = make_network(ring(10), seed=4)
-    scenario = AttackScenario(
-        sim, net, ScenarioConfig(num_agents=2, nominal_rate_qpm=600.0, seed=4)
-    )
-    scenario.launch()
-    sim.run(until=10.0)
-    scenario.stop_all()
-    count = scenario.total_attack_queries()
-    sim.run(until=60.0)
-    assert scenario.total_attack_queries() == count
+    assert sent(29.0) == 0
+    assert sent(90.0) > 0
 
 
 def test_too_many_agents_rejected():
-    sim, net = make_network(ring(5), seed=5)
-    with pytest.raises(ConfigError):
-        AttackScenario(sim, net, ScenarioConfig(num_agents=6))
+    with pytest.raises(ConfigError, match="k must not exceed n"):
+        DESConfig(n=5, num_agents=6)
 
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        ScenarioConfig(num_agents=-1)
+        DESConfig(num_agents=-1)
     with pytest.raises(ConfigError):
-        ScenarioConfig(start_time_s=-1)
+        DESConfig(attack_start_s=-1)
     with pytest.raises(ConfigError):
-        ScenarioConfig(nominal_rate_qpm=0)
+        DESConfig(attack_rate_qpm=0)

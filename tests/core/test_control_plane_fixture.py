@@ -23,10 +23,10 @@ from pathlib import Path
 import pytest
 
 from repro.attack.cheating import CheatStrategy
-from repro.attack.scenario import AttackScenario, ScenarioConfig
 from repro.core.config import DDPoliceConfig, ExchangePolicy
 from repro.core.police import deploy_ddpolice
 from repro.faults.injector import FaultInjector
+from repro.experiments.runner import DESConfig, _plant_agents
 from repro.faults.plan import DuplicateRule, FaultPlan
 from repro.overlay.content import ContentCatalog, ContentConfig
 from repro.overlay.ids import PeerId
@@ -98,15 +98,14 @@ def run_case(
         content=ContentCatalog(ContentConfig(num_objects=100, seed=SEED), N),
         rng_registry=rngs,
     )
-    scenario = AttackScenario(
+    agents = _plant_agents(
         sim,
         net,
-        ScenarioConfig(
-            num_agents=2, nominal_rate_qpm=2000.0, cheat_strategy=cheat, seed=SEED
-        ),
-        rng=rngs.stream("attack"),
+        DESConfig(n=N, num_agents=2, attack_rate_qpm=2000.0, cheat_strategy=cheat),
+        rngs.stream("attack"),
+        None,
     )
-    bad = set(scenario.compromised)
+    bad = set(agents)
     if faults is not None:
         FaultInjector(faults, rngs).attach(net, protected=tuple(sorted(bad)))
     engines = deploy_ddpolice(
@@ -116,7 +115,8 @@ def run_case(
         sim, net, WorkloadConfig(queries_per_minute=2.0, seed=SEED),
         rng=rngs.stream("workload"),
     ).start()
-    scenario.launch()
+    for agent in agents.values():
+        agent.start()
 
     cut = {}
     for at_s, op, u, v in script:

@@ -323,7 +323,7 @@ def test_hardening_counters_inert_under_default_config():
         net, FAST, bad_peers={PeerId(0)}, bad_strategy=CheatStrategy.HONEST
     )
     agent = DDoSAgent(
-        sim, net, PeerId(0), AgentConfig(nominal_rate_qpm=3000.0, per_neighbor=True)
+        sim, net, PeerId(0), AgentConfig(nominal_rate_qpm=3000.0)
     )
     agent.start()
     sim.run(until=200.0)

@@ -31,7 +31,7 @@ def attack_run(
     bad = {PeerId(0)}
     engines = deploy_ddpolice(net, config, bad_peers=bad, bad_strategy=strategy)
     agent = DDoSAgent(
-        sim, net, PeerId(0), AgentConfig(nominal_rate_qpm=rate_qpm, per_neighbor=True)
+        sim, net, PeerId(0), AgentConfig(nominal_rate_qpm=rate_qpm)
     )
     agent.start()
     sim.run(until=duration_s)
@@ -174,7 +174,7 @@ def test_cyclic_echo_neutralizes_indicator():
         net, FAST_EXCHANGE, bad_peers={PeerId(0)}, bad_strategy=CheatStrategy.HONEST
     )
     agent = DDoSAgent(
-        sim, net, PeerId(0), AgentConfig(nominal_rate_qpm=3000.0, per_neighbor=True)
+        sim, net, PeerId(0), AgentConfig(nominal_rate_qpm=3000.0)
     )
     agent.start()
     sim.run(until=200.0)

@@ -6,17 +6,24 @@ from repro.core.wire import (
     HEADER_SIZE,
     NEIGHBOR_TRAFFIC_BODY_SIZE,
     GnutellaHeader,
+    decode_message,
     decode_neighbor_list,
     decode_neighbor_traffic,
+    encode_message,
     encode_neighbor_list,
     encode_neighbor_traffic,
 )
 from repro.errors import WireFormatError
 from repro.overlay.ids import Guid, PeerId
 from repro.overlay.message import (
+    Bye,
     MessageKind,
     NeighborListMessage,
     NeighborTrafficMessage,
+    Ping,
+    Pong,
+    Query,
+    QueryHit,
 )
 
 
@@ -153,3 +160,27 @@ def test_header_field_ranges():
         GnutellaHeader(guid(), MessageKind.PING, ttl=256, hops=0, payload_length=0)
     with pytest.raises(WireFormatError):
         GnutellaHeader(guid(), MessageKind.PING, ttl=1, hops=-1, payload_length=0)
+
+
+@pytest.mark.parametrize(
+    "msg",
+    [
+        Ping(guid=guid(3), ttl=1, hops=0),
+        Pong(guid=guid(3), ttl=1, hops=0, responder=PeerId(7), shared_files=4),
+        Query(guid=guid(3), ttl=3, hops=1, keywords=("red", "song")),
+        QueryHit(guid=guid(3), ttl=2, hops=0, responder=PeerId(7),
+                 result_count=1, query_guid=guid(4)),
+        Bye(guid=guid(3), ttl=1, hops=0),
+        NeighborListMessage(guid=guid(3), ttl=1, hops=0, sender=PeerId(1),
+                            neighbors=frozenset({PeerId(2), PeerId(5)})),
+        make_traffic(),
+    ],
+    ids=lambda m: m.kind.name,
+)
+def test_every_kind_rejects_a_trailing_byte(msg):
+    """The header's payload_length is the body: one byte more is a defect
+    for every payload descriptor, Neighbor_Traffic included."""
+    raw = encode_message(msg)
+    assert decode_message(raw).kind is msg.kind
+    with pytest.raises(WireFormatError, match="payload_length"):
+        decode_message(raw + b"\x00")

@@ -85,7 +85,9 @@ def _tiny_case(defense):
         defense=defense,
         settle_min=2,
         ba_m=1,
-        police=DDPoliceConfig(exchange_period_s=30.0, q_threshold_qpm=10.0),
+        # 60 s: the shortest exchange period the minute-stepped fluid
+        # model runs, so the one case runs on all three backends.
+        police=DDPoliceConfig(exchange_period_s=60.0, q_threshold_qpm=10.0),
         workload=WorkloadSpec(
             queries_per_minute=3.0, attack_rate_qpm=1000.0, capacity_qpm=400.0
         ),

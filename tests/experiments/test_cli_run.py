@@ -84,6 +84,16 @@ def test_run_invalid_override_value_is_an_error(capsys):
     assert "reports minutes 1..7" in captured.err and captured.out == ""
 
 
+def test_fluid_rejects_an_exchange_period_it_cannot_step(capsys):
+    # The exchange period has one statement, police.exchange_period_s:
+    # the minute-stepped fluid model refuses 30 s instead of running its
+    # old private 2-minute default.
+    argv = ["run", "fig12", "--scale", "smoke"]
+    assert main(argv + ["--set", "police.exchange_period_s=30"]) == 2
+    captured = capsys.readouterr()
+    assert "police.exchange_period_s" in captured.err and captured.out == ""
+
+
 def test_run_des_soa_rejects_a_trace_it_cannot_write(tmp_path, capsys):
     # des-soa has no trace hooks: a trace path is refused by the engine,
     # before any case simulates, instead of reported as written.

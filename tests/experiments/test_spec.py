@@ -25,6 +25,7 @@ from repro.experiments.spec import (
     spec_sha256,
     spec_to_jsonable,
 )
+from repro.faults.plan import FaultPlan
 from repro.live.spec import LIVE_TIERS
 from repro.obs.manifest import load_manifest, verify_manifest
 
@@ -371,6 +372,8 @@ def test_fluid_backend_rejects_des_only_features():
                   adaptive=AdaptiveConfig(strategy="pulse")))
     with pytest.raises(ConfigError, match="traceback.*DES only"):
         task(Case(n=300, minutes=3, seed=0, defense="traceback"))
+    with pytest.raises(ConfigError, match="fault schedules.*DES only"):
+        task(Case(n=300, minutes=3, seed=0, faults=FaultPlan.control_loss(0.1)))
 
 
 def test_fluid_config_builds_the_case_topology():
@@ -410,6 +413,29 @@ def test_fluid_specs_hand_their_cases_to_the_run_backend(monkeypatch):
         assert backend == "des"
         assert len(cases) == n_cases
         assert all(c.trace_path == "t.jsonl" for c in cases)
+
+
+def test_exchange_cases_carry_their_period_in_police(monkeypatch):
+    """One statement of the exchange period: each policy's case sets
+    ``police.exchange_period_s``, which every backend reads."""
+    import repro.experiments.library as library
+    from repro.experiments.spec import case_result
+
+    calls = []
+
+    def fake_run_cases(cases, *, backend, workers):
+        calls.append(list(cases))
+        minutes = [(float(m), 1.0, 0.1, 0.9) for m in range(1, 61)]
+        return [case_result(c, minutes[: c.minutes], {}, ()) for c in cases]
+
+    monkeypatch.setattr(library, "run_cases", fake_run_cases)
+    run_spec("exchange", backend="des", scale="smoke", cache=False)
+    [cases] = calls
+    policed = [c for c in cases if c.defense == "ddpolice"]
+    assert [c.police.exchange_period_s for c in policed] == [
+        60.0, 120.0, 240.0, 300.0, 600.0, 60.0
+    ]
+    assert [c for c in cases if c.defense == "none"][0].police == DDPoliceConfig()
 
 
 def test_spec_validation():

@@ -8,7 +8,7 @@ that the flood causes no real service degradation, the good-only S(t)
 of an attacked run is *identical* (same seeds, jitter disabled) to the
 no-attack baseline, while the all-traffic diagnostic collapses.
 
-Both runs construct the same (deterministic) attack scenario and
+Both runs plant the same (deterministic) attack agents and
 exclude the compromised peers from the user workload so the good-query
 streams are event-for-event identical; only the attacked run launches
 the agents.
@@ -16,7 +16,7 @@ the agents.
 
 import pytest
 
-from repro.attack.scenario import AttackScenario, ScenarioConfig
+from repro.experiments.runner import DESConfig, _plant_agents
 from repro.overlay.content import ContentCatalog, ContentConfig
 from repro.overlay.network import NetworkConfig, OverlayNetwork
 from repro.overlay.topology import TopologyConfig, generate_topology
@@ -43,26 +43,26 @@ def _run(launch_attack: bool):
         content=content,
         rng_registry=rngs,
     )
-    scenario = AttackScenario(
+    agents = _plant_agents(
         sim,
         net,
-        ScenarioConfig(
-            num_agents=2, start_time_s=60.0, nominal_rate_qpm=600.0, seed=SEED
-        ),
-        rng=rngs.stream("attack"),
+        DESConfig(n=N, num_agents=2, attack_rate_qpm=600.0),
+        rngs.stream("attack"),
+        None,
     )
     wl = QueryWorkload(
         sim,
         net,
         WorkloadConfig(queries_per_minute=3.0, seed=SEED),
         rng=rngs.stream("workload"),
-        exclude=scenario.compromised,
+        exclude=set(agents),
     )
     wl.start()
     if launch_attack:
-        scenario.launch()
+        for agent in agents.values():
+            sim.schedule_at(60.0, agent.start)
     sim.run(until=300.0)
-    return net, net.accounting.rows, scenario
+    return net, net.accounting.rows, agents
 
 
 @pytest.fixture(scope="module")
@@ -102,9 +102,9 @@ def test_all_traffic_diagnostic_shows_the_old_pollution(paired_runs):
 
 
 def test_origin_registry_follows_attack_lifecycle(paired_runs):
-    (base_net, _, _), (atk_net, _, scenario) = paired_runs
-    # unlaunched scenario leaves the registry empty (agents register at
+    (base_net, _, _), (atk_net, _, agents) = paired_runs
+    # unlaunched agents leave the registry empty (agents register at
     # start, not at construction)
     assert base_net.attack_origins == set()
-    assert atk_net.attack_origins == scenario.compromised
+    assert atk_net.attack_origins == set(agents)
     assert len(atk_net.attack_origins) == 2

@@ -87,8 +87,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ContentConfig(num_objects=0)
     with pytest.raises(ConfigError):
-        ContentConfig(zipf_s=0)
-    with pytest.raises(ConfigError):
         ContentConfig(replication_ratio=0)
     with pytest.raises(ConfigError):
         ContentConfig(replicas_max_fraction=0)

@@ -129,4 +129,4 @@ def test_network_config_validation():
     with _p.raises(ConfigError):
         NetworkConfig(default_ttl=0)
     with _p.raises(ConfigError):
-        NetworkConfig(minute_window_s=0)
+        NetworkConfig(hop_latency_jitter_s=-0.01)

@@ -208,17 +208,6 @@ def test_self_neighbor_rejected(line_network):
         net.peers[PeerId(0)].add_neighbor(PeerId(0))
 
 
-def test_forward_filter_can_veto(star_network):
-    sim, net = star_network
-    center = net.peers[PeerId(0)]
-    center.forward_filters.append(lambda q, targets: [])
-    net.peers[PeerId(1)].issue_query(("nosuch", "idz"))
-    run(sim)
-    # center received but forwarded nothing
-    assert net.peers[PeerId(2)].counters.queries_received == 0
-    assert center.counters.queries_forwarded == 0
-
-
 def test_go_offline_clears_last_minute_snapshots(line_network):
     sim, net = line_network
     p0, p1 = net.peers[PeerId(0)], net.peers[PeerId(1)]

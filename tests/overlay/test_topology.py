@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import TopologyError
 from repro.overlay.topology import (
+    DEGREE_CUTOFF,
     Topology,
     TopologyConfig,
     barabasi_albert,
@@ -84,8 +85,10 @@ def test_hard_cutoff_validation():
         hard_cutoff_scale_free(10, 2, 2, random.Random(0))  # cutoff <= m
     with pytest.raises(TopologyError):
         hard_cutoff_scale_free(2, 2, 5, random.Random(0))  # n <= m
-    with pytest.raises(TopologyError):
-        TopologyConfig(n=50, model="hard_cutoff", ba_m=3, degree_cutoff=3)
+    with pytest.raises(TopologyError):  # the configured cutoff <= m
+        generate_topology(
+            TopologyConfig(n=50, model="hard_cutoff", ba_m=DEGREE_CUTOFF)
+        )
 
 
 def test_bittorrent_degrees_bounded_and_connected():

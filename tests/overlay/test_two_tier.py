@@ -57,8 +57,6 @@ def test_validation():
         two_tier(100, 0.0, random.Random(0))
     with pytest.raises(TopologyError):
         two_tier(4, 0.99, random.Random(0))
-    with pytest.raises(TopologyError):
-        TopologyConfig(model="two_tier", super_fraction=0.0)
 
 
 def test_deterministic():

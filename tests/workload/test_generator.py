@@ -39,16 +39,6 @@ def test_excluded_peers_issue_nothing():
     assert wl.issued > 0
 
 
-def test_max_queries_cap():
-    sim, net = make_network(ring(5), seed=3)
-    wl = QueryWorkload(
-        sim, net, WorkloadConfig(queries_per_minute=60.0, max_queries_total=10, seed=3)
-    )
-    wl.start()
-    sim.run(until=600.0)
-    assert wl.issued == 10
-
-
 def test_offline_peers_skip_but_resume():
     sim, net = make_network(ring(5), seed=4)
     net.peers[PeerId(0)].go_offline()
@@ -75,5 +65,3 @@ def test_queries_target_catalog_objects():
 def test_config_validation():
     with pytest.raises(ConfigError):
         WorkloadConfig(queries_per_minute=0)
-    with pytest.raises(ConfigError):
-        WorkloadConfig(max_queries_total=-1)
