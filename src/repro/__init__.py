@@ -10,9 +10,8 @@ Flooding-based DDoS*, ICPP 2007. The package provides:
   flooding search, topology generation, bandwidth and content models;
 * :mod:`repro.fluid` -- a vectorized fluid-flow engine for paper-scale
   experiments (20,000 peers);
-* :mod:`repro.attack`, :mod:`repro.churn`, :mod:`repro.workload`,
-  :mod:`repro.testbed` -- the attack, dynamics, workload, and physical
-  testbed models of Sections 2 and 3.5;
+* :mod:`repro.attack`, :mod:`repro.churn`, :mod:`repro.workload` -- the
+  attack, dynamics and workload models of Sections 2 and 3.5;
 * :mod:`repro.baselines` -- the naive rate cutoff and probabilistic
   packet-marking traceback comparators;
 * :mod:`repro.experiments`, :mod:`repro.metrics` -- the harness that

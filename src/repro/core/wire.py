@@ -44,8 +44,8 @@ Query body (payload 0x80)::
 
 Pong body (payload 0x01, 14 bytes): port (2), synthetic IPv4 address
 (4), shared-file count (4), shared kilobytes (4; always 0 here). The
-testbed's id<->(host, port) mapping is learned from the datagram source
-address, so the port field is advisory (0 unless the caller passes one).
+testbed's id<->(host, port) mapping is the supervisor's address book,
+so the port field is advisory (0 unless the caller passes one).
 
 Bye body (payload 0x02): reason code (2 bytes, big-endian) followed by
 an optional UTF-8 reason text.

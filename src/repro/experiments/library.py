@@ -79,12 +79,32 @@ from repro.live.spec import LIVE_TIERS
 from repro.metrics.damage import damage_rate, damage_recovery_time
 from repro.metrics.series import TimeSeries
 from repro.obs.manifest import build_manifest
-from repro.testbed.pipeline import run_rate_sweep
 
 
 # ---------------------------------------------------------------------------
 # scenario row types
 # ---------------------------------------------------------------------------
+
+#: Highest rate the paper's agent prototype reached replaying its log (§2.3).
+AGENT_MAX_RATE_QPM = 29_000.0
+#: Peer B's processing ceiling on the §2.3 testbed: the 47% drop at
+#: 29,000/min pins it at 29,000 x 0.53 ~= 15,400/min, just above the
+#: ~15,000/min drop onset. Both anchors are calibration inputs, so
+#: Figures 5-6 are this closed form, not a simulation.
+PEER_B_CAPACITY_QPM = 15_400.0
+
+
+@dataclass(frozen=True)
+class PipelinePoint:
+    """One A->B->C testbed point of Figures 5-6 (steady state)."""
+
+    sent_qpm: float
+    processed_qpm: float
+
+    @property
+    def drop_rate_pct(self) -> float:
+        return 100.0 * (self.sent_qpm - self.processed_qpm) / self.sent_qpm
+
 
 @dataclass(frozen=True)
 class AgentSweepRow:
@@ -135,7 +155,9 @@ class ExchangeFrequencyRow:
     policy: str
     period_min: Optional[int]
     false_judgment: int
-    control_overhead_kqpm: float
+    #: Modelled from the run's online peers and churn events; ``None``
+    #: when the backend reports neither (every backend but fluid).
+    control_overhead_kqpm: Optional[float]
     stabilized_damage_pct: float
 
 
@@ -360,7 +382,9 @@ def _scn_testbed_rate(
     trace_path: Optional[str] = None,
 ) -> ScenarioOutput:
     """A->B->C capacity sweep (closed form; scale/backend-independent)."""
-    return ScenarioOutput(data=list(run_rate_sweep()), cases=0)
+    sent = [min(1000.0 * i, AGENT_MAX_RATE_QPM) for i in range(1, 30)]
+    data = [PipelinePoint(s, min(s, PEER_B_CAPACITY_QPM)) for s in sent]
+    return ScenarioOutput(data=data, cases=0)
 
 
 # ---------------------------------------------------------------------------
@@ -607,21 +631,24 @@ def _scn_exchange_frequency(
     rows: List[ExchangeFrequencyRow] = []
     for label, period in policies.items():
         res = results[label]
-        if period is None:
+        overhead: Optional[float]
+        if res.online_mean is None or res.churn_events is None:
+            overhead = None  # not reported: no false zero off fluid
+        elif period is None:
             # "a peer informs all its neighbors whenever its neighboring
             # peer is leaving or a new peer is joining": every churn event
             # touches ~deg neighbors, each republishing to ~deg peers.
-            overhead = res.churn_events / max(1, minutes) * mean_deg * mean_deg
+            overhead = res.churn_events / max(1, minutes) * mean_deg * mean_deg / 1000.0
         else:
             # each online peer republishes to all neighbors every period
-            overhead = res.online_mean * mean_deg / period
+            overhead = res.online_mean * mean_deg / period / 1000.0
         damage = _damage_vs_baseline(res, results["clean"], scale.attack_start_min)
         rows.append(
             ExchangeFrequencyRow(
                 policy=label,
                 period_min=period,
                 false_judgment=res.false_negative + res.false_positive,
-                control_overhead_kqpm=overhead / 1000.0,
+                control_overhead_kqpm=overhead,
                 stabilized_damage_pct=_mean_damage_from(damage, minutes - 5),
             )
         )
@@ -1329,7 +1356,11 @@ _SCENARIOS: Dict[str, Scenario] = {
                     ["policy", "false judgment", "control overhead (k msgs/min)",
                      "stabilized damage (%)"],
                     lambda r: [
-                        r.policy, r.false_judgment, round(r.control_overhead_kqpm, 2),
+                        r.policy,
+                        r.false_judgment,
+                        "n/a"
+                        if r.control_overhead_kqpm is None
+                        else round(r.control_overhead_kqpm, 2),
                         round(r.stabilized_damage_pct, 1),
                     ],
                 ),

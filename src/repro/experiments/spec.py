@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 import typing
 from dataclasses import dataclass, replace
 from typing import (
@@ -291,6 +292,13 @@ def spec_to_jsonable(spec: ExperimentSpec) -> Dict[str, Any]:
     return jsonable_config(spec)
 
 
+def _finite(value: float, path: str) -> float:
+    """``value`` if finite; no spec float means anything as nan or inf."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: {value!r} is not a finite number")
+    return value
+
+
 def _convert(value: Any, target: Any, path: str) -> Any:
     """Convert a JSON value into the typed field ``target`` at ``path``."""
     origin = typing.get_origin(target)
@@ -325,7 +333,7 @@ def _convert(value: Any, target: Any, path: str) -> Any:
     if target is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
-        return float(value)
+        return _finite(float(value), path)
     if target is str:
         if not isinstance(value, str):
             raise ConfigError(f"{path}: expected a string, got {value!r}")
@@ -427,9 +435,10 @@ def _coerce(text: Any, target: Any, path: str) -> Any:
             raise ConfigError(f"{path}: {text!r} is not an integer")
     if target is float:
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             raise ConfigError(f"{path}: {text!r} is not a number")
+        return _finite(value, path)
     if target is str:
         return text
     raise ConfigError(f"{path}: unsupported field type {target!r}")
@@ -560,10 +569,12 @@ class CaseResult:
     steady: Optional[Tuple[float, float, float]]
     false_negative: int
     false_positive: int
-    #: Mean online population (fluid; the exchange-overhead model).
-    online_mean: float
-    #: Total churn events (fluid; the event-driven overhead model).
-    churn_events: int
+    #: Mean online population (the exchange-overhead model); None on
+    #: every backend but fluid, which alone reports it.
+    online_mean: Optional[float]
+    #: Total churn events (the event-driven overhead model); None on
+    #: every backend but fluid, which alone reports it.
+    churn_events: Optional[int]
     #: Mean seconds from attack start to each attacker's first
     #: disconnection, *censored*: an attacker never caught contributes
     #: the full remaining run (duration - attack_start), so total
@@ -629,8 +640,8 @@ def case_result(
       ascending id order: one never cut counts the whole attack span.
 
     Raises :class:`~repro.errors.MetricsError` when the steady window
-    holds no reported minute. Fluid's ``online_mean`` / ``churn_events``
-    stay 0; its adapter fills them in.
+    holds no reported minute. ``online_mean`` / ``churn_events`` stay
+    None (not reported); fluid's adapter fills them in.
     """
     steady: Optional[Tuple[float, float, float]] = None
     if case.settle_min is not None:
@@ -666,8 +677,8 @@ def case_result(
         steady=steady,
         false_negative=fn,
         false_positive=fp,
-        online_mean=0.0,
-        churn_events=0,
+        online_mean=None,
+        churn_events=None,
         detection_latency_s=latency,
         caught_attackers=len([b for b in bad if b in first_cut]),
         total_attackers=len(bad),

@@ -13,8 +13,8 @@ Layout:
   (optionally compressed) real time.
 * :mod:`repro.live.ports` -- UDP port allocation with ``EADDRINUSE``
   retry and the ``$REPRO_LIVE_PORT_BASE`` deterministic override.
-* :mod:`repro.live.node` -- one overlay node: transport, PING/PONG
-  liveness and bootstrap around one real :class:`repro.overlay.peer.Peer`
+* :mod:`repro.live.node` -- one overlay node: transport and PING/PONG
+  liveness around one real :class:`repro.overlay.peer.Peer`
   (framed by :func:`repro.core.wire.decode_message`), hosting DD-POLICE
   and the static-flooder :class:`~repro.attack.agent.DDoSAgent`.
 * :mod:`repro.live.supervisor` -- sizes, spawns and babysits the node

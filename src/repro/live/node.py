@@ -15,7 +15,6 @@ the same class the DES runs; the node adds what only a real process has:
 * **liveness** -- periodic PING to every neighbor, PONG matched by GUID,
   bounded-backoff retries, and eviction of neighbors that stay silent
   (dead processes must not count as silent (0, 0) witnesses forever).
-* **bootstrap** -- the PING/PONG join handshake below.
 * **clock** -- :class:`~repro.live.clock.LiveClock` stands in for the
   DES scheduler, so minute rolls happen on the (compressed) wall clock.
 * **roles** -- the Poisson workload calls ``peer.issue_query``; the
@@ -26,10 +25,10 @@ the same class the DES runs; the node adds what only a real process has:
 
 Peers are addressed two ways at once: a :class:`~repro.overlay.ids.PeerId`
 on the wire (the protocol identity) and a ``(host, port)`` UDP address
-(the transport identity). Supervised swarms distribute the full address
-book up front; bootstrap mode learns the mapping from a three-way
-PING/PONG join handshake with seed addresses (PONG is the only message
-carrying a sender identity).
+(the transport identity). The supervisor distributes the full address
+book up front, and the node never learns or rebinds a mapping: a
+datagram from an address outside the book is counted as ``unroutable``
+and dropped unanswered.
 
 Run standalone with ``python -m repro.live.node --config node.json``;
 the supervisor writes one such JSON per process.
@@ -60,7 +59,7 @@ from repro.live.ports import bind_udp_socket
 from repro.obs.trace import JsonlSink, Tracer
 from repro.overlay.content import ContentCatalog, ContentConfig
 from repro.overlay.ids import GuidFactory, PeerId
-from repro.overlay.message import Bye, Message, MessageKind, Ping, Pong, Query, QueryHit
+from repro.overlay.message import Bye, Message, MessageKind, Ping, Query, QueryHit
 from repro.overlay.peer import Peer
 from repro.simkit.rng import derive_seed
 
@@ -75,20 +74,17 @@ class NodeConfig:
     """Everything one node process needs, JSON-serializable.
 
     The supervisor writes one of these per node; a hand-started node
-    needs only ``node_id``, ``host``/``port``, and either ``addresses``
-    + ``neighbors`` (preassigned topology) or ``seeds`` (bootstrap).
+    needs only ``node_id``, ``host``/``port``, ``addresses`` and
+    ``neighbors`` (the preassigned topology).
     """
 
     node_id: int
     host: str = "127.0.0.1"
     port: int = 0
-    #: Full address book: peer id -> (host, port). Supervised swarms
-    #: know everyone up front; bootstrap nodes start with only seeds.
+    #: Full address book: peer id -> (host, port), known up front.
     addresses: Dict[int, Address] = field(default_factory=dict)
     #: Preassigned neighbor ids (the generated topology's adjacency).
     neighbors: Tuple[int, ...] = ()
-    #: Seed addresses for bootstrap mode (used when ``neighbors`` is empty).
-    seeds: Tuple[Address, ...] = ()
     #: Peer-id space size; sizes the shared content catalog.
     n_peers: int = 2
     #: Scenario length in protocol minutes; 0 = run until signalled.
@@ -118,8 +114,6 @@ class NodeConfig:
     ping_period_s: float = 60.0
     ping_timeout_s: float = 15.0
     ping_retries: int = 3
-    #: Degree cap when accepting bootstrap joins.
-    max_degree: int = 64
     stats_path: Optional[str] = None
     run_id: Optional[str] = None
     #: Startup barrier: once the socket is bound, touch ``ready_file``
@@ -154,8 +148,6 @@ class NodeConfig:
             raise ConfigError(f"ping_retries must be non-negative, got {self.ping_retries}")
         if self.defense not in ("none", "ddpolice"):
             raise ConfigError(f"unknown defense: {self.defense!r}")
-        if self.max_degree < 1:
-            raise ConfigError(f"max_degree must be >= 1, got {self.max_degree}")
 
     def police_config(self) -> DDPoliceConfig:
         fields = dict(self.police)
@@ -168,7 +160,6 @@ class NodeConfig:
         d = dataclasses.asdict(self)
         d["addresses"] = {str(k): list(v) for k, v in self.addresses.items()}
         d["neighbors"] = list(self.neighbors)
-        d["seeds"] = [list(s) for s in self.seeds]
         return d
 
     @classmethod
@@ -178,7 +169,6 @@ class NodeConfig:
             int(k): (v[0], int(v[1])) for k, v in d.get("addresses", {}).items()
         }
         d["neighbors"] = tuple(int(n) for n in d.get("neighbors", ()))
-        d["seeds"] = tuple((s[0], int(s[1])) for s in d.get("seeds", ()))
         return cls(**d)
 
 
@@ -260,7 +250,6 @@ class LiveNode(asyncio.DatagramProtocol):
         self._id_at: Dict[Address, PeerId] = {
             addr: pid for pid, addr in self._addr_of.items()
         }
-        self._pending_join: Dict[Address, int] = {}
 
         self._rng = random.Random(derive_seed(config.seed, "node", config.node_id))
         self.catalog = ContentCatalog(
@@ -352,18 +341,15 @@ class LiveNode(asyncio.DatagramProtocol):
     def connection_made(self, transport) -> None:  # type: ignore[override]
         self.transport = transport
 
-    def _sendto(self, raw: bytes, addr: Address) -> None:
-        if self.transport is None or self.transport.is_closing():
-            return
-        self.transport.sendto(raw, addr)
-        self._m.sent += 1
-
     def _send(self, dst: PeerId, msg: Message) -> None:
         addr = self._addr_of.get(dst)
         if addr is None:
             self._m.unroutable += 1
             return
-        self._sendto(encode_message(msg), addr)
+        if self.transport is None or self.transport.is_closing():
+            return
+        self.transport.sendto(encode_message(msg), addr)
+        self._m.sent += 1
 
     def datagram_received(self, data: bytes, addr: Address) -> None:
         try:
@@ -373,17 +359,20 @@ class LiveNode(asyncio.DatagramProtocol):
             return
         self._m.received += 1
         src = self._id_at.get(addr)
+        if src is None:
+            # Outside the address book: never answered, never learned.
+            self._m.unroutable += 1
+            return
+        if self._closing:
+            return
         try:
-            if src is None:
-                self._on_unknown_sender(addr, msg)
-            elif not self._closing:
-                if msg.kind is MessageKind.PONG:
-                    pending = self._pending_ping.get(src)
-                    if pending is not None and pending[0] == msg.guid.raw:
-                        del self._pending_ping[src]
-                elif msg.kind is MessageKind.BYE:
-                    self._drop_link(src, msg.reason_code)
-                self.peer.on_message(src, msg)
+            if msg.kind is MessageKind.PONG:
+                pending = self._pending_ping.get(src)
+                if pending is not None and pending[0] == msg.guid.raw:
+                    del self._pending_ping[src]
+            elif msg.kind is MessageKind.BYE:
+                self._drop_link(src, msg.reason_code)
+            self.peer.on_message(src, msg)
         except ProtocolError:
             # Semantically invalid but well-formed input from a remote
             # (e.g. a control message missing a required field): the
@@ -395,59 +384,11 @@ class LiveNode(asyncio.DatagramProtocol):
         del exc
 
     # ------------------------------------------------------------------
-    # liveness + bootstrap (PING/PONG)
+    # liveness (PING/PONG)
     # ------------------------------------------------------------------
-    def _on_unknown_sender(self, addr: Address, msg: Message) -> None:
-        """Join traffic from an address outside the book (bootstrap mode).
-
-        PONG is the only message carrying a sender identity, so joining
-        is a three-way handshake: joiner PINGs a seed; the seed PONGs
-        back (no link yet -- it cannot name the joiner); the joiner adds
-        the link and confirms with a PONG of its own, from which the
-        seed learns the address mapping and reciprocates the link.
-        """
-        if msg.kind is MessageKind.PING:
-            pong = Pong(
-                guid=msg.guid, ttl=1, hops=0, responder=self.id, shared_files=0
-            )
-            self._sendto(encode_message(pong), addr)
-            return
-        if msg.kind is not MessageKind.PONG or msg.responder is None:
-            self._m.unroutable += 1
-            return
-        pid = msg.responder
-        if pid == self.id:
-            return
-        self._addr_of[pid] = addr
-        self._id_at[addr] = pid
-        if addr in self._pending_join:
-            # Seed answered our join PING: link up and confirm.
-            del self._pending_join[addr]
-            self._add_link(pid)
-            confirm = Pong(
-                guid=self.guid_factory.new(), ttl=1, hops=0, responder=self.id
-            )
-            self._send(pid, confirm)
-        elif len(self.peer.neighbors) < self.config.max_degree:
-            # A joiner's confirmation PONG: reciprocate the link.
-            self._add_link(pid)
-        else:
-            bye = Bye(
-                guid=self.guid_factory.new(),
-                ttl=1,
-                hops=0,
-                reason_code=Bye.REASON_NORMAL,
-                reason_text="full",
-            )
-            self._send(pid, bye)
-
     def _ping_round(self) -> None:
         if self._closing:
             return
-        for addr in list(self._pending_join):
-            # Unanswered join PINGs are re-sent every round.
-            ping = Ping(guid=self.guid_factory.new(), ttl=1)
-            self._sendto(encode_message(ping), addr)
         for nb in list(self.peer.neighbors):
             if nb in self._pending_ping:
                 continue  # retry chain already running
@@ -559,11 +500,6 @@ class LiveNode(asyncio.DatagramProtocol):
         self._started = True
         for nb_int in self.config.neighbors:
             self._add_link(PeerId(nb_int))
-        for seed_addr in self.config.seeds:
-            if seed_addr != (self.config.host, self.config.port):
-                self._pending_join[seed_addr] = 0
-                ping = Ping(guid=self.guid_factory.new(), ttl=1)
-                self._sendto(encode_message(ping), seed_addr)
 
         if self.config.defense == "ddpolice":
             self.engine = DDPoliceEngine(

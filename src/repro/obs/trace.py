@@ -21,6 +21,7 @@ simulation, so a traced run is bit-identical to an untraced one.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter as _Counter
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
@@ -72,6 +73,8 @@ def validate_record(record: Dict[str, Any]) -> None:
     t = record.get("t")
     if not isinstance(t, (int, float)) or isinstance(t, bool):
         raise ConfigError(f"trace record t must be a number, got {t!r}")
+    if isinstance(t, float) and not math.isfinite(t):
+        raise ConfigError(f"trace record t must be finite, got {t!r}")
     for key, value in record.items():
         if not isinstance(key, str):
             raise ConfigError(f"trace record key {key!r} is not a string")
@@ -174,7 +177,10 @@ def iter_records(path: Union[str, Path]) -> Iterator[Dict[str, Any]]:
     line; any malformed line *before* the last one is a real corruption
     and raises :class:`ConfigError`.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text at byte {exc.start}")
     for i, line in enumerate(lines):
         if not line.strip():
             continue

@@ -1,4 +1,4 @@
-"""Query workload: generation and trace capture.
+"""Query workload generation.
 
 Substitutes the paper's measured inputs (24 h LimeWire query log;
 UW KaZaA trace) with synthetic equivalents that preserve the statistics

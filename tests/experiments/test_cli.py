@@ -185,3 +185,7 @@ def test_trace_summarize_invalid_trace(tmp_path, capsys):
     path.write_text('{"v": 99, "seq": 0, "t": 0, "kind": "x"}\n{}\n')
     assert main(["trace", "summarize", str(path)]) == 2
     assert "invalid trace" in capsys.readouterr().err
+    # Undecodable bytes are an invalid trace too, not a traceback.
+    path.write_bytes(b'{"v": 1, "seq": 0, "t": 0, "kind": "\xff"}\n')
+    assert main(["trace", "summarize", str(path)]) == 2
+    assert "bad.jsonl: not UTF-8" in capsys.readouterr().err

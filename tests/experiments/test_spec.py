@@ -106,6 +106,10 @@ def test_from_jsonable_rejects_wrong_types():
     doc["seed"] = "seven"
     with pytest.raises(ConfigError, match="spec.seed.*expected an integer"):
         spec_from_jsonable(doc)
+    doc = spec_to_jsonable(get_spec("fig9"))
+    doc["police"]["cut_threshold"] = float("nan")  # what json.loads makes of NaN
+    with pytest.raises(ConfigError, match="spec.police.cut_threshold.*not a finite"):
+        spec_from_jsonable(doc)
 
 
 def test_figures_9_10_11_share_the_scenario_hash():
@@ -226,6 +230,17 @@ def test_invariant_violation_names_the_path():
 def test_non_numeric_value_rejected_with_path():
     with pytest.raises(ConfigError, match="police.cut_threshold.*not a number"):
         apply_overrides(get_spec("fig9"), {"police.cut_threshold": "many"})
+    # nan / inf parse as floats but no spec number means anything as one.
+    for path, text in (
+        ("police.cut_threshold", "nan"),
+        ("police.exchange_period_s", "inf"),
+        ("police.collection_window_s", "nan"),
+        ("workload.attack_rate_qpm", "inf"),
+        ("grid.cut_thresholds", "inf"),
+        ("live.minute_s", "nan"),
+    ):
+        with pytest.raises(ConfigError, match=rf"{path}.*not a finite number"):
+            apply_overrides(get_spec("fig9"), {path: text})
 
 
 def test_bool_and_tuple_coercion():
@@ -429,13 +444,18 @@ def test_exchange_cases_carry_their_period_in_police(monkeypatch):
         return [case_result(c, minutes[: c.minutes], {}, ()) for c in cases]
 
     monkeypatch.setattr(library, "run_cases", fake_run_cases)
-    run_spec("exchange", backend="des", scale="smoke", cache=False)
+    result = run_spec("exchange", backend="des", scale="smoke", cache=False)
     [cases] = calls
     policed = [c for c in cases if c.defense == "ddpolice"]
     assert [c.police.exchange_period_s for c in policed] == [
         60.0, 120.0, 240.0, 300.0, 600.0, 60.0
     ]
     assert [c for c in cases if c.defense == "none"][0].police == DDPoliceConfig()
+    # Only fluid reports what the control-overhead column is modelled
+    # from, so off fluid every policy row prints n/a, not a false 0.0.
+    assert [r.control_overhead_kqpm for r in result.data] == [None] * 6
+    body = result.tables["exchange_frequency"].splitlines()[3:]
+    assert len(body) == 6 and all(line.split()[2] == "n/a" for line in body)
 
 
 def test_spec_validation():

@@ -272,9 +272,23 @@ def test_malformed_and_invalid_input_is_counted_never_raised(harness):
     h.peer.control_handlers.append(reject)
     h.feed(NB1, Pong(guid=guid(2), ttl=1, responder=NB1))
     assert h.transport.take() == []
+
+    # A stray PONG naming a neighbor and a stray PING, from an address
+    # outside the book: no reply, and no rebinding of that neighbor.
+    stray = ("127.0.0.1", 9999)
+    book = dict(h.node._addr_of)
+    h.node.datagram_received(
+        encode_message(Pong(guid=guid(3), ttl=1, responder=NB1)), stray
+    )
+    h.node.datagram_received(encode_message(Ping(guid=guid(4), ttl=1)), stray)
+    assert h.transport.take() == []
+    assert h.node._addr_of == book
+    h.feed(NB2, query(5))
+    assert sorted(a for _, a in h.transport.take()) == [ADDR[1], ADDR[3]]
+
     record = h.roll()
-    assert (record["malformed"], record["received"]) == (3, 1)
-    assert record["protocol_errors"] == 1
+    assert (record["malformed"], record["received"]) == (3, 4)
+    assert (record["protocol_errors"], record["unroutable"]) == (1, 2)
 
 
 def test_minute_record_keeps_every_field_name(harness):

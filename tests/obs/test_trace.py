@@ -88,6 +88,9 @@ def test_iter_records_rejects_mid_file_corruption(tmp_path):
     path.write_text("not json\n" + good + "\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="malformed"):
         list(iter_records(path))
+    path.write_bytes(b"\xff\xfe" + good.encode() + b"\n")
+    with pytest.raises(ConfigError, match="trace.jsonl: not UTF-8"):
+        list(iter_records(path))
 
 
 def test_summarize_trace(tmp_path):
@@ -115,3 +118,5 @@ def test_validate_record_rejects_bad_version_and_fields():
         validate_record({"v": SCHEMA_VERSION, "seq": 0, "t": 0.0, "kind": ""})
     with pytest.raises(ConfigError, match="t must be a number"):
         validate_record({"v": SCHEMA_VERSION, "seq": 0, "t": "0", "kind": "a"})
+    with pytest.raises(ConfigError, match="t must be finite"):
+        validate_record({"v": SCHEMA_VERSION, "seq": 0, "t": float("nan"), "kind": "a"})

@@ -16,7 +16,6 @@ PACKAGES = [
     "repro.attack",
     "repro.churn",
     "repro.workload",
-    "repro.testbed",
     "repro.baselines",
     "repro.metrics",
     "repro.experiments",
