@@ -12,8 +12,7 @@ Flooding-based DDoS*, ICPP 2007. The package provides:
   experiments (20,000 peers);
 * :mod:`repro.attack`, :mod:`repro.churn`, :mod:`repro.workload` -- the
   attack, dynamics and workload models of Sections 2 and 3.5;
-* :mod:`repro.baselines` -- the naive rate cutoff and probabilistic
-  packet-marking traceback comparators;
+* :mod:`repro.baselines` -- the naive rate cutoff comparator;
 * :mod:`repro.experiments`, :mod:`repro.metrics` -- the harness that
   regenerates every evaluation figure.
 

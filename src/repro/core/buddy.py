@@ -15,51 +15,9 @@ and the ablation bench.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import AbstractSet, Callable, FrozenSet, Hashable, Set
 
 from repro.errors import ConfigError
-
-
-@dataclass
-class BuddyGroup:
-    """The buddy group of one suspect peer, as known to one observer.
-
-    ``members`` excludes the suspect itself; the observer is a member
-    (it must be a direct neighbor of the suspect to police it).
-    """
-
-    suspect: Hashable
-    members: FrozenSet[Hashable]
-    formed_at: float = 0.0
-    radius: int = 1
-
-    def __post_init__(self) -> None:
-        if self.suspect in self.members:
-            raise ConfigError("suspect cannot be a member of its own buddy group")
-        if self.radius < 1:
-            raise ConfigError("radius must be >= 1")
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def peers_to_contact(self, observer: Hashable) -> Set[Hashable]:
-        """Other members the observer exchanges Neighbor_Traffic with."""
-        if observer not in self.members:
-            raise ConfigError(
-                f"observer {observer!r} is not in BG of {self.suspect!r}"
-            )
-        return set(self.members) - {observer}
-
-    def refresh(self, members: AbstractSet[Hashable], now: float) -> "BuddyGroup":
-        """New group snapshot after a neighbor-list exchange."""
-        return BuddyGroup(
-            suspect=self.suspect,
-            members=frozenset(members) - {self.suspect},
-            formed_at=now,
-            radius=self.radius,
-        )
 
 
 def buddy_group_of(
@@ -67,9 +25,8 @@ def buddy_group_of(
     neighbors_of: Callable[[Hashable], AbstractSet[Hashable]],
     *,
     radius: int = 1,
-    now: float = 0.0,
-) -> BuddyGroup:
-    """Construct BGr-suspect from a neighbor oracle.
+) -> FrozenSet[Hashable]:
+    """The members of BGr-suspect, from a neighbor oracle.
 
     ``neighbors_of`` returns the *known* neighbor set of a peer -- in the
     protocol this is the most recent exchanged list, which may be stale;
@@ -77,7 +34,7 @@ def buddy_group_of(
     discussed in Section 3.1.
 
     For ``radius > 1`` the group is the r-hop ball around the suspect
-    minus the suspect itself.
+    minus the suspect itself; the suspect is never a member.
     """
     if radius < 1:
         raise ConfigError(f"radius must be >= 1, got {radius}")
@@ -92,6 +49,4 @@ def buddy_group_of(
         members |= nxt
         frontier = nxt
     members.discard(suspect)
-    return BuddyGroup(
-        suspect=suspect, members=frozenset(members), formed_at=now, radius=radius
-    )
+    return frozenset(members)

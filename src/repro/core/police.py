@@ -374,15 +374,14 @@ class DDPoliceEngine:
     def _open_investigation(self, suspect: PeerId) -> None:
         if suspect in self._investigations:
             return  # already collecting evidence
-        group = buddy_group_of(
-            suspect,
-            lambda p: self.directory.known_neighbors(p),
-            radius=self.config.radius,
-            now=self.network.now,
+        members = set(
+            buddy_group_of(
+                suspect,
+                self.directory.known_neighbors,
+                radius=self.config.radius,
+            )
         )
-        members = set(group.members)
         members.add(self.peer.id)  # we are a neighbor of the suspect
-        members.discard(suspect)
         expected = frozenset(members - {self.peer.id})
         own_out, own_in = self.store.report_pair(suspect)
         inv = Investigation(

@@ -52,12 +52,13 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.attack.adaptive import ADAPTIVE_STRATEGIES, AdaptiveConfig
-from repro.core.config import DDPoliceConfig
+from repro.core.config import DDPoliceConfig, ExchangePolicy
 from repro.errors import ConfigError
 from repro.exec import pmap, resolve_workers
 from repro.experiments.reporting import render_table
 from repro.experiments.scenarios import SCALES, TIER_OVERRIDES, Scale
 from repro.experiments.spec import (
+    PROFILES,
     Case,
     CaseResult,
     ExperimentSpec,
@@ -159,10 +160,6 @@ class ExchangeFrequencyRow:
     #: when the backend reports neither (every backend but fluid).
     control_overhead_kqpm: Optional[float]
     stabilized_damage_pct: float
-
-
-#: Evidence-collection profiles compared by the fault sweep.
-FAULT_PROFILES: Tuple[str, ...] = ("paper", "hardened")
 
 
 @dataclass(frozen=True)
@@ -601,9 +598,11 @@ def _scn_exchange_frequency(
 ) -> ScenarioOutput:
     """Periodic exchange at several periods + the event-driven policy.
 
-    Event-driven is approximated at fluid granularity by a 1-minute
-    period with per-change message accounting (every join/leave triggers
-    a republication).
+    The event-driven case carries ``ExchangePolicy.EVENT_DRIVEN`` (with a
+    1-minute staleness period), which the DES runs as such; the fluid
+    model approximates it at its granularity by republishing every
+    minute, with per-change message accounting (every join/leave
+    triggers a republication).
     """
     scale = spec.scale
     minutes = spec.grid.minutes or scale.sim_minutes
@@ -612,19 +611,24 @@ def _scn_exchange_frequency(
     clean = Case(
         n=scale.n_peers, minutes=minutes, seed=spec.seed, workload=spec.workload
     )
-    # policy label -> exchange period (None = event-driven, run at 1 min)
+    # policy label -> exchange period (None = event-driven)
     policies: Dict[str, Optional[int]] = {
         f"periodic-{p}min": p for p in spec.grid.periods_min
     }
     policies["event-driven"] = None
     plan: Dict[Any, Case] = {"clean": clean}
     for label, period in policies.items():
+        policy = ExchangePolicy.PERIODIC if period else ExchangePolicy.EVENT_DRIVEN
         plan[label] = replace(
             clean,
             num_agents=_derived_agents(spec),
             attack_start_min=scale.attack_start_min,
             defense="ddpolice",
-            police=replace(spec.police, exchange_period_s=60.0 * (period or 1)),
+            police=replace(
+                spec.police,
+                exchange_policy=policy,
+                exchange_period_s=60.0 * (period or 1),
+            ),
         )
     results = _run_plan(spec, plan, workers, trace_path)
 
@@ -678,6 +682,14 @@ def _fault_plan(scale: Scale, loss: float, crashes: int) -> FaultPlan:
     return plan
 
 
+def _police_by_profile(spec: ExperimentSpec) -> Dict[str, DDPoliceConfig]:
+    """The police layer of each profile on ``grid.profiles`` (empty = all
+    of :data:`PROFILES`), in grid order: the fault sweep's and the
+    robustness matrix's one evidence-profile axis."""
+    police = {"paper": spec.police, "hardened": spec.police.with_hardening()}
+    return {profile: police[profile] for profile in spec.grid.profiles or PROFILES}
+
+
 def _scn_fault_sweep(
     spec: ExperimentSpec,
     *,
@@ -699,14 +711,7 @@ def _scn_fault_sweep(
     cheating.
     """
     scale, grid = spec.scale, spec.grid
-    profiles = grid.profiles or FAULT_PROFILES
-    police_by_profile = {
-        "paper": spec.police,
-        "hardened": spec.police.with_hardening(),
-    }
-    for profile in profiles:
-        if profile not in police_by_profile:
-            raise ConfigError(f"unknown fault profile {profile!r}")
+    police_by_profile = _police_by_profile(spec)
     cells = [
         (loss, crashes) for loss in grid.loss_fractions for crashes in grid.crash_counts
     ]
@@ -734,18 +739,18 @@ def _scn_fault_sweep(
         for t in trials
     }
     for loss, crashes in cells:
-        for profile in profiles:
+        for profile, police in police_by_profile.items():
             for t in trials:
                 plan[profile, loss, crashes, t] = replace(
                     plan["clean", loss, crashes, t],
                     num_agents=grid.agents,
-                    police=police_by_profile[profile],
+                    police=police,
                 )
     results = _run_plan(spec, plan, workers, trace_path)
 
     points: List[FaultPoint] = []
     for loss, crashes in cells:
-        for profile in profiles:
+        for profile in police_by_profile:
             runs = [results[profile, loss, crashes, t] for t in trials]
             damages = _trial_damages(
                 results,
@@ -815,31 +820,28 @@ def _scn_robustness_matrix(
     workers: Optional[int] = None,
     trace_path: Optional[str] = None,
 ) -> ScenarioOutput:
-    """DD-POLICE variants and the PPM baseline vs adversaries that adapt.
+    """DD-POLICE's evidence profiles vs adversaries that adapt.
 
     Every cell runs the same flooding attack through a different
-    (defense, adversary behaviour, overlay topology) combination and
-    reports censored detection latency, attackers caught, false
-    suspects, and post-attack damage. ``paper`` is the literal Section
-    3.3 evidence rule, ``hardened`` is
-    :meth:`DDPoliceConfig.with_hardening`, ``traceback`` is the PPM
-    last-hop marking baseline. The ``collude`` adversary forces the
+    (evidence profile, adversary behaviour, overlay topology)
+    combination and reports censored detection latency, attackers
+    caught, false suspects, and post-attack damage. ``paper`` is the
+    literal Section 3.3 evidence rule, ``hardened`` is
+    :meth:`DDPoliceConfig.with_hardening`; the table calls the profile
+    its ``defense``. The ``collude`` adversary forces the
     matching Neighbor_Traffic cheat so colluders actually corroborate
     each other's excuse reports. A full grid is dozens of message-level
     runs, so the registered population is deliberately small.
     """
     scale, grid = spec.scale, spec.grid
+    police_by_profile = _police_by_profile(spec)
     cells = [
-        (defense, adversary, topo)
-        for defense in grid.defenses
+        (profile, adversary, topo)
+        for profile in police_by_profile
         for adversary in grid.adversaries
         for topo in grid.topologies
     ]
     trials = range(spec.trials)
-    police_by_defense = {
-        "paper": spec.police,
-        "hardened": spec.police.with_hardening(),
-    }
     collude_workload = replace(spec.workload, cheat_strategy="collude")
 
     # ba_m=1 keeps the preferential-attachment topologies duplicate-free
@@ -850,8 +852,8 @@ def _scn_robustness_matrix(
     # that column.
     #
     # One clean baseline per (topology, trial) -- shared by every
-    # defense/adversary cell on that topology, since with no attackers
-    # neither the defense nor the adversary behaviour can matter.
+    # profile/adversary cell on that topology, since with no attackers
+    # neither the profile nor the adversary behaviour can matter.
     plan: Dict[Any, Case] = {
         ("clean", topo, t): Case(
             n=scale.n_peers,
@@ -864,33 +866,32 @@ def _scn_robustness_matrix(
         for topo in grid.topologies
         for t in trials
     }
-    for defense, adversary, topo in cells:
+    for profile, adversary, topo in cells:
         for t in trials:
-            plan[defense, adversary, topo, t] = replace(
+            plan[profile, adversary, topo, t] = replace(
                 plan["clean", topo, t],
                 num_agents=grid.agents,
                 attack_start_min=scale.attack_start_min,
-                defense="traceback" if defense == "traceback" else "ddpolice",
-                police=police_by_defense.get(defense, spec.police),
+                defense="ddpolice",
+                police=police_by_profile[profile],
                 workload=collude_workload if adversary == "collude" else spec.workload,
                 adaptive=replace(spec.adversary, strategy=adversary),
-                traceback=spec.traceback,
             )
     results = _run_plan(spec, plan, workers, trace_path)
 
     rows: List[MatrixRow] = []
-    for defense, adversary, topo in cells:
-        runs = [results[defense, adversary, topo, t] for t in trials]
+    for profile, adversary, topo in cells:
+        runs = [results[profile, adversary, topo, t] for t in trials]
         damages = _trial_damages(
             results,
-            (defense, adversary, topo),
+            (profile, adversary, topo),
             ("clean", topo),
             trials,
             scale.attack_start_min,
         )
         rows.append(
             MatrixRow(
-                defense=defense,
+                defense=profile,
                 adversary=adversary,
                 topology=topo,
                 detection_latency_s=mean(
@@ -920,7 +921,7 @@ def format_robustness_matrix(spec: ExperimentSpec, rows: Sequence[MatrixRow]) ->
         f"from minute {scale.attack_start_min}  "
         f"duration={scale.sim_minutes} min  trials={spec.trials}",
         "defenses: paper = literal Section 3.3 evidence; hardened = retries + "
-        "quorum + window extension; traceback = PPM last-hop marking",
+        "quorum + window extension",
         "latency_s = mean seconds from attack start to first disconnection, "
         "censored at run end for attackers never caught",
         "FN = good peers wrongly cut (false suspects); damage% = mean damage "
@@ -1705,7 +1706,7 @@ SPECS: Dict[str, ExperimentSpec] = {
             adversary=AdaptiveConfig(pulse_period_s=30.0),
             grid=GridSpec(
                 agents=2,
-                defenses=("paper", "hardened", "traceback"),
+                profiles=("paper", "hardened"),
                 adversaries=ADAPTIVE_STRATEGIES,
                 topologies=("ba", "hard_cutoff", "bittorrent"),
             ),

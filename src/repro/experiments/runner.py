@@ -16,7 +16,6 @@ from repro.attack.adaptive import AdaptiveAgent, AdaptiveConfig, CollusionRing
 from repro.attack.agent import AgentConfig, DDoSAgent
 from repro.attack.cheating import CheatStrategy
 from repro.baselines.naive import deploy_naive
-from repro.baselines.traceback import TracebackConfig, deploy_traceback
 from repro.churn.process import ChurnConfig, ChurnProcess
 from repro.core.config import DDPoliceConfig
 from repro.core.police import deploy_ddpolice
@@ -56,10 +55,9 @@ class DESConfig:
     #: Adaptive-adversary strategy ("static" = the paper's flooder; see
     #: :mod:`repro.attack.adaptive` for throttle/collude/churn/pulse).
     adaptive: AdaptiveConfig = AdaptiveConfig()
-    #: Defense: "none" | "ddpolice" | "naive" | "traceback".
+    #: Defense: "none" | "ddpolice" | "naive".
     defense: str = "none"
     police: DDPoliceConfig = DDPoliceConfig()
-    traceback: TracebackConfig = TracebackConfig()
     #: Fault schedule executed against the run (empty plan = no injector
     #: attached, transmit path untouched). Random crash / fail-slow
     #: victims are drawn from the *good* population so the ground-truth
@@ -84,7 +82,7 @@ class DESConfig:
             raise ConfigError("attack_start_s must be non-negative")
         if self.attack_rate_qpm <= 0:
             raise ConfigError("attack_rate_qpm must be positive")
-        if self.defense not in ("none", "ddpolice", "naive", "traceback"):
+        if self.defense not in ("none", "ddpolice", "naive"):
             raise ConfigError(f"unknown defense {self.defense!r}")
         if self.adaptive.strategy == "collude" and self.num_agents > 0 and (
             self.cheat_strategy is not CheatStrategy.COLLUDE
@@ -238,11 +236,6 @@ def run_des_experiment(config: DESConfig) -> DESRun:
     elif config.defense == "naive":
         defenses = deploy_naive(network)
         judgments = next(iter(defenses.values())).judgments if defenses else None
-    elif config.defense == "traceback":
-        tracebacks = deploy_traceback(
-            network, config.traceback, rng=rngs.stream("traceback")
-        )
-        judgments = next(iter(tracebacks.values())).judgments if tracebacks else None
 
     workload = QueryWorkload(
         sim, network, config.workload, rng=rngs.stream("workload"), exclude=set()

@@ -92,7 +92,6 @@ TIER_OVERRIDES: Dict[Tuple[str, str], Tuple[str, ...]] = {
     ("robustness-matrix", "smoke"): (
         "scale.sim_minutes=5",
         "trials=1",
-        "grid.defenses=paper,traceback",
         "grid.adversaries=static,throttle,pulse",
         "grid.topologies=ba",
     ),

@@ -56,7 +56,6 @@ from typing import (
 
 from repro.attack.adaptive import ADAPTIVE_STRATEGIES, AdaptiveConfig
 from repro.attack.cheating import CheatStrategy
-from repro.baselines.traceback import TracebackConfig
 from repro.core.config import DDPoliceConfig
 from repro.errors import ConfigError, MetricsError
 from repro.exec import pmap
@@ -117,14 +116,21 @@ class WorkloadSpec:
         return CheatStrategy(self.cheat_strategy)
 
 
+#: The evidence profiles the fault sweep and the robustness matrix
+#: compare: ``paper`` is the spec's police layer as stated (the literal
+#: Section 3.3 rule), ``hardened`` its :meth:`DDPoliceConfig.with_hardening`.
+PROFILES: Tuple[str, ...] = ("paper", "hardened")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Sweep grid layer: the x-axes of the figure scenarios.
 
     The registered specs set their sweep tuples explicitly; an empty
-    ``cut_thresholds``/``periods_min`` or robustness-matrix axis is taken
-    verbatim (an empty sweep), while empty ``agent_counts``, zero
-    ``agents``, and zero ``minutes`` mean "derive from the scale".
+    ``cut_thresholds``/``periods_min``/``adversaries``/``topologies`` is
+    taken verbatim (an empty sweep), empty ``profiles`` means every
+    profile, and empty ``agent_counts``, zero ``agents``, and zero
+    ``minutes`` mean "derive from the scale".
     """
 
     #: Figures 9-11 agent counts; empty = the paper densities at scale.
@@ -138,14 +144,13 @@ class GridSpec:
     cut_thresholds: Tuple[float, ...] = ()
     #: Periodic exchange periods in minutes (Section 3.7.1).
     periods_min: Tuple[int, ...] = ()
-    #: Fault-sweep evidence profiles; empty = ("paper", "hardened").
+    #: Evidence profiles (see :data:`PROFILES`) compared by the fault
+    #: sweep and the robustness matrix; empty = all of them.
     profiles: Tuple[str, ...] = ()
     #: Robustness-matrix adversary strategies.
     adversaries: Tuple[str, ...] = ()
     #: Robustness-matrix overlay topology models.
     topologies: Tuple[str, ...] = ()
-    #: Robustness-matrix defense rows.
-    defenses: Tuple[str, ...] = ()
     #: Fault-sweep control-plane loss probabilities.
     loss_fractions: Tuple[float, ...] = ()
     #: Fault-sweep fail-stop crash counts (good peers, one minute into
@@ -157,7 +162,6 @@ class GridSpec:
     #: Valid robustness-matrix axis values (checked at spec-parse time so
     #: a typo'd ``--set grid.adversaries=...`` fails before any run).
     _MATRIX_TOPOLOGIES = ("ba", "waxman", "random", "two_tier", "hard_cutoff", "bittorrent")
-    _MATRIX_DEFENSES = ("paper", "hardened", "traceback")
 
     def __post_init__(self) -> None:
         if any(k < 0 for k in self.agent_counts):
@@ -182,11 +186,11 @@ class GridSpec:
                     f"topologies: unknown model {topo!r} "
                     f"(valid: {', '.join(self._MATRIX_TOPOLOGIES)})"
                 )
-        for d in self.defenses:
-            if d not in self._MATRIX_DEFENSES:
+        for profile in self.profiles:
+            if profile not in PROFILES:
                 raise ConfigError(
-                    f"defenses: unknown defense {d!r} "
-                    f"(valid: {', '.join(self._MATRIX_DEFENSES)})"
+                    f"profiles: unknown profile {profile!r} "
+                    f"(valid: {', '.join(PROFILES)})"
                 )
         if any(not (0.0 <= p <= 1.0) for p in self.loss_fractions):
             raise ConfigError("loss_fractions must be in [0, 1]")
@@ -220,8 +224,6 @@ class ExperimentSpec:
     workload: WorkloadSpec = WorkloadSpec()
     #: Adaptive-adversary layer (robustness matrix; "static" elsewhere).
     adversary: AdaptiveConfig = AdaptiveConfig()
-    #: PPM traceback baseline parameters (the matrix's third defense).
-    traceback: TracebackConfig = TracebackConfig()
     #: Real-socket swarm sizing (``live`` backend only; others ignore it).
     live: LiveSpec = LIVE_TIERS["bench"]
     grid: GridSpec = GridSpec()
@@ -518,8 +520,9 @@ class Case:
     defense: str = "none"
     #: DD-POLICE parameters. ``exchange_period_s`` is the one statement
     #: of the neighbor-list exchange period: des and live exchange at it,
-    #: and fluid republishes every ``exchange_period_s // 60`` minutes
-    #: (it rejects a period that is not whole minutes).
+    #: and fluid republishes every ``exchange_period_s // 60`` minutes,
+    #: or every minute under ``ExchangePolicy.EVENT_DRIVEN`` (it rejects
+    #: a period that is not whole minutes).
     police: DDPoliceConfig = DDPoliceConfig()
     workload: WorkloadSpec = WorkloadSpec()
     #: Fault schedule (``des`` backend only; the others reject it).
@@ -532,8 +535,6 @@ class Case:
     topology: Optional[str] = None
     #: Adaptive-adversary behaviour (DES backend only).
     adaptive: AdaptiveConfig = AdaptiveConfig()
-    #: PPM traceback parameters (used when ``defense == "traceback"``).
-    traceback: TracebackConfig = TracebackConfig()
     #: First minute of the steady-state window; None skips steady means.
     settle_min: Optional[int] = None
     #: JSONL trace file the case appends to (des and fluid only).
@@ -549,7 +550,7 @@ class Case:
                 f"num_agents: cannot compromise {self.num_agents} of "
                 f"{self.n} peers (k must not exceed n)"
             )
-        if self.defense not in ("none", "ddpolice", "naive", "traceback"):
+        if self.defense not in ("none", "ddpolice", "naive"):
             raise ConfigError(f"unknown defense: {self.defense!r}")
 
 
@@ -706,8 +707,6 @@ def _fluid_config(case: Case) -> Any:
             f"backend 'fluid' cannot simulate adaptive strategy "
             f"{case.adaptive.strategy!r} (DES only)"
         )
-    if case.defense == "traceback":
-        raise ConfigError("backend 'fluid' has no traceback defense (DES only)")
     if case.workload.cheat is CheatStrategy.COLLUDE:
         raise ConfigError(
             "backend 'fluid' cannot simulate cheat_strategy 'collude' (DES only)"
@@ -814,7 +813,6 @@ def _des_config(case: Case, **network: Any) -> Any:
         adaptive=case.adaptive,
         defense=case.defense,
         police=case.police,
-        traceback=case.traceback,
         faults=case.faults,
         trace_path=case.trace_path,
     )
@@ -852,8 +850,8 @@ def _soa_case_task(case: Case) -> CaseResult:
 
     Hop-latency jitter is pinned to zero -- the wave-batched engine
     coalesces same-timestamp deliveries, which requires the deterministic
-    hop grid. Unsupported feature combinations (churn, faults, traceback,
-    non-silent cheats, ...) are rejected loudly by the engine itself.
+    hop grid. Unsupported feature combinations (churn, faults, the naive
+    defense, non-silent cheats, ...) are rejected loudly by the engine itself.
     """
     from repro.overlay.soa_network import run_soa_experiment
 
@@ -866,9 +864,8 @@ def _live_case_task(case: Case) -> CaseResult:
 
     The heavy import stays lazy so ``pmap`` workers that never run a
     live case don't pay for (or require) the asyncio/socket machinery.
-    Unsupported feature combinations (faults, adaptive adversaries,
-    traceback and naive defenses, collusion) are rejected loudly by the
-    runner.
+    Unsupported feature combinations (faults, adaptive adversaries, the
+    naive defense, collusion) are rejected loudly by the runner.
     """
     from repro.live.runner import run_live_case
 

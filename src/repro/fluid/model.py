@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Set
 import numpy as np
 
 from repro.attack.cheating import CheatStrategy
-from repro.core.config import DDPoliceConfig
+from repro.core.config import DDPoliceConfig, ExchangePolicy
 from repro.core.decision import NAIVE_THRESHOLD_QPM
 from repro.errors import ConfigError, MetricsError
 from repro.fluid.coverage import novelty_schedule
@@ -128,6 +128,15 @@ class MinuteRow:
         return (self.query_messages_qpm + self.control_messages_qpm) / 1000.0
 
 
+def _republish_period_min(police: DDPoliceConfig) -> int:
+    """Minutes between a peer's neighbor-list republications: every
+    ``exchange_period_s // 60``, or every minute (the model's finest
+    step) under the event-driven policy."""
+    if police.exchange_policy is ExchangePolicy.EVENT_DRIVEN:
+        return 1
+    return int(police.exchange_period_s // 60)
+
+
 class FluidSimulation:
     """Minute-stepped large-scale simulation."""
 
@@ -146,7 +155,7 @@ class FluidSimulation:
             config.n,
             {u: set(vs) for u, vs in enumerate(topo.adjacency)},
             churn=config.churn,
-            exchange_period_min=int(config.police.exchange_period_s // 60),
+            exchange_period_min=_republish_period_min(config.police),
             rng=self._rngs.stream("churn"),
         )
         # Ground truth: which peers are compromised.

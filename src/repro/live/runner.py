@@ -9,7 +9,7 @@ supervisor's :func:`~repro.live.supervisor.swarm_size`.
 
 Features the testbed does not implement are rejected loudly with
 :class:`~repro.errors.ConfigError` -- fault injection schedules, adaptive
-adversaries, the traceback and naive-cutoff defenses, collusion, and a
+adversaries, the naive-cutoff defense, collusion, and a
 trace path (the swarm's per-node JSONL *is* its observability story).
 """
 
@@ -47,10 +47,8 @@ def _reject_unsupported(case: Case) -> None:
             f"backend 'live' cannot simulate adaptive strategy "
             f"{case.adaptive.strategy!r} (DES only)"
         )
-    if case.defense in ("traceback", "naive"):
-        raise ConfigError(
-            f"backend 'live' has no {case.defense} defense (DES only)"
-        )
+    if case.defense == "naive":
+        raise ConfigError("backend 'live' has no naive defense (DES only)")
     if case.workload.cheat is CheatStrategy.COLLUDE:
         raise ConfigError(
             "backend 'live' cannot simulate cheat_strategy 'collude' (DES only)"

@@ -173,7 +173,6 @@ class Bye(Message):
     REASON_DDOS_SUSPECT = 1
     REASON_LIST_INCONSISTENT = 2
     REASON_NAIVE_RATE_LIMIT = 3
-    REASON_TRACEBACK = 4
 
     def __post_init__(self) -> None:
         self.kind = MessageKind.BYE

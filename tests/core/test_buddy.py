@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.buddy import BuddyGroup, buddy_group_of
+from repro.core.buddy import buddy_group_of
 from repro.errors import ConfigError
 
 
@@ -14,9 +14,7 @@ def test_bg1_is_direct_neighbors():
     """Figure 7: BG1-j = {A, B, C, D}, the direct neighbors of j."""
     adjacency = {"j": {"A", "B", "C", "D"}}
     group = buddy_group_of("j", neighbors_oracle(adjacency))
-    assert group.members == frozenset({"A", "B", "C", "D"})
-    assert group.suspect == "j"
-    assert group.radius == 1
+    assert group == frozenset({"A", "B", "C", "D"})
 
 
 def test_bg2_extends_one_more_hop():
@@ -26,46 +24,20 @@ def test_bg2_extends_one_more_hop():
         "B": {"j", "y"},
     }
     group = buddy_group_of("j", neighbors_oracle(adjacency), radius=2)
-    assert group.members == frozenset({"A", "B", "x", "y"})
+    assert group == frozenset({"A", "B", "x", "y"})
 
 
 def test_bgr_never_contains_suspect():
     adjacency = {"j": {"A"}, "A": {"j"}}
     group = buddy_group_of("j", neighbors_oracle(adjacency), radius=3)
-    assert "j" not in group.members
-
-
-def test_peers_to_contact_excludes_observer():
-    group = BuddyGroup(suspect="j", members=frozenset({"A", "B", "C"}))
-    assert group.peers_to_contact("A") == {"B", "C"}
-
-
-def test_peers_to_contact_requires_membership():
-    group = BuddyGroup(suspect="j", members=frozenset({"A"}))
-    with pytest.raises(ConfigError):
-        group.peers_to_contact("Z")
-
-
-def test_refresh_updates_members_and_time():
-    group = BuddyGroup(suspect="j", members=frozenset({"A"}), formed_at=0.0)
-    refreshed = group.refresh({"B", "C", "j"}, now=10.0)
-    assert refreshed.members == frozenset({"B", "C"})
-    assert refreshed.formed_at == 10.0
-    assert refreshed.suspect == "j"
-
-
-def test_suspect_in_members_rejected():
-    with pytest.raises(ConfigError):
-        BuddyGroup(suspect="j", members=frozenset({"j", "A"}))
+    assert "j" not in group
 
 
 def test_radius_validation():
     with pytest.raises(ConfigError):
         buddy_group_of("j", lambda p: set(), radius=0)
-    with pytest.raises(ConfigError):
-        BuddyGroup(suspect="j", members=frozenset(), radius=0)
 
 
 def test_empty_oracle_gives_empty_group():
     group = buddy_group_of("j", lambda p: set())
-    assert group.size == 0
+    assert group == frozenset()

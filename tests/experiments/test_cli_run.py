@@ -135,7 +135,7 @@ def test_accepted_sizing_overrides_reach_the_run():
             "trials": "1",
             "scale.n_peers": "20",
             "grid.agents": "1",
-            "grid.defenses": "paper",
+            "grid.profiles": "paper",
             "grid.adversaries": "static",
         },
         workers=1,

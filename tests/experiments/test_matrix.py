@@ -17,7 +17,7 @@ TINY_OVERRIDES = {
     "scale.attack_start_min": "1",
     "trials": "1",
     "grid.agents": "1",
-    "grid.defenses": "paper",
+    "grid.profiles": "paper",
     "grid.adversaries": "throttle",
     "grid.topologies": "ba",
 }
@@ -56,23 +56,34 @@ def test_tiny_matrix_table_renders(tiny_run):
 def test_explicit_grid_axes_win_over_defaults():
     bench = get_spec("robustness-matrix")
     assert (bench.scale.n_peers, bench.scale.sim_minutes, bench.trials) == (30, 6, 2)
-    assert "hardened" in bench.grid.defenses
+    assert bench.grid.profiles == ("paper", "hardened")
     assert set(bench.grid.adversaries) == {
         "static", "throttle", "collude", "churn", "pulse"
     }
     assert "bittorrent" in bench.grid.topologies
     smoke = spec_at_scale(bench, "smoke")
-    assert (smoke.grid.defenses, smoke.grid.adversaries, smoke.grid.topologies) == (
-        ("paper", "traceback"), ("static", "throttle", "pulse"), ("ba",)
+    assert (smoke.grid.profiles, smoke.grid.adversaries, smoke.grid.topologies) == (
+        ("paper", "hardened"), ("static", "throttle", "pulse"), ("ba",)
     )
     assert (smoke.scale.name, smoke.scale.n_peers, smoke.scale.sim_minutes) == (
         "smoke", 30, 5
     )
     assert smoke.trials == 1 and smoke.grid.agents == 2
     # ... and a user --set applied after the tier still wins.
-    assert apply_overrides(smoke, {"grid.defenses": "hardened"}).grid.defenses == (
+    assert apply_overrides(smoke, {"grid.profiles": "hardened"}).grid.profiles == (
         "hardened",
     )
+
+
+def test_matrix_and_fault_sweep_share_one_profile_axis():
+    from repro.experiments.library import _police_by_profile
+
+    for name in ("robustness-matrix", "fault-sweep"):
+        spec = get_spec(name)
+        both = _police_by_profile(apply_overrides(spec, {"grid.profiles": ()}))
+        assert list(both) == ["paper", "hardened"]  # empty axis = every profile
+        assert both["paper"] == spec.police
+        assert both["hardened"] == spec.police.with_hardening()
 
 
 def test_format_includes_censoring_legend():

@@ -234,7 +234,7 @@ def test_robustness_matrix_grid_and_static_flooder():
     run = smoke("robustness-matrix")
     grid, rows = run.spec.grid, run.data
     assert run.spec.seed == 29
-    assert len(rows) == len(grid.defenses) * len(grid.adversaries) * len(grid.topologies)
+    assert len(rows) == len(grid.profiles) * len(grid.adversaries) * len(grid.topologies)
     # the control row, the paper's own scenario: DD-POLICE convicts the
     # unmodified flooder well before the run ends
     scale = run.spec.scale
@@ -264,7 +264,7 @@ def matrix_bench_cells():
     run = run_spec(
         "robustness-matrix",
         overrides={
-            "grid.defenses": ("paper",),
+            "grid.profiles": ("paper",),
             "grid.adversaries": ("static", "collude", "churn"),
             "grid.topologies": ("ba", "bittorrent"),
         },

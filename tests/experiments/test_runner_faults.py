@@ -5,8 +5,8 @@ import pytest
 from repro.core.config import DDPoliceConfig
 from repro.errors import ConfigError
 from repro.experiments.runner import DESConfig, run_des_experiment
-from repro.experiments.library import FAULT_PROFILES, run_spec
-from repro.experiments.spec import apply_overrides, get_spec
+from repro.experiments.library import run_spec
+from repro.experiments.spec import PROFILES, apply_overrides, get_spec
 from repro.faults.plan import CrashRule, FaultPlan
 from repro.overlay.topology import TopologyConfig
 
@@ -73,8 +73,8 @@ TINY_OVERRIDES = {
 def test_fault_sweep_produces_one_point_per_cell_and_profile():
     run = run_spec("fault-sweep", overrides=TINY_OVERRIDES)
     points = run.data
-    assert len(points) == len(FAULT_PROFILES)
-    assert {p.profile for p in points} == set(FAULT_PROFILES)
+    assert len(points) == len(PROFILES)
+    assert {p.profile for p in points} == set(PROFILES)
     for p in points:
         assert p.loss == 0.3 and p.crashes == 0 and p.trials == 1
         assert p.false_negative >= 0.0 and p.false_positive >= 0.0

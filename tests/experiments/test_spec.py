@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.config import DDPoliceConfig
+from repro.core.config import DDPoliceConfig, ExchangePolicy
 from repro.errors import ConfigError
 from repro.experiments.library import list_scenarios, run_spec, spec_at_scale
 from repro.experiments.scenarios import SCALES, TIER_OVERRIDES
@@ -335,8 +335,8 @@ def test_grid_matrix_axes_validated():
         GridSpec(adversaries=("stealth",))
     with pytest.raises(ConfigError, match="unknown.*model"):
         GridSpec(topologies=("torus",))
-    with pytest.raises(ConfigError, match="unknown defense 'firewall'"):
-        GridSpec(defenses=("firewall",))
+    with pytest.raises(ConfigError, match="unknown profile 'traceback'"):
+        GridSpec(profiles=("traceback",))
 
 
 def test_grid_agents_cannot_exceed_population():
@@ -377,6 +377,14 @@ def test_case_rejects_overfull_botnet():
         Case(n=10, minutes=3, seed=0, num_agents=11)
 
 
+def test_case_rejects_an_unknown_defense_on_every_backend():
+    # Rejected when the case is built, before any backend sees it.
+    from repro.experiments.spec import Case
+
+    with pytest.raises(ConfigError, match="unknown defense: 'traceback'"):
+        Case(n=300, minutes=3, seed=0, defense="traceback")
+
+
 def test_fluid_backend_rejects_des_only_features():
     from repro.attack.adaptive import AdaptiveConfig
     from repro.experiments.spec import Case
@@ -385,8 +393,6 @@ def test_fluid_backend_rejects_des_only_features():
     with pytest.raises(ConfigError, match="adaptive strategy.*DES only"):
         task(Case(n=300, minutes=3, seed=0,
                   adaptive=AdaptiveConfig(strategy="pulse")))
-    with pytest.raises(ConfigError, match="traceback.*DES only"):
-        task(Case(n=300, minutes=3, seed=0, defense="traceback"))
     with pytest.raises(ConfigError, match="fault schedules.*DES only"):
         task(Case(n=300, minutes=3, seed=0, faults=FaultPlan.control_loss(0.1)))
 
@@ -450,6 +456,12 @@ def test_exchange_cases_carry_their_period_in_police(monkeypatch):
     assert [c.police.exchange_period_s for c in policed] == [
         60.0, 120.0, 240.0, 300.0, 600.0, 60.0
     ]
+    # The event-driven row runs the event-driven policy, so it is not a
+    # second copy of the periodic-1min case.
+    assert [c.police.exchange_policy for c in policed] == (
+        [ExchangePolicy.PERIODIC] * 5 + [ExchangePolicy.EVENT_DRIVEN]
+    )
+    assert policed[-1] != policed[0]
     assert [c for c in cases if c.defense == "none"][0].police == DDPoliceConfig()
     # Only fluid reports what the control-overhead column is modelled
     # from, so off fluid every policy row prints n/a, not a false 0.0.

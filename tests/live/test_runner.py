@@ -92,12 +92,11 @@ def test_workload_and_police_carry_over(tmp_path):
     "overrides",
     [
         {"faults": FaultPlan(crashes=(CrashRule(at_s=60.0, count=1),))},
-        {"defense": "traceback"},
         {"defense": "naive"},
         {"workload": WorkloadSpec(cheat_strategy="collude")},
         {"trace_path": "trace.jsonl"},
     ],
-    ids=["faults", "traceback", "naive", "collude", "obs"],
+    ids=["faults", "naive", "collude", "obs"],
 )
 def test_unsupported_case_features_rejected(overrides):
     with pytest.raises(ConfigError):

@@ -99,12 +99,9 @@ def test_the_verdict_policy_lives_in_one_module():
     assert mentioning(
         "cut_threshold", outside=("core/config.py", "experiments/", "cli.py")
     ) == {"core/decision.py"}
-    # Other defenses keep their own records; every DD-POLICE (and naive
-    # cutoff) row is the kernel's Verdict projection.
-    assert mentioning("Judgment(") == {
-        "core/decision.py",
-        "baselines/traceback.py",
-    }
+    # Every judgment row, DD-POLICE and naive cutoff alike, is the
+    # kernel's Verdict projection.
+    assert mentioning("Judgment(") == {"core/decision.py"}
     # Engines hand the kernel totals, not per-member report objects.
     assert not mentioning("NeighborReport") & {"fluid/police.py", "overlay/soa_network.py"}
 
@@ -344,3 +341,26 @@ def test_backticked_repo_paths_in_the_docs_exist():
                     if not any(root.glob(pattern.rstrip("/"))):
                         dead.append(f"{doc.relative_to(root)}:{lineno}: {cited}")
     assert not dead, "\n".join(dead)
+
+
+def test_the_declared_python_floor_is_the_oldest_ci_interpreter():
+    """``requires-python``, ruff's target and README's "Python ≥" name the
+    lowest ``python-version`` of CI's test matrix: a floor no job runs is
+    a floor nothing checks."""
+    import re
+    import tomllib
+    from pathlib import Path
+
+    root = Path(repro.__file__).resolve().parents[2]
+    ci = (root / ".github/workflows/ci.yml").read_text()
+    # The `test` job's block: up to the next job at the same indent.
+    job = re.search(r"^  test:\n(.*?)(?=^  \S)", ci, re.M | re.S).group(1)
+    matrix = re.search(r"python-version: \[([^\]]*)\]", job).group(1)
+    major, minor = min(
+        (int(a), int(b)) for a, b in re.findall(r"(\d+)\.(\d+)", matrix)
+    )
+    pyproject = tomllib.loads((root / "pyproject.toml").read_text())
+    assert pyproject["project"]["requires-python"] == f">={major}.{minor}"
+    assert pyproject["tool"]["ruff"]["target-version"] == f"py{major}{minor}"
+    readme = (root / "README.md").read_text()
+    assert re.findall(r"Python ≥ (\d+\.\d+)", readme) == [f"{major}.{minor}"]
