@@ -289,7 +289,8 @@ def propagate_flows(
             np.multiply(f2, link2, out=d2)
             F2 += d2
 
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # A subnormal load overflows ``limit / load`` to inf: min(1, inf) = 1.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             loss_new = np.where(load > 0, np.minimum(1.0, limit / load), 1.0)
         delta = float(np.abs(loss_new - loss).max()) if n else 0.0
         loss = damping * loss_new + (1.0 - damping) * loss

@@ -2,9 +2,10 @@
 
 The DD-POLICE engine and :class:`repro.simkit.timers.PeriodicTask` were
 written against the DES scheduler surface: ``sim.schedule_in(delay, fn,
-*args, priority=...)`` returning a cancellable handle, plus a ``now``
-in protocol seconds. :class:`LiveClock` provides that exact surface on
-top of the asyncio event loop, with a single twist -- time compression.
+*args, priority=...)`` plus a ``now`` in protocol seconds.
+:class:`LiveClock` provides that surface on top of the asyncio event
+loop, with a single twist -- time compression. Its handles also cancel,
+which the DES has no use for: a node cancels its own timers at shutdown.
 
 ``minute_s`` wall seconds make one protocol "minute"; ``now`` and
 ``schedule_in`` speak protocol seconds throughout, so the engine's
@@ -23,7 +24,7 @@ from typing import Any, Callable, Optional
 
 
 class LiveTimer:
-    """Cancellable handle mirroring the DES scheduler's event handle."""
+    """Handle of one scheduled wall-clock callback; cancellable."""
 
     __slots__ = ("_handle", "_fired")
 

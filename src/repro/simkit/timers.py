@@ -4,7 +4,8 @@ DD-POLICE is built out of periodic protocol rounds (neighbor-list exchange
 every 2 minutes, per-minute traffic-window rollover, buddy-group liveness
 pings); :class:`PeriodicTask` encapsulates their rescheduling logic.
 One-shot timeouts (the 5-second Neighbor_Traffic collection window) are
-plain ``schedule_in`` events, cancelled through the returned event.
+plain ``schedule_in`` events that always fire; a callback whose work is
+moot by then checks for that itself.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import random
 from typing import Any, Callable, Optional
 
 from repro.simkit.engine import Simulator
-from repro.simkit.events import Event
 
 
 class PeriodicTask:
@@ -22,7 +22,8 @@ class PeriodicTask:
     Parameters
     ----------
     sim:
-        Owning simulator.
+        Owning scheduler: a :class:`Simulator`, or anything with the same
+        ``schedule_in`` (the live testbed's wall clock).
     period:
         Interval between firings; must be positive.
     callback:
@@ -69,9 +70,7 @@ class PeriodicTask:
         self._jitter = float(jitter)
         self._rng = rng
         self._priority = priority
-        self._event: Optional[Event] = None
         self._stopped = False
-        self.fire_count = 0
         first = self._period if start_delay is None else float(start_delay)
         self._event = sim.schedule_in(
             first + self._draw_jitter(), self._tick, priority=priority
@@ -83,7 +82,6 @@ class PeriodicTask:
     def _tick(self) -> None:
         if self._stopped:
             return
-        self.fire_count += 1
         self._callback()
         if not self._stopped:
             self._event = self._sim.schedule_in(
@@ -92,22 +90,12 @@ class PeriodicTask:
             )
 
     @property
-    def period(self) -> float:
-        return self._period
-
-    @property
     def next_time(self) -> Optional[float]:
-        """Time of the pending firing, read between firings; None once
-        stopped."""
-        return None if self._event is None else self._event.time
-
-    @property
-    def active(self) -> bool:
-        return not self._stopped
+        """Time of the next firing, read between firings on a
+        :class:`Simulator`; None once stopped."""
+        return None if self._stopped else self._event.time
 
     def stop(self) -> None:
-        """Stop the task; pending firing is cancelled."""
+        """Stop the task: no callback runs after this returns. The queued
+        tick stays scheduled and does nothing when it comes due."""
         self._stopped = True
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None

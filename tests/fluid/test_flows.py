@@ -1,5 +1,7 @@
 """Unit tests for the fluid flow propagation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,17 @@ def test_upstream_bandwidth_caps_outflow():
     flows = {(int(src[e]), int(dst[e])): result.edge_good[e] for e in range(len(src))}
     assert flows[(0, 1)] == pytest.approx(100.0, rel=0.05)
     assert result.omega[0] < 1.0
+
+
+def test_subnormal_link_load_neither_warns_nor_loses():
+    # 500 / 5e-324 overflows to inf; the loss factor is min(1, inf) = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result, _ = run_flows(
+            line_adjacency(2), 2, good=[5e-324, 0.0],
+            upstream_qpm=np.full(2, 500.0), downstream_qpm=np.full(2, 500.0),
+        )
+    assert result.omega.tolist() == result.iota.tolist() == [1.0, 1.0]
 
 
 def test_downstream_bandwidth_caps_inflow():

@@ -107,9 +107,8 @@ def test_periodic_task_runs_on_live_clock():
         task.stop()
         count = len(ticks)
         await asyncio.sleep(0.05)
-        assert len(ticks) == count  # stop() really cancels
+        assert len(ticks) == count  # no callback after stop()
         assert count >= 3
-        assert task.fire_count == count
 
     run(main())
 

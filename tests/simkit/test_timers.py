@@ -5,10 +5,12 @@ plain ``schedule_in`` event; these tests pin the behaviour the protocol
 relies on.
 """
 
+import asyncio
 import random
 
 import pytest
 
+from repro.live.clock import LiveClock
 from repro.simkit.engine import SimulationError, Simulator
 from repro.simkit.timers import PeriodicTask
 
@@ -39,28 +41,6 @@ def test_periodic_next_time_reads_the_pending_firing():
     assert task.next_time is None
 
 
-def test_periodic_stop_cancels_future_firings():
-    sim = Simulator()
-    count = []
-    task = PeriodicTask(sim, 1.0, lambda: count.append(1))
-    sim.schedule_at(3.5, task.stop)
-    sim.run(until=10.0)
-    assert len(count) == 3
-    assert not task.active
-
-
-def test_stop_from_within_callback():
-    sim = Simulator()
-    task_holder = {}
-
-    def cb():
-        task_holder["task"].stop()
-
-    task_holder["task"] = PeriodicTask(sim, 1.0, cb)
-    sim.run(until=10.0)
-    assert task_holder["task"].fire_count == 1
-
-
 def test_periodic_jitter_bounds():
     sim = Simulator()
     times = []
@@ -83,50 +63,18 @@ def test_negative_jitter_rejected():
         PeriodicTask(Simulator(), 1.0, lambda: None, jitter=-1.0)
 
 
-def test_fire_count_tracks():
-    sim = Simulator()
-    task = PeriodicTask(sim, 1.0, lambda: None)
-    sim.run(until=5.5)
-    assert task.fire_count == 5
-
-
 def test_timeout_fires_once():
     sim = Simulator()
     fired = []
-    ev = sim.schedule_in(3.0, lambda: fired.append(sim.now))
+    sim.schedule_in(3.0, lambda: fired.append(sim.now))
     sim.run()
+    sim.run(until=10.0)
     assert fired == [3.0]
-    assert not ev.pending
-
-
-def test_timeout_cancel():
-    sim = Simulator()
-    fired = []
-    ev = sim.schedule_in(3.0, lambda: fired.append(1))
-    assert ev.cancel()
-    sim.run()
-    assert fired == []
-    assert not ev.pending
-
-
-def test_timeout_cancel_after_fire_fails():
-    sim = Simulator()
-    ev = sim.schedule_in(1.0, lambda: None)
-    sim.run()
-    assert ev.cancel() is False
 
 
 def test_timeout_negative_delay_rejected():
     with pytest.raises(SimulationError):
         Simulator().schedule_in(-0.1, lambda: None)
-
-
-def test_timeout_pending_state():
-    sim = Simulator()
-    ev = sim.schedule_in(5.0, lambda: None)
-    assert ev.pending
-    sim.run()
-    assert not ev.pending
 
 
 def test_jitter_without_rng_rejected():
@@ -158,3 +106,46 @@ def test_priority_orders_same_time_periodic_tasks():
     PeriodicTask(sim, 10.0, lambda: order.append("app"))
     sim.run(until=10.0)
     assert order == ["roll", "app"]
+
+
+@pytest.mark.parametrize("scheduler", ["simulator", "live"])
+def test_a_stopped_task_never_calls_back(scheduler):
+    """stop() -- from outside, or from inside the task's own callback --
+    ends the callbacks on the DES and on the live wall clock alike; the
+    tick already queued comes due and does nothing."""
+    calls = {"inside": 0, "outside": 0}
+    tasks = {}
+    at_stop = []
+
+    def tick(name):
+        calls[name] += 1
+        if name == "inside" and calls[name] == 2:
+            tasks[name].stop()
+
+    def start(clock):
+        for name in calls:
+            tasks[name] = PeriodicTask(clock, 30.0, lambda name=name: tick(name))
+
+    def stop_outside():
+        at_stop.append(calls["outside"])
+        tasks["outside"].stop()
+
+    if scheduler == "simulator":
+        sim = Simulator()
+        start(sim)
+        sim.schedule_at(100.0, stop_outside)
+        sim.run(until=1000.0)
+        assert at_stop == [3]
+    else:
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            clock = LiveClock(loop, minute_s=0.02, origin=loop.time())
+            start(clock)
+            await asyncio.sleep(clock.wall_delay(100.0))
+            stop_outside()
+            await asyncio.sleep(clock.wall_delay(300.0))
+
+        asyncio.run(main())
+        assert at_stop[0] >= 1
+    assert calls == {"inside": 2, "outside": at_stop[0]}
