@@ -41,6 +41,30 @@ def test_periodic_next_time_reads_the_pending_firing():
     assert task.next_time is None
 
 
+def test_periodic_stop_cancels_future_firings():
+    sim = Simulator()
+    count = []
+    task = PeriodicTask(sim, 1.0, lambda: count.append(1))
+    sim.schedule_at(3.5, task.stop)
+    sim.run(until=10.0)
+    assert len(count) == 3
+    assert task.next_time is None
+
+
+def test_stop_from_within_callback():
+    sim = Simulator()
+    task_holder = {}
+    fired = []
+
+    def cb():
+        fired.append(sim.now)
+        task_holder["task"].stop()
+
+    task_holder["task"] = PeriodicTask(sim, 1.0, cb)
+    sim.run(until=10.0)
+    assert fired == [1.0]
+
+
 def test_periodic_jitter_bounds():
     sim = Simulator()
     times = []
