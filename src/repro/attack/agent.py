@@ -39,7 +39,6 @@ class AgentConfig:
     nominal_rate_qpm: float = 20_000.0
     link_capacity_qpm: float = float("inf")
     cheat_strategy: CheatStrategy = CheatStrategy.SILENT
-    ttl: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.nominal_rate_qpm <= 0:
@@ -137,6 +136,6 @@ class DDoSAgent:
             neighbors = sorted(peer.neighbors, key=lambda p: p.value)
             for i in range(count):
                 nb = neighbors[i % len(neighbors)]
-                peer.originate_query_to(nb, self._bogus_keywords(), ttl=self.config.ttl)
+                peer.originate_query_to(nb, self._bogus_keywords())
                 self.queries_sent += 1
         self.sim.schedule_in(BATCH_INTERVAL_S, self._batch)

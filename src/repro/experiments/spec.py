@@ -775,18 +775,29 @@ def topology_config(case: Case, n: int) -> Any:
     return TopologyConfig(**kwargs)
 
 
+def network_config(case: Case) -> Any:
+    """The :class:`NetworkConfig` of one case on every message-level substrate.
+
+    The des backends put it in their :class:`DESConfig`; a live node is
+    its peer's network and carries it as its ``config``. So flood TTL,
+    seen-cache bound and per-peer capacity are stated once for both.
+    """
+    from repro.overlay.network import NetworkConfig
+
+    return NetworkConfig(processing_qpm_good=case.workload.capacity_qpm)
+
+
 def _des_config(case: Case, **network: Any) -> Any:
     """The :class:`DESConfig` of one message-level case.
 
     The one builder behind the ``des`` and ``des-soa`` backends, so a
     :class:`Case` field cannot reach one and miss the other; ``network``
-    overrides :class:`NetworkConfig` fields.
+    overrides fields of :func:`network_config`.
     """
     from repro.experiments.runner import DESConfig
-    from repro.overlay.network import NetworkConfig
     from repro.workload.generator import WorkloadConfig
 
-    net = NetworkConfig(processing_qpm_good=case.workload.capacity_qpm, **network)
+    net = replace(network_config(case), **network)
     # The accounting publishes a minute only once its grace window has
     # passed, so the run's last minute(s) never become rows: reject a
     # steady-state window that opens past them before simulating.

@@ -14,7 +14,9 @@ the same class the DES runs; the node adds what only a real process has:
   :meth:`LiveNode.transmit` onto the socket.
 * **liveness** -- periodic PING to every neighbor, PONG matched by GUID,
   bounded-backoff retries, and eviction of neighbors that stay silent
-  (dead processes must not count as silent (0, 0) witnesses forever).
+  (dead processes must not count as silent (0, 0) witnesses forever);
+  timing is the module constants :data:`PING_PERIOD_S`,
+  :data:`PING_TIMEOUT_S` and :data:`PING_RETRIES`.
 * **clock** -- :class:`~repro.live.clock.LiveClock` stands in for the
   DES scheduler, so minute rolls happen on the (compressed) wall clock.
 * **roles** -- the Poisson workload calls ``peer.issue_query``; the
@@ -30,6 +32,10 @@ book up front, and the node never learns or rebinds a mapping: a
 datagram from an address outside the book is counted as ``unroutable``
 and dropped unanswered.
 
+A node runs one :class:`~repro.experiments.spec.Case`: its
+:class:`NodeConfig` holds that case plus the facts that differ per node,
+and the node floods with the case's
+:func:`~repro.experiments.spec.network_config`, as the des backends do.
 Run standalone with ``python -m repro.live.node --config node.json``;
 the supervisor writes one such JSON per process.
 """
@@ -45,17 +51,18 @@ import signal
 import sys
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Collection, Dict, List, Optional, Tuple
 
 from repro.attack.agent import AgentConfig, DDoSAgent
 from repro.attack.cheating import CheatStrategy
-from repro.core.config import DDPoliceConfig, ExchangePolicy
 from repro.core.police import DDPoliceEngine
 from repro.core.wire import decode_message, encode_message
 from repro.errors import ConfigError, ProtocolError, WireFormatError
+from repro.experiments.spec import Case, build_dataclass, network_config
 from repro.live.clock import LiveClock, LiveTimer
 from repro.live.ports import bind_udp_socket
+from repro.obs.manifest import jsonable_config
 from repro.obs.trace import JsonlSink, Tracer
 from repro.overlay.content import ContentCatalog, ContentConfig
 from repro.overlay.ids import GuidFactory, PeerId
@@ -68,54 +75,39 @@ Address = Tuple[str, int]
 #: Bound on remembered own-query issue times (success attribution LRU).
 ISSUED_CACHE_LIMIT = 10_000
 
+#: Link liveness, in protocol seconds (compressed like every timer): a
+#: PING to each neighbor every period; a missed PONG is retried with a
+#: doubling timeout, capped at the period, up to PING_RETRIES times
+#: before the neighbor is evicted.
+PING_PERIOD_S = 60.0
+PING_TIMEOUT_S = 15.0
+PING_RETRIES = 3
+
 
 @dataclass(frozen=True)
 class NodeConfig:
-    """Everything one node process needs, JSON-serializable.
+    """One node process: the case its swarm runs plus its own place in it.
 
-    The supervisor writes one of these per node; a hand-started node
-    needs only ``node_id``, ``host``/``port``, ``addresses`` and
-    ``neighbors`` (the preassigned topology).
+    Every run parameter -- length, pacing, rates, defense, police -- is
+    read off ``case``; the other fields are what differs per node. The
+    supervisor writes one of these per node as JSON; a hand-started node
+    needs ``node_id``, ``addresses``, ``neighbors`` and ``case``.
     """
 
     node_id: int
-    host: str = "127.0.0.1"
-    port: int = 0
-    #: Full address book: peer id -> (host, port), known up front.
-    addresses: Dict[int, Address] = field(default_factory=dict)
+    #: Full address book: peer id -> (host, port), known up front; the
+    #: node binds ``addresses[node_id]``, and its size is the peer-id
+    #: space the content catalog is built over.
+    addresses: Dict[int, Address]
     #: Preassigned neighbor ids (the generated topology's adjacency).
-    neighbors: Tuple[int, ...] = ()
-    #: Peer-id space size; sizes the shared content catalog.
-    n_peers: int = 2
-    #: Scenario length in protocol minutes; 0 = run until signalled.
-    minutes: int = 0
-    #: Wall seconds per protocol minute.
-    minute_s: float = 60.0
+    neighbors: Tuple[int, ...]
+    case: Case
+    #: Attack role (Fig-9/10/11 static flooder).
+    agent: bool = False
     #: Unix time of protocol t=0 (shared across the swarm so minute
     #: windows align); 0 = now.
     start_at: float = 0.0
-    seed: int = 0
-    ttl: int = 7
-    #: Bound on the peer's seen-GUID cache and reverse-path table (the
-    #: name ``Peer`` reads off its network's config).
-    seen_cache_limit: int = 50_000
-    capacity_qpm: float = 10_000.0
-    queries_per_minute: float = 0.0
-    #: Attack role (Fig-9/10/11 static flooder).
-    agent: bool = False
-    attack_start_min: int = 0
-    attack_rate_qpm: float = 0.0
-    cheat_strategy: str = "honest"
-    #: "none" or "ddpolice".
-    defense: str = "none"
-    #: DDPoliceConfig field overrides (exchange_policy as its string value).
-    police: Dict[str, Any] = field(default_factory=dict)
-    #: Liveness timing, protocol seconds.
-    ping_period_s: float = 60.0
-    ping_timeout_s: float = 15.0
-    ping_retries: int = 3
     stats_path: Optional[str] = None
-    run_id: Optional[str] = None
     #: Startup barrier: once the socket is bound, touch ``ready_file``
     #: and wait for ``start_file`` to appear with the swarm's shared
     #: protocol t=0 (written by the supervisor after every node is
@@ -124,51 +116,22 @@ class NodeConfig:
     start_file: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not (0 <= self.node_id < 2**24):
-            raise ConfigError(f"node_id out of PeerId range: {self.node_id}")
-        if self.n_peers < 2:
-            raise ConfigError(f"n_peers must be >= 2, got {self.n_peers}")
-        if self.minute_s <= 0:
-            raise ConfigError(f"minute_s must be positive, got {self.minute_s}")
-        if self.minutes < 0:
-            raise ConfigError(f"minutes must be non-negative, got {self.minutes}")
-        if not (1 <= self.ttl <= 32):
-            raise ConfigError(f"ttl out of range [1, 32]: {self.ttl}")
-        if self.seen_cache_limit < 64:
-            raise ConfigError(
-                f"seen_cache_limit must be >= 64, got {self.seen_cache_limit}"
-            )
-        if self.capacity_qpm <= 0:
-            raise ConfigError(f"capacity_qpm must be positive, got {self.capacity_qpm}")
-        if self.queries_per_minute < 0 or self.attack_rate_qpm < 0:
-            raise ConfigError("query rates must be non-negative")
-        if self.ping_period_s <= 0 or self.ping_timeout_s <= 0:
-            raise ConfigError("ping_period_s and ping_timeout_s must be positive")
-        if self.ping_retries < 0:
-            raise ConfigError(f"ping_retries must be non-negative, got {self.ping_retries}")
-        if self.defense not in ("none", "ddpolice"):
-            raise ConfigError(f"unknown defense: {self.defense!r}")
-
-    def police_config(self) -> DDPoliceConfig:
-        fields = dict(self.police)
-        policy = fields.pop("exchange_policy", None)
-        if policy is not None:
-            fields["exchange_policy"] = ExchangePolicy(policy)
-        return DDPoliceConfig(**fields)
+        if self.node_id not in self.addresses:
+            raise ConfigError(f"node {self.node_id} is not in its address book")
 
     def to_dict(self) -> Dict[str, Any]:
-        d = dataclasses.asdict(self)
+        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         d["addresses"] = {str(k): list(v) for k, v in self.addresses.items()}
         d["neighbors"] = list(self.neighbors)
+        d["case"] = jsonable_config(self.case)
         return d
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "NodeConfig":
         d = dict(d)
-        d["addresses"] = {
-            int(k): (v[0], int(v[1])) for k, v in d.get("addresses", {}).items()
-        }
-        d["neighbors"] = tuple(int(n) for n in d.get("neighbors", ()))
+        d["addresses"] = {int(k): (v[0], int(v[1])) for k, v in d["addresses"].items()}
+        d["neighbors"] = tuple(int(n) for n in d["neighbors"])
+        d["case"] = build_dataclass(Case, d["case"], path="case")
         return cls(**d)
 
 
@@ -207,7 +170,8 @@ class LiveNode(asyncio.DatagramProtocol):
     The node is the ``network`` of its one :class:`Peer` -- and of the
     DD-POLICE engine and DDoS agent attached to that peer. The surface
     they call is the part of ``OverlayNetwork`` a single process can
-    mean: ``config.seen_cache_limit``, ``sim``, ``now``, ``guid_factory``,
+    mean: ``config`` (the case's :class:`NetworkConfig`: TTL, seen-cache
+    bound, capacity), ``sim``, ``now``, ``guid_factory``,
     ``tracer``, ``minute_listeners``, ``peers``, ``transmit``,
     ``disconnect``, ``shared_objects``, ``match_content``, the four
     ``note_*`` bookkeeping calls and the attack-origin registration.
@@ -215,25 +179,27 @@ class LiveNode(asyncio.DatagramProtocol):
 
     def __init__(
         self,
-        config: NodeConfig,
+        node_config: NodeConfig,
         loop: asyncio.AbstractEventLoop,
         *,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        self.config = config
+        self.node_config = node_config
+        self.case = case = node_config.case
+        self.config = network_config(case)
         self._loop = loop
-        self.id = PeerId(config.node_id)
-        start_at = config.start_at or time.time()
+        self.id = PeerId(node_config.node_id)
+        start_at = node_config.start_at or time.time()
         origin = loop.time() + (start_at - time.time())
-        self.sim = LiveClock(loop, minute_s=config.minute_s, origin=origin)
+        self.sim = LiveClock(loop, minute_s=case.live.minute_s, origin=origin)
         self._started = False
         self.guid_factory = GuidFactory(
-            random.Random(derive_seed(config.seed, "guid", config.node_id))
+            random.Random(derive_seed(case.seed, "guid", node_config.node_id))
         )
         self.tracer = tracer
         self.minute_listeners: List[Any] = []
 
-        self.peer = Peer(self.id, self, processing_qpm=config.capacity_qpm)
+        self.peer = Peer(self.id, self, processing_qpm=self.config.processing_qpm_good)
         self.peer.go_online()
         self.peers = {self.id: self.peer}
         self._counters_at_roll = dataclasses.replace(self.peer.counters)
@@ -245,15 +211,16 @@ class LiveNode(asyncio.DatagramProtocol):
 
         # Transport identity maps.
         self._addr_of: Dict[PeerId, Address] = {
-            PeerId(pid): addr for pid, addr in config.addresses.items()
+            PeerId(pid): addr for pid, addr in node_config.addresses.items()
         }
         self._id_at: Dict[Address, PeerId] = {
             addr: pid for pid, addr in self._addr_of.items()
         }
 
-        self._rng = random.Random(derive_seed(config.seed, "node", config.node_id))
+        self._rng = random.Random(derive_seed(case.seed, "node", node_config.node_id))
         self.catalog = ContentCatalog(
-            ContentConfig(seed=derive_seed(config.seed, "content")), config.n_peers
+            ContentConfig(seed=derive_seed(case.seed, "content")),
+            len(node_config.addresses),
         )
 
         # Liveness: neighbor -> (awaited pong guid, retry attempt).
@@ -379,10 +346,6 @@ class LiveNode(asyncio.DatagramProtocol):
             # overlay must survive hostile peers, so count and drop.
             self._m.protocol_errors += 1
 
-    def error_received(self, exc: Exception) -> None:
-        # ICMP port-unreachable from a crashed peer; liveness will evict.
-        del exc
-
     # ------------------------------------------------------------------
     # liveness (PING/PONG)
     # ------------------------------------------------------------------
@@ -393,17 +356,15 @@ class LiveNode(asyncio.DatagramProtocol):
             if nb in self._pending_ping:
                 continue  # retry chain already running
             self._send_liveness_ping(nb, 0)
-        jitter = self._rng.uniform(0.0, self.config.ping_period_s / 10.0)
-        self._schedule(self.config.ping_period_s + jitter, self._ping_round)
+        jitter = self._rng.uniform(0.0, PING_PERIOD_S / 10.0)
+        self._schedule(PING_PERIOD_S + jitter, self._ping_round)
 
     def _send_liveness_ping(self, nb: PeerId, attempt: int) -> None:
         ping = Ping(guid=self.guid_factory.new(), ttl=1)
         self._pending_ping[nb] = (ping.guid.raw, attempt)
         self._send(nb, ping)
         # Bounded backoff: timeout doubles per retry, capped at the period.
-        timeout = min(
-            self.config.ping_timeout_s * (2**attempt), self.config.ping_period_s
-        )
+        timeout = min(PING_TIMEOUT_S * (2**attempt), PING_PERIOD_S)
         self._schedule(timeout, self._ping_timeout, nb, ping.guid.raw)
 
     def _ping_timeout(self, nb: PeerId, guid_raw: bytes) -> None:
@@ -413,7 +374,7 @@ class LiveNode(asyncio.DatagramProtocol):
         if pending is None or pending[0] != guid_raw:
             return  # answered, or superseded by a newer ping
         attempt = pending[1] + 1
-        if attempt > self.config.ping_retries:
+        if attempt > PING_RETRIES:
             del self._pending_ping[nb]
             self._m.evicted += 1
             self._drop_link(nb, Bye.REASON_NORMAL)
@@ -428,9 +389,9 @@ class LiveNode(asyncio.DatagramProtocol):
             return
         if self.now >= 0 and self.peer.neighbors:
             obj = self.catalog.sample_object(self._rng)
-            self.peer.issue_query(self.catalog.keywords_for(obj), ttl=self.config.ttl)
+            self.peer.issue_query(self.catalog.keywords_for(obj))
         self._schedule(
-            self._rng.expovariate(self.config.queries_per_minute / 60.0),
+            self._rng.expovariate(self.case.workload.queries_per_minute / 60.0),
             self._workload_tick,
         )
 
@@ -458,7 +419,7 @@ class LiveNode(asyncio.DatagramProtocol):
                 t=now,
                 node=self.id.value,
                 minute=self._minute,
-                agent=int(self.config.agent),
+                agent=int(self.node_config.agent),
                 neighbors=len(self.peer.neighbors),
                 **self._m.as_fields(),
                 **{
@@ -472,7 +433,7 @@ class LiveNode(asyncio.DatagramProtocol):
         for listener in list(self.minute_listeners):
             listener(self._minute, now)
 
-        if self.config.minutes and self._minute >= self.config.minutes:
+        if self._minute >= self.case.minutes:
             self._loop.call_soon(self.begin_shutdown)
         else:
             self._schedule_minute_roll()
@@ -498,43 +459,37 @@ class LiveNode(asyncio.DatagramProtocol):
     def start(self) -> None:
         """Arm timers and the defense; call once the endpoint is up."""
         self._started = True
-        for nb_int in self.config.neighbors:
+        node, case = self.node_config, self.case
+        for nb_int in node.neighbors:
             self._add_link(PeerId(nb_int))
 
-        if self.config.defense == "ddpolice":
+        if case.defense == "ddpolice":
             self.engine = DDPoliceEngine(
                 self,
                 self.peer,
-                self.config.police_config(),
-                cheat_strategy=CheatStrategy(self.config.cheat_strategy),
-                rng=random.Random(
-                    derive_seed(self.config.seed, "police", self.config.node_id)
+                case.police,
+                cheat_strategy=(
+                    case.workload.cheat if node.agent else CheatStrategy.HONEST
                 ),
+                rng=random.Random(derive_seed(case.seed, "police", node.node_id)),
             )
 
         self._schedule_minute_roll()
         start_gap = max(0.0, -self.now)
-        if self.config.queries_per_minute > 0:
-            self._schedule(
-                start_gap
-                + self._rng.expovariate(self.config.queries_per_minute / 60.0),
-                self._workload_tick,
-            )
-        if self.config.agent and self.config.attack_rate_qpm > 0:
+        rate = case.workload.queries_per_minute / 60.0
+        self._schedule(start_gap + self._rng.expovariate(rate), self._workload_tick)
+        if node.agent:
             # Fig-9/10/11 static flooder, from the attack minute on.
             self.agent = DDoSAgent(
                 self.sim,
                 self,
                 self.id,
-                AgentConfig(
-                    nominal_rate_qpm=self.config.attack_rate_qpm, ttl=self.config.ttl
-                ),
+                AgentConfig(nominal_rate_qpm=case.workload.attack_rate_qpm),
             )
-            attack_at = self.config.attack_start_min * 60.0
+            attack_at = case.attack_start_min * 60.0
             self._schedule(max(start_gap, attack_at - self.now), self.agent.start)
         self._schedule(
-            start_gap + self._rng.uniform(0.0, self.config.ping_period_s),
-            self._ping_round,
+            start_gap + self._rng.uniform(0.0, PING_PERIOD_S), self._ping_round
         )
 
     def begin_shutdown(self, *, reason_code: int = Bye.REASON_NORMAL) -> None:
@@ -563,7 +518,7 @@ class LiveNode(asyncio.DatagramProtocol):
                 "live.final",
                 t=self.now,
                 node=self.id.value,
-                agent=int(self.config.agent),
+                agent=int(self.node_config.agent),
                 minutes=self._minute,
                 neighbors=len(self.peer.neighbors),
                 clean=1,
@@ -602,11 +557,13 @@ async def _await_start(node: "LiveNode", path: str) -> None:
 async def run_node(config: NodeConfig) -> None:
     """Bind, run to completion (or signal), drain cleanly."""
     loop = asyncio.get_running_loop()
-    sock = bind_udp_socket(config.host, config.port)
+    sock = bind_udp_socket(*config.addresses[config.node_id])
     sock.setblocking(False)
     tracer = None
     if config.stats_path:
-        tracer = Tracer(sinks=[JsonlSink(config.stats_path)], run=config.run_id)
+        tracer = Tracer(
+            sinks=[JsonlSink(config.stats_path)], run=f"live-{config.case.seed}"
+        )
     node = LiveNode(config, loop, tracer=tracer)
     await loop.create_datagram_endpoint(lambda: node, sock=sock)
     for sig in (signal.SIGTERM, signal.SIGINT):

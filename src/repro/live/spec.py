@@ -3,11 +3,13 @@
 A live swarm is bounded by the host, not by the model: every overlay
 node is an OS process with a bound UDP socket, so the 20,000-peer paper
 scale of the DES backends is out of reach on one machine. ``LiveSpec``
-carries the testbed-specific knobs -- swarm size cap, wall seconds per
-protocol "minute", port policy, liveness timing -- alongside the
-abstract :class:`~repro.experiments.spec.Scale`, so one experiment spec
-drives all three backends and ``--scale`` picks a sane swarm for each
-tier.
+carries only what a swarm adds to a run -- its size cap and pacing
+(wall seconds per protocol "minute") and how it is deployed (host,
+ports, spawn stagger, drain budget) -- alongside the abstract
+:class:`~repro.experiments.spec.Scale`, so one experiment spec drives
+every backend and ``--scale`` picks a sane swarm for each tier. What
+the nodes flood with (TTL, seen cache, capacity) is the case's
+:func:`~repro.experiments.spec.network_config`, as on the des backends.
 
 The module imports only :mod:`repro.errors` so the experiment layer can
 embed :class:`LiveSpec` in its dataclasses without importing asyncio or
@@ -27,8 +29,8 @@ class LiveSpec:
     """How to size and pace a live swarm for one experiment scale.
 
     ``minute_s`` is the wall-clock duration of one protocol minute; all
-    protocol timing (minute rolls, the 2-minute neighbor-list exchange,
-    PING periods, workload rates) is compressed by the same factor, so
+    protocol timing (minute rolls, the neighbor-list exchange, PING
+    periods, workload rates) is compressed by the same factor, so
     the DD-POLICE evidence arithmetic is unchanged -- only the clock
     runs faster.
     """
@@ -46,13 +48,6 @@ class LiveSpec:
     spawn_stagger_s: float = 0.01
     #: Wall-clock budget for the SIGTERM drain before SIGKILL.
     drain_timeout_s: float = 10.0
-    #: Liveness timing, in protocol seconds (compressed like the rest).
-    ping_period_s: float = 60.0
-    ping_timeout_s: float = 15.0
-    ping_retries: int = 3
-    #: Flood parameters.
-    ttl: int = 7
-    seen_cache: int = 50_000
 
     def __post_init__(self) -> None:
         if self.n_nodes < 2:
@@ -71,16 +66,6 @@ class LiveSpec:
             raise ConfigError(
                 f"drain_timeout_s must be positive, got {self.drain_timeout_s}"
             )
-        if self.ping_period_s <= 0 or self.ping_timeout_s <= 0:
-            raise ConfigError("ping_period_s and ping_timeout_s must be positive")
-        if self.ping_retries < 0:
-            raise ConfigError(
-                f"ping_retries must be non-negative, got {self.ping_retries}"
-            )
-        if not (1 <= self.ttl <= 32):
-            raise ConfigError(f"ttl out of range [1, 32]: {self.ttl}")
-        if self.seen_cache < 64:
-            raise ConfigError(f"seen_cache must be >= 64, got {self.seen_cache}")
 
     @property
     def time_scale(self) -> float:

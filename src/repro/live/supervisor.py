@@ -7,10 +7,10 @@ The supervisor is the testbed's control plane:
   :func:`~repro.experiments.spec.topology_config` the DES backends use,
   picks the attack-agent subset deterministically from the seed, and
   allocates one UDP port per node (:mod:`repro.live.ports`);
-* writes one JSON :class:`~repro.live.node.NodeConfig` per node and
-  spawns ``python -m repro.live.node`` processes with a staggered start
-  and a shared protocol-t=0 instant, so every node's minute windows
-  align;
+* writes one JSON :class:`~repro.live.node.NodeConfig` per node (the
+  case plus that node's address book, neighbors and role) and spawns
+  ``python -m repro.live.node`` processes with a staggered start and a
+  shared protocol-t=0 instant, so every node's minute windows align;
 * babysits the swarm: crash detection while the scenario runs, then a
   graceful SIGTERM drain with a bounded timeout and a SIGKILL backstop.
   Reaping runs in a ``finally`` block, so a KeyboardInterrupt or any
@@ -42,7 +42,7 @@ from repro.errors import ConfigError
 from repro.experiments.spec import Case, topology_config
 from repro.live.ports import allocate_udp_ports
 from repro.live.node import NodeConfig
-from repro.obs.manifest import atomic_write_text, jsonable_config
+from repro.obs.manifest import atomic_write_text
 from repro.obs.trace import iter_records, validate_record
 from repro.overlay.topology import generate_topology
 from repro.simkit.rng import derive_seed
@@ -132,43 +132,19 @@ class Supervisor:
         )
         self.ports = allocate_udp_ports(n, host=live.host, base=live.port_base)
         addresses = {i: (live.host, self.ports[i]) for i in range(n)}
-        police = {
-            k: (v.value if hasattr(v, "value") else v)
-            for k, v in jsonable_config(case.police).items()
-        }
-        workload = case.workload
-        configs = []
-        for i in range(n):
-            agent = i in self.agent_ids
-            configs.append(NodeConfig(
+        return [
+            NodeConfig(
                 node_id=i,
-                host=live.host,
-                port=self.ports[i],
                 addresses=addresses,
                 neighbors=tuple(sorted(topology.neighbors(i))),
-                n_peers=n,
-                minutes=case.minutes,
-                minute_s=live.minute_s,
-                seed=case.seed,
-                ttl=live.ttl,
-                seen_cache_limit=live.seen_cache,
-                capacity_qpm=workload.capacity_qpm,
-                queries_per_minute=workload.queries_per_minute,
-                agent=agent,
-                attack_start_min=case.attack_start_min,
-                attack_rate_qpm=workload.attack_rate_qpm if agent else 0.0,
-                cheat_strategy=workload.cheat_strategy if agent else "honest",
-                defense=case.defense,
-                police=police,
-                ping_period_s=live.ping_period_s,
-                ping_timeout_s=live.ping_timeout_s,
-                ping_retries=live.ping_retries,
+                case=case,
+                agent=i in self.agent_ids,
                 stats_path=str(self.node_stats(i)),
-                run_id=f"live-{case.seed}",
                 ready_file=str(self.node_ready(i)),
                 start_file=str(self.start_file),
-            ))
-        return configs
+            )
+            for i in range(n)
+        ]
 
     def start(self) -> None:
         """Plan the swarm and spawn every node process, staggered."""

@@ -18,10 +18,13 @@ import asyncio
 import random
 import time
 
+from repro.core.config import DDPoliceConfig
+from repro.experiments.spec import Case, WorkloadSpec, topology_config
 from repro.live.node import LiveNode, NodeConfig
 from repro.live.ports import bind_udp_socket
+from repro.live.spec import LiveSpec
 from repro.obs.trace import JsonlSink, Tracer, iter_records, validate_record
-from repro.overlay.topology import TopologyConfig, generate_topology
+from repro.overlay.topology import generate_topology
 from repro.simkit.rng import derive_seed
 
 N = 10
@@ -36,7 +39,24 @@ def flooder_id():
 
 
 async def run_nodes_in_process(tmp_path, *, defense):
-    topology = generate_topology(TopologyConfig(n=N, model="ba", ba_m=1, seed=SEED))
+    case = Case(
+        n=N,
+        minutes=MINUTES,
+        seed=SEED,
+        num_agents=1,
+        attack_start_min=ATTACK_START_MIN,
+        defense=defense,
+        police=DDPoliceConfig(exchange_period_s=30.0, q_threshold_qpm=10.0),
+        workload=WorkloadSpec(
+            queries_per_minute=6.0,
+            attack_rate_qpm=2000.0,
+            capacity_qpm=400.0,
+            cheat_strategy="honest",
+        ),
+        ba_m=1,
+        live=LiveSpec(n_nodes=N, minute_s=MINUTE_S),
+    )
+    topology = generate_topology(topology_config(case, N))
     agent = flooder_id()
     socks = [bind_udp_socket("127.0.0.1", 0) for _ in range(N)]
     for sock in socks:
@@ -48,21 +68,10 @@ async def run_nodes_in_process(tmp_path, *, defense):
     for i in range(N):
         config = NodeConfig(
             node_id=i,
-            host="127.0.0.1",
-            port=addresses[i][1],
             addresses=addresses,
             neighbors=tuple(sorted(topology.neighbors(i))),
-            n_peers=N,
-            minutes=MINUTES,
-            minute_s=MINUTE_S,
-            seed=SEED,
-            queries_per_minute=6.0,
-            capacity_qpm=400.0,
+            case=case,
             agent=(i == agent),
-            attack_start_min=ATTACK_START_MIN,
-            attack_rate_qpm=2000.0 if i == agent else 0.0,
-            defense=defense,
-            police={"exchange_period_s": 30.0, "q_threshold_qpm": 10.0},
             stats_path=str(tmp_path / f"node-{i}.jsonl"),
         )
         tracer = Tracer(sinks=[JsonlSink(config.stats_path)], run="police-live")

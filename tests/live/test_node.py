@@ -18,11 +18,14 @@ import time
 import pytest
 
 from repro.errors import ProtocolError
+from repro.experiments.spec import Case, WorkloadSpec
 from repro.live.node import LiveNode, NodeConfig, decode_message, encode_message
+from repro.live.spec import LiveSpec
 from repro.obs.trace import MemorySink, Tracer, validate_record
 from repro.overlay.content import ContentCatalog, ContentConfig
 from repro.overlay.ids import Guid, PeerId
 from repro.overlay.message import Bye, MessageKind, Ping, Pong, Query, QueryHit
+from repro.overlay.network import NetworkConfig
 from repro.simkit.rng import derive_seed
 
 N = 8
@@ -64,22 +67,24 @@ class FakeTransport:
 
 
 class Harness:
-    def __init__(self, loop, **overrides):
-        fields = dict(
+    def __init__(self, loop, **workload):
+        case = Case(
+            n=N,
+            minutes=10,
+            seed=SEED,
+            defense="ddpolice",
+            workload=WorkloadSpec(queries_per_minute=6.0, **workload),
+            live=LiveSpec(n_nodes=N, minute_s=60.0),  # an uncompressed clock
+        )
+        config = NodeConfig(
             node_id=ME.value,
-            port=ADDR[0][1],
             addresses=ADDR,
             neighbors=(1, 2, 3),
-            n_peers=N,
-            seed=SEED,
-            ttl=5,
-            queries_per_minute=6.0,
-            defense="ddpolice",
+            case=case,
             start_at=time.time() - 1.0,  # protocol t > 0 already
         )
-        fields.update(overrides)
         self.trace = MemorySink()
-        self.node = LiveNode(NodeConfig(**fields), loop, tracer=Tracer(sinks=[self.trace]))
+        self.node = LiveNode(config, loop, tracer=Tracer(sinks=[self.trace]))
         self.transport = FakeTransport()
         self.node.connection_made(self.transport)
         self.node.start()
@@ -102,8 +107,8 @@ def harness():
     loop = asyncio.new_event_loop()
     made = []
 
-    def make(**overrides):
-        made.append(Harness(loop, **overrides))
+    def make(**workload):
+        made.append(Harness(loop, **workload))
         return made[-1]
 
     yield make
@@ -219,7 +224,9 @@ def test_hit_for_an_own_query_succeeds_once(harness):
     assert sorted(a for _, a in sent) == [ADDR[1], ADDR[2], ADDR[3]]
     own = sent[0][0]
     assert all(m == own for m, _ in sent)
-    assert (own.kind, own.ttl, own.hops) == (MessageKind.QUERY, 5, 0)
+    assert (own.kind, own.ttl, own.hops) == (
+        MessageKind.QUERY, NetworkConfig().default_ttl, 0
+    )
     assert h.peer.out_query_window == {NB1: 1, NB2: 1, NB3: 1}
 
     h.feed(NB2, hit(50, own.guid))

@@ -1,13 +1,22 @@
 """Unit tests for the Case -> swarm adaptation layer (no node processes)."""
 
+import asyncio
+import json
 from dataclasses import replace
 
 import pytest
 
-from repro.core.config import DDPoliceConfig
+from repro.core.config import DDPoliceConfig, ExchangePolicy
 from repro.errors import ConfigError, MetricsError
-from repro.experiments.spec import Case, WorkloadSpec, topology_config
+from repro.experiments.spec import (
+    Case,
+    WorkloadSpec,
+    _des_config,
+    network_config,
+    topology_config,
+)
 from repro.faults.plan import CrashRule, FaultPlan
+from repro.live.node import LiveNode, NodeConfig
 from repro.live.runner import case_result_from_swarm, run_live_case
 from repro.live.spec import LiveSpec
 from repro.live.supervisor import Supervisor, SwarmResult, swarm_size
@@ -55,27 +64,29 @@ def test_scaled_agent_count_never_drops_to_zero():
     assert swarm_size(make_case(n=400, num_agents=1)) == (25, 1)
 
 
-def test_workload_and_police_carry_over(tmp_path):
-    police = DDPoliceConfig(exchange_period_s=30.0, q_threshold_qpm=10.0)
-    case = make_case(
-        police=police,
+def non_default_case():
+    return make_case(
+        police=DDPoliceConfig(
+            exchange_period_s=30.0,
+            q_threshold_qpm=10.0,
+            exchange_policy=ExchangePolicy.EVENT_DRIVEN,
+        ),
         workload=WorkloadSpec(
             queries_per_minute=3.0, attack_rate_qpm=2000.0, capacity_qpm=400.0
         ),
         topology="random",
         ba_m=2,
     )
+
+
+def test_workload_and_police_carry_over(tmp_path):
+    case = non_default_case()
     supervisor = Supervisor(case, tmp_path)
     nodes = supervisor.node_configs()
     assert [n.node_id for n in nodes] == list(range(25))
-    (agent,) = supervisor.agent_ids
-    for node in nodes:
-        assert node.police["exchange_period_s"] == 30.0
-        assert node.police["q_threshold_qpm"] == 10.0
-        assert node.queries_per_minute == 3.0
-        assert node.capacity_qpm == 400.0
-        assert node.minute_s == 0.5
-        assert node.attack_rate_qpm == (2000.0 if node.node_id == agent else 0.0)
+    assert all(node.case == case for node in nodes)
+    assert {n.node_id for n in nodes if n.agent} == supervisor.agent_ids
+    assert len(supervisor.agent_ids) == 1
     # The swarm runs the overlay the des backends build for the case.
     topology = generate_topology(topology_config(case, 25))
     assert topology_config(case, 25).model == "random"
@@ -112,9 +123,37 @@ def test_adaptive_adversary_rejected():
 
 def test_honest_cheat_strategy_is_fine(tmp_path):
     case = make_case(workload=WorkloadSpec(cheat_strategy="honest"))
-    assert {n.cheat_strategy for n in Supervisor(case, tmp_path).node_configs()} == {
-        "honest"
-    }
+    assert all(n.case == case for n in Supervisor(case, tmp_path).node_configs())
+
+
+# ---------------------------------------------------------------------------
+# a node's configuration is its case
+# ---------------------------------------------------------------------------
+
+def test_node_config_round_trips_through_json(tmp_path):
+    for node in Supervisor(non_default_case(), tmp_path).node_configs():
+        doc = json.loads(json.dumps(node.to_dict(), sort_keys=True))
+        assert NodeConfig.from_dict(doc) == node
+
+
+def test_node_config_needs_its_own_address():
+    with pytest.raises(ConfigError):
+        NodeConfig(node_id=3, addresses={0: ("127.0.0.1", 9000)}, neighbors=(),
+                   case=make_case())
+
+
+def test_live_node_floods_with_the_des_network_config(tmp_path):
+    # TTL, seen-cache bound and capacity have one statement: the node is
+    # the network of its peer with the config the des run hands its network.
+    case = make_case(workload=WorkloadSpec(capacity_qpm=400.0))
+    config = Supervisor(case, tmp_path).node_configs()[0]
+    loop = asyncio.new_event_loop()
+    try:
+        node = LiveNode(config, loop)
+    finally:
+        loop.close()
+    assert node.config == network_config(case) == _des_config(case).network
+    assert node.peer.processing.rate_per_min == 400.0
 
 
 # ---------------------------------------------------------------------------

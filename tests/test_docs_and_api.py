@@ -151,12 +151,17 @@ def test_the_gnutella_data_plane_lives_in_one_class():
     import asyncio
     from pathlib import Path
 
+    from repro.experiments.spec import Case
     from repro.live.node import LiveNode, NodeConfig
     from repro.overlay.peer import Peer
 
+    addresses = {0: ("127.0.0.1", 9000), 1: ("127.0.0.1", 9001)}
+    config = NodeConfig(
+        node_id=0, addresses=addresses, neighbors=(1,), case=Case(n=2, minutes=1, seed=0)
+    )
     loop = asyncio.new_event_loop()
     try:
-        node = LiveNode(NodeConfig(node_id=0), loop)
+        node = LiveNode(config, loop)
     finally:
         loop.close()
     assert type(node.peer) is Peer
@@ -275,7 +280,9 @@ def test_every_size_is_stated_at_one_path():
     paths, the per-scenario sizing classes are gone, and a tier name
     selects a table row (``SCALES``, ``TIER_OVERRIDES``, ``LIVE_TIERS``)
     -- nothing under ``src/`` branches on one. ``live.n_nodes`` is a host
-    cap, not a population, and keeps its own name."""
+    cap, not a population, and keeps its own name. Flood parameters and
+    liveness timing are no spec leaf at all: TTL and seen cache are the
+    case's ``network_config``, PING timing constants of ``live.node``."""
     import re
     from pathlib import Path
 
@@ -288,6 +295,10 @@ def test_every_size_is_stated_at_one_path():
         "attack_rate_qpm", "loss_fractions", "crash_counts",
     ):
         assert leaves.count(leaf) <= 1, leaf
+    assert not [
+        leaf for leaf in leaves
+        if leaf in ("ttl", "seen_cache") or leaf.startswith("ping_")
+    ]
     assert not hasattr(scenarios, "FaultSweepSpec")
     assert not hasattr(scenarios, "MatrixSpec")
 
