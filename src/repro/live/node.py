@@ -60,6 +60,7 @@ from repro.core.police import DDPoliceEngine
 from repro.core.wire import decode_message, encode_message
 from repro.errors import ConfigError, ProtocolError, WireFormatError
 from repro.experiments.spec import Case, build_dataclass, network_config
+from repro.faults.plan import FaultPlan
 from repro.live.clock import LiveClock, LiveTimer
 from repro.live.ports import bind_udp_socket
 from repro.obs.manifest import jsonable_config
@@ -82,6 +83,33 @@ ISSUED_CACHE_LIMIT = 10_000
 PING_PERIOD_S = 60.0
 PING_TIMEOUT_S = 15.0
 PING_RETRIES = 3
+
+
+def reject_unsupported(case: Case) -> None:
+    """Raise :class:`ConfigError` for a case feature live nodes cannot run.
+
+    A node checks its case on construction, so a hand-started node fails
+    as loudly as ``repro run --backend live`` does.
+    """
+    if case.faults != FaultPlan():
+        raise ConfigError(
+            "backend 'live' cannot inject fault schedules (DES only)"
+        )
+    if case.adaptive.strategy != "static":
+        raise ConfigError(
+            f"backend 'live' cannot simulate adaptive strategy "
+            f"{case.adaptive.strategy!r} (DES only)"
+        )
+    if case.defense == "naive":
+        raise ConfigError("backend 'live' has no naive defense (DES only)")
+    if case.workload.cheat is CheatStrategy.COLLUDE:
+        raise ConfigError(
+            "backend 'live' cannot simulate cheat_strategy 'collude' (DES only)"
+        )
+    if case.trace_path is not None:
+        raise ConfigError(
+            "backend 'live' has per-node JSONL stats; --trace is des/fluid only"
+        )
 
 
 @dataclass(frozen=True)
@@ -118,6 +146,7 @@ class NodeConfig:
     def __post_init__(self) -> None:
         if self.node_id not in self.addresses:
             raise ConfigError(f"node {self.node_id} is not in its address book")
+        reject_unsupported(self.case)
 
     def to_dict(self) -> Dict[str, Any]:
         d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}

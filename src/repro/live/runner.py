@@ -8,9 +8,11 @@ flows through the unchanged agent-sweep driver. The swarm's size is the
 supervisor's :func:`~repro.live.supervisor.swarm_size`.
 
 Features the testbed does not implement are rejected loudly with
-:class:`~repro.errors.ConfigError` -- fault injection schedules, adaptive
-adversaries, the naive-cutoff defense, collusion, and a
-trace path (the swarm's per-node JSONL *is* its observability story).
+:class:`~repro.errors.ConfigError` by
+:func:`~repro.live.node.reject_unsupported`, before any node is spawned
+-- fault injection schedules, adaptive adversaries, the naive-cutoff
+defense, collusion, and a trace path (the swarm's per-node JSONL *is*
+its observability story).
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ import tempfile
 from pathlib import Path
 from typing import Dict, List
 
-from repro.attack.cheating import CheatStrategy
-from repro.errors import ConfigError
 from repro.experiments.spec import (
     Case,
     CaseResult,
@@ -30,33 +30,11 @@ from repro.experiments.spec import (
     case_result,
     first_cuts,
 )
-from repro.faults.plan import FaultPlan
+from repro.live.node import reject_unsupported
 from repro.live.supervisor import Supervisor, SwarmResult
 
 #: Set to a directory to keep each case's per-node JSONL stats (debugging).
 ENV_OUT_DIR = "REPRO_LIVE_OUT_DIR"
-
-
-def _reject_unsupported(case: Case) -> None:
-    if case.faults != FaultPlan():
-        raise ConfigError(
-            "backend 'live' cannot inject fault schedules (DES only)"
-        )
-    if case.adaptive.strategy != "static":
-        raise ConfigError(
-            f"backend 'live' cannot simulate adaptive strategy "
-            f"{case.adaptive.strategy!r} (DES only)"
-        )
-    if case.defense == "naive":
-        raise ConfigError("backend 'live' has no naive defense (DES only)")
-    if case.workload.cheat is CheatStrategy.COLLUDE:
-        raise ConfigError(
-            "backend 'live' cannot simulate cheat_strategy 'collude' (DES only)"
-        )
-    if case.trace_path is not None:
-        raise ConfigError(
-            "backend 'live' has per-node JSONL stats; --trace is des/fluid only"
-        )
 
 
 def _minutes(case: Case, result: SwarmResult) -> List[Minute]:
@@ -105,7 +83,7 @@ def case_result_from_swarm(case: Case, result: SwarmResult) -> CaseResult:
 
 def run_live_case(case: Case) -> CaseResult:
     """Run one case as a real swarm (the registered ``live`` task_fn)."""
-    _reject_unsupported(case)
+    reject_unsupported(case)
     keep_dir = os.environ.get(ENV_OUT_DIR)
     if keep_dir:
         result = Supervisor(case, Path(keep_dir) / case_key(case)).run()

@@ -225,13 +225,13 @@ class Peer:
             self.out_query_window[dst] = self.out_query_window.get(dst, 0) + 1
         self.network.transmit(self.id, dst, msg)
 
-    def issue_query(self, keywords: Tuple[str, ...], ttl: Optional[int] = None) -> Guid:
-        """Originate a query and flood it to all neighbors."""
+    def issue_query(self, keywords: Tuple[str, ...]) -> Guid:
+        """Originate a query at the network's TTL and flood it to all neighbors."""
         if not self.online:
             raise ProtocolError(f"offline peer {self.id} cannot issue queries")
         msg = Query(
             guid=self.network.guid_factory.new(),
-            ttl=self.network.config.default_ttl if ttl is None else ttl,
+            ttl=self.network.config.default_ttl,
             hops=0,
             keywords=keywords,
         )
@@ -246,7 +246,6 @@ class Peer:
         self,
         neighbor: PeerId,
         keywords: Tuple[str, ...],
-        ttl: Optional[int] = None,
     ) -> Guid:
         """Originate a query toward a *single* neighbor.
 
@@ -262,7 +261,7 @@ class Peer:
             raise ProtocolError(f"{neighbor} is not a neighbor of {self.id}")
         msg = Query(
             guid=self.network.guid_factory.new(),
-            ttl=self.network.config.default_ttl if ttl is None else ttl,
+            ttl=self.network.config.default_ttl,
             hops=0,
             keywords=keywords,
         )

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.attack.cheating import CheatStrategy
 from repro.core.config import DDPoliceConfig, ExchangePolicy
 from repro.errors import ConfigError, MetricsError
 from repro.experiments.spec import (
@@ -121,9 +122,38 @@ def test_adaptive_adversary_rejected():
         run_live_case(case)
 
 
+def started_nodes(case, tmp_path):
+    """Every node of the case's swarm, started on a loop that never runs."""
+    loop = asyncio.new_event_loop()
+    try:
+        nodes = [LiveNode(c, loop) for c in Supervisor(case, tmp_path).node_configs()]
+        for node in nodes:
+            node.start()
+    finally:
+        loop.close()
+    return nodes
+
+
+def test_only_the_agent_runs_the_case_cheat_strategy_and_attack_rate(tmp_path):
+    case = make_case()
+    assert case.workload.cheat is CheatStrategy.SILENT
+    nodes = started_nodes(case, tmp_path)
+    agents = [n for n in nodes if n.node_config.agent]
+    assert len(agents) == 1
+    for node in nodes:
+        if node.node_config.agent:
+            assert node.engine.cheat_strategy is CheatStrategy.SILENT
+            assert node.agent.config.nominal_rate_qpm == case.workload.attack_rate_qpm
+        else:
+            assert node.engine.cheat_strategy is CheatStrategy.HONEST
+            assert node.agent is None
+
+
 def test_honest_cheat_strategy_is_fine(tmp_path):
     case = make_case(workload=WorkloadSpec(cheat_strategy="honest"))
-    assert all(n.case == case for n in Supervisor(case, tmp_path).node_configs())
+    nodes = started_nodes(case, tmp_path)
+    assert any(n.node_config.agent for n in nodes)
+    assert {n.engine.cheat_strategy for n in nodes} == {CheatStrategy.HONEST}
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +170,14 @@ def test_node_config_needs_its_own_address():
     with pytest.raises(ConfigError):
         NodeConfig(node_id=3, addresses={0: ("127.0.0.1", 9000)}, neighbors=(),
                    case=make_case())
+
+
+def test_node_config_rejects_a_case_live_cannot_run(tmp_path):
+    # A hand-started node fails on what `repro run --backend live` rejects.
+    doc = Supervisor(make_case(), tmp_path).node_configs()[0].to_dict()
+    doc["case"]["defense"] = "naive"
+    with pytest.raises(ConfigError, match="naive"):
+        NodeConfig.from_dict(doc)
 
 
 def test_live_node_floods_with_the_des_network_config(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ProtocolError
 from repro.overlay.ids import PeerId
 from repro.overlay.message import Bye, Ping
+from repro.overlay.network import NetworkConfig
 from tests.conftest import make_network
 
 
@@ -27,10 +28,11 @@ def test_flood_reaches_all_nodes(line_network):
 
 
 def test_ttl_limits_flood_depth():
-    from tests.conftest import make_network
-
-    sim, net = make_network({i: {i + 1} for i in range(5)})  # 0-1-2-3-4-5
-    net.peers[PeerId(0)].issue_query(("nosuch", "idx"), ttl=2)
+    sim, net = make_network(
+        {i: {i + 1} for i in range(5)},  # 0-1-2-3-4-5
+        config=NetworkConfig(default_ttl=2, hop_latency_jitter_s=0.0),
+    )
+    net.peers[PeerId(0)].issue_query(("nosuch", "idx"))
     run(sim)
     assert net.peers[PeerId(1)].counters.queries_received == 1
     assert net.peers[PeerId(2)].counters.queries_received == 1
