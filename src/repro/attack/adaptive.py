@@ -48,11 +48,11 @@ from typing import TYPE_CHECKING, FrozenSet, Optional, Tuple
 from repro.attack.agent import AgentConfig, DDoSAgent
 from repro.errors import ConfigError
 from repro.overlay.ids import PeerId
-from repro.overlay.network import OverlayNetwork
-from repro.simkit.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.churn.process import ChurnProcess
+    from repro.overlay.network import OverlayNetwork
+    from repro.simkit.engine import Simulator
 
 #: Valid values of :attr:`AdaptiveConfig.strategy`.
 ADAPTIVE_STRATEGIES: Tuple[str, ...] = (

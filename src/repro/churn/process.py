@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
 from repro.churn.lifetimes import LifetimeConfig, LifetimeDistribution
 from repro.errors import ConfigError
 from repro.overlay.hostcache import HostCache
 from repro.overlay.ids import PeerId
-from repro.overlay.network import OverlayNetwork
-from repro.simkit.engine import Simulator
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.overlay.network import OverlayNetwork
+    from repro.simkit.engine import Simulator
 
 
 @dataclass(frozen=True)

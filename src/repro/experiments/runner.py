@@ -10,28 +10,29 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set
+from typing import TYPE_CHECKING, Any, Dict, Optional, Set
 
-from repro.attack.adaptive import AdaptiveAgent, AdaptiveConfig, CollusionRing
-from repro.attack.agent import AgentConfig, DDoSAgent
+from repro.attack.adaptive import AdaptiveConfig
 from repro.attack.cheating import CheatStrategy
-from repro.baselines.naive import deploy_naive
-from repro.churn.process import ChurnConfig, ChurnProcess
+from repro.churn.process import ChurnConfig
 from repro.core.config import DDPoliceConfig
-from repro.core.police import deploy_ddpolice
 from repro.errors import ConfigError
-from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.metrics.accounting import QueryAccounting
-from repro.metrics.errors import ErrorCounts, JudgmentLog
-from repro.obs.trace import JsonlSink, Tracer
 from repro.overlay.content import ContentCatalog, ContentConfig
-from repro.overlay.ids import PeerId
-from repro.overlay.network import NetworkConfig, OverlayNetwork
+from repro.overlay.network import NetworkConfig
 from repro.overlay.topology import TopologyConfig, generate_topology
-from repro.simkit.engine import Simulator
 from repro.simkit.rng import RngRegistry
-from repro.workload.generator import QueryWorkload, WorkloadConfig
+from repro.workload.generator import WorkloadConfig
+
+if TYPE_CHECKING:  # pragma: no cover - the engine side loads in run_des_experiment
+    from repro.attack.agent import DDoSAgent
+    from repro.churn.process import ChurnProcess
+    from repro.faults.injector import FaultInjector
+    from repro.metrics.accounting import QueryAccounting
+    from repro.metrics.errors import ErrorCounts, JudgmentLog
+    from repro.overlay.ids import PeerId
+    from repro.overlay.network import OverlayNetwork
+    from repro.simkit.engine import Simulator
 
 
 @dataclass(frozen=True)
@@ -157,6 +158,9 @@ def _plant_agents(
     the ids in ascending order, then one ``getrandbits(32)`` per agent
     (its own rng), whatever the strategy. The agents are not started.
     """
+    from repro.attack.adaptive import AdaptiveAgent
+    from repro.attack.agent import AgentConfig, DDoSAgent
+
     agent_cfg = AgentConfig(
         nominal_rate_qpm=config.attack_rate_qpm,
         cheat_strategy=config.cheat_strategy,
@@ -177,6 +181,16 @@ def _plant_agents(
 
 def run_des_experiment(config: DESConfig) -> DESRun:
     """Build and run one message-level experiment end to end."""
+    from repro.attack.adaptive import CollusionRing
+    from repro.baselines.naive import deploy_naive
+    from repro.churn.process import ChurnProcess
+    from repro.core.police import deploy_ddpolice
+    from repro.faults.injector import FaultInjector
+    from repro.obs.trace import JsonlSink, Tracer
+    from repro.overlay.network import OverlayNetwork
+    from repro.simkit.engine import Simulator
+    from repro.workload.generator import QueryWorkload
+
     rngs = RngRegistry(config.seed)
     tracer: Optional[Tracer] = None
     if config.trace_path is not None:

@@ -34,7 +34,8 @@ and both appear in the per-edge counts DD-POLICE monitors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import chain
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
@@ -53,21 +54,18 @@ def build_edge_arrays(
     Edges are ordered by (src, dst), so ``src`` is non-decreasing and the
     per-source edges form contiguous slices (the CSR property
     :func:`edge_slice_index` exploits). The construction is vectorized --
-    neighbor sets are flattened once at C speed, then a single argsort
-    over packed (src, dst) keys yields the canonical order and the
-    reverse-edge permutation.
+    neighbor sets are flattened once at C speed, one argsort over packed
+    (src, dst) keys yields the canonical order, and one argsort of the
+    swapped (dst, src) keys yields the reverse-edge permutation.
     """
-    src_parts: List[int] = []
-    dst_parts: List[int] = []
-    for u, vs in adjacency.items():
-        if vs:
-            src_parts.extend([u] * len(vs))
-            dst_parts.extend(vs)
-    src = np.asarray(src_parts, dtype=np.int64)
-    dst = np.asarray(dst_parts, dtype=np.int64)
-    if src.size == 0:
+    counts = np.fromiter(map(len, adjacency.values()), dtype=np.int64, count=len(adjacency))
+    total = int(counts.sum())
+    if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty.copy(), empty.copy(), empty.copy()
+    nodes = np.fromiter(adjacency.keys(), dtype=np.int64, count=len(adjacency))
+    src = np.repeat(nodes, counts)
+    dst = np.fromiter(chain.from_iterable(adjacency.values()), dtype=np.int64, count=total)
     if src.min() < 0 or dst.min() < 0:
         raise ConfigError("node ids must be non-negative")
     span = int(max(src.max(), dst.max())) + 1
@@ -77,12 +75,16 @@ def build_edge_arrays(
     if np.any(src == dst):
         u = int(src[int(np.argmax(src == dst))])
         raise ConfigError(f"self-loop at node {u}")
+    # A set holds each neighbor once, so every key (and every swapped key)
+    # is distinct: no sort kind can order them differently. Edge i's
+    # reverse carries swapped key keys[i], so sorting the swapped keys
+    # lists the reverses in edge order -- that argsort is the inverse of
+    # rev, and rev, an involution, is its own inverse.
     swapped = dst * span + src
-    rev = np.searchsorted(keys, swapped)
-    rev = np.minimum(rev, len(keys) - 1)
-    bad = keys[rev] != swapped
-    if np.any(bad):
-        e = int(np.argmax(bad))
+    rev = np.argsort(swapped)
+    if not np.array_equal(swapped[rev], keys):
+        missing = ~np.isin(swapped, keys)
+        e = int(np.argmax(missing))
         raise ConfigError(f"asymmetric adjacency at edge ({int(src[e])}, {int(dst[e])})")
     return src, dst, rev
 

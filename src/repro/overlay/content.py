@@ -17,6 +17,7 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigError
@@ -103,11 +104,20 @@ class ContentCatalog:
             holders = set(self._rng.sample(range(n_peers), count))
             self.replica_holders.append(holders)
 
-        # Reverse index: peer -> objects it shares.
-        self.peer_objects: Dict[int, Set[int]] = {}
+    @cached_property
+    def peer_objects(self) -> Dict[int, Set[int]]:
+        """Reverse index: peer -> objects it shares.
+
+        Built on first read (only pongs, churn relocation and live nodes
+        read it), from the placement as it stands then; every later
+        change goes through :meth:`relocate_replicas`, which keeps both
+        indexes in step.
+        """
+        index: Dict[int, Set[int]] = {}
         for obj, holders in enumerate(self.replica_holders):
             for peer in holders:
-                self.peer_objects.setdefault(peer, set()).add(obj)
+                index.setdefault(peer, set()).add(obj)
+        return index
 
     # -- queries ----------------------------------------------------------
     def sample_object(self, rng: random.Random) -> int:
@@ -135,9 +145,6 @@ class ContentCatalog:
     # -- matching ----------------------------------------------------------
     def peer_has(self, peer: int, obj: int) -> bool:
         return peer in self.replica_holders[obj]
-
-    def holders(self, obj: int) -> Set[int]:
-        return set(self.replica_holders[obj])
 
     def replica_count(self, obj: int) -> int:
         return len(self.replica_holders[obj])

@@ -306,9 +306,14 @@ class SoaFloodEngine:
             dtype=np.int64,
             count=self._E,
         )
+        # Each source's replay keys permute its slice of the (src, dst)
+        # sorted edge keys, so their argsort lists the replay slots in
+        # edge order and its inverse maps a replay slot to its edge.
         edge_keys = self._src * n + self._dst
         replay_keys = self._src * n + order
-        proto = np.searchsorted(edge_keys, replay_keys)
+        slots = np.argsort(replay_keys, kind="stable")
+        proto = np.empty_like(slots)
+        proto[slots] = np.arange(self._E, dtype=np.int64)
         assert np.array_equal(edge_keys[proto], replay_keys)
         self._proto_edge = proto
 

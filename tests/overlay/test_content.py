@@ -83,6 +83,26 @@ def test_relocate_replicas_preserves_counts(catalog):
         assert abs(catalog.replica_count(obj) - before[obj]) <= 1
 
 
+def test_relocate_before_the_first_index_read_keeps_the_index_consistent(catalog):
+    """The peer -> objects index is built on first read; a relocation that
+    comes first builds it from the placement it is about to change, and
+    ends with the same placement and index as a catalog whose index was
+    read up front."""
+    read_first = ContentCatalog(ContentConfig(num_objects=50, seed=1), n_peers=200)
+    victim = min(read_first.peer_objects)
+    assert "peer_objects" not in vars(catalog)
+    alive = [p for p in range(200) if p != victim]
+    for cat in (catalog, read_first):
+        cat.relocate_replicas(victim, alive, random.Random(4))
+    assert catalog.replica_holders == read_first.replica_holders
+    assert catalog.peer_objects == read_first.peer_objects
+    expected = {}
+    for obj, holders in enumerate(catalog.replica_holders):
+        for peer in holders:
+            expected.setdefault(peer, set()).add(obj)
+    assert catalog.peer_objects == expected
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         ContentConfig(num_objects=0)

@@ -3,9 +3,11 @@
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigError
 from repro.fluid.coverage import novelty_schedule
 from repro.fluid.flows import build_edge_arrays, propagate_flows
 from repro.overlay.topology import TopologyConfig, generate_topology
@@ -139,3 +141,58 @@ def test_classes_do_not_leak_into_each_other():
     assert r.good_processed_per_hop.tolist() == [7.0, 1.75]
     assert r.offered.tolist() == [15.0, 42.0, 109.0, 50.0]
     assert (r.good_injected, r.attack_injected) == (14.0, 130.0)
+
+
+@st.composite
+def symmetric_adjacency(draw):
+    """A random undirected simple graph as an adjacency dict: node ids are
+    distinct, non-contiguous and listed in random order, and some nodes
+    have no neighbor at all."""
+    ids = draw(st.lists(st.integers(0, 10_000), min_size=2, max_size=40, unique=True))
+    pairs = draw(st.lists(
+        st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=120
+    ))
+    adj = {u: set() for u in ids}
+    for u, v in pairs:
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    return adj
+
+
+@settings(max_examples=60, deadline=None)
+@given(adj=symmetric_adjacency())
+def test_edge_arrays_match_a_dict_lookup_reference(adj):
+    src, dst, rev = build_edge_arrays(adj)
+    edges = sorted((u, v) for u, vs in adj.items() for v in vs)
+    index = {edge: i for i, edge in enumerate(edges)}
+    assert list(zip(src.tolist(), dst.tolist())) == edges
+    assert rev.tolist() == [index[(v, u)] for u, v in edges]
+    assert (rev[rev] == np.arange(len(edges))).all()
+    assert (src[rev] == dst).all()
+    assert src.dtype == dst.dtype == rev.dtype == np.int64
+
+
+@settings(max_examples=40, deadline=None)
+@given(adj=symmetric_adjacency(), data=st.data())
+def test_edge_arrays_reject_asymmetric_looped_and_negative_graphs(adj, data):
+    edges = sorted((u, v) for u, vs in adj.items() for v in vs)
+    if edges:
+        u, v = data.draw(st.sampled_from(edges))
+        one_way = {w: set(vs) for w, vs in adj.items()}
+        one_way[v].discard(u)
+        # the first (src, dst) edge whose reverse is gone is (u, v)
+        with pytest.raises(ConfigError, match=rf"asymmetric adjacency at edge \({u}, {v}\)"):
+            build_edge_arrays(one_way)
+    w = data.draw(st.sampled_from(sorted(adj)))
+    looped = {x: set(vs) for x, vs in adj.items()}
+    looped[w].add(w)
+    with pytest.raises(ConfigError, match="self-loop"):
+        build_edge_arrays(looped)
+    if adj[w]:  # an id only reaches the arrays through an edge
+        renamed = {
+            (-1 if x == w else x): {-1 if y == w else y for y in vs}
+            for x, vs in adj.items()
+        }
+        with pytest.raises(ConfigError, match="non-negative"):
+            build_edge_arrays(renamed)

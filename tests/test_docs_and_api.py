@@ -218,7 +218,10 @@ def test_an_engine_import_loads_only_what_the_engine_uses():
     """Package ``__init__``s import nothing, so importing one module loads
     that module's own imports: the soa engine pulls in no message DES,
     control plane, fluid model, harness or telemetry, and neither the DES
-    runner nor a live node loads numpy."""
+    runner nor a live node loads numpy. The DES runner loads its engine
+    side (control plane, evidence, faults, baselines, trace) only when it
+    runs, so importing ``DESConfig`` -- or the CLI -- loads none of it, and
+    the CLI loads no message-level overlay."""
     import json
     import os
     import subprocess
@@ -246,8 +249,16 @@ def test_an_engine_import_loads_only_what_the_engine_uses():
         assert module not in soa, module
     for package in ("repro.experiments", "repro.obs", "repro.live"):
         assert not [m for m in soa if m == package or m.startswith(package + ".")]
-    for module in ("repro.experiments.runner", "repro.live.node"):
-        assert "numpy" not in loaded(module), module
+    assert "numpy" not in loaded("repro.live.node")
+    runner = loaded("repro.experiments.runner")
+    for module in (
+        "numpy", "repro.core.police", "repro.core.exchange", "repro.evidence.store",
+        "repro.faults.injector", "repro.baselines.naive", "repro.obs.trace",
+    ):
+        assert module not in runner, module
+    cli = loaded("repro.cli")
+    for module in ("repro.overlay.network", "repro.overlay.peer"):
+        assert module not in cli, module
 
 
 def test_result_rows_have_one_unit_and_src_reads_no_scale_env():
