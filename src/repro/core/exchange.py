@@ -16,7 +16,7 @@ tolerance, disconnection with an explanatory Bye.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigError
 
@@ -47,6 +47,9 @@ class NeighborListDirectory:
 
     def __init__(self) -> None:
         self._lists: Dict[Hashable, ListSnapshot] = {}
+        #: ``get(owner) -> ListSnapshot | None``: the dict's own ``get``,
+        #: so the per-list cross-checks look owners up without a Python frame.
+        self.get: Callable[[Hashable], Optional[ListSnapshot]] = self._lists.get
         #: Reverse index: peer -> owners whose stored list claims it, as
         #: one tuple kept in ``_lists`` insertion order (``_seq``). Makes
         #: the per-list consistency cross-check O(claimers) instead of
@@ -118,9 +121,6 @@ class NeighborListDirectory:
             for peer in snap.neighbors:
                 self._unclaim(peer, owner)
             del self._seq[owner]
-
-    def get(self, owner: Hashable) -> Optional[ListSnapshot]:
-        return self._lists.get(owner)
 
     def known_neighbors(self, owner: Hashable) -> FrozenSet[Hashable]:
         snap = self._lists.get(owner)

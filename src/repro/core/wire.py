@@ -64,7 +64,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 from repro.errors import WireFormatError
-from repro.overlay.ids import Guid, PeerId
+from repro.overlay.ids import PeerId
 from repro.overlay.message import (
     Bye,
     Message,
@@ -89,6 +89,12 @@ _QUERY_HIT_HEAD_STRUCT = struct.Struct(">BH4sI")  # hits, port, ip, speed
 _QUERY_HIT_DESCRIPTOR_SIZE = 40
 
 
+def _check_guid(guid: object, what: str) -> None:
+    """A GUID is 16 raw ``bytes``; struct's ``16s`` would pad or truncate."""
+    if guid.__class__ is not bytes or len(guid) != 16:  # type: ignore[arg-type]
+        raise WireFormatError(f"{what} must be 16 bytes, got {guid!r}")
+
+
 def _decode_addr(raw: bytes, what: str) -> PeerId:
     """Decode a 4-byte address field, mapping any defect to the wire error."""
     try:
@@ -101,7 +107,7 @@ def _decode_addr(raw: bytes, what: str) -> PeerId:
 class GnutellaHeader:
     """Parsed 23-byte Gnutella message header."""
 
-    guid: Guid
+    guid: bytes
     kind: MessageKind
     ttl: int
     hops: int
@@ -116,8 +122,9 @@ class GnutellaHeader:
             raise WireFormatError("payload_length must be non-negative")
 
     def encode(self) -> bytes:
+        _check_guid(self.guid, "message GUID")
         return _HEADER_STRUCT.pack(
-            self.guid.raw, self.kind.value, self.ttl, self.hops, self.payload_length
+            self.guid, self.kind.value, self.ttl, self.hops, self.payload_length
         )
 
     @classmethod
@@ -131,7 +138,7 @@ class GnutellaHeader:
             kind = MessageKind(kind_val)
         except ValueError as exc:
             raise WireFormatError(f"unknown payload descriptor 0x{kind_val:02x}") from exc
-        return cls(Guid(guid_raw), kind, ttl, hops, length)
+        return cls(guid_raw, kind, ttl, hops, length)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +393,7 @@ def encode_query_hit(msg: QueryHit, *, port: int = 0) -> bytes:
     """
     if msg.responder is None:
         raise WireFormatError("QueryHit requires a responder")
-    if msg.query_guid is None:
-        raise WireFormatError("QueryHit requires the query GUID")
+    _check_guid(msg.query_guid, "query GUID")
     if not (0 <= msg.result_count <= 0xFF):
         raise WireFormatError(f"result_count out of byte range: {msg.result_count}")
     if not (0 <= port <= 0xFFFF):
@@ -398,7 +404,7 @@ def encode_query_hit(msg: QueryHit, *, port: int = 0) -> bytes:
             msg.result_count, port, msg.responder.ipv4_bytes(), 0
         )
         + b"\x00" * (_QUERY_HIT_DESCRIPTOR_SIZE * descriptors)
-        + msg.query_guid.raw
+        + msg.query_guid
     )
     header = GnutellaHeader(
         guid=msg.guid, kind=MessageKind.QUERY_HIT, ttl=msg.ttl, hops=msg.hops,
@@ -426,7 +432,7 @@ def decode_query_hit(raw: bytes) -> QueryHit:
         hops=header.hops,
         responder=_decode_addr(ip_raw, "responder"),
         result_count=count,
-        query_guid=Guid(body[-16:]),
+        query_guid=bytes(body[-16:]),
     )
 
 

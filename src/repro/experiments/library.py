@@ -957,11 +957,11 @@ def _scn_table1_wire(
 ) -> ScenarioOutput:
     """One Neighbor_Traffic message on the wire (closed form)."""
     from repro.core.wire import encode_neighbor_traffic
-    from repro.overlay.ids import Guid, PeerId
+    from repro.overlay.ids import PeerId
     from repro.overlay.message import NeighborTrafficMessage
 
     msg = NeighborTrafficMessage(
-        guid=Guid(b"\x01" * 16),
+        guid=b"\x01" * 16,
         ttl=1,
         hops=0,
         source=PeerId(0x0A0B0C),

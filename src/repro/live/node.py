@@ -302,12 +302,12 @@ class LiveNode(asyncio.DatagramProtocol):
             self._m.attack_sent += 1
             return
         self._m.issued += 1
-        self._issued[msg.guid.raw] = self.now
+        self._issued[msg.guid] = self.now
         while len(self._issued) > ISSUED_CACHE_LIMIT:
             self._issued.popitem(last=False)
 
     def note_response_arrived(self, origin: PeerId, hit: QueryHit) -> None:
-        issued_at = self._issued.pop(hit.query_guid.raw, None)
+        issued_at = self._issued.pop(hit.query_guid, None)
         if issued_at is not None:
             # First response to one of our own queries: success.
             self._m.succeeded += 1
@@ -364,7 +364,7 @@ class LiveNode(asyncio.DatagramProtocol):
         try:
             if msg.kind is MessageKind.PONG:
                 pending = self._pending_ping.get(src)
-                if pending is not None and pending[0] == msg.guid.raw:
+                if pending is not None and pending[0] == msg.guid:
                     del self._pending_ping[src]
             elif msg.kind is MessageKind.BYE:
                 self._drop_link(src, msg.reason_code)
@@ -390,17 +390,17 @@ class LiveNode(asyncio.DatagramProtocol):
 
     def _send_liveness_ping(self, nb: PeerId, attempt: int) -> None:
         ping = Ping(guid=self.guid_factory.new(), ttl=1)
-        self._pending_ping[nb] = (ping.guid.raw, attempt)
+        self._pending_ping[nb] = (ping.guid, attempt)
         self._send(nb, ping)
         # Bounded backoff: timeout doubles per retry, capped at the period.
         timeout = min(PING_TIMEOUT_S * (2**attempt), PING_PERIOD_S)
-        self._schedule(timeout, self._ping_timeout, nb, ping.guid.raw)
+        self._schedule(timeout, self._ping_timeout, nb, ping.guid)
 
-    def _ping_timeout(self, nb: PeerId, guid_raw: bytes) -> None:
+    def _ping_timeout(self, nb: PeerId, guid: bytes) -> None:
         if self._closing:
             return
         pending = self._pending_ping.get(nb)
-        if pending is None or pending[0] != guid_raw:
+        if pending is None or pending[0] != guid:
             return  # answered, or superseded by a newer ping
         attempt = pending[1] + 1
         if attempt > PING_RETRIES:

@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import FrozenSet, Optional, Tuple
 
-from repro.overlay.ids import Guid, PeerId
+from repro.overlay.ids import PeerId
 
 #: Size of the unified Gnutella message header (bytes), per the 0.6 spec.
 GNUTELLA_HEADER_SIZE = 23
@@ -61,7 +61,7 @@ class Message:
         easily modified -- modelled in :mod:`repro.attack`).
     """
 
-    guid: Guid
+    guid: bytes
     ttl: int = DEFAULT_TTL
     hops: int = 0
 
@@ -148,7 +148,7 @@ class QueryHit(Message):
 
     responder: Optional[PeerId] = None
     result_count: int = 1
-    query_guid: Optional[Guid] = None
+    query_guid: Optional[bytes] = None
 
     def __post_init__(self) -> None:
         self.kind = MessageKind.QUERY_HIT

@@ -16,7 +16,7 @@ from repro.errors import ConfigError, ProtocolError
 from repro.metrics.accounting import QueryAccounting
 from repro.overlay.capacity import TokenBucket
 from repro.overlay.content import ContentCatalog, ContentConfig
-from repro.overlay.ids import Guid, GuidFactory, PeerId
+from repro.overlay.ids import GuidFactory, PeerId
 from repro.overlay.message import (
     HOP_LATENCY_S,
     MINUTE_WINDOW_S,
@@ -93,7 +93,7 @@ class QueryRecord:
     ``window`` the minute-window index the issue fell into.
     """
 
-    guid: Guid
+    guid: bytes
     origin: PeerId
     issued_at: float
     object_id: Optional[int] = None
@@ -362,8 +362,8 @@ class OverlayNetwork:
     def note_query_issued(self, origin: PeerId, msg: Query) -> None:
         obj = self.content.find_object(msg.keywords)
         is_attack = origin in self.attack_origins
-        window = self.accounting.on_issued(msg.guid.raw, is_attack)
-        self.query_records[msg.guid.raw] = QueryRecord(
+        window = self.accounting.on_issued(msg.guid, is_attack)
+        self.query_records[msg.guid] = QueryRecord(
             guid=msg.guid,
             origin=origin,
             issued_at=self.now,
@@ -379,7 +379,7 @@ class OverlayNetwork:
     def note_response_arrived(self, origin: PeerId, hit: QueryHit) -> None:
         if hit.query_guid is None:
             return
-        rec = self.query_records.get(hit.query_guid.raw)
+        rec = self.query_records.get(hit.query_guid)
         if rec is None or rec.origin != origin:
             return
         rec.responses += 1

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Set
 from repro.errors import ProtocolError
 from repro.evidence.dedup import ExactSeenCache
 from repro.overlay.capacity import TokenBucket
-from repro.overlay.ids import Guid, PeerId
+from repro.overlay.ids import PeerId
 from repro.overlay.message import (
     Bye,
     Message,
@@ -225,7 +225,7 @@ class Peer:
             self.out_query_window[dst] = self.out_query_window.get(dst, 0) + 1
         self.network.transmit(self.id, dst, msg)
 
-    def issue_query(self, keywords: Tuple[str, ...]) -> Guid:
+    def issue_query(self, keywords: Tuple[str, ...]) -> bytes:
         """Originate a query at the network's TTL and flood it to all neighbors."""
         if not self.online:
             raise ProtocolError(f"offline peer {self.id} cannot issue queries")
@@ -246,7 +246,7 @@ class Peer:
         self,
         neighbor: PeerId,
         keywords: Tuple[str, ...],
-    ) -> Guid:
+    ) -> bytes:
         """Originate a query toward a *single* neighbor.
 
         This is the attack pattern of Section 2.1 / Figure 1: "Instead of
@@ -317,7 +317,7 @@ class Peer:
         if src in self.neighbors:
             self.in_query_window[src] = self.in_query_window.get(src, 0) + 1
 
-        key = msg.guid.raw
+        key = msg.guid
         if key in self._seen:
             self.counters.queries_dropped_duplicate += 1
             return
@@ -360,7 +360,7 @@ class Peer:
     def _on_query_hit(self, src: PeerId, msg: QueryHit) -> None:
         if msg.query_guid is None:
             raise ProtocolError("QueryHit without query_guid")
-        key = msg.query_guid.raw
+        key = msg.query_guid
         back = self._route_back.get(key)
         if back is None:
             # Either we originated the query or the route expired.
@@ -378,15 +378,15 @@ class Peer:
     # ------------------------------------------------------------------
     # seen-cache bookkeeping
     # ------------------------------------------------------------------
-    def _remember_seen(self, guid: Guid) -> None:
-        self._seen.add(guid.raw)
+    def _remember_seen(self, guid: bytes) -> None:
+        self._seen.add(guid)
 
     def _evict_routes(self) -> None:
         while len(self._route_back) > self.network.config.seen_cache_limit:
             self._route_back.popitem(last=False)
 
-    def has_seen(self, guid: Guid) -> bool:
-        return guid.raw in self._seen
+    def has_seen(self, guid: bytes) -> bool:
+        return guid in self._seen
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Peer({self.id.value}, deg={len(self.neighbors)}, {self.state.value})"

@@ -297,8 +297,8 @@ class SoaFloodEngine:
         # fan-out emits in the same order. Replaying the identical
         # insertions into an identical set reproduces the (deterministic)
         # order; edge cuts never reorder survivors, matching set.discard.
-        # ``PeerId.__hash__`` is ``hash((value,))``, so a set of 1-tuples
-        # iterates in the same order with the hash computed in C.
+        # A ``PeerId`` is the 1-tuple ``(value,)`` and hashes as one, so a
+        # set of plain 1-tuples iterates in the same order.
         order = np.fromiter(
             chain.from_iterable(
                 chain.from_iterable({(v,) for v in vs} for vs in topology.adjacency)

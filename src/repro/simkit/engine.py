@@ -41,7 +41,8 @@ class Simulator:
     """
 
     def __init__(self, *, tracer: Any = None) -> None:
-        self._now = 0.0
+        #: Current virtual time; only :meth:`run` advances it.
+        self.now = 0.0
         self._heap: List[_Entry] = []
         self._seq = 0
         self._running = False
@@ -50,11 +51,6 @@ class Simulator:
         self.tracer = tracer
 
     # -- clock ------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current virtual time."""
-        return self._now
-
     @property
     def events_fired(self) -> int:
         """Number of events fired so far: every scheduled event not
@@ -81,9 +77,9 @@ class Simulator:
         value that does not compare with ``int`` raises ``TypeError``
         from a later push or pop, not here.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule into the past: t={time} < now={self._now}"
+                f"cannot schedule into the past: t={time} < now={self.now}"
             )
         time = float(time)
         ev = Event(time, callback, args)
@@ -102,7 +98,7 @@ class Simulator:
         """Schedule ``callback(*args)`` ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"delay must be non-negative, got {delay}")
-        return self.schedule_at(self._now + delay, callback, *args, priority=priority)
+        return self.schedule_at(self.now + delay, callback, *args, priority=priority)
 
     def schedule_bulk(
         self,
@@ -125,9 +121,9 @@ class Simulator:
         seq = self._seq
         for item in items:
             time, callback, *args = item
-            if time < self._now:
+            if time < self.now:
                 raise SimulationError(
-                    f"cannot schedule into the past: t={time} < now={self._now}"
+                    f"cannot schedule into the past: t={time} < now={self.now}"
                 )
             time = float(time)
             entries.append((time, priority, seq, Event(time, callback, tuple(args))))
@@ -151,11 +147,11 @@ class Simulator:
         try:
             while heap and heap[0][0] <= limit:
                 time, _, _, nxt = heappop(heap)
-                self._now = time
+                self.now = time
                 if tracer is not None:
                     tracer.event("sim.dispatch", t=time)
                 nxt.fire()
-            if until is not None and self._now < until:
-                self._now = until
+            if until is not None and self.now < until:
+                self.now = until
         finally:
             self._running = False

@@ -14,7 +14,7 @@ from repro.core.wire import (
     encode_neighbor_traffic,
 )
 from repro.errors import WireFormatError
-from repro.overlay.ids import Guid, PeerId
+from repro.overlay.ids import PeerId
 from repro.overlay.message import (
     Bye,
     MessageKind,
@@ -28,7 +28,7 @@ from repro.overlay.message import (
 
 
 def guid(n=1):
-    return Guid(n.to_bytes(16, "big"))
+    return n.to_bytes(16, "big")
 
 
 def make_traffic(**kw):

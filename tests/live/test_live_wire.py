@@ -29,11 +29,11 @@ from repro.core.wire import (
     encode_query_hit,
 )
 from repro.errors import ProtocolError, WireFormatError
-from repro.overlay.ids import Guid, PeerId
+from repro.overlay.ids import PeerId
 from repro.overlay.message import Bye, Ping, Pong, Query, QueryHit
 
 peer_ids = st.integers(min_value=0, max_value=2**24 - 1).map(PeerId)
-guids = st.binary(min_size=16, max_size=16).map(Guid)
+guids = st.binary(min_size=16, max_size=16)
 u8 = st.integers(min_value=0, max_value=0xFF)
 u16 = st.integers(min_value=0, max_value=0xFFFF)
 keywords = st.text(
@@ -188,7 +188,7 @@ def test_random_bytes_never_escape_protocol_error(raw):
     lambda d: d not in (0x00, 0x01, 0x02, 0x80, 0x81, 0x82, 0x83)
 ))
 def test_unknown_descriptor_is_a_wire_error(descriptor):
-    raw = bytearray(encode_message(Ping(guid=Guid(b"\x01" * 16))))
+    raw = bytearray(encode_message(Ping(guid=b"\x01" * 16)))
     raw[16] = descriptor
     with pytest.raises(WireFormatError):
         decode_message(bytes(raw))
@@ -215,14 +215,14 @@ def test_bye_frame_rejected_by_query_decoder(msg):
 # ---------------------------------------------------------------------------
 
 def test_encode_rejects_separator_keywords():
-    q = Query(guid=Guid(b"\x01" * 16), ttl=1, hops=0, keywords=("a b",))
+    q = Query(guid=b"\x01" * 16, ttl=1, hops=0, keywords=("a b",))
     with pytest.raises(WireFormatError):
         encode_query(q)
 
 
 def test_encode_rejects_oversized_datagram():
     big = Query(
-        guid=Guid(b"\x01" * 16), ttl=1, hops=0,
+        guid=b"\x01" * 16, ttl=1, hops=0,
         keywords=tuple(f"k{i:05d}x" * 8 for i in range(1200)),
     )
     raw_len = sum(len(k) + 1 for k in big.keywords) + HEADER_SIZE + 3
@@ -232,6 +232,6 @@ def test_encode_rejects_oversized_datagram():
 
 
 def test_ping_payload_must_be_empty():
-    raw = encode_ping(Ping(guid=Guid(b"\x01" * 16))) + b"\x00"
+    raw = encode_ping(Ping(guid=b"\x01" * 16)) + b"\x00"
     with pytest.raises(WireFormatError):
         decode_ping(raw)

@@ -23,7 +23,7 @@ from repro.live.node import LiveNode, NodeConfig, decode_message, encode_message
 from repro.live.spec import LiveSpec
 from repro.obs.trace import MemorySink, Tracer, validate_record
 from repro.overlay.content import ContentCatalog, ContentConfig
-from repro.overlay.ids import Guid, PeerId
+from repro.overlay.ids import PeerId
 from repro.overlay.message import Bye, MessageKind, Ping, Pong, Query, QueryHit
 from repro.overlay.network import NetworkConfig
 from repro.simkit.rng import derive_seed
@@ -118,7 +118,7 @@ def harness():
 
 
 def guid(i):
-    return Guid(bytes([i]) * 16)
+    return bytes([i]) * 16
 
 
 def query(i, *, ttl=4, hops=2, keywords=BOGUS):

@@ -1,13 +1,19 @@
 """Unit tests for peer ids and GUIDs."""
 
 import copy
+import gc
 import pickle
 import random
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.overlay.ids import Guid, GuidFactory, PeerId
+from repro.core.wire import GnutellaHeader, encode_query_hit
+from repro.errors import WireFormatError
+from repro.overlay.ids import GuidFactory, PeerId
+from repro.overlay.message import MessageKind, QueryHit
 
 
 def test_peer_id_ipv4_mapping_roundtrip():
@@ -103,21 +109,25 @@ def test_from_ipv4_bytes_validates():
 
 
 def test_guid_must_be_16_bytes():
-    with pytest.raises(ValueError):
-        Guid(b"short")
-    Guid(b"\x00" * 16)  # ok
+    # A GUID is its raw bytes; the wire boundary enforces the length.
+    for bad in (b"short", b"\x00" * 15, b"\x00" * 17, bytearray(16), "x" * 16):
+        with pytest.raises(WireFormatError):
+            GnutellaHeader(bad, MessageKind.PING, 1, 0, 0).encode()
+        with pytest.raises(WireFormatError):
+            encode_query_hit(QueryHit(b"\x00" * 16, responder=PeerId(1), query_guid=bad))
+    assert len(GnutellaHeader(b"\x00" * 16, MessageKind.PING, 1, 0, 0).encode()) == 23
 
 
 def test_guid_factory_unique():
     factory = GuidFactory(random.Random(0))
-    guids = {factory.new().raw for _ in range(1000)}
+    guids = {factory.new() for _ in range(1000)}
     assert len(guids) == 1000
 
 
 def test_guid_factory_deterministic():
     a = GuidFactory(random.Random(5)).new()
     b = GuidFactory(random.Random(5)).new()
-    assert a.raw == b.raw
+    assert a == b
 
 
 def test_guid_factory_bytes_are_head_draw_then_counter():
@@ -127,9 +137,28 @@ def test_guid_factory_bytes_are_head_draw_then_counter():
     rng = random.Random(7)
     for counter in range(1, 1001):
         head = rng.getrandbits(64).to_bytes(8, "big")
-        assert factory.new().raw == head + counter.to_bytes(8, "big")
+        assert factory.new() == head + counter.to_bytes(8, "big")
 
 
 def test_guid_hex():
-    g = Guid(bytes(range(16)))
-    assert g.hex() == bytes(range(16)).hex()
+    g = GuidFactory(random.Random(7)).new()
+    assert g.hex() == f"{random.Random(7).getrandbits(64):016x}{1:016x}"
+
+
+def test_guid_is_plain_untracked_bytes():
+    # 16 raw bytes: hashed and compared in C, never visited by the cyclic GC.
+    g = GuidFactory(random.Random(5)).new()
+    assert type(g) is bytes and len(g) == 16
+    assert gc.is_tracked(g) is False
+
+
+def test_peer_id_hash_is_the_tuple_slot():
+    assert PeerId.__hash__ is tuple.__hash__
+
+
+@given(st.lists(st.integers(0, 2**24 - 1), unique=True, max_size=200))
+def test_peer_id_sets_iterate_like_sets_of_1_tuples(vs):
+    # What the des-soa engine's fan-out replay rests on, for any ids.
+    assert [p.value for p in {PeerId(v) for v in vs}] == [
+        t[0] for t in {(v,) for v in vs}
+    ]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.overlay.ids import Guid, PeerId
+from repro.overlay.ids import PeerId
 from repro.overlay.message import (
     GNUTELLA_HEADER_SIZE,
     Bye,
@@ -16,8 +16,8 @@ from repro.overlay.message import (
 )
 
 
-def guid(n: int = 0) -> Guid:
-    return Guid(n.to_bytes(16, "big"))
+def guid(n: int = 0) -> bytes:
+    return n.to_bytes(16, "big")
 
 
 def test_payload_descriptors_match_spec():

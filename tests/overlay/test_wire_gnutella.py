@@ -20,12 +20,12 @@ from repro.core.wire import (
     encode_query_hit,
 )
 from repro.errors import WireFormatError
-from repro.overlay.ids import Guid, PeerId
+from repro.overlay.ids import PeerId
 from repro.overlay.message import Ping, Pong, Query, QueryHit
 
 
 def guid(n=1):
-    return Guid(n.to_bytes(16, "big"))
+    return n.to_bytes(16, "big")
 
 
 def test_ping_roundtrip():

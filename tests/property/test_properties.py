@@ -23,7 +23,7 @@ from repro.core.wire import (
 from repro.fluid.coverage import expected_coverage, novelty_schedule
 from repro.metrics.damage import damage_rate
 from repro.overlay.capacity import TokenBucket
-from repro.overlay.ids import Guid, PeerId
+from repro.overlay.ids import PeerId
 from repro.overlay.message import NeighborListMessage, NeighborTrafficMessage
 from repro.overlay.topology import TopologyConfig, generate_topology
 from repro.simkit.engine import Simulator
@@ -147,7 +147,7 @@ def test_totals_form_equals_the_list_definitions(members, observer, own, q):
 # ---------------------------------------------------------------------------
 
 peer_ids = st.integers(min_value=0, max_value=2**24 - 1).map(PeerId)
-guids = st.binary(min_size=16, max_size=16).map(Guid)
+guids = st.binary(min_size=16, max_size=16)
 
 
 @given(

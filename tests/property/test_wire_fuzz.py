@@ -21,11 +21,11 @@ from repro.core.wire import (
     encode_neighbor_traffic,
 )
 from repro.errors import ProtocolError, ReproError, WireFormatError
-from repro.overlay.ids import Guid, PeerId
+from repro.overlay.ids import PeerId
 from repro.overlay.message import NeighborListMessage, NeighborTrafficMessage
 
 peer_ids = st.integers(min_value=0, max_value=2**24 - 1).map(PeerId)
-guids = st.binary(min_size=16, max_size=16).map(Guid)
+guids = st.binary(min_size=16, max_size=16)
 u8 = st.integers(min_value=0, max_value=0xFF)
 u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 
@@ -164,7 +164,7 @@ def test_short_header_is_a_wire_error():
 
 def test_address_outside_synthetic_block_is_a_wire_error():
     msg = NeighborTrafficMessage(
-        guid=Guid(b"\x00" * 16),
+        guid=b"\x00" * 16,
         ttl=1,
         hops=0,
         source=PeerId(1),
