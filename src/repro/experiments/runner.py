@@ -195,7 +195,7 @@ def run_des_experiment(config: DESConfig) -> DESRun:
     tracer: Optional[Tracer] = None
     if config.trace_path is not None:
         tracer = Tracer(sinks=[JsonlSink(config.trace_path)], run=f"des-seed{config.seed}")
-    sim = Simulator(tracer=tracer)
+    sim = Simulator()
     topo_cfg = config.topology or TopologyConfig(n=config.n, seed=config.seed)
     if topo_cfg.n != config.n:
         raise ConfigError("topology n must match config n")

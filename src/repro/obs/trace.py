@@ -5,7 +5,7 @@ A trace is a stream of flat, schema-versioned dicts. Every record carries
 * ``v``    -- the schema version (:data:`SCHEMA_VERSION`),
 * ``seq``  -- a per-tracer monotone sequence number,
 * ``t``    -- the *simulated* time the record refers to (seconds),
-* ``kind`` -- a dotted event name (``net.deliver``, ``police.cut``, ...),
+* ``kind`` -- a dotted event name (``police.cut``, ``net.minute``, ...),
 
 plus arbitrary caller-supplied fields (JSON scalars or flat lists). The
 flat shape keeps traces greppable and ``jq``-able.
@@ -124,9 +124,9 @@ class Tracer:
 
     >>> sink = MemorySink()
     >>> tracer = Tracer(sinks=[sink])
-    >>> _ = tracer.event("sim.dispatch", t=1.0)
+    >>> _ = tracer.event("police.cut", t=1.0, observer=3, suspect=7)
     >>> [r["kind"] for r in sink.records]
-    ['sim.dispatch']
+    ['police.cut']
     """
 
     def __init__(self, *, sinks: Sequence[Any] = (), run: Optional[str] = None) -> None:

@@ -272,15 +272,8 @@ class OverlayNetwork:
         if self.fault_injector is not None:
             shaped = self.fault_injector.shape_transmit(src, dst, msg, delay)
             if shaped is None:
+                # The injector wrote the ``fault.drop`` record.
                 self.stats.messages_dropped_fault += 1
-                if self.tracer is not None:
-                    self.tracer.event(
-                        "net.drop.fault",
-                        t=self.now,
-                        src=src.value,
-                        dst=dst.value,
-                        msg=msg.kind.name,
-                    )
                 return
             delay = shaped
         # ``schedule_in`` minus its frame; the same float.
@@ -310,15 +303,6 @@ class OverlayNetwork:
             stats.hit_messages += 1
         else:
             stats.control_messages += 1
-        if self.tracer is not None:
-            self.tracer.event(
-                "net.deliver",
-                t=self.now,
-                src=src.value,
-                dst=dst.value,
-                msg=kind.name,
-                size=msg.size_bytes,
-            )
         peer.on_message(src, msg)
 
     # ------------------------------------------------------------------
@@ -411,12 +395,20 @@ class OverlayNetwork:
         for listener in self.minute_listeners:
             listener(self.minute_index, self.now)
         if self.tracer is not None:
+            # Cumulative volume: a minute's traffic is the difference
+            # between two consecutive records.
+            stats = self.stats
             self.tracer.event(
                 "net.minute",
                 t=self.now,
                 minute=self.minute_index,
-                delivered=self.stats.messages_delivered,
+                delivered=stats.messages_delivered,
                 queue_depth=self.sim.pending_count,
+                events=self.sim.events_fired,
+                query_messages=stats.query_messages,
+                hit_messages=stats.hit_messages,
+                control_messages=stats.control_messages,
+                bytes_transferred=stats.bytes_transferred,
             )
 
     # ------------------------------------------------------------------

@@ -40,15 +40,12 @@ class Simulator:
     [1.0, 5.0]
     """
 
-    def __init__(self, *, tracer: Any = None) -> None:
+    def __init__(self) -> None:
         #: Current virtual time; only :meth:`run` advances it.
         self.now = 0.0
         self._heap: List[_Entry] = []
         self._seq = 0
         self._running = False
-        #: Optional ``repro.obs.trace.Tracer``; None keeps every dispatch on the
-        #: untraced fast path (a single falsy branch per event).
-        self.tracer = tracer
 
     # -- clock ------------------------------------------------------------
     @property
@@ -141,15 +138,12 @@ class Simulator:
             raise SimulationError("simulator is already running (re-entrant run)")
         self._running = True
         limit = math.inf if until is None else until
-        tracer = self.tracer
         heap = self._heap
         heappop = heapq.heappop
         try:
             while heap and heap[0][0] <= limit:
                 time, _, _, nxt = heappop(heap)
                 self.now = time
-                if tracer is not None:
-                    tracer.event("sim.dispatch", t=time)
                 nxt.fire()
             if until is not None and self.now < until:
                 self.now = until

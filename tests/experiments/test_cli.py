@@ -164,14 +164,14 @@ def test_trace_summarize_subcommand(tmp_path, capsys):
 
     path = tmp_path / "t.jsonl"
     tracer = Tracer(sinks=[JsonlSink(path)])
-    tracer.event("net.deliver", t=1.0)
-    tracer.event("net.deliver", t=2.0)
+    tracer.event("net.minute", t=1.0)
+    tracer.event("net.minute", t=2.0)
     tracer.event("police.cut", t=3.0)
     tracer.close()
     assert main(["trace", "summarize", str(path)]) == 0
     out = capsys.readouterr().out
     assert "records: 3" in out
-    assert "net.deliver: 2" in out
+    assert "net.minute: 2" in out
     assert "police.cut: 1" in out
 
 

@@ -18,12 +18,12 @@ from repro.obs.trace import (
 
 def test_event_record_shape():
     tracer = Tracer(run="r1")
-    rec = tracer.event("net.deliver", t=1.5, src=0, dst=3)
+    rec = tracer.event("net.drop.offline", t=1.5, src=0, dst=3)
     assert rec == {
         "v": SCHEMA_VERSION,
         "seq": 0,
         "t": 1.5,
-        "kind": "net.deliver",
+        "kind": "net.drop.offline",
         "run": "r1",
         "src": 0,
         "dst": 3,
@@ -66,11 +66,11 @@ def test_memory_sink_receives_every_record():
 def test_jsonl_sink_roundtrip(tmp_path):
     path = tmp_path / "trace.jsonl"
     tracer = Tracer(sinks=[JsonlSink(path)])
-    tracer.event("net.deliver", t=2.0, src=1)
-    tracer.event("net.drop.fault", t=3.0, src=1, dst=2)
+    tracer.event("net.minute", t=2.0, minute=1)
+    tracer.event("fault.drop", t=3.0, src=1, dst=2)
     tracer.close()
     records = list(iter_records(path))
-    assert [r["kind"] for r in records] == ["net.deliver", "net.drop.fault"]
+    assert [r["kind"] for r in records] == ["net.minute", "fault.drop"]
     for rec in records:
         validate_record(rec)
 

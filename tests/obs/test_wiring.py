@@ -1,26 +1,52 @@
 """End-to-end wiring: the simulators actually emit through repro.obs."""
 
 from collections import Counter
+from dataclasses import replace
 
+import repro.overlay.network as network_module
 from repro.experiments.runner import DESConfig, run_des_experiment
+from repro.faults.plan import FaultPlan
 from repro.fluid.model import FluidConfig, FluidSimulation
 from repro.obs.trace import iter_records, validate_record
+
+#: The DES trace's whole vocabulary: decisions, drops and minute rows;
+#: nothing per fired event or per delivery.
+DES_KINDS = {"net.minute", "net.drop.offline", "net.drop.bandwidth"}
+DES_KIND_PREFIXES = ("police.", "fault.")
 
 
 def test_default_obs_config_is_disabled():
     # The default config carries no trace path and attaches no tracer.
     run = run_des_experiment(DESConfig(n=10, duration_s=30.0, seed=2))
-    assert run.sim.tracer is None and run.network.tracer is None
+    assert run.network.tracer is None
     sim = FluidSimulation(FluidConfig(n=40, seed=4))
     assert sim._tracer is None
     sim.close_trace()  # a no-op without a trace path
 
 
-def test_des_run_emits_trace(tmp_path):
+def _snapshot_minute_rolls(monkeypatch):
+    """Make every DES network record its counters at each minute roll."""
+    rolls = []
+
+    class SnapshotNetwork(network_module.OverlayNetwork):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.minute_listeners.append(
+                lambda minute, now: rolls.append(
+                    (minute, now, replace(self.stats), self.sim.events_fired)
+                )
+            )
+
+    monkeypatch.setattr(network_module, "OverlayNetwork", SnapshotNetwork)
+    return rolls
+
+
+def test_des_run_emits_trace(tmp_path, monkeypatch):
+    rolls = _snapshot_minute_rolls(monkeypatch)
     path = tmp_path / "des.jsonl"
     cfg = DESConfig(
         n=12,
-        duration_s=45.0,
+        duration_s=150.0,
         seed=1,
         num_agents=2,
         defense="ddpolice",
@@ -31,11 +57,42 @@ def test_des_run_emits_trace(tmp_path):
     for rec in records:
         validate_record(rec)
         assert rec["run"] == "des-seed1"
-    kinds = Counter(r["kind"] for r in records)
-    assert kinds["sim.dispatch"] == run.sim.events_fired
-    assert kinds["net.deliver"] == run.network.stats.messages_delivered
+    kinds = {r["kind"] for r in records}
+    assert {
+        k for k in kinds if k not in DES_KINDS and not k.startswith(DES_KIND_PREFIXES)
+    } == set()
+    assert any(k.startswith("police.") for k in kinds)
+    minutes = [r for r in records if r["kind"] == "net.minute"]
+    assert len(minutes) == len(rolls) == 2
+    for rec, (minute, now, stats, events) in zip(minutes, rolls):
+        assert (rec["minute"], rec["t"]) == (minute, now)
+        assert rec["events"] == events
+        assert rec["delivered"] == stats.messages_delivered
+        assert rec["query_messages"] == stats.query_messages
+        assert rec["hit_messages"] == stats.hit_messages
+        assert rec["control_messages"] == stats.control_messages
+        assert rec["bytes_transferred"] == stats.bytes_transferred
+        assert rec["queue_depth"] > 0
     assert [r["seq"] for r in records] == list(range(len(records)))
     assert run.wall_s > 0.0
+
+
+def test_des_fault_drop_is_one_record(tmp_path):
+    # The fault layer owns fault records: one ``fault.drop`` per lost
+    # message, and the network adds none of its own.
+    path = tmp_path / "faults.jsonl"
+    cfg = DESConfig(
+        n=12,
+        duration_s=30.0,
+        seed=3,
+        faults=FaultPlan.message_loss(0.2),
+        trace_path=str(path),
+    )
+    run = run_des_experiment(cfg)
+    kinds = Counter(r["kind"] for r in iter_records(path))
+    assert run.network.stats.messages_dropped_fault > 0
+    assert kinds["fault.drop"] == run.network.stats.messages_dropped_fault
+    assert "net.drop.fault" not in kinds
 
 
 def test_fluid_run_emits_minute_records(tmp_path):
