@@ -155,6 +155,9 @@ class OverlayNetwork:
             ContentConfig(seed=config.seed), topology.n
         )
         self.stats = NetworkStats()
+        #: Messages that reached an offline peer. Kept here, not in
+        #: ``NetworkStats``, whose fields are a run's digested outcome.
+        self.dropped_offline = 0
         self.query_records: Dict[bytes, QueryRecord] = {}
         #: Peers registered as attack-query origins (DDoS agents). Queries
         #: they originate are classified ATTACK at issue time and excluded
@@ -283,14 +286,7 @@ class OverlayNetwork:
     def _deliver(self, src: PeerId, dst: PeerId, msg: Message) -> None:
         peer = self.peers[dst]
         if peer.state is not PeerState.ONLINE:
-            if self.tracer is not None:
-                self.tracer.event(
-                    "net.drop.offline",
-                    t=self.now,
-                    src=src.value,
-                    dst=dst.value,
-                    msg=msg.kind.name,
-                )
+            self.dropped_offline += 1
             return
         stats = self.stats
         stats.messages_delivered += 1
@@ -409,6 +405,7 @@ class OverlayNetwork:
                 hit_messages=stats.hit_messages,
                 control_messages=stats.control_messages,
                 bytes_transferred=stats.bytes_transferred,
+                dropped_offline=self.dropped_offline,
             )
 
     # ------------------------------------------------------------------

@@ -261,6 +261,48 @@ def _reject_unsupported(config: "DESConfig") -> None:
         raise ConfigError("backend 'des-soa' emits no trace records (--trace is des/fluid only)")
 
 
+def _build_graph(
+    config: "DESConfig",
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The overlay's CSR edge arrays ``(src, dst, rev)`` and the fan-out
+    replay permutation ``proto``: ``proto[indptr[p]:indptr[p + 1]]`` lists
+    ``p``'s out-edges in DES neighbor-set iteration order."""
+    n = config.n
+    topo_cfg = config.topology or TopologyConfig(n=n, seed=config.seed)
+    if topo_cfg.n != n:
+        raise ConfigError(f"topology n={topo_cfg.n} does not match config n={n}")
+    neighbors = generate_topology(topo_cfg).adjacency
+    src, dst, rev = build_edge_arrays(dict(enumerate(neighbors)))
+
+    # DES peers keep neighbors in a Python set, and issue_query /
+    # _on_query emit sends in its *iteration order*. Which same-depth
+    # forwarder fires first decides the dedup winner at the next hop
+    # (= route parent = the neighbor excluded from that peer's
+    # fan-out), so per-edge counters only match if the batched
+    # fan-out emits in the same order. Replaying the identical
+    # insertions into an identical set reproduces the (deterministic)
+    # order; edge cuts never reorder survivors, matching set.discard.
+    # A ``PeerId`` is the 1-tuple ``(value,)`` and hashes as one, so a
+    # set of plain 1-tuples iterates in the same order.
+    order = np.fromiter(
+        chain.from_iterable(
+            chain.from_iterable({(v,) for v in vs} for vs in neighbors)
+        ),
+        dtype=np.int64,
+        count=len(src),
+    )
+    del neighbors  # the topology's sets: most of the build's peak
+    # Each source's replay keys permute its slice of the (src, dst)
+    # sorted edge keys, so their argsort lists the replay slots in
+    # edge order and its inverse maps a replay slot to its edge.
+    replay_keys = src * n + order
+    slots = np.argsort(replay_keys, kind="stable")
+    proto = np.empty_like(slots)
+    proto[slots] = np.arange(len(src), dtype=np.int64)
+    assert np.array_equal(src[proto] * n + dst[proto], replay_keys)
+    return src, dst, rev, proto
+
+
 class SoaFloodEngine:
     """One configured run of the wave-batched flood simulation."""
 
@@ -272,50 +314,13 @@ class SoaFloodEngine:
         self.stats = SoaStats()
         rngs = RngRegistry(config.seed)
 
-        # -- topology -> CSR edge arrays --------------------------------
-        topo_cfg = config.topology or TopologyConfig(n=n, seed=config.seed)
-        if topo_cfg.n != n:
-            raise ConfigError(
-                f"topology n={topo_cfg.n} does not match config n={n}"
-            )
-        topology = generate_topology(topo_cfg)
-        adjacency = {u: vs for u, vs in enumerate(topology.adjacency)}
-        src, dst, rev = build_edge_arrays(adjacency)
-        self._src = src.astype(np.int64)
-        self._dst = dst.astype(np.int64)
-        self._rev = rev.astype(np.int64)
+        # -- topology -> CSR edge arrays -> fan-out replay ---------------
+        # Built in a helper, so the topology's sets and the build's
+        # temporaries are freed before any run state is allocated.
+        self._src, self._dst, self._rev, self._proto_edge = _build_graph(config)
+        self._E = len(self._src)
         self._indptr = edge_slice_index(self._src, n)
-        self._E = len(src)
         self._deg = np.diff(self._indptr)
-        self.edge_alive = np.ones(self._E, dtype=bool)
-
-        # DES peers keep neighbors in a Python set, and issue_query /
-        # _on_query emit sends in its *iteration order*. Which same-depth
-        # forwarder fires first decides the dedup winner at the next hop
-        # (= route parent = the neighbor excluded from that peer's
-        # fan-out), so per-edge counters only match if the batched
-        # fan-out emits in the same order. Replaying the identical
-        # insertions into an identical set reproduces the (deterministic)
-        # order; edge cuts never reorder survivors, matching set.discard.
-        # A ``PeerId`` is the 1-tuple ``(value,)`` and hashes as one, so a
-        # set of plain 1-tuples iterates in the same order.
-        order = np.fromiter(
-            chain.from_iterable(
-                chain.from_iterable({(v,) for v in vs} for vs in topology.adjacency)
-            ),
-            dtype=np.int64,
-            count=self._E,
-        )
-        # Each source's replay keys permute its slice of the (src, dst)
-        # sorted edge keys, so their argsort lists the replay slots in
-        # edge order and its inverse maps a replay slot to its edge.
-        edge_keys = self._src * n + self._dst
-        replay_keys = self._src * n + order
-        slots = np.argsort(replay_keys, kind="stable")
-        proto = np.empty_like(slots)
-        proto[slots] = np.arange(self._E, dtype=np.int64)
-        assert np.array_equal(edge_keys[proto], replay_keys)
-        self._proto_edge = proto
 
         # -- content ----------------------------------------------------
         self.content = ContentCatalog(config.content, n)
@@ -335,6 +340,7 @@ class SoaFloodEngine:
         self._hop = HOP_LATENCY_S
         self._default_ttl = net.default_ttl
         self.bucket = TokenBucketArray(n, net.processing_qpm_good)
+        self.edge_alive = np.ones(self._E, dtype=bool)
         self.win_out = np.zeros(self._E, dtype=np.int64)
         self.win_in = np.zeros(self._E, dtype=np.int64)
         # Seen-set + reverse routes. Entries survive at least one epoch
@@ -468,7 +474,7 @@ class SoaFloodEngine:
         rate = 1.0 / self._wl_mean_gap
         rng = self._wl_rng
         self.sim.schedule_bulk(
-            (rng.expovariate(rate), self._issue, pid) for pid in range(self.n)
+            self._issue, ((rng.expovariate(rate), pid) for pid in range(self.n))
         )
 
     def _issue(self, pid: int) -> None:
@@ -486,18 +492,13 @@ class SoaFloodEngine:
             self._pending_seen.append(
                 np.array([qid * self.n + pid], dtype=np.int64)
             )
-            self._count_out(eids)
-            k = len(eids)
-            self._push(
-                now + self._hop,
-                (now, 0),
-                QUERIES,
-                np.full(k, qid, dtype=np.int64),
-                eids,
-                np.full(k, self._default_ttl, dtype=np.int64),
-                np.full(k, obj, dtype=np.int64),
-                np.full(k, size, dtype=np.int64),
-            )
+            # A peer's out-edges are distinct: no add.at needed.
+            self.win_out[eids] += 1
+            # The four constant columns share one allocation.
+            cols = np.empty((4, len(eids)), dtype=np.int64)
+            cols.T[:] = (qid, self._default_ttl, obj, size)
+            qids, ttls, objs, sizes = cols
+            self._push(now + self._hop, (now, 0), QUERIES, qids, eids, ttls, objs, sizes)
             self.stats.queries_issued += 1
         self.sim.schedule_in(
             self._wl_rng.expovariate(1.0 / self._wl_mean_gap), self._issue, pid

@@ -193,10 +193,18 @@ def barabasi_albert(n: int, m: int, rng: random.Random) -> Topology:
             adjacency[v].add(u)
             repeated.append(u)
             repeated.append(v)
+    # ``rng.randrange(size)`` inlined: the same ``getrandbits`` words and
+    # rejections, without its two Python frames per draw.
+    getrandbits = rng.getrandbits
     for u in range(m + 1, n):
         targets: Set[int] = set()
+        size = len(repeated)
+        bits = size.bit_length()
         while len(targets) < m:
-            targets.add(repeated[rng.randrange(len(repeated))])
+            r = getrandbits(bits)
+            while r >= size:
+                r = getrandbits(bits)
+            targets.add(repeated[r])
         for v in targets:
             adjacency[u].add(v)
             adjacency[v].add(u)
@@ -228,9 +236,12 @@ def hard_cutoff_scale_free(
             adjacency[v].add(u)
             repeated.append(u)
             repeated.append(v)
+    getrandbits = rng.getrandbits  # draws as in barabasi_albert
     for u in range(m + 1, n):
         targets: Set[int] = set()
         attempts = 0
+        size = len(repeated)
+        bits = size.bit_length()
         # Preferential attachment over *unsaturated* nodes: saturated
         # candidates are rejected. New arrivals keep the eligible pool
         # non-empty (their degree m is below the cutoff), so the uniform
@@ -238,7 +249,10 @@ def hard_cutoff_scale_free(
         # on saturated nodes.
         while len(targets) < m and attempts < 50 * m:
             attempts += 1
-            cand = repeated[rng.randrange(len(repeated))]
+            r = getrandbits(bits)
+            while r >= size:
+                r = getrandbits(bits)
+            cand = repeated[r]
             if cand not in targets and len(adjacency[cand]) < cutoff:
                 targets.add(cand)
         if len(targets) < m:

@@ -6,12 +6,17 @@ orders entries on the first three fields in C and never compares two
 :class:`Event` objects (which define no ordering). Nothing is ever
 cancelled: every scheduled event either has fired or is still queued,
 so the run loop is pop, set the clock, fire.
+
+A bulk schedule (:meth:`Simulator.schedule_bulk`) is one heap entry, not
+one per item: its items wait, time-sorted, in packed arrays, and each
+one pushes the next when it fires.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import struct
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.simkit.events import Event
@@ -22,6 +27,51 @@ _Entry = Tuple[float, int, int, Event]
 
 class SimulationError(RuntimeError):
     """Raised on scheduler misuse (e.g. scheduling into the past)."""
+
+
+class _Batch:
+    """The items of one :meth:`Simulator.schedule_bulk` call, in firing
+    order: packed times and reserved seqs, and the arguments.
+
+    Only the earliest unfired item, ``head``, is in the heap, as
+    ``event``; firing it pushes the one after it first.
+    """
+
+    __slots__ = ("sim", "callback", "priority", "times", "seqs", "args", "head", "event")
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        callback: Callable[[Any], Any],
+        priority: int,
+        times: List[float],
+        seqs: List[int],
+        args: List[Any],
+    ) -> None:
+        count = len(times)
+        self.sim = sim
+        self.callback = callback
+        self.priority = priority
+        self.times = memoryview(struct.pack(f"{count}d", *times)).cast("d")
+        self.seqs = memoryview(struct.pack(f"{count}q", *seqs)).cast("q")
+        self.args = args
+        self.head = 0
+        self.event = Event(0.0, self.fire_next)
+        sim._held += count - 1
+        self.push(0)
+
+    def push(self, k: int) -> None:
+        event = self.event
+        event.time = time = self.times[k]
+        heapq.heappush(self.sim._heap, (time, self.priority, self.seqs[k], event))
+
+    def fire_next(self) -> None:
+        k = self.head
+        self.head = nxt = k + 1
+        if nxt < len(self.args):
+            self.sim._held -= 1
+            self.push(nxt)
+        self.callback(self.args[k])
 
 
 class Simulator:
@@ -45,6 +95,8 @@ class Simulator:
         self.now = 0.0
         self._heap: List[_Entry] = []
         self._seq = 0
+        #: Bulk-scheduled items waiting behind their batch's heap entry.
+        self._held = 0
         self._running = False
 
     # -- clock ------------------------------------------------------------
@@ -52,12 +104,12 @@ class Simulator:
     def events_fired(self) -> int:
         """Number of events fired so far: every scheduled event not
         still queued."""
-        return self._seq - len(self._heap)
+        return self._seq - len(self._heap) - self._held
 
     @property
     def pending_count(self) -> int:
-        """Number of queued events."""
-        return len(self._heap)
+        """Number of queued events, bulk-scheduled ones included."""
+        return len(self._heap) + self._held
 
     # -- scheduling --------------------------------------------------------
     def schedule_at(
@@ -99,35 +151,50 @@ class Simulator:
 
     def schedule_bulk(
         self,
-        items: Iterable[Tuple[Any, ...]],
+        callback: Callable[[Any], Any],
+        items: Iterable[Tuple[float, Any]],
         *,
         priority: int = 0,
     ) -> None:
-        """Schedule many events at once with a single heapify.
+        """Schedule ``callback(arg)`` at ``time`` for each ``(time, arg)``.
 
-        Each item is ``(time, callback, *args)``. Sequence numbers are
-        assigned in iteration order, so the resulting pop order is
-        identical to calling :meth:`schedule_at` once per item -- the
-        heap's total order ``(time, priority, seq)`` does not depend on
-        insertion method. For n items this is O(heap + n) instead of
-        O(n log heap), which matters for overlay startup (one timer per
-        peer at n >= 100k). ``priority`` must be an ``int``, as for
-        :meth:`schedule_at`. A past time rejects the whole batch.
+        Sequence numbers are reserved in iteration order, so the pop
+        order ``(time, priority, seq)`` is identical to one
+        :meth:`schedule_at` per item, and ``events_fired`` and
+        ``pending_count`` count every item. The batch is held in stable
+        time order with only a float, an int and the argument per item,
+        and just its earliest unfired item is in the heap: firing an item
+        pushes the next. One peer timer each at n >= 100k therefore costs
+        no ``Event`` or heap entry per peer until it fires. ``priority``
+        must be an ``int``, as for :meth:`schedule_at`. A past time
+        rejects the whole batch.
         """
-        entries: List[_Entry] = []
-        seq = self._seq
-        for item in items:
-            time, callback, *args = item
-            if time < self.now:
+        times: List[float] = []
+        args: List[Any] = []
+        now = self.now
+        for time, arg in items:
+            if time < now:
                 raise SimulationError(
-                    f"cannot schedule into the past: t={time} < now={self.now}"
+                    f"cannot schedule into the past: t={time} < now={now}"
                 )
-            time = float(time)
-            entries.append((time, priority, seq, Event(time, callback, tuple(args))))
-            seq += 1
-        self._seq = seq
-        self._heap.extend(entries)
-        heapq.heapify(self._heap)
+            times.append(float(time))
+            args.append(arg)
+        count = len(times)
+        if not count:
+            return
+        seq = self._seq
+        self._seq = seq + count
+        # Stable, so ties keep iteration (= seq) order. The batch pushes
+        # its first item and lives on in its heap entry.
+        order = sorted(range(count), key=times.__getitem__)
+        _Batch(
+            self,
+            callback,
+            priority,
+            list(map(times.__getitem__, order)),
+            list(map(seq.__add__, order)),
+            list(map(args.__getitem__, order)),
+        )
 
     # -- execution ---------------------------------------------------------
     def run(self, until: Optional[float] = None) -> None:

@@ -62,16 +62,20 @@ class QueryWorkload:
     def start(self) -> None:
         """Arm each peer's first query timer (staggered exponentially).
 
-        Bulk-scheduled: one heapify instead of one push per peer, which
-        keeps startup linear at 100k+ peers. Draw order (and thus the
-        event sequence numbers) matches the per-peer loop exactly.
+        One bulk schedule: the timers share ``_issue`` and wait outside
+        the heap until they come due, so startup holds no event per
+        peer at 100k+ peers. Draw order (and thus the event sequence
+        numbers) matches the per-peer loop exactly.
         """
         rate = 1.0 / self.mean_gap_s
         now = self.sim.now
         self.sim.schedule_bulk(
-            (now + self._rng.expovariate(rate), self._issue, pid)
-            for pid in self.network.peers
-            if pid not in self.exclude
+            self._issue,
+            (
+                (now + self._rng.expovariate(rate), pid)
+                for pid in self.network.peers
+                if pid not in self.exclude
+            ),
         )
 
     def _issue(self, pid: PeerId) -> None:

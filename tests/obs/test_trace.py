@@ -18,12 +18,12 @@ from repro.obs.trace import (
 
 def test_event_record_shape():
     tracer = Tracer(run="r1")
-    rec = tracer.event("net.drop.offline", t=1.5, src=0, dst=3)
+    rec = tracer.event("net.drop.bandwidth", t=1.5, src=0, dst=3)
     assert rec == {
         "v": SCHEMA_VERSION,
         "seq": 0,
         "t": 1.5,
-        "kind": "net.drop.offline",
+        "kind": "net.drop.bandwidth",
         "run": "r1",
         "src": 0,
         "dst": 3,

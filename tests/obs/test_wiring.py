@@ -5,13 +5,15 @@ from dataclasses import replace
 
 import repro.overlay.network as network_module
 from repro.experiments.runner import DESConfig, run_des_experiment
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import CrashRule, FaultPlan
 from repro.fluid.model import FluidConfig, FluidSimulation
 from repro.obs.trace import iter_records, validate_record
+from repro.overlay.peer import PeerState
 
 #: The DES trace's whole vocabulary: decisions, drops and minute rows;
-#: nothing per fired event or per delivery.
-DES_KINDS = {"net.minute", "net.drop.offline", "net.drop.bandwidth"}
+#: nothing per fired event or per delivery (a message that reaches an
+#: offline peer is counted on ``net.minute``).
+DES_KINDS = {"net.minute", "net.drop.bandwidth"}
 DES_KIND_PREFIXES = ("police.", "fault.")
 
 
@@ -93,6 +95,44 @@ def test_des_fault_drop_is_one_record(tmp_path):
     assert run.network.stats.messages_dropped_fault > 0
     assert kinds["fault.drop"] == run.network.stats.messages_dropped_fault
     assert "net.drop.fault" not in kinds
+
+
+def test_des_offline_drops_are_a_minute_counter(tmp_path, monkeypatch):
+    # Crashed peers' neighbours keep flooding to them. Each such message
+    # is counted, not traced: ``net.minute`` carries the cumulative
+    # ``dropped_offline``, equal to the deliveries that found their peer
+    # offline up to that roll.
+    found_offline = [0]
+    at_roll = []
+
+    class CountingNetwork(network_module.OverlayNetwork):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.minute_listeners.append(
+                lambda minute, now: at_roll.append(found_offline[0])
+            )
+
+        def _deliver(self, src, dst, msg):
+            if self.peers[dst].state is not PeerState.ONLINE:
+                found_offline[0] += 1
+            super()._deliver(src, dst, msg)
+
+    monkeypatch.setattr(network_module, "OverlayNetwork", CountingNetwork)
+    path = tmp_path / "crash.jsonl"
+    cfg = DESConfig(
+        n=20,
+        duration_s=130.0,
+        seed=5,
+        faults=FaultPlan(crashes=(CrashRule(at_s=10.0, count=3),)),
+        trace_path=str(path),
+    )
+    run = run_des_experiment(cfg)
+    records = list(iter_records(path))
+    minutes = [r for r in records if r["kind"] == "net.minute"]
+    assert [r["dropped_offline"] for r in minutes] == at_roll
+    assert len(at_roll) == 2 and at_roll[0] > 0
+    assert run.network.dropped_offline == found_offline[0]
+    assert "net.drop.offline" not in {r["kind"] for r in records}
 
 
 def test_fluid_run_emits_minute_records(tmp_path):

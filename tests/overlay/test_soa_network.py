@@ -9,6 +9,8 @@ and the tie-breaks of the batch sorts, which must keep arrival order
 however numpy orders equal keys.
 """
 
+import gc
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -342,3 +344,28 @@ def test_a_binding_bucket_passes_the_earliest_arrivals_of_a_crowded_peer():
     assert engine.stats.queries_dropped_capacity == 30
     forwarded = [q for q in qid[::2].tolist() if hub in _senders(engine, 1.0 + engine._hop, q)]
     assert forwarded == qid[::2][:10].tolist()
+
+
+def test_build_peak_stays_near_what_the_engine_keeps():
+    # The topology's sets and the CSR/replay temporaries are freed before
+    # the run state is allocated, so building a 20,000-peer m=3 overlay
+    # peaks at a small multiple of what the engine holds afterwards.
+    n = 20_000
+    config = DESConfig(
+        n=n,
+        seed=29,
+        topology=TopologyConfig(n=n, seed=29, ba_m=3),
+        network=NetworkConfig(hop_latency_jitter_s=0.0, default_ttl=3),
+    )
+    SoaFloodEngine(_config())  # imports and first-call caches, untraced
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        engine = SoaFloodEngine(config)
+        kept, peak = (b - before for b in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert engine.n == n
+    assert peak <= 2.6 * kept, (peak / 1e6, kept / 1e6)

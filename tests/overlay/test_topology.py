@@ -1,5 +1,6 @@
 """Unit tests for BRITE-like topology generation."""
 
+import hashlib
 import random
 
 import pytest
@@ -165,3 +166,29 @@ def test_connected_component():
 def test_degree_statistics_empty_rejected():
     with pytest.raises(TopologyError):
         degree_statistics(Topology(n=0, adjacency=[]))
+
+
+#: sha256 of each generated topology's adjacency, one line per node with
+#: the neighbours in set iteration order. Recorded from the generators
+#: before their draws were inlined; the DES floods in that order, and
+#: des-soa replays it, so any change here moves every message-level run.
+TOPOLOGY_DIGESTS = {
+    ("ba", 500, 1, 7): "afc884b2556890b0e33b81c445136c0c5e79f930606c5243094c2853e161d794",
+    ("ba", 2000, 2, 1): "36941db0427cbfc367483b9028ea4284ce2d07057e1ca24b8f80a44d43075b10",
+    ("ba", 20000, 3, 0): "29094e987ac0b73e63e9d3bfdfbada6eb219a05f3b8ca1243124c9d2dcebf554",
+    ("ba", 3000, 5, 29): "7cd586d8ce93cdfd220675110a2a04d77d4c21436942e52fb8cb2aa52e18d3fd",
+    ("hard_cutoff", 500, 2, 11): "13408ab70355797fd41fc5c8744ac10d5a8b1e981cfa5a104899b1a12e997cee",
+    ("hard_cutoff", 3000, 3, 5): "4de05527fa205d3f1d2c87d1461b76a6f6411a6daf178f2784e88899534f418b",
+    ("two_tier", 1000, 3, 2): "92cad6e478dafe3df59265bd368bd137b21b8f26f6c1a3b0e24a30ed6b6c648b",
+    ("bittorrent", 500, 3, 4): "4b9731e9139ca7a470d7de4731a03ba5015561d635ba20d31f006f2f45eb6425",
+    ("random", 300, 3, 9): "1c23671925dacd91134b873e180462a582af0a8416526caabe4bd6f501caa035",
+    ("waxman", 120, 3, 6): "ca5c9547a427adb610ad4f3a8c074436958bb209e6a9e6fcb5c9d8a108210bb0",
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOPOLOGY_DIGESTS))
+def test_generate_topology_output_is_pinned(case):
+    model, n, m, seed = case
+    topo = generate_topology(TopologyConfig(n=n, model=model, ba_m=m, seed=seed))
+    text = "\n".join(",".join(map(str, vs)) for vs in topo.adjacency)
+    assert hashlib.sha256(text.encode()).hexdigest() == TOPOLOGY_DIGESTS[case]

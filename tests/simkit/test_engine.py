@@ -1,5 +1,8 @@
 """Unit tests for the DES engine."""
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,7 +125,7 @@ def test_schedule_bulk_matches_sequential_pop_order():
     seq_fired, bulk_fired = [], []
     for t, label in mixed:
         seq_sim.schedule_at(t, seq_fired.append, label)
-    bulk_sim.schedule_bulk((t, bulk_fired.append, label) for t, label in mixed)
+    bulk_sim.schedule_bulk(bulk_fired.append, mixed)
     seq_sim.run()
     bulk_sim.run()
     # ties broken by sequence number = iteration order, same as one
@@ -134,7 +137,7 @@ def test_schedule_bulk_interleaves_with_preexisting_events():
     sim = Simulator()
     fired = []
     sim.schedule_at(2.0, fired.append, "old")
-    sim.schedule_bulk([(1.0, fired.append, "new1"), (2.0, fired.append, "new2")])
+    sim.schedule_bulk(fired.append, [(1.0, "new1"), (2.0, "new2")])
     sim.run()
     # the pre-existing event at t=2.0 has the smaller seq, so it wins its tie
     assert fired == ["new1", "old", "new2"]
@@ -146,9 +149,41 @@ def test_schedule_bulk_rejects_past_times():
     sim.run()
     assert sim.now == 5.0
     with pytest.raises(SimulationError):
-        sim.schedule_bulk([(6.0, lambda: None), (4.0, lambda: None)])
+        sim.schedule_bulk(print, [(6.0, "late"), (4.0, "past")])
     # a rejected batch queues nothing, so it cannot count as fired later
     assert (sim.pending_count, sim.events_fired) == (0, 1)
+
+
+def test_schedule_bulk_is_one_heap_entry():
+    sim = Simulator()
+    fired = []
+    sim.schedule_bulk(fired.append, [(3.0, "c"), (1.0, "a"), (2.0, "b")])
+    assert (len(sim._heap), sim.pending_count, sim.events_fired) == (1, 3, 0)
+    sim.run(until=1.5)
+    assert fired == ["a"]
+    assert (len(sim._heap), sim.pending_count, sim.events_fired) == (1, 2, 1)
+    sim.run()
+    assert fired == ["a", "b", "c"]
+    assert (len(sim._heap), sim.pending_count, sim.events_fired) == (0, 0, 3)
+
+
+def test_bulk_batch_holds_under_100_bytes_per_item():
+    # One timer per peer at startup: what the batch keeps per item is a
+    # float, a seq and the argument, not an Event and a heap entry.
+    n = 50_000
+    sim = Simulator()
+    rng = random.Random(3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sim.schedule_bulk(
+            lambda pid: None, ((rng.expovariate(1 / 60), pid) for pid in range(n))
+        )
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sim.pending_count == n
+    assert held / n < 100, held / n
 
 
 def test_events_define_no_ordering():
@@ -205,7 +240,11 @@ def test_fire_order_is_sorted_time_priority_seq(ops):
         for time, _, seq, _, follow_up in rows:
             model[seq] = (time, priority, seq, follow_up)
         if how == "bulk":
-            sim.schedule_bulk(rows, priority=priority)
+            sim.schedule_bulk(
+                lambda row: on_fire(*row),
+                [(time, tuple(rest)) for time, _, *rest in rows],
+                priority=priority,
+            )
         else:  # now == 0 until run(), so a delay is also a time
             at_or_in = sim.schedule_at if how == "at" else sim.schedule_in
             for time, *rest in rows:
@@ -235,3 +274,60 @@ def test_fire_order_is_sorted_time_priority_seq(ops):
     assert fired == expected
     assert sim.events_fired == len(expected)
     assert sim.pending_count == 0
+
+
+_STOPS = st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5, 4.0, 6.0]), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    first=st.lists(_TICKS, max_size=8),
+    second=st.lists(_TICKS, max_size=8),
+    second_priority=st.sampled_from([-1, 0, 1]),
+    singles=st.lists(_TICKS, max_size=4),
+    nested=st.lists(_TICKS, max_size=6),
+    stops=_STOPS,
+)
+def test_bulk_batches_match_a_per_item_twin_at_every_stop(
+    first, second, second_priority, singles, nested, stops
+):
+    """Two interleaved batches, single events between them and a batch
+    scheduled from inside a callback, beside a twin that schedules each
+    item with its own ``schedule_at``: at every ``run(until=)`` stop the
+    fire order and both counters agree."""
+
+    def build(bulk):
+        sim = Simulator()
+        fired = []
+
+        def schedule(label, times, priority=0):
+            items = [(sim.now + t, (label, i)) for i, t in enumerate(times)]
+            if bulk:
+                sim.schedule_bulk(on_fire, items, priority=priority)
+            else:
+                for time, arg in items:
+                    sim.schedule_at(time, on_fire, arg, priority=priority)
+
+        def on_fire(arg):
+            fired.append(arg)
+            if arg == ("first", 0):
+                schedule("nested", nested)
+
+        schedule("first", first)
+        for i, t in enumerate(singles):
+            sim.schedule_at(t, fired.append, ("single", i))
+        schedule("second", second, second_priority)
+        return sim, fired
+
+    (lazy, lazy_fired), (twin, twin_fired) = build(True), build(False)
+    assert (lazy.events_fired, lazy.pending_count) == (0, twin.pending_count)
+    for stop in sorted(stops) + [None]:
+        lazy.run(until=stop)
+        twin.run(until=stop)
+        assert lazy_fired == twin_fired
+        assert lazy.now == twin.now
+        assert (lazy.events_fired, lazy.pending_count) == (
+            twin.events_fired,
+            twin.pending_count,
+        )
+    assert lazy.pending_count == 0
