@@ -22,19 +22,22 @@ from repro.errors import ConfigError
 
 
 class ListSnapshot(NamedTuple):
-    """A neighbor list received from one peer.
+    """A neighbor list received from one peer, the directory's one record
+    for that owner (its key).
 
     A tuple, not a ``__dict__``-backed dataclass: one is alive per
     (observer, owner) pair -- n^2 of them once the lists are confirmed.
     """
 
-    owner: Hashable
     neighbors: FrozenSet[Hashable]
     received_at: float
     #: Sender-side send time, when the message carried one. Lets the
     #: directory reject a stale list delivered (reordered) after a
     #: fresher one.
-    sent_at: Optional[float] = None
+    sent_at: Optional[float]
+    #: The owner's rank in ``_lists`` insertion order, assigned when the
+    #: owner is first stored and kept across re-publications.
+    seq: int
 
 
 class NeighborListDirectory:
@@ -51,13 +54,12 @@ class NeighborListDirectory:
         #: so the per-list cross-checks look owners up without a Python frame.
         self.get: Callable[[Hashable], Optional[ListSnapshot]] = self._lists.get
         #: Reverse index: peer -> owners whose stored list claims it, as
-        #: one tuple kept in ``_lists`` insertion order (``_seq``). Makes
-        #: the per-list consistency cross-check O(claimers) instead of
-        #: O(directory); behavior-identical because :meth:`claimers`
+        #: one tuple kept in ``_lists`` insertion order (``ListSnapshot.seq``).
+        #: Makes the per-list consistency cross-check O(claimers) instead
+        #: of O(directory); behavior-identical because :meth:`claimers`
         #: yields the owners an :meth:`owners` scan would. A peer nobody
         #: claims has no key.
         self._claimed_by: Dict[Hashable, Tuple[Hashable, ...]] = {}
-        self._seq: Dict[Hashable, int] = {}
         self._next_seq = 0
 
     def update(
@@ -75,7 +77,8 @@ class NeighborListDirectory:
         earlier -- i.e. the network reordered (or duplicated-with-delay)
         the exchanges. Equal stamps overwrite idempotently.
         """
-        held = self._lists.get(owner)
+        lists = self._lists
+        held = lists.get(owner)
         if sent_at is not None:
             if held is not None and held.sent_at is not None and sent_at < held.sent_at:
                 return False
@@ -84,26 +87,25 @@ class NeighborListDirectory:
             old: FrozenSet[Hashable] = frozenset()
             # Mirrors dict key semantics: overwriting keeps the original
             # position, so the sequence number is assigned once.
-            self._seq[owner] = self._next_seq
-            self._next_seq += 1
+            seq = self._next_seq
+            self._next_seq = seq + 1
         else:
-            old = held.neighbors
+            old, seq = held.neighbors, held.seq
+        lists[owner] = ListSnapshot(new, now, sent_at, seq)
         # A re-published list -- usually the very object already held --
         # leaves the reverse index alone.
         if new is not old and new != old:
             for peer in old - new:
                 self._unclaim(peer, owner)
             for peer in new - old:
-                self._claim(peer, owner)
-        self._lists[owner] = ListSnapshot(owner, new, now, sent_at)
+                self._claim(peer, owner, seq)
         return True
 
-    def _claim(self, peer: Hashable, owner: Hashable) -> None:
+    def _claim(self, peer: Hashable, owner: Hashable, rank: int) -> None:
         held = self._claimed_by.get(peer, ())
-        seq = self._seq
-        rank = seq[owner]
+        lists = self._lists
         i = len(held)
-        while i and seq[held[i - 1]] > rank:  # usually appends
+        while i and lists[held[i - 1]].seq > rank:  # usually appends
             i -= 1
         self._claimed_by[peer] = held[:i] + (owner,) + held[i:]
 
@@ -120,7 +122,6 @@ class NeighborListDirectory:
         if snap is not None:
             for peer in snap.neighbors:
                 self._unclaim(peer, owner)
-            del self._seq[owner]
 
     def known_neighbors(self, owner: Hashable) -> FrozenSet[Hashable]:
         snap = self._lists.get(owner)

@@ -1,8 +1,10 @@
 """Duplicate-suppression state: the seen cache and the report dedup window.
 
-* :class:`ExactSeenCache` -- the query-GUID membership cache every peer
-  keeps ("a query message will be dropped if the query message has
-  visited the peer before"): a bounded LRU ``OrderedDict``.
+* :class:`ExactSeenCache` -- the query-GUID table every peer keeps ("a
+  query message will be dropped if the query message has visited the
+  peer before"), which also holds the reverse path a QueryHit takes
+  back: one bounded ``OrderedDict`` from GUID to the neighbor the query
+  arrived from.
 * :class:`ExactDedupWindow` -- the Section 3.3 "don't re-send
   Neighbor_Traffic for the same suspect within 5 seconds" rule in
   ``core/police.py``: a suspect -> last-send-timestamp dict.
@@ -15,28 +17,39 @@ are property-tested against frozen copies of the code they replaced.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Hashable
+from typing import Callable, Dict, Hashable, Optional
 
 from repro.errors import ConfigError
 
 
 class ExactSeenCache:
-    """LRU membership over recently seen keys."""
+    """Bounded map from each recently seen key to where it came from.
 
-    #: Nominal payload bytes per entry (16-byte GUID + table slot) --
-    #: a lower bound on the real dict overhead.
-    ENTRY_NBYTES = 24
+    A peer stores the neighbor each query arrived from, and its own id
+    -- a sentinel no neighbor can equal -- for a query it issued, so one
+    table answers both "seen before?" and "which way back?". The first
+    writer's value stays. Past ``limit`` keys the oldest key leaves, and
+    its value with it: under a binding limit a reverse route is
+    forgotten together with its GUID, never kept without it. It is an
+    ``OrderedDict`` because ``popitem(last=False)`` evicts in O(1); a
+    plain dict's ``next(iter(d))`` rescans the deleted slots at the
+    front of its table on every eviction.
+    """
 
     def __init__(self, limit: int) -> None:
         if limit < 1:
             raise ConfigError(f"seen-cache limit must be >= 1, got {limit}")
         self.limit = limit
-        self._entries: "OrderedDict[Hashable, bool]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, Hashable]" = OrderedDict()
+        #: ``get(key) -> value | None``: the dict's own ``get``, so the
+        #: per-delivery probe costs no Python frame.
+        self.get: Callable[[Hashable], Optional[Hashable]] = self._entries.get
 
-    def add(self, key: Hashable) -> None:
-        self._entries[key] = True
-        while len(self._entries) > self.limit:
-            self._entries.popitem(last=False)
+    def add(self, key: Hashable, value: Hashable) -> None:
+        entries = self._entries
+        entries.setdefault(key, value)
+        if len(entries) > self.limit:
+            entries.popitem(last=False)
 
     def __contains__(self, key: Hashable) -> bool:
         return key in self._entries
@@ -46,10 +59,6 @@ class ExactSeenCache:
 
     def clear(self) -> None:
         self._entries.clear()
-
-    def evidence_bytes(self) -> int:
-        """Nominal bytes of dedup state currently held."""
-        return len(self._entries) * self.ENTRY_NBYTES
 
 
 class ExactDedupWindow:

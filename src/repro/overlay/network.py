@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
 from repro.errors import ConfigError, ProtocolError
 from repro.metrics.accounting import QueryAccounting
-from repro.overlay.capacity import TokenBucket
 from repro.overlay.content import ContentCatalog, ContentConfig
 from repro.overlay.ids import GuidFactory, PeerId
 from repro.overlay.message import (
@@ -25,7 +24,6 @@ from repro.overlay.message import (
     Query,
     QueryHit,
 )
-from repro.overlay.peer import Peer, PeerState
 from repro.overlay.topology import Topology
 from repro.simkit.engine import Simulator
 from repro.simkit.rng import RngRegistry
@@ -143,6 +141,14 @@ class OverlayNetwork:
         processing_qpm: Optional[Dict[int, float]] = None,
         tracer: Optional["Tracer"] = None,
     ) -> None:
+        # The message-level peer loads with the network that runs it, so
+        # a ``NetworkConfig`` importer (the des-soa engine's) compiles none
+        # of it.
+        from repro.overlay.capacity import TokenBucket
+        from repro.overlay.peer import Peer, PeerState
+
+        #: What ``_deliver`` compares ``Peer.state`` against.
+        self._online = PeerState.ONLINE
         self.sim = sim
         self.config = config
         #: Optional ``repro.obs.trace.Tracer``; hot paths pay one attribute
@@ -285,7 +291,7 @@ class OverlayNetwork:
 
     def _deliver(self, src: PeerId, dst: PeerId, msg: Message) -> None:
         peer = self.peers[dst]
-        if peer.state is not PeerState.ONLINE:
+        if peer.state is not self._online:
             self.dropped_offline += 1
             return
         stats = self.stats

@@ -6,7 +6,10 @@ Implements the Gnutella servent behaviour the paper's Section 2 relies on:
   ("a query message will be dropped if the query message has visited the
   peer before" -- [15] as quoted in Section 2.2);
 * reverse-path QueryHit routing ("the query response is only delivered to
-  the neighbor along the inverse path of the search path");
+  the neighbor along the inverse path of the search path"). Both read
+  one bounded GUID table (:class:`~repro.evidence.dedup.ExactSeenCache`):
+  a GUID maps to the neighbor its query arrived from, or to the peer's
+  own id when the peer issued it, so a route is evicted with its GUID;
 * capacity-limited processing (Section 2.3: drops begin when incoming load
   exceeds the processing rate);
 * per-neighbor per-minute In/Out query counters, the raw observable that
@@ -20,7 +23,6 @@ and DD-POLICE-enabled peers.
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -62,8 +64,6 @@ class PeerCounters:
     hits_generated: int = 0
     hits_routed: int = 0
     hits_dropped_no_route: int = 0
-    bytes_sent: int = 0
-    bytes_received: int = 0
 
 
 class Peer:
@@ -89,7 +89,6 @@ class Peer:
         "_neighbor_list",
         "processing",
         "counters",
-        "_route_back",
         "_seen",
         "out_query_window",
         "in_query_window",
@@ -115,10 +114,9 @@ class Peer:
         self.processing = TokenBucket(rate_per_min=processing_qpm)
         self.counters = PeerCounters()
 
-        # GUID -> neighbor the query arrived from (reverse-path table), LRU.
-        self._route_back: "OrderedDict[bytes, PeerId]" = OrderedDict()
-        # GUIDs already seen (includes own issues), LRU, sized by the
-        # network's validated seen_cache_limit.
+        # GUID -> neighbor the query arrived from (the reverse path), or
+        # this peer's id for its own issues; oldest-first eviction past
+        # the network's validated seen_cache_limit.
         self._seen = ExactSeenCache(network.config.seen_cache_limit)
 
         # Per-neighbor per-current-minute counters (rolled by the network).
@@ -143,7 +141,6 @@ class Peer:
         self.state = PeerState.OFFLINE
         self.neighbors.clear()
         self._neighbor_list = None
-        self._route_back.clear()
         self._seen.clear()
         self.out_query_window.clear()
         self.in_query_window.clear()
@@ -216,7 +213,6 @@ class Peer:
     # sending
     # ------------------------------------------------------------------
     def _send(self, dst: PeerId, msg: Message) -> None:
-        self.counters.bytes_sent += msg.size_bytes
         # Count only current neighbors: otherwise a send racing a
         # disconnect would resurrect the departed neighbor's counter key,
         # and the ghost entry would haunt every later minute snapshot
@@ -236,7 +232,7 @@ class Peer:
             keywords=keywords,
         )
         self.counters.queries_issued += 1
-        self._remember_seen(msg.guid)
+        self._seen.add(msg.guid, self.id)
         self.network.note_query_issued(self.id, msg)
         for nb in list(self.neighbors):
             self._send(nb, msg)
@@ -266,7 +262,7 @@ class Peer:
             keywords=keywords,
         )
         self.counters.queries_issued += 1
-        self._remember_seen(msg.guid)
+        self._seen.add(msg.guid, self.id)
         self.network.note_query_issued(self.id, msg)
         self._send(neighbor, msg)
         return msg.guid
@@ -290,7 +286,6 @@ class Peer:
         """
         if self.state is not PeerState.ONLINE:
             return
-        self.counters.bytes_received += msg.size_bytes
         handler = self._DISPATCH.get(type(msg))
         if handler is None:  # pragma: no cover - future message kinds
             raise ProtocolError(f"unhandled message kind {msg.kind}")
@@ -317,13 +312,11 @@ class Peer:
         if src in self.neighbors:
             self.in_query_window[src] = self.in_query_window.get(src, 0) + 1
 
-        key = msg.guid
-        if key in self._seen:
+        seen = self._seen
+        if seen.get(msg.guid) is not None:
             self.counters.queries_dropped_duplicate += 1
             return
-        self._remember_seen(msg.guid)
-        self._route_back[key] = src
-        self._evict_routes()
+        seen.add(msg.guid, src)
 
         # Capacity check: a saturated peer drops the query entirely
         # (Section 2.3: peer B starts discarding above ~15,000/min).
@@ -360,30 +353,16 @@ class Peer:
     def _on_query_hit(self, src: PeerId, msg: QueryHit) -> None:
         if msg.query_guid is None:
             raise ProtocolError("QueryHit without query_guid")
-        key = msg.query_guid
-        back = self._route_back.get(key)
-        if back is None:
-            # Either we originated the query or the route expired.
-            if key in self._seen:
-                self.network.note_response_arrived(self.id, msg)
-            else:
-                self.counters.hits_dropped_no_route += 1
+        back = self._seen.get(msg.query_guid)
+        if back is self.id:  # our own query
+            self.network.note_response_arrived(self.id, msg)
             return
-        if back not in self.neighbors:
+        # Unseen, evicted, or the neighbor it came from has left.
+        if back is None or back not in self.neighbors:
             self.counters.hits_dropped_no_route += 1
             return
         self.counters.hits_routed += 1
         self._send(back, msg.aged_copy() if msg.ttl > 0 else msg)
-
-    # ------------------------------------------------------------------
-    # seen-cache bookkeeping
-    # ------------------------------------------------------------------
-    def _remember_seen(self, guid: bytes) -> None:
-        self._seen.add(guid)
-
-    def _evict_routes(self) -> None:
-        while len(self._route_back) > self.network.config.seen_cache_limit:
-            self._route_back.popitem(last=False)
 
     def has_seen(self, guid: bytes) -> bool:
         return guid in self._seen

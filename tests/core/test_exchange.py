@@ -26,16 +26,18 @@ def test_republished_list_refreshes_stamp_and_keeps_claimers():
     held = d.get("a")
     assert d.update("a", frozenset({"a'", "x"}), now=9.0, sent_at=8.5)  # unchanged
     assert {peer: d.claimers(peer) for peer in before} == before
-    assert d.get("a") == ListSnapshot("a", held.neighbors, 9.0, 8.5)
+    assert d.get("a") == ListSnapshot(held.neighbors, 9.0, 8.5, held.seq)
+    assert [d.get(owner).seq for owner in ("b", "a", "c", "solo")] == [0, 1, 2, 3]
     assert d.age("a", now=10.0) == 1.0
     assert d.update("a", {"x"}, now=11.0)  # changed: the index follows
     assert d.claimers("a'") == [] and d.claimers("x") == ["b", "a", "c"]
 
 
 def test_list_snapshot_positional_and_keyword_forms():
-    snap = ListSnapshot(owner="j", neighbors=frozenset({"a"}), received_at=2.0)
-    assert snap == ListSnapshot("j", frozenset({"a"}), 2.0, None)
-    assert (snap.owner, snap.received_at, snap.sent_at) == ("j", 2.0, None)
+    snap = ListSnapshot(neighbors=frozenset({"a"}), received_at=2.0, sent_at=None, seq=0)
+    assert snap == ListSnapshot(frozenset({"a"}), 2.0, None, 0)
+    assert (snap.received_at, snap.sent_at, snap.seq) == (2.0, None, 0)
+    assert "owner" not in ListSnapshot._fields  # the directory's key holds it
 
 
 def test_directory_unknown_owner():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.overlay.ids import PeerId
+from repro.overlay.message import QueryHit
 from repro.overlay.network import NetworkConfig
 from tests.conftest import make_network
 
@@ -63,10 +64,40 @@ def test_offline_clears_caches():
     assert p1.neighbors == set()
 
 
+def test_a_route_leaves_with_its_guid():
+    """One table holds a GUID and its reverse route: a QueryHit goes back
+    while peer 1 holds the GUID, and is unroutable once peer 1's own
+    issues have evicted it (a separate route table would still route)."""
+    sim, net = make_network({0: {1}, 1: {0, 2}, 2: {1}}, config=SMALL)
+    p1, p2 = net.peers[PeerId(1)], net.peers[PeerId(2)]
+    guid = net.peers[PeerId(0)].issue_query(("nosuch", "id900"))
+    sim.run(until=0.5)
+
+    def answer(until):
+        hit = QueryHit(
+            guid=net.guid_factory.new(), ttl=2, hops=0, responder=p2.id,
+            query_guid=guid,
+        )
+        p2._send(p1.id, hit)
+        sim.run(until=until)
+
+    answer(until=1.0)
+    assert (p1.counters.hits_routed, p1.counters.hits_dropped_no_route) == (1, 0)
+    for i in range(SMALL.seen_cache_limit):
+        p1.issue_query(("nosuch", f"id91{i}"))
+    sim.run(until=1.5)
+    assert not p1.has_seen(guid)
+    answer(until=2.0)
+    assert (p1.counters.hits_routed, p1.counters.hits_dropped_no_route) == (1, 1)
+
+
 def test_bytes_counters_track_both_directions():
     sim, net = make_network({0: {1}})
     p0, p1 = net.peers[PeerId(0)], net.peers[PeerId(1)]
     p0.issue_query(("nosuch", "id900"))
     sim.run(until=0.5)
-    assert p0.counters.bytes_sent > 0
-    assert p1.counters.bytes_received == p0.counters.bytes_sent
+    one_way = net.stats.bytes_transferred
+    assert one_way > 0
+    p1.issue_query(("nosuch", "id900"))
+    sim.run(until=1.0)
+    assert net.stats.bytes_transferred == 2 * one_way

@@ -87,14 +87,18 @@ def test_exact_store_matches_pre_refactor_monitor(ops, threshold):
 def test_exact_seen_cache_matches_ordereddict_lru(keys, limit):
     cache = ExactSeenCache(limit=limit)
     oracle = OrderedDict()
-    for key in keys:
+    for writer, key in enumerate(keys):
         assert (key in cache) == (key in oracle)
-        cache.add(key)
-        oracle[key] = True
+        cache.add(key, writer)
+        if key not in oracle:
+            oracle[key] = writer
         while len(oracle) > limit:
             oracle.popitem(last=False)
         assert len(cache) == len(oracle)
-        assert all(k in cache for k in oracle)
+        # The first writer's value stays, and leaves with its key.
+        for k in set(keys[: writer + 1]):
+            assert cache.get(k) == oracle.get(k)
+            assert (k in cache) == (k in oracle)
 
 
 @settings(max_examples=40, deadline=None)

@@ -166,8 +166,7 @@ def test_the_gnutella_data_plane_lives_in_one_class():
         loop.close()
     assert type(node.peer) is Peer
     for name in (
-        "_on_query", "_on_query_hit", "_on_ping", "_remember_seen", "_route_back",
-        "_seen", "out_query_window", "in_query_window", "last_minute_out",
+        "_on_query", "_on_query_hit", "_on_ping", "_seen", "out_query_window", "in_query_window", "last_minute_out",
         "send_control",
     ):
         assert not hasattr(node, name), name
@@ -221,22 +220,24 @@ def test_an_engine_import_loads_only_what_the_engine_uses():
     runner nor a live node loads numpy. The DES runner loads its engine
     side (control plane, evidence, faults, baselines, trace) only when it
     runs, so importing ``DESConfig`` -- or the CLI -- loads none of it, and
-    the CLI loads no message-level overlay."""
+    the CLI loads no message-level overlay. ``NetworkConfig`` plus the soa
+    engine -- what a des-soa run imports -- load no message-level peer."""
     import json
     import os
     import subprocess
     import sys
     from pathlib import Path
 
-    def loaded(module):
+    def loaded(*modules):
         code = (
-            "import importlib, json, sys; importlib.import_module(sys.argv[1]); "
+            "import importlib, json, sys\n"
+            "for module in sys.argv[1:]: importlib.import_module(module)\n"
             "print(json.dumps(sorted(sys.modules)))"
         )
         src = str(Path(repro.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run(
-            [sys.executable, "-c", code, module],
+            [sys.executable, "-c", code, *modules],
             env=env, capture_output=True, text=True, check=True,
         ).stdout
         return set(json.loads(out))
@@ -249,6 +250,11 @@ def test_an_engine_import_loads_only_what_the_engine_uses():
         assert module not in soa, module
     for package in ("repro.experiments", "repro.obs", "repro.live"):
         assert not [m for m in soa if m == package or m.startswith(package + ".")]
+    # A des-soa run also reads ``NetworkConfig``: the message-level peer and
+    # its GUID table load only with the network that runs them.
+    soa_run = loaded("repro.overlay.network", "repro.overlay.soa_network")
+    for module in ("repro.overlay.peer", "repro.evidence.dedup"):
+        assert module not in soa_run, module
     assert "numpy" not in loaded("repro.live.node")
     runner = loaded("repro.experiments.runner")
     for module in (
