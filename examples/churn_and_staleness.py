@@ -33,7 +33,7 @@ def main() -> None:
     for ct in (2.0, 3.0, 5.0, 7.0, 10.0):
         cfg = replace(
             base, defense="ddpolice",
-            police=DDPoliceConfig().with_cut_threshold(ct),
+            police=DDPoliceConfig(cut_threshold=ct),
         )
         sim = FluidSimulation(cfg)
         sim.run(minutes)

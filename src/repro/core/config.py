@@ -127,22 +127,7 @@ class DDPoliceConfig:
                 f"got {self.exchange_retransmit_timeout_s}"
             )
 
-    def with_cut_threshold(self, ct: float) -> "DDPoliceConfig":
-        """Copy with a different CT (for the Figure 12-14 sweeps)."""
-        from dataclasses import replace
-
-        return replace(self, cut_threshold=ct)
-
-    def with_hardening(
-        self,
-        *,
-        retry_limit: int = 3,
-        retry_backoff_s: float = 1.0,
-        quorum: float = 0.5,
-        extension_limit: int = 1,
-        retransmit_limit: int = 1,
-        retransmit_timeout_s: float = 10.0,
-    ) -> "DDPoliceConfig":
+    def with_hardening(self) -> "DDPoliceConfig":
         """Copy with the fault-tolerant evidence profile switched on.
 
         Retries + quorum are designed to be enabled together: retries
@@ -156,10 +141,10 @@ class DDPoliceConfig:
 
         return replace(
             self,
-            report_retry_limit=retry_limit,
-            report_retry_backoff_s=retry_backoff_s,
-            report_quorum=quorum,
-            quorum_extension_limit=extension_limit,
-            exchange_retransmit_limit=retransmit_limit,
-            exchange_retransmit_timeout_s=retransmit_timeout_s,
+            report_retry_limit=3,
+            report_retry_backoff_s=1.0,
+            report_quorum=0.5,
+            quorum_extension_limit=1,
+            exchange_retransmit_limit=1,
+            exchange_retransmit_timeout_s=10.0,
         )

@@ -502,7 +502,7 @@ def _scn_damage_timelines(
         plan[None, t] = attack
         for ct in spec.grid.cut_thresholds:
             plan[ct, t] = replace(
-                attack, defense="ddpolice", police=spec.police.with_cut_threshold(ct)
+                attack, defense="ddpolice", police=replace(spec.police, cut_threshold=ct)
             )
     results = _run_plan(spec, plan, workers, trace_path)
 
@@ -555,7 +555,7 @@ def _scn_cut_threshold_sweep(
         plan["clean", t], attack = _timeline_cases(spec, t)
         for ct in spec.grid.cut_thresholds:
             plan[ct, t] = replace(
-                attack, defense="ddpolice", police=spec.police.with_cut_threshold(ct)
+                attack, defense="ddpolice", police=replace(spec.police, cut_threshold=ct)
             )
     results = _run_plan(spec, plan, workers, trace_path)
     minutes = plan["clean", 0].minutes

@@ -74,17 +74,14 @@ from repro.simkit.rng import derive_seed
 class WorkloadSpec:
     """Workload layer: how good peers and agents generate traffic.
 
-    The fluid backend reads ``issue_rate_qpm`` / ``attack_nominal_qpm``
-    (the paper's 0.3 and 20,000 queries/min); the DES backend reads
-    ``queries_per_minute`` / ``attack_rate_qpm`` (scaled-down absolutes
-    for small-N message-level runs). ``cheat_strategy`` names a
+    Every backend reads the good-peer issue rate ``queries_per_minute``
+    and the per-agent rate ``attack_rate_qpm`` (the paper's 0.3 and
+    Q_d = 20,000 queries/min). ``cheat_strategy`` names a
     :class:`~repro.attack.cheating.CheatStrategy` value.
     """
 
-    issue_rate_qpm: float = 0.3
-    attack_nominal_qpm: float = 20_000.0
     queries_per_minute: float = 0.3
-    attack_rate_qpm: float = 2_000.0
+    attack_rate_qpm: float = 20_000.0
     cheat_strategy: str = "silent"
     #: Per-peer processing capacity (queries/min); the paper's Section
     #: 2.3 anchor. Both backends honor it, so scaled-down cross-backend
@@ -93,12 +90,8 @@ class WorkloadSpec:
     capacity_qpm: float = 10_000.0
 
     def __post_init__(self) -> None:
-        if self.issue_rate_qpm < 0:
-            raise ConfigError("issue_rate_qpm must be non-negative")
         if self.capacity_qpm <= 0:
             raise ConfigError("capacity_qpm must be positive")
-        if self.attack_nominal_qpm <= 0:
-            raise ConfigError("attack_nominal_qpm must be positive")
         if self.queries_per_minute <= 0:
             raise ConfigError("queries_per_minute must be positive")
         if self.attack_rate_qpm <= 0:
@@ -723,8 +716,8 @@ def _fluid_config(case: Case) -> Any:
         attack_start_min=case.attack_start_min,
         defense=case.defense,
         police=case.police,
-        issue_rate_qpm=case.workload.issue_rate_qpm,
-        attack_nominal_qpm=case.workload.attack_nominal_qpm,
+        queries_per_minute=case.workload.queries_per_minute,
+        attack_rate_qpm=case.workload.attack_rate_qpm,
         capacity_qpm=case.workload.capacity_qpm,
         cheat_strategy=case.workload.cheat,
         trace_path=case.trace_path,

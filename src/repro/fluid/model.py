@@ -51,12 +51,12 @@ class FluidConfig:
     n: int = 2000
     topology: Optional[TopologyConfig] = None
     #: Normal-peer behaviour.
-    issue_rate_qpm: float = 0.3
+    queries_per_minute: float = 0.3
     capacity_qpm: float = 10_000.0
     #: Attack: each agent floods at min(nominal, its upstream capacity).
     num_agents: int = 0
     attack_start_min: int = 0
-    attack_nominal_qpm: float = 20_000.0
+    attack_rate_qpm: float = 20_000.0
     cheat_strategy: CheatStrategy = CheatStrategy.SILENT
     #: Dynamics.
     churn: FluidChurnConfig = FluidChurnConfig()
@@ -76,16 +76,16 @@ class FluidConfig:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ConfigError("n must be >= 2")
-        if self.issue_rate_qpm < 0:
-            raise ConfigError("issue_rate_qpm must be non-negative")
+        if self.queries_per_minute < 0:
+            raise ConfigError("queries_per_minute must be non-negative")
         if self.capacity_qpm <= 0:
             raise ConfigError("capacity_qpm must be positive")
         if not (0 <= self.num_agents <= self.n):
             raise ConfigError("num_agents out of range")
         if self.attack_start_min < 0:
             raise ConfigError("attack_start_min must be non-negative")
-        if self.attack_nominal_qpm <= 0:
-            raise ConfigError("attack_nominal_qpm must be positive")
+        if self.attack_rate_qpm <= 0:
+            raise ConfigError("attack_rate_qpm must be positive")
         if self.churn_warmup_min < 0:
             raise ConfigError("churn_warmup_min must be non-negative")
         period = self.police.exchange_period_s
@@ -171,7 +171,7 @@ class FluidSimulation:
         self.attack_rate: Dict[int, float] = {}
         for u in sorted(self.bad_peers):
             self.attack_rate[u] = min(
-                config.attack_nominal_qpm, float(self.upstream_qpm[u])
+                config.attack_rate_qpm, float(self.upstream_qpm[u])
             )
 
         self.capacity = np.full(config.n, config.capacity_qpm)
@@ -271,7 +271,7 @@ class FluidSimulation:
         # which (edges exist only between online peers) is exactly
         # out-degree > 0.
         deg_all = np.diff(indptr)
-        good_rate = np.where(deg_all > 0, cfg.issue_rate_qpm, 0.0)
+        good_rate = np.where(deg_all > 0, cfg.queries_per_minute, 0.0)
 
         attack_inject = np.zeros(E)
         attacking = 0

@@ -20,14 +20,6 @@ def test_paper_defaults():
     assert cfg.assume_zero_on_missing
 
 
-def test_with_cut_threshold_copies():
-    base = DDPoliceConfig()
-    ct3 = base.with_cut_threshold(3.0)
-    assert ct3.cut_threshold == 3.0
-    assert base.cut_threshold == 5.0
-    assert ct3.q_threshold_qpm == base.q_threshold_qpm
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [

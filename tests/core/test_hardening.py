@@ -7,6 +7,7 @@ and the cheaters-don't-benefit invariant for retries.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -134,7 +135,7 @@ def _open_with_first_round_lost(config, seed=11):
 
 
 def test_retry_recovers_reports_lost_in_flight():
-    hardened = FAST.with_hardening(retry_limit=2, retry_backoff_s=1.0)
+    hardened = replace(FAST.with_hardening(), report_retry_limit=2)
     observer, inv, _ = _open_with_first_round_lost(hardened)
     assert observer.report_retries_sent >= 1
     assert set(inv.reports) == {PeerId(2), PeerId(3)}
@@ -150,7 +151,7 @@ def test_retry_does_not_recruit_new_judges():
     # Members answering a re-request must not open their own
     # investigations: a poll is not an alarm (each extra judge would be a
     # fresh chance to misjudge under the very loss being mitigated).
-    hardened = FAST.with_hardening(retry_limit=2, retry_backoff_s=1.0)
+    hardened = replace(FAST.with_hardening(), report_retry_limit=2)
     _, _, engines = _open_with_first_round_lost(hardened)
     for member in (PeerId(2), PeerId(3)):
         assert PeerId(0) not in engines[member]._investigations

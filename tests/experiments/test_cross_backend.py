@@ -7,12 +7,18 @@ paper's qualitative claims on each: the attack inflates traffic cost
 and depresses the success rate, and DD-POLICE restores the success rate
 to near its no-attack level.
 
-Rates are scaled for the message-level run (the DESConfig convention:
-keep ratios, not absolutes): agents send 600 qpm -- above the paper's
-500 qpm warning threshold so detection fires -- and ``capacity_qpm``
-is lowered so that the flood saturates peer processing at this scale
-exactly as the paper's 20,000 qpm nominal attack saturates the
-Section 2.3 capacity anchors at full scale.
+Both legs share the scenario, seed, size and ``capacity_qpm``, but not
+the agent rate. The des leg is scaled for the message-level run (the
+DESConfig convention: keep ratios, not absolutes): agents send 600 qpm
+-- above the paper's 500 qpm warning threshold so detection fires --
+and ``capacity_qpm`` is lowered so that the flood saturates peer
+processing at this scale exactly as the paper's 20,000 qpm attack
+saturates the Section 2.3 capacity anchors at full scale. The fluid leg
+floods at the paper's 20,000 qpm. Fed the des leg's 600 qpm, fluid's
+DD-POLICE opens no investigation at all (success under attack and
+defended are both 0.662): fluid ignores ``ba_m``, so on its default BA
+overlay the agent has degree 5 and each neighbor sees about 120 qpm,
+far under the warning threshold.
 """
 
 import pytest
@@ -20,6 +26,10 @@ import pytest
 from repro.experiments.library import run_spec
 from repro.experiments.scenarios import Scale
 from repro.experiments.spec import ExperimentSpec, GridSpec, WorkloadSpec
+
+
+#: Agent rate per leg (queries/min); the issue rate is 0.3 on both.
+ATTACK_RATE_QPM = {"fluid": 20_000.0, "des": 600.0}
 
 
 def _spec(backend: str) -> ExperimentSpec:
@@ -33,7 +43,7 @@ def _spec(backend: str) -> ExperimentSpec:
         ),
         workload=WorkloadSpec(
             queries_per_minute=0.3,
-            attack_rate_qpm=600.0,
+            attack_rate_qpm=ATTACK_RATE_QPM[backend],
             capacity_qpm=400.0,
             cheat_strategy="honest",
         ),

@@ -190,7 +190,7 @@ def test_override_each_config_layer():
             [
                 "police.cut_threshold=7",
                 "scale.n_peers=500",
-                "workload.issue_rate_qpm=0.5",
+                "workload.queries_per_minute=0.5",
                 "grid.loss_fractions=0,0.5",
                 "grid.cut_thresholds=3,5",
                 "trials=2",
@@ -199,7 +199,7 @@ def test_override_each_config_layer():
     )
     assert out.police.cut_threshold == 7.0
     assert out.scale.n_peers == 500
-    assert out.workload.issue_rate_qpm == 0.5
+    assert out.workload.queries_per_minute == 0.5
     assert out.grid.loss_fractions == (0.0, 0.5)
     assert out.grid.cut_thresholds == (3.0, 5.0)
     assert out.trials == 2
@@ -407,6 +407,42 @@ def test_fluid_config_builds_the_case_topology():
     # tables flood the default BA overlay.
     pinned = _fluid_config(Case(n=300, minutes=3, seed=4, ba_m=1))
     assert pinned.topology == TopologyConfig(n=300, seed=4)
+
+
+def test_one_case_states_one_workload_on_every_engine_config(monkeypatch):
+    """Fluid, des and des-soa read the case's issue rate, agent rate and
+    capacity from the same three workload fields."""
+    import repro.overlay.soa_network as soa_network
+    from repro.experiments.spec import Case, _des_config, _fluid_config
+
+    case = Case(
+        n=300, minutes=3, seed=4, num_agents=2,
+        workload=WorkloadSpec(
+            queries_per_minute=1.5, attack_rate_qpm=700.0, capacity_qpm=450.0
+        ),
+    )
+    fluid = _fluid_config(case)
+    assert (fluid.queries_per_minute, fluid.attack_rate_qpm, fluid.capacity_qpm) == (
+        1.5, 700.0, 450.0,
+    )
+    des = _des_config(case)
+    assert (
+        des.workload.queries_per_minute,
+        des.attack_rate_qpm,
+        des.network.processing_qpm_good,
+    ) == (1.5, 700.0, 450.0)
+
+    soa_configs = []
+
+    def capture(cfg):
+        soa_configs.append(cfg)
+        raise RuntimeError("captured")
+
+    monkeypatch.setattr(soa_network, "run_soa_experiment", capture)
+    with pytest.raises(RuntimeError, match="captured"):
+        get_backend("des-soa").task_fn(case)
+    [soa] = soa_configs
+    assert soa == replace(des, network=replace(des.network, hop_latency_jitter_s=0.0))
 
 
 def test_fluid_specs_hand_their_cases_to_the_run_backend(monkeypatch):

@@ -34,7 +34,7 @@ def attack_flows(state, rate_per_edge):
 
 def make_police(ct=5.0, bad=frozenset({0}), strategy=CheatStrategy.SILENT):
     return FluidPolice(
-        DDPoliceConfig().with_cut_threshold(ct),
+        DDPoliceConfig(cut_threshold=ct),
         set(bad),
         cheat_strategy=strategy,
     )

@@ -28,7 +28,7 @@ _PATH_VALUES = {
     "police.cut_threshold": st.floats(0.5, 50.0, **_finite).map(repr),
     "police.exchange_period_s": st.floats(1.0, 600.0, **_finite).map(repr),
     "police.assume_zero_on_missing": st.booleans().map(lambda b: str(b).lower()),
-    "workload.issue_rate_qpm": st.floats(0.0, 10.0, **_finite).map(repr),
+    "workload.queries_per_minute": st.floats(0.01, 10.0, **_finite).map(repr),
     "workload.attack_rate_qpm": st.floats(1.0, 50_000.0, **_finite).map(repr),
     "workload.cheat_strategy": st.sampled_from(["silent", "honest"]),
     "grid.loss_fractions": st.lists(
