@@ -292,8 +292,9 @@ def _run_plan(
     """Run an ordered ``{key: Case}`` plan; results come back under its keys.
 
     The flat task list handed to :func:`run_cases` is the plan's values
-    in insertion order, so manifest ``tasks`` and trace order are the
-    plan's. Every case carries the run's trace path and live sizing
+    in insertion order, so manifest ``tasks`` counts the plan's entries
+    and the trace follows its order (a repeated case runs, and traces,
+    once). Every case carries the run's trace path and live sizing
     (only the ``live`` backend reads the latter).
     """
     cases = [replace(case, trace_path=trace_path, live=spec.live) for case in plan.values()]

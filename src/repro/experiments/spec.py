@@ -885,6 +885,9 @@ class Backend:
     #: picklable so :func:`repro.exec.pmap` can ship it to workers).
     task_fn: Callable[[Case], CaseResult]
     description: str = ""
+    #: A run is a function of its case alone, so equal cases may share
+    #: one run. False on ``live``: its runs are samples of real sockets.
+    repeatable: bool = True
 
 
 _BACKENDS: Dict[str, Backend] = {
@@ -909,6 +912,7 @@ _BACKENDS: Dict[str, Backend] = {
             name="live",
             task_fn=_live_case_task,
             description="real-socket UDP testbed (node processes on localhost)",
+            repeatable=False,
         ),
     )
 }
@@ -943,9 +947,17 @@ def run_cases(
     """Execute cases on a backend through the parallel executor.
 
     Results are in case order and bit-identical for any worker count
-    (the :func:`repro.exec.pmap` contract).
+    (the :func:`repro.exec.pmap` contract). On a repeatable backend each
+    distinct case runs once and its equal cases share that result; on
+    ``live`` every entry runs.
     """
-    return pmap(get_backend(backend).task_fn, list(cases), workers=workers)
+    engine = get_backend(backend)
+    cases = list(cases)
+    if not engine.repeatable:
+        return pmap(engine.task_fn, cases, workers=workers)
+    distinct = list(dict.fromkeys(cases))
+    results = dict(zip(distinct, pmap(engine.task_fn, distinct, workers=workers)))
+    return [results[case] for case in cases]
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,20 @@ Tracks, at one-minute granularity:
   (each node re-publishes its list every exchange period, so an observer
   works with a view up to that period old -- the paper's accuracy/overhead
   tradeoff of Section 3.1).
+
+A peer whose live list has not changed since it last published needs no
+new snapshot: :meth:`GraphState.step_exchange` re-freezes, and
+:meth:`GraphState.snapshot_staleness` compares, only the peers an edge
+mutation touched since then. :meth:`GraphState.checkpoint` freezes the
+whole state between minutes, so twin runs that share a warm-up restore it
+instead of replaying it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 import numpy as np
 
@@ -56,6 +63,30 @@ class FluidChurnConfig:
             raise ConfigError("reconnect_delay_min must be >= 0")
 
 
+@dataclass(frozen=True)
+class GraphCheckpoint:
+    """A :class:`GraphState` frozen between minutes.
+
+    Compact and immutable: online flags as bytes, live and published
+    neighbor sets as sorted tuples (so equal states freeze equal), the
+    churn stream as ``random.Random.getstate()``.
+    """
+
+    n: int
+    churn: FluidChurnConfig
+    exchange_period_min: int
+    online: bytes
+    adjacency: Tuple[Tuple[int, ...], ...]
+    snapshots: Tuple[Tuple[int, ...], ...]
+    changed: Tuple[int, ...]
+    isolated_since: Tuple[Tuple[int, int], ...]
+    pinned: Tuple[int, ...]
+    minute: int
+    joins: int
+    leaves: int
+    rng_state: Any
+
+
 class GraphState:
     """Online/offline membership + adjacency + stale list snapshots."""
 
@@ -85,6 +116,10 @@ class GraphState:
         self.snapshots: Dict[int, FrozenSet[int]] = {
             u: frozenset(self.adjacency[u]) for u in range(n)
         }
+        #: Peers whose live list may differ from their snapshot: every
+        #: edge mutation adds both ends, a republication removes the peer.
+        #: Outside it, ``snapshots[u] == adjacency[u]`` holds.
+        self._changed: Set[int] = set()
         self._isolated_since: Dict[int, int] = {}
         #: Nodes that never leave *voluntarily* (the paper's agents "keep
         #: sending out attack queries"); they can still be expelled by the
@@ -93,6 +128,9 @@ class GraphState:
         self.minute = 0
         self.joins = 0
         self.leaves = 0
+        self._reset_edge_cache()
+
+    def _reset_edge_cache(self) -> None:
         #: Monotone counter bumped on every edge mutation; consumers cache
         #: derived structures (edge arrays) keyed on it.
         self.topology_version = 0
@@ -100,6 +138,50 @@ class GraphState:
         self._edge_cache: Optional[
             Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         ] = None
+
+    # ------------------------------------------------------------------
+    # checkpoint / restore
+    # ------------------------------------------------------------------
+    def checkpoint(self) -> GraphCheckpoint:
+        """This state, frozen; :meth:`restore` gives back a private copy."""
+        return GraphCheckpoint(
+            n=self.n,
+            churn=self.churn,
+            exchange_period_min=self.exchange_period_min,
+            online=self.online.tobytes(),
+            adjacency=tuple(tuple(sorted(self.adjacency[u])) for u in range(self.n)),
+            snapshots=tuple(tuple(sorted(self.snapshots[u])) for u in range(self.n)),
+            changed=tuple(sorted(self._changed)),
+            isolated_since=tuple(sorted(self._isolated_since.items())),
+            pinned=tuple(sorted(self.pinned)),
+            minute=self.minute,
+            joins=self.joins,
+            leaves=self.leaves,
+            rng_state=self._rng.getstate(),
+        )
+
+    @classmethod
+    def restore(cls, checkpoint: GraphCheckpoint) -> "GraphState":
+        """A new state equal to the one ``checkpoint`` froze, sharing no
+        mutable part with it or with any other restored state; its churn
+        stream continues from the frozen position."""
+        state = cls.__new__(cls)
+        state.n = checkpoint.n
+        state.churn = checkpoint.churn
+        state.exchange_period_min = checkpoint.exchange_period_min
+        state._rng = random.Random(0)
+        state._rng.setstate(checkpoint.rng_state)
+        state.online = np.frombuffer(checkpoint.online, dtype=bool).copy()
+        state.adjacency = {u: set(vs) for u, vs in enumerate(checkpoint.adjacency)}
+        state.snapshots = {u: frozenset(vs) for u, vs in enumerate(checkpoint.snapshots)}
+        state._changed = set(checkpoint.changed)
+        state._isolated_since = dict(checkpoint.isolated_since)
+        state.pinned = set(checkpoint.pinned)
+        state.minute = checkpoint.minute
+        state.joins = checkpoint.joins
+        state.leaves = checkpoint.leaves
+        state._reset_edge_cache()
+        return state
 
     # ------------------------------------------------------------------
     def _check_symmetry(self) -> None:
@@ -124,11 +206,15 @@ class GraphState:
             raise ConfigError("both endpoints must be online")
         self.adjacency[u].add(v)
         self.adjacency[v].add(u)
+        self._changed.add(u)
+        self._changed.add(v)
         self.topology_version += 1
 
     def remove_edge(self, u: int, v: int) -> None:
         self.adjacency[u].discard(v)
         self.adjacency[v].discard(u)
+        self._changed.add(u)
+        self._changed.add(v)
         self.topology_version += 1
 
     def disconnect_all(self, u: int) -> None:
@@ -199,21 +285,39 @@ class GraphState:
         self._connect_fresh(u)
 
     def _connect_fresh(self, u: int) -> None:
-        want = self._rng.randint(self.churn.join_degree_min, self.churn.join_degree_max)
+        # The join degree (``randint`` over the join bounds) and each
+        # candidate (``randrange`` over n) inlined: the same
+        # ``getrandbits`` words and rejections (a one-value span still
+        # draws its one bit), without their Python frames per draw.
+        getrandbits = self._rng.getrandbits
+        churn = self.churn
+        span = churn.join_degree_max - churn.join_degree_min + 1
+        span_bits = span.bit_length()
+        r = getrandbits(span_bits)
+        while r >= span:
+            r = getrandbits(span_bits)
+        want = churn.join_degree_min + r
         # Rejection-sample bootstrap candidates instead of materializing
         # the O(n) eligible pool on every join (it dominated setup time
         # at the paper's 20,000-peer scale).
+        n = self.n
+        n_bits = n.bit_length()
+        adjacency = self.adjacency
+        online = self.online
+        max_degree = churn.max_degree
         got = 0
         attempts = 0
         max_attempts = 40 * want
         while got < want and attempts < max_attempts:
             attempts += 1
-            v = self._rng.randrange(self.n)
+            v = getrandbits(n_bits)
+            while v >= n:
+                v = getrandbits(n_bits)
             if (
                 v == u
-                or not self.online[v]
-                or v in self.adjacency[u]
-                or len(self.adjacency[v]) >= self.churn.max_degree
+                or not online[v]
+                or v in adjacency[u]
+                or len(adjacency[v]) >= max_degree
             ):
                 continue
             self.add_edge(u, v)
@@ -243,12 +347,26 @@ class GraphState:
     # ------------------------------------------------------------------
     def step_exchange(self) -> int:
         """Refresh list snapshots for nodes whose phase matches this
-        minute; returns the number of lists re-published."""
+        minute; returns the number of lists re-published.
+
+        Every due peer publishes (the count is the control traffic), but
+        only one whose list changed since its last snapshot needs a new
+        frozenset: an unchanged one's snapshot already equals it.
+        """
         online = np.flatnonzero(self.online)
         due = online[(self.minute + online) % self.exchange_period_min == 0]
-        for u in due.tolist():
+        stale = self._changed.intersection(due.tolist())
+        for u in stale:
             self.snapshots[u] = frozenset(self.adjacency[u])
+        self._changed -= stale
         return len(due)
+
+    def publish(self, u: int, members: Iterable[int]) -> None:
+        """Publish ``members`` as ``u``'s list (a hand-made stale view):
+        the one way to write a snapshot outside :meth:`step_exchange`, so
+        the changed set stays exact."""
+        self.snapshots[u] = frozenset(members)
+        self._changed.add(u)
 
     def known_neighbors(self, u: int) -> FrozenSet[int]:
         """The (possibly stale) published neighbor list of ``u``."""
@@ -257,12 +375,20 @@ class GraphState:
     def snapshot_staleness(self) -> float:
         """Mean fraction of each online node's published list that no
         longer matches its live neighbors (diagnostic)."""
+        # A peer outside the changed set has snap == live: it counts 0.0
+        # when its list is non-empty, and nothing otherwise. The list is
+        # built in node order, so np.mean sums the same array as a full
+        # comparison of every peer would.
+        changed = self._changed
+        adjacency = self.adjacency
         errs = []
         for u in np.flatnonzero(self.online).tolist():
-            snap, live = self.snapshots.get(u, frozenset()), self.adjacency[u]
-            if snap == live:  # the common case: nothing to count
-                if live:
-                    errs.append(0.0)
-            else:
-                errs.append(len(snap ^ live) / len(snap | live))
+            live = adjacency[u]
+            if u in changed:
+                snap = self.snapshots[u]
+                if snap != live:
+                    errs.append(len(snap ^ live) / len(snap | live))
+                    continue
+            if live:
+                errs.append(0.0)
         return float(np.mean(errs)) if errs else 0.0

@@ -13,12 +13,18 @@ One :class:`FluidSimulation` advances minute by minute:
    distribution;
 5. the configured defense (DD-POLICE / naive cutoff / none) reacts to the
    counts, cutting edges and expelling fully-disconnected peers.
+
+Twin runs (no attack, attack, attack + defense) differ only from minute 0
+on: everything before -- topology, agent sample, bandwidth, replica
+counts and the churn warm-up -- is a function of a few config fields, so
+the last such warm start is kept and each run restores a private copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from functools import lru_cache
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -28,13 +34,13 @@ from repro.core.decision import NAIVE_THRESHOLD_QPM
 from repro.errors import ConfigError, MetricsError
 from repro.fluid.coverage import novelty_schedule
 from repro.fluid.flows import FlowResult, propagate_flows
-from repro.fluid.graphstate import FluidChurnConfig, GraphState
+from repro.fluid.graphstate import FluidChurnConfig, GraphCheckpoint, GraphState
 from repro.fluid.police import FluidNaiveCutoff, FluidPolice
 from repro.metrics.errors import ErrorCounts, JudgmentLog
 from repro.obs.trace import JsonlSink, Tracer
 from repro.overlay.bandwidth import BandwidthModel
 from repro.simkit.rng import RngRegistry, derive_seed
-from repro.overlay.content import ContentCatalog, ContentConfig
+from repro.overlay.content import ContentConfig, replica_counts, zipf_popularity
 from repro.overlay.message import HOP_LATENCY_S
 from repro.overlay.topology import TopologyConfig, generate_topology
 
@@ -137,36 +143,108 @@ def _republish_period_min(police: DDPoliceConfig) -> int:
     return int(police.exchange_period_s // 60)
 
 
+@dataclass(frozen=True)
+class _WarmStart:
+    """What every run with the same :func:`_warm_start` key starts from.
+
+    Immutable: the graph is a checkpoint each run restores privately, and
+    the arrays are read-only.
+    """
+
+    graph: GraphCheckpoint
+    #: The agent sample, in draw order.
+    agents: Tuple[int, ...]
+    upstream_qpm: np.ndarray
+    downstream_qpm: np.ndarray
+    popularity: np.ndarray
+    replicas: np.ndarray
+
+
+def _read_only(values) -> np.ndarray:
+    array = np.asarray(values, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
+@lru_cache(maxsize=1)
+def _warm_start(
+    n: int,
+    topology: TopologyConfig,
+    seed: int,
+    num_agents: int,
+    churn: FluidChurnConfig,
+    churn_warmup_min: int,
+    republish_period_min: int,
+) -> _WarmStart:
+    """The state of a run at minute 0, from the only config fields it
+    depends on; the last one is kept, so consecutive twins build it once.
+
+    Named streams: baseline and attacked twins share identical
+    churn/bandwidth/topology draws (common random numbers), so damage-rate
+    series are exactly zero before the attack starts.
+    """
+    rngs = RngRegistry(seed)
+    topo = generate_topology(topology)
+    state = GraphState(
+        n,
+        {u: set(vs) for u, vs in enumerate(topo.adjacency)},
+        churn=churn,
+        exchange_period_min=republish_period_min,
+        rng=rngs.stream("churn"),
+    )
+    # Ground truth: which peers are compromised.
+    agents = tuple(rngs.stream("agents").sample(range(n), num_agents))
+    # Per-node access bandwidth (Saroiu assignment, Section 3.5).
+    bw = BandwidthModel(seed=derive_seed(seed, "bandwidth"))
+    classes = bw.assign(n)
+    # Agents stay online for the whole attack ("keep sending out attack
+    # queries at the maximum rate"); they still lose their position when
+    # the defense expels them, and rejoin via churn.
+    state.pinned = set(agents)
+    # Churn-only warmup: converge the online population/topology to
+    # steady state before minute 0.
+    if churn.enabled and churn_warmup_min > 0:
+        for _ in range(churn_warmup_min):
+            state.step_churn()
+            state.step_exchange()
+        state.minute = 0
+        state.joins = 0
+        state.leaves = 0
+    content = ContentConfig()
+    return _WarmStart(
+        graph=state.checkpoint(),
+        agents=agents,
+        upstream_qpm=_read_only([bw.upstream_qpm(c) for c in classes]),
+        downstream_qpm=_read_only([bw.downstream_qpm(c) for c in classes]),
+        popularity=_read_only(zipf_popularity(content)),
+        replicas=_read_only(replica_counts(content, n)),
+    )
+
+
 class FluidSimulation:
     """Minute-stepped large-scale simulation."""
 
     def __init__(self, config: FluidConfig) -> None:
         self.config = config
-        # Named streams: baseline and attacked twins share identical
-        # churn/bandwidth/topology draws (common random numbers), so
-        # damage-rate series are exactly zero before the attack starts.
-        self._rngs = RngRegistry(config.seed)
-        self._rng = self._rngs.stream("model")
+        self._rng = RngRegistry(config.seed).stream("model")
         topo_cfg = config.topology or TopologyConfig(n=config.n, seed=config.seed)
         if topo_cfg.n != config.n:
             raise ConfigError("topology n must match config n")
-        topo = generate_topology(topo_cfg)
-        self.state = GraphState(
+        warm = _warm_start(
             config.n,
-            {u: set(vs) for u, vs in enumerate(topo.adjacency)},
-            churn=config.churn,
-            exchange_period_min=_republish_period_min(config.police),
-            rng=self._rngs.stream("churn"),
+            topo_cfg,
+            config.seed,
+            config.num_agents,
+            config.churn,
+            config.churn_warmup_min,
+            _republish_period_min(config.police),
         )
-        # Ground truth: which peers are compromised.
-        self.bad_peers: Set[int] = set(
-            self._rngs.stream("agents").sample(range(config.n), config.num_agents)
-        )
-        # Per-node access bandwidth (Saroiu assignment, Section 3.5).
-        bw = BandwidthModel(seed=derive_seed(config.seed, "bandwidth"))
-        classes = bw.assign(config.n)
-        self.upstream_qpm = np.asarray([bw.upstream_qpm(c) for c in classes])
-        self.downstream_qpm = np.asarray([bw.downstream_qpm(c) for c in classes])
+        self.state = GraphState.restore(warm.graph)
+        self.bad_peers: Set[int] = set(warm.agents)
+        self.upstream_qpm = warm.upstream_qpm
+        self.downstream_qpm = warm.downstream_qpm
+        self._pop = warm.popularity
+        self._rep = warm.replicas
         # Attack rate per agent: Q_d = min(nominal, upstream capacity).
         self.attack_rate: Dict[int, float] = {}
         for u in sorted(self.bad_peers):
@@ -175,12 +253,6 @@ class FluidSimulation:
             )
 
         self.capacity = np.full(config.n, config.capacity_qpm)
-        self.catalog = ContentCatalog(ContentConfig(), config.n)
-        self._pop = np.asarray(self.catalog.popularity)
-        self._rep = np.asarray(
-            [self.catalog.replica_count(o) for o in range(self.catalog.config.num_objects)],
-            dtype=float,
-        )
 
         self.judgments = JudgmentLog()
         self.police: Optional[FluidPolice] = None
@@ -196,21 +268,6 @@ class FluidSimulation:
             self.naive = FluidNaiveCutoff(
                 NAIVE_THRESHOLD_QPM, self.bad_peers, judgment_log=self.judgments
             )
-
-        # Agents stay online for the whole attack ("keep sending out
-        # attack queries at the maximum rate"); they still lose their
-        # position when the defense expels them, and rejoin via churn.
-        self.state.pinned = set(self.bad_peers)
-
-        # Churn-only warmup: converge the online population/topology to
-        # steady state before minute 0.
-        if config.churn.enabled and config.churn_warmup_min > 0:
-            for _ in range(config.churn_warmup_min):
-                self.state.step_churn()
-                self.state.step_exchange()
-            self.state.minute = 0
-            self.state.joins = 0
-            self.state.leaves = 0
 
         self.rows: List[MinuteRow] = []
         self._agent_fresh: Dict[int, bool] = {u: True for u in self.bad_peers}

@@ -70,6 +70,34 @@ class ContentConfig:
             )
 
 
+def zipf_popularity(config: ContentConfig) -> List[float]:
+    """Zipf(:data:`ZIPF_S`) popularity of ranks 1..``num_objects``, summing to 1."""
+    weights = [1.0 / (rank ** ZIPF_S) for rank in range(1, config.num_objects + 1)]
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
+def replica_counts(config: ContentConfig, n_peers: int) -> List[int]:
+    """Replicas of each object among ``n_peers``: hot objects get
+    proportionally more, floored at :data:`REPLICAS_MIN` and capped at
+    ``replicas_max_fraction`` of the peers.
+
+    The one formula: :class:`ContentCatalog` places exactly this many
+    holders per object, and the fluid model, which needs only the counts,
+    reads them here without placing any.
+    """
+    mean_replicas = max(REPLICAS_MIN, config.replication_ratio * n_peers)
+    cap = max(REPLICAS_MIN, int(config.replicas_max_fraction * n_peers))
+    return [
+        min(
+            max(REPLICAS_MIN, int(round(mean_replicas * p * config.num_objects))),
+            cap,
+            n_peers,
+        )
+        for p in zipf_popularity(config)
+    ]
+
+
 class ContentCatalog:
     """Objects, popularity, replica placement, and query sampling."""
 
@@ -80,10 +108,7 @@ class ContentCatalog:
         self.n_peers = n_peers
         self._rng = random.Random(config.seed)
 
-        # Zipf popularity over ranks 1..K.
-        weights = [1.0 / (rank ** ZIPF_S) for rank in range(1, config.num_objects + 1)]
-        total = sum(weights)
-        self.popularity: List[float] = [w / total for w in weights]
+        self.popularity: List[float] = zipf_popularity(config)
         self._cum: List[float] = []
         acc = 0.0
         for p in self.popularity:
@@ -91,18 +116,12 @@ class ContentCatalog:
             self._cum.append(acc)
         self._cum[-1] = 1.0  # guard against float drift
 
-        # Replica placement: hot objects get proportionally more replicas.
-        mean_replicas = max(REPLICAS_MIN, config.replication_ratio * n_peers)
-        self.replica_holders: List[Set[int]] = []
-        for rank, p in enumerate(self.popularity):
-            count = max(
-                REPLICAS_MIN,
-                int(round(mean_replicas * p * config.num_objects)),
-            )
-            cap = max(REPLICAS_MIN, int(config.replicas_max_fraction * n_peers))
-            count = min(count, cap, n_peers)
-            holders = set(self._rng.sample(range(n_peers), count))
-            self.replica_holders.append(holders)
+        # Replica placement: uniform holders, one sample per object.
+        peers = range(n_peers)
+        self.replica_holders: List[Set[int]] = [
+            set(self._rng.sample(peers, count))
+            for count in replica_counts(config, n_peers)
+        ]
 
     @cached_property
     def peer_objects(self) -> Dict[int, Set[int]]:
@@ -145,9 +164,6 @@ class ContentCatalog:
     # -- matching ----------------------------------------------------------
     def peer_has(self, peer: int, obj: int) -> bool:
         return peer in self.replica_holders[obj]
-
-    def replica_count(self, obj: int) -> int:
-        return len(self.replica_holders[obj])
 
     def relocate_replicas(self, departed_peer: int, alive: Sequence[int], rng: random.Random) -> int:
         """Move a departing peer's replicas to random alive peers.

@@ -525,3 +525,42 @@ def test_default_police_matches_paper_constants():
     spec = get_spec("fig9")
     assert spec.police == DDPoliceConfig()
     assert spec.seed == 7
+
+
+def _counting_backend(monkeypatch, name):
+    """Swap backend ``name``'s task for one that records every case it
+    runs and returns (case seed, call number)."""
+    import repro.experiments.spec as spec
+
+    calls = []
+
+    def task(case):
+        calls.append(case)
+        return (case.seed, len(calls))
+
+    monkeypatch.setitem(
+        spec._BACKENDS, name, replace(spec._BACKENDS[name], task_fn=task)
+    )
+    return calls
+
+
+def test_run_cases_runs_each_distinct_case_once(monkeypatch):
+    from repro.experiments.spec import Case, run_cases
+
+    calls = _counting_backend(monkeypatch, "fluid")
+    a = Case(n=40, minutes=3, seed=1)
+    b = replace(a, num_agents=2)
+    assert run_cases([a, b, a, b, a], backend="fluid", workers=1) == [
+        (1, 1), (1, 2), (1, 1), (1, 2), (1, 1)
+    ]
+    assert calls == [a, b]
+
+
+def test_run_cases_runs_every_live_entry(monkeypatch):
+    """A swarm run is a sample, not a function of its case: duplicates run."""
+    from repro.experiments.spec import Case, run_cases
+
+    calls = _counting_backend(monkeypatch, "live")
+    a = Case(n=40, minutes=3, seed=1)
+    assert run_cases([a, a, a], backend="live", workers=1) == [(1, 1), (1, 2), (1, 3)]
+    assert calls == [a, a, a]

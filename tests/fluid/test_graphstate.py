@@ -1,12 +1,16 @@
 """Unit tests for the fluid graph state (churn + snapshots)."""
 
+import hashlib
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.fluid.graphstate import FluidChurnConfig, GraphState
+from repro.overlay.topology import TopologyConfig, generate_topology
 
 
 def ring(n):
@@ -180,3 +184,181 @@ def test_edge_arrays_match_live_adjacency_after_churn():
         assert np.array_equal(dst, ref_dst)
         assert np.array_equal(rev, ref_rev)
         assert np.array_equal(indptr, edge_slice_index(ref_src, s.n))
+
+
+# ---------------------------------------------------------------------------
+# the churn stream: inlined draws consume the same words
+# ---------------------------------------------------------------------------
+
+def _churn_sha256(state):
+    doc = (
+        [sorted(state.adjacency[u]) for u in range(state.n)],
+        state.online.tolist(),
+        [sorted(state.snapshots[u]) for u in range(state.n)],
+        sorted(state._isolated_since.items()),
+        state.joins,
+        state.leaves,
+        state._rng.getstate(),
+    )
+    return hashlib.sha256(repr(doc).encode()).hexdigest()
+
+
+_PINNED_CHURN = {
+    "default": FluidChurnConfig(),
+    # Joiners often meet saturated candidates and run out of attempts.
+    "saturating": FluidChurnConfig(
+        leave_prob_per_min=0.3, join_prob_per_min=0.3,
+        join_degree_min=3, join_degree_max=4, max_degree=4,
+    ),
+    # A one-value degree span still draws (and may reject) its bit.
+    "fixed-degree": FluidChurnConfig(
+        join_degree_min=2, join_degree_max=2, max_degree=5, reconnect_delay_min=0,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "churn, seed, digest",
+    [
+        ("default", 3, "599b66c92a411a1c8f6838ba3e66e56e2259a397fafffb9453f5f02f24f45aed"),
+        ("default", 11, "70d852fc3ae6ea8792ebc9a4f3a3eaa9f9737265470e816e8d3f74de118b69ef"),
+        ("saturating", 3, "e8a57e8855dc00b86cae0312ad905ef60c580b8c8dc69505fab4ea566caa8205"),
+        ("saturating", 11, "6419617af7a2679318a79496b61f00e799a964e0b391b242da657f0e8669b839"),
+        ("fixed-degree", 3, "690415713f04f18b125916741ce7bd2d7cd86afc286c8c6048f3d4b97b2ac07b"),
+        ("fixed-degree", 11, "6650fdb8fc1ce26d50636d6dd11c4526c432077d1a384d742891393e74645eb5"),
+    ],
+)
+def test_churn_stream_is_pinned(churn, seed, digest):
+    """Twenty churn + exchange minutes on a 300-peer BA overlay end in the
+    adjacency, online flags, snapshots and churn-stream position these
+    digests were recorded from (before the joins' draws were inlined)."""
+    topo = generate_topology(TopologyConfig(n=300, seed=seed))
+    s = GraphState(
+        300,
+        {u: set(vs) for u, vs in enumerate(topo.adjacency)},
+        churn=_PINNED_CHURN[churn],
+        exchange_period_min=2,
+        rng=random.Random(seed),
+    )
+    s.pinned = set(range(5))
+    for _ in range(20):
+        s.step_churn()
+        s.step_exchange()
+    assert _churn_sha256(s) == digest
+
+
+# ---------------------------------------------------------------------------
+# the changed set: republication and staleness against a full recomputation
+# ---------------------------------------------------------------------------
+
+def _full_staleness(state, snapshots):
+    """Every online peer's published list against its live one."""
+    errs = []
+    for u in np.flatnonzero(state.online).tolist():
+        snap, live = snapshots[u], state.adjacency[u]
+        if snap == live:
+            if live:
+                errs.append(0.0)
+        else:
+            errs.append(len(snap ^ live) / len(snap | live))
+    return float(np.mean(errs)) if errs else 0.0
+
+
+_N = 24
+_node = st.integers(0, _N - 1)
+_op = st.one_of(
+    st.tuples(st.just("add"), _node, _node),
+    st.tuples(st.just("remove"), _node, _node),
+    st.tuples(st.just("expel"), _node),
+    st.tuples(st.just("stale"), _node, st.frozensets(_node, max_size=4)),
+    st.tuples(st.just("churn")),
+    st.tuples(st.just("exchange")),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ops=st.lists(_op, max_size=60),
+    period=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_changed_set_matches_a_full_recomputation(ops, period, seed):
+    """After any mix of edge adds and removes, expulsions, hand-published
+    stale lists, churn minutes (leaves, joins, reconnects) and exchanges,
+    the snapshots and staleness equal a model that re-freezes every due
+    peer and compares every online one."""
+    s = GraphState(
+        _N,
+        ring(_N),
+        churn=FluidChurnConfig(
+            leave_prob_per_min=0.3, join_prob_per_min=0.5, reconnect_delay_min=0
+        ),
+        exchange_period_min=period,
+        rng=random.Random(seed),
+    )
+    ref = dict(s.snapshots)
+    for op in ops:
+        kind = op[0]
+        if kind == "add":
+            u, v = op[1], op[2]
+            if u != v and s.online[u] and s.online[v]:
+                s.add_edge(u, v)
+        elif kind == "remove":
+            s.remove_edge(op[1], op[2])
+        elif kind == "expel":
+            s.disconnect_all(op[1])
+            s.online[op[1]] = False
+        elif kind == "stale":
+            s.publish(op[1], op[2])
+            ref[op[1]] = op[2]
+        elif kind == "churn":
+            s.step_churn()
+        else:
+            online = np.flatnonzero(s.online)
+            due = online[(s.minute + online) % period == 0].tolist()
+            for u in due:
+                ref[u] = frozenset(s.adjacency[u])
+            assert s.step_exchange() == len(due)
+        assert s.snapshots == ref
+        assert s.snapshot_staleness() == _full_staleness(s, ref)
+
+
+# ---------------------------------------------------------------------------
+# checkpoint / restore
+# ---------------------------------------------------------------------------
+
+def _churned_state(seed=5):
+    s = GraphState(40, ring(40), exchange_period_min=2, rng=random.Random(seed))
+    s.pinned = {0, 1}
+    for _ in range(6):
+        s.step_churn()
+        s.step_exchange()
+    s.remove_edge(*next((u, v) for u in range(40) for v in s.adjacency[u]))
+    return s
+
+
+def test_restore_continues_exactly_where_the_checkpoint_froze():
+    s = _churned_state()
+    restored = GraphState.restore(s.checkpoint())
+    assert restored.checkpoint() == s.checkpoint()
+    for _ in range(5):
+        s.step_churn()
+        s.step_exchange()
+        restored.step_churn()
+        restored.step_exchange()
+        assert _churn_sha256(restored) == _churn_sha256(s)
+        assert restored.snapshot_staleness() == s.snapshot_staleness()
+        assert np.array_equal(restored.edge_arrays()[0], s.edge_arrays()[0])
+
+
+def test_restored_states_share_no_mutable_part():
+    checkpoint = _churned_state().checkpoint()
+    a = GraphState.restore(checkpoint)
+    b = GraphState.restore(checkpoint)
+    a.disconnect_all(next(u for u in range(40) if a.adjacency[u]))
+    a.online[:] = False
+    a.pinned.clear()
+    a._rng.random()
+    a.publish(3, {7})
+    assert b.checkpoint() == checkpoint
+    assert GraphState.restore(checkpoint).checkpoint() == checkpoint

@@ -83,7 +83,7 @@ def test_stale_membership_inflates_indicator():
     forwarder look like an issuer -- the Section 3.1 misjudgment."""
     state = star_state(k=4)
     # node 4 joined recently: remove it from 0's published snapshot
-    state.snapshots[0] = frozenset({1, 2, 3})
+    state.publish(0, {1, 2, 3})
     flows = {}
     for nb in (1, 2, 3):
         flows[(nb, 0)] = 100.0
